@@ -91,7 +91,6 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
         kept = [(i, j) for i in range(n) for j in range(n)]
     else:
         kept = [(i, j) for i in range(n) for j in range(n) if d[i, j] <= lam + EPS_D]
-    col_of = {pair: idx for idx, pair in enumerate(kept)}
     nx = len(kept)
     ncols = nx + n  # y_i lives at column nx + i
 
@@ -212,16 +211,22 @@ def solve_lp(model: LpModel, inst: MetricInstance | None = None,
     x /= sums[None, :]
     sol = FractionalSolution(x=x, y=y)
     if inst is not None and gf is not None:
-        resid = lp_residuals(inst, gf, model.k, sol, lam=model.lam)
-        if resid["max"] > RESIDUAL_TOL:
-            raise NumericalError(
-                f"post-repair residual {resid['max']:.3e} exceeds {RESIDUAL_TOL}: {resid}")
+        check_lp_solution(model, sol, inst, gf)
     return sol
 
 
+def check_lp_solution(model: LpModel, sol: FractionalSolution,
+                      inst: MetricInstance, gf: GroupFairnessSpec) -> None:
+    """Raise NumericalError if a repaired solution of ``model`` breaks any
+    constraint by more than RESIDUAL_TOL."""
+    resid = lp_residuals(inst, gf, model.k, sol, lam=model.lam)
+    if resid["max"] > RESIDUAL_TOL:
+        raise NumericalError(
+            f"post-repair residual {resid['max']:.3e} exceeds {RESIDUAL_TOL}: {resid}")
+
+
 def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
-                 sol: FractionalSolution, lam: float | None = None,
-                 require_integral_y: bool = False) -> dict:
+                 sol: FractionalSolution, lam: float | None = None) -> dict:
     """Worst-case residual of every constraint family, for checks and tests."""
     x, y = sol.x, sol.y
     out = {}
@@ -243,8 +248,6 @@ def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
         d = inst.distance_matrix()
         far = x[d > lam + EPS_D]
         out["radius"] = float(far.max()) if far.size else 0.0
-    if require_integral_y:
-        out["y_integral"] = float(np.minimum(np.abs(y), np.abs(1.0 - y)).max())
     out["max"] = max(v for v in out.values())
     return out
 
@@ -271,34 +274,61 @@ def solution_from_clustering(inst: MetricInstance, centers, assignment) -> Fract
     return FractionalSolution(x=x, y=y)
 
 
+@dataclass(frozen=True)
+class LambdaSearchResult:
+    """The winning probe of a radius search: the radius, the feasibility
+    model built at it and that model's repaired solution."""
+
+    radius: float
+    model: LpModel
+    solution: FractionalSolution
+
+
 def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
-                        radii) -> float:
-    """Smallest radius in the candidate set whose feasibility program solves.
+                        radii) -> LambdaSearchResult:
+    """Smallest radius in the sorted candidate set whose feasibility program
+    solves, returned with the model and solution of that probe.
 
     Feasibility is monotone in the cap (a larger cap only adds variables), so
-    a binary search over the sorted candidates equals the linear scan.
+    a binary search over the candidates equals the linear scan. The lowest
+    candidate is probed first and wins at once if feasible. Otherwise the
+    highest is probed, and if it is infeasible too the program is infeasible
+    at every candidate (InfeasibleError); else a binary search between the
+    two finds the boundary. No radius is probed twice. The solution is
+    repaired but not checked against the residual tolerance; see
+    ``check_lp_solution``.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise ValidationError("empty radius candidate set")
 
-    def feasible(r: float) -> bool:
-        return solve_lp(build_gf_feasibility_lp(inst, gf, k, r)) is not None
+    def probe(idx: int) -> LambdaSearchResult | None:
+        radius = float(radii[idx])
+        model = build_gf_feasibility_lp(inst, gf, k, radius)
+        sol = solve_lp(model)
+        return None if sol is None else LambdaSearchResult(radius, model, sol)
 
-    if not feasible(float(radii[-1])):
+    best = probe(0)
+    if best is not None:
+        return best
+    hi = radii.size - 1
+    best = probe(hi) if hi > 0 else None
+    if best is None:
         raise InfeasibleError(
             "group fairness program infeasible even at the largest radius",
             diagnosis=[f"sum of lower ratios = {float(sum(gf.lower)):.6g}",
                        f"sum of upper ratios = {float(sum(gf.upper)):.6g}",
                        f"k = {k}, n = {inst.n}"])
-    lo, hi = 0, radii.size - 1
+    # radii[lo - 1] is infeasible and best is the probe at radii[hi]
+    lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(float(radii[mid])):
-            hi = mid
+        found = probe(mid)
+        if found is not None:
+            hi, best = mid, found
         else:
             lo = mid + 1
-    return float(radii[lo])
+    return best
 
 
 def dump_lp_text(model: LpModel, stream) -> None:

@@ -81,7 +81,7 @@ def _center_stage(inst, gf, k):
     ds = CenterDiversitySpec(lower=lower, upper=(k,) * inst.m, k=k)
     ds_sol = solve_ds_exact(inst, ds, "center")
     radii = pairwise_distance_set(inst)
-    lam = max(min_feasible_lambda(inst, gf, k, radii), ds_sol.cost)
+    lam = max(min_feasible_lambda(inst, gf, k, radii).radius, ds_sol.cost)
     sol = solve_lp(build_gf_feasibility_lp(inst, gf, k, lam), inst, gf)
     rerouted, _ = reroute_center(inst, sol, ds_sol.centers)
     return ds_sol, rerouted

@@ -11,7 +11,8 @@ from fairclus import (GroupFairnessSpec, InfeasibleError, ValidationError,
                       build_gf_objective_lp, fractional_cost, lp_residuals,
                       make_instance, min_feasible_lambda,
                       pairwise_distance_set, random_instance, solve_lp)
-from fairclus.lp import dump_lp_text, solution_from_clustering
+from fairclus import lp as lp_module
+from fairclus.lp import RESIDUAL_TOL, dump_lp_text, solution_from_clustering
 
 from conftest import line_instance, vacuous_gf, window_gf
 
@@ -49,7 +50,7 @@ def test_solution_invariants_on_random_instances():
                              coords=rng.uniform(0, 1, (n, 2)), m=2)
         gf = window_gf(inst)
         radii = pairwise_distance_set(inst)
-        lam = min_feasible_lambda(inst, gf, 2, radii)
+        lam = min_feasible_lambda(inst, gf, 2, radii).radius
         sol = solve_lp(build_gf_feasibility_lp(inst, gf, 2, lam), inst, gf)
         resid = lp_residuals(inst, gf, 2, sol, lam=lam)
         assert resid["max"] <= 1e-7
@@ -122,7 +123,7 @@ def test_min_feasible_lambda_matches_linear_scan():
         gf = window_gf(inst)
         k = 2
         radii = pairwise_distance_set(inst)
-        lam = min_feasible_lambda(inst, gf, k, radii)
+        lam = min_feasible_lambda(inst, gf, k, radii).radius
         flags = [solve_lp(build_gf_feasibility_lp(inst, gf, k, float(r)))
                  is not None for r in radii]
         # monotone: once feasible, stays feasible
@@ -134,12 +135,12 @@ def test_min_feasible_lambda_matches_linear_scan():
 def test_min_feasible_lambda_trivial_values():
     single = line_instance([0.0], [0])
     gf1 = GroupFairnessSpec(lower=(0,), upper=(1,))
-    assert min_feasible_lambda(single, gf1, 1, pairwise_distance_set(single)) == 0.0
+    assert min_feasible_lambda(single, gf1, 1, pairwise_distance_set(single)).radius == 0.0
 
     inst = random_instance(5, 2, seed=3)
     gf = vacuous_gf(2)
     # every point its own center: radius 0 suffices
-    assert min_feasible_lambda(inst, gf, 5, pairwise_distance_set(inst)) == 0.0
+    assert min_feasible_lambda(inst, gf, 5, pairwise_distance_set(inst)).radius == 0.0
 
 
 def test_min_feasible_lambda_globally_infeasible():
@@ -149,11 +150,65 @@ def test_min_feasible_lambda_globally_infeasible():
         min_feasible_lambda(inst, gf, 2, pairwise_distance_set(inst))
 
 
+def _record_probes(monkeypatch):
+    """Radii of the feasibility models the search builds, in build order."""
+    probed = []
+    build = lp_module.build_gf_feasibility_lp
+
+    def recording(inst, gf, k, lam):
+        probed.append(lam)
+        return build(inst, gf, k, lam)
+
+    monkeypatch.setattr(lp_module, "build_gf_feasibility_lp", recording)
+    return probed
+
+
+def test_min_feasible_lambda_on_candidate_suffixes(monkeypatch):
+    rng = np.random.default_rng(43)
+    probed = _record_probes(monkeypatch)
+    searched = 0
+    for n, m, k in ((5, 2, 1), (6, 2, 2), (7, 3, 2), (8, 2, 3), (8, 3, 3)):
+        inst = make_instance(np.arange(n) % m, coords=rng.uniform(0, 1, (n, 2)), m=m)
+        gf = window_gf(inst)
+        radii = pairwise_distance_set(inst)
+        flags = [solve_lp(build_gf_feasibility_lp(inst, gf, k, float(r))) is not None
+                 for r in radii]
+        first = flags.index(True)  # the full search's answer
+        assert all(flags[first:])
+        for i in range(radii.size):
+            probed.clear()
+            result = min_feasible_lambda(inst, gf, k, radii[i:])
+            assert result.radius == float(radii[max(first, i)])
+            assert result.model.lam == result.radius
+            assert len(probed) == len(set(probed))  # no radius probed twice
+            assert len(probed) <= 2 + math.ceil(math.log2(radii.size - i))
+            resid = lp_residuals(inst, gf, k, result.solution, lam=result.radius)
+            assert resid["max"] <= RESIDUAL_TOL
+            searched += 1
+    assert searched >= 60
+
+
+def test_min_feasible_lambda_single_candidate_probed_once(monkeypatch):
+    probed = _record_probes(monkeypatch)
+    inst = random_instance(6, 2, seed=4)
+    gf = vacuous_gf(2)
+    top = float(pairwise_distance_set(inst)[-1])
+    assert min_feasible_lambda(inst, gf, 1, [top]).radius == top
+    assert probed == [top]
+
+    probed.clear()
+    pair = make_instance([0, 1], coords=[[0.0], [1.0]])
+    pure = GroupFairnessSpec(lower=(1, 0), upper=(1, 1))
+    with pytest.raises(InfeasibleError):
+        min_feasible_lambda(pair, pure, 2, [1.0])
+    assert probed == [1.0]
+
+
 def test_alternating_line_lambda_matches_scan():
     inst = line_instance([0, 1, 2, 3], [0, 1, 0, 1])
     gf = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5))
     radii = pairwise_distance_set(inst)
-    lam = min_feasible_lambda(inst, gf, 1, radii)
+    lam = min_feasible_lambda(inst, gf, 1, radii).radius
     scan = next(float(r) for r in radii
                 if solve_lp(build_gf_feasibility_lp(inst, gf, 1, float(r))) is not None)
     assert lam == pytest.approx(scan)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -5,11 +6,16 @@ import numpy as np
 import pytest
 
 from fairclus import (CenterDiversitySpec, ContractViolationError,
-                      DsSolverContract, GreedyBackend, GroupFairnessSpec,
-                      InfeasibleError, ValidationError, check_ds,
+                      DsSolverContract, ExactBackend, GreedyBackend,
+                      GroupFairnessSpec, InfeasibleError, ValidationError,
+                      build_gf_feasibility_lp, check_ds, default_ds_profile,
                       exact_gf_spec, gf_violation, guarantee_factor,
-                      make_instance, means_pq, random_instance, solve,
-                      solve_doubly_fair_kcenter, solve_doubly_fair_medmeans)
+                      make_instance, means_pq, pairwise_distance_set,
+                      random_instance, solve, solve_doubly_fair_kcenter,
+                      solve_doubly_fair_medmeans, solve_lp)
+from fairclus import lp as lp_module
+from fairclus import pipeline
+from fairclus.lp import LambdaSearchResult, dump_lp_text
 from fairclus.oracle import brute_force_doubly_fair
 
 from conftest import balanced_instance, line_instance, vacuous_gf, window_gf
@@ -222,3 +228,86 @@ def test_report_serializes_to_json():
     assert parsed["objective"] == "means"
     assert parsed["p_squared"] == pytest.approx(math.sqrt(5.0))
     assert parsed["q_squared"] == 1.0
+
+
+def test_kcenter_with_feasible_lambda_ds_solves_one_lp(monkeypatch):
+    inst = random_instance(20, 2, seed=3)
+    gf = exact_gf_spec(inst)
+    ds = default_ds_profile(inst, 4)
+    _, first = solve_doubly_fair_kcenter(inst, gf, ds, backend=GreedyBackend())
+    # precondition: the snapped diverse-cost radius is already LP-feasible
+    assert solve_lp(build_gf_feasibility_lp(inst, gf, ds.k, first.lambda_ds)) is not None
+
+    calls = []
+    linprog = lp_module.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "linprog", counting)
+    _, report = solve_doubly_fair_kcenter(inst, gf, ds, backend=GreedyBackend())
+    assert len(calls) == 1
+    assert report.lam == report.lambda_lp == report.lambda_ds
+
+
+def test_kcenter_matches_full_search_and_fresh_solve(monkeypatch):
+    """Searching only radii >= lambda_ds and reusing the winning probe gives
+    the clustering of a search over every distance plus a fresh LP at lam."""
+    lp_above_ds = []
+
+    def full_search_then_fresh_solve(inst, gf, k, candidates):
+        radii = pairwise_distance_set(inst)
+        lambda_lp = next(float(r) for r in radii if solve_lp(
+            build_gf_feasibility_lp(inst, gf, k, float(r))) is not None)
+        lambda_ds = float(candidates[0])
+        lp_above_ds.append(lambda_lp > lambda_ds)
+        lam = max(lambda_lp, lambda_ds)
+        model = build_gf_feasibility_lp(inst, gf, k, lam)
+        return LambdaSearchResult(lam, model, solve_lp(model, inst, gf))
+
+    def outcome(clustering, report):
+        fields = report.to_dict()
+        fields.pop("timings")
+        fields.pop("lambda_lp")
+        return clustering.to_dict(), fields
+
+    for seed in range(4):
+        for n, m, k in ((8, 2, 2), (9, 3, 3), (10, 2, 3)):
+            inst = balanced_instance(n, m, seed)
+            gf = exact_gf_spec(inst)
+            ds = default_ds_profile(inst, k)
+            for backend in (ExactBackend(), GreedyBackend()):
+                got = solve_doubly_fair_kcenter(inst, gf, ds, backend=backend)
+                with monkeypatch.context() as patch:
+                    patch.setattr(pipeline, "min_feasible_lambda",
+                                  full_search_then_fresh_solve)
+                    want = solve_doubly_fair_kcenter(inst, gf, ds, backend=backend)
+                assert got[1].lam == want[1].lam
+                assert got[1].lam == max(got[1].lambda_lp, got[1].lambda_ds)
+                assert outcome(*got) == outcome(*want)
+    assert any(lp_above_ds) and not all(lp_above_ds)
+
+
+def test_kcenter_lp_dump_is_the_model_at_lam(tmp_path):
+    inst = balanced_instance(8, 2, seed=1)
+    gf = exact_gf_spec(inst)
+    ds = default_ds_profile(inst, 2)
+    path = tmp_path / "model.lp"
+    _, report = solve_doubly_fair_kcenter(inst, gf, ds, dumps={"lp": str(path)})
+    text = path.read_text()
+    assert f" radius_cap={report.lam} " in text.splitlines()[0]
+    fresh = io.StringIO()
+    dump_lp_text(build_gf_feasibility_lp(inst, gf, ds.k, report.lam), fresh)
+    assert text == fresh.getvalue()
+
+
+def test_timings_time_the_precheck_apart_from_ds():
+    inst = balanced_instance(6, 2, seed=21)
+    gf = window_gf(inst)
+    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
+    for objective in ("center", "median"):
+        _, report = solve(inst, gf, ds, objective)
+        timings = report.timings
+        assert {"precheck", "ds", "lp", "rerouting", "flow", "total"} <= set(timings)
+        assert timings["precheck"] + timings["ds"] <= timings["total"]

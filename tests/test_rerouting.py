@@ -45,7 +45,7 @@ def test_singleton_center_set_takes_everything():
     inst = random_instance(6, 2, seed=5)
     gf = vacuous_gf(2)
     radii = pairwise_distance_set(inst)
-    lam = min_feasible_lambda(inst, gf, 1, radii)
+    lam = min_feasible_lambda(inst, gf, 1, radii).radius
     sol = solve_lp(build_gf_feasibility_lp(inst, gf, 1, lam), inst, gf)
     rerouted, _ = reroute_center(inst, sol, [3])
     assert np.allclose(rerouted.x[3, :], 1.0)
@@ -101,7 +101,7 @@ def _pipeline_front(inst, gf, k, objective, seed_ds=None):
     ds_sol = solve_ds_exact(inst, ds, objective)
     if objective == "center":
         radii = pairwise_distance_set(inst)
-        lam = max(min_feasible_lambda(inst, gf, k, radii),
+        lam = max(min_feasible_lambda(inst, gf, k, radii).radius,
                   float(radii[np.searchsorted(radii, ds_sol.cost - 1e-9)]))
         sol = solve_lp(build_gf_feasibility_lp(inst, gf, k, lam), inst, gf)
         return ds_sol, sol, lam
