@@ -18,9 +18,8 @@ from .ds import (DsSolution, DsSolverContract, ExactBackend, GreedyBackend,
 from .errors import (BudgetExceededError, ContractViolationError, FairclusError,
                      InfeasibleError, NumericalError, ParseError, PipelineError,
                      ValidationError)
-from .instance import (MetricInstance, PointRecord, instance_to_dict,
-                       load_instance, make_instance, pairwise_distance_set,
-                       random_instance)
+from .instance import (MetricInstance, instance_to_dict, load_instance,
+                       make_instance, pairwise_distance_set, random_instance)
 from .lp import (FractionalSolution, build_gf_feasibility_lp,
                  build_gf_objective_lp, fractional_cost, lp_residuals,
                  min_feasible_lambda, solve_lp)
@@ -36,7 +35,7 @@ __all__ = [
     "ContractViolationError", "DsSolution", "DsSolverContract", "ExactBackend",
     "FairclusError", "FractionalSolution", "GreedyBackend", "GroupFairnessSpec",
     "InfeasibleError", "MetricInstance", "NumericalError", "OracleBudget",
-    "ParseError", "PipelineError", "PointRecord", "ReroutePlan", "SolveReport",
+    "ParseError", "PipelineError", "ReroutePlan", "SolveReport",
     "SubprocessBackend", "ValidationError", "brute_force_doubly_fair",
     "brute_force_gf_assignment", "build_gf_feasibility_lp",
     "build_gf_objective_lp", "check_cluster_group_fair", "check_ds",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,54 +19,34 @@ from .errors import ParseError, ValidationError
 
 EPS_D = 1e-9  # absolute tolerance for all distance/threshold comparisons
 
-# Euclidean instances larger than this answer distance queries from coords
-# instead of materializing the full n x n table.
-_CACHE_LIMIT = 2000
-
 # Exhaustive triangle-inequality check up to this size; sampled above.
 _EXHAUSTIVE_LIMIT = 200
 _SAMPLED_TRIPLES_PER_POINT = 50
 
 
 @dataclass(frozen=True)
-class PointRecord:
-    """One point: contiguous 0-based id, color label in [0, m), optional coords."""
-
-    id: int
-    color: int
-    coords: tuple | None = None
-
-
-@dataclass(frozen=True)
 class MetricInstance:
     """Immutable colored metric space.
 
-    Exactly one of the two metric representations is authoritative: an
-    explicit ``dist`` table, or ``coords`` from which Euclidean distances are
-    derived (and cached as a table for small instances).
+    ``dist`` is always the full n x n table: either given explicitly, or
+    derived once from the Euclidean ``coords``.
     """
 
     n: int
     m: int
     colors: np.ndarray  # shape (n,), int
+    dist: np.ndarray  # shape (n, n)
     coords: np.ndarray | None = None  # shape (n, dim) or None
-    dist: np.ndarray | None = None  # shape (n, n) or None (large Euclidean)
     color_names: tuple | None = None  # reporting only
-    points: tuple = field(default_factory=tuple)
 
     def distance(self, i: int, j: int) -> float:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"point id out of range: ({i}, {j}) with n={self.n}")
-        if self.dist is not None:
-            return float(self.dist[i, j])
-        diff = self.coords[i] - self.coords[j]
-        return float(np.sqrt(np.dot(diff, diff)))
+        return float(self.dist[i, j])
 
     def distance_matrix(self) -> np.ndarray:
-        """Full n x n table (computed on demand for large Euclidean instances)."""
-        if self.dist is not None:
-            return self.dist
-        return _euclidean_table(self.coords)
+        """Full n x n table, built once with the instance."""
+        return self.dist
 
     def points_of_color(self, h: int) -> np.ndarray:
         return np.flatnonzero(self.colors == h)
@@ -98,10 +78,8 @@ def make_instance(colors, coords=None, dist=None, m=None, color_names=None,
             raise ValidationError(f"coords must be (n, dim), got {coords.shape}")
         if not np.all(np.isfinite(coords)):
             raise ValidationError("coords contain non-finite values")
-        table = _euclidean_table(coords) if n <= _CACHE_LIMIT else None
+        table = _euclidean_table(coords)
         coords.flags.writeable = False
-        if table is not None:
-            table.flags.writeable = False
     else:
         table = np.asarray(dist, dtype=float)
         if table.shape != (n, n):
@@ -109,17 +87,12 @@ def make_instance(colors, coords=None, dist=None, m=None, color_names=None,
         if validate:
             _check_metric_axioms(table)
         table = table.copy()
-        table.flags.writeable = False
+    table.flags.writeable = False
 
-    pts = tuple(
-        PointRecord(i, int(colors[i]),
-                    tuple(coords[i]) if coords is not None else None)
-        for i in range(n))
     colors = colors.copy()
     colors.flags.writeable = False
     return MetricInstance(n=n, m=int(m), colors=colors, coords=coords,
-                          dist=table, color_names=tuple(color_names) if color_names else None,
-                          points=pts)
+                          dist=table, color_names=tuple(color_names) if color_names else None)
 
 
 def _euclidean_table(coords: np.ndarray) -> np.ndarray:

@@ -27,9 +27,8 @@ from .constraints import (CenterDiversitySpec, GroupFairnessSpec, check_ds,
 from .ds import ExactBackend, solve_ds_plugin
 from .errors import (BudgetExceededError, InfeasibleError, PipelineError,
                      ValidationError)
-from .flow import (build_center_flow, build_medmeans_flow, check_mass_windows,
-                   dump_flow_text, extract_assignment, max_flow_with_lower_bounds,
-                   min_cost_flow)
+from .flow import (build_flow, check_mass_windows, dump_flow_text,
+                   extract_assignment, min_cost_flow)
 from .instance import EPS_D, MetricInstance, pairwise_distance_set
 # build_gf_feasibility_lp is no longer called here, but stays importable under
 # this name: benchmarks/tracing.py wraps the pipeline's LP entry points.
@@ -38,6 +37,9 @@ from .lp import (build_gf_feasibility_lp, build_gf_objective_lp,  # noqa: F401
                  min_feasible_lambda, solve_lp)
 from .oracle import OracleBudget, brute_force_doubly_fair
 from .rerouting import MASS_TOL, check_rerouted, reroute_center, reroute_medmeans
+
+# Retired flow entry points, bound only because benchmarks/tracing.py wraps them.
+build_center_flow = build_medmeans_flow = max_flow_with_lower_bounds = build_flow
 
 
 def guarantee_factor(objective: str, alpha: float) -> float:
@@ -147,6 +149,15 @@ def _maybe_dump(dumps, key, writer):
             writer(fh)
 
 
+def _round_flow(inst, rerouted, centers, objective, dumps):
+    net = build_flow(rerouted, centers, inst, objective)
+    _maybe_dump(dumps, "flow", lambda fh: dump_flow_text(net, fh))
+    flows = min_cost_flow(net)
+    x2 = extract_assignment(flows, net)
+    check_mass_windows(x2, net, inst)
+    return net, flows, x2
+
+
 def solve_doubly_fair_kcenter(inst: MetricInstance, gf: GroupFairnessSpec,
                               ds: CenterDiversitySpec, backend=None,
                               with_oracle: bool = False,
@@ -195,11 +206,7 @@ def solve_doubly_fair_kcenter(inst: MetricInstance, gf: GroupFairnessSpec,
     timings["rerouting"] = time.perf_counter() - t3
 
     t4 = time.perf_counter()
-    net = build_center_flow(rerouted, ds_sol.centers, inst)
-    _maybe_dump(dumps, "flow", lambda fh: dump_flow_text(net, fh))
-    flows = max_flow_with_lower_bounds(net)
-    x2 = extract_assignment(flows, net)
-    check_mass_windows(x2, net, inst)
+    net, flows, x2 = _round_flow(inst, rerouted, ds_sol.centers, "center", dumps)
     timings["flow"] = time.perf_counter() - t4
 
     clustering = make_clustering(inst, ds_sol.centers,
@@ -281,11 +288,7 @@ def solve_doubly_fair_medmeans(inst: MetricInstance, gf: GroupFairnessSpec,
     timings["rerouting"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    net = build_medmeans_flow(rerouted, ds_sol.centers, inst, objective)
-    _maybe_dump(dumps, "flow", lambda fh: dump_flow_text(net, fh))
-    flows = min_cost_flow(net)
-    x2 = extract_assignment(flows, net)
-    check_mass_windows(x2, net, inst)
+    net, flows, x2 = _round_flow(inst, rerouted, ds_sol.centers, objective, dumps)
     timings["flow"] = time.perf_counter() - t3
 
     clustering = make_clustering(inst, ds_sol.centers,

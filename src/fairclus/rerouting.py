@@ -84,7 +84,6 @@ def reroute_center(inst: MetricInstance, sol: FractionalSolution, centers):
     if not centers:
         raise ValidationError("cannot reroute onto an empty center set")
     x = sol.x
-    n = inst.n
 
     mass_from_centers = x[:, centers]  # [p, a] = mass center centers[a] sends to p
     support = mass_from_centers > EPS_POS

@@ -206,7 +206,7 @@ def test_dump_flags_write_files(tmp_path):
             "--dump-rerouting", str(rr_path), "--dump-flow", str(fl_path))
     assert "Minimize" in lp_path.read_text()
     assert "plan" in json.loads(rr_path.read_text())
-    assert fl_path.read_text().startswith("s p_0")
+    assert fl_path.read_text().startswith("arc ")
 
 
 def test_sweep_writes_csv(tmp_path):

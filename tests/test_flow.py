@@ -6,11 +6,8 @@ import pytest
 from fairclus import (CenterDiversitySpec, PipelineError, fractional_cost,
                       make_instance, reroute_center, reroute_medmeans,
                       solve_ds_exact, solve_lp)
-from fairclus.flow import (FlowArc, FlowNetwork, build_center_flow,
-                           build_medmeans_flow, check_mass_windows,
-                           dump_flow_text, extract_assignment,
-                           max_flow_with_lower_bounds, min_cost_flow,
-                           snap_to_integer)
+from fairclus.flow import (build_flow, check_mass_windows, dump_flow_text,
+                           extract_assignment, min_cost_flow, snap_to_integer)
 from fairclus.lp import (FractionalSolution, build_gf_feasibility_lp,
                          build_gf_objective_lp, solution_from_clustering)
 from fairclus import min_feasible_lambda, pairwise_distance_set
@@ -33,11 +30,12 @@ def test_floor_ceil_window_arithmetic():
     x[0, :4] = 0.6   # 2.4 units of color 0
     x[0, 4:] = 0.4   # 1.6 units of color 1
     rerouted = FractionalSolution(x=x, y=np.eye(8)[0])
-    net = build_center_flow(rerouted, [0], inst)
-    bounds = {(a.tail, a.head): (a.lower, a.upper) for a in net.arcs}
-    assert bounds[(("ch", 0, 0), ("c", 0))] == (2, 3)
-    assert bounds[(("ch", 0, 1), ("c", 0))] == (1, 2)
-    assert bounds[(("c", 0), "t")] == (4, 4)
+    net = build_flow(rerouted, [0], inst, "center")
+    windows = list(zip(net.lower.tolist(), net.upper.tolist()))
+    # rows: 8 points, then (center 0, color 0), (center 0, color 1), center 0
+    assert windows[:8] == [(1, 1)] * 8
+    assert windows[8:] == [(2, 3), (1, 2), (4, 4)]
+    assert net.rows.shape == (11, 8)
 
 
 def test_integral_passthrough_center_mode():
@@ -51,26 +49,26 @@ def test_integral_passthrough_center_mode():
         for c in centers:
             assignment[c] = c
         sol = solution_from_clustering(inst, centers, assignment)
-        net = build_center_flow(sol, centers, inst)
+        net = build_flow(sol, centers, inst, "center")
         # all windows collapse to the exact integral masses
-        for arc in net.arcs:
-            if isinstance(arc.tail, tuple) and arc.tail[0] == "ch":
-                assert arc.lower == arc.upper
-        flows = max_flow_with_lower_bounds(net)
-        x2 = extract_assignment(flows, net)
+        assert np.array_equal(net.lower, net.upper)
+        x2 = extract_assignment(min_cost_flow(net), net)
         assert np.array_equal(x2, sol.x)
         check_mass_windows(x2, net, inst)
 
 
 def test_infeasible_lower_bound_raises():
-    net = FlowNetwork(kind="center", n=1, centers=(0,), m=1, arcs=[
-        FlowArc("s", ("p", 0), 0, 1),
-        # no assignment arc feeds this center, yet it must serve one point
-        FlowArc(("ch", 0, 0), ("c", 0), 0, 0),
-        FlowArc(("c", 0), "t", 1, 1),
-    ], color_mass={(0, 0): 0.0}, total_mass={0: 1.0})
+    # centers 0 and 2 each carry a mass of exactly 2, yet only point 1 can
+    # add to either of them: four units of demand meet three points
+    inst = line_instance([0.0, 1.0, 2.0], [0, 0, 0])
+    x = np.zeros((3, 3))
+    x[0, [0, 1]] = 1.0
+    x[2, [1, 2]] = 1.0
+    net = build_flow(FractionalSolution(x=x, y=np.array([1.0, 0.0, 1.0])),
+                     [0, 2], inst, "median")
+    assert net.lower[-2:].tolist() == [2, 2]
     with pytest.raises(PipelineError, match="flow"):
-        max_flow_with_lower_bounds(net)
+        min_cost_flow(net)
 
 
 def _center_stage(inst, gf, k):
@@ -87,6 +85,14 @@ def _center_stage(inst, gf, k):
     return ds_sol, rerouted
 
 
+def _medmeans_stage(inst, gf, objective):
+    ds = CenterDiversitySpec(lower=(0, 0), upper=(2, 2), k=2)
+    ds_sol = solve_ds_exact(inst, ds, objective)
+    sol = solve_lp(build_gf_objective_lp(inst, gf, 2, objective), inst, gf)
+    rerouted, _ = reroute_medmeans(inst, sol, ds_sol.centers)
+    return ds_sol, rerouted
+
+
 def test_center_flow_always_saturates():
     rng = np.random.default_rng(37)
     for trial in range(10):
@@ -95,30 +101,32 @@ def test_center_flow_always_saturates():
                              coords=rng.uniform(0, 1, (n, 2)), m=2)
         gf = window_gf(inst)
         ds_sol, rerouted = _center_stage(inst, gf, 2)
-        net = build_center_flow(rerouted, ds_sol.centers, inst)
-        flows = max_flow_with_lower_bounds(net)
-        # flow value |P|: every source arc saturated
-        assert all(flows[("s", ("p", j))] == 1 for j in range(n))
+        net = build_flow(rerouted, ds_sol.centers, inst, "center")
+        flows = min_cost_flow(net)
+        # every point's arcs carry exactly one unit
+        point_sums = np.bincount(net.arcs[:, 1], weights=flows, minlength=n)
+        assert np.array_equal(point_sums, np.ones(n))
         x2 = extract_assignment(flows, net)
         check_mass_windows(x2, net, inst)
         # integral support sits inside the fractional support
         assert np.all(rerouted.x[x2 > 0] > 0)
 
 
-def test_medmeans_balances_telescope_to_zero():
+def test_medmeans_windows_bracket_point_count():
     rng = np.random.default_rng(41)
     for trial in range(8):
         n = int(rng.integers(5, 10))
         inst = make_instance(rng.integers(0, 2, size=n),
                              coords=rng.uniform(0, 1, (n, 2)), m=2)
-        gf = window_gf(inst)
-        ds = CenterDiversitySpec(lower=(0, 0), upper=(2, 2), k=2)
-        ds_sol = solve_ds_exact(inst, ds, "median")
-        sol = solve_lp(build_gf_objective_lp(inst, gf, 2, "median"), inst, gf)
-        rerouted, _ = reroute_medmeans(inst, sol, ds_sol.centers)
-        net = build_medmeans_flow(rerouted, ds_sol.centers, inst, "median")
-        assert sum(net.balances.values()) == 0
-        assert net.balances["s"] == n
+        ds_sol, rerouted = _medmeans_stage(inst, window_gf(inst), "median")
+        net = build_flow(rerouted, ds_sol.centers, inst, "median")
+        k = len(ds_sol.centers)
+        assert net.rows.shape == (n + 2 * k + k, len(net.arcs))
+        # every arc sits in one point row, one (center, color) row, one center row
+        assert np.array_equal(np.asarray(net.rows.sum(axis=0)).ravel(),
+                              np.full(len(net.arcs), 3.0))
+        centers_lo, centers_hi = net.lower[-k:], net.upper[-k:]
+        assert centers_lo.sum() <= n <= centers_hi.sum()
 
 
 def test_min_cost_never_exceeds_fractional_cost():
@@ -128,17 +136,17 @@ def test_min_cost_never_exceeds_fractional_cost():
         inst = make_instance(rng.integers(0, 2, size=n),
                              coords=rng.uniform(0, 1, (n, 2)), m=2)
         gf = window_gf(inst)
-        ds = CenterDiversitySpec(lower=(0, 0), upper=(2, 2), k=2)
-        for objective in ("median", "means"):
-            ds_sol = solve_ds_exact(inst, ds, objective)
-            sol = solve_lp(build_gf_objective_lp(inst, gf, 2, objective), inst, gf)
-            rerouted, _ = reroute_medmeans(inst, sol, ds_sol.centers)
-            net = build_medmeans_flow(rerouted, ds_sol.centers, inst, objective)
-            flows = min_cost_flow(net)
-            x2 = extract_assignment(flows, net)
+        stages = [(objective, *_medmeans_stage(inst, gf, objective))
+                  for objective in ("median", "means")]
+        # k-center rounds on plain distances, so its sum of distances drops too
+        stages.append(("center", *_center_stage(inst, gf, 2)))
+        for objective, ds_sol, rerouted in stages:
+            net = build_flow(rerouted, ds_sol.centers, inst, objective)
+            x2 = extract_assignment(min_cost_flow(net), net)
             check_mass_windows(x2, net, inst)
-            rounded = fractional_cost(inst, x2, objective)
-            frac = fractional_cost(inst, rerouted.x, objective)
+            measure = "median" if objective == "center" else objective
+            rounded = fractional_cost(inst, x2, measure)
+            frac = fractional_cost(inst, rerouted.x, measure)
             assert rounded <= frac + 1e-6
 
 
@@ -147,9 +155,8 @@ def test_min_cost_single_point():
     x = np.zeros((2, 2))
     x[0, :] = 1.0  # both points fully assigned to center 0
     rerouted = FractionalSolution(x=x, y=np.array([1.0, 0.0]))
-    net = build_medmeans_flow(rerouted, [0], inst, "means")
-    flows = min_cost_flow(net)
-    x2 = extract_assignment(flows, net)
+    net = build_flow(rerouted, [0], inst, "means")
+    x2 = extract_assignment(min_cost_flow(net), net)
     assert fractional_cost(inst, x2, "means") == pytest.approx(9.0)
 
 
@@ -164,32 +171,57 @@ def test_integral_passthrough_min_cost_mode():
         for c in centers:
             assignment[c] = c
         sol = solution_from_clustering(inst, centers, assignment)
-        net = build_medmeans_flow(sol, centers, inst, "median")
-        flows = min_cost_flow(net)
-        x2 = extract_assignment(flows, net)
-        # balances pin every mass: the unique flow reproduces the input
+        net = build_flow(sol, centers, inst, "median")
+        x2 = extract_assignment(min_cost_flow(net), net)
+        # the windows pin every mass: the unique flow reproduces the input
         assert np.array_equal(x2, sol.x)
         assert fractional_cost(inst, x2, "median") == pytest.approx(
             fractional_cost(inst, sol.x, "median"))
 
 
+def _two_point_net():
+    inst = line_instance([0, 1], [0, 1])
+    x = np.zeros((2, 2))
+    x[0, :] = 1.0
+    return build_flow(FractionalSolution(x=x, y=np.array([1.0, 0.0])),
+                      [0], inst, "median")
+
+
 def test_extraction_rejects_unassigned_points():
-    net = FlowNetwork(kind="center", n=2, centers=(0,), m=1, arcs=[],
-                      color_mass={}, total_mass={})
-    flows = {("s", ("p", 0)): 1, (("p", 0), ("ch", 0, 0)): 1}
+    net = _two_point_net()
     with pytest.raises(PipelineError, match="assigned"):
-        extract_assignment(flows, net)
+        extract_assignment(np.array([1.0, 0.0]), net)
+
+
+def test_extraction_rejects_half_unit_flows():
+    net = _two_point_net()
+    for flows in (np.full(len(net.arcs), 0.5), np.array([1.0, np.nan]),
+                  np.array([1.0, 2.0])):
+        with pytest.raises(PipelineError, match="non-unit"):
+            extract_assignment(flows, net)
 
 
 def test_dump_flow_text():
     import io
-    inst = line_instance([0, 1], [0, 1])
-    x = np.zeros((2, 2))
-    x[0, :] = 1.0
-    net = build_medmeans_flow(FractionalSolution(x=x, y=np.array([1.0, 0.0])),
-                              [0], inst, "median")
     buf = io.StringIO()
-    dump_flow_text(net, buf)
+    dump_flow_text(_two_point_net(), buf)
     lines = buf.getvalue().strip().splitlines()
-    assert any(line.startswith("s p_0 0 1 0") for line in lines)
-    assert any(line.startswith("balance s 2") for line in lines)
+    assert lines[:2] == ["arc 0 0 0.0", "arc 0 1 1.0"]
+    assert "row p_1 1 1" in lines
+    assert "row ch_0_1 1 1" in lines
+    assert lines[-1] == "row c_0 2 2"
+
+
+def test_import_leaves_networkx_out():
+    import os
+    import subprocess
+    import sys
+
+    import fairclus
+    src = os.path.dirname(os.path.dirname(fairclus.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fairclus; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -159,3 +159,13 @@ def test_instance_immutability():
         inst.colors[0] = 1
     with pytest.raises(ValueError):
         inst.distance_matrix()[0, 1] = 3.0
+
+
+def test_large_euclidean_instance_keeps_one_table():
+    n = 2001
+    inst = make_instance(np.zeros(n, dtype=int),
+                         coords=np.arange(n, dtype=float)[:, None])
+    table = inst.distance_matrix()
+    assert table.shape == (n, n)
+    assert inst.distance_matrix() is table
+    assert inst.distance(0, n - 1) == table[0, n - 1] == pytest.approx(n - 1.0)
