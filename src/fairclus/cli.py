@@ -117,6 +117,12 @@ def cmd_check(args) -> int:
             clustering = Clustering.from_dict(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid clustering JSON: {exc}") from exc
+    if len(clustering.assignment) != inst.n:
+        raise ValidationError(f"clustering assigns {len(clustering.assignment)} "
+                              f"points, the instance has {inst.n}")
+    for c in clustering.centers:
+        if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < inst.n:
+            raise ValidationError(f"center id {c!r} outside [0, {inst.n})")
     violation = gf_violation(inst, clustering, gf)
     ds_ok = check_ds(inst, clustering.centers, ds)
     print(f"gf_violation={violation:.6g}")

@@ -285,23 +285,40 @@ def load_fairness_spec(source, inst: MetricInstance | None = None):
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid fairness spec JSON: {exc}") from exc
 
-    if "k" not in obj or "ds" not in obj:
+    if not isinstance(obj, dict) or "k" not in obj or "ds" not in obj:
         raise ParseError("fairness spec JSON requires 'k' and 'ds'")
-    k = int(obj["k"])
-    ds_obj = obj["ds"]
-    ds = CenterDiversitySpec(lower=tuple(ds_obj["lower"]),
-                             upper=tuple(ds_obj["upper"]), k=k)
-
-    if obj.get("exact_gf"):
-        if inst is None:
-            raise ParseError("exact_gf requires the instance to derive ratios")
-        rho = int(obj.get("gf", {}).get("rho", 0))
-        gf = exact_gf_spec(inst, rho=rho)
-    else:
-        if "gf" not in obj:
-            raise ParseError("fairness spec JSON requires 'gf' unless exact_gf is set")
-        gf_obj = obj["gf"]
-        gf = GroupFairnessSpec(lower=tuple(gf_obj["lower"]),
-                               upper=tuple(gf_obj["upper"]),
-                               rho=int(gf_obj.get("rho", 0)))
+    k = _spec_int(obj["k"], "k")
+    gf_obj = obj.get("gf", {})
+    if not isinstance(gf_obj, dict):
+        raise ParseError("fairness spec 'gf' must be a JSON object")
+    exact = bool(obj.get("exact_gf"))
+    if exact and inst is None:
+        raise ParseError("exact_gf requires the instance to derive ratios")
+    if not exact and "gf" not in obj:
+        raise ParseError("fairness spec JSON requires 'gf' unless exact_gf is set")
+    ds_bounds = _spec_bounds(obj, "ds")
+    gf_bounds = None if exact else _spec_bounds(obj, "gf")
+    rho = _spec_int(gf_obj.get("rho", 0), "rho")
+    try:  # bounds that int() or Fraction() cannot read
+        ds = CenterDiversitySpec(*ds_bounds, k=k)
+        gf = (exact_gf_spec(inst, rho=rho) if exact
+              else GroupFairnessSpec(*gf_bounds, rho=rho))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"invalid fairness spec: {exc}") from exc
     return gf, ds
+
+
+def _spec_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParseError(f"fairness spec {name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _spec_bounds(obj: dict, block: str) -> tuple:
+    """The (lower, upper) bound tuples of a spec block."""
+    section = obj[block]
+    if not (isinstance(section, dict) and isinstance(section.get("lower"), list)
+            and isinstance(section.get("upper"), list)):
+        raise ParseError(
+            f"fairness spec block {block!r} requires 'lower' and 'upper' lists")
+    return tuple(section["lower"]), tuple(section["upper"])

@@ -48,9 +48,6 @@ class MetricInstance:
         """Full n x n table, built once with the instance."""
         return self.dist
 
-    def points_of_color(self, h: int) -> np.ndarray:
-        return np.flatnonzero(self.colors == h)
-
     def color_counts(self) -> np.ndarray:
         return np.bincount(self.colors, minlength=self.m)
 

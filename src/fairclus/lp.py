@@ -38,44 +38,42 @@ class FractionalSolution:
     x: np.ndarray  # (n, n), x[i, j] = mass from point j to center i
     y: np.ndarray  # (n,)
 
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-    def column_sums(self) -> np.ndarray:
-        return self.x.sum(axis=0)
-
-    def center_mass(self) -> np.ndarray:
-        """Total incoming mass per row i."""
-        return self.x.sum(axis=1)
-
-    def center_color_mass(self, colors: np.ndarray, m: int) -> np.ndarray:
-        """(n, m) table of incoming mass per row i restricted to each color."""
-        out = np.zeros((self.x.shape[0], m))
-        for h in range(m):
-            out[:, h] = self.x[:, colors == h].sum(axis=1)
-        return out
-
 
 @dataclass
 class LpModel:
-    """Sparse model ready for the backend, plus enough context to interpret it."""
+    """Sparse model ready for the backend, plus enough context to interpret it.
+
+    Column ``a`` < ``len(kept)`` is ``x[kept[a, 0], kept[a, 1]]``; column
+    ``len(kept) + i`` is ``y[i]``. The rows of ``a_ub`` are one ``x_ij <= y_i``
+    row per kept pair, the ``sum_i y_i <= k`` row, then for each center i the
+    non-vacuous ratio rows of ``_ratio_rows(gf)``.
+    """
 
     n: int
     k: int
-    kept: list  # (i, j) pairs that survived the radius cutoff, in order
+    kept: np.ndarray  # (A, 2) int array of (center, point) pairs, row-major order
     a_eq: sparse.csr_matrix
     b_eq: np.ndarray
     a_ub: sparse.csr_matrix
     b_ub: np.ndarray
     c: np.ndarray  # objective coefficients (all zero for feasibility models)
     lam: float | None  # radius cap, None for objective models
-    row_names: list
-    is_feasibility: bool
+    gf: GroupFairnessSpec
 
     @property
     def ncols(self) -> int:
         return len(self.kept) + self.n
+
+
+def _ratio_rows(gf: GroupFairnessSpec):
+    """Color, side (True for the upper bound) and ratio bound of each center's
+    ratio rows, in row order: per color the upper row, then the lower row.
+    Rows with u_h = 1 or l_h = 0 are vacuous and left out."""
+    h = np.repeat(np.arange(gf.m), 2)
+    is_upper = np.tile([True, False], gf.m)
+    bound = np.where(is_upper, gf.upper_floats()[h], gf.lower_floats()[h])
+    keep = np.where(is_upper, bound < 1.0, bound > 0.0)
+    return h[keep], is_upper[keep], bound[keep]
 
 
 def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
@@ -88,85 +86,38 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
     d = inst.distance_matrix()
 
     if lam is None:
-        kept = [(i, j) for i in range(n) for j in range(n)]
+        ci, pj = np.divmod(np.arange(n * n), n)
     else:
-        kept = [(i, j) for i in range(n) for j in range(n) if d[i, j] <= lam + EPS_D]
-    nx = len(kept)
+        ci, pj = np.nonzero(d <= lam + EPS_D)
+    nx = ci.size
     ncols = nx + n  # y_i lives at column nx + i
+    pairs = np.arange(nx)
+    a_eq = sparse.csr_matrix((np.ones(nx), (pj, pairs)), shape=(n, ncols))
 
-    lower = gf.lower_floats()
-    upper = gf.upper_floats()
-
-    eq_rows, eq_cols, eq_vals = [], [], []
-    b_eq = np.ones(n)
-    for idx, (i, j) in enumerate(kept):
-        eq_rows.append(j)
-        eq_cols.append(idx)
-        eq_vals.append(1.0)
-    a_eq = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(n, ncols))
-
-    ub_rows, ub_cols, ub_vals = [], [], []
-    b_ub = []
-    row_names = []
-    row = 0
-    # x_ij <= y_i
-    for idx, (i, j) in enumerate(kept):
-        ub_rows += [row, row]
-        ub_cols += [idx, nx + i]
-        ub_vals += [1.0, -1.0]
-        b_ub.append(0.0)
-        row_names.append(f"open_{i}_{j}")
-        row += 1
-    # sum_i y_i <= k
-    for i in range(n):
-        ub_rows.append(row)
-        ub_cols.append(nx + i)
-        ub_vals.append(1.0)
-    b_ub.append(float(k))
-    row_names.append("opened_at_most_k")
-    row += 1
-    # per (i, h): color-h mass within the ratio window of the total mass
-    by_center = [[] for _ in range(n)]
-    for idx, (i, j) in enumerate(kept):
-        by_center[i].append((idx, j))
-    for i in range(n):
-        entries = by_center[i]
-        for h in range(inst.m):
-            if upper[h] < 1.0:  # u_h = 1 rows are vacuous
-                for idx, j in entries:
-                    coef = (1.0 if inst.colors[j] == h else 0.0) - upper[h]
-                    if coef != 0.0:
-                        ub_rows.append(row)
-                        ub_cols.append(idx)
-                        ub_vals.append(coef)
-                b_ub.append(0.0)
-                row_names.append(f"ratio_upper_{i}_{h}")
-                row += 1
-            if lower[h] > 0.0:  # l_h = 0 rows are vacuous
-                for idx, j in entries:
-                    coef = lower[h] - (1.0 if inst.colors[j] == h else 0.0)
-                    if coef != 0.0:
-                        ub_rows.append(row)
-                        ub_cols.append(idx)
-                        ub_vals.append(coef)
-                b_ub.append(0.0)
-                row_names.append(f"ratio_lower_{i}_{h}")
-                row += 1
-    a_ub = sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(row, ncols))
+    # ratio row (i, h): coefficient [c_j = h] - u_h (upper) or l_h - [c_j = h]
+    # (lower) on every kept x_ij; zero coefficients are not stored
+    h, is_upper, bound = _ratio_rows(gf)
+    in_h = (inst.colors[pj][:, None] == h).astype(float)
+    coef = np.where(is_upper, in_h - bound, bound - in_h)
+    nonzero = coef != 0.0
+    ratio_row = nx + 1 + ci[:, None] * h.size + np.arange(h.size)
+    nrows = nx + 1 + n * h.size
+    rows = np.concatenate((pairs, pairs, np.full(n, nx), ratio_row[nonzero]))
+    cols = np.concatenate((pairs, nx + ci, nx + np.arange(n),
+                           np.broadcast_to(pairs[:, None], coef.shape)[nonzero]))
+    vals = np.concatenate((np.ones(nx), -np.ones(nx), np.ones(n), coef[nonzero]))
+    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(nrows, ncols))
+    b_ub = np.zeros(nrows)
+    b_ub[nx] = float(k)
 
     c = np.zeros(ncols)
     if objective == "median":
-        for idx, (i, j) in enumerate(kept):
-            c[idx] = d[i, j]
+        c[:nx] = d[ci, pj]
     elif objective == "means":
-        for idx, (i, j) in enumerate(kept):
-            c[idx] = d[i, j] ** 2
-    elif objective is not None:
-        raise ValidationError(f"unknown LP objective {objective!r}")
+        c[:nx] = d[ci, pj] ** 2
 
-    return LpModel(n=n, k=k, kept=kept, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub,
-                   b_ub=np.array(b_ub), c=c, lam=lam, row_names=row_names,
-                   is_feasibility=objective is None)
+    return LpModel(n=n, k=k, kept=np.column_stack((ci, pj)), a_eq=a_eq,
+                   b_eq=np.ones(n), a_ub=a_ub, b_ub=b_ub, c=c, lam=lam, gf=gf)
 
 
 def build_gf_feasibility_lp(inst: MetricInstance, gf: GroupFairnessSpec,
@@ -201,8 +152,7 @@ def solve_lp(model: LpModel, inst: MetricInstance | None = None,
 
     n, nx = model.n, len(model.kept)
     x = np.zeros((n, n))
-    for idx, (i, j) in enumerate(model.kept):
-        x[i, j] = res.x[idx]
+    x[model.kept[:, 0], model.kept[:, 1]] = res.x[:nx]
     y = np.clip(res.x[nx:], 0.0, 1.0)
     np.clip(x, 0.0, 1.0, out=x)
     sums = x.sum(axis=0)
@@ -274,6 +224,13 @@ def solution_from_clustering(inst: MetricInstance, centers, assignment) -> Fract
     return FractionalSolution(x=x, y=y)
 
 
+def infeasibility_diagnosis(gf: GroupFairnessSpec, k: int, n: int) -> list:
+    """The figures an infeasible group-fairness program is reported with."""
+    return [f"sum of lower ratios = {float(sum(gf.lower)):.6g}",
+            f"sum of upper ratios = {float(sum(gf.upper)):.6g}",
+            f"k = {k}, n = {n}"]
+
+
 @dataclass(frozen=True)
 class LambdaSearchResult:
     """The winning probe of a radius search: the radius, the feasibility
@@ -316,9 +273,7 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
     if best is None:
         raise InfeasibleError(
             "group fairness program infeasible even at the largest radius",
-            diagnosis=[f"sum of lower ratios = {float(sum(gf.lower)):.6g}",
-                       f"sum of upper ratios = {float(sum(gf.upper)):.6g}",
-                       f"k = {k}, n = {inst.n}"])
+            diagnosis=infeasibility_diagnosis(gf, k, inst.n))
     # radii[lo - 1] is infeasible and best is the probe at radii[hi]
     lo = 1
     while lo < hi:
@@ -333,34 +288,35 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
 
 def dump_lp_text(model: LpModel, stream) -> None:
     """Write the model in LP text interchange format (for debugging)."""
+    nx = len(model.kept)
 
     def var(idx):
-        if idx < len(model.kept):
+        if idx < nx:
             i, j = model.kept[idx]
             return f"x_{i}_{j}"
-        return f"y_{idx - len(model.kept)}"
+        return f"y_{idx - nx}"
+
+    def terms(a, r):
+        lo, hi = a.indptr[r], a.indptr[r + 1]
+        return "".join(f" {v:+.12g} {var(cidx)}"
+                       for cidx, v in zip(a.indices[lo:hi], a.data[lo:hi]))
+
+    h, is_upper, _ = _ratio_rows(model.gf)
+    ub_labels = ([f"open_{i}_{j}" for i, j in model.kept] + ["opened_at_most_k"]
+                 + [f"ratio_{'upper' if up else 'lower'}_{i}_{hh}"
+                    for i in range(model.n) for hh, up in zip(h, is_upper)])
 
     stream.write("\\ fairclus model"
                  + (f" radius_cap={model.lam}" if model.lam is not None else "")
                  + f" n={model.n} k={model.k}\n")
     stream.write("Minimize\n obj:")
-    terms = [f" {model.c[idx]:+.12g} {var(idx)}" for idx in range(model.ncols)
-             if model.c[idx] != 0.0]
-    stream.write("".join(terms) if terms else " 0 " + var(0))
+    obj = [f" {model.c[idx]:+.12g} {var(idx)}" for idx in np.flatnonzero(model.c)]
+    stream.write("".join(obj) if obj else " 0 " + var(0))
     stream.write("\nSubject To\n")
-    a_eq = model.a_eq.tocoo()
-    rows_eq = [[] for _ in range(model.a_eq.shape[0])]
-    for r, cidx, v in zip(a_eq.row, a_eq.col, a_eq.data):
-        rows_eq[r].append(f" {v:+.12g} {var(cidx)}")
-    for r, terms in enumerate(rows_eq):
-        stream.write(f" assign_{r}:" + "".join(terms) + f" = {model.b_eq[r]:.12g}\n")
-    a_ub = model.a_ub.tocoo()
-    rows_ub = [[] for _ in range(model.a_ub.shape[0])]
-    for r, cidx, v in zip(a_ub.row, a_ub.col, a_ub.data):
-        rows_ub[r].append(f" {v:+.12g} {var(cidx)}")
-    for r, terms in enumerate(rows_ub):
-        stream.write(f" {model.row_names[r]}:" + "".join(terms)
-                     + f" <= {model.b_ub[r]:.12g}\n")
+    for r in range(model.n):
+        stream.write(f" assign_{r}:{terms(model.a_eq, r)} = {model.b_eq[r]:.12g}\n")
+    for r, label in enumerate(ub_labels):
+        stream.write(f" {label}:{terms(model.a_ub, r)} <= {model.b_ub[r]:.12g}\n")
     stream.write("Bounds\n")
     for idx in range(model.ncols):
         stream.write(f" 0 <= {var(idx)} <= 1\n")

@@ -34,7 +34,7 @@ from .instance import EPS_D, MetricInstance, pairwise_distance_set
 # this name: benchmarks/tracing.py wraps the pipeline's LP entry points.
 from .lp import (build_gf_feasibility_lp, build_gf_objective_lp,  # noqa: F401
                  check_lp_solution, dump_lp_text, fractional_cost,
-                 min_feasible_lambda, solve_lp)
+                 infeasibility_diagnosis, min_feasible_lambda, solve_lp)
 from .oracle import OracleBudget, brute_force_doubly_fair
 from .rerouting import MASS_TOL, check_rerouted, reroute_center, reroute_medmeans
 
@@ -260,13 +260,10 @@ def solve_doubly_fair_medmeans(inst: MetricInstance, gf: GroupFairnessSpec,
     _maybe_dump(dumps, "lp", lambda fh: dump_lp_text(model, fh))
     sol = solve_lp(model, inst, gf)
     if sol is None:
-        diagnosis = list(feasibility_precheck(inst, gf, ds).failures)
-        diagnosis += [f"sum of lower ratios = {float(sum(gf.lower)):.6g}",
-                      f"sum of upper ratios = {float(sum(gf.upper)):.6g}",
-                      f"k = {ds.k}, n = {inst.n}"]
         raise InfeasibleError(
             "the group-fairness program has no fractional solution",
-            diagnosis=diagnosis)
+            diagnosis=(list(feasibility_precheck(inst, gf, ds).failures)
+                       + infeasibility_diagnosis(gf, ds.k, inst.n)))
     lp_cost = fractional_cost(inst, sol.x, objective)
     timings["lp"] = time.perf_counter() - t1
 

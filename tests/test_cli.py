@@ -150,6 +150,24 @@ def test_check_empty_cluster_is_an_error(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("clustering, message", [
+    ({"centers": [0], "assignment": [0, 0, 0]}, "assigns 3 points"),
+    ({"centers": [0, 99], "assignment": [0] * 7 + [99]}, "center id 99"),
+])
+def test_check_rejects_clustering_not_on_the_instance(tmp_path, capsys,
+                                                      clustering, message):
+    inst_path, spec_path = _gen_pair(tmp_path, seed=1)
+    clus_path = tmp_path / "clus.json"
+    clus_path.write_text(json.dumps({**clustering, "objective": "center",
+                                     "cost": 1.0}))
+    code = run_cli("check", "--instance", str(inst_path), "--spec",
+                   str(spec_path), "--clustering", str(clus_path))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "gf_violation" not in captured.out
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_oracle_command(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({

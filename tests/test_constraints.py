@@ -10,6 +10,7 @@ from fairclus import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
                       default_ds_profile, exact_gf_spec, feasibility_precheck,
                       gf_violation, load_fairness_spec, make_clustering,
                       make_instance)
+from fairclus.errors import ParseError
 
 from conftest import line_instance, window_gf
 
@@ -235,6 +236,28 @@ def test_load_fairness_spec_json(tmp_path):
         "exact_gf": True, "ds": {"lower": [1, 1], "upper": [1, 1]}, "k": 2}))
     gf, ds = load_fairness_spec(str(path), inst)
     assert gf.lower == (Fraction(1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("spec", [
+    {"gf": {"lower": [0, 0], "upper": [1, 1]}, "ds": {"upper": [2, 2]}, "k": 2},
+    {"gf": {"lower": [0, 0], "upper": [1, 1]}, "ds": {"lower": [0, 0]}, "k": 2},
+    {"gf": {"upper": [1, 1]}, "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": 2},
+    {"gf": {"lower": [0, 0]}, "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": 2},
+    {"gf": {"lower": [0, 0], "upper": [1, 1]},
+     "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": 1.5},
+    {"gf": {"lower": [0, 0], "upper": [1, 1]},
+     "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": "2"},
+    {"gf": {"lower": [0, 0], "upper": [1, 1]},
+     "ds": {"lower": ["one", 0], "upper": [2, 2]}, "k": 2},
+    {"exact_gf": True, "gf": 5, "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": 2},
+    {"gf": {"lower": [0, 0], "upper": [1, 1], "rho": 1.5},
+     "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": 2},
+])
+def test_load_fairness_spec_rejects_malformed_blocks(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ParseError):
+        load_fairness_spec(str(path))
 
 
 def test_clustering_validation_and_roundtrip():

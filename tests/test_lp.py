@@ -2,6 +2,7 @@ import io
 import math
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fairclus import (GroupFairnessSpec, InfeasibleError, ValidationError,
                       make_instance, min_feasible_lambda,
                       pairwise_distance_set, random_instance, solve_lp)
 from fairclus import lp as lp_module
+from fairclus.instance import EPS_D
 from fairclus.lp import RESIDUAL_TOL, dump_lp_text, solution_from_clustering
 
 from conftest import line_instance, vacuous_gf, window_gf
@@ -146,8 +148,10 @@ def test_min_feasible_lambda_trivial_values():
 def test_min_feasible_lambda_globally_infeasible():
     inst = make_instance([0, 1], coords=[[0.0], [1.0]])
     gf = GroupFairnessSpec(lower=(1, 0), upper=(1, 1))  # clusters must be pure color 0
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError) as exc_info:
         min_feasible_lambda(inst, gf, 2, pairwise_distance_set(inst))
+    assert exc_info.value.diagnosis == ["sum of lower ratios = 1",
+                                        "sum of upper ratios = 2", "k = 2, n = 2"]
 
 
 def _record_probes(monkeypatch):
@@ -218,7 +222,7 @@ def test_radius_cutoff_eliminates_variables():
     inst = line_instance([0, 1, 10], [0, 1, 0])
     gf = vacuous_gf(2)
     model = build_gf_feasibility_lp(inst, gf, 2, lam=1.0)
-    kept_pairs = set(model.kept)
+    kept_pairs = set(map(tuple, model.kept.tolist()))
     assert (0, 2) not in kept_pairs and (2, 0) not in kept_pairs
     assert (0, 1) in kept_pairs
     full = build_gf_objective_lp(inst, gf, 2, "median")
@@ -241,3 +245,116 @@ def test_dump_lp_text():
     assert "Minimize" in text and "Subject To" in text and "End" in text
     assert "x_0_1" in text and "y_0" in text
     assert "opened_at_most_k" in text
+
+
+def _dense_reference(inst, gf, k, lam, objective):
+    """Kept pairs, (a_eq, b_eq, a_ub, b_ub, c) written row by row from the
+    constraint list in the lp module docstring, with dense matrices."""
+    n, d = inst.n, inst.distance_matrix()
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if lam is None or d[i, j] <= lam + EPS_D]
+    col = {pair: a for a, pair in enumerate(pairs)}
+    nx = len(pairs)
+    a_eq = np.zeros((n, nx + n))
+    for (i, j), a in col.items():  # sum_i x_ij = 1
+        a_eq[j, a] = 1.0
+    ub = []
+    for (i, j), a in col.items():  # x_ij <= y_i
+        row = np.zeros(nx + n)
+        row[a], row[nx + i] = 1.0, -1.0
+        ub.append((row, 0.0))
+    row = np.zeros(nx + n)  # sum_i y_i <= k
+    row[nx:] = 1.0
+    ub.append((row, float(k)))
+    lower, upper = gf.lower_floats(), gf.upper_floats()
+    for i in range(n):  # l_h * mass_i <= mass_ih <= u_h * mass_i
+        for h in range(inst.m):
+            for bound, sign, vacuous in ((upper[h], 1.0, upper[h] == 1.0),
+                                         (lower[h], -1.0, lower[h] == 0.0)):
+                if vacuous:
+                    continue
+                row = np.zeros(nx + n)
+                for j in range(n):
+                    if (i, j) in col:
+                        in_h = 1.0 if inst.colors[j] == h else 0.0
+                        row[col[i, j]] = sign * (in_h - bound)
+                ub.append((row, 0.0))
+    c = np.zeros(nx + n)
+    for (i, j), a in col.items():
+        if objective == "median":
+            c[a] = d[i, j]
+        elif objective == "means":
+            c[a] = d[i, j] * d[i, j]
+    return (pairs, a_eq, np.ones(n), np.array([r for r, _ in ub]),
+            np.array([b for _, b in ub]), c)
+
+
+def _grid_spec(inst, kind):
+    m = inst.m
+    if kind == "exact":
+        ratios = [Fraction(int(c), inst.n) for c in inst.color_counts()]
+        return GroupFairnessSpec(lower=tuple(ratios), upper=tuple(ratios))
+    if kind == "vacuous":  # every l_h = 0 and u_h = 1 row is left out
+        return vacuous_gf(m)
+    if kind == "lower-only":
+        return GroupFairnessSpec(lower=(Fraction(1, 2 * m),) * m, upper=(1,) * m)
+    # u_0 = 0: the coefficient of every other color in color 0's upper row is 0
+    return GroupFairnessSpec(lower=(0,) + (Fraction(1, 4 * m),) * (m - 1),
+                             upper=(0,) + (1,) * (m - 1))
+
+
+def test_model_matches_dense_reference():
+    rng = np.random.default_rng(61)
+    checked = 0
+    for n in range(2, 10):
+        for m in (1, 2, 3):
+            if m == 1 and n % 2:
+                continue
+            inst = make_instance(np.arange(n) % m, coords=rng.uniform(0, 1, (n, 2)), m=m)
+            radii = pairwise_distance_set(inst)
+            for kind in ("exact", "vacuous", "lower-only", "forbidden-color"):
+                if kind == "forbidden-color" and m == 1:
+                    continue
+                gf = _grid_spec(inst, kind)
+                k = int(rng.integers(1, n + 1))
+                lam = float(radii[int(rng.integers(0, radii.size))])
+                for model, cap, objective in (
+                        (build_gf_feasibility_lp(inst, gf, k, lam), lam, None),
+                        (build_gf_objective_lp(inst, gf, k, "median"), None, "median"),
+                        (build_gf_objective_lp(inst, gf, k, "means"), None, "means")):
+                    pairs, a_eq, b_eq, a_ub, b_ub, c = _dense_reference(
+                        inst, gf, k, cap, objective)
+                    assert model.kept.shape == (len(pairs), 2)
+                    assert model.kept.tolist() == [list(p) for p in pairs]
+                    assert model.ncols == len(pairs) + n
+                    assert np.array_equal(model.a_eq.toarray(), a_eq)
+                    assert np.array_equal(model.a_ub.toarray(), a_ub)
+                    assert np.array_equal(model.b_eq, b_eq)
+                    assert np.array_equal(model.b_ub, b_ub)
+                    assert np.array_equal(model.c, c)
+                    for a in (model.a_eq, model.a_ub):  # zeros are not stored
+                        assert a.has_canonical_format and np.all(a.data != 0.0)
+                    checked += 1
+    assert checked >= 200
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def _golden_model(name):
+    if name == "lp_capped.lp":
+        inst = line_instance([0, 1, 2, 4, 7, 8], [0, 1, 2, 0, 1, 2])
+        gf = GroupFairnessSpec(lower=(Fraction(1, 4), 0, 0),
+                               upper=(Fraction(1, 2), 1, Fraction(1, 2)))
+        return build_gf_feasibility_lp(inst, gf, 2, 3.0)
+    inst = random_instance(5, 2, seed=3)
+    gf = GroupFairnessSpec(lower=(Fraction(1, 3), Fraction(1, 4)),
+                           upper=(Fraction(2, 3), 1))
+    return build_gf_objective_lp(inst, gf, 2, "means")
+
+
+@pytest.mark.parametrize("name", ["lp_capped.lp", "lp_means.lp"])
+def test_dump_lp_text_matches_golden(name):
+    buf = io.StringIO()
+    dump_lp_text(_golden_model(name), buf)
+    assert buf.getvalue() == (GOLDEN / name).read_text()

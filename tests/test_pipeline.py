@@ -165,6 +165,16 @@ def test_precheck_failure_raises_infeasible():
     assert any("insufficient" in reason for reason in exc_info.value.diagnosis)
 
 
+def test_infeasible_objective_lp_reports_ratio_sums(monkeypatch):
+    inst = random_instance(6, 2, seed=1)
+    gf, ds = exact_gf_spec(inst), default_ds_profile(inst, 2)
+    monkeypatch.setattr(pipeline, "solve_lp", lambda *args: None)
+    with pytest.raises(InfeasibleError, match="no fractional solution") as exc_info:
+        solve_doubly_fair_medmeans(inst, gf, ds, "median")
+    assert exc_info.value.diagnosis == ["sum of lower ratios = 1",
+                                        "sum of upper ratios = 1", "k = 2, n = 6"]
+
+
 def test_broken_backend_aborts_pipeline():
     class ShortBackend:
         contract = DsSolverContract(backend_id="short", alpha={})
