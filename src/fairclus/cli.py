@@ -2,7 +2,7 @@
 audits, and seeded batch sweeps.
 
 Exit codes: 0 success, 2 infeasible instance/spec, 3 internal contract
-violation, 1 anything else (parse errors, bad arguments).
+violation, 1 anything else (parse errors, bad arguments, usage errors).
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _sweep_task(params):
             "status": "ok",
             "cost": report.cost,
             "lambda": report.lam,
-            "lp_cost": report.lp_cost,
+            "assignment_lp_cost": report.assignment_lp_cost,
             "ds_cost": report.ds_cost,
             "gf_violation": report.gf_violation,
             "ds_satisfied": report.ds_satisfied,
@@ -166,9 +166,9 @@ def _sweep_task(params):
 
 
 _SWEEP_FIELDS = ["seed", "objective", "n", "m", "k", "status", "cost", "lambda",
-                 "lp_cost", "ds_cost", "gf_violation", "ds_satisfied",
-                 "guaranteed_factor", "oracle_cost", "oracle_ratio",
-                 "wall_time", "note"]
+                 "assignment_lp_cost", "ds_cost", "gf_violation",
+                 "ds_satisfied", "guaranteed_factor", "oracle_cost",
+                 "oracle_ratio", "wall_time", "note"]
 
 
 def cmd_sweep(args) -> int:
@@ -176,6 +176,10 @@ def cmd_sweep(args) -> int:
     for obj in objectives:
         if obj not in ("center", "median", "means"):
             raise ValidationError(f"unknown objective {obj!r} in --objectives")
+    if args.n_min > args.n_max:
+        raise ValidationError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    if not 1 <= args.k <= args.n_min:
+        raise ValidationError(f"--k {args.k} outside [1, --n-min {args.n_min}]")
     rng = np.random.default_rng(args.seed)
     tasks = []
     for i in range(args.count):
@@ -212,8 +216,16 @@ def _add_instance_args(p):
     p.add_argument("--k", type=int, default=None, help="cluster count for --exact-gf")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, as every bad argument does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fairclus",
         description="Doubly constrained fair k-clustering solver")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -241,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="report JSON path")
     p.add_argument("--clustering-out", default=None, help="clustering JSON path")
     p.add_argument("--dump-lp", default=None)
-    p.add_argument("--dump-rerouting", default=None)
+    p.add_argument("--dump-rerouting", default=None,
+                   help="rerouting plan JSON (center only)")
     p.add_argument("--dump-flow", default=None)
     p.set_defaults(func=cmd_solve)
 

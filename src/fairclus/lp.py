@@ -13,6 +13,12 @@ is the extent to which i is opened. All constraints are per receiving row i:
 
 Radius-capped variables are eliminated from the model rather than constrained
 to zero; the feasible set is identical and the model much smaller.
+
+The fixed-center assignment variant (Bera et al., NeurIPS 2019) opens a given
+center set S: it has one x_ij per center i in S and point j and no y, keeps
+the assignment rows and the ratio rows of the centers in S, and replaces the
+opening rows with ``sum_j x_ij >= 1`` for every i in S, so no center is left
+without mass.
 """
 
 from __future__ import annotations
@@ -47,6 +53,10 @@ class LpModel:
     ``len(kept) + i`` is ``y[i]``. The rows of ``a_ub`` are one ``x_ij <= y_i``
     row per kept pair, the ``sum_i y_i <= k`` row, then for each center i the
     non-vacuous ratio rows of ``_ratio_rows(gf)``.
+
+    A fixed-center model (``centers`` set) has no y columns; its ``a_ub``
+    rows are one ``-sum_j x_ij <= -1`` row per center, then the ratio rows of
+    those centers only.
     """
 
     n: int
@@ -59,10 +69,11 @@ class LpModel:
     c: np.ndarray  # objective coefficients (all zero for feasibility models)
     lam: float | None  # radius cap, None for objective models
     gf: GroupFairnessSpec
+    centers: np.ndarray | None = None  # sorted open centers of a fixed-center model
 
     @property
     def ncols(self) -> int:
-        return len(self.kept) + self.n
+        return len(self.kept) + (self.n if self.centers is None else 0)
 
 
 def _ratio_rows(gf: GroupFairnessSpec):
@@ -76,8 +87,15 @@ def _ratio_rows(gf: GroupFairnessSpec):
     return h[keep], is_upper[keep], bound[keep]
 
 
+def _csr(data, indices, row_sizes, ncols: int) -> sparse.csr_matrix:
+    """CSR matrix from its entries, listed row by row, and each row's size."""
+    indptr = np.concatenate(([0], np.cumsum(row_sizes)))
+    return sparse.csr_matrix((data, indices, indptr), shape=(row_sizes.size, ncols))
+
+
 def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
-           lam: float | None, objective: str | None) -> LpModel:
+           lam: float | None, objective: str | None,
+           centers: np.ndarray | None = None) -> LpModel:
     if gf.m != inst.m:
         raise ValidationError(f"gf spec has {gf.m} colors, instance has {inst.m}")
     if not (1 <= k <= inst.n):
@@ -85,30 +103,43 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
     n = inst.n
     d = inst.distance_matrix()
 
-    if lam is None:
-        ci, pj = np.divmod(np.arange(n * n), n)
-    else:
-        ci, pj = np.nonzero(d <= lam + EPS_D)
+    # keep[s, j]: whether x_{owners[s], j} is a column; pairs are numbered in
+    # row-major order of this mask, and col holds each kept pair's number
+    owners = np.arange(n) if centers is None else centers
+    keep = (np.ones((owners.size, n), dtype=bool) if lam is None
+            else d[owners] <= lam + EPS_D)
+    slot, pj = np.nonzero(keep)
+    ci = owners[slot]
     nx = ci.size
-    ncols = nx + n  # y_i lives at column nx + i
+    ncols = nx + (n if centers is None else 0)  # y_i lives at column nx + i
     pairs = np.arange(nx)
-    a_eq = sparse.csr_matrix((np.ones(nx), (pj, pairs)), shape=(n, ncols))
+    col = np.zeros(keep.shape, dtype=int)
+    col[keep] = pairs
+    a_eq = _csr(np.ones(nx), col.T[keep.T], keep.sum(axis=0), ncols)
 
-    # ratio row (i, h): coefficient [c_j = h] - u_h (upper) or l_h - [c_j = h]
-    # (lower) on every kept x_ij; zero coefficients are not stored
+    if centers is None:  # x_ij - y_i <= 0 per pair, then sum_i y_i <= k
+        head_data = np.concatenate((np.tile([1.0, -1.0], nx), np.ones(n)))
+        head_indices = np.concatenate((np.column_stack((pairs, nx + ci)).ravel(),
+                                       nx + np.arange(n)))
+        head_sizes = np.append(np.full(nx, 2), n)
+        head_b = np.append(np.zeros(nx), float(k))
+    else:  # -sum_j x_ij <= -1 per center
+        head_data, head_indices = -np.ones(nx), pairs
+        head_sizes = keep.sum(axis=1)
+        head_b = -np.ones(owners.size)
+
+    # ratio row (owner s, r): coefficient [c_j = h_r] - u (upper) or
+    # l - [c_j = h_r] (lower) on every keep x_{owners[s], j}; zero
+    # coefficients are not stored. Entries of shape (s, r, j) are in row order.
     h, is_upper, bound = _ratio_rows(gf)
-    in_h = (inst.colors[pj][:, None] == h).astype(float)
-    coef = np.where(is_upper, in_h - bound, bound - in_h)
-    nonzero = coef != 0.0
-    ratio_row = nx + 1 + ci[:, None] * h.size + np.arange(h.size)
-    nrows = nx + 1 + n * h.size
-    rows = np.concatenate((pairs, pairs, np.full(n, nx), ratio_row[nonzero]))
-    cols = np.concatenate((pairs, nx + ci, nx + np.arange(n),
-                           np.broadcast_to(pairs[:, None], coef.shape)[nonzero]))
-    vals = np.concatenate((np.ones(nx), -np.ones(nx), np.ones(n), coef[nonzero]))
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-    b_ub = np.zeros(nrows)
-    b_ub[nx] = float(k)
+    in_h = (inst.colors[:, None] == h).astype(float)
+    coef = np.where(is_upper, in_h - bound, bound - in_h).T
+    entry = keep[:, None, :] & (coef != 0.0)
+    a_ub = _csr(np.concatenate((head_data, np.broadcast_to(coef, entry.shape)[entry])),
+                np.concatenate((head_indices,
+                                np.broadcast_to(col[:, None, :], entry.shape)[entry])),
+                np.concatenate((head_sizes, entry.sum(axis=2).ravel())), ncols)
+    b_ub = np.concatenate((head_b, np.zeros(owners.size * h.size)))
 
     c = np.zeros(ncols)
     if objective == "median":
@@ -117,7 +148,8 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
         c[:nx] = d[ci, pj] ** 2
 
     return LpModel(n=n, k=k, kept=np.column_stack((ci, pj)), a_eq=a_eq,
-                   b_eq=np.ones(n), a_ub=a_ub, b_ub=b_ub, c=c, lam=lam, gf=gf)
+                   b_eq=np.ones(n), a_ub=a_ub, b_ub=b_ub, c=c, lam=lam, gf=gf,
+                   centers=centers)
 
 
 def build_gf_feasibility_lp(inst: MetricInstance, gf: GroupFairnessSpec,
@@ -127,11 +159,20 @@ def build_gf_feasibility_lp(inst: MetricInstance, gf: GroupFairnessSpec,
 
 
 def build_gf_objective_lp(inst: MetricInstance, gf: GroupFairnessSpec,
-                          k: int, objective: str) -> LpModel:
-    """Cost-minimizing program (no radius cutoff) for median or means."""
+                          k: int, objective: str, centers=None) -> LpModel:
+    """Cost-minimizing program (no radius cutoff) for median or means.
+
+    With ``centers`` (k distinct point ids) it is the fixed-center assignment
+    program: those centers are open, and only they receive mass.
+    """
     if objective not in ("median", "means"):
         raise ValidationError("objective LP supports 'median' and 'means' only")
-    return _build(inst, gf, k, lam=None, objective=objective)
+    if centers is not None:
+        centers = np.array(sorted({int(c) for c in centers}), dtype=int)
+        if centers.size != k or np.any((centers < 0) | (centers >= inst.n)):
+            raise ValidationError(f"centers must be k={k} distinct ids in "
+                                  f"[0, {inst.n})")
+    return _build(inst, gf, k, lam=None, objective=objective, centers=centers)
 
 
 def solve_lp(model: LpModel, inst: MetricInstance | None = None,
@@ -153,7 +194,11 @@ def solve_lp(model: LpModel, inst: MetricInstance | None = None,
     n, nx = model.n, len(model.kept)
     x = np.zeros((n, n))
     x[model.kept[:, 0], model.kept[:, 1]] = res.x[:nx]
-    y = np.clip(res.x[nx:], 0.0, 1.0)
+    if model.centers is None:
+        y = np.clip(res.x[nx:], 0.0, 1.0)
+    else:
+        y = np.zeros(n)
+        y[model.centers] = 1.0
     np.clip(x, 0.0, 1.0, out=x)
     sums = x.sum(axis=0)
     if np.any(sums < 0.5):
@@ -301,14 +346,21 @@ def dump_lp_text(model: LpModel, stream) -> None:
         return "".join(f" {v:+.12g} {var(cidx)}"
                        for cidx, v in zip(a.indices[lo:hi], a.data[lo:hi]))
 
+    if model.centers is None:
+        row_centers = range(model.n)
+        head = [f"open_{i}_{j}" for i, j in model.kept] + ["opened_at_most_k"]
+        fixed = ""
+    else:
+        row_centers = model.centers.tolist()
+        head = [f"mass_{i}" for i in row_centers]
+        fixed = " centers=" + ",".join(map(str, row_centers))
     h, is_upper, _ = _ratio_rows(model.gf)
-    ub_labels = ([f"open_{i}_{j}" for i, j in model.kept] + ["opened_at_most_k"]
-                 + [f"ratio_{'upper' if up else 'lower'}_{i}_{hh}"
-                    for i in range(model.n) for hh, up in zip(h, is_upper)])
+    ub_labels = head + [f"ratio_{'upper' if up else 'lower'}_{i}_{hh}"
+                        for i in row_centers for hh, up in zip(h, is_upper)]
 
     stream.write("\\ fairclus model"
                  + (f" radius_cap={model.lam}" if model.lam is not None else "")
-                 + f" n={model.n} k={model.k}\n")
+                 + fixed + f" n={model.n} k={model.k}\n")
     stream.write("Minimize\n obj:")
     obj = [f" {model.c[idx]:+.12g} {var(idx)}" for idx in np.flatnonzero(model.c)]
     stream.write("".join(obj) if obj else " 0 " + var(0))

@@ -8,10 +8,13 @@ solution of that winning search probe is residual-checked and reused, not
 solved again. The final clustering is checked against (alpha + 1) times that
 radius.
 
-Cost pipelines: the LP optimum and the diverse solution cost are both lower
-bounds on the doubly fair optimum; the rerouted cost is checked against
-3 * lp + ds (sum objective) and the p,q-parameterized bound (sum of squares),
-and the rounding may only decrease cost.
+Cost pipelines: the fixed-center assignment LP over the diverse centers S
+(k * n columns) is solved, its solution residual-checked and checked for
+support on S and per-center mass >= 1, and rounded by the flow; the rounding
+may only decrease its cost. No rerouting runs: the paper's rerouted solution
+is feasible for that LP, so its optimum is never worse than the rerouted cost
+and the paper's factors hold. If the assignment LP is infeasible, the full
+n^2-column LP decides between an infeasible input and a broken pipeline.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ from .errors import (BudgetExceededError, InfeasibleError, PipelineError,
 from .flow import (build_flow, check_mass_windows, dump_flow_text,
                    extract_assignment, min_cost_flow)
 from .instance import EPS_D, MetricInstance, pairwise_distance_set
-# build_gf_feasibility_lp is no longer called here, but stays importable under
-# this name: benchmarks/tracing.py wraps the pipeline's LP entry points.
+# build_gf_feasibility_lp and reroute_medmeans are no longer called here, but
+# stay importable under these names: benchmarks/tracing.py wraps them.
 from .lp import (build_gf_feasibility_lp, build_gf_objective_lp,  # noqa: F401
                  check_lp_solution, dump_lp_text, fractional_cost,
                  infeasibility_diagnosis, min_feasible_lambda, solve_lp)
 from .oracle import OracleBudget, brute_force_doubly_fair
-from .rerouting import MASS_TOL, check_rerouted, reroute_center, reroute_medmeans
+from .rerouting import (MASS_TOL, check_rerouted, reroute_center,  # noqa: F401
+                        reroute_medmeans)
 
 # Retired flow entry points, bound only because benchmarks/tracing.py wraps them.
 build_center_flow = build_medmeans_flow = max_flow_with_lower_bounds = build_flow
@@ -51,12 +55,13 @@ def guarantee_factor(objective: str, alpha: float) -> float:
     if objective == "median":
         return alpha + 3.0
     if objective == "means":
-        return (math.sqrt(1.0 + (math.sqrt(alpha) + 1.0) ** 2) + 1.0) ** 2
+        return (means_pq(alpha)[0] + 1.0) ** 2
     raise ValidationError(f"unknown objective {objective!r}")
 
 
 def means_pq(alpha: float) -> tuple:
-    """The (p^2, q^2) pair the sum-of-squares cost bound is instantiated with."""
+    """The (p^2, q^2) pair the paper's sum-of-squares rerouting bound is
+    instantiated with; the means factor is (p^2 + 1)^2."""
     p_sq = math.sqrt(1.0 + (1.0 + math.sqrt(alpha)) ** 2)
     q_sq = math.sqrt(alpha)
     return p_sq, q_sq
@@ -81,11 +86,7 @@ class SolveReport:
     lam: float | None = None  # radius mode
     lambda_lp: float | None = None
     lambda_ds: float | None = None
-    lp_cost: float | None = None  # cost modes
-    rerouted_cost: float | None = None
-    rerouted_cost_bound: float | None = None
-    p_squared: float | None = None
-    q_squared: float | None = None
+    assignment_lp_cost: float | None = None  # cost modes
     oracle_cost: float | None = None
     oracle_ratio: float | None = None
     oracle_note: str | None = None
@@ -235,15 +236,39 @@ def solve_doubly_fair_kcenter(inst: MetricInstance, gf: GroupFairnessSpec,
     return clustering, report
 
 
+def _assignment_lp(inst, gf, ds, objective, centers, dumps):
+    """Optimal fractional assignment to the fixed centers, checked; if the
+    fixed-center program is infeasible, the full program decides the error."""
+    model = build_gf_objective_lp(inst, gf, ds.k, objective, centers=centers)
+    _maybe_dump(dumps, "lp", lambda fh: dump_lp_text(model, fh))
+    sol = solve_lp(model, inst, gf)
+    if sol is None:
+        if solve_lp(build_gf_objective_lp(inst, gf, ds.k, objective)) is None:
+            raise InfeasibleError(
+                "the group-fairness program has no fractional solution",
+                diagnosis=(list(feasibility_precheck(inst, gf, ds).failures)
+                           + infeasibility_diagnosis(gf, ds.k, inst.n)))
+        raise PipelineError("lp", "the fixed-center assignment program is "
+                                  "infeasible though the full program is feasible")
+    check_rerouted(inst, gf, sol, centers, stage="lp")
+    return sol
+
+
 def solve_doubly_fair_medmeans(inst: MetricInstance, gf: GroupFairnessSpec,
                                ds: CenterDiversitySpec, objective: str,
                                backend=None, with_oracle: bool = False,
                                oracle_budget: OracleBudget | None = None,
                                dumps: dict | None = None,
                                artifacts: dict | None = None):
-    """Cost pipeline for 'median' or 'means'; returns (Clustering, SolveReport)."""
+    """Cost pipeline for 'median' or 'means'; returns (Clustering, SolveReport).
+
+    The clustering rounds the optimal fair assignment to the diverse centers.
+    """
     if objective not in ("median", "means"):
         raise ValidationError("cost pipeline expects 'median' or 'means'")
+    if dumps and dumps.get("rerouting"):
+        raise ValidationError("the rerouting dump is k-center only: no "
+                              "rerouting runs for median and means")
     timings = {}
     t0 = time.perf_counter()
     _require_precheck(inst, gf, ds)
@@ -256,48 +281,23 @@ def solve_doubly_fair_medmeans(inst: MetricInstance, gf: GroupFairnessSpec,
     timings["ds"] = time.perf_counter() - t_ds
 
     t1 = time.perf_counter()
-    model = build_gf_objective_lp(inst, gf, ds.k, objective)
-    _maybe_dump(dumps, "lp", lambda fh: dump_lp_text(model, fh))
-    sol = solve_lp(model, inst, gf)
-    if sol is None:
-        raise InfeasibleError(
-            "the group-fairness program has no fractional solution",
-            diagnosis=(list(feasibility_precheck(inst, gf, ds).failures)
-                       + infeasibility_diagnosis(gf, ds.k, inst.n)))
-    lp_cost = fractional_cost(inst, sol.x, objective)
+    sol = _assignment_lp(inst, gf, ds, objective, ds_sol.centers, dumps)
+    assignment_lp_cost = fractional_cost(inst, sol.x, objective)
     timings["lp"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    rerouted, plan = reroute_medmeans(inst, sol, ds_sol.centers)
-    check_rerouted(inst, gf, rerouted, ds_sol.centers)
-    rerouted_cost = fractional_cost(inst, rerouted.x, objective)
-    if objective == "median":
-        bound = 3.0 * lp_cost + ds_sol.cost
-        p_sq = q_sq = None
-    else:
-        p_sq, q_sq = means_pq(alpha)
-        bound = ((1.0 + p_sq + (1.0 + 1.0 / p_sq) * (2.0 + q_sq)) * lp_cost
-                 + (1.0 + 1.0 / p_sq) * (1.0 + 1.0 / q_sq) * ds_sol.cost)
-    if rerouted_cost > bound + MASS_TOL * max(1.0, bound):
-        raise PipelineError("rerouting",
-                            f"rerouted cost {rerouted_cost} exceeds its bound {bound}")
-    _maybe_dump(dumps, "rerouting", lambda fh: _dump_rerouting(fh, rerouted, plan))
-    timings["rerouting"] = time.perf_counter() - t2
-
-    t3 = time.perf_counter()
-    net, flows, x2 = _round_flow(inst, rerouted, ds_sol.centers, objective, dumps)
-    timings["flow"] = time.perf_counter() - t3
+    net, flows, x2 = _round_flow(inst, sol, ds_sol.centers, objective, dumps)
+    timings["flow"] = time.perf_counter() - t2
 
     clustering = make_clustering(inst, ds_sol.centers,
                                  _assignment_from_table(x2), objective)
-    if clustering.cost > rerouted_cost + MASS_TOL * max(1.0, rerouted_cost):
+    if clustering.cost > assignment_lp_cost + MASS_TOL * max(1.0, assignment_lp_cost):
         raise PipelineError("output", f"rounded cost {clustering.cost} exceeds "
-                                      f"the fractional cost {rerouted_cost}")
+                                      f"the fractional cost {assignment_lp_cost}")
     violation, min_size = _verify_output(inst, gf, ds, clustering, "output")
     if artifacts is not None:
-        artifacts.update(lp_solution=sol, rerouted=rerouted, plan=plan, net=net,
-                         flows=flows, x2=x2, alpha_effective=alpha,
-                         ds_solution=ds_sol)
+        artifacts.update(lp_solution=sol, net=net, flows=flows, x2=x2,
+                         alpha_effective=alpha, ds_solution=ds_sol)
 
     report = SolveReport(
         objective=objective, n=inst.n, m=inst.m, k=ds.k, cost=clustering.cost,
@@ -305,12 +305,11 @@ def solve_doubly_fair_medmeans(inst: MetricInstance, gf: GroupFairnessSpec,
         guaranteed_factor=(guarantee_factor(objective, ds_sol.alpha)
                            if ds_sol.alpha is not None else None),
         gf_violation=violation, ds_satisfied=True, min_cluster_size=min_size,
-        lp_cost=lp_cost, rerouted_cost=rerouted_cost, rerouted_cost_bound=bound,
-        p_squared=p_sq, q_squared=q_sq, timings=timings)
+        assignment_lp_cost=assignment_lp_cost, timings=timings)
     if with_oracle:
-        t4 = time.perf_counter()
+        t3 = time.perf_counter()
         _run_oracle(inst, gf, ds, objective, report, oracle_budget)
-        timings["oracle"] = time.perf_counter() - t4
+        timings["oracle"] = time.perf_counter() - t3
     timings["total"] = time.perf_counter() - t0
     return clustering, report
 

@@ -148,6 +148,8 @@ def check_rerouted(inst: MetricInstance, gf, rerouted: FractionalSolution,
     Column sums 1, support and integral openings exactly on the center set,
     per-center mass >= 1, color-ratio residuals, and (radius variant) the
     support radius cap. Raises PipelineError naming the failing property.
+    A solution of the fixed-center assignment LP must have the same
+    properties, so the cost pipelines check it here too, with stage "lp".
     """
     x, y = rerouted.x, rerouted.y
     centers = sorted(int(c) for c in centers)

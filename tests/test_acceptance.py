@@ -19,6 +19,8 @@ from fairclus import (BudgetExceededError, GroupFairnessSpec, InfeasibleError,
                       gf_violation, guarantee_factor, lp_residuals,
                       make_instance, means_pq, random_instance, solve)
 
+from conftest import rerouting_certificate
+
 MEANS_FACTOR = (math.sqrt(5.0) + 1.0) ** 2  # exact backend, alpha = 1
 ORACLE_WORK_CAP = 300_000  # attempt the oracle when C(n,k) * k^n is below this
 ORACLE_BUDGET = OracleBudget(time_cap=10.0)
@@ -67,6 +69,9 @@ def _solve_record(inst, gf, ds, objective, try_oracle):
     clustering, report = solve(inst, gf, ds, objective, artifacts=artifacts)
     record = {"inst": inst, "gf": gf, "ds": ds, "objective": objective,
               "clustering": clustering, "report": report, **artifacts}
+    if objective != "center":
+        record["certificate"] = rerouting_certificate(inst, gf, ds.k, objective,
+                                                      artifacts)
     if try_oracle and math.comb(inst.n, ds.k) * ds.k ** inst.n <= ORACLE_WORK_CAP:
         try:
             record["oracle"] = brute_force_doubly_fair(inst, gf, ds, objective,
@@ -155,11 +160,15 @@ def _cost_ratio_criterion(num, name, objective, factor, suite, oracle_family,
     for r in suite + oracle_family:
         if r["objective"] != objective:
             continue
-        rep = r["report"]
-        if rep.cost > rep.rerouted_cost + 1e-6:
+        rep, cert = r["report"], r["certificate"]
+        if rep.cost > rep.assignment_lp_cost + 1e-6:
             failures.append(("rounding increased cost", rep.to_dict()))
-        if rep.rerouted_cost > rep.rerouted_cost_bound + 1e-6:
-            failures.append(("rerouted cost above its bound", rep.to_dict()))
+        if rep.assignment_lp_cost > cert.rerouted_cost + 1e-6:
+            failures.append(("assignment LP above the rerouted cost",
+                             rep.to_dict(), cert.rerouted_cost))
+        if cert.rerouted_cost > cert.rerouted_cost_bound + 1e-6:
+            failures.append(("rerouted cost above its bound", rep.to_dict(),
+                             cert.rerouted_cost, cert.rerouted_cost_bound))
         if r["oracle"] is not None:
             comparisons += 1
             if rep.cost > factor * r["oracle"].cost + 1e-6:
@@ -173,10 +182,10 @@ def test_criterion_4_kmedian_ratio(suite, oracle_family):
     # rerouted_cost_bound is 3*lp_cost + ds_cost in median mode
     for r in suite:
         if r["objective"] == "median":
-            assert r["report"].rerouted_cost_bound == pytest.approx(
-                3.0 * r["report"].lp_cost + r["report"].ds_cost)
-    _cost_ratio_criterion(4, "k-median: cost'' <= cost' <= 3*lp + ds, "
-                             "cost <= 4*OPT", "median", 4.0, suite,
+            assert r["certificate"].rerouted_cost_bound == pytest.approx(
+                3.0 * r["certificate"].lp_cost + r["report"].ds_cost)
+    _cost_ratio_criterion(4, "k-median: cost'' <= assignment lp <= cost' <= "
+                             "3*lp + ds, cost <= 4*OPT", "median", 4.0, suite,
                           oracle_family, min_comparisons=20)
 
 
@@ -186,10 +195,10 @@ def test_criterion_5_kmeans_ratio(suite, oracle_family):
     assert q_sq == 1.0
     for r in suite:
         if r["objective"] == "means":
-            rep = r["report"]
-            expected = ((1 + p_sq + (1 + 1 / p_sq) * (2 + q_sq)) * rep.lp_cost
+            rep, cert = r["report"], r["certificate"]
+            expected = ((1 + p_sq + (1 + 1 / p_sq) * (2 + q_sq)) * cert.lp_cost
                         + (1 + 1 / p_sq) * (1 + 1 / q_sq) * rep.ds_cost)
-            assert rep.rerouted_cost_bound == pytest.approx(expected)
+            assert cert.rerouted_cost_bound == pytest.approx(expected)
     _cost_ratio_criterion(5, f"k-means: p^2=sqrt(5), q^2=1 bound, "
                              f"cost <= {MEANS_FACTOR:.4f}*OPT", "means",
                           MEANS_FACTOR, suite, oracle_family,
@@ -197,29 +206,40 @@ def test_criterion_5_kmeans_ratio(suite, oracle_family):
 
 
 def test_criterion_6_rerouting_guarantees(suite, oracle_family):
+    # the cost pipelines round the fixed-center assignment LP's solution,
+    # which must have every property the rerouted solution has
     failures = []
+    checked = 0
     for r in suite + oracle_family:
-        inst, gf, rerouted = r["inst"], r["gf"], r["rerouted"]
+        inst, gf = r["inst"], r["gf"]
         centers = list(r["clustering"].centers)
-        col_err = float(np.abs(rerouted.x.sum(axis=0) - 1.0).max())
-        if col_err > 1e-6:
-            failures.append(("column sums", col_err))
-        if not set(np.unique(rerouted.y)) <= {0.0, 1.0}:
-            failures.append(("y not 0/1", r["report"].to_dict()))
-        mass = rerouted.x.sum(axis=1)[centers]
-        if float(mass.min()) < 1.0 - 1e-6:
-            failures.append(("center mass below 1", float(mass.min())))
-        resid = lp_residuals(inst, gf, r["ds"].k, rerouted)
-        if resid["color"] > 1e-6:
-            failures.append(("ratio residual", resid["color"]))
-        if r["objective"] == "center":
-            d = inst.distance_matrix()
-            sup = rerouted.x > 1e-9
-            if np.any(sup) and float(d[sup].max()) > r["radius_cap"] + 1e-9:
-                failures.append(("support radius", float(d[sup].max()),
-                                 r["radius_cap"]))
-    _verdict(6, "rerouting: conservation, mass >= 1, ratios, radius",
-             failures, f"{len(suite) + len(oracle_family)} reroutings")
+        solutions = ([r["rerouted"]] if r["objective"] == "center"
+                     else [r["certificate"].rerouted, r["lp_solution"]])
+        for rerouted in solutions:
+            checked += 1
+            col_err = float(np.abs(rerouted.x.sum(axis=0) - 1.0).max())
+            if col_err > 1e-6:
+                failures.append(("column sums", col_err))
+            if not set(np.unique(rerouted.y)) <= {0.0, 1.0}:
+                failures.append(("y not 0/1", r["report"].to_dict()))
+            off = np.setdiff1d(np.arange(inst.n), centers)
+            if np.any(rerouted.x[off] > 0.0):
+                failures.append(("mass off the centers", r["report"].to_dict()))
+            mass = rerouted.x.sum(axis=1)[centers]
+            if float(mass.min()) < 1.0 - 1e-6:
+                failures.append(("center mass below 1", float(mass.min())))
+            resid = lp_residuals(inst, gf, r["ds"].k, rerouted)
+            if resid["color"] > 1e-6:
+                failures.append(("ratio residual", resid["color"]))
+            if r["objective"] == "center":
+                d = inst.distance_matrix()
+                sup = rerouted.x > 1e-9
+                if np.any(sup) and float(d[sup].max()) > r["radius_cap"] + 1e-9:
+                    failures.append(("support radius", float(d[sup].max()),
+                                     r["radius_cap"]))
+    _verdict(6, "rerouting and assignment LP: conservation, support on the "
+                "centers, mass >= 1, ratios, radius",
+             failures, f"{checked} fractional solutions")
 
 
 def test_criterion_7_flow_rounding(suite, oracle_family):
@@ -231,7 +251,7 @@ def test_criterion_7_flow_rounding(suite, oracle_family):
             failures.append(("point not saturated by exactly one unit",
                              point_flows.tolist()))
         if r["objective"] != "center":
-            frac = fractional_cost(inst, r["rerouted"].x, r["objective"])
+            frac = fractional_cost(inst, r["lp_solution"].x, r["objective"])
             rounded = fractional_cost(inst, x2, r["objective"])
             if rounded > frac + 1e-6:
                 failures.append(("min-cost above fractional", rounded, frac))
@@ -315,3 +335,4 @@ def test_criterion_10_determinism(suite):
                 failures.append((cfg, objective))
     _verdict(10, "byte-identical reports and clusterings on reruns", failures,
              f"{reruns} config/objective pairs solved twice")
+

@@ -268,3 +268,51 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert inst_path.exists()
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (("--n-min", "10", "--n-max", "6", "--k", "2"), "--n-min 10 exceeds --n-max 6"),
+    (("--n-min", "6", "--n-max", "6", "--k", "20"), "--k 20 outside [1, --n-min 6]"),
+    (("--n-min", "6", "--n-max", "8", "--k", "0"), "--k 0 outside [1, --n-min 6]"),
+])
+def test_sweep_rejects_bad_ranges_before_solving(tmp_path, capsys, bounds, message):
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", "--count", "2", *bounds, "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("solve", "--objective", "center")
+    assert exc_info.value.code == 1
+    assert "required: --instance" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("solve", "--help")
+    assert exc_info.value.code == 0
+    assert "--dump-rerouting" in capsys.readouterr().out
+
+
+def test_rerouting_dump_of_cost_objective_is_an_error(tmp_path, capsys):
+    inst_path, spec_path = _gen_pair(tmp_path, seed=13)
+    rr_path = tmp_path / "rerouting.json"
+    assert run_cli("solve", "--instance", str(inst_path), "--spec", str(spec_path),
+                   "--objective", "median", "--dump-rerouting", str(rr_path)) == 1
+    assert "k-center only" in capsys.readouterr().err
+    assert not rr_path.exists()
+
+
+def test_sweep_reports_the_assignment_lp_cost(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--count", "2", "--seed", "3", "--n-min", "6",
+                   "--n-max", "7", "--objectives", "center,means",
+                   "--out", str(out)) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["objective"] for r in rows] == ["center", "means"] * 2
+    for r in rows:
+        if r["objective"] == "center":
+            assert r["assignment_lp_cost"] == ""
+        else:
+            assert float(r["cost"]) <= float(r["assignment_lp_cost"]) + 1e-9

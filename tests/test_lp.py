@@ -235,6 +235,26 @@ def test_objective_lp_rejects_center():
         build_gf_objective_lp(inst, vacuous_gf(2), 1, "center")
 
 
+@pytest.mark.parametrize("centers", [[0], [0, 0], [0, 2], [-1, 1]])
+def test_fixed_center_lp_rejects_bad_center_sets(centers):
+    inst = line_instance([0, 1], [0, 1])
+    with pytest.raises(ValidationError, match="distinct ids"):
+        build_gf_objective_lp(inst, vacuous_gf(2), 2, "median", centers=centers)
+
+
+def test_fixed_center_lp_solution_is_the_optimal_fair_assignment():
+    inst = line_instance([0, 1, 2, 10, 11, 12], [0, 1, 0, 1, 0, 1])
+    gf = GroupFairnessSpec(lower=(Fraction(1, 3), Fraction(1, 3)),
+                           upper=(Fraction(2, 3), Fraction(2, 3)))
+    model = build_gf_objective_lp(inst, gf, 2, "median", centers=[4, 1])
+    sol = solve_lp(model)
+    assert model.ncols == 12 and model.centers.tolist() == [1, 4]
+    assert sol.y.tolist() == [0, 1, 0, 0, 1, 0]
+    # each point goes to its near center; both clusters hold 1 or 2 of each color
+    assert fractional_cost(inst, sol.x, "median") == pytest.approx(4.0)
+    assert np.all(sol.x[[0, 2, 3, 5]] == 0.0)
+
+
 def test_dump_lp_text():
     inst = line_instance([0, 1], [0, 1])
     gf = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5))
@@ -246,40 +266,58 @@ def test_dump_lp_text():
     assert "x_0_1" in text and "y_0" in text
     assert "opened_at_most_k" in text
 
+    buf = io.StringIO()
+    dump_lp_text(build_gf_objective_lp(inst, gf, 1, "median", centers=[1]), buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "\\ fairclus model centers=1 n=2 k=1"
+    assert " mass_1: -1 x_1_0 -1 x_1_1 <= -1" in lines
+    assert not any("y_" in line or "open" in line for line in lines)
 
-def _dense_reference(inst, gf, k, lam, objective):
+
+def _dense_reference(inst, gf, k, lam, objective, centers=None):
     """Kept pairs, (a_eq, b_eq, a_ub, b_ub, c) written row by row from the
-    constraint list in the lp module docstring, with dense matrices."""
+    constraint list in the lp module docstring, with dense matrices. With
+    ``centers``, the fixed-center variant: pairs of those centers only, no y,
+    and a -sum_j x_ij <= -1 row per center in place of the opening rows."""
     n, d = inst.n, inst.distance_matrix()
-    pairs = [(i, j) for i in range(n) for j in range(n)
+    owners = range(n) if centers is None else centers
+    pairs = [(i, j) for i in owners for j in range(n)
              if lam is None or d[i, j] <= lam + EPS_D]
     col = {pair: a for a, pair in enumerate(pairs)}
     nx = len(pairs)
-    a_eq = np.zeros((n, nx + n))
+    ncols = nx + (n if centers is None else 0)
+    a_eq = np.zeros((n, ncols))
     for (i, j), a in col.items():  # sum_i x_ij = 1
         a_eq[j, a] = 1.0
     ub = []
-    for (i, j), a in col.items():  # x_ij <= y_i
-        row = np.zeros(nx + n)
-        row[a], row[nx + i] = 1.0, -1.0
-        ub.append((row, 0.0))
-    row = np.zeros(nx + n)  # sum_i y_i <= k
-    row[nx:] = 1.0
-    ub.append((row, float(k)))
+    if centers is None:
+        for (i, j), a in col.items():  # x_ij <= y_i
+            row = np.zeros(ncols)
+            row[a], row[nx + i] = 1.0, -1.0
+            ub.append((row, 0.0))
+        row = np.zeros(ncols)  # sum_i y_i <= k
+        row[nx:] = 1.0
+        ub.append((row, float(k)))
+    else:
+        for i in centers:  # sum_j x_ij >= 1
+            row = np.zeros(ncols)
+            for j in range(n):
+                row[col[i, j]] = -1.0
+            ub.append((row, -1.0))
     lower, upper = gf.lower_floats(), gf.upper_floats()
-    for i in range(n):  # l_h * mass_i <= mass_ih <= u_h * mass_i
+    for i in owners:  # l_h * mass_i <= mass_ih <= u_h * mass_i
         for h in range(inst.m):
             for bound, sign, vacuous in ((upper[h], 1.0, upper[h] == 1.0),
                                          (lower[h], -1.0, lower[h] == 0.0)):
                 if vacuous:
                     continue
-                row = np.zeros(nx + n)
+                row = np.zeros(ncols)
                 for j in range(n):
                     if (i, j) in col:
                         in_h = 1.0 if inst.colors[j] == h else 0.0
                         row[col[i, j]] = sign * (in_h - bound)
                 ub.append((row, 0.0))
-    c = np.zeros(nx + n)
+    c = np.zeros(ncols)
     for (i, j), a in col.items():
         if objective == "median":
             c[a] = d[i, j]
@@ -336,6 +374,39 @@ def test_model_matches_dense_reference():
                         assert a.has_canonical_format and np.all(a.data != 0.0)
                     checked += 1
     assert checked >= 200
+
+
+def test_fixed_center_model_matches_dense_reference():
+    rng = np.random.default_rng(63)
+    checked = 0
+    for n in range(2, 10):
+        for m in (1, 2, 3):
+            if m == 1 and n % 2:
+                continue
+            inst = make_instance(np.arange(n) % m, coords=rng.uniform(0, 1, (n, 2)), m=m)
+            for kind in ("exact", "vacuous", "lower-only", "forbidden-color"):
+                if kind == "forbidden-color" and m == 1:
+                    continue
+                gf = _grid_spec(inst, kind)
+                k = int(rng.integers(1, n + 1))
+                centers = sorted(rng.choice(n, size=k, replace=False).tolist())
+                for objective in ("median", "means"):
+                    model = build_gf_objective_lp(inst, gf, k, objective,
+                                                  centers=centers[::-1])
+                    pairs, a_eq, b_eq, a_ub, b_ub, c = _dense_reference(
+                        inst, gf, k, None, objective, centers)
+                    assert model.centers.tolist() == centers
+                    assert model.kept.tolist() == [list(p) for p in pairs]
+                    assert model.ncols == len(pairs) == k * n
+                    assert np.array_equal(model.a_eq.toarray(), a_eq)
+                    assert np.array_equal(model.a_ub.toarray(), a_ub)
+                    assert np.array_equal(model.b_eq, b_eq)
+                    assert np.array_equal(model.b_ub, b_ub)
+                    assert np.array_equal(model.c, c)
+                    for a in (model.a_eq, model.a_ub):
+                        assert a.has_canonical_format and np.all(a.data != 0.0)
+                    checked += 1
+    assert checked >= 150
 
 
 GOLDEN = Path(__file__).parent / "data"

@@ -7,18 +7,20 @@ import pytest
 
 from fairclus import (CenterDiversitySpec, ContractViolationError,
                       DsSolverContract, ExactBackend, GreedyBackend,
-                      GroupFairnessSpec, InfeasibleError, ValidationError,
-                      build_gf_feasibility_lp, check_ds, default_ds_profile,
-                      exact_gf_spec, gf_violation, guarantee_factor,
-                      make_instance, means_pq, pairwise_distance_set,
-                      random_instance, solve, solve_doubly_fair_kcenter,
-                      solve_doubly_fair_medmeans, solve_lp)
+                      GroupFairnessSpec, InfeasibleError, PipelineError,
+                      ValidationError, build_gf_feasibility_lp, check_ds,
+                      default_ds_profile, exact_gf_spec, gf_violation,
+                      guarantee_factor, make_instance, means_pq,
+                      pairwise_distance_set, random_instance, solve,
+                      solve_doubly_fair_kcenter, solve_doubly_fair_medmeans,
+                      solve_lp)
 from fairclus import lp as lp_module
 from fairclus import pipeline
 from fairclus.lp import LambdaSearchResult, dump_lp_text
 from fairclus.oracle import brute_force_doubly_fair
 
-from conftest import balanced_instance, line_instance, vacuous_gf, window_gf
+from conftest import (balanced_instance, line_instance, rerouting_certificate,
+                      vacuous_gf, window_gf)
 
 
 def test_two_point_trivial():
@@ -71,7 +73,9 @@ def test_pipeline_invariants_all_objectives():
             lower = (0, 0)
         ds = CenterDiversitySpec(lower=lower, upper=(k, k), k=k)
         for objective in ("center", "median", "means"):
-            clustering, report = solve(inst, gf, ds, objective)
+            artifacts = {}
+            clustering, report = solve(inst, gf, ds, objective,
+                                       artifacts=artifacts)
             assert check_ds(inst, clustering.centers, ds)
             assert report.gf_violation <= 2.0 + 1e-9
             assert report.min_cluster_size >= 1
@@ -81,8 +85,10 @@ def test_pipeline_invariants_all_objectives():
                 assert report.lam == max(report.lambda_lp, report.lambda_ds)
                 assert report.cost <= 2.0 * report.lam + 1e-9
             else:
-                assert report.cost <= report.rerouted_cost + 1e-6
-                assert report.rerouted_cost <= report.rerouted_cost_bound + 1e-6
+                cert = rerouting_certificate(inst, gf, k, objective, artifacts)
+                assert report.cost <= report.assignment_lp_cost + 1e-6
+                assert report.assignment_lp_cost <= cert.rerouted_cost + 1e-6
+                assert cert.rerouted_cost <= cert.rerouted_cost_bound + 1e-6
 
 
 def test_center_lambda_below_oracle_opt():
@@ -236,8 +242,9 @@ def test_report_serializes_to_json():
     text = json.dumps(report.to_dict(), sort_keys=True)
     parsed = json.loads(text)
     assert parsed["objective"] == "means"
-    assert parsed["p_squared"] == pytest.approx(math.sqrt(5.0))
-    assert parsed["q_squared"] == 1.0
+    # exact backend: alpha = 1, p^2 = sqrt(5), factor (p^2 + 1)^2
+    assert parsed["guaranteed_factor"] == pytest.approx((math.sqrt(5.0) + 1.0) ** 2)
+    assert parsed["cost"] <= parsed["assignment_lp_cost"] + 1e-9
 
 
 def test_kcenter_with_feasible_lambda_ds_solves_one_lp(monkeypatch):
@@ -316,8 +323,73 @@ def test_timings_time_the_precheck_apart_from_ds():
     inst = balanced_instance(6, 2, seed=21)
     gf = window_gf(inst)
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    for objective in ("center", "median"):
+    for objective, stages in (("center", {"lambda_search", "rerouting"}),
+                              ("median", set())):
         _, report = solve(inst, gf, ds, objective)
         timings = report.timings
-        assert {"precheck", "ds", "lp", "rerouting", "flow", "total"} <= set(timings)
+        assert {"precheck", "ds", "lp", "flow", "total"} | stages == set(timings)
         assert timings["precheck"] + timings["ds"] <= timings["total"]
+
+
+def _count_linprog(monkeypatch):
+    """Objective vectors of the LPs handed to HiGHS, in call order."""
+    objectives = []
+    linprog = lp_module.linprog
+
+    def counting(c, *args, **kwargs):
+        objectives.append(c)
+        return linprog(c, *args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "linprog", counting)
+    return objectives
+
+
+def test_medmeans_solves_one_assignment_lp(monkeypatch):
+    objectives = _count_linprog(monkeypatch)
+    for n, m, k in ((8, 2, 2), (12, 3, 3), (20, 2, 4)):
+        inst = random_instance(n, m, seed=n)
+        gf, ds = exact_gf_spec(inst), default_ds_profile(inst, k)
+        for objective in ("median", "means"):
+            objectives.clear()
+            artifacts = {}
+            clustering, report = solve(inst, gf, ds, objective, artifacts=artifacts)
+            assert len(objectives) == 1
+            assert objectives[0].size == k * n  # one x_ij per center and point
+            assert "rerouted" not in artifacts and "plan" not in artifacts
+            x = artifacts["lp_solution"].x
+            off = np.setdiff1d(np.arange(n), clustering.centers)
+            assert np.all(x[off] == 0.0)
+            assert x[list(clustering.centers)].sum(axis=1).min() >= 1.0 - 1e-6
+
+
+def test_infeasible_assignment_lp_with_feasible_full_lp_is_a_pipeline_error(
+        monkeypatch):
+    inst = random_instance(6, 2, seed=1)
+    gf, ds = exact_gf_spec(inst), default_ds_profile(inst, 2)
+    solve_lp = pipeline.solve_lp
+    full_solves = []
+
+    def fixed_center_infeasible(model, *args):
+        if model.centers is not None:
+            return None
+        full_solves.append(model.ncols)
+        return solve_lp(model, *args)
+
+    monkeypatch.setattr(pipeline, "solve_lp", fixed_center_infeasible)
+    with pytest.raises(PipelineError, match="fixed-center") as exc_info:
+        solve_doubly_fair_medmeans(inst, gf, ds, "median")
+    assert exc_info.value.stage == "lp"
+    assert full_solves == [6 * 6 + 6]
+
+
+def test_rerouting_dump_is_center_only(tmp_path):
+    inst = balanced_instance(6, 2, seed=21)
+    gf = window_gf(inst)
+    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
+    path = tmp_path / "rerouting.json"
+    for objective in ("median", "means"):
+        with pytest.raises(ValidationError, match="k-center only"):
+            solve(inst, gf, ds, objective, dumps={"rerouting": str(path)})
+        assert not path.exists()
+    solve(inst, gf, ds, "center", dumps={"rerouting": str(path)})
+    assert "plan" in json.loads(path.read_text())
