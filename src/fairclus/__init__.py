@@ -24,8 +24,7 @@ from .lp import (FractionalSolution, build_gf_feasibility_lp,
                  build_gf_objective_lp, fractional_cost, lp_residuals,
                  min_feasible_lambda, solve_lp)
 from .oracle import OracleBudget, brute_force_doubly_fair, brute_force_gf_assignment
-from .pipeline import (SolveReport, guarantee_factor, means_pq, solve,
-                       solve_doubly_fair_kcenter, solve_doubly_fair_medmeans)
+from .pipeline import SolveReport, guarantee_factor, means_pq, solve
 from .rerouting import ReroutePlan, reroute_center, reroute_medmeans
 
 __version__ = "0.1.0"
@@ -44,7 +43,6 @@ __all__ = [
     "instance_to_dict", "load_fairness_spec", "load_instance", "lp_residuals",
     "make_clustering", "make_instance", "means_pq", "min_feasible_lambda",
     "pairwise_distance_set", "random_instance", "reroute_center",
-    "reroute_medmeans", "solve", "solve_doubly_fair_kcenter",
-    "solve_doubly_fair_medmeans", "solve_ds_exact", "solve_ds_greedy",
+    "reroute_medmeans", "solve", "solve_ds_exact", "solve_ds_greedy",
     "solve_ds_plugin", "solve_lp",
 ]

@@ -79,8 +79,7 @@ def cmd_solve(args) -> int:
     inst = _load_instance_args(args)
     gf, ds = _load_specs(args, inst)
     backend = get_backend(args.ds_backend)
-    dumps = {"lp": args.dump_lp, "rerouting": args.dump_rerouting,
-             "flow": args.dump_flow}
+    dumps = {"lp": args.dump_lp, "flow": args.dump_flow}
     clustering, report = pipeline_solve(
         inst, gf, ds, args.objective, backend=backend,
         with_oracle=args.with_oracle, dumps=dumps)
@@ -180,6 +179,10 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if not 1 <= args.k <= args.n_min:
         raise ValidationError(f"--k {args.k} outside [1, --n-min {args.n_min}]")
+    for flag, value in (("--count", args.count), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ValidationError(f"{flag} {value} is below 1")
+    get_backend(args.ds_backend)
     rng = np.random.default_rng(args.seed)
     tasks = []
     for i in range(args.count):
@@ -253,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="report JSON path")
     p.add_argument("--clustering-out", default=None, help="clustering JSON path")
     p.add_argument("--dump-lp", default=None)
-    p.add_argument("--dump-rerouting", default=None,
-                   help="rerouting plan JSON (center only)")
     p.add_argument("--dump-flow", default=None)
     p.set_defaults(func=cmd_solve)
 

@@ -144,10 +144,12 @@ def solve_ds_greedy(inst: MetricInstance, ds: CenterDiversitySpec,
 
     centers = [0]
     mind = d[0, :].copy()
+    mind[0] = -np.inf  # a chosen point must not win a tie at distance 0
     while len(centers) < k:
         p = int(np.argmax(mind))  # argmax takes the lowest id on ties
         centers.append(p)
         np.minimum(mind, d[p, :], out=mind)
+        mind[p] = -np.inf
 
     # color targets: clamp current counts into [L, min(U, available)], then
     # shift until they sum to k
@@ -173,7 +175,7 @@ def solve_ds_greedy(inst: MetricInstance, ds: CenterDiversitySpec,
             redundancy = []
             for c in of_color:
                 others = [o for o in centers if o != c]
-                redundancy.append((min(d[c, o] for o in others), c))
+                redundancy.append((min((d[c, o] for o in others), default=math.inf), c))
             c_drop = min(redundancy)[1]
             centers.remove(c_drop)
             cur[h] -= 1

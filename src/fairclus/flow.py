@@ -1,4 +1,4 @@
-"""Rounding a rerouted fractional assignment to 0/1 with one flow LP.
+"""Rounding a fractional assignment to fixed centers to 0/1 with one flow LP.
 
 The network is the layered point -> (center, color) -> center flow, written
 as one LP: a variable per support arc (center i, point j) with
@@ -8,7 +8,8 @@ Those integer windows carry the bounded-violation guarantee into the integral
 solution. The point rows and the laminar center rows form a totally
 unimodular matrix, so the simplex vertex HiGHS returns is 0/1. Arc costs are
 d(i, j), squared for the sum-of-squares objective, so the rounded cost never
-exceeds the fractional one; k-center uses the plain distances as well.
+exceeds the fractional one; k-center uses the plain distances as well, and
+its rounded radius stays within the support's, which the LP capped.
 """
 
 from __future__ import annotations
@@ -52,26 +53,27 @@ def snap_to_integer(value: float, eps: float = EPS_POS) -> float:
     return float(nearest) if abs(value - nearest) <= eps else float(value)
 
 
-def _masses(rerouted: FractionalSolution, inst: MetricInstance, centers):
+def _masses(sol: FractionalSolution, inst: MetricInstance, centers):
     color_mass = {}
     total_mass = {}
     for i in centers:
-        row = rerouted.x[i, :]
+        row = sol.x[i, :]
         for h in range(inst.m):
             color_mass[(i, h)] = snap_to_integer(float(row[inst.colors == h].sum()))
         total_mass[i] = snap_to_integer(float(row.sum()))
     return color_mass, total_mass
 
 
-def build_flow(rerouted: FractionalSolution, centers, inst: MetricInstance,
+def build_flow(sol: FractionalSolution, centers, inst: MetricInstance,
                objective: str) -> FlowNetwork:
-    """The rounding LP of ``rerouted`` onto ``centers`` for ``objective``."""
+    """The rounding LP of ``sol``, whose mass sits on ``centers`` only, for
+    ``objective``."""
     if objective not in ("center", "median", "means"):
         raise ValidationError(f"unknown objective {objective!r}")
     centers = sorted(int(c) for c in centers)
     n, m, k = inst.n, inst.m, len(centers)
-    color_mass, total_mass = _masses(rerouted, inst, centers)
-    point, slot = np.nonzero(rerouted.x[centers, :].T > EPS_POS)
+    color_mass, total_mass = _masses(sol, inst, centers)
+    point, slot = np.nonzero(sol.x[centers, :].T > EPS_POS)
     arcs = np.column_stack((np.asarray(centers, dtype=int)[slot], point))
     d = inst.distance_matrix()[arcs[:, 0], arcs[:, 1]]
     cost = d ** 2 if objective == "means" else d

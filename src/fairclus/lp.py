@@ -18,7 +18,9 @@ The fixed-center assignment variant (Bera et al., NeurIPS 2019) opens a given
 center set S: it has one x_ij per center i in S and point j and no y, keeps
 the assignment rows and the ratio rows of the centers in S, and replaces the
 opening rows with ``sum_j x_ij >= 1`` for every i in S, so no center is left
-without mass.
+without mass. Every pipeline solves this variant: k-center searches for the
+smallest radius cap at which it is feasible, median and means minimize its
+cost.
 """
 
 from __future__ import annotations
@@ -152,10 +154,23 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
                    centers=centers)
 
 
+def _center_ids(inst: MetricInstance, k: int, centers) -> np.ndarray | None:
+    """Sorted center ids of a fixed-center model, validated; None stays None."""
+    if centers is None:
+        return None
+    centers = np.array(sorted({int(c) for c in centers}), dtype=int)
+    if centers.size != k or np.any((centers < 0) | (centers >= inst.n)):
+        raise ValidationError(f"centers must be k={k} distinct ids in [0, {inst.n})")
+    return centers
+
+
 def build_gf_feasibility_lp(inst: MetricInstance, gf: GroupFairnessSpec,
-                            k: int, lam: float) -> LpModel:
-    """Feasibility program with assignments capped at radius ``lam``."""
-    return _build(inst, gf, k, lam=float(lam), objective=None)
+                            k: int, lam: float | None, centers=None) -> LpModel:
+    """Feasibility program with assignments capped at radius ``lam`` (no cap
+    if ``lam`` is None). With ``centers`` (k distinct point ids) it is the
+    fixed-center assignment program, as in ``build_gf_objective_lp``."""
+    return _build(inst, gf, k, lam=None if lam is None else float(lam),
+                  objective=None, centers=_center_ids(inst, k, centers))
 
 
 def build_gf_objective_lp(inst: MetricInstance, gf: GroupFairnessSpec,
@@ -167,12 +182,8 @@ def build_gf_objective_lp(inst: MetricInstance, gf: GroupFairnessSpec,
     """
     if objective not in ("median", "means"):
         raise ValidationError("objective LP supports 'median' and 'means' only")
-    if centers is not None:
-        centers = np.array(sorted({int(c) for c in centers}), dtype=int)
-        if centers.size != k or np.any((centers < 0) | (centers >= inst.n)):
-            raise ValidationError(f"centers must be k={k} distinct ids in "
-                                  f"[0, {inst.n})")
-    return _build(inst, gf, k, lam=None, objective=objective, centers=centers)
+    return _build(inst, gf, k, lam=None, objective=objective,
+                  centers=_center_ids(inst, k, centers))
 
 
 def solve_lp(model: LpModel, inst: MetricInstance | None = None,
@@ -181,8 +192,8 @@ def solve_lp(model: LpModel, inst: MetricInstance | None = None,
     backend certifies infeasibility.
 
     Repair: negatives clamped, each assignment column renormalized to sum
-    exactly 1 (downstream rerouting divides by these sums). If instance and
-    spec are passed, residuals are re-verified after repair.
+    exactly 1 (the flow rounds each column as one unit of mass). If instance
+    and spec are passed, residuals are re-verified after repair.
     """
     res = linprog(model.c, A_ub=model.a_ub, b_ub=model.b_ub, A_eq=model.a_eq,
                   b_eq=model.b_eq, bounds=(0.0, 1.0), method="highs")
@@ -287,9 +298,10 @@ class LambdaSearchResult:
 
 
 def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
-                        radii) -> LambdaSearchResult:
+                        radii, centers=None) -> LambdaSearchResult:
     """Smallest radius in the sorted candidate set whose feasibility program
-    solves, returned with the model and solution of that probe.
+    solves, returned with the model and solution of that probe. With
+    ``centers``, every probe is the fixed-center program over them.
 
     Feasibility is monotone in the cap (a larger cap only adds variables), so
     a binary search over the candidates equals the linear scan. The lowest
@@ -306,7 +318,7 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
 
     def probe(idx: int) -> LambdaSearchResult | None:
         radius = float(radii[idx])
-        model = build_gf_feasibility_lp(inst, gf, k, radius)
+        model = build_gf_feasibility_lp(inst, gf, k, radius, centers=centers)
         sol = solve_lp(model)
         return None if sol is None else LambdaSearchResult(radius, model, sol)
 

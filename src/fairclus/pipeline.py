@@ -1,20 +1,21 @@
-"""End-to-end solvers: diverse centers -> fairness LP -> rerouting -> flow
-rounding, with every stage's guarantee re-verified on the produced artifacts.
+"""End-to-end solver: diverse centers -> fixed-center fairness LP -> flow
+rounding, one pipeline for k-center, k-median and k-means, with every
+stage's guarantee re-verified on the produced artifacts.
 
-Radius pipeline: the assignment radius is the larger of the smallest feasible
-LP radius and the snapped diverse-cost radius, found as the smallest
-LP-feasible pairwise distance no lower than the snapped radius. The LP
-solution of that winning search probe is residual-checked and reused, not
-solved again. The final clustering is checked against (alpha + 1) times that
-radius.
+The LP is the fair assignment LP over the diverse centers S (k * n columns;
+Bera et al., NeurIPS 2019). k-center takes the smallest radius r among the
+distances d[S, :] at which that LP, capped at r, is feasible, reusing the
+winning search probe's solution; the rounded radius is checked to be at most
+r. Median and means take the LP's optimum; the rounded cost is checked to be
+at most its fractional cost. Either solution is residual-checked, and checked
+for support on S and per-center mass >= 1, before the flow rounds it.
 
-Cost pipelines: the fixed-center assignment LP over the diverse centers S
-(k * n columns) is solved, its solution residual-checked and checked for
-support on S and per-center mass >= 1, and rounded by the flow; the rounding
-may only decrease its cost. No rerouting runs: the paper's rerouted solution
-is feasible for that LP, so its optimum is never worse than the rerouted cost
-and the paper's factors hold. If the assignment LP is infeasible, the full
-n^2-column LP decides between an infeasible input and a broken pipeline.
+No rerouting runs. The paper's rerouted solution is feasible for the same
+LP (capped at its own largest support distance for k-center), so r and the
+LP optimum are never worse than the rerouted solution and the paper's
+factors hold; the test suite checks that lemma by rerouting the full LP.
+If the fixed-center LP is infeasible, the full n^2-column LP decides between
+an infeasible input and a broken pipeline.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from .errors import (BudgetExceededError, InfeasibleError, PipelineError,
                      ValidationError)
 from .flow import (build_flow, check_mass_windows, dump_flow_text,
                    extract_assignment, min_cost_flow)
-from .instance import EPS_D, MetricInstance, pairwise_distance_set
-# build_gf_feasibility_lp and reroute_medmeans are no longer called here, but
-# stay importable under these names: benchmarks/tracing.py wraps them.
-from .lp import (build_gf_feasibility_lp, build_gf_objective_lp,  # noqa: F401
+# pairwise_distance_set, reroute_center and reroute_medmeans are no longer
+# called here, but stay importable under these names: benchmarks/tracing.py
+# wraps them.
+from .instance import EPS_D, MetricInstance, pairwise_distance_set  # noqa: F401
+from .lp import (build_gf_feasibility_lp, build_gf_objective_lp,
                  check_lp_solution, dump_lp_text, fractional_cost,
                  infeasibility_diagnosis, min_feasible_lambda, solve_lp)
 from .oracle import OracleBudget, brute_force_doubly_fair
@@ -83,10 +85,8 @@ class SolveReport:
     gf_violation: float
     ds_satisfied: bool
     min_cluster_size: int
-    lam: float | None = None  # radius mode
-    lambda_lp: float | None = None
-    lambda_ds: float | None = None
-    assignment_lp_cost: float | None = None  # cost modes
+    lam: float | None = None  # center: the fixed-center LP's radius
+    assignment_lp_cost: float | None = None  # median, means: its optimum
     oracle_cost: float | None = None
     oracle_ratio: float | None = None
     oracle_note: str | None = None
@@ -103,16 +103,6 @@ def _require_precheck(inst, gf, ds):
     if not report.ok:
         raise InfeasibleError("instance fails feasibility prechecks",
                               diagnosis=report.failures)
-
-
-def _effective_alpha(alpha):
-    # backends without a claimed factor still satisfy ds_cost <= 1 * snapped
-    # radius by construction of the snapping step, so 1 is always safe here
-    return alpha if alpha is not None and alpha >= 1.0 else 1.0
-
-
-def _assignment_from_table(x2: np.ndarray) -> list:
-    return [int(np.argmax(x2[:, j])) for j in range(x2.shape[1])]
 
 
 def _verify_output(inst, gf, ds, clustering, stage):
@@ -150,8 +140,8 @@ def _maybe_dump(dumps, key, writer):
             writer(fh)
 
 
-def _round_flow(inst, rerouted, centers, objective, dumps):
-    net = build_flow(rerouted, centers, inst, objective)
+def _round_flow(inst, sol, centers, objective, dumps):
+    net = build_flow(sol, centers, inst, objective)
     _maybe_dump(dumps, "flow", lambda fh: dump_flow_text(net, fh))
     flows = min_cost_flow(net)
     x2 = extract_assignment(flows, net)
@@ -159,145 +149,87 @@ def _round_flow(inst, rerouted, centers, objective, dumps):
     return net, flows, x2
 
 
-def solve_doubly_fair_kcenter(inst: MetricInstance, gf: GroupFairnessSpec,
-                              ds: CenterDiversitySpec, backend=None,
-                              with_oracle: bool = False,
-                              oracle_budget: OracleBudget | None = None,
-                              dumps: dict | None = None,
-                              artifacts: dict | None = None):
-    """Radius pipeline; returns (Clustering, SolveReport).
+def _fixed_center_lp(inst, gf, ds, ds_sol):
+    """The fixed-center LP over the diverse centers and its checked solution.
 
-    Pass a dict as ``artifacts`` to receive the intermediate stage outputs
-    (LP solution, rerouted solution, flow network, integral table).
+    k-center: the smallest radius r among the distances from the centers at
+    which the program capped at r is feasible, searched from the diverse
+    cost up (the nearest-assignment radius; below it some point has no
+    center in reach). Median and means: the cost-minimizing program. If it
+    has no solution, the full program decides between an infeasible input
+    and a broken pipeline.
     """
-    timings = {}
-    t0 = time.perf_counter()
-    _require_precheck(inst, gf, ds)
-    timings["precheck"] = time.perf_counter() - t0
-    backend = backend or ExactBackend()
-
-    t_ds = time.perf_counter()
-    ds_sol = solve_ds_plugin(inst, ds, "center", backend)
-    alpha = _effective_alpha(ds_sol.alpha)
-    timings["ds"] = time.perf_counter() - t_ds
-
-    t1 = time.perf_counter()
-    radii = pairwise_distance_set(inst)
-    idx = int(np.searchsorted(radii, ds_sol.cost / alpha - EPS_D, side="left"))
-    if idx >= radii.size:
-        raise PipelineError("lambda", "diverse cost exceeds every pairwise distance")
-    lambda_ds = float(radii[idx])
-    # feasibility is monotone in the radius, so searching only the candidates
-    # >= lambda_ds yields max(lambda_lp, lambda_ds) directly
-    search = min_feasible_lambda(inst, gf, ds.k, radii[idx:])
-    lam = lambda_lp = search.radius
-    timings["lambda_search"] = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
-    model, sol = search.model, search.solution
-    _maybe_dump(dumps, "lp", lambda fh: dump_lp_text(model, fh))
-    check_lp_solution(model, sol, inst, gf)
-    timings["lp"] = time.perf_counter() - t2
-
-    t3 = time.perf_counter()
-    rerouted, plan = reroute_center(inst, sol, ds_sol.centers)
-    radius_cap = (alpha + 1.0) * lam
-    check_rerouted(inst, gf, rerouted, ds_sol.centers, radius_cap=radius_cap)
-    _maybe_dump(dumps, "rerouting", lambda fh: _dump_rerouting(fh, rerouted, plan))
-    timings["rerouting"] = time.perf_counter() - t3
-
-    t4 = time.perf_counter()
-    net, flows, x2 = _round_flow(inst, rerouted, ds_sol.centers, "center", dumps)
-    timings["flow"] = time.perf_counter() - t4
-
-    clustering = make_clustering(inst, ds_sol.centers,
-                                 _assignment_from_table(x2), "center")
-    if clustering.cost > radius_cap + EPS_D:
-        raise PipelineError("output", f"cost {clustering.cost} exceeds "
-                                      f"({alpha}+1) * lambda = {radius_cap}")
-    violation, min_size = _verify_output(inst, gf, ds, clustering, "output")
-    if artifacts is not None:
-        artifacts.update(lp_solution=sol, rerouted=rerouted, plan=plan, net=net,
-                         flows=flows, x2=x2, radius_cap=radius_cap,
-                         alpha_effective=alpha, ds_solution=ds_sol)
-
-    report = SolveReport(
-        objective="center", n=inst.n, m=inst.m, k=ds.k, cost=clustering.cost,
-        ds_backend=ds_sol.backend_id, ds_cost=ds_sol.cost, alpha=ds_sol.alpha,
-        guaranteed_factor=(guarantee_factor("center", ds_sol.alpha)
-                           if ds_sol.alpha is not None else None),
-        gf_violation=violation, ds_satisfied=True, min_cluster_size=min_size,
-        lam=lam, lambda_lp=lambda_lp, lambda_ds=lambda_ds, timings=timings)
-    if with_oracle:
-        t5 = time.perf_counter()
-        _run_oracle(inst, gf, ds, "center", report, oracle_budget)
-        timings["oracle"] = time.perf_counter() - t5
-    timings["total"] = time.perf_counter() - t0
-    return clustering, report
-
-
-def _assignment_lp(inst, gf, ds, objective, centers, dumps):
-    """Optimal fractional assignment to the fixed centers, checked; if the
-    fixed-center program is infeasible, the full program decides the error."""
-    model = build_gf_objective_lp(inst, gf, ds.k, objective, centers=centers)
-    _maybe_dump(dumps, "lp", lambda fh: dump_lp_text(model, fh))
-    sol = solve_lp(model, inst, gf)
+    centers = ds_sol.centers
+    if ds_sol.objective == "center":
+        radii = np.unique(inst.distance_matrix()[list(centers)])
+        try:
+            search = min_feasible_lambda(inst, gf, ds.k, radii[radii >= ds_sol.cost],
+                                         centers=centers)
+            model, sol = search.model, search.solution
+        except InfeasibleError:
+            model, sol = None, None
+    else:
+        model = build_gf_objective_lp(inst, gf, ds.k, ds_sol.objective,
+                                      centers=centers)
+        sol = solve_lp(model)
     if sol is None:
-        if solve_lp(build_gf_objective_lp(inst, gf, ds.k, objective)) is None:
+        if solve_lp(build_gf_feasibility_lp(inst, gf, ds.k, None)) is None:
             raise InfeasibleError(
                 "the group-fairness program has no fractional solution",
                 diagnosis=(list(feasibility_precheck(inst, gf, ds).failures)
                            + infeasibility_diagnosis(gf, ds.k, inst.n)))
         raise PipelineError("lp", "the fixed-center assignment program is "
                                   "infeasible though the full program is feasible")
-    check_rerouted(inst, gf, sol, centers, stage="lp")
-    return sol
+    check_lp_solution(model, sol, inst, gf)
+    check_rerouted(inst, gf, sol, centers, radius_cap=model.lam, stage="lp")
+    return model, sol
 
 
-def solve_doubly_fair_medmeans(inst: MetricInstance, gf: GroupFairnessSpec,
-                               ds: CenterDiversitySpec, objective: str,
-                               backend=None, with_oracle: bool = False,
-                               oracle_budget: OracleBudget | None = None,
-                               dumps: dict | None = None,
-                               artifacts: dict | None = None):
-    """Cost pipeline for 'median' or 'means'; returns (Clustering, SolveReport).
+def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
+          objective: str, backend=None, with_oracle: bool = False,
+          oracle_budget: OracleBudget | None = None, dumps: dict | None = None,
+          artifacts: dict | None = None):
+    """Doubly fair clustering for 'center', 'median' or 'means'; returns
+    (Clustering, SolveReport).
 
-    The clustering rounds the optimal fair assignment to the diverse centers.
+    Pass a dict as ``artifacts`` to receive the intermediate stage outputs
+    (DS solution, LP solution, flow network and flows, integral table).
     """
-    if objective not in ("median", "means"):
-        raise ValidationError("cost pipeline expects 'median' or 'means'")
-    if dumps and dumps.get("rerouting"):
-        raise ValidationError("the rerouting dump is k-center only: no "
-                              "rerouting runs for median and means")
+    if objective not in ("center", "median", "means"):
+        raise ValidationError(f"unknown objective {objective!r}")
     timings = {}
     t0 = time.perf_counter()
     _require_precheck(inst, gf, ds)
     timings["precheck"] = time.perf_counter() - t0
     backend = backend or ExactBackend()
 
-    t_ds = time.perf_counter()
-    ds_sol = solve_ds_plugin(inst, ds, objective, backend)
-    alpha = _effective_alpha(ds_sol.alpha)
-    timings["ds"] = time.perf_counter() - t_ds
-
     t1 = time.perf_counter()
-    sol = _assignment_lp(inst, gf, ds, objective, ds_sol.centers, dumps)
-    assignment_lp_cost = fractional_cost(inst, sol.x, objective)
-    timings["lp"] = time.perf_counter() - t1
+    ds_sol = solve_ds_plugin(inst, ds, objective, backend)
+    timings["ds"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
+    model, sol = _fixed_center_lp(inst, gf, ds, ds_sol)
+    _maybe_dump(dumps, "lp", lambda fh: dump_lp_text(model, fh))
+    if objective == "center":
+        bound, slack = model.lam, EPS_D
+    else:
+        bound = fractional_cost(inst, sol.x, objective)
+        slack = MASS_TOL * max(1.0, bound)
+    timings["lp"] = time.perf_counter() - t2
+
+    t3 = time.perf_counter()
     net, flows, x2 = _round_flow(inst, sol, ds_sol.centers, objective, dumps)
-    timings["flow"] = time.perf_counter() - t2
+    timings["flow"] = time.perf_counter() - t3
 
     clustering = make_clustering(inst, ds_sol.centers,
-                                 _assignment_from_table(x2), objective)
-    if clustering.cost > assignment_lp_cost + MASS_TOL * max(1.0, assignment_lp_cost):
+                                 x2.argmax(axis=0).tolist(), objective)
+    if clustering.cost > bound + slack:
         raise PipelineError("output", f"rounded cost {clustering.cost} exceeds "
-                                      f"the fractional cost {assignment_lp_cost}")
+                                      f"the LP's bound {bound}")
     violation, min_size = _verify_output(inst, gf, ds, clustering, "output")
     if artifacts is not None:
         artifacts.update(lp_solution=sol, net=net, flows=flows, x2=x2,
-                         alpha_effective=alpha, ds_solution=ds_sol)
+                         ds_solution=ds_sol)
 
     report = SolveReport(
         objective=objective, n=inst.n, m=inst.m, k=ds.k, cost=clustering.cost,
@@ -305,23 +237,12 @@ def solve_doubly_fair_medmeans(inst: MetricInstance, gf: GroupFairnessSpec,
         guaranteed_factor=(guarantee_factor(objective, ds_sol.alpha)
                            if ds_sol.alpha is not None else None),
         gf_violation=violation, ds_satisfied=True, min_cluster_size=min_size,
-        assignment_lp_cost=assignment_lp_cost, timings=timings)
+        lam=bound if objective == "center" else None,
+        assignment_lp_cost=None if objective == "center" else bound,
+        timings=timings)
     if with_oracle:
-        t3 = time.perf_counter()
+        t4 = time.perf_counter()
         _run_oracle(inst, gf, ds, objective, report, oracle_budget)
-        timings["oracle"] = time.perf_counter() - t3
+        timings["oracle"] = time.perf_counter() - t4
     timings["total"] = time.perf_counter() - t0
     return clustering, report
-
-
-def solve(inst, gf, ds, objective, **kwargs):
-    """Dispatch on the objective."""
-    if objective == "center":
-        return solve_doubly_fair_kcenter(inst, gf, ds, **kwargs)
-    return solve_doubly_fair_medmeans(inst, gf, ds, objective, **kwargs)
-
-
-def _dump_rerouting(fh, rerouted, plan):
-    import json
-    json.dump({"x": rerouted.x.tolist(), "y": rerouted.y.tolist(),
-               "plan": plan.to_dict()}, fh, indent=1, sort_keys=True)

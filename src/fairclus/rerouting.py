@@ -1,6 +1,10 @@
 """Mass rerouting: move every assignment of an LP solution onto a fixed
 diverse center set while preserving the color-ratio structure.
 
+The pipeline does not reroute: it solves the fixed-center LP, for which the
+rerouted solution is feasible. These functions are the paper's construction,
+kept as the reference the test suite checks that lemma against.
+
 Both variants share the same skeleton. Each point p that receives mass in the
 input solution redistributes its entire incoming column to the diverse
 centers; the output row of center i is a nonnegative combination of input
@@ -33,7 +37,7 @@ MASS_TOL = 1e-6  # accepted slack on conservation / per-center mass checks
 
 @dataclass(frozen=True)
 class ReroutePlan:
-    """Bookkeeping of one rerouting: neighborhoods, fallback map, shares."""
+    """Bookkeeping of one rerouting: LP support, fallback map, shares."""
 
     centers: tuple  # sorted diverse center ids
     support: np.ndarray  # (n, |centers|) bool: center sends mass to point p
@@ -44,19 +48,6 @@ class ReroutePlan:
     def in_neighborhood(self) -> np.ndarray:
         """Points receiving positive mass from at least one diverse center."""
         return self.support.any(axis=1)
-
-    def neighborhoods(self) -> dict:
-        """center id -> points it sends positive mass to (its LP supporters)."""
-        return {c: np.flatnonzero(self.support[:, a]).tolist()
-                for a, c in enumerate(self.centers)}
-
-    def to_dict(self) -> dict:
-        return {
-            "centers": list(self.centers),
-            "neighborhoods": {str(c): pts for c, pts in self.neighborhoods().items()},
-            "theta": self.theta.tolist(),
-            "shares": self.shares.tolist(),
-        }
 
 
 def _theta_map(inst: MetricInstance, centers: list) -> np.ndarray:
@@ -149,7 +140,8 @@ def check_rerouted(inst: MetricInstance, gf, rerouted: FractionalSolution,
     per-center mass >= 1, color-ratio residuals, and (radius variant) the
     support radius cap. Raises PipelineError naming the failing property.
     A solution of the fixed-center assignment LP must have the same
-    properties, so the cost pipelines check it here too, with stage "lp".
+    properties, so the pipeline checks it here, with stage "lp" and, for
+    k-center, the LP's own radius cap.
     """
     x, y = rerouted.x, rerouted.y
     centers = sorted(int(c) for c in centers)

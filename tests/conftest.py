@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from fairclus import (GroupFairnessSpec, build_gf_objective_lp, fractional_cost,
-                      make_instance, means_pq, random_instance, reroute_medmeans,
-                      solve_lp)
+                      make_instance, means_pq, min_feasible_lambda,
+                      pairwise_distance_set, random_instance, reroute_center,
+                      reroute_medmeans, solve_lp)
+from fairclus.instance import EPS_D
+from fairclus.lp import EPS_POS, check_lp_solution
 from fairclus.rerouting import check_rerouted
 
 
@@ -42,11 +45,33 @@ def line_instance(positions, colors):
 
 
 def rerouting_certificate(inst, gf, k, objective, artifacts):
-    """The paper's rerouting lemma on one median/means solve: the full LP's
-    optimum rerouted onto the solve's diverse centers, with the LP cost, the
-    rerouted cost and its bound, 3 * lp + ds (median) or the p,q bound at the
-    solve's effective alpha (means). ``artifacts`` are the solve's."""
+    """The paper's rerouting lemma on one solve: the full LP rerouted onto the
+    solve's diverse centers. ``artifacts`` are the solve's.
+
+    k-center: lam = max(lambda_lp, lambda_ds), the smallest pairwise distance
+    no lower than the diverse cost / alpha (snapped to a distance) at which
+    the full LP capped there is feasible; its solution rerouted, checked at
+    the radius cap (alpha + 1) * lam, and the largest distance the rerouted
+    solution uses (``support_radius``).
+
+    Median/means: the full LP's optimum rerouted, with the LP cost, the
+    rerouted cost and its bound, 3 * lp + ds (median) or the p,q bound
+    (means). A backend without a claimed factor counts as alpha = 1.
+    """
     ds_sol = artifacts["ds_solution"]
+    alpha = ds_sol.alpha if ds_sol.alpha is not None and ds_sol.alpha >= 1.0 else 1.0
+    if objective == "center":
+        radii = pairwise_distance_set(inst)
+        idx = int(np.searchsorted(radii, ds_sol.cost / alpha - EPS_D, side="left"))
+        search = min_feasible_lambda(inst, gf, k, radii[idx:])
+        check_lp_solution(search.model, search.solution, inst, gf)
+        rerouted, plan = reroute_center(inst, search.solution, ds_sol.centers)
+        radius_cap = (alpha + 1.0) * search.radius
+        check_rerouted(inst, gf, rerouted, ds_sol.centers, radius_cap=radius_cap)
+        support = rerouted.x > EPS_POS
+        return SimpleNamespace(lam=search.radius, rerouted=rerouted, plan=plan,
+                               radius_cap=radius_cap,
+                               support_radius=float(inst.distance_matrix()[support].max()))
     sol = solve_lp(build_gf_objective_lp(inst, gf, k, objective), inst, gf)
     rerouted, plan = reroute_medmeans(inst, sol, ds_sol.centers)
     check_rerouted(inst, gf, rerouted, ds_sol.centers)
@@ -54,7 +79,7 @@ def rerouting_certificate(inst, gf, k, objective, artifacts):
     if objective == "median":
         bound = 3.0 * lp_cost + ds_sol.cost
     else:
-        p_sq, q_sq = means_pq(artifacts["alpha_effective"])
+        p_sq, q_sq = means_pq(alpha)
         bound = ((1.0 + p_sq + (1.0 + 1.0 / p_sq) * (2.0 + q_sq)) * lp_cost
                  + (1.0 + 1.0 / p_sq) * (1.0 + 1.0 / q_sq) * ds_sol.cost)
     return SimpleNamespace(lp_cost=lp_cost, rerouted=rerouted, plan=plan,

@@ -69,9 +69,8 @@ def _solve_record(inst, gf, ds, objective, try_oracle):
     clustering, report = solve(inst, gf, ds, objective, artifacts=artifacts)
     record = {"inst": inst, "gf": gf, "ds": ds, "objective": objective,
               "clustering": clustering, "report": report, **artifacts}
-    if objective != "center":
-        record["certificate"] = rerouting_certificate(inst, gf, ds.k, objective,
-                                                      artifacts)
+    record["certificate"] = rerouting_certificate(inst, gf, ds.k, objective,
+                                                  artifacts)
     if try_oracle and math.comb(inst.n, ds.k) * ds.k ** inst.n <= ORACLE_WORK_CAP:
         try:
             record["oracle"] = brute_force_doubly_fair(inst, gf, ds, objective,
@@ -136,19 +135,27 @@ def test_criterion_3_kcenter_ratio(suite, oracle_family):
     center_records = [r for r in suite + oracle_family
                       if r["objective"] == "center"]
     for r in center_records:
-        rep = r["report"]
-        if rep.cost > 2.0 * rep.lam + 1e-6:
-            failures.append(("cost export exceeds 2*lambda", rep.to_dict()))
+        # lam is the certificate's max(lambda_lp, lambda_ds); rep.lam is the
+        # fixed-center LP's radius r, which the rerouted solution bounds
+        rep, cert = r["report"], r["certificate"]
+        lam = cert.lam
+        if rep.cost > 2.0 * lam + 1e-6:
+            failures.append(("cost export exceeds 2*lambda", rep.to_dict(), lam))
+        if not (rep.cost <= rep.lam + 1e-9 and rep.lam <= cert.support_radius
+                and cert.support_radius <= cert.radius_cap + 1e-9):
+            failures.append(("cost <= r <= rerouted radius <= (alpha+1)*lambda",
+                             rep.to_dict(), cert.support_radius, cert.radius_cap))
         if r["oracle"] is not None:
             comparisons += 1
             opt = r["oracle"].cost
             if rep.cost > 2.0 * opt + 1e-6:
                 failures.append(("cost exceeds 2*OPT", rep.cost, opt))
-            if rep.lam > opt + 1e-6:
-                failures.append(("lambda exceeds OPT", rep.lam, opt))
+            if lam > opt + 1e-6:
+                failures.append(("lambda exceeds OPT", lam, opt))
     if comparisons < 30:
         failures.append(("too few oracle comparisons", comparisons))
-    _verdict(3, "k-center: cost <= 2*OPT, cost <= 2*lambda, lambda <= OPT",
+    _verdict(3, "k-center: cost <= 2*OPT, cost <= 2*lambda, lambda <= OPT, "
+                "cost <= r <= rerouted radius <= (alpha+1)*lambda",
              failures, f"{comparisons} oracle comparisons, "
                        f"{len(center_records)} radius checks")
 
@@ -206,16 +213,18 @@ def test_criterion_5_kmeans_ratio(suite, oracle_family):
 
 
 def test_criterion_6_rerouting_guarantees(suite, oracle_family):
-    # the cost pipelines round the fixed-center assignment LP's solution,
-    # which must have every property the rerouted solution has
+    # the pipeline rounds the fixed-center assignment LP's solution, which
+    # must have every property the certificate's rerouted solution has; the
+    # radius caps are (alpha+1)*lambda and r
     failures = []
     checked = 0
     for r in suite + oracle_family:
         inst, gf = r["inst"], r["gf"]
         centers = list(r["clustering"].centers)
-        solutions = ([r["rerouted"]] if r["objective"] == "center"
-                     else [r["certificate"].rerouted, r["lp_solution"]])
-        for rerouted in solutions:
+        cert = r["certificate"]
+        solutions = [(cert.rerouted, getattr(cert, "radius_cap", None)),
+                     (r["lp_solution"], r["report"].lam)]
+        for rerouted, radius_cap in solutions:
             checked += 1
             col_err = float(np.abs(rerouted.x.sum(axis=0) - 1.0).max())
             if col_err > 1e-6:
@@ -234,9 +243,9 @@ def test_criterion_6_rerouting_guarantees(suite, oracle_family):
             if r["objective"] == "center":
                 d = inst.distance_matrix()
                 sup = rerouted.x > 1e-9
-                if np.any(sup) and float(d[sup].max()) > r["radius_cap"] + 1e-9:
+                if np.any(sup) and float(d[sup].max()) > radius_cap + 1e-9:
                     failures.append(("support radius", float(d[sup].max()),
-                                     r["radius_cap"]))
+                                     radius_cap))
     _verdict(6, "rerouting and assignment LP: conservation, support on the "
                 "centers, mass >= 1, ratios, radius",
              failures, f"{checked} fractional solutions")

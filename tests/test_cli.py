@@ -217,13 +217,13 @@ def test_contract_violation_exits_3(tmp_path, capsys):
 def test_dump_flags_write_files(tmp_path):
     inst_path, spec_path = _gen_pair(tmp_path, seed=13)
     lp_path = tmp_path / "model.lp"
-    rr_path = tmp_path / "rerouting.json"
     fl_path = tmp_path / "net.txt"
     run_cli("solve", "--instance", str(inst_path), "--spec", str(spec_path),
             "--objective", "center", "--dump-lp", str(lp_path),
-            "--dump-rerouting", str(rr_path), "--dump-flow", str(fl_path))
-    assert "Minimize" in lp_path.read_text()
-    assert "plan" in json.loads(rr_path.read_text())
+            "--dump-flow", str(fl_path))
+    text = lp_path.read_text()
+    assert "Minimize" in text
+    assert " radius_cap=" in text.splitlines()[0] and " centers=" in text.splitlines()[0]
     assert fl_path.read_text().startswith("arc ")
 
 
@@ -274,6 +274,11 @@ def test_console_entry_point(tmp_path):
     (("--n-min", "10", "--n-max", "6", "--k", "2"), "--n-min 10 exceeds --n-max 6"),
     (("--n-min", "6", "--n-max", "6", "--k", "20"), "--k 20 outside [1, --n-min 6]"),
     (("--n-min", "6", "--n-max", "8", "--k", "0"), "--k 0 outside [1, --n-min 6]"),
+    (("--ds-backend", "nope"), "unknown ds backend 'nope'"),
+    (("--count", "-3"), "--count -3 is below 1"),
+    (("--count", "0"), "--count 0 is below 1"),
+    (("--jobs", "0"), "--jobs 0 is below 1"),
+    (("--jobs", "-2"), "--jobs -2 is below 1"),
 ])
 def test_sweep_rejects_bad_ranges_before_solving(tmp_path, capsys, bounds, message):
     out = tmp_path / "sweep.csv"
@@ -291,16 +296,21 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc_info:
         run_cli("solve", "--help")
     assert exc_info.value.code == 0
-    assert "--dump-rerouting" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--dump-lp" in out and "--dump-rerouting" not in out
 
 
-def test_rerouting_dump_of_cost_objective_is_an_error(tmp_path, capsys):
+def test_rerouting_dump_flag_is_a_usage_error(tmp_path, capsys):
+    # no objective reroutes, so there is no rerouting to dump
     inst_path, spec_path = _gen_pair(tmp_path, seed=13)
     rr_path = tmp_path / "rerouting.json"
-    assert run_cli("solve", "--instance", str(inst_path), "--spec", str(spec_path),
-                   "--objective", "median", "--dump-rerouting", str(rr_path)) == 1
-    assert "k-center only" in capsys.readouterr().err
-    assert not rr_path.exists()
+    for objective in ("center", "median", "means"):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("solve", "--instance", str(inst_path), "--spec", str(spec_path),
+                    "--objective", objective, "--dump-rerouting", str(rr_path))
+        assert exc_info.value.code == 1
+        assert "unrecognized arguments: --dump-rerouting" in capsys.readouterr().err
+        assert not rr_path.exists()
 
 
 def test_sweep_reports_the_assignment_lp_cost(tmp_path):

@@ -139,6 +139,26 @@ def test_greedy_repair_shifts_colors():
     assert check_ds(inst, sol.centers, ds)
 
 
+def test_greedy_opens_distinct_centers_on_duplicate_points():
+    # farthest-first once picked point 0 again when every remaining point
+    # sat at distance 0, and the repair then failed on the repeated center
+    for coords in ([[1.0, 1.0]] * 6, [[0.0], [0.0], [0.0], [5.0], [5.0], [5.0]]):
+        inst = make_instance([0, 1, 0, 1, 0, 1], coords=coords)
+        for k in (2, 3, 4):
+            ds = CenterDiversitySpec(lower=(1, 1), upper=(k - 1, k - 1), k=k)
+            sol = solve_ds_greedy(inst, ds, "center")
+            assert len(set(sol.centers)) == k
+            assert check_ds(inst, sol.centers, ds)
+
+
+def test_greedy_repair_drops_every_center_of_an_unwanted_color():
+    # farthest-first opens points 0 and 1, both of color 0, which may have no
+    # center: dropping the last of them once failed on an empty min()
+    inst = line_instance([0.0, 10.0, 4.0, 6.0], [0, 0, 1, 1])
+    ds = CenterDiversitySpec(lower=(0, 2), upper=(0, 2), k=2)
+    assert solve_ds_greedy(inst, ds, "center").centers == (2, 3)
+
+
 class _BrokenCountBackend:
     contract = DsSolverContract(backend_id="broken-count", alpha={})
 

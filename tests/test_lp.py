@@ -159,37 +159,47 @@ def _record_probes(monkeypatch):
     probed = []
     build = lp_module.build_gf_feasibility_lp
 
-    def recording(inst, gf, k, lam):
+    def recording(inst, gf, k, lam, centers=None):
         probed.append(lam)
-        return build(inst, gf, k, lam)
+        return build(inst, gf, k, lam, centers=centers)
 
     monkeypatch.setattr(lp_module, "build_gf_feasibility_lp", recording)
     return probed
 
 
 def test_min_feasible_lambda_on_candidate_suffixes(monkeypatch):
+    """Full programs over every pairwise distance, and fixed-center programs
+    over the distances from a random center set."""
     rng = np.random.default_rng(43)
+    pick = np.random.default_rng(44)
     probed = _record_probes(monkeypatch)
-    searched = 0
+    searched = {None: 0, "fixed": 0}
     for n, m, k in ((5, 2, 1), (6, 2, 2), (7, 3, 2), (8, 2, 3), (8, 3, 3)):
         inst = make_instance(np.arange(n) % m, coords=rng.uniform(0, 1, (n, 2)), m=m)
         gf = window_gf(inst)
-        radii = pairwise_distance_set(inst)
-        flags = [solve_lp(build_gf_feasibility_lp(inst, gf, k, float(r))) is not None
-                 for r in radii]
-        first = flags.index(True)  # the full search's answer
-        assert all(flags[first:])
-        for i in range(radii.size):
-            probed.clear()
-            result = min_feasible_lambda(inst, gf, k, radii[i:])
-            assert result.radius == float(radii[max(first, i)])
-            assert result.model.lam == result.radius
-            assert len(probed) == len(set(probed))  # no radius probed twice
-            assert len(probed) <= 2 + math.ceil(math.log2(radii.size - i))
-            resid = lp_residuals(inst, gf, k, result.solution, lam=result.radius)
-            assert resid["max"] <= RESIDUAL_TOL
-            searched += 1
-    assert searched >= 60
+        fixed = sorted(pick.choice(n, size=k, replace=False).tolist())
+        for centers in (None, fixed):
+            radii = (pairwise_distance_set(inst) if centers is None
+                     else np.unique(inst.distance_matrix()[centers]))
+            flags = [solve_lp(build_gf_feasibility_lp(inst, gf, k, float(r),
+                                                      centers=centers)) is not None
+                     for r in radii]
+            first = flags.index(True)  # the full search's answer
+            assert all(flags[first:])
+            for i in range(radii.size):
+                probed.clear()
+                result = min_feasible_lambda(inst, gf, k, radii[i:], centers=centers)
+                assert result.radius == float(radii[max(first, i)])
+                assert result.model.lam == result.radius
+                if centers is not None:
+                    assert result.model.centers.tolist() == centers
+                    assert np.all(result.solution.x[np.setdiff1d(range(n), centers)] == 0)
+                assert len(probed) == len(set(probed))  # no radius probed twice
+                assert len(probed) <= 2 + math.ceil(math.log2(radii.size - i))
+                resid = lp_residuals(inst, gf, k, result.solution, lam=result.radius)
+                assert resid["max"] <= RESIDUAL_TOL
+                searched[None if centers is None else "fixed"] += 1
+    assert searched[None] >= 60 and searched["fixed"] >= 30
 
 
 def test_min_feasible_lambda_single_candidate_probed_once(monkeypatch):

@@ -11,9 +11,7 @@ from fairclus import (CenterDiversitySpec, ContractViolationError,
                       ValidationError, build_gf_feasibility_lp, check_ds,
                       default_ds_profile, exact_gf_spec, gf_violation,
                       guarantee_factor, make_instance, means_pq,
-                      pairwise_distance_set, random_instance, solve,
-                      solve_doubly_fair_kcenter, solve_doubly_fair_medmeans,
-                      solve_lp)
+                      random_instance, solve, solve_lp)
 from fairclus import lp as lp_module
 from fairclus import pipeline
 from fairclus.lp import LambdaSearchResult, dump_lp_text
@@ -27,7 +25,7 @@ def test_two_point_trivial():
     inst = line_instance([0, 1], [0, 1])
     gf = GroupFairnessSpec(lower=(0, 0), upper=(1, 1))
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    clustering, report = solve_doubly_fair_kcenter(inst, gf, ds)
+    clustering, report = solve(inst, gf, ds, "center")
     assert clustering.centers == (0, 1)
     assert report.cost == 0.0
     assert report.gf_violation == 0.0
@@ -81,11 +79,12 @@ def test_pipeline_invariants_all_objectives():
             assert report.min_cluster_size >= 1
             assert gf_violation(inst, clustering, gf) == pytest.approx(
                 report.gf_violation)
+            cert = rerouting_certificate(inst, gf, k, objective, artifacts)
             if objective == "center":
-                assert report.lam == max(report.lambda_lp, report.lambda_ds)
-                assert report.cost <= 2.0 * report.lam + 1e-9
+                assert report.cost <= report.lam + 1e-9
+                assert report.lam <= cert.support_radius <= cert.radius_cap + 1e-9
+                assert report.cost <= 2.0 * cert.lam + 1e-9
             else:
-                cert = rerouting_certificate(inst, gf, k, objective, artifacts)
                 assert report.cost <= report.assignment_lp_cost + 1e-6
                 assert report.assignment_lp_cost <= cert.rerouted_cost + 1e-6
                 assert cert.rerouted_cost <= cert.rerouted_cost_bound + 1e-6
@@ -101,9 +100,11 @@ def test_center_lambda_below_oracle_opt():
             opt = brute_force_doubly_fair(inst, gf, ds, "center")
         except InfeasibleError:
             continue
-        clustering, report = solve_doubly_fair_kcenter(inst, gf, ds)
+        artifacts = {}
+        clustering, report = solve(inst, gf, ds, "center", artifacts=artifacts)
         done += 1
-        assert report.lam <= opt.cost + 1e-9
+        assert rerouting_certificate(inst, gf, 2, "center", artifacts).lam \
+            <= opt.cost + 1e-9
         assert report.cost <= 2.0 * opt.cost + 1e-6
     assert done >= 8
 
@@ -120,8 +121,7 @@ def test_medmeans_ratio_against_oracle():
                 opt = brute_force_doubly_fair(inst, gf, ds, objective)
             except InfeasibleError:
                 continue
-            clustering, report = solve_doubly_fair_medmeans(inst, gf, ds,
-                                                            objective)
+            clustering, report = solve(inst, gf, ds, objective)
             done += 1
             assert report.cost <= factor * opt.cost + 1e-6
     assert done >= 10
@@ -131,8 +131,7 @@ def test_with_oracle_report_fields():
     inst = balanced_instance(8, 2, seed=5)
     gf = window_gf(inst)
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    clustering, report = solve_doubly_fair_kcenter(inst, gf, ds,
-                                                   with_oracle=True)
+    clustering, report = solve(inst, gf, ds, "center", with_oracle=True)
     assert report.oracle_cost is not None
     assert report.oracle_ratio == pytest.approx(report.cost / report.oracle_cost)
     assert report.oracle_ratio <= guarantee_factor("center", 1.0) + 1e-6
@@ -142,8 +141,7 @@ def test_oracle_infeasible_noted_in_report():
     inst = line_instance([0, 1, 2, 3, 4], [0, 0, 0, 1, 1])
     gf = exact_gf_spec(inst)  # indivisible exact ratios: no zero-violation split
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    clustering, report = solve_doubly_fair_kcenter(inst, gf, ds,
-                                                   with_oracle=True)
+    clustering, report = solve(inst, gf, ds, "center", with_oracle=True)
     assert report.oracle_cost is None
     assert "no zero-violation" in report.oracle_note
 
@@ -167,18 +165,25 @@ def test_precheck_failure_raises_infeasible():
     gf = exact_gf_spec(inst)
     ds = CenterDiversitySpec(lower=(3, 0), upper=(3, 1), k=3)
     with pytest.raises(InfeasibleError) as exc_info:
-        solve_doubly_fair_kcenter(inst, gf, ds)
+        solve(inst, gf, ds, "center")
     assert any("insufficient" in reason for reason in exc_info.value.diagnosis)
+
+
+def _no_fixed_center_solution(*args, **kwargs):
+    raise InfeasibleError("infeasible at every candidate radius")
 
 
 def test_infeasible_objective_lp_reports_ratio_sums(monkeypatch):
     inst = random_instance(6, 2, seed=1)
     gf, ds = exact_gf_spec(inst), default_ds_profile(inst, 2)
     monkeypatch.setattr(pipeline, "solve_lp", lambda *args: None)
-    with pytest.raises(InfeasibleError, match="no fractional solution") as exc_info:
-        solve_doubly_fair_medmeans(inst, gf, ds, "median")
-    assert exc_info.value.diagnosis == ["sum of lower ratios = 1",
-                                        "sum of upper ratios = 1", "k = 2, n = 6"]
+    monkeypatch.setattr(pipeline, "min_feasible_lambda", _no_fixed_center_solution)
+    for objective in ("center", "median", "means"):
+        with pytest.raises(InfeasibleError, match="no fractional solution") as exc_info:
+            solve(inst, gf, ds, objective)
+        assert exc_info.value.diagnosis == ["sum of lower ratios = 1",
+                                            "sum of upper ratios = 1",
+                                            "k = 2, n = 6"]
 
 
 def test_broken_backend_aborts_pipeline():
@@ -192,7 +197,7 @@ def test_broken_backend_aborts_pipeline():
     gf = vacuous_gf(2)
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
     with pytest.raises(ContractViolationError):
-        solve_doubly_fair_kcenter(inst, gf, ds, backend=ShortBackend())
+        solve(inst, gf, ds, "center", backend=ShortBackend())
 
 
 def test_claimed_alpha_three_reports_factor_four():
@@ -207,8 +212,7 @@ def test_claimed_alpha_three_reports_factor_four():
     inst = balanced_instance(8, 2, seed=11)
     gf = window_gf(inst)
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    clustering, report = solve_doubly_fair_kcenter(inst, gf, ds,
-                                                   backend=ClaimsThree())
+    clustering, report = solve(inst, gf, ds, "center", backend=ClaimsThree())
     assert report.alpha == 3.0
     assert report.guaranteed_factor == pytest.approx(4.0)
     assert report.gf_violation <= 2.0 + 1e-9
@@ -230,7 +234,7 @@ def test_all_points_colocated_cost_zero():
     gf = exact_gf_spec(inst)
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
     for objective in ("median", "means"):
-        clustering, report = solve_doubly_fair_medmeans(inst, gf, ds, objective)
+        clustering, report = solve(inst, gf, ds, objective)
         assert report.cost == pytest.approx(0.0, abs=1e-9)
 
 
@@ -247,46 +251,44 @@ def test_report_serializes_to_json():
     assert parsed["cost"] <= parsed["assignment_lp_cost"] + 1e-9
 
 
-def test_kcenter_with_feasible_lambda_ds_solves_one_lp(monkeypatch):
+def _fixed_center_scan(inst, gf, k, centers):
+    """Every fixed-center candidate radius, each with its feasibility."""
+    radii = np.unique(inst.distance_matrix()[list(centers)])
+    return [(float(r), solve_lp(build_gf_feasibility_lp(
+        inst, gf, k, float(r), centers=centers)) is not None) for r in radii]
+
+
+def test_kcenter_with_feasible_nearest_radius_solves_one_lp(monkeypatch):
     inst = random_instance(20, 2, seed=3)
     gf = exact_gf_spec(inst)
     ds = default_ds_profile(inst, 4)
-    _, first = solve_doubly_fair_kcenter(inst, gf, ds, backend=GreedyBackend())
-    # precondition: the snapped diverse-cost radius is already LP-feasible
-    assert solve_lp(build_gf_feasibility_lp(inst, gf, ds.k, first.lambda_ds)) is not None
+    clustering, first = solve(inst, gf, ds, "center", backend=GreedyBackend())
+    # precondition: the LP is feasible at the nearest-assignment radius
+    assert dict(_fixed_center_scan(inst, gf, ds.k, clustering.centers))[first.ds_cost]
 
-    calls = []
-    linprog = lp_module.linprog
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(lp_module, "linprog", counting)
-    _, report = solve_doubly_fair_kcenter(inst, gf, ds, backend=GreedyBackend())
-    assert len(calls) == 1
-    assert report.lam == report.lambda_lp == report.lambda_ds
+    objectives = _count_linprog(monkeypatch)
+    _, report = solve(inst, gf, ds, "center", backend=GreedyBackend())
+    assert len(objectives) == 1
+    assert report.lam == report.ds_cost
 
 
 def test_kcenter_matches_full_search_and_fresh_solve(monkeypatch):
-    """Searching only radii >= lambda_ds and reusing the winning probe gives
-    the clustering of a search over every distance plus a fresh LP at lam."""
-    lp_above_ds = []
+    """Searching only the radii >= the diverse cost and reusing the winning
+    probe gives the clustering of a linear scan over every distance from the
+    centers plus a fresh LP at its radius."""
+    above_ds = []
 
-    def full_search_then_fresh_solve(inst, gf, k, candidates):
-        radii = pairwise_distance_set(inst)
-        lambda_lp = next(float(r) for r in radii if solve_lp(
-            build_gf_feasibility_lp(inst, gf, k, float(r))) is not None)
-        lambda_ds = float(candidates[0])
-        lp_above_ds.append(lambda_lp > lambda_ds)
-        lam = max(lambda_lp, lambda_ds)
-        model = build_gf_feasibility_lp(inst, gf, k, lam)
-        return LambdaSearchResult(lam, model, solve_lp(model, inst, gf))
+    def full_scan_then_fresh_solve(inst, gf, k, candidates, centers):
+        scan = _fixed_center_scan(inst, gf, k, centers)
+        radius = next(r for r, feasible in scan if feasible)
+        assert radius in candidates  # nothing below the diverse cost is feasible
+        above_ds.append(radius > candidates[0])
+        model = build_gf_feasibility_lp(inst, gf, k, radius, centers=centers)
+        return LambdaSearchResult(radius, model, solve_lp(model, inst, gf))
 
     def outcome(clustering, report):
         fields = report.to_dict()
         fields.pop("timings")
-        fields.pop("lambda_lp")
         return clustering.to_dict(), fields
 
     for seed in range(4):
@@ -295,15 +297,14 @@ def test_kcenter_matches_full_search_and_fresh_solve(monkeypatch):
             gf = exact_gf_spec(inst)
             ds = default_ds_profile(inst, k)
             for backend in (ExactBackend(), GreedyBackend()):
-                got = solve_doubly_fair_kcenter(inst, gf, ds, backend=backend)
+                got = solve(inst, gf, ds, "center", backend=backend)
                 with monkeypatch.context() as patch:
                     patch.setattr(pipeline, "min_feasible_lambda",
-                                  full_search_then_fresh_solve)
-                    want = solve_doubly_fair_kcenter(inst, gf, ds, backend=backend)
-                assert got[1].lam == want[1].lam
-                assert got[1].lam == max(got[1].lambda_lp, got[1].lambda_ds)
+                                  full_scan_then_fresh_solve)
+                    want = solve(inst, gf, ds, "center", backend=backend)
+                assert got[1].cost <= got[1].lam + 1e-9
                 assert outcome(*got) == outcome(*want)
-    assert any(lp_above_ds) and not all(lp_above_ds)
+    assert any(above_ds) and not all(above_ds)
 
 
 def test_kcenter_lp_dump_is_the_model_at_lam(tmp_path):
@@ -311,11 +312,13 @@ def test_kcenter_lp_dump_is_the_model_at_lam(tmp_path):
     gf = exact_gf_spec(inst)
     ds = default_ds_profile(inst, 2)
     path = tmp_path / "model.lp"
-    _, report = solve_doubly_fair_kcenter(inst, gf, ds, dumps={"lp": str(path)})
+    clustering, report = solve(inst, gf, ds, "center", dumps={"lp": str(path)})
     text = path.read_text()
-    assert f" radius_cap={report.lam} " in text.splitlines()[0]
+    centers = ",".join(map(str, clustering.centers))
+    assert f" radius_cap={report.lam} centers={centers} " in text.splitlines()[0]
     fresh = io.StringIO()
-    dump_lp_text(build_gf_feasibility_lp(inst, gf, ds.k, report.lam), fresh)
+    dump_lp_text(build_gf_feasibility_lp(inst, gf, ds.k, report.lam,
+                                         centers=clustering.centers), fresh)
     assert text == fresh.getvalue()
 
 
@@ -323,12 +326,57 @@ def test_timings_time_the_precheck_apart_from_ds():
     inst = balanced_instance(6, 2, seed=21)
     gf = window_gf(inst)
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    for objective, stages in (("center", {"lambda_search", "rerouting"}),
-                              ("median", set())):
-        _, report = solve(inst, gf, ds, objective)
-        timings = report.timings
-        assert {"precheck", "ds", "lp", "flow", "total"} | stages == set(timings)
-        assert timings["precheck"] + timings["ds"] <= timings["total"]
+    for objective in ("center", "median", "means"):
+        for with_oracle, extra in ((False, set()), (True, {"oracle"})):
+            _, report = solve(inst, gf, ds, objective, with_oracle=with_oracle)
+            timings = report.timings
+            assert {"precheck", "ds", "lp", "flow", "total"} | extra == set(timings)
+            assert timings["precheck"] + timings["ds"] <= timings["total"]
+
+
+@pytest.mark.parametrize("inst", [
+    make_instance([0, 1, 0, 1, 0, 1], coords=[[2.0, 3.0]] * 6),
+    make_instance([0, 1, 1, 0, 0, 1, 1, 0],
+                  coords=[[0.0], [0.0], [1.0], [1.0], [1.0], [3.0], [3.0], [4.0]]),
+    make_instance([0, 0, 1, 1, 0, 1], dist=1.0 - np.eye(6)),
+], ids=["colocated", "duplicates-on-a-line", "equidistant"])
+def test_kcenter_radius_search_on_ties_and_duplicates(inst):
+    gf = exact_gf_spec(inst)
+    for k in (2, 3):
+        ds = default_ds_profile(inst, k)
+        for backend in (ExactBackend(), GreedyBackend()):
+            clustering, report = solve(inst, gf, ds, "center", backend=backend)
+            scan = _fixed_center_scan(inst, gf, k, clustering.centers)
+            assert report.lam == next(r for r, feasible in scan if feasible)
+            assert report.cost <= report.lam + 1e-9
+            assert report.gf_violation <= 2.0 + 1e-9
+            if inst.distance_matrix().max() == 0.0:
+                assert report.lam == 0.0 and report.cost == 0.0
+
+
+def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
+    objectives = _count_linprog(monkeypatch)
+    models = []
+    for module in (lp_module, pipeline):
+        def recording(model, *args, _solve=module.solve_lp):
+            models.append(model)
+            return _solve(model, *args)
+        monkeypatch.setattr(module, "solve_lp", recording)
+    for n, m, k in ((8, 2, 2), (12, 3, 3), (20, 2, 4), (30, 2, 4)):
+        inst = random_instance(n, m, seed=n)
+        gf, ds = exact_gf_spec(inst), default_ds_profile(inst, k)
+        for backend in (ExactBackend(), GreedyBackend()):
+            objectives.clear()
+            models.clear()
+            clustering, report = solve(inst, gf, ds, "center", backend=backend)
+            assert len(models) == len(objectives) >= 1
+            radii = [model.lam for model in models]
+            assert len(radii) == len(set(radii))  # no radius probed twice
+            assert report.lam in radii
+            for model in models:
+                assert model.centers.tolist() == list(clustering.centers)
+                assert model.ncols <= k * n
+                assert model.lam is not None
 
 
 def _count_linprog(monkeypatch):
@@ -376,20 +424,10 @@ def test_infeasible_assignment_lp_with_feasible_full_lp_is_a_pipeline_error(
         return solve_lp(model, *args)
 
     monkeypatch.setattr(pipeline, "solve_lp", fixed_center_infeasible)
-    with pytest.raises(PipelineError, match="fixed-center") as exc_info:
-        solve_doubly_fair_medmeans(inst, gf, ds, "median")
-    assert exc_info.value.stage == "lp"
-    assert full_solves == [6 * 6 + 6]
-
-
-def test_rerouting_dump_is_center_only(tmp_path):
-    inst = balanced_instance(6, 2, seed=21)
-    gf = window_gf(inst)
-    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    path = tmp_path / "rerouting.json"
-    for objective in ("median", "means"):
-        with pytest.raises(ValidationError, match="k-center only"):
-            solve(inst, gf, ds, objective, dumps={"rerouting": str(path)})
-        assert not path.exists()
-    solve(inst, gf, ds, "center", dumps={"rerouting": str(path)})
-    assert "plan" in json.loads(path.read_text())
+    monkeypatch.setattr(pipeline, "min_feasible_lambda", _no_fixed_center_solution)
+    for objective in ("center", "median", "means"):
+        full_solves.clear()
+        with pytest.raises(PipelineError, match="fixed-center") as exc_info:
+            solve(inst, gf, ds, objective)
+        assert exc_info.value.stage == "lp"
+        assert full_solves == [6 * 6 + 6]
