@@ -122,6 +122,8 @@ def cmd_check(args) -> int:
     for c in clustering.centers:
         if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < inst.n:
             raise ValidationError(f"center id {c!r} outside [0, {inst.n})")
+    if len(set(clustering.centers)) < len(clustering.centers):
+        raise ValidationError(f"center ids repeat: {list(clustering.centers)}")
     violation = gf_violation(inst, clustering, gf)
     ds_ok = check_ds(inst, clustering.centers, ds)
     print(f"gf_violation={violation:.6g}")

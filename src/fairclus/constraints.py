@@ -130,11 +130,15 @@ class Clustering:
 
     @staticmethod
     def from_dict(obj: dict) -> "Clustering":
+        if not isinstance(obj, dict):
+            raise ParseError("clustering JSON must be an object")
         try:
             return Clustering(tuple(obj["centers"]), tuple(obj["assignment"]),
                               obj["objective"], float(obj["cost"]))
         except KeyError as exc:
             raise ParseError(f"clustering JSON missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:  # e.g. a non-list or a non-numeric cost
+            raise ParseError(f"invalid clustering JSON: {exc}") from exc
 
 
 def clustering_cost(inst: MetricInstance, assignment, objective: str) -> float:
@@ -191,8 +195,11 @@ def gf_violation(inst: MetricInstance, clustering: Clustering,
 
 
 def check_ds(inst: MetricInstance, centers, ds: CenterDiversitySpec) -> bool:
-    """True iff L_h <= |centers ∩ P_h| <= U_h for every color."""
+    """True iff no id repeats and L_h <= |centers ∩ P_h| <= U_h for every
+    color."""
     centers = list(centers)
+    if len(set(centers)) != len(centers):
+        return False
     counts = np.bincount(inst.colors[centers], minlength=ds.m) if centers else \
         np.zeros(ds.m, dtype=int)
     return all(ds.lower[h] <= counts[h] <= ds.upper[h] for h in range(ds.m))

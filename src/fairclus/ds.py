@@ -268,10 +268,11 @@ def solve_ds_plugin(inst: MetricInstance, ds: CenterDiversitySpec, objective: st
             f"backend {contract.backend_id!r} capped at n={contract.max_n}")
     centers, alpha = backend.solve_raw(inst, ds, objective)
     centers = tuple(sorted(int(c) for c in centers))
-    if len(set(centers)) != ds.k:
+    if len(centers) != ds.k or len(set(centers)) != ds.k:
         raise ContractViolationError(
-            f"backend {contract.backend_id!r} returned {len(set(centers))} "
-            f"distinct centers, contract requires exactly k={ds.k}")
+            f"backend {contract.backend_id!r} returned {len(centers)} centers, "
+            f"{len(set(centers))} distinct; contract requires exactly k={ds.k} "
+            f"distinct centers")
     if any(c < 0 or c >= inst.n for c in centers):
         raise ContractViolationError(
             f"backend {contract.backend_id!r} returned out-of-range center ids")

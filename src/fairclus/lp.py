@@ -37,6 +37,9 @@ from .instance import EPS_D, MetricInstance
 
 EPS_POS = 1e-9  # support threshold: x_ij counts as positive above this
 RESIDUAL_TOL = 1e-7  # accepted constraint residual after repair
+# The counting bound tests every subset of the centers up to this k; its cost
+# grows as 2^k, so above it only the 2k + 1 sets {i}, S - {i} and S are tested.
+_ALL_SETS_MAX_K = 10
 
 
 @dataclass(frozen=True)
@@ -301,7 +304,9 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
                         radii, centers=None) -> LambdaSearchResult:
     """Smallest radius in the sorted candidate set whose feasibility program
     solves, returned with the model and solution of that probe. With
-    ``centers``, every probe is the fixed-center program over them.
+    ``centers``, every probe is the fixed-center program over them; the
+    pipeline passes the candidates from ``counting_bound_index`` up, so the
+    first probe is usually the answer.
 
     Feasibility is monotone in the cap (a larger cap only adds variables), so
     a binary search over the candidates equals the linear scan. The lowest
@@ -341,6 +346,107 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
         else:
             lo = mid + 1
     return best
+
+
+def _set_counts(reach: np.ndarray, colors: np.ndarray, n_h: np.ndarray):
+    """Size |T| and the per-color counts Q_h(T) and N_h(T) of each tested
+    center set T, as arrays of shape (F,), (F, m) and (F, m).
+
+    ``reach[i, j]`` says whether point j reaches center i. Q_h(T) counts the
+    color-h points whose reach set lies within T (a point that reaches no
+    center counts in every T); N_h(T) counts those that reach some center in
+    T, which is n_h - Q_h(S - T).
+    """
+    k = reach.shape[0]
+    m = n_h.size
+    if k <= _ALL_SETS_MAX_K:
+        # every T as a bitmask: count the points per (reach mask, color),
+        # then sum the counts of every mask within T (a subset-sum transform)
+        mask = (1 << np.arange(k)) @ reach
+        q = np.bincount(mask * m + colors, minlength=m << k).reshape(1 << k, m)
+        for i in range(k):
+            halves = q.reshape(-1, 2, 1 << i, m)
+            halves[:, 1] += halves[:, 0]
+        size = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).sum(axis=1)
+        return size, q, n_h - q[::-1]  # q[::-1][T] is q[S - T]
+    hits = reach.sum(axis=0)
+    onehot = (colors[:, None] == np.arange(m)).astype(int)
+    reaches_i = reach @ onehot  # N_h({i})
+    unreached = onehot[hits == 0].sum(axis=0)
+    only_i = (reach & (hits == 1)) @ onehot + unreached  # Q_h({i})
+    size = np.concatenate((np.ones(k, dtype=int), np.full(k, k - 1), [k]))
+    q = np.vstack((only_i, n_h - reaches_i, n_h))
+    return size, q, np.vstack((reaches_i, n_h - only_i, n_h - unreached))
+
+
+def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
+                         radii) -> int:
+    """Index of the smallest radius in the sorted candidate set at which the
+    fixed-center program over ``centers`` passes a counting bound, or
+    ``len(radii)`` if none does. The program is infeasible at every radius
+    below it, so a search for the smallest feasible cap can start there.
+
+    The bound (Hall's theorem in counting form). Point j reaches center i at
+    radius r when d(i, j) <= r + EPS_D, the test that keeps the column
+    x_ij. For a set T of centers let M(T) be the mass T receives, Q_h(T)
+    the number of color-h points that reach only centers in T (all their
+    mass goes to T) and N_h(T) the number that reach some center in T (only
+    they send mass to T). The mass rows give M(T) >= |T|, the color-h mass
+    of T lies in [Q_h(T), N_h(T)], and the ratio rows, summed over T, put
+    it in [l_h M(T), u_h M(T)]. So a feasible point needs
+
+        max(|T|, sum_h Q_h, max_h Q_h / u_h) <= M(T)
+                                             <= min(sum_h N_h, min_{l_h > 0} N_h / l_h)
+
+    and Q_h(T) = 0 where u_h = 0. Every T is tested up to k =
+    ``_ALL_SETS_MAX_K`` and the sets {i}, S - {i} and S above it; any family
+    of sets gives a valid bound. Reach only grows with r, so the bound is
+    monotone and a binary search finds its smallest passing radius. The set
+    T = S fails while some point reaches no center (Q_h(S) counts it,
+    N_h(S) does not), so the search starts at the first candidate where
+    every point reaches one, the nearest-assignment radius, and tests it
+    first.
+
+    Slack: the test never rejects a radius HiGHS accepts. The pipeline
+    accepts a solution whose repair left x >= 0 with unit columns, so the
+    counts bound the color-h mass of T exactly, and whose rows hold within
+    RESIDUAL_TOL: the ratio rows by ``check_lp_solution``, the mass rows by
+    HiGHS's primal feasibility tolerance, 1e-7, the same value. Summed over
+    the |T| centers of T, the mass rows and each color's ratio rows are off
+    by at most tol = |T| * RESIDUAL_TOL in total, so the test compares
+    |T| - tol, (Q_h - tol) / u_h and (N_h + tol) / l_h. Every comparison
+    but sum_h Q_h against sum_h N_h (exact integers) carries one of these
+    tol terms, which exceed the float rounding of its sides by a factor of
+    1e8 / n or more.
+    """
+    radii = np.asarray(radii, dtype=float)
+    dc = inst.distance_matrix()[np.asarray(list(centers), dtype=int)]
+    colors = inst.colors
+    n_h = np.bincount(colors, minlength=gf.m)
+    lower, upper = gf.lower_floats(), gf.upper_floats()
+    has_lower, has_upper = lower > 0.0, upper > 0.0
+
+    def passes(idx: int) -> bool:
+        size, q, nn = _set_counts(dc <= radii[idx] + EPS_D, colors, n_h)
+        tol = size * RESIDUAL_TOL
+        by_upper = (q[:, has_upper] - tol[:, None]) / upper[has_upper]
+        by_lower = (nn[:, has_lower] + tol[:, None]) / lower[has_lower]
+        least = np.maximum.reduce([size - tol, q.sum(axis=1),
+                                   by_upper.max(axis=1, initial=-np.inf)])
+        most = np.minimum(nn.sum(axis=1), by_lower.min(axis=1, initial=np.inf))
+        return not (np.any(least > most) or np.any(q[:, ~has_upper]))
+
+    lo = int(np.searchsorted(radii + EPS_D, dc.min(axis=0).max()))
+    if lo == radii.size or passes(lo):
+        return lo
+    lo, hi = lo + 1, radii.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def dump_lp_text(model: LpModel, stream) -> None:

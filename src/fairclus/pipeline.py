@@ -6,9 +6,11 @@ The LP is the fair assignment LP over the diverse centers S (k * n columns;
 Bera et al., NeurIPS 2019). k-center takes the smallest radius r among the
 distances d[S, :] at which that LP, capped at r, is feasible, reusing the
 winning search probe's solution; the rounded radius is checked to be at most
-r. Median and means take the LP's optimum; the rounded cost is checked to be
-at most its fractional cost. Either solution is residual-checked, and checked
-for support on S and per-center mass >= 1, before the flow rounds it.
+r. A counting bound (``lp.counting_bound_index``) rules out the radii below
+its own without an LP, so the search probes from there. Median and means
+take the LP's optimum; the rounded cost is checked to be at most its
+fractional cost. Either solution is residual-checked, and checked for
+support on S and per-center mass >= 1, before the flow rounds it.
 
 No rerouting runs. The paper's rerouted solution is feasible for the same
 LP (capped at its own largest support distance for k-center), so r and the
@@ -38,8 +40,9 @@ from .flow import (build_flow, check_mass_windows, dump_flow_text,
 # wraps them.
 from .instance import EPS_D, MetricInstance, pairwise_distance_set  # noqa: F401
 from .lp import (build_gf_feasibility_lp, build_gf_objective_lp,
-                 check_lp_solution, dump_lp_text, fractional_cost,
-                 infeasibility_diagnosis, min_feasible_lambda, solve_lp)
+                 check_lp_solution, counting_bound_index, dump_lp_text,
+                 fractional_cost, infeasibility_diagnosis, min_feasible_lambda,
+                 solve_lp)
 from .oracle import OracleBudget, brute_force_doubly_fair
 from .rerouting import (MASS_TOL, check_rerouted, reroute_center,  # noqa: F401
                         reroute_medmeans)
@@ -153,21 +156,24 @@ def _fixed_center_lp(inst, gf, ds, ds_sol):
     """The fixed-center LP over the diverse centers and its checked solution.
 
     k-center: the smallest radius r among the distances from the centers at
-    which the program capped at r is feasible, searched from the diverse
-    cost up (the nearest-assignment radius; below it some point has no
-    center in reach). Median and means: the cost-minimizing program. If it
-    has no solution, the full program decides between an infeasible input
-    and a broken pipeline.
+    which the program capped at r is feasible, searched with LP probes from
+    the smallest radius that passes the counting bound (never below the
+    nearest-assignment radius; usually r itself). Median and means: the
+    cost-minimizing program. If it has no solution, or no radius passes the
+    bound, the full program decides between an infeasible input and a
+    broken pipeline.
     """
     centers = ds_sol.centers
+    model = sol = None
     if ds_sol.objective == "center":
         radii = np.unique(inst.distance_matrix()[list(centers)])
-        try:
-            search = min_feasible_lambda(inst, gf, ds.k, radii[radii >= ds_sol.cost],
-                                         centers=centers)
-            model, sol = search.model, search.solution
-        except InfeasibleError:
-            model, sol = None, None
+        radii = radii[counting_bound_index(inst, gf, centers, radii):]
+        if radii.size:  # else no radius passes the counting bound
+            try:
+                search = min_feasible_lambda(inst, gf, ds.k, radii, centers=centers)
+                model, sol = search.model, search.solution
+            except InfeasibleError:
+                pass
     else:
         model = build_gf_objective_lp(inst, gf, ds.k, ds_sol.objective,
                                       centers=centers)

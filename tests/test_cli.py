@@ -153,6 +153,7 @@ def test_check_empty_cluster_is_an_error(tmp_path, capsys):
 @pytest.mark.parametrize("clustering, message", [
     ({"centers": [0], "assignment": [0, 0, 0]}, "assigns 3 points"),
     ({"centers": [0, 99], "assignment": [0] * 7 + [99]}, "center id 99"),
+    ({"centers": [3, 3], "assignment": [3] * 8}, "center ids repeat"),
 ])
 def test_check_rejects_clustering_not_on_the_instance(tmp_path, capsys,
                                                       clustering, message):
@@ -165,6 +166,22 @@ def test_check_rejects_clustering_not_on_the_instance(tmp_path, capsys,
     assert code == 1
     captured = capsys.readouterr()
     assert "gf_violation" not in captured.out
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[0, 1]", "must be an object"),
+    (json.dumps({"centers": [0], "assignment": [0] * 8, "objective": "center",
+                 "cost": "abc"}), "invalid clustering JSON"),
+], ids=["top-level-list", "non-numeric-cost"])
+def test_check_rejects_malformed_clustering_json(tmp_path, capsys, text, message):
+    inst_path, spec_path = _gen_pair(tmp_path, seed=1)
+    clus_path = tmp_path / "clus.json"
+    clus_path.write_text(text)
+    code = run_cli("check", "--instance", str(inst_path), "--spec",
+                   str(spec_path), "--clustering", str(clus_path))
+    assert code == 1
+    captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
 
 

@@ -126,6 +126,9 @@ def test_check_ds_examples():
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
     assert check_ds(inst, [0, 1], ds)
     assert not check_ds(inst, [0, 2], ds)  # two of color 0
+    loose = CenterDiversitySpec(lower=(1, 0), upper=(2, 1), k=2)
+    assert check_ds(inst, [0, 2], loose)
+    assert not check_ds(inst, [0, 0], loose)  # one center listed twice
 
 
 def test_check_ds_matches_direct_recount_and_permutation():

@@ -1,9 +1,12 @@
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairclus import (CenterDiversitySpec, ContractViolationError,
                       DsSolverContract, ExactBackend, GreedyBackend,
@@ -14,7 +17,7 @@ from fairclus import (CenterDiversitySpec, ContractViolationError,
                       random_instance, solve, solve_lp)
 from fairclus import lp as lp_module
 from fairclus import pipeline
-from fairclus.lp import LambdaSearchResult, dump_lp_text
+from fairclus.lp import LambdaSearchResult, counting_bound_index, dump_lp_text
 from fairclus.oracle import brute_force_doubly_fair
 
 from conftest import (balanced_instance, line_instance, rerouting_certificate,
@@ -200,6 +203,20 @@ def test_broken_backend_aborts_pipeline():
         solve(inst, gf, ds, "center", backend=ShortBackend())
 
 
+def test_backend_repeating_a_center_aborts_pipeline():
+    class RepeatingBackend:
+        contract = DsSolverContract(backend_id="repeats", alpha={})
+
+        def solve_raw(self, inst, ds, objective):
+            return (0, 0, 3), None  # two distinct ids, listed three times
+
+    inst = line_instance([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1])
+    gf = vacuous_gf(2)
+    ds = CenterDiversitySpec(lower=(2, 0), upper=(2, 2), k=2)
+    with pytest.raises(ContractViolationError, match="'repeats' returned 3 centers"):
+        solve(inst, gf, ds, "center", backend=RepeatingBackend())
+
+
 def test_claimed_alpha_three_reports_factor_four():
     class ClaimsThree:
         contract = DsSolverContract(backend_id="claims3",
@@ -273,16 +290,15 @@ def test_kcenter_with_feasible_nearest_radius_solves_one_lp(monkeypatch):
 
 
 def test_kcenter_matches_full_search_and_fresh_solve(monkeypatch):
-    """Searching only the radii >= the diverse cost and reusing the winning
-    probe gives the clustering of a linear scan over every distance from the
-    centers plus a fresh LP at its radius."""
+    """Searching only the radii that pass the counting bound and reusing the
+    winning probe gives the clustering of a linear scan over every distance
+    from the centers plus a fresh LP at its radius."""
     above_ds = []
 
     def full_scan_then_fresh_solve(inst, gf, k, candidates, centers):
         scan = _fixed_center_scan(inst, gf, k, centers)
         radius = next(r for r, feasible in scan if feasible)
-        assert radius in candidates  # nothing below the diverse cost is feasible
-        above_ds.append(radius > candidates[0])
+        assert radius in candidates  # the bound skips no feasible radius
         model = build_gf_feasibility_lp(inst, gf, k, radius, centers=centers)
         return LambdaSearchResult(radius, model, solve_lp(model, inst, gf))
 
@@ -304,6 +320,7 @@ def test_kcenter_matches_full_search_and_fresh_solve(monkeypatch):
                     want = solve(inst, gf, ds, "center", backend=backend)
                 assert got[1].cost <= got[1].lam + 1e-9
                 assert outcome(*got) == outcome(*want)
+                above_ds.append(want[1].lam > want[1].ds_cost)
     assert any(above_ds) and not all(above_ds)
 
 
@@ -431,3 +448,82 @@ def test_infeasible_assignment_lp_with_feasible_full_lp_is_a_pipeline_error(
             solve(inst, gf, ds, objective)
         assert exc_info.value.stage == "lp"
         assert full_solves == [6 * 6 + 6]
+
+
+def test_kcenter_counting_bound_pins_a_radius_above_the_diverse_cost(monkeypatch):
+    """The search's radius lies above the nearest-assignment radius, where a
+    binary search over LP probes needs several; the counting bound pins it,
+    so HiGHS solves one LP."""
+    inst = random_instance(12, 2, seed=0)
+    gf, ds = exact_gf_spec(inst), default_ds_profile(inst, 3)
+    objectives = _count_linprog(monkeypatch)
+    clustering, report = solve(inst, gf, ds, "center", backend=GreedyBackend())
+    assert len(objectives) == 1
+    assert report.lam > report.ds_cost
+    scan = _fixed_center_scan(inst, gf, ds.k, clustering.centers)
+    assert report.lam == next(r for r, feasible in scan if feasible)
+
+
+def test_kcenter_with_no_radius_passing_the_bound_solves_only_the_full_lp(
+        monkeypatch):
+    # color 0 is half the points but at most a third of any cluster: no
+    # radius passes, and the full LP shows the input infeasible
+    inst = line_instance([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1])
+    gf = GroupFairnessSpec(lower=(0, 0), upper=(Fraction(1, 3), 1))
+    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
+    objectives = _count_linprog(monkeypatch)
+    with pytest.raises(InfeasibleError, match="no fractional solution") as exc_info:
+        solve(inst, gf, ds, "center")
+    assert exc_info.value.diagnosis == ["sum of lower ratios = 0",
+                                        "sum of upper ratios = 1.33333",
+                                        "k = 2, n = 6"]
+    assert [c.size for c in objectives] == [6 * 6 + 6]
+
+
+def _gf_of_kind(kind, inst):
+    if kind == "exact":
+        return exact_gf_spec(inst)
+    if kind == "window":
+        return window_gf(inst)
+    if kind == "lower-only":
+        return GroupFairnessSpec(lower=[s / 2 for s in exact_gf_spec(inst).lower],
+                                 upper=(1,) * inst.m)
+    return GroupFairnessSpec(lower=(0,) * inst.m, upper=(0,) + (1,) * (inst.m - 1))
+
+
+@st.composite
+def _bound_cases(draw):
+    n = draw(st.integers(6, 14))
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    colors = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    layout = draw(st.sampled_from(["uniform", "grid", "colocated"]))
+    if layout == "uniform":
+        coords = draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
+                               min_size=n, max_size=n))
+    elif layout == "grid":  # duplicate points and tied distances
+        coords = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                               min_size=n, max_size=n))
+    else:
+        coords = [(0.5, 0.5)] * n
+    inst = make_instance(colors, coords=np.array(coords, dtype=float), m=m)
+    kinds = ["exact", "window", "lower-only"] + (["u0-zero"] if m > 1 else [])
+    gf = _gf_of_kind(draw(st.sampled_from(kinds)), inst)
+    centers = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                            unique=True))
+    return inst, gf, sorted(centers), draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_bound_cases())
+def test_counting_bound_never_passes_the_first_feasible_radius(case):
+    """The bound's radius is never above the linear scan's, with every set
+    of centers tested or only the 2k + 1 sets used above _ALL_SETS_MAX_K."""
+    inst, gf, centers, few_sets = case
+    scan = _fixed_center_scan(inst, gf, len(centers), centers)
+    first = next((idx for idx, (_, feasible) in enumerate(scan) if feasible),
+                 len(scan))
+    with pytest.MonkeyPatch.context() as patch:
+        if few_sets:
+            patch.setattr(lp_module, "_ALL_SETS_MAX_K", 0)
+        assert counting_bound_index(inst, gf, centers, [r for r, _ in scan]) <= first
