@@ -381,10 +381,12 @@ def _set_counts(reach: np.ndarray, colors: np.ndarray, n_h: np.ndarray):
 
 def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
                          radii) -> int:
-    """Index of the smallest radius in the sorted candidate set at which the
-    fixed-center program over ``centers`` passes a counting bound, or
-    ``len(radii)`` if none does. The program is infeasible at every radius
-    below it, so a search for the smallest feasible cap can start there.
+    """Index of the smallest radius in the sorted candidate set, from the
+    nearest-assignment radius up, at which the fixed-center program over
+    ``centers`` passes a counting bound, or ``len(radii)`` if none does. The
+    program is infeasible at every candidate between the two, so a search
+    for the smallest feasible cap at or above the nearest-assignment radius
+    can start there.
 
     The bound (Hall's theorem in counting form). Point j reaches center i at
     radius r when d(i, j) <= r + EPS_D, the test that keeps the column
@@ -403,9 +405,11 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     of sets gives a valid bound. Reach only grows with r, so the bound is
     monotone and a binary search finds its smallest passing radius. The set
     T = S fails while some point reaches no center (Q_h(S) counts it,
-    N_h(S) does not), so the search starts at the first candidate where
-    every point reaches one, the nearest-assignment radius, and tests it
-    first.
+    N_h(S) does not), so the search starts at the nearest-assignment radius
+    (the largest distance from a point to its nearest center) and tests it
+    first. Candidates below it but within EPS_D of it are skipped, although
+    every point reaches a center there, so that the radius found is never
+    below the nearest-assignment radius.
 
     Slack: the test never rejects a radius HiGHS accepts. The pipeline
     accepts a solution whose repair left x >= 0 with unit columns, so the
@@ -436,7 +440,7 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
         most = np.minimum(nn.sum(axis=1), by_lower.min(axis=1, initial=np.inf))
         return not (np.any(least > most) or np.any(q[:, ~has_upper]))
 
-    lo = int(np.searchsorted(radii + EPS_D, dc.min(axis=0).max()))
+    lo = int(np.searchsorted(radii, dc.min(axis=0).max()))
     if lo == radii.size or passes(lo):
         return lo
     lo, hi = lo + 1, radii.size

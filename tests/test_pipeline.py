@@ -269,8 +269,11 @@ def test_report_serializes_to_json():
 
 
 def _fixed_center_scan(inst, gf, k, centers):
-    """Every fixed-center candidate radius, each with its feasibility."""
-    radii = np.unique(inst.distance_matrix()[list(centers)])
+    """Every fixed-center candidate radius from the nearest-assignment radius
+    up, each with its feasibility."""
+    dc = inst.distance_matrix()[list(centers)]
+    radii = np.unique(dc)
+    radii = radii[radii >= dc.min(axis=0).max()]
     return [(float(r), solve_lp(build_gf_feasibility_lp(
         inst, gf, k, float(r), centers=centers)) is not None) for r in radii]
 
@@ -291,8 +294,20 @@ def test_kcenter_with_feasible_nearest_radius_solves_one_lp(monkeypatch):
 
 def test_kcenter_matches_full_search_and_fresh_solve(monkeypatch):
     """Searching only the radii that pass the counting bound and reusing the
-    winning probe gives the clustering of a linear scan over every distance
+    winning probe gives the clustering of a linear scan over the distances
     from the centers plus a fresh LP at its radius."""
+    _match_full_search_and_fresh_solve(monkeypatch)
+
+
+def test_kcenter_without_the_bound_matches_full_search_and_fresh_solve(
+        monkeypatch):
+    """The same with every distance from the centers searched: the winning
+    probe is then found by binary search above the first."""
+    monkeypatch.setattr(pipeline, "counting_bound_index", lambda *args: 0)
+    _match_full_search_and_fresh_solve(monkeypatch)
+
+
+def _match_full_search_and_fresh_solve(monkeypatch):
     above_ds = []
 
     def full_scan_then_fresh_solve(inst, gf, k, candidates, centers):
@@ -450,6 +465,27 @@ def test_infeasible_assignment_lp_with_feasible_full_lp_is_a_pipeline_error(
         assert full_solves == [6 * 6 + 6]
 
 
+def test_kcenter_radius_is_never_below_the_diverse_cost():
+    """A distance one ulp below the nearest-assignment radius lies within
+    EPS_D of it, so every point reaches a center there and the program at
+    it is feasible; the search still starts at the nearest-assignment
+    radius."""
+    near, below = 0.1 + 0.2, 0.3  # 0.30000000000000004 and 0.3
+    dist = np.array([[0.0, 1.0, near, 1.0],
+                     [1.0, 0.0, 1.0, below],
+                     [near, 1.0, 0.0, 1.0],
+                     [1.0, below, 1.0, 0.0]])
+    inst = make_instance([0, 1, 0, 1], dist=dist)
+    gf = vacuous_gf(2)
+    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
+    assert solve_lp(build_gf_feasibility_lp(inst, gf, 2, below,
+                                            centers=(0, 1))) is not None
+    clustering, report = solve(inst, gf, ds, "center")
+    assert tuple(clustering.centers) == (0, 1)
+    assert report.ds_cost == near
+    assert report.lam == near
+
+
 def test_kcenter_counting_bound_pins_a_radius_above_the_diverse_cost(monkeypatch):
     """The search's radius lies above the nearest-assignment radius, where a
     binary search over LP probes needs several; the counting bound pins it,
@@ -527,3 +563,19 @@ def test_counting_bound_never_passes_the_first_feasible_radius(case):
         if few_sets:
             patch.setattr(lp_module, "_ALL_SETS_MAX_K", 0)
         assert counting_bound_index(inst, gf, centers, [r for r, _ in scan]) <= first
+
+
+def test_counting_bound_needs_the_sets_of_two_centers_at_k4():
+    """At k = 4 the sets of two centers are the only ones outside {i},
+    S - {i} and S; here they pin the first feasible radius, which the 2k + 1
+    sets alone fall short of."""
+    inst = random_instance(12, 2, seed=31)
+    gf = exact_gf_spec(inst)
+    centers = [0, 4, 5, 9]
+    scan = _fixed_center_scan(inst, gf, len(centers), centers)
+    radii = [r for r, _ in scan]
+    first = next(idx for idx, (_, feasible) in enumerate(scan) if feasible)
+    assert counting_bound_index(inst, gf, centers, radii) == first
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "_ALL_SETS_MAX_K", 0)
+        assert counting_bound_index(inst, gf, centers, radii) < first
