@@ -195,10 +195,10 @@ def gf_violation(inst: MetricInstance, clustering: Clustering,
 
 
 def check_ds(inst: MetricInstance, centers, ds: CenterDiversitySpec) -> bool:
-    """True iff no id repeats and L_h <= |centers ∩ P_h| <= U_h for every
-    color."""
+    """True iff there are exactly k centers, no id repeats and
+    L_h <= |centers ∩ P_h| <= U_h for every color."""
     centers = list(centers)
-    if len(set(centers)) != len(centers):
+    if len(centers) != ds.k or len(set(centers)) != len(centers):
         return False
     counts = np.bincount(inst.colors[centers], minlength=ds.m) if centers else \
         np.zeros(ds.m, dtype=int)

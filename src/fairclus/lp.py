@@ -25,11 +25,14 @@ cost.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
+# never called: bound only for the lp.linprog probe of benchmarks/tracing.py
+from scipy.optimize import linprog  # noqa: F401
 
 from .constraints import GroupFairnessSpec
 from .errors import InfeasibleError, NumericalError, ValidationError
@@ -52,25 +55,30 @@ class FractionalSolution:
 
 @dataclass
 class LpModel:
-    """Sparse model ready for the backend, plus enough context to interpret it.
+    """The model as HiGHS reads it, plus enough context to interpret it.
 
     Column ``a`` < ``len(kept)`` is ``x[kept[a, 0], kept[a, 1]]``; column
-    ``len(kept) + i`` is ``y[i]``. The rows of ``a_ub`` are one ``x_ij <= y_i``
-    row per kept pair, the ``sum_i y_i <= k`` row, then for each center i the
-    non-vacuous ratio rows of ``_ratio_rows(gf)``.
+    ``len(kept) + i`` is ``y[i]``. Every column lies in [0, 1]. ``a`` is one
+    CSR matrix whose row r holds ``lo[r] <= a[r] @ v <= hi[r]``: first the
+    <= rows (``lo = -inf``), then one ``sum_i x_ij = 1`` row per point j
+    (``lo = hi = 1``). The <= rows are one ``x_ij <= y_i`` row per kept
+    pair, the ``sum_i y_i <= k`` row, then for each center i the non-vacuous
+    ratio rows of ``_ratio_rows(gf)``.
 
-    A fixed-center model (``centers`` set) has no y columns; its ``a_ub``
-    rows are one ``-sum_j x_ij <= -1`` row per center, then the ratio rows of
-    those centers only.
+    A fixed-center model (``centers`` set) has no y columns; its <= rows are
+    one ``-sum_j x_ij <= -1`` row per center, then the ratio rows of those
+    centers only.
+
+    ``a_ub``/``b_ub`` and ``a_eq``/``b_eq`` are the two row blocks, sliced
+    from ``a`` on every read.
     """
 
     n: int
     k: int
     kept: np.ndarray  # (A, 2) int array of (center, point) pairs, row-major order
-    a_eq: sparse.csr_matrix
-    b_eq: np.ndarray
-    a_ub: sparse.csr_matrix
-    b_ub: np.ndarray
+    a: sparse.csr_matrix
+    lo: np.ndarray  # row lower bounds
+    hi: np.ndarray  # row upper bounds
     c: np.ndarray  # objective coefficients (all zero for feasibility models)
     lam: float | None  # radius cap, None for objective models
     gf: GroupFairnessSpec
@@ -79,6 +87,26 @@ class LpModel:
     @property
     def ncols(self) -> int:
         return len(self.kept) + (self.n if self.centers is None else 0)
+
+    @property
+    def n_ub(self) -> int:
+        return self.a.shape[0] - self.n
+
+    @property
+    def a_ub(self) -> sparse.csr_matrix:
+        return self.a[:self.n_ub]
+
+    @property
+    def b_ub(self) -> np.ndarray:
+        return self.hi[:self.n_ub]
+
+    @property
+    def a_eq(self) -> sparse.csr_matrix:
+        return self.a[self.n_ub:]
+
+    @property
+    def b_eq(self) -> np.ndarray:
+        return self.hi[self.n_ub:]
 
 
 def _ratio_rows(gf: GroupFairnessSpec):
@@ -90,12 +118,6 @@ def _ratio_rows(gf: GroupFairnessSpec):
     bound = np.where(is_upper, gf.upper_floats()[h], gf.lower_floats()[h])
     keep = np.where(is_upper, bound < 1.0, bound > 0.0)
     return h[keep], is_upper[keep], bound[keep]
-
-
-def _csr(data, indices, row_sizes, ncols: int) -> sparse.csr_matrix:
-    """CSR matrix from its entries, listed row by row, and each row's size."""
-    indptr = np.concatenate(([0], np.cumsum(row_sizes)))
-    return sparse.csr_matrix((data, indices, indptr), shape=(row_sizes.size, ncols))
 
 
 def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
@@ -120,7 +142,6 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
     pairs = np.arange(nx)
     col = np.zeros(keep.shape, dtype=int)
     col[keep] = pairs
-    a_eq = _csr(np.ones(nx), col.T[keep.T], keep.sum(axis=0), ncols)
 
     if centers is None:  # x_ij - y_i <= 0 per pair, then sum_i y_i <= k
         head_data = np.concatenate((np.tile([1.0, -1.0], nx), np.ones(n)))
@@ -140,11 +161,18 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
     in_h = (inst.colors[:, None] == h).astype(float)
     coef = np.where(is_upper, in_h - bound, bound - in_h).T
     entry = keep[:, None, :] & (coef != 0.0)
-    a_ub = _csr(np.concatenate((head_data, np.broadcast_to(coef, entry.shape)[entry])),
-                np.concatenate((head_indices,
-                                np.broadcast_to(col[:, None, :], entry.shape)[entry])),
-                np.concatenate((head_sizes, entry.sum(axis=2).ravel())), ncols)
-    b_ub = np.concatenate((head_b, np.zeros(owners.size * h.size)))
+
+    # the <= rows, then the assignment rows sum_i x_ij = 1, written row by row
+    row_sizes = np.concatenate((head_sizes, entry.sum(axis=2).ravel(), keep.sum(axis=0)))
+    a = sparse.csr_matrix(
+        (np.concatenate((head_data, np.broadcast_to(coef, entry.shape)[entry], np.ones(nx))),
+         np.concatenate((head_indices, np.broadcast_to(col[:, None, :], entry.shape)[entry],
+                         col.T[keep.T])),
+         np.concatenate(([0], np.cumsum(row_sizes)))),
+        shape=(row_sizes.size, ncols))
+    n_ub = row_sizes.size - n
+    lo = np.concatenate((np.full(n_ub, -np.inf), np.ones(n)))
+    hi = np.concatenate((head_b, np.zeros(n_ub - head_b.size), np.ones(n)))
 
     c = np.zeros(ncols)
     if objective == "median":
@@ -152,9 +180,8 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
     elif objective == "means":
         c[:nx] = d[ci, pj] ** 2
 
-    return LpModel(n=n, k=k, kept=np.column_stack((ci, pj)), a_eq=a_eq,
-                   b_eq=np.ones(n), a_ub=a_ub, b_ub=b_ub, c=c, lam=lam, gf=gf,
-                   centers=centers)
+    return LpModel(n=n, k=k, kept=np.column_stack((ci, pj)), a=a, lo=lo, hi=hi,
+                   c=c, lam=lam, gf=gf, centers=centers)
 
 
 def _center_ids(inst: MetricInstance, k: int, centers) -> np.ndarray | None:
@@ -191,15 +218,23 @@ def build_gf_objective_lp(inst: MetricInstance, gf: GroupFairnessSpec,
 
 def solve_lp(model: LpModel, inst: MetricInstance | None = None,
              gf: GroupFairnessSpec | None = None):
-    """Solve a model; returns a repaired FractionalSolution, or None if the
-    backend certifies infeasibility.
+    """Solve a model with HiGHS, through scipy's ``milp`` with no integer
+    column; returns a repaired FractionalSolution, or None if the backend
+    certifies infeasibility.
+
+    ``milp`` hands HiGHS the prebuilt ``a``, its row bounds and the column
+    bounds [0, 1] as they are. HiGHS's ``output_flag`` is off, as scipy's
+    ``linprog`` set it: with it on, HiGHS can return another optimal vertex.
 
     Repair: negatives clamped, each assignment column renormalized to sum
     exactly 1 (the flow rounds each column as one unit of mass). If instance
     and spec are passed, residuals are re-verified after repair.
     """
-    res = linprog(model.c, A_ub=model.a_ub, b_ub=model.b_ub, A_eq=model.a_eq,
-                  b_eq=model.b_eq, bounds=(0.0, 1.0), method="highs")
+    with warnings.catch_warnings():
+        # milp warns that it passes output_flag, an option it does not know, on verbatim
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(model.c, constraints=LinearConstraint(model.a, model.lo, model.hi),
+                   bounds=Bounds(0.0, 1.0), options={"output_flag": False})
     if res.status == 2:
         return None
     if res.status != 0:
@@ -228,15 +263,18 @@ def check_lp_solution(model: LpModel, sol: FractionalSolution,
                       inst: MetricInstance, gf: GroupFairnessSpec) -> None:
     """Raise NumericalError if a repaired solution of ``model`` breaks any
     constraint by more than RESIDUAL_TOL."""
-    resid = lp_residuals(inst, gf, model.k, sol, lam=model.lam)
+    resid = lp_residuals(inst, gf, model.k, sol, lam=model.lam, centers=model.centers)
     if resid["max"] > RESIDUAL_TOL:
         raise NumericalError(
             f"post-repair residual {resid['max']:.3e} exceeds {RESIDUAL_TOL}: {resid}")
 
 
 def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
-                 sol: FractionalSolution, lam: float | None = None) -> dict:
-    """Worst-case residual of every constraint family, for checks and tests."""
+                 sol: FractionalSolution, lam: float | None = None,
+                 centers=None) -> dict:
+    """Worst-case residual of every constraint family, for checks and tests.
+    With ``centers`` (a fixed-center model's), also of their mass rows
+    ``sum_j x_ij >= 1``."""
     x, y = sol.x, sol.y
     out = {}
     out["assign"] = float(np.abs(x.sum(axis=0) - 1.0).max())
@@ -252,6 +290,8 @@ def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
                           float((mass_h - upper[h] * mass).max()),
                           float((lower[h] * mass - mass_h).max()))
     out["color"] = color_resid
+    if centers is not None:
+        out["mass"] = float(max(0.0, (1.0 - mass[centers]).max()))
     out["bounds"] = float(max(-x.min(), x.max() - 1.0, -y.min(), y.max() - 1.0, 0.0))
     if lam is not None:
         d = inst.distance_matrix()
@@ -413,11 +453,10 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
 
     Slack: the test never rejects a radius HiGHS accepts. The pipeline
     accepts a solution whose repair left x >= 0 with unit columns, so the
-    counts bound the color-h mass of T exactly, and whose rows hold within
-    RESIDUAL_TOL: the ratio rows by ``check_lp_solution``, the mass rows by
-    HiGHS's primal feasibility tolerance, 1e-7, the same value. Summed over
-    the |T| centers of T, the mass rows and each color's ratio rows are off
-    by at most tol = |T| * RESIDUAL_TOL in total, so the test compares
+    counts bound the color-h mass of T exactly, and whose mass and ratio
+    rows hold within RESIDUAL_TOL (``check_lp_solution``). Summed over the
+    |T| centers of T, the mass rows and each color's ratio rows are off by
+    at most tol = |T| * RESIDUAL_TOL in total, so the test compares
     |T| - tol, (Q_h - tol) / u_h and (N_h + tol) / l_h. Every comparison
     but sum_h Q_h against sum_h N_h (exact integers) carries one of these
     tol terms, which exceed the float rounding of its sides by a factor of
@@ -463,7 +502,9 @@ def dump_lp_text(model: LpModel, stream) -> None:
             return f"x_{i}_{j}"
         return f"y_{idx - nx}"
 
-    def terms(a, r):
+    a = model.a
+
+    def terms(r):
         lo, hi = a.indptr[r], a.indptr[r + 1]
         return "".join(f" {v:+.12g} {var(cidx)}"
                        for cidx, v in zip(a.indices[lo:hi], a.data[lo:hi]))
@@ -487,10 +528,10 @@ def dump_lp_text(model: LpModel, stream) -> None:
     obj = [f" {model.c[idx]:+.12g} {var(idx)}" for idx in np.flatnonzero(model.c)]
     stream.write("".join(obj) if obj else " 0 " + var(0))
     stream.write("\nSubject To\n")
-    for r in range(model.n):
-        stream.write(f" assign_{r}:{terms(model.a_eq, r)} = {model.b_eq[r]:.12g}\n")
+    for j, r in enumerate(range(model.n_ub, a.shape[0])):
+        stream.write(f" assign_{j}:{terms(r)} = {model.hi[r]:.12g}\n")
     for r, label in enumerate(ub_labels):
-        stream.write(f" {label}:{terms(model.a_ub, r)} <= {model.b_ub[r]:.12g}\n")
+        stream.write(f" {label}:{terms(r)} <= {model.hi[r]:.12g}\n")
     stream.write("Bounds\n")
     for idx in range(model.ncols):
         stream.write(f" 0 <= {var(idx)} <= 1\n")

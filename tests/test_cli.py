@@ -132,6 +132,25 @@ def test_check_handmade_unfair_clustering(tmp_path, capsys):
     assert float(out.split("gf_violation=")[1].splitlines()[0]) == pytest.approx(1.5)
 
 
+def test_check_fewer_than_k_centers_breaks_ds(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "n": 4, "m": 2, "colors": [0, 0, 1, 1],
+        "coords": [[0.0], [1.0], [2.0], [3.0]]}))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "gf": {"lower": [0, 0], "upper": [1, 1], "rho": 0},
+        "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": 2}))
+    clus_path = tmp_path / "clus.json"
+    clus_path.write_text(json.dumps({
+        "centers": [0], "assignment": [0, 0, 0, 0],
+        "objective": "center", "cost": 3.0}))
+    code = run_cli("check", "--instance", str(inst_path), "--spec",
+                   str(spec_path), "--clustering", str(clus_path))
+    assert code == 0
+    assert "ds_satisfied=False" in capsys.readouterr().out
+
+
 def test_check_empty_cluster_is_an_error(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({

@@ -129,6 +129,10 @@ def test_check_ds_examples():
     loose = CenterDiversitySpec(lower=(1, 0), upper=(2, 1), k=2)
     assert check_ds(inst, [0, 2], loose)
     assert not check_ds(inst, [0, 0], loose)  # one center listed twice
+    line = make_instance([0, 0, 1, 1], coords=[[0], [1], [2], [3]])
+    short = CenterDiversitySpec(lower=(0, 0), upper=(2, 2), k=2)
+    assert check_ds(line, [0, 2], short)
+    assert not check_ds(line, [0], short)  # fewer than k centers
 
 
 def test_check_ds_matches_direct_recount_and_permutation():

@@ -14,7 +14,9 @@ from fairclus import (GroupFairnessSpec, InfeasibleError, ValidationError,
                       pairwise_distance_set, random_instance, solve_lp)
 from fairclus import lp as lp_module
 from fairclus.instance import EPS_D
-from fairclus.lp import RESIDUAL_TOL, dump_lp_text, solution_from_clustering
+from fairclus.errors import NumericalError
+from fairclus.lp import (RESIDUAL_TOL, FractionalSolution, check_lp_solution, dump_lp_text,
+                         solution_from_clustering)
 
 from conftest import line_instance, vacuous_gf, window_gf
 
@@ -42,6 +44,27 @@ def test_vacuous_gf_feasible_at_max_distance():
     lam = float(pairwise_distance_set(inst)[-1])
     sol = solve_lp(build_gf_feasibility_lp(inst, gf, k=1, lam=lam), inst, gf)
     assert sol is not None
+
+
+def test_check_lp_solution_holds_the_mass_rows():
+    """A fixed-center solution that leaves a center 1e-6 short of unit mass
+    breaks its ``sum_j x_ij >= 1`` row, and no other row."""
+    inst = line_instance([0, 1, 2, 3], [0, 1, 0, 1])
+    gf = vacuous_gf(2)
+    model = build_gf_objective_lp(inst, gf, 2, "median", centers=[0, 3])
+    x = np.zeros((4, 4))
+    x[0, 0] = 1.0
+    x[3, 1:] = 1.0
+    y = np.zeros(4)
+    y[[0, 3]] = 1.0
+    check_lp_solution(model, FractionalSolution(x=x, y=y), inst, gf)
+    x[0, 0], x[3, 0] = 1.0 - 1e-6, 1e-6
+    doctored = FractionalSolution(x=x, y=y)
+    resid = lp_residuals(inst, gf, 2, doctored, centers=model.centers)
+    assert resid["mass"] == pytest.approx(1e-6)
+    assert max(v for key, v in resid.items() if key not in ("mass", "max")) <= 1e-15
+    with pytest.raises(NumericalError, match="post-repair residual"):
+        check_lp_solution(model, doctored, inst, gf)
 
 
 def test_solution_invariants_on_random_instances():
@@ -351,6 +374,15 @@ def _grid_spec(inst, kind):
                              upper=(0,) + (1,) * (m - 1))
 
 
+def _assert_one_matrix(model, a_eq, b_eq, a_ub, b_ub):
+    """``a`` is the <= rows stacked over the assignment rows, with row
+    bounds (-inf, b_ub) and (b_eq, b_eq)."""
+    assert np.array_equal(model.a.toarray(), np.vstack((a_ub, a_eq)))
+    assert np.array_equal(model.lo, np.concatenate((np.full(b_ub.size, -np.inf), b_eq)))
+    assert np.array_equal(model.hi, np.concatenate((b_ub, b_eq)))
+    assert model.a.has_canonical_format and np.all(model.a.data != 0.0)
+
+
 def test_model_matches_dense_reference():
     rng = np.random.default_rng(61)
     checked = 0
@@ -382,6 +414,7 @@ def test_model_matches_dense_reference():
                     assert np.array_equal(model.c, c)
                     for a in (model.a_eq, model.a_ub):  # zeros are not stored
                         assert a.has_canonical_format and np.all(a.data != 0.0)
+                    _assert_one_matrix(model, a_eq, b_eq, a_ub, b_ub)
                     checked += 1
     assert checked >= 200
 
@@ -415,6 +448,7 @@ def test_fixed_center_model_matches_dense_reference():
                     assert np.array_equal(model.c, c)
                     for a in (model.a_eq, model.a_ub):
                         assert a.has_canonical_format and np.all(a.data != 0.0)
+                    _assert_one_matrix(model, a_eq, b_eq, a_ub, b_ub)
                     checked += 1
     assert checked >= 150
 

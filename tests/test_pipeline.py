@@ -286,7 +286,7 @@ def test_kcenter_with_feasible_nearest_radius_solves_one_lp(monkeypatch):
     # precondition: the LP is feasible at the nearest-assignment radius
     assert dict(_fixed_center_scan(inst, gf, ds.k, clustering.centers))[first.ds_cost]
 
-    objectives = _count_linprog(monkeypatch)
+    objectives = _count_highs_lps(monkeypatch)
     _, report = solve(inst, gf, ds, "center", backend=GreedyBackend())
     assert len(objectives) == 1
     assert report.lam == report.ds_cost
@@ -387,7 +387,7 @@ def test_kcenter_radius_search_on_ties_and_duplicates(inst):
 
 
 def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
-    objectives = _count_linprog(monkeypatch)
+    objectives = _count_highs_lps(monkeypatch)
     models = []
     for module in (lp_module, pipeline):
         def recording(model, *args, _solve=module.solve_lp):
@@ -411,21 +411,21 @@ def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
                 assert model.lam is not None
 
 
-def _count_linprog(monkeypatch):
+def _count_highs_lps(monkeypatch):
     """Objective vectors of the LPs handed to HiGHS, in call order."""
     objectives = []
-    linprog = lp_module.linprog
+    milp = lp_module.milp
 
     def counting(c, *args, **kwargs):
         objectives.append(c)
-        return linprog(c, *args, **kwargs)
+        return milp(c, *args, **kwargs)
 
-    monkeypatch.setattr(lp_module, "linprog", counting)
+    monkeypatch.setattr(lp_module, "milp", counting)
     return objectives
 
 
 def test_medmeans_solves_one_assignment_lp(monkeypatch):
-    objectives = _count_linprog(monkeypatch)
+    objectives = _count_highs_lps(monkeypatch)
     for n, m, k in ((8, 2, 2), (12, 3, 3), (20, 2, 4)):
         inst = random_instance(n, m, seed=n)
         gf, ds = exact_gf_spec(inst), default_ds_profile(inst, k)
@@ -492,7 +492,7 @@ def test_kcenter_counting_bound_pins_a_radius_above_the_diverse_cost(monkeypatch
     so HiGHS solves one LP."""
     inst = random_instance(12, 2, seed=0)
     gf, ds = exact_gf_spec(inst), default_ds_profile(inst, 3)
-    objectives = _count_linprog(monkeypatch)
+    objectives = _count_highs_lps(monkeypatch)
     clustering, report = solve(inst, gf, ds, "center", backend=GreedyBackend())
     assert len(objectives) == 1
     assert report.lam > report.ds_cost
@@ -507,7 +507,7 @@ def test_kcenter_with_no_radius_passing_the_bound_solves_only_the_full_lp(
     inst = line_instance([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1])
     gf = GroupFairnessSpec(lower=(0, 0), upper=(Fraction(1, 3), 1))
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    objectives = _count_linprog(monkeypatch)
+    objectives = _count_highs_lps(monkeypatch)
     with pytest.raises(InfeasibleError, match="no fractional solution") as exc_info:
         solve(inst, gf, ds, "center")
     assert exc_info.value.diagnosis == ["sum of lower ratios = 0",
