@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .constraints import (Clustering, check_ds, default_ds_profile, exact_gf_spe
 from .ds import get_backend
 from .errors import (ContractViolationError, FairclusError, InfeasibleError,
                      ParseError, PipelineError, ValidationError)
-from .instance import instance_to_dict, load_instance, random_instance
+from .instance import (instance_to_dict, load_instance, random_instance,
+                       read_text_source)
 from .oracle import OracleBudget, brute_force_doubly_fair
 from .pipeline import solve as pipeline_solve
 
@@ -111,11 +113,10 @@ def cmd_oracle(args) -> int:
 def cmd_check(args) -> int:
     inst = _load_instance_args(args)
     gf, ds = _load_specs(args, inst)
-    with open(args.clustering) as fh:
-        try:
-            clustering = Clustering.from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid clustering JSON: {exc}") from exc
+    try:
+        clustering = Clustering.from_dict(json.loads(read_text_source(args.clustering)))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid clustering JSON: {exc}") from exc
     if len(clustering.assignment) != inst.n:
         raise ValidationError(f"clustering assigns {len(clustering.assignment)} "
                               f"points, the instance has {inst.n}")
@@ -210,12 +211,12 @@ def cmd_sweep(args) -> int:
 
 
 def _add_instance_args(p):
-    p.add_argument("--instance", required=True, help="instance file path")
+    p.add_argument("--instance", type=Path, required=True, help="instance file path")
     p.add_argument("--format", default="json",
                    choices=["json", "csv-points", "csv-matrix"])
-    p.add_argument("--colors", default=None,
+    p.add_argument("--colors", type=Path, default=None,
                    help="colors companion file (csv-matrix format)")
-    p.add_argument("--spec", default=None, help="fairness spec JSON path")
+    p.add_argument("--spec", type=Path, default=None, help="fairness spec JSON path")
     p.add_argument("--exact-gf", action="store_true",
                    help="exact ratio preservation instead of a spec file")
     p.add_argument("--k", type=int, default=None, help="cluster count for --exact-gf")
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="audit a clustering against the specs")
     _add_instance_args(p)
-    p.add_argument("--clustering", required=True, help="clustering JSON path")
+    p.add_argument("--clustering", type=Path, required=True, help="clustering JSON path")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="seeded batch of solves, CSV aggregate")

@@ -177,9 +177,16 @@ def check_cluster_group_fair(inst: MetricInstance, cluster, gf: GroupFairnessSpe
     return True
 
 
+def _require_colors(inst: MetricInstance, spec, name: str) -> None:
+    if spec.m != inst.m:
+        raise ValidationError(f"{name} spec has {spec.m} colors, instance has {inst.m}")
+
+
 def gf_violation(inst: MetricInstance, clustering: Clustering,
                  gf: GroupFairnessSpec) -> float:
-    """Smallest rho* >= 0 making every cluster group fair; exact, returned as float."""
+    """Smallest rho* >= 0 making every cluster group fair; exact, returned as
+    float. The spec must have the instance's colors."""
+    _require_colors(inst, gf, "gf")
     worst = Fraction(0)
     for c in clustering.centers:
         members = clustering.members(c)
@@ -196,7 +203,9 @@ def gf_violation(inst: MetricInstance, clustering: Clustering,
 
 def check_ds(inst: MetricInstance, centers, ds: CenterDiversitySpec) -> bool:
     """True iff there are exactly k centers, no id repeats and
-    L_h <= |centers ∩ P_h| <= U_h for every color."""
+    L_h <= |centers ∩ P_h| <= U_h for every color. The spec must have the
+    instance's colors."""
+    _require_colors(inst, ds, "ds")
     centers = list(centers)
     if len(centers) != ds.k or len(set(centers)) != len(centers):
         return False
@@ -216,7 +225,12 @@ class PrecheckReport:
 
 def feasibility_precheck(inst: MetricInstance, gf: GroupFairnessSpec,
                          ds: CenterDiversitySpec) -> PrecheckReport:
-    """Diagnose the necessary feasibility conditions; never raises."""
+    """Diagnose the necessary feasibility conditions; never raises.
+
+    The exact test l_h * n <= |P_h| <= u_h * n holds exactly when the full
+    LP, and the uncapped fixed-center LP over any k <= n centers, is
+    feasible: 1/k of every point at each center meets every row, and summing
+    each center's ratio rows of a feasible point gives the test."""
     failures = []
     if not (sum(ds.lower) <= ds.k <= sum(ds.upper)):
         failures.append(
@@ -233,6 +247,12 @@ def feasibility_precheck(inst: MetricInstance, gf: GroupFairnessSpec,
         failures.append("lower ratios exceed 1")
     if sum(gf.upper) < 1:
         failures.append("upper ratios sum below 1")
+    for h in range(min(gf.m, inst.m)):
+        if not gf.lower[h] * inst.n <= int(counts[h]) <= gf.upper[h] * inst.n:
+            name = inst.color_names[h] if inst.color_names else str(h)
+            failures.append(
+                f"color {name} holds {counts[h]} of {inst.n} points, a ratio "
+                f"outside its window [{gf.lower[h]}, {gf.upper[h]}]")
     if inst.n < ds.k:
         failures.append(f"fewer points ({inst.n}) than clusters ({ds.k})")
     if gf.m != inst.m or ds.m != inst.m:

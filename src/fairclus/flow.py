@@ -1,7 +1,8 @@
 """Rounding a fractional assignment to fixed centers to 0/1 with one flow LP.
 
-The network is the layered point -> (center, color) -> center flow, written
-as one LP: a variable per support arc (center i, point j) with
+The input is a k x n solution whose rows are the centers, and so is the
+rounding. The network is the layered point -> (center, color) -> center
+flow, written as one LP: a variable per support arc (center i, point j) with
 x[i, j] > EPS_POS, a row per point fixed at 1, and a row per (center, color)
 pair and per center bounded by the floor and ceiling of its fractional mass.
 Those integer windows carry the bounded-violation guarantee into the integral
@@ -14,7 +15,6 @@ its rounded radius stays within the support's, which the LP capped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,41 +40,29 @@ class FlowNetwork:
     arcs: np.ndarray  # (A, 2) int: center, point; point-major
     cost: np.ndarray  # (A,)
     rows: sparse.csc_array  # (n + k*m + k, A), 0/1
-    lower: np.ndarray  # per row
+    lower: np.ndarray  # per row: floor and ceil of the snapped fractional masses
     upper: np.ndarray
-    # snapped fractional masses the windows were taken from
-    color_mass: dict  # (i, h) -> float
-    total_mass: dict  # i -> float
 
 
-def snap_to_integer(value: float, eps: float = EPS_POS) -> float:
+def snap_to_integer(value, eps: float = EPS_POS):
     """Round values within eps of an integer; floors of exact reals need this."""
-    nearest = round(value)
-    return float(nearest) if abs(value - nearest) <= eps else float(value)
+    nearest = np.rint(value)
+    return np.where(np.abs(value - nearest) <= eps, nearest, value)
 
 
-def _masses(sol: FractionalSolution, inst: MetricInstance, centers):
-    color_mass = {}
-    total_mass = {}
-    for i in centers:
-        row = sol.x[i, :]
-        for h in range(inst.m):
-            color_mass[(i, h)] = snap_to_integer(float(row[inst.colors == h].sum()))
-        total_mass[i] = snap_to_integer(float(row.sum()))
-    return color_mass, total_mass
-
-
-def build_flow(sol: FractionalSolution, centers, inst: MetricInstance,
+def build_flow(sol: FractionalSolution, inst: MetricInstance,
                objective: str) -> FlowNetwork:
-    """The rounding LP of ``sol``, whose mass sits on ``centers`` only, for
+    """The rounding LP of ``sol``, whose rows are the centers, for
     ``objective``."""
     if objective not in ("center", "median", "means"):
         raise ValidationError(f"unknown objective {objective!r}")
-    centers = sorted(int(c) for c in centers)
-    n, m, k = inst.n, inst.m, len(centers)
-    color_mass, total_mass = _masses(sol, inst, centers)
-    point, slot = np.nonzero(sol.x[centers, :].T > EPS_POS)
-    arcs = np.column_stack((np.asarray(centers, dtype=int)[slot], point))
+    n, m, k = inst.n, inst.m, sol.rows.size
+    # masses per (center, color), centers outermost, then per center
+    masses = snap_to_integer(np.concatenate(
+        (np.column_stack([sol.x[:, inst.colors == h].sum(axis=1) for h in range(m)]).ravel(),
+         sol.x.sum(axis=1))))
+    point, slot = np.nonzero(sol.x.T > EPS_POS)
+    arcs = np.column_stack((sol.rows[slot], point))
     d = inst.distance_matrix()[arcs[:, 0], arcs[:, 1]]
     cost = d ** 2 if objective == "means" else d
 
@@ -84,13 +72,10 @@ def build_flow(sol: FractionalSolution, centers, inst: MetricInstance,
                               n + k * m + slot)).ravel()
     rows = sparse.csc_array((np.ones(3 * size), row_of, np.arange(0, 3 * size + 1, 3)),
                             shape=(n + k * m + k, size))
-    masses = np.array([color_mass[(i, h)] for i in centers for h in range(m)]
-                      + [total_mass[i] for i in centers])
     lower = np.concatenate((np.ones(n), np.floor(masses)))
     upper = np.concatenate((np.ones(n), np.ceil(masses)))
-    return FlowNetwork(n=n, m=m, centers=tuple(centers), arcs=arcs, cost=cost,
-                       rows=rows, lower=lower, upper=upper,
-                       color_mass=color_mass, total_mass=total_mass)
+    return FlowNetwork(n=n, m=m, centers=tuple(sol.rows.tolist()), arcs=arcs,
+                       cost=cost, rows=rows, lower=lower, upper=upper)
 
 
 def min_cost_flow(net: FlowNetwork) -> np.ndarray:
@@ -110,7 +95,7 @@ def min_cost_flow(net: FlowNetwork) -> np.ndarray:
 
 
 def extract_assignment(flows: np.ndarray, net: FlowNetwork) -> np.ndarray:
-    """0/1 assignment table from the arc flows; every flow must be 0 or 1."""
+    """0/1 table, a row per center, from the arc flows; each must be 0 or 1."""
     flows = np.asarray(flows, dtype=float)
     units = np.rint(flows)
     unit = (np.abs(flows - units) <= EPS_POS) & ((units == 0) | (units == 1))
@@ -119,8 +104,8 @@ def extract_assignment(flows: np.ndarray, net: FlowNetwork) -> np.ndarray:
         i, j = net.arcs[bad[0]]
         raise PipelineError("extract", f"non-unit flow {flows[bad[0]]} on arc {i}->{j}")
     chosen = net.arcs[units == 1]
-    x2 = np.zeros((net.n, net.n))
-    x2[chosen[:, 0], chosen[:, 1]] = 1.0
+    x2 = np.zeros((len(net.centers), net.n))
+    x2[np.searchsorted(net.centers, chosen[:, 0]), chosen[:, 1]] = 1.0
     per_point = np.bincount(chosen[:, 1], minlength=net.n)
     if not np.all(per_point == 1):
         j = int(np.flatnonzero(per_point != 1)[0])
@@ -131,21 +116,23 @@ def extract_assignment(flows: np.ndarray, net: FlowNetwork) -> np.ndarray:
 
 def check_mass_windows(x2: np.ndarray, net: FlowNetwork,
                        inst: MetricInstance) -> None:
-    """Verify integral per-color / total masses sit in the fractional windows."""
-    for i in net.centers:
-        got_total = int(x2[i, :].sum())
-        mass = net.total_mass[i]
-        if not math.floor(mass) <= got_total <= math.ceil(mass):
-            raise PipelineError(
-                "flow", f"center {i} serves {got_total} points outside "
-                        f"[{math.floor(mass)}, {math.ceil(mass)}]")
-        for h in range(inst.m):
-            got = int(x2[i, inst.colors == h].sum())
-            mass_h = net.color_mass[(i, h)]
-            if not math.floor(mass_h) <= got <= math.ceil(mass_h):
-                raise PipelineError(
-                    "flow", f"center {i} serves {got} points of color {h} "
-                            f"outside [{math.floor(mass_h)}, {math.ceil(mass_h)}]")
+    """Verify that the per-color and total point counts of each center of
+    the 0/1 table ``x2`` sit in the network's windows."""
+    onehot = inst.colors[:, None] == np.arange(inst.m)
+    got = np.concatenate(((x2 @ onehot).ravel(), x2.sum(axis=1)))
+    lower, upper = net.lower[net.n:], net.upper[net.n:]
+    bad = np.flatnonzero((got < lower) | (got > upper))
+    if bad.size:
+        r = int(bad[0])
+        raise PipelineError("flow", f"row {_row_labels(net)[net.n + r]} counts {got[r]:.0f} "
+                                    f"points, outside [{lower[r]:.0f}, {upper[r]:.0f}]")
+
+
+def _row_labels(net: FlowNetwork) -> list:
+    """p_<point>, ch_<center>_<color> and c_<center>, in row order."""
+    return ([f"p_{j}" for j in range(net.n)]
+            + [f"ch_{i}_{h}" for i in net.centers for h in range(net.m)]
+            + [f"c_{i}" for i in net.centers])
 
 
 def dump_flow_text(net: FlowNetwork, stream) -> None:
@@ -154,8 +141,5 @@ def dump_flow_text(net: FlowNetwork, stream) -> None:
     and c_<center>."""
     for (i, j), cost in zip(net.arcs.tolist(), net.cost.tolist()):
         stream.write(f"arc {i} {j} {cost!r}\n")
-    labels = ([f"p_{j}" for j in range(net.n)]
-              + [f"ch_{i}_{h}" for i in net.centers for h in range(net.m)]
-              + [f"c_{i}" for i in net.centers])
-    for label, lower, upper in zip(labels, net.lower.tolist(), net.upper.tolist()):
+    for label, lower, upper in zip(_row_labels(net), net.lower.tolist(), net.upper.tolist()):
         stream.write(f"row {label} {int(lower)} {int(upper)}\n")

@@ -159,14 +159,20 @@ def load_instance(source, format: str, colors_source=None) -> MetricInstance:
 
 
 def read_text_source(source) -> str:
-    """Text from a path, PathLike, bytes, raw string, or file object."""
+    """Text from a path, PathLike, bytes, raw string, or file object. A
+    PathLike is always opened; a str or bytes is read as a path only if that
+    file exists."""
     import os
-    if isinstance(source, os.PathLike):
-        source = os.fspath(source)
-    if isinstance(source, (str, bytes)) and "\n" not in str(source)[:500] \
-            and _looks_like_path(source):
-        with open(source, "rb") as fh:
-            return fh.read().decode("utf-8")
+    if isinstance(source, os.PathLike) or (
+            isinstance(source, (str, bytes)) and "\n" not in str(source)[:500]
+            and _looks_like_path(source)):
+        try:
+            with open(source, "rb") as fh:
+                return fh.read().decode("utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot read {os.fsdecode(source)}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"cannot read {os.fsdecode(source)}: not UTF-8 text") from exc
     if isinstance(source, bytes):
         return source.decode("utf-8")
     if isinstance(source, str):
@@ -188,18 +194,25 @@ def _load_json(text: str) -> MetricInstance:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON instance: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError("instance JSON must be an object")
     for key in ("n", "m", "colors"):
         if key not in obj:
             raise ParseError(f"instance JSON missing required key {key!r}")
     n, m, colors = obj["n"], obj["m"], obj["colors"]
+    if not isinstance(colors, list):
+        raise ParseError(f"instance 'colors' must be a list, got {colors!r}")
     if len(colors) != n:
         raise ParseError(f"colors has length {len(colors)}, expected n={n}")
     coords = obj.get("coords")
     dist = obj.get("dist")
     if coords is None and dist is None:
         raise ParseError("instance JSON needs one of 'coords' or 'dist'")
-    return make_instance(colors, coords=coords, dist=dist, m=m,
-                         color_names=obj.get("color_names"))
+    try:  # e.g. non-numeric coordinates or a ragged distance table
+        return make_instance(colors, coords=coords, dist=dist, m=m,
+                             color_names=obj.get("color_names"))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"invalid instance JSON: {exc}") from exc
 
 
 def _load_csv_points(text: str) -> MetricInstance:

@@ -21,6 +21,8 @@ opening rows with ``sum_j x_ij >= 1`` for every i in S, so no center is left
 without mass. Every pipeline solves this variant: k-center searches for the
 smallest radius cap at which it is feasible, median and means minimize its
 cost.
+A solution keeps a row of x only for the points in its ``rows``, so a
+fixed-center solution is a k x n table and no mass can lie off its centers.
 """
 
 from __future__ import annotations
@@ -47,10 +49,12 @@ _ALL_SETS_MAX_K = 10
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Assignment-mass table and opening vector of an LP solution."""
+    """Assignment-mass table and opening vector of an LP solution, a row per
+    point that may receive mass."""
 
-    x: np.ndarray  # (n, n), x[i, j] = mass from point j to center i
-    y: np.ndarray  # (n,)
+    rows: np.ndarray  # sorted point ids: all n (full LP), or the centers
+    x: np.ndarray  # (len(rows), n), x[a, j] = mass from point j to rows[a]
+    y: np.ndarray  # (len(rows),), the opening of each row's point
 
 
 @dataclass
@@ -226,9 +230,10 @@ def solve_lp(model: LpModel, inst: MetricInstance | None = None,
     bounds [0, 1] as they are. HiGHS's ``output_flag`` is off, as scipy's
     ``linprog`` set it: with it on, HiGHS can return another optimal vertex.
 
-    Repair: negatives clamped, each assignment column renormalized to sum
-    exactly 1 (the flow rounds each column as one unit of mass). If instance
-    and spec are passed, residuals are re-verified after repair.
+    A fixed-center solution is k x n, with y = 1. Repair: negatives clamped,
+    each assignment column renormalized to sum exactly 1 (the flow rounds
+    each column as one unit of mass). If instance and spec are passed,
+    residuals are re-verified after repair.
     """
     with warnings.catch_warnings():
         # milp warns that it passes output_flag, an option it does not know, on verbatim
@@ -240,20 +245,17 @@ def solve_lp(model: LpModel, inst: MetricInstance | None = None,
     if res.status != 0:
         raise NumericalError(f"LP backend failed with status {res.status}: {res.message}")
 
-    n, nx = model.n, len(model.kept)
-    x = np.zeros((n, n))
-    x[model.kept[:, 0], model.kept[:, 1]] = res.x[:nx]
-    if model.centers is None:
-        y = np.clip(res.x[nx:], 0.0, 1.0)
-    else:
-        y = np.zeros(n)
-        y[model.centers] = 1.0
+    nx = len(model.kept)
+    rows = np.arange(model.n) if model.centers is None else model.centers
+    x = np.zeros((rows.size, model.n))
+    x[np.searchsorted(rows, model.kept[:, 0]), model.kept[:, 1]] = res.x[:nx]
+    y = np.clip(res.x[nx:], 0.0, 1.0) if model.centers is None else np.ones(rows.size)
     np.clip(x, 0.0, 1.0, out=x)
     sums = x.sum(axis=0)
     if np.any(sums < 0.5):
         raise NumericalError("an assignment column lost more than half its mass")
     x /= sums[None, :]
-    sol = FractionalSolution(x=x, y=y)
+    sol = FractionalSolution(rows=rows, x=x, y=y)
     if inst is not None and gf is not None:
         check_lp_solution(model, sol, inst, gf)
     return sol
@@ -274,7 +276,7 @@ def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
                  centers=None) -> dict:
     """Worst-case residual of every constraint family, for checks and tests.
     With ``centers`` (a fixed-center model's), also of their mass rows
-    ``sum_j x_ij >= 1``."""
+    ``sum_j x_ij >= 1``; a center without a row of the solution has mass 0."""
     x, y = sol.x, sol.y
     out = {}
     out["assign"] = float(np.abs(x.sum(axis=0) - 1.0).max())
@@ -291,36 +293,34 @@ def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
                           float((lower[h] * mass - mass_h).max()))
     out["color"] = color_resid
     if centers is not None:
-        out["mass"] = float(max(0.0, (1.0 - mass[centers]).max()))
+        mass_of = np.zeros(inst.n)
+        mass_of[sol.rows] = mass
+        out["mass"] = float(max(0.0, (1.0 - mass_of[np.asarray(centers, dtype=int)]).max()))
     out["bounds"] = float(max(-x.min(), x.max() - 1.0, -y.min(), y.max() - 1.0, 0.0))
     if lam is not None:
-        d = inst.distance_matrix()
-        far = x[d > lam + EPS_D]
+        far = x[inst.distance_matrix()[sol.rows] > lam + EPS_D]
         out["radius"] = float(far.max()) if far.size else 0.0
     out["max"] = max(v for v in out.values())
     return out
 
 
-def fractional_cost(inst: MetricInstance, x: np.ndarray, objective: str) -> float:
-    """Linear cost of a mass table: sum of x_ij * d(i,j) (squared for means)."""
-    d = inst.distance_matrix()
+def fractional_cost(inst: MetricInstance, sol: FractionalSolution,
+                    objective: str) -> float:
+    """Linear cost of a solution: sum of x_ij * d(i,j) (squared for means)."""
+    d = inst.distance_matrix()[sol.rows]
     if objective == "median":
-        return float((x * d).sum())
+        return float((sol.x * d).sum())
     if objective == "means":
-        return float((x * d ** 2).sum())
+        return float((sol.x * d ** 2).sum())
     raise ValidationError(f"no linear cost for objective {objective!r}")
 
 
 def solution_from_clustering(inst: MetricInstance, centers, assignment) -> FractionalSolution:
-    """The 0/1 mass table induced by an integral clustering."""
-    n = inst.n
-    x = np.zeros((n, n))
-    y = np.zeros(n)
-    for j, c in enumerate(assignment):
-        x[c, j] = 1.0
-    for c in centers:
-        y[c] = 1.0
-    return FractionalSolution(x=x, y=y)
+    """The 0/1 solution induced by an integral clustering, a row per center."""
+    rows = np.unique(np.asarray(centers, dtype=int))
+    x = np.zeros((rows.size, inst.n))
+    x[np.searchsorted(rows, np.asarray(assignment, dtype=int)), np.arange(inst.n)] = 1.0
+    return FractionalSolution(rows=rows, x=x, y=np.ones(rows.size))
 
 
 def infeasibility_diagnosis(gf: GroupFairnessSpec, k: int, n: int) -> list:

@@ -9,15 +9,16 @@ winning search probe's solution; the rounded radius is checked to be at most
 r. A counting bound (``lp.counting_bound_index``) rules out the radii below
 its own without an LP, so the search probes from there. Median and means
 take the LP's optimum; the rounded cost is checked to be at most its
-fractional cost. Either solution is residual-checked, and checked for
-support on S and per-center mass >= 1, before the flow rounds it.
+fractional cost. Either solution is a k x n table over S, and its residuals,
+per-center mass >= 1 included, are checked before the flow rounds it.
 
 No rerouting runs. The paper's rerouted solution is feasible for the same
 LP (capped at its own largest support distance for k-center), so r and the
 LP optimum are never worse than the rerouted solution and the paper's
 factors hold; the test suite checks that lemma by rerouting the full LP.
-If the fixed-center LP is infeasible, the full n^2-column LP decides between
-an infeasible input and a broken pipeline.
+The precheck's exact ratio test holds exactly when the uncapped LP over S
+is feasible (``feasibility_precheck``), so after it a fixed-center LP
+without a solution is a broken pipeline; no full LP is solved.
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ from .errors import (BudgetExceededError, InfeasibleError, PipelineError,
                      ValidationError)
 from .flow import (build_flow, check_mass_windows, dump_flow_text,
                    extract_assignment, min_cost_flow)
-# pairwise_distance_set, reroute_center and reroute_medmeans are no longer
-# called here, but stay importable under these names: benchmarks/tracing.py
-# wraps them.
+# pairwise_distance_set, build_gf_feasibility_lp, check_rerouted,
+# reroute_center and reroute_medmeans are no longer called here, but stay
+# importable under these names: benchmarks/tracing.py wraps them.
 from .instance import EPS_D, MetricInstance, pairwise_distance_set  # noqa: F401
-from .lp import (build_gf_feasibility_lp, build_gf_objective_lp,
+from .lp import (build_gf_feasibility_lp, build_gf_objective_lp,  # noqa: F401
                  check_lp_solution, counting_bound_index, dump_lp_text,
-                 fractional_cost, infeasibility_diagnosis, min_feasible_lambda,
-                 solve_lp)
+                 fractional_cost, min_feasible_lambda, solve_lp)
 from .oracle import OracleBudget, brute_force_doubly_fair
 from .rerouting import (MASS_TOL, check_rerouted, reroute_center,  # noqa: F401
                         reroute_medmeans)
@@ -143,8 +143,8 @@ def _maybe_dump(dumps, key, writer):
             writer(fh)
 
 
-def _round_flow(inst, sol, centers, objective, dumps):
-    net = build_flow(sol, centers, inst, objective)
+def _round_flow(inst, sol, objective, dumps):
+    net = build_flow(sol, inst, objective)
     _maybe_dump(dumps, "flow", lambda fh: dump_flow_text(net, fh))
     flows = min_cost_flow(net)
     x2 = extract_assignment(flows, net)
@@ -159,9 +159,9 @@ def _fixed_center_lp(inst, gf, ds, ds_sol):
     which the program capped at r is feasible, searched with LP probes from
     the smallest radius that passes the counting bound (never below the
     nearest-assignment radius; usually r itself). Median and means: the
-    cost-minimizing program. If it has no solution, or no radius passes the
-    bound, the full program decides between an infeasible input and a
-    broken pipeline.
+    cost-minimizing program. The precheck has passed, so the program has a
+    solution at the largest candidate radius (and uncapped): if none is
+    found, or no radius passes the bound, the pipeline is broken.
     """
     centers = ds_sol.centers
     model = sol = None
@@ -179,15 +179,9 @@ def _fixed_center_lp(inst, gf, ds, ds_sol):
                                       centers=centers)
         sol = solve_lp(model)
     if sol is None:
-        if solve_lp(build_gf_feasibility_lp(inst, gf, ds.k, None)) is None:
-            raise InfeasibleError(
-                "the group-fairness program has no fractional solution",
-                diagnosis=(list(feasibility_precheck(inst, gf, ds).failures)
-                           + infeasibility_diagnosis(gf, ds.k, inst.n)))
         raise PipelineError("lp", "the fixed-center assignment program is "
-                                  "infeasible though the full program is feasible")
+                                  "infeasible though the precheck passed")
     check_lp_solution(model, sol, inst, gf)
-    check_rerouted(inst, gf, sol, centers, radius_cap=model.lam, stage="lp")
     return model, sol
 
 
@@ -199,7 +193,7 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
     (Clustering, SolveReport).
 
     Pass a dict as ``artifacts`` to receive the intermediate stage outputs
-    (DS solution, LP solution, flow network and flows, integral table).
+    (DS solution, LP solution, flow network and flows, k x n integral table).
     """
     if objective not in ("center", "median", "means"):
         raise ValidationError(f"unknown objective {objective!r}")
@@ -219,16 +213,16 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
     if objective == "center":
         bound, slack = model.lam, EPS_D
     else:
-        bound = fractional_cost(inst, sol.x, objective)
+        bound = fractional_cost(inst, sol, objective)
         slack = MASS_TOL * max(1.0, bound)
     timings["lp"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    net, flows, x2 = _round_flow(inst, sol, ds_sol.centers, objective, dumps)
+    net, flows, x2 = _round_flow(inst, sol, objective, dumps)
     timings["flow"] = time.perf_counter() - t3
 
     clustering = make_clustering(inst, ds_sol.centers,
-                                 x2.argmax(axis=0).tolist(), objective)
+                                 sol.rows[x2.argmax(axis=0)].tolist(), objective)
     if clustering.cost > bound + slack:
         raise PipelineError("output", f"rounded cost {clustering.cost} exceeds "
                                       f"the LP's bound {bound}")

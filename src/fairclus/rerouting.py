@@ -3,7 +3,8 @@ diverse center set while preserving the color-ratio structure.
 
 The pipeline does not reroute: it solves the fixed-center LP, for which the
 rerouted solution is feasible. These functions are the paper's construction,
-kept as the reference the test suite checks that lemma against.
+kept as the reference the test suite checks that lemma against. They read
+the input with a row per point and return a row per diverse center.
 
 Both variants share the same skeleton. Each point p that receives mass in the
 input solution redistributes its entire incoming column to the diverse
@@ -59,14 +60,18 @@ def _theta_map(inst: MetricInstance, centers: list) -> np.ndarray:
     return nearest
 
 
-def _embed(inst, shares: np.ndarray, x: np.ndarray, centers: list):
-    """Rows of the rerouted table: row centers[a] = sum_p shares[p, a] * x[p, :]."""
-    x_new = np.zeros((inst.n, inst.n))
-    carr = np.array(centers, dtype=int)
-    x_new[carr, :] = shares.T @ x
-    y_new = np.zeros(inst.n)
-    y_new[carr] = 1.0
-    return FractionalSolution(x=x_new, y=y_new)
+def _point_table(inst: MetricInstance, sol: FractionalSolution) -> np.ndarray:
+    """The n x n mass table of ``sol``: row p is the mass point p receives."""
+    x = np.zeros((inst.n, inst.n))
+    x[sol.rows] = sol.x
+    return x
+
+
+def _embed(shares: np.ndarray, x: np.ndarray, centers: list):
+    """The rerouted solution: row a (center centers[a]) is
+    sum_p shares[p, a] * x[p, :]."""
+    return FractionalSolution(rows=np.array(centers, dtype=int), x=shares.T @ x,
+                              y=np.ones(len(centers)))
 
 
 def reroute_center(inst: MetricInstance, sol: FractionalSolution, centers):
@@ -74,7 +79,7 @@ def reroute_center(inst: MetricInstance, sol: FractionalSolution, centers):
     centers = sorted(int(c) for c in centers)
     if not centers:
         raise ValidationError("cannot reroute onto an empty center set")
-    x = sol.x
+    x = _point_table(inst, sol)
 
     mass_from_centers = x[:, centers]  # [p, a] = mass center centers[a] sends to p
     support = mass_from_centers > EPS_POS
@@ -96,7 +101,7 @@ def reroute_center(inst: MetricInstance, sol: FractionalSolution, centers):
 
     plan = ReroutePlan(centers=tuple(centers), support=support, theta=theta,
                        shares=shares)
-    return _embed(inst, shares, x, centers), plan
+    return _embed(shares, x, centers), plan
 
 
 def reroute_medmeans(inst: MetricInstance, sol: FractionalSolution, centers):
@@ -104,7 +109,7 @@ def reroute_medmeans(inst: MetricInstance, sol: FractionalSolution, centers):
     centers = sorted(int(c) for c in centers)
     if not centers:
         raise ValidationError("cannot reroute onto an empty center set")
-    x = sol.x
+    x = _point_table(inst, sol)
     n = inst.n
 
     mass_from_centers = x[:, centers]
@@ -128,50 +133,41 @@ def reroute_medmeans(inst: MetricInstance, sol: FractionalSolution, centers):
 
     plan = ReroutePlan(centers=tuple(centers), support=support, theta=theta,
                        shares=shares)
-    return _embed(inst, shares, x, centers), plan
+    return _embed(shares, x, centers), plan
 
 
 def check_rerouted(inst: MetricInstance, gf, rerouted: FractionalSolution,
-                   centers, radius_cap: float | None = None,
-                   stage: str = "rerouting") -> None:
+                   centers, radius_cap: float | None = None) -> None:
     """Hard-verify the guaranteed properties of a rerouted solution.
 
-    Column sums 1, support and integral openings exactly on the center set,
+    Column sums 1, rows exactly the center set with opening 1 each,
     per-center mass >= 1, color-ratio residuals, and (radius variant) the
     support radius cap. Raises PipelineError naming the failing property.
-    A solution of the fixed-center assignment LP must have the same
-    properties, so the pipeline checks it here, with stage "lp" and, for
-    k-center, the LP's own radius cap.
     """
-    x, y = rerouted.x, rerouted.y
-    centers = sorted(int(c) for c in centers)
+    stage = "rerouting"
+    x = rerouted.x
     colsum_err = float(np.abs(x.sum(axis=0) - 1.0).max())
     if colsum_err > MASS_TOL:
         raise PipelineError(stage, f"column sums drift by {colsum_err:.3e}")
-    expected_y = np.zeros(inst.n)
-    expected_y[centers] = 1.0
-    if not np.array_equal(y, expected_y):
+    if not np.array_equal(rerouted.rows, sorted(int(c) for c in centers)):
+        raise PipelineError(stage, "rows are not the diverse center set")
+    if not np.all(rerouted.y == 1.0):
         raise PipelineError(stage, "opening vector is not the center-set indicator")
-    off = np.ones(inst.n, dtype=bool)
-    off[centers] = False
-    if np.any(x[off, :] != 0.0):
-        raise PipelineError(stage, "positive mass outside the diverse center set")
-    mass = x.sum(axis=1)[centers]
-    if np.any(mass < 1.0 - MASS_TOL):
-        raise PipelineError(stage, f"a center receives mass {float(mass.min())} < 1")
+    total = x.sum(axis=1)
+    if np.any(total < 1.0 - MASS_TOL):
+        raise PipelineError(stage, f"a center receives mass {float(total.min())} < 1")
     lower = gf.lower_floats()
     upper = gf.upper_floats()
-    total = x.sum(axis=1)
     for h in range(inst.m):
         mass_h = x[:, inst.colors == h].sum(axis=1)
         if float((mass_h - upper[h] * total).max()) > MASS_TOL or \
                 float((lower[h] * total - mass_h).max()) > MASS_TOL:
             raise PipelineError(stage, f"color-ratio window broken for color {h}")
     if radius_cap is not None:
-        d = inst.distance_matrix()
+        d = inst.distance_matrix()[rerouted.rows]
         bad = (x > EPS_POS) & (d > radius_cap + EPS_POS)
         if np.any(bad):
-            i, j = np.argwhere(bad)[0]
+            a, j = np.argwhere(bad)[0]
             raise PipelineError(
-                stage, f"support arc ({i},{j}) at distance {d[i, j]} exceeds "
-                       f"the radius cap {radius_cap}")
+                stage, f"support arc ({rerouted.rows[a]},{j}) at distance {d[a, j]} "
+                       f"exceeds the radius cap {radius_cap}")

@@ -69,13 +69,14 @@ def rerouting_certificate(inst, gf, k, objective, artifacts):
         radius_cap = (alpha + 1.0) * search.radius
         check_rerouted(inst, gf, rerouted, ds_sol.centers, radius_cap=radius_cap)
         support = rerouted.x > EPS_POS
+        d = inst.distance_matrix()[rerouted.rows]
         return SimpleNamespace(lam=search.radius, rerouted=rerouted, plan=plan,
                                radius_cap=radius_cap,
-                               support_radius=float(inst.distance_matrix()[support].max()))
+                               support_radius=float(d[support].max()))
     sol = solve_lp(build_gf_objective_lp(inst, gf, k, objective), inst, gf)
     rerouted, plan = reroute_medmeans(inst, sol, ds_sol.centers)
     check_rerouted(inst, gf, rerouted, ds_sol.centers)
-    lp_cost = fractional_cost(inst, sol.x, objective)
+    lp_cost = fractional_cost(inst, sol, objective)
     if objective == "median":
         bound = 3.0 * lp_cost + ds_sol.cost
     else:
@@ -83,7 +84,7 @@ def rerouting_certificate(inst, gf, k, objective, artifacts):
         bound = ((1.0 + p_sq + (1.0 + 1.0 / p_sq) * (2.0 + q_sq)) * lp_cost
                  + (1.0 + 1.0 / p_sq) * (1.0 + 1.0 / q_sq) * ds_sol.cost)
     return SimpleNamespace(lp_cost=lp_cost, rerouted=rerouted, plan=plan,
-                           rerouted_cost=fractional_cost(inst, rerouted.x, objective),
+                           rerouted_cost=fractional_cost(inst, rerouted, objective),
                            rerouted_cost_bound=bound)
 
 

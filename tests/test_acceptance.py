@@ -13,11 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fairclus import (BudgetExceededError, GroupFairnessSpec, InfeasibleError,
+from fairclus import (BudgetExceededError, FractionalSolution,
+                      GroupFairnessSpec, InfeasibleError,
                       OracleBudget, brute_force_doubly_fair, check_ds,
                       default_ds_profile, exact_gf_spec, fractional_cost,
                       gf_violation, guarantee_factor, lp_residuals,
                       make_instance, means_pq, random_instance, solve)
+
+from fairclus.flow import snap_to_integer
 
 from conftest import rerouting_certificate
 
@@ -215,7 +218,8 @@ def test_criterion_5_kmeans_ratio(suite, oracle_family):
 def test_criterion_6_rerouting_guarantees(suite, oracle_family):
     # the pipeline rounds the fixed-center assignment LP's solution, which
     # must have every property the certificate's rerouted solution has; the
-    # radius caps are (alpha+1)*lambda and r
+    # radius caps are (alpha+1)*lambda and r. Both are tables with a row per
+    # center, so support on the centers is their rows.
     failures = []
     checked = 0
     for r in suite + oracle_family:
@@ -229,19 +233,18 @@ def test_criterion_6_rerouting_guarantees(suite, oracle_family):
             col_err = float(np.abs(rerouted.x.sum(axis=0) - 1.0).max())
             if col_err > 1e-6:
                 failures.append(("column sums", col_err))
-            if not set(np.unique(rerouted.y)) <= {0.0, 1.0}:
-                failures.append(("y not 0/1", r["report"].to_dict()))
-            off = np.setdiff1d(np.arange(inst.n), centers)
-            if np.any(rerouted.x[off] > 0.0):
-                failures.append(("mass off the centers", r["report"].to_dict()))
-            mass = rerouted.x.sum(axis=1)[centers]
+            if rerouted.rows.tolist() != centers:
+                failures.append(("rows are not the centers", r["report"].to_dict()))
+            if not np.all(rerouted.y == 1.0):
+                failures.append(("y not all ones", r["report"].to_dict()))
+            mass = rerouted.x.sum(axis=1)
             if float(mass.min()) < 1.0 - 1e-6:
                 failures.append(("center mass below 1", float(mass.min())))
             resid = lp_residuals(inst, gf, r["ds"].k, rerouted)
             if resid["color"] > 1e-6:
                 failures.append(("ratio residual", resid["color"]))
             if r["objective"] == "center":
-                d = inst.distance_matrix()
+                d = inst.distance_matrix()[rerouted.rows]
                 sup = rerouted.x > 1e-9
                 if np.any(sup) and float(d[sup].max()) > radius_cap + 1e-9:
                     failures.append(("support radius", float(d[sup].max()),
@@ -252,27 +255,38 @@ def test_criterion_6_rerouting_guarantees(suite, oracle_family):
 
 
 def test_criterion_7_flow_rounding(suite, oracle_family):
+    # x2 has a row per center, as the LP solution has; the windows are the
+    # floor and ceiling of the LP solution's snapped masses
     failures = []
     for r in suite + oracle_family:
-        inst, net, x2 = r["inst"], r["net"], r["x2"]
+        inst, net, x2, sol = r["inst"], r["net"], r["x2"], r["lp_solution"]
         point_flows = np.bincount(net.arcs[:, 1], weights=r["flows"], minlength=inst.n)
         if not np.array_equal(point_flows, np.ones(inst.n)):
             failures.append(("point not saturated by exactly one unit",
                              point_flows.tolist()))
+        if list(net.centers) != sol.rows.tolist() or x2.shape != sol.x.shape:
+            failures.append(("rounding rows differ from the LP's", net.centers, x2.shape))
         if r["objective"] != "center":
-            frac = fractional_cost(inst, r["lp_solution"].x, r["objective"])
-            rounded = fractional_cost(inst, x2, r["objective"])
+            frac = fractional_cost(inst, sol, r["objective"])
+            rounded = fractional_cost(inst, FractionalSolution(
+                rows=sol.rows, x=x2, y=sol.y), r["objective"])
             if rounded > frac + 1e-6:
                 failures.append(("min-cost above fractional", rounded, frac))
-        for i in net.centers:
-            total = int(x2[i, :].sum())
-            if not math.floor(net.total_mass[i]) <= total <= math.ceil(net.total_mass[i]):
+        color_windows, total_windows = [], []
+        for a, i in enumerate(sol.rows.tolist()):
+            total = int(x2[a, :].sum())
+            mass = float(snap_to_integer(sol.x[a, :].sum()))
+            total_windows.append((math.floor(mass), math.ceil(mass)))
+            if not math.floor(mass) <= total <= math.ceil(mass):
                 failures.append(("total mass window", i, total))
             for h in range(inst.m):
-                got = int(x2[i, inst.colors == h].sum())
-                mass_h = net.color_mass[(i, h)]
+                got = int(x2[a, inst.colors == h].sum())
+                mass_h = float(snap_to_integer(sol.x[a, inst.colors == h].sum()))
+                color_windows.append((math.floor(mass_h), math.ceil(mass_h)))
                 if not math.floor(mass_h) <= got <= math.ceil(mass_h):
                     failures.append(("color mass window", i, h, got))
+        if color_windows + total_windows != list(zip(net.lower[inst.n:], net.upper[inst.n:])):
+            failures.append(("network windows differ from the LP's masses", net.centers))
     _verdict(7, "flow rounding: saturation, mass windows, no cost increase",
              failures, f"{len(suite) + len(oracle_family)} roundings")
 

@@ -132,6 +132,64 @@ def test_check_handmade_unfair_clustering(tmp_path, capsys):
     assert float(out.split("gf_violation=")[1].splitlines()[0]) == pytest.approx(1.5)
 
 
+def test_check_rejects_a_spec_with_fewer_colors(tmp_path, capsys):
+    """A three-color instance with a two-color spec: ``check`` refuses the
+    pair (exit 1) instead of skipping color 2, and ``solve`` reports the
+    mismatch through its precheck (exit 2)."""
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen", "--n", "9", "--m", "3", "--seed", "2", "--k", "3",
+            "--out", str(inst_path))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "gf": {"lower": [0, 0], "upper": [1, 1], "rho": 0},
+        "ds": {"lower": [0, 0], "upper": [3, 3]}, "k": 3}))
+    clus_path = tmp_path / "clus.json"
+    clus_path.write_text(json.dumps({
+        "centers": [0, 1, 2], "assignment": [0, 1, 2] * 3,
+        "objective": "center", "cost": 1.0}))
+    capsys.readouterr()
+    code = run_cli("check", "--instance", str(inst_path), "--spec",
+                   str(spec_path), "--clustering", str(clus_path))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: gf spec has 2 colors, instance has 3\n"
+    assert "gf_violation" not in captured.out
+    code = run_cli("solve", "--instance", str(inst_path), "--spec",
+                   str(spec_path), "--objective", "center")
+    assert code == 2
+    assert "spec color count mismatch" in capsys.readouterr().err
+
+
+_MALFORMED_INSTANCES = {
+    "colors-not-a-list": {"n": 2, "m": 2, "colors": 5, "coords": [[0.0], [1.0]]},
+    "non-numeric-coords": {"n": 2, "m": 2, "colors": [0, 1], "coords": [["a"], [1.0]]},
+    "ragged-dist": {"n": 2, "m": 2, "colors": [0, 1], "dist": [[0.0, 1.0], [1.0]]},
+    "top-level-list": [0, 1],
+}
+
+
+@pytest.mark.parametrize("case", [*_MALFORMED_INSTANCES, "missing-instance",
+                                  "missing-clustering"])
+def test_malformed_input_exits_1_without_a_traceback(tmp_path, case):
+    inst_path, spec_path = _gen_pair(tmp_path, seed=1)
+    command = ["solve", "--objective", "center", "--spec", str(spec_path)]
+    if case in _MALFORMED_INSTANCES:
+        inst_path = tmp_path / "bad.json"
+        inst_path.write_text(json.dumps(_MALFORMED_INSTANCES[case]))
+    elif case == "missing-instance":
+        inst_path = tmp_path / "nope.json"
+    else:
+        command = ["check", "--spec", str(spec_path),
+                   "--clustering", str(tmp_path / "nope.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairclus.cli", *command, "--instance", str(inst_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    if case.startswith("missing"):
+        assert proc.stderr.startswith(f"error: cannot read {tmp_path / 'nope.json'}")
+
+
 def test_check_fewer_than_k_centers_breaks_ds(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({

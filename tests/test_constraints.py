@@ -135,6 +135,22 @@ def test_check_ds_examples():
     assert not check_ds(line, [0], short)  # fewer than k centers
 
 
+def test_checkers_reject_a_spec_with_other_colors():
+    """A point of color 2 under a two-color spec is not skipped: both
+    checkers refuse the pair."""
+    inst = line_instance([0, 1, 2], [0, 1, 2])
+    clustering = make_clustering(inst, [0, 2], [0, 0, 2], "median")
+    gf = GroupFairnessSpec(lower=(0, 0), upper=(1, 1))
+    ds = CenterDiversitySpec(lower=(0, 0), upper=(2, 2), k=2)
+    with pytest.raises(ValidationError, match="gf spec has 2 colors, instance has 3"):
+        gf_violation(inst, clustering, gf)
+    with pytest.raises(ValidationError, match="ds spec has 2 colors, instance has 3"):
+        check_ds(inst, clustering.centers, ds)
+    wide = CenterDiversitySpec(lower=(0,) * 4, upper=(2,) * 4, k=2)
+    with pytest.raises(ValidationError, match="ds spec has 4 colors"):
+        check_ds(inst, clustering.centers, wide)
+
+
 def test_check_ds_matches_direct_recount_and_permutation():
     rng = np.random.default_rng(13)
     for trial in range(40):
@@ -172,6 +188,25 @@ def test_feasibility_precheck():
     too_many_clusters = CenterDiversitySpec(lower=(0, 0), upper=(9, 9), k=5)
     report = feasibility_precheck(names, exact_gf_spec(names), too_many_clusters)
     assert any("fewer points" in f for f in report.failures)
+
+
+def test_precheck_tests_every_color_ratio_exactly():
+    """l_h n <= |P_h| <= u_h n in exact rationals: 2 of 3 points red passes a
+    window that ends at 2/3 and fails one that ends a hair below it."""
+    inst = make_instance([0, 0, 1], coords=[[0], [1], [2]],
+                         color_names=("red", "blue"))
+    ds = CenterDiversitySpec(lower=(0, 0), upper=(1, 1), k=1)
+    at_edge = GroupFairnessSpec(lower=(Fraction(2, 3), 0), upper=(1, Fraction(1, 3)))
+    assert feasibility_precheck(inst, at_edge, ds).ok
+    below = GroupFairnessSpec(lower=(0, Fraction(1, 3)),
+                              upper=(Fraction(2, 3) - Fraction(1, 10 ** 12), 1))
+    report = feasibility_precheck(inst, below, ds)
+    assert report.failures == (
+        "color red holds 2 of 3 points, a ratio outside its window "
+        "[0, 1999999999997/3000000000000]",)
+    above = GroupFairnessSpec(lower=(0, Fraction(1, 2)), upper=(1, 1))
+    assert feasibility_precheck(inst, above, ds).failures == (
+        "color blue holds 1 of 3 points, a ratio outside its window [1/2, 1]",)
 
 
 def test_precheck_reports_ratio_failure():

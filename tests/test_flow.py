@@ -15,6 +15,11 @@ from fairclus import min_feasible_lambda, pairwise_distance_set
 from conftest import line_instance, window_gf
 
 
+def _rounded(sol, x2):
+    """The flow's 0/1 table as a solution over the same centers."""
+    return FractionalSolution(rows=sol.rows, x=x2, y=sol.y)
+
+
 def test_snap_to_integer():
     assert snap_to_integer(2.0 - 1e-12) == 2.0
     assert snap_to_integer(2.0 + 1e-12) == 2.0
@@ -26,16 +31,29 @@ def test_floor_ceil_window_arithmetic():
     # one center, per-color masses 2.4 (color 0) and 1.6 (color 1)
     inst = make_instance([0, 0, 0, 0, 1, 1, 1, 1],
                          coords=[[float(i)] for i in range(8)])
-    x = np.zeros((8, 8))
+    x = np.zeros((1, 8))
     x[0, :4] = 0.6   # 2.4 units of color 0
     x[0, 4:] = 0.4   # 1.6 units of color 1
-    rerouted = FractionalSolution(x=x, y=np.eye(8)[0])
-    net = build_flow(rerouted, [0], inst, "center")
+    rerouted = FractionalSolution(rows=np.array([0]), x=x, y=np.ones(1))
+    net = build_flow(rerouted, inst, "center")
     windows = list(zip(net.lower.tolist(), net.upper.tolist()))
     # rows: 8 points, then (center 0, color 0), (center 0, color 1), center 0
     assert windows[:8] == [(1, 1)] * 8
     assert windows[8:] == [(2, 3), (1, 2), (4, 4)]
     assert net.rows.shape == (11, 8)
+
+
+def test_check_mass_windows_names_the_row_outside_its_window():
+    # every point at center 0 of test_floor_ceil_window_arithmetic's
+    # solution: 4 of color 0 against the window [2, 3]
+    inst = make_instance([0, 0, 0, 0, 1, 1, 1, 1],
+                         coords=[[float(i)] for i in range(8)])
+    x = np.zeros((1, 8))
+    x[0, :4], x[0, 4:] = 0.6, 0.4
+    net = build_flow(FractionalSolution(rows=np.array([0]), x=x, y=np.ones(1)),
+                     inst, "center")
+    with pytest.raises(PipelineError, match=r"row ch_0_0 counts 4 points, outside \[2, 3\]"):
+        check_mass_windows(np.ones((1, 8)), net, inst)
 
 
 def test_integral_passthrough_center_mode():
@@ -49,7 +67,7 @@ def test_integral_passthrough_center_mode():
         for c in centers:
             assignment[c] = c
         sol = solution_from_clustering(inst, centers, assignment)
-        net = build_flow(sol, centers, inst, "center")
+        net = build_flow(sol, inst, "center")
         # all windows collapse to the exact integral masses
         assert np.array_equal(net.lower, net.upper)
         x2 = extract_assignment(min_cost_flow(net), net)
@@ -61,11 +79,11 @@ def test_infeasible_lower_bound_raises():
     # centers 0 and 2 each carry a mass of exactly 2, yet only point 1 can
     # add to either of them: four units of demand meet three points
     inst = line_instance([0.0, 1.0, 2.0], [0, 0, 0])
-    x = np.zeros((3, 3))
+    x = np.zeros((2, 3))
     x[0, [0, 1]] = 1.0
-    x[2, [1, 2]] = 1.0
-    net = build_flow(FractionalSolution(x=x, y=np.array([1.0, 0.0, 1.0])),
-                     [0, 2], inst, "median")
+    x[1, [1, 2]] = 1.0
+    net = build_flow(FractionalSolution(rows=np.array([0, 2]), x=x, y=np.ones(2)),
+                     inst, "median")
     assert net.lower[-2:].tolist() == [2, 2]
     with pytest.raises(PipelineError, match="flow"):
         min_cost_flow(net)
@@ -101,7 +119,7 @@ def test_center_flow_always_saturates():
                              coords=rng.uniform(0, 1, (n, 2)), m=2)
         gf = window_gf(inst)
         ds_sol, rerouted = _center_stage(inst, gf, 2)
-        net = build_flow(rerouted, ds_sol.centers, inst, "center")
+        net = build_flow(rerouted, inst, "center")
         flows = min_cost_flow(net)
         # every point's arcs carry exactly one unit
         point_sums = np.bincount(net.arcs[:, 1], weights=flows, minlength=n)
@@ -119,7 +137,7 @@ def test_medmeans_windows_bracket_point_count():
         inst = make_instance(rng.integers(0, 2, size=n),
                              coords=rng.uniform(0, 1, (n, 2)), m=2)
         ds_sol, rerouted = _medmeans_stage(inst, window_gf(inst), "median")
-        net = build_flow(rerouted, ds_sol.centers, inst, "median")
+        net = build_flow(rerouted, inst, "median")
         k = len(ds_sol.centers)
         assert net.rows.shape == (n + 2 * k + k, len(net.arcs))
         # every arc sits in one point row, one (center, color) row, one center row
@@ -141,23 +159,22 @@ def test_min_cost_never_exceeds_fractional_cost():
         # k-center rounds on plain distances, so its sum of distances drops too
         stages.append(("center", *_center_stage(inst, gf, 2)))
         for objective, ds_sol, rerouted in stages:
-            net = build_flow(rerouted, ds_sol.centers, inst, objective)
+            net = build_flow(rerouted, inst, objective)
             x2 = extract_assignment(min_cost_flow(net), net)
             check_mass_windows(x2, net, inst)
             measure = "median" if objective == "center" else objective
-            rounded = fractional_cost(inst, x2, measure)
-            frac = fractional_cost(inst, rerouted.x, measure)
+            rounded = fractional_cost(inst, _rounded(rerouted, x2), measure)
+            frac = fractional_cost(inst, rerouted, measure)
             assert rounded <= frac + 1e-6
 
 
 def test_min_cost_single_point():
     inst = line_instance([0.0, 3.0], [0, 1])
-    x = np.zeros((2, 2))
-    x[0, :] = 1.0  # both points fully assigned to center 0
-    rerouted = FractionalSolution(x=x, y=np.array([1.0, 0.0]))
-    net = build_flow(rerouted, [0], inst, "means")
+    # both points fully assigned to center 0
+    rerouted = FractionalSolution(rows=np.array([0]), x=np.ones((1, 2)), y=np.ones(1))
+    net = build_flow(rerouted, inst, "means")
     x2 = extract_assignment(min_cost_flow(net), net)
-    assert fractional_cost(inst, x2, "means") == pytest.approx(9.0)
+    assert fractional_cost(inst, _rounded(rerouted, x2), "means") == pytest.approx(9.0)
 
 
 def test_integral_passthrough_min_cost_mode():
@@ -171,20 +188,18 @@ def test_integral_passthrough_min_cost_mode():
         for c in centers:
             assignment[c] = c
         sol = solution_from_clustering(inst, centers, assignment)
-        net = build_flow(sol, centers, inst, "median")
+        net = build_flow(sol, inst, "median")
         x2 = extract_assignment(min_cost_flow(net), net)
         # the windows pin every mass: the unique flow reproduces the input
         assert np.array_equal(x2, sol.x)
-        assert fractional_cost(inst, x2, "median") == pytest.approx(
-            fractional_cost(inst, sol.x, "median"))
+        assert fractional_cost(inst, _rounded(sol, x2), "median") == pytest.approx(
+            fractional_cost(inst, sol, "median"))
 
 
 def _two_point_net():
     inst = line_instance([0, 1], [0, 1])
-    x = np.zeros((2, 2))
-    x[0, :] = 1.0
-    return build_flow(FractionalSolution(x=x, y=np.array([1.0, 0.0])),
-                      [0], inst, "median")
+    return build_flow(FractionalSolution(rows=np.array([0]), x=np.ones((1, 2)),
+                                         y=np.ones(1)), inst, "median")
 
 
 def test_extraction_rejects_unassigned_points():

@@ -112,6 +112,17 @@ def test_load_json_stream_and_errors():
         load_instance(io.StringIO(json.dumps({"n": 2})), "json")
 
 
+def test_a_missing_path_is_a_parse_error(tmp_path):
+    """A Path is always opened, never read as JSON text, and a missing file
+    is a ParseError that names it."""
+    missing = tmp_path / "nope.json"
+    with pytest.raises(ParseError, match="cannot read .*nope.json: No such file"):
+        load_instance(missing, "json")
+    missing.write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        load_instance(missing, "json")
+
+
 def test_load_csv_points():
     text = "id,color,x0,x1\n1,1,1.0,0.0\n0,0,0.0,0.0\n"
     inst = load_instance(io.StringIO(text), "csv-points")

@@ -52,14 +52,13 @@ def test_check_lp_solution_holds_the_mass_rows():
     inst = line_instance([0, 1, 2, 3], [0, 1, 0, 1])
     gf = vacuous_gf(2)
     model = build_gf_objective_lp(inst, gf, 2, "median", centers=[0, 3])
-    x = np.zeros((4, 4))
+    rows, y = np.array([0, 3]), np.ones(2)
+    x = np.zeros((2, 4))
     x[0, 0] = 1.0
-    x[3, 1:] = 1.0
-    y = np.zeros(4)
-    y[[0, 3]] = 1.0
-    check_lp_solution(model, FractionalSolution(x=x, y=y), inst, gf)
-    x[0, 0], x[3, 0] = 1.0 - 1e-6, 1e-6
-    doctored = FractionalSolution(x=x, y=y)
+    x[1, 1:] = 1.0
+    check_lp_solution(model, FractionalSolution(rows=rows, x=x, y=y), inst, gf)
+    x[0, 0], x[1, 0] = 1.0 - 1e-6, 1e-6
+    doctored = FractionalSolution(rows=rows, x=x, y=y)
     resid = lp_residuals(inst, gf, 2, doctored, centers=model.centers)
     assert resid["mass"] == pytest.approx(1e-6)
     assert max(v for key, v in resid.items() if key not in ("mass", "max")) <= 1e-15
@@ -86,13 +85,13 @@ def test_objective_lp_trivial_cases():
     inst = line_instance([0.0], [0])
     gf = GroupFairnessSpec(lower=(0,), upper=(1,))
     sol = solve_lp(build_gf_objective_lp(inst, gf, 1, "median"), inst, gf)
-    assert fractional_cost(inst, sol.x, "median") == pytest.approx(0.0)
+    assert fractional_cost(inst, sol, "median") == pytest.approx(0.0)
     assert sol.x[0, 0] == pytest.approx(1.0)
 
     two = make_instance([0, 1], coords=[[0.0], [0.0]])
     gf2 = vacuous_gf(2)
     sol2 = solve_lp(build_gf_objective_lp(two, gf2, 1, "means"), two, gf2)
-    assert fractional_cost(two, sol2.x, "means") == pytest.approx(0.0)
+    assert fractional_cost(two, sol2, "means") == pytest.approx(0.0)
 
 
 def test_lp_is_a_relaxation_of_integral_gf_clustering():
@@ -105,7 +104,7 @@ def test_lp_is_a_relaxation_of_integral_gf_clustering():
         gf = window_gf(inst, width=Fraction(1, 3))
         for objective in ("median", "means"):
             sol = solve_lp(build_gf_objective_lp(inst, gf, 2, objective), inst, gf)
-            lp_cost = fractional_cost(inst, sol.x, objective)
+            lp_cost = fractional_cost(inst, sol, objective)
             best_integral = math.inf
             for centers in combinations(range(n), 2):
                 try:
@@ -216,7 +215,8 @@ def test_min_feasible_lambda_on_candidate_suffixes(monkeypatch):
                 assert result.model.lam == result.radius
                 if centers is not None:
                     assert result.model.centers.tolist() == centers
-                    assert np.all(result.solution.x[np.setdiff1d(range(n), centers)] == 0)
+                    assert result.solution.rows.tolist() == centers
+                    assert result.solution.x.shape == (k, n)
                 assert len(probed) == len(set(probed))  # no radius probed twice
                 assert len(probed) <= 2 + math.ceil(math.log2(radii.size - i))
                 resid = lp_residuals(inst, gf, k, result.solution, lam=result.radius)
@@ -282,10 +282,10 @@ def test_fixed_center_lp_solution_is_the_optimal_fair_assignment():
     model = build_gf_objective_lp(inst, gf, 2, "median", centers=[4, 1])
     sol = solve_lp(model)
     assert model.ncols == 12 and model.centers.tolist() == [1, 4]
-    assert sol.y.tolist() == [0, 1, 0, 0, 1, 0]
+    assert sol.rows.tolist() == [1, 4] and sol.y.tolist() == [1, 1]
+    assert sol.x.shape == (2, 6)
     # each point goes to its near center; both clusters hold 1 or 2 of each color
-    assert fractional_cost(inst, sol.x, "median") == pytest.approx(4.0)
-    assert np.all(sol.x[[0, 2, 3, 5]] == 0.0)
+    assert fractional_cost(inst, sol, "median") == pytest.approx(4.0)
 
 
 def test_dump_lp_text():

@@ -12,7 +12,8 @@ from fairclus import (CenterDiversitySpec, ContractViolationError,
                       DsSolverContract, ExactBackend, GreedyBackend,
                       GroupFairnessSpec, InfeasibleError, PipelineError,
                       ValidationError, build_gf_feasibility_lp, check_ds,
-                      default_ds_profile, exact_gf_spec, gf_violation,
+                      default_ds_profile, exact_gf_spec, feasibility_precheck,
+                      gf_violation,
                       guarantee_factor, make_instance, means_pq,
                       random_instance, solve, solve_lp)
 from fairclus import lp as lp_module
@@ -170,23 +171,6 @@ def test_precheck_failure_raises_infeasible():
     with pytest.raises(InfeasibleError) as exc_info:
         solve(inst, gf, ds, "center")
     assert any("insufficient" in reason for reason in exc_info.value.diagnosis)
-
-
-def _no_fixed_center_solution(*args, **kwargs):
-    raise InfeasibleError("infeasible at every candidate radius")
-
-
-def test_infeasible_objective_lp_reports_ratio_sums(monkeypatch):
-    inst = random_instance(6, 2, seed=1)
-    gf, ds = exact_gf_spec(inst), default_ds_profile(inst, 2)
-    monkeypatch.setattr(pipeline, "solve_lp", lambda *args: None)
-    monkeypatch.setattr(pipeline, "min_feasible_lambda", _no_fixed_center_solution)
-    for objective in ("center", "median", "means"):
-        with pytest.raises(InfeasibleError, match="no fractional solution") as exc_info:
-            solve(inst, gf, ds, objective)
-        assert exc_info.value.diagnosis == ["sum of lower ratios = 1",
-                                            "sum of upper ratios = 1",
-                                            "k = 2, n = 6"]
 
 
 def test_broken_backend_aborts_pipeline():
@@ -436,33 +420,82 @@ def test_medmeans_solves_one_assignment_lp(monkeypatch):
             assert len(objectives) == 1
             assert objectives[0].size == k * n  # one x_ij per center and point
             assert "rerouted" not in artifacts and "plan" not in artifacts
-            x = artifacts["lp_solution"].x
-            off = np.setdiff1d(np.arange(n), clustering.centers)
-            assert np.all(x[off] == 0.0)
-            assert x[list(clustering.centers)].sum(axis=1).min() >= 1.0 - 1e-6
+            sol = artifacts["lp_solution"]
+            assert sol.rows.tolist() == list(clustering.centers)
+            assert sol.x.sum(axis=1).min() >= 1.0 - 1e-6
 
 
-def test_infeasible_assignment_lp_with_feasible_full_lp_is_a_pipeline_error(
-        monkeypatch):
+def _record_model_centers(monkeypatch):
+    """The ``centers`` of every LP model built, in build order."""
+    built = []
+    build = lp_module._build
+
+    def recording(*args, centers=None, **kwargs):
+        built.append(centers)
+        return build(*args, centers=centers, **kwargs)
+
+    monkeypatch.setattr(lp_module, "_build", recording)
+    return built
+
+
+def test_production_path_is_k_by_n(monkeypatch):
+    """The LP solution and the rounding are k x n tables over the centers,
+    and no model without centers (the n^2-column LP) is built, on feasible
+    or infeasible inputs."""
+    built = _record_model_centers(monkeypatch)
+    for n, m, k in ((8, 2, 2), (12, 3, 3), (20, 2, 4)):
+        inst = random_instance(n, m, seed=n)
+        gf, ds = exact_gf_spec(inst), default_ds_profile(inst, k)
+        for objective in ("center", "median", "means"):
+            artifacts = {}
+            clustering, _ = solve(inst, gf, ds, objective, artifacts=artifacts)
+            sol, x2 = artifacts["lp_solution"], artifacts["x2"]
+            assert sol.x.shape == x2.shape == (k, n)
+            assert sol.rows.tolist() == list(artifacts["net"].centers) \
+                == list(clustering.centers)
+    inst = line_instance([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1])
+    gf = GroupFairnessSpec(lower=(0, 0), upper=(Fraction(1, 3), 1))
+    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
+    for objective in ("center", "median", "means"):
+        with pytest.raises(InfeasibleError):
+            solve(inst, gf, ds, objective)
+    assert built and all(centers is not None for centers in built)
+
+
+def test_ratio_window_failure_is_found_by_the_precheck(monkeypatch):
+    """Color 0 is half the points but at most a third of any cluster: the
+    precheck's exact ratio test rejects the input before any backend or LP
+    runs."""
+    inst = line_instance([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1])
+    gf = GroupFairnessSpec(lower=(0, 0), upper=(Fraction(1, 3), 1))
+    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
+    objectives = _count_highs_lps(monkeypatch)
+    backends = []
+    monkeypatch.setattr(pipeline, "solve_ds_plugin",
+                        lambda *args: backends.append(args))
+    for objective in ("center", "median", "means"):
+        with pytest.raises(InfeasibleError, match="feasibility prechecks") as exc_info:
+            solve(inst, gf, ds, objective)
+        assert exc_info.value.diagnosis == [
+            "color 0 holds 3 of 6 points, a ratio outside its window [0, 1/3]"]
+    assert objectives == [] and backends == []
+
+
+def test_fixed_center_lp_without_a_solution_is_a_pipeline_error(monkeypatch):
+    """Once the precheck passes, the fixed-center LP is feasible; if it
+    returns no solution anyway, the pipeline is broken, and no full LP is
+    built to say otherwise."""
     inst = random_instance(6, 2, seed=1)
     gf, ds = exact_gf_spec(inst), default_ds_profile(inst, 2)
-    solve_lp = pipeline.solve_lp
-    full_solves = []
-
-    def fixed_center_infeasible(model, *args):
-        if model.centers is not None:
-            return None
-        full_solves.append(model.ncols)
-        return solve_lp(model, *args)
-
-    monkeypatch.setattr(pipeline, "solve_lp", fixed_center_infeasible)
-    monkeypatch.setattr(pipeline, "min_feasible_lambda", _no_fixed_center_solution)
+    built = _record_model_centers(monkeypatch)
+    for module in (lp_module, pipeline):
+        monkeypatch.setattr(module, "solve_lp", lambda *args: None)
     for objective in ("center", "median", "means"):
-        full_solves.clear()
+        built.clear()
         with pytest.raises(PipelineError, match="fixed-center") as exc_info:
             solve(inst, gf, ds, objective)
         assert exc_info.value.stage == "lp"
-        assert full_solves == [6 * 6 + 6]
+        assert built and all(centers is not None for centers in built)
 
 
 def test_kcenter_radius_is_never_below_the_diverse_cost():
@@ -498,22 +531,6 @@ def test_kcenter_counting_bound_pins_a_radius_above_the_diverse_cost(monkeypatch
     assert report.lam > report.ds_cost
     scan = _fixed_center_scan(inst, gf, ds.k, clustering.centers)
     assert report.lam == next(r for r, feasible in scan if feasible)
-
-
-def test_kcenter_with_no_radius_passing_the_bound_solves_only_the_full_lp(
-        monkeypatch):
-    # color 0 is half the points but at most a third of any cluster: no
-    # radius passes, and the full LP shows the input infeasible
-    inst = line_instance([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1])
-    gf = GroupFairnessSpec(lower=(0, 0), upper=(Fraction(1, 3), 1))
-    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    objectives = _count_highs_lps(monkeypatch)
-    with pytest.raises(InfeasibleError, match="no fractional solution") as exc_info:
-        solve(inst, gf, ds, "center")
-    assert exc_info.value.diagnosis == ["sum of lower ratios = 0",
-                                        "sum of upper ratios = 1.33333",
-                                        "k = 2, n = 6"]
-    assert [c.size for c in objectives] == [6 * 6 + 6]
 
 
 def _gf_of_kind(kind, inst):
@@ -563,6 +580,21 @@ def test_counting_bound_never_passes_the_first_feasible_radius(case):
         if few_sets:
             patch.setattr(lp_module, "_ALL_SETS_MAX_K", 0)
         assert counting_bound_index(inst, gf, centers, [r for r, _ in scan]) <= first
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_bound_cases())
+def test_precheck_ratio_test_decides_both_lps(case):
+    """The uncapped fixed-center LP is feasible exactly when the full LP is,
+    and exactly when the precheck's ratio test l_h n <= |P_h| <= u_h n
+    passes (the center-count spec here admits any k centers)."""
+    inst, gf, centers, _ = case
+    k = len(centers)
+    ds = CenterDiversitySpec(lower=(0,) * inst.m, upper=(k,) * inst.m, k=k)
+    fixed = solve_lp(build_gf_feasibility_lp(inst, gf, k, None, centers=centers))
+    full = solve_lp(build_gf_feasibility_lp(inst, gf, k, None))
+    assert (fixed is not None) == (full is not None) \
+        == feasibility_precheck(inst, gf, ds).ok
 
 
 def test_counting_bound_needs_the_sets_of_two_centers_at_k4():

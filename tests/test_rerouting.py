@@ -26,11 +26,12 @@ def test_two_center_split_configuration():
     x[p, i2] = 0.1  # mass i2 -> p
     x[p, j] = 0.4   # mass j -> p
     x[q, j] = 0.6   # mass j -> q
-    sol = FractionalSolution(x=x, y=np.zeros(5))
+    sol = FractionalSolution(rows=np.arange(5), x=x, y=np.zeros(5))
     rerouted, plan = reroute_center(inst, sol, [i1, i2])
 
     w1 = 0.3 / (0.3 + 0.1)
     w2 = 0.1 / (0.3 + 0.1)
+    assert rerouted.rows.tolist() == [i1, i2]  # so row i1 is center i1, row i2 is i2
     assert rerouted.x[i1, j] == pytest.approx(w1 * 0.4 + 0.6)
     assert rerouted.x[i2, j] == pytest.approx(w2 * 0.4)
     # column j keeps its full unit of mass
@@ -48,10 +49,8 @@ def test_singleton_center_set_takes_everything():
     lam = min_feasible_lambda(inst, gf, 1, radii).radius
     sol = solve_lp(build_gf_feasibility_lp(inst, gf, 1, lam), inst, gf)
     rerouted, _ = reroute_center(inst, sol, [3])
-    assert np.allclose(rerouted.x[3, :], 1.0)
-    other = np.ones(6, dtype=bool)
-    other[3] = False
-    assert np.all(rerouted.x[other, :] == 0.0)
+    assert rerouted.rows.tolist() == [3]
+    assert np.allclose(rerouted.x, 1.0)
 
 
 def test_medmeans_share_and_residual_configuration():
@@ -64,10 +63,11 @@ def test_medmeans_share_and_residual_configuration():
     x = np.zeros((4, 4))
     x[p, i] = 0.3  # mass i -> p
     x[p, j] = 0.5  # mass j -> p
-    sol = FractionalSolution(x=x, y=np.zeros(4))
+    sol = FractionalSolution(rows=np.arange(4), x=x, y=np.zeros(4))
     rerouted, plan = reroute_medmeans(inst, sol, [i, t])
 
     share = 0.3 / 0.8
+    assert rerouted.rows.tolist() == [i, t]  # so row i is center i, row t is t
     assert plan.theta[p] == t  # d(p,t)=1 < d(p,i)=2
     assert rerouted.x[i, j] == pytest.approx(share * 0.5)
     assert rerouted.x[i, i] == pytest.approx(share * 0.3)  # the loop-back term
@@ -123,13 +123,12 @@ def test_center_rerouting_guarantees():
         # conservation
         assert np.abs(rerouted.x.sum(axis=0) - 1.0).max() <= 1e-6
         # per-center mass >= 1
-        assert rerouted.x.sum(axis=1)[list(ds_sol.centers)].min() >= 1.0 - 1e-6
-        # y is exactly the indicator of the center set
-        expected_y = np.zeros(n)
-        expected_y[list(ds_sol.centers)] = 1.0
-        assert np.array_equal(rerouted.y, expected_y)
+        assert rerouted.x.sum(axis=1).min() >= 1.0 - 1e-6
+        # the rows are the center set, each opened exactly once
+        assert rerouted.rows.tolist() == list(ds_sol.centers)
+        assert np.array_equal(rerouted.y, np.ones(k))
         # support radius: (alpha + 1) * lambda with alpha = 1
-        d = inst.distance_matrix()
+        d = inst.distance_matrix()[rerouted.rows]
         sup = rerouted.x > 1e-9
         assert d[sup].max() <= (1.0 + 1.0) * lam + 1e-9
         # ratio constraints survive
@@ -152,13 +151,13 @@ def test_medmeans_rerouting_guarantees_and_cost_bounds():
             rerouted, _ = reroute_medmeans(inst, sol, ds_sol.centers)
 
             assert np.abs(rerouted.x.sum(axis=0) - 1.0).max() <= 1e-6
-            assert rerouted.x.sum(axis=1)[list(ds_sol.centers)].min() >= 1.0 - 1e-6
+            assert rerouted.x.sum(axis=1).min() >= 1.0 - 1e-6
             resid = lp_residuals(inst, gf, k, rerouted)
             assert resid["color"] <= 1e-6
             check_rerouted(inst, gf, rerouted, ds_sol.centers)
 
-            lp_cost = fractional_cost(inst, sol.x, objective)
-            new_cost = fractional_cost(inst, rerouted.x, objective)
+            lp_cost = fractional_cost(inst, sol, objective)
+            new_cost = fractional_cost(inst, rerouted, objective)
             if objective == "median":
                 assert new_cost <= 3.0 * lp_cost + ds_sol.cost + 1e-6
             else:
@@ -174,7 +173,7 @@ def test_theta_prefers_lowest_id_on_ties():
     inst = make_instance([0, 1, 0], coords=[[0.0], [0.0], [1.0]])
     x = np.zeros((3, 3))
     x[2, 2] = 1.0  # only point 2 receives anything, from itself
-    sol = FractionalSolution(x=x, y=np.zeros(3))
+    sol = FractionalSolution(rows=np.arange(3), x=x, y=np.zeros(3))
     _, plan = reroute_center(inst, sol, [0, 1])
     # centers 0 and 1 are co-located: the tie goes to the lower id
     assert plan.theta[2] == 0
@@ -185,11 +184,14 @@ def test_theta_prefers_lowest_id_on_ties():
 def test_check_rerouted_flags_broken_solutions():
     inst = line_instance([0, 1], [0, 1])
     gf = vacuous_gf(2)
-    bad = FractionalSolution(x=np.array([[1.0, 1.0], [0.0, 0.0]]),
-                             y=np.array([1.0, 0.5]))
+    whole = np.array([[1.0, 1.0]])
+    bad = FractionalSolution(rows=np.array([0]), x=whole, y=np.array([0.5]))
     with pytest.raises(Exception, match="indicator"):
         check_rerouted(inst, gf, bad, [0])
-    starved = FractionalSolution(x=np.array([[0.9, 0.9], [0.1, 0.1]]),
-                                 y=np.array([1.0, 1.0]))
+    elsewhere = FractionalSolution(rows=np.array([1]), x=whole, y=np.ones(1))
+    with pytest.raises(Exception, match="rows are not the diverse center set"):
+        check_rerouted(inst, gf, elsewhere, [0])
+    starved = FractionalSolution(rows=np.array([0, 1]),
+                                 x=np.array([[0.9, 0.9], [0.1, 0.1]]), y=np.ones(2))
     with pytest.raises(Exception, match="mass"):
         check_rerouted(inst, gf, starved, [0, 1])
