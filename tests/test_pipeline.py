@@ -481,6 +481,51 @@ def test_ratio_window_failure_is_found_by_the_precheck(monkeypatch):
     assert objectives == [] and backends == []
 
 
+def test_infeasible_objective_lp_reports_ratio_sums():
+    """An input the precheck's ratio test rejects, handed straight to the
+    LPs over fixed centers: the median and means programs have no solution,
+    and the k-center radius search reports the ratio sums, k and n."""
+    inst = line_instance([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1])
+    gf = GroupFairnessSpec(lower=(0, 0), upper=(Fraction(1, 3), 1))
+    centers = (0, 3)
+    for objective in ("median", "means"):
+        assert solve_lp(lp_module.build_gf_objective_lp(
+            inst, gf, 2, objective, centers=centers)) is None
+    radii = np.unique(inst.distance_matrix()[list(centers)])
+    with pytest.raises(InfeasibleError, match="largest radius") as exc_info:
+        lp_module.min_feasible_lambda(inst, gf, 2, radii, centers=centers)
+    assert exc_info.value.diagnosis == ["sum of lower ratios = 0",
+                                        "sum of upper ratios = 1.33333",
+                                        "k = 2, n = 6"]
+
+
+def test_kcenter_with_no_radius_passing_the_bound_solves_only_the_full_lp(
+        monkeypatch):
+    """Color 0 is half the points but at most a third of any cluster. With
+    the precheck bypassed, no radius from any two centers of distinct colors
+    passes the counting bound, so the k-center path hands HiGHS no LP and
+    reports a broken pipeline. The one LP that decides the input is the
+    full LP (n^2 + n columns), infeasible at the largest radius, as the
+    precheck's exact ratio test says."""
+    inst = line_instance([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1])
+    gf = GroupFairnessSpec(lower=(0, 0), upper=(Fraction(1, 3), 1))
+    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
+    assert not feasibility_precheck(inst, gf, ds).ok
+    for a in (0, 1, 2):
+        for b in (3, 4, 5):
+            radii = np.unique(inst.distance_matrix()[[a, b]])
+            assert counting_bound_index(inst, gf, (a, b), radii) == radii.size
+    monkeypatch.setattr(pipeline, "_require_precheck", lambda *args: None)
+    objectives = _count_highs_lps(monkeypatch)
+    with pytest.raises(PipelineError, match="fixed-center") as exc_info:
+        solve(inst, gf, ds, "center")
+    assert exc_info.value.stage == "lp"
+    assert objectives == []
+    largest = float(inst.distance_matrix().max())
+    assert solve_lp(build_gf_feasibility_lp(inst, gf, 2, largest)) is None
+    assert [c.size for c in objectives] == [6 * 6 + 6]
+
+
 def test_fixed_center_lp_without_a_solution_is_a_pipeline_error(monkeypatch):
     """Once the precheck passes, the fixed-center LP is feasible; if it
     returns no solution anyway, the pipeline is broken, and no full LP is
