@@ -19,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .constraints import (Clustering, check_ds, default_ds_profile, exact_gf_spec,
-                          gf_violation, load_fairness_spec)
+from .constraints import (OBJECTIVES, Clustering, check_ds, default_ds_profile,
+                          exact_gf_spec, gf_violation, load_fairness_spec)
 from .ds import get_backend
 from .errors import (ContractViolationError, FairclusError, InfeasibleError,
                      ParseError, PipelineError, ValidationError)
-from .instance import (instance_to_dict, load_instance, random_instance,
-                       read_text_source)
+from .instance import (instance_to_dict, load_instance, open_output,
+                       random_instance, read_text_source)
 from .oracle import OracleBudget, brute_force_doubly_fair
 from .pipeline import solve as pipeline_solve
 
@@ -39,7 +39,7 @@ def _setup_logging():
 
 
 def _write_json(path, obj):
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -176,7 +176,7 @@ _SWEEP_FIELDS = ["seed", "objective", "n", "m", "k", "status", "cost", "lambda",
 def cmd_sweep(args) -> int:
     objectives = args.objectives.split(",")
     for obj in objectives:
-        if obj not in ("center", "median", "means"):
+        if obj not in OBJECTIVES:
             raise ValidationError(f"unknown objective {obj!r} in --objectives")
     if args.n_min > args.n_max:
         raise ValidationError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
@@ -200,7 +200,7 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_task(t) for t in tasks]
     rows.sort(key=lambda r: (r["seed"], r["objective"]))
-    with open(args.out, "w", newline="") as fh:
+    with open_output(args.out, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)
         writer.writeheader()
         for row in rows:
@@ -251,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the approximation pipeline")
     _add_instance_args(p)
-    p.add_argument("--objective", required=True,
-                   choices=["center", "median", "means"])
+    p.add_argument("--objective", required=True, choices=OBJECTIVES)
     p.add_argument("--ds-backend", default="exact",
                    help="exact, greedy, or subprocess:<command>")
     p.add_argument("--with-oracle", action="store_true")
@@ -264,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force optimum on a tiny instance")
     _add_instance_args(p)
-    p.add_argument("--objective", required=True,
-                   choices=["center", "median", "means"])
+    p.add_argument("--objective", required=True, choices=OBJECTIVES)
     p.add_argument("--max-center-sets", type=int, default=1_000_000)
     p.add_argument("--max-nodes", type=int, default=50_000_000)
     p.add_argument("--time-cap", type=float, default=None)

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -19,6 +20,20 @@ from .errors import ParseError, ValidationError
 from .instance import MetricInstance
 
 OBJECTIVES = ("center", "median", "means")
+
+
+def point_costs(d, objective: str):
+    """What a point pays at distance ``d``: ``d``, or ``d ** 2`` for means."""
+    if objective not in OBJECTIVES:
+        raise ValidationError(f"unknown objective {objective!r}")
+    return d ** 2 if objective == "means" else d
+
+
+def objective_value(d, objective: str):
+    """The objective of points at distances ``d`` from their centers: the
+    max of their costs for center, the sum otherwise."""
+    costs = point_costs(d, objective)
+    return costs.max() if objective == "center" else costs.sum()
 
 
 def as_fraction(value) -> Fraction:
@@ -143,15 +158,8 @@ class Clustering:
 
 def clustering_cost(inst: MetricInstance, assignment, objective: str) -> float:
     """max / sum / sum-of-squares of point-to-assigned-center distances."""
-    d = inst.distance_matrix()
-    dists = np.array([d[assignment[j], j] for j in range(inst.n)])
-    if objective == "center":
-        return float(dists.max()) if len(dists) else 0.0
-    if objective == "median":
-        return float(dists.sum())
-    if objective == "means":
-        return float((dists ** 2).sum())
-    raise ValidationError(f"unknown objective {objective!r}")
+    dists = inst.distance_matrix()[np.asarray(assignment, dtype=int), np.arange(inst.n)]
+    return float(objective_value(dists, objective))
 
 
 def make_clustering(inst, centers, assignment, objective) -> Clustering:
@@ -161,25 +169,28 @@ def make_clustering(inst, centers, assignment, objective) -> Clustering:
 
 def check_cluster_group_fair(inst: MetricInstance, cluster, gf: GroupFairnessSpec,
                              rho=None) -> bool:
-    """Exact Def.-style check: l_h |C| - rho <= |C ∩ P_h| <= u_h |C| + rho."""
+    """Exact Def.-style check: l_h |C| - rho <= |C ∩ P_h| <= u_h |C| + rho.
+    The spec must have the instance's colors."""
+    _require_colors(inst, gf, "gf")
     members = list(cluster)
     if not members:
         raise ValidationError("group fairness is undefined on an empty cluster")
-    if rho is None:
-        rho = gf.rho
-    size = len(members)
-    counts = np.bincount(inst.colors[members], minlength=gf.m)
-    for h in range(gf.m):
-        if counts[h] < gf.lower[h] * size - rho:
-            return False
-        if counts[h] > gf.upper[h] * size + rho:
-            return False
-    return True
+    return _cluster_violation(inst, members, gf) <= (gf.rho if rho is None else rho)
 
 
 def _require_colors(inst: MetricInstance, spec, name: str) -> None:
     if spec.m != inst.m:
         raise ValidationError(f"{name} spec has {spec.m} colors, instance has {inst.m}")
+
+
+def _cluster_violation(inst: MetricInstance, members: list,
+                       gf: GroupFairnessSpec) -> Fraction:
+    """The most any color count of a nonempty cluster lies outside its
+    window [l_h |C|, u_h |C|]; negative when every count is strictly inside."""
+    size = len(members)
+    counts = np.bincount(inst.colors[members], minlength=gf.m)
+    return max(max(gf.lower[h] * size - int(counts[h]), int(counts[h]) - gf.upper[h] * size)
+               for h in range(gf.m))
 
 
 def gf_violation(inst: MetricInstance, clustering: Clustering,
@@ -192,12 +203,7 @@ def gf_violation(inst: MetricInstance, clustering: Clustering,
         members = clustering.members(c)
         if not members:
             raise ValidationError(f"cluster of center {c} is empty")
-        size = len(members)
-        counts = np.bincount(inst.colors[members], minlength=gf.m)
-        for h in range(gf.m):
-            worst = max(worst,
-                        gf.lower[h] * size - int(counts[h]),
-                        int(counts[h]) - gf.upper[h] * size)
+        worst = max(worst, _cluster_violation(inst, members, gf))
     return float(worst)
 
 
@@ -212,6 +218,18 @@ def check_ds(inst: MetricInstance, centers, ds: CenterDiversitySpec) -> bool:
     counts = np.bincount(inst.colors[centers], minlength=ds.m) if centers else \
         np.zeros(ds.m, dtype=int)
     return all(ds.lower[h] <= counts[h] <= ds.upper[h] for h in range(ds.m))
+
+
+def diverse_center_sets(inst: MetricInstance, ds: CenterDiversitySpec):
+    """Every size-k center set that ``check_ds`` accepts, as a tuple of
+    ascending point ids, in lexicographic order. The spec must have the
+    instance's colors."""
+    _require_colors(inst, ds, "ds")
+    for combo in combinations(range(inst.n), ds.k):
+        counts = np.bincount(inst.colors[list(combo)], minlength=ds.m)
+        if np.any(counts < ds.lower) or np.any(counts > ds.upper):
+            continue
+        yield combo
 
 
 @dataclass(frozen=True)

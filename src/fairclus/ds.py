@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import OBJECTIVES, CenterDiversitySpec, check_ds, feasibility_precheck
+from .constraints import (OBJECTIVES, CenterDiversitySpec, check_ds, diverse_center_sets,
+                          feasibility_precheck, objective_value)
 from .errors import BudgetExceededError, ContractViolationError, InfeasibleError, ValidationError
 from .instance import MetricInstance, instance_to_dict
 
@@ -70,13 +71,7 @@ def ds_cost(inst: MetricInstance, centers, objective: str) -> float:
         raise ValidationError("cost of an empty center set is undefined")
     d = inst.distance_matrix()
     mins = d[np.array(sorted(centers)), :].min(axis=0)
-    if objective == "center":
-        return float(mins.max())
-    if objective == "median":
-        return float(mins.sum())
-    if objective == "means":
-        return float((mins ** 2).sum())
-    raise ValidationError(f"unknown objective {objective!r}")
+    return float(objective_value(mins, objective))
 
 
 def solve_ds_exact(inst: MetricInstance, ds: CenterDiversitySpec, objective: str,
@@ -94,22 +89,10 @@ def solve_ds_exact(inst: MetricInstance, ds: CenterDiversitySpec, objective: str
             f"C({n},{k}) = {math.comb(n, k)} exceeds the exact enumeration "
             f"budget of {max_enumerations}")
     d = inst.distance_matrix()
-    colors = inst.colors
-    m = ds.m
     best_cost = math.inf
     best_set = None
-    from itertools import combinations
-    for combo in combinations(range(n), k):
-        counts = np.bincount(colors[list(combo)], minlength=m)
-        if np.any(counts < ds.lower) or np.any(counts > ds.upper):
-            continue
-        mins = d[list(combo), :].min(axis=0)
-        if objective == "center":
-            cost = mins.max()
-        elif objective == "median":
-            cost = mins.sum()
-        else:
-            cost = (mins ** 2).sum()
+    for combo in diverse_center_sets(inst, ds):
+        cost = objective_value(d[list(combo), :].min(axis=0), objective)
         if cost < best_cost:
             best_cost = float(cost)
             best_set = combo

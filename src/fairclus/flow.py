@@ -21,7 +21,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .errors import PipelineError, ValidationError
+from .constraints import point_costs
+from .errors import PipelineError
 from .instance import MetricInstance
 from .lp import EPS_POS, FractionalSolution
 
@@ -54,8 +55,6 @@ def build_flow(sol: FractionalSolution, inst: MetricInstance,
                objective: str) -> FlowNetwork:
     """The rounding LP of ``sol``, whose rows are the centers, for
     ``objective``."""
-    if objective not in ("center", "median", "means"):
-        raise ValidationError(f"unknown objective {objective!r}")
     n, m, k = inst.n, inst.m, sol.rows.size
     # masses per (center, color), centers outermost, then per center
     masses = snap_to_integer(np.concatenate(
@@ -63,8 +62,7 @@ def build_flow(sol: FractionalSolution, inst: MetricInstance,
          sol.x.sum(axis=1))))
     point, slot = np.nonzero(sol.x.T > EPS_POS)
     arcs = np.column_stack((sol.rows[slot], point))
-    d = inst.distance_matrix()[arcs[:, 0], arcs[:, 1]]
-    cost = d ** 2 if objective == "means" else d
+    cost = point_costs(inst.distance_matrix()[arcs[:, 0], arcs[:, 1]], objective)
 
     # each arc column holds three ones: its point, (center, color) and center rows
     size = len(arcs)

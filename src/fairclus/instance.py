@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import FairclusError, ParseError, ValidationError
 
 EPS_D = 1e-9  # absolute tolerance for all distance/threshold comparisons
 
@@ -179,6 +179,16 @@ def read_text_source(source) -> str:
         return source
     data = source.read()
     return data.decode("utf-8") if isinstance(data, bytes) else data
+
+
+def open_output(path, newline=None):
+    """``path`` opened for writing text. An OSError, say from a missing
+    directory, becomes a FairclusError naming the path."""
+    import os
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise FairclusError(f"cannot write {os.fsdecode(path)}: {exc.strerror}") from exc
 
 
 def _looks_like_path(source) -> bool:

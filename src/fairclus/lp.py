@@ -36,7 +36,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 # never called: bound only for the lp.linprog probe of benchmarks/tracing.py
 from scipy.optimize import linprog  # noqa: F401
 
-from .constraints import GroupFairnessSpec
+from .constraints import GroupFairnessSpec, point_costs
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .instance import EPS_D, MetricInstance
 
@@ -179,10 +179,8 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
     hi = np.concatenate((head_b, np.zeros(n_ub - head_b.size), np.ones(n)))
 
     c = np.zeros(ncols)
-    if objective == "median":
-        c[:nx] = d[ci, pj]
-    elif objective == "means":
-        c[:nx] = d[ci, pj] ** 2
+    if objective is not None:
+        c[:nx] = point_costs(d[ci, pj], objective)
 
     return LpModel(n=n, k=k, kept=np.column_stack((ci, pj)), a=a, lo=lo, hi=hi,
                    c=c, lam=lam, gf=gf, centers=centers)
@@ -307,12 +305,9 @@ def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
 def fractional_cost(inst: MetricInstance, sol: FractionalSolution,
                     objective: str) -> float:
     """Linear cost of a solution: sum of x_ij * d(i,j) (squared for means)."""
-    d = inst.distance_matrix()[sol.rows]
-    if objective == "median":
-        return float((sol.x * d).sum())
-    if objective == "means":
-        return float((sol.x * d ** 2).sum())
-    raise ValidationError(f"no linear cost for objective {objective!r}")
+    if objective not in ("median", "means"):
+        raise ValidationError(f"no linear cost for objective {objective!r}")
+    return float((sol.x * point_costs(inst.distance_matrix()[sol.rows], objective)).sum())
 
 
 def solution_from_clustering(inst: MetricInstance, centers, assignment) -> FractionalSolution:
@@ -340,6 +335,22 @@ class LambdaSearchResult:
     solution: FractionalSolution
 
 
+def _first_passing(test, lo: int, hi: int) -> int:
+    """Smallest index in [lo, hi) at which the monotone ``test`` passes, or
+    ``hi`` if none does. ``lo`` is tested first, then the rest is bisected:
+    no index is tested twice, and at most 1 + ceil(log2(hi - lo)) are."""
+    if lo == hi or test(lo):
+        return lo
+    lo += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
                         radii, centers=None) -> LambdaSearchResult:
     """Smallest radius in the sorted candidate set whose feasibility program
@@ -349,42 +360,31 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
     first probe is usually the answer.
 
     Feasibility is monotone in the cap (a larger cap only adds variables), so
-    a binary search over the candidates equals the linear scan. The lowest
-    candidate is probed first and wins at once if feasible. Otherwise the
-    highest is probed, and if it is infeasible too the program is infeasible
-    at every candidate (InfeasibleError); else a binary search between the
-    two finds the boundary. No radius is probed twice. The solution is
-    repaired but not checked against the residual tolerance; see
-    ``check_lp_solution``.
+    ``_first_passing`` over the candidates equals the linear scan: the lowest
+    candidate is probed first and wins at once if feasible, else the rest
+    are bisected, and no radius is probed twice. The last feasible probe is
+    the answer's. If no candidate is feasible the program is infeasible at
+    every one (InfeasibleError). The solution is repaired but not checked
+    against the residual tolerance; see ``check_lp_solution``.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise ValidationError("empty radius candidate set")
+    best = None
 
-    def probe(idx: int) -> LambdaSearchResult | None:
+    def feasible(idx: int) -> bool:
+        nonlocal best
         radius = float(radii[idx])
         model = build_gf_feasibility_lp(inst, gf, k, radius, centers=centers)
         sol = solve_lp(model)
-        return None if sol is None else LambdaSearchResult(radius, model, sol)
+        if sol is not None:
+            best = LambdaSearchResult(radius, model, sol)
+        return sol is not None
 
-    best = probe(0)
-    if best is not None:
-        return best
-    hi = radii.size - 1
-    best = probe(hi) if hi > 0 else None
-    if best is None:
+    if _first_passing(feasible, 0, radii.size) == radii.size:
         raise InfeasibleError(
             "group fairness program infeasible even at the largest radius",
             diagnosis=infeasibility_diagnosis(gf, k, inst.n))
-    # radii[lo - 1] is infeasible and best is the probe at radii[hi]
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        found = probe(mid)
-        if found is not None:
-            hi, best = mid, found
-        else:
-            lo = mid + 1
     return best
 
 
@@ -479,17 +479,8 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
         most = np.minimum(nn.sum(axis=1), by_lower.min(axis=1, initial=np.inf))
         return not (np.any(least > most) or np.any(q[:, ~has_upper]))
 
-    lo = int(np.searchsorted(radii, dc.min(axis=0).max()))
-    if lo == radii.size or passes(lo):
-        return lo
-    lo, hi = lo + 1, radii.size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _first_passing(passes, int(np.searchsorted(radii, dc.min(axis=0).max())),
+                          radii.size)
 
 
 def dump_lp_text(model: LpModel, stream) -> None:

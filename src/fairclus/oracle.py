@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .constraints import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
-                          make_clustering)
+                          _require_colors, diverse_center_sets, make_clustering,
+                          point_costs)
 from .errors import BudgetExceededError, InfeasibleError, ValidationError
 from .instance import MetricInstance
 
@@ -73,9 +73,7 @@ class _Search:
     def run(self, centers):
         n, k = self.n, len(centers)
         d = self.inst.distance_matrix()
-        contrib = d[np.array(centers), :]
-        if self.objective == "means":
-            contrib = contrib ** 2
+        contrib = point_costs(d[np.array(centers), :], self.objective)
         self.contrib = contrib.tolist()
         if self.objective == "center":
             suffix = [0.0] * (n + 1)
@@ -176,6 +174,8 @@ def brute_force_doubly_fair(inst: MetricInstance, gf: GroupFairnessSpec,
     violation, with every cluster nonempty. Deterministic lexicographic
     tie-break over (center set, assignment).
     """
+    _require_colors(inst, gf, "gf")
+    _require_colors(inst, ds, "ds")
     if budget is None:
         budget = OracleBudget()
     deadline = (time.perf_counter() + budget.time_cap
@@ -183,14 +183,8 @@ def brute_force_doubly_fair(inst: MetricInstance, gf: GroupFairnessSpec,
     lo, hi = _count_tables(gf, inst.n)
     search = _Search(inst, objective, lo, hi, prune, require_nonempty=True,
                      budget=budget, deadline=deadline)
-    colors = inst.colors
     sets_tried = 0
-    any_ds_feasible = False
-    for combo in combinations(range(inst.n), ds.k):
-        counts = np.bincount(colors[list(combo)], minlength=ds.m)
-        if np.any(counts < ds.lower) or np.any(counts > ds.upper):
-            continue
-        any_ds_feasible = True
+    for combo in diverse_center_sets(inst, ds):
         sets_tried += 1
         if sets_tried > budget.max_center_sets:
             raise BudgetExceededError(
@@ -198,7 +192,7 @@ def brute_force_doubly_fair(inst: MetricInstance, gf: GroupFairnessSpec,
         search.run(combo)
     if search.best is None:
         reason = ("no size-k center set satisfies the center-count bounds"
-                  if not any_ds_feasible else
+                  if not sets_tried else
                   "no assignment is group fair with zero violation for any "
                   "feasible center set")
         raise InfeasibleError(reason)
@@ -218,6 +212,7 @@ def brute_force_gf_assignment(inst: MetricInstance, centers,
     vacuous), so with vacuous bounds this reduces to nearest-center
     assignment.
     """
+    _require_colors(inst, gf, "gf")
     if budget is None:
         budget = OracleBudget()
     centers = tuple(sorted(int(c) for c in centers))

@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import (CenterDiversitySpec, GroupFairnessSpec, check_ds,
-                          feasibility_precheck, gf_violation, make_clustering)
+from .constraints import (OBJECTIVES, CenterDiversitySpec, GroupFairnessSpec,
+                          check_ds, feasibility_precheck, gf_violation,
+                          make_clustering)
 from .ds import ExactBackend, solve_ds_plugin
 from .errors import (BudgetExceededError, InfeasibleError, PipelineError,
                      ValidationError)
@@ -39,7 +40,8 @@ from .flow import (build_flow, check_mass_windows, dump_flow_text,
 # pairwise_distance_set, build_gf_feasibility_lp, check_rerouted,
 # reroute_center and reroute_medmeans are no longer called here, but stay
 # importable under these names: benchmarks/tracing.py wraps them.
-from .instance import EPS_D, MetricInstance, pairwise_distance_set  # noqa: F401
+from .instance import (EPS_D, MetricInstance, open_output,  # noqa: F401
+                       pairwise_distance_set)
 from .lp import (build_gf_feasibility_lp, build_gf_objective_lp,  # noqa: F401
                  check_lp_solution, counting_bound_index, dump_lp_text,
                  fractional_cost, min_feasible_lambda, solve_lp)
@@ -139,7 +141,7 @@ def _run_oracle(inst, gf, ds, objective, report, budget):
 
 def _maybe_dump(dumps, key, writer):
     if dumps and dumps.get(key):
-        with open(dumps[key], "w") as fh:
+        with open_output(dumps[key]) as fh:
             writer(fh)
 
 
@@ -195,7 +197,7 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
     Pass a dict as ``artifacts`` to receive the intermediate stage outputs
     (DS solution, LP solution, flow network and flows, k x n integral table).
     """
-    if objective not in ("center", "median", "means"):
+    if objective not in OBJECTIVES:
         raise ValidationError(f"unknown objective {objective!r}")
     timings = {}
     t0 = time.perf_counter()

@@ -190,6 +190,39 @@ def test_malformed_input_exits_1_without_a_traceback(tmp_path, case):
         assert proc.stderr.startswith(f"error: cannot read {tmp_path / 'nope.json'}")
 
 
+def test_oracle_rejects_a_spec_with_fewer_colors(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen", "--n", "9", "--m", "3", "--seed", "2", "--out", str(inst_path))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "gf": {"lower": [0, 0], "upper": [1, 1], "rho": 0},
+        "ds": {"lower": [0, 0], "upper": [3, 3]}, "k": 3}))
+    capsys.readouterr()
+    code = run_cli("oracle", "--instance", str(inst_path), "--spec",
+                   str(spec_path), "--objective", "center")
+    assert code == 1
+    assert capsys.readouterr().err == "error: gf spec has 2 colors, instance has 3\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("solve", "--out"), ("solve", "--clustering-out"), ("solve", "--dump-lp"),
+    ("solve", "--dump-flow"), ("gen", "--out"), ("sweep", "--out")])
+def test_output_in_a_missing_directory_exits_1_without_a_traceback(tmp_path, command,
+                                                                   flag):
+    inst_path, spec_path = _gen_pair(tmp_path, seed=1)
+    target = tmp_path / "missing" / "out.txt"
+    args = {"solve": ["--instance", str(inst_path), "--spec", str(spec_path),
+                      "--objective", "center"],
+            "gen": ["--n", "6", "--m", "2", "--seed", "1"],
+            "sweep": ["--count", "1", "--n-min", "6", "--n-max", "6",
+                      "--objectives", "center"]}[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairclus.cli", command, *args, flag, str(target)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_check_fewer_than_k_centers_breaks_ds(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fairclus import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
                       default_ds_profile, exact_gf_spec, feasibility_precheck,
                       gf_violation, load_fairness_spec, make_clustering,
                       make_instance)
+from fairclus.constraints import diverse_center_sets, objective_value, point_costs
 from fairclus.errors import ParseError
 
 from conftest import line_instance, window_gf
@@ -53,6 +55,17 @@ def test_empty_cluster_rejected():
     gf = exact_gf_spec(inst)
     with pytest.raises(ValidationError, match="empty"):
         check_cluster_group_fair(inst, [], gf)
+
+
+def test_cluster_check_rejects_a_spec_with_fewer_colors():
+    """Color 2 is not skipped: the cluster check refuses a two-color spec on
+    a three-color instance, as gf_violation does."""
+    inst = make_instance([0, 1, 2], coords=[[0], [1], [2]])
+    gf = GroupFairnessSpec(lower=(0, 0), upper=(1, 1))
+    with pytest.raises(ValidationError, match="gf spec has 2 colors, instance has 3"):
+        check_cluster_group_fair(inst, [0, 1, 2], gf)
+    with pytest.raises(ValidationError, match="gf spec has 2 colors, instance has 3"):
+        gf_violation(inst, make_clustering(inst, [0], [0, 0, 0], "center"), gf)
 
 
 def test_check_matches_direct_reevaluation():
@@ -312,3 +325,35 @@ def test_clustering_validation_and_roundtrip():
     assert again == clus
     # cost: d(0,1)^2 + d(3,2)^2 = 1 + 1
     assert clus.cost == pytest.approx(2.0)
+
+
+def test_point_costs_and_objective_value_match_the_formulas():
+    d = np.array([0.5, 2.0, 0.0, 1.5])
+    assert np.array_equal(point_costs(d, "center"), d)
+    assert np.array_equal(point_costs(d, "median"), d)
+    assert np.array_equal(point_costs(d, "means"), d ** 2)
+    assert objective_value(d, "center") == d.max()
+    assert objective_value(d, "median") == d.sum()
+    assert objective_value(d, "means") == (d ** 2).sum()
+    for call in (point_costs, objective_value):
+        with pytest.raises(ValidationError, match="unknown objective 'radius'"):
+            call(d, "radius")
+
+
+def test_diverse_center_sets_are_the_check_ds_passing_combinations():
+    inst = line_instance(range(7), [0, 1, 2, 0, 1, 0, 2])
+    grid = 0
+    for k in (1, 2, 3, 4):
+        for lower in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 1), (2, 0, 0)):
+            for upper in ((k, k, k), (2, 1, 1), (3, 1, 2)):
+                try:
+                    ds = CenterDiversitySpec(lower=lower, upper=upper, k=k)
+                except ValidationError:
+                    continue
+                grid += 1
+                expected = [c for c in combinations(range(inst.n), k)
+                            if check_ds(inst, c, ds)]
+                assert list(diverse_center_sets(inst, ds)) == expected
+    assert grid >= 20
+    with pytest.raises(ValidationError, match="ds spec has 2 colors"):
+        next(diverse_center_sets(inst, CenterDiversitySpec((0, 0), (2, 2), k=2)))

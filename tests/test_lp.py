@@ -218,11 +218,40 @@ def test_min_feasible_lambda_on_candidate_suffixes(monkeypatch):
                     assert result.solution.rows.tolist() == centers
                     assert result.solution.x.shape == (k, n)
                 assert len(probed) == len(set(probed))  # no radius probed twice
-                assert len(probed) <= 2 + math.ceil(math.log2(radii.size - i))
+                assert len(probed) <= 1 + math.ceil(math.log2(radii.size - i))
                 resid = lp_residuals(inst, gf, k, result.solution, lam=result.radius)
                 assert resid["max"] <= RESIDUAL_TOL
                 searched[None if centers is None else "fixed"] += 1
     assert searched[None] >= 60 and searched["fixed"] >= 30
+
+
+def test_first_passing_matches_a_linear_scan():
+    """On monotone 0/1 sequences: the first passing index of [lo, hi), or hi,
+    with lo tested first, no index twice and at most 1 + ceil(log2(hi - lo))
+    tests."""
+    rng = np.random.default_rng(61)
+    cases = [(np.zeros(0, bool), 0, 0), (np.ones(5, bool), 3, 3),
+             (np.zeros(9, bool), 0, 9), (np.ones(9, bool), 0, 9),
+             (np.ones(9, bool), 4, 9)]
+    for _ in range(300):
+        size = int(rng.integers(1, 40))
+        flags = np.arange(size) >= rng.integers(0, size + 1)
+        lo = int(rng.integers(0, size + 1))
+        cases.append((flags, lo, int(rng.integers(lo, size + 1))))
+    for flags, lo, hi in cases:
+        tested = []
+
+        def test(idx):
+            tested.append(idx)
+            return bool(flags[idx])
+
+        got = lp_module._first_passing(test, lo, hi)
+        assert got == next((i for i in range(lo, hi) if flags[i]), hi)
+        assert tested[:1] == ([lo] if hi > lo else [])
+        assert len(tested) == len(set(tested))
+        assert all(lo <= i < hi for i in tested)
+        if hi > lo:
+            assert len(tested) <= 1 + math.ceil(math.log2(hi - lo))
 
 
 def test_min_feasible_lambda_single_candidate_probed_once(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 from fairclus import (BudgetExceededError, CenterDiversitySpec,
                       GroupFairnessSpec, InfeasibleError, OracleBudget,
+                      ValidationError,
                       brute_force_doubly_fair, brute_force_gf_assignment,
                       check_ds, ds_cost, exact_gf_spec, gf_violation,
                       make_instance, random_instance)
@@ -88,6 +89,20 @@ def test_oracle_infeasible_exact_ratios():
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
     with pytest.raises(InfeasibleError):
         brute_force_doubly_fair(inst, gf, ds, "center")
+
+
+def test_oracle_rejects_specs_with_other_colors():
+    """A two-color spec on a three-color instance is refused up front, not
+    indexed by the instance's colors."""
+    inst = random_instance(9, 3, seed=2)
+    ds3 = CenterDiversitySpec(lower=(0, 0, 0), upper=(3, 3, 3), k=3)
+    ds2 = CenterDiversitySpec(lower=(0, 0), upper=(3, 3), k=3)
+    with pytest.raises(ValidationError, match="gf spec has 2 colors, instance has 3"):
+        brute_force_doubly_fair(inst, vacuous_gf(2), ds3, "center")
+    with pytest.raises(ValidationError, match="ds spec has 2 colors, instance has 3"):
+        brute_force_doubly_fair(inst, vacuous_gf(3), ds2, "center")
+    with pytest.raises(ValidationError, match="gf spec has 2 colors, instance has 3"):
+        brute_force_gf_assignment(inst, [0, 1, 2], vacuous_gf(2), "median")
 
 
 def test_budget_exceeded_center_sets():
