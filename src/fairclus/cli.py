@@ -44,6 +44,14 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _check_outputs(*paths):
+    """Fail on an output path that cannot be written before any work runs.
+    Opening it for appending creates a missing file and leaves an existing
+    one as it was."""
+    for path in filter(None, paths):
+        open_output(path, "a").close()
+
+
 def _load_instance_args(args):
     return load_instance(args.instance, args.format, colors_source=args.colors)
 
@@ -81,6 +89,7 @@ def cmd_solve(args) -> int:
     inst = _load_instance_args(args)
     gf, ds = _load_specs(args, inst)
     backend = get_backend(args.ds_backend)
+    _check_outputs(args.out, args.clustering_out, args.dump_lp, args.dump_flow)
     dumps = {"lp": args.dump_lp, "flow": args.dump_flow}
     clustering, report = pipeline_solve(
         inst, gf, ds, args.objective, backend=backend,
@@ -186,6 +195,7 @@ def cmd_sweep(args) -> int:
         if value < 1:
             raise ValidationError(f"{flag} {value} is below 1")
     get_backend(args.ds_backend)
+    _check_outputs(args.out)
     rng = np.random.default_rng(args.seed)
     tasks = []
     for i in range(args.count):

@@ -28,12 +28,12 @@ EXACT_ENUMERATION_BUDGET = 10_000_000
 
 @dataclass(frozen=True)
 class DsSolverContract:
-    """What a backend promises: factor per objective and capability flags."""
+    """What a backend promises: factor per objective and the objectives it
+    supports."""
 
     backend_id: str
     alpha: dict = field(default_factory=dict)  # objective -> float | None
     objectives: tuple = OBJECTIVES
-    max_n: int | None = None
 
     def alpha_for(self, objective: str):
         return self.alpha.get(objective)
@@ -246,9 +246,6 @@ def solve_ds_plugin(inst: MetricInstance, ds: CenterDiversitySpec, objective: st
     if not contract.supports(objective):
         raise ContractViolationError(
             f"backend {contract.backend_id!r} does not support objective {objective!r}")
-    if contract.max_n is not None and inst.n > contract.max_n:
-        raise ContractViolationError(
-            f"backend {contract.backend_id!r} capped at n={contract.max_n}")
     centers, alpha = backend.solve_raw(inst, ds, objective)
     centers = tuple(sorted(int(c) for c in centers))
     if len(centers) != ds.k or len(set(centers)) != ds.k:

@@ -181,12 +181,13 @@ def read_text_source(source) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-def open_output(path, newline=None):
-    """``path`` opened for writing text. An OSError, say from a missing
-    directory, becomes a FairclusError naming the path."""
+def open_output(path, mode="w", newline=None):
+    """``path`` opened for writing text, or for appending with ``mode="a"``.
+    An OSError, say from a missing directory, becomes a FairclusError naming
+    the path."""
     import os
     try:
-        return open(path, "w", newline=newline)
+        return open(path, mode, newline=newline)
     except OSError as exc:
         raise FairclusError(f"cannot write {os.fsdecode(path)}: {exc.strerror}") from exc
 

@@ -1,28 +1,25 @@
-"""Group-fairness linear programs: feasibility at a radius cap, and
-cost-minimizing variants for the sum / sum-of-squares objectives.
+"""The group-fairness linear program over a fixed center set S: the fair
+assignment LP of Bera et al. (NeurIPS 2019), as a feasibility program at a
+radius cap and as a cost-minimizing program for the sum / sum-of-squares
+objectives.
 
 Variable convention throughout the package: ``x[i, j]`` is the mass point j
-sends to point i, i.e. the extent to which j is assigned to center i; ``y[i]``
-is the extent to which i is opened. All constraints are per receiving row i:
+sends to center i, i.e. the extent to which j is assigned to i, for every
+center i in S and every point j. The constraints are:
 
-    sum_i x_ij = 1                      for every point j
-    x_ij <= y_i
-    sum_i y_i <= k
+    sum_{i in S} x_ij = 1               for every point j
+    sum_j x_ij >= 1                     for every center i in S
     l_h * sum_j x_ij <= sum_{j of color h} x_ij <= u_h * sum_j x_ij
+                                        for every center i in S and color h
     x_ij = 0 whenever d(i, j) > radius cap   (feasibility variant only)
 
 Radius-capped variables are eliminated from the model rather than constrained
 to zero; the feasible set is identical and the model much smaller.
 
-The fixed-center assignment variant (Bera et al., NeurIPS 2019) opens a given
-center set S: it has one x_ij per center i in S and point j and no y, keeps
-the assignment rows and the ratio rows of the centers in S, and replaces the
-opening rows with ``sum_j x_ij >= 1`` for every i in S, so no center is left
-without mass. Every pipeline solves this variant: k-center searches for the
-smallest radius cap at which it is feasible, median and means minimize its
-cost.
-A solution keeps a row of x only for the points in its ``rows``, so a
-fixed-center solution is a k x n table and no mass can lie off its centers.
+Every pipeline solves this program over its diverse centers: k-center
+searches for the smallest radius cap at which it is feasible, median and
+means minimize its cost. A solution keeps a row of x per center, so it is a
+k x n table and no mass can lie off the centers.
 """
 
 from __future__ import annotations
@@ -49,48 +46,46 @@ _ALL_SETS_MAX_K = 10
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Assignment-mass table and opening vector of an LP solution, a row per
-    point that may receive mass."""
+    """Assignment-mass table of a solution, a row per point that may receive
+    mass (the centers, for every solution the package makes)."""
 
-    rows: np.ndarray  # sorted point ids: all n (full LP), or the centers
+    rows: np.ndarray  # sorted point ids
     x: np.ndarray  # (len(rows), n), x[a, j] = mass from point j to rows[a]
-    y: np.ndarray  # (len(rows),), the opening of each row's point
 
 
 @dataclass
 class LpModel:
-    """The model as HiGHS reads it, plus enough context to interpret it.
+    """The program over the sorted center set ``centers`` as HiGHS reads it,
+    plus enough context to interpret it.
 
-    Column ``a`` < ``len(kept)`` is ``x[kept[a, 0], kept[a, 1]]``; column
-    ``len(kept) + i`` is ``y[i]``. Every column lies in [0, 1]. ``a`` is one
-    CSR matrix whose row r holds ``lo[r] <= a[r] @ v <= hi[r]``: first the
-    <= rows (``lo = -inf``), then one ``sum_i x_ij = 1`` row per point j
-    (``lo = hi = 1``). The <= rows are one ``x_ij <= y_i`` row per kept
-    pair, the ``sum_i y_i <= k`` row, then for each center i the non-vacuous
-    ratio rows of ``_ratio_rows(gf)``.
-
-    A fixed-center model (``centers`` set) has no y columns; its <= rows are
-    one ``-sum_j x_ij <= -1`` row per center, then the ratio rows of those
-    centers only.
+    Column ``a`` is ``x[kept[a, 0], kept[a, 1]]`` and lies in [0, 1]. ``a``
+    is one CSR matrix whose row r holds ``lo[r] <= a[r] @ x <= hi[r]``:
+    first the <= rows (``lo = -inf``), then one ``sum_i x_ij = 1`` row per
+    point j (``lo = hi = 1``). The <= rows are one ``-sum_j x_ij <= -1`` row
+    per center, then for each center i the non-vacuous ratio rows of
+    ``_ratio_rows(gf)``.
 
     ``a_ub``/``b_ub`` and ``a_eq``/``b_eq`` are the two row blocks, sliced
     from ``a`` on every read.
     """
 
     n: int
-    k: int
     kept: np.ndarray  # (A, 2) int array of (center, point) pairs, row-major order
     a: sparse.csr_matrix
     lo: np.ndarray  # row lower bounds
     hi: np.ndarray  # row upper bounds
     c: np.ndarray  # objective coefficients (all zero for feasibility models)
-    lam: float | None  # radius cap, None for objective models
+    lam: float | None  # radius cap, None for an uncapped model
     gf: GroupFairnessSpec
-    centers: np.ndarray | None = None  # sorted open centers of a fixed-center model
+    centers: np.ndarray  # sorted ids of the centers
+
+    @property
+    def k(self) -> int:
+        return self.centers.size
 
     @property
     def ncols(self) -> int:
-        return len(self.kept) + (self.n if self.centers is None else 0)
+        return len(self.kept)
 
     @property
     def n_ub(self) -> int:
@@ -124,102 +119,84 @@ def _ratio_rows(gf: GroupFairnessSpec):
     return h[keep], is_upper[keep], bound[keep]
 
 
-def _build(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
-           lam: float | None, objective: str | None,
-           centers: np.ndarray | None = None) -> LpModel:
+def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
+           lam: float | None, objective: str | None) -> LpModel:
+    centers = _center_ids(inst, centers)
     if gf.m != inst.m:
         raise ValidationError(f"gf spec has {gf.m} colors, instance has {inst.m}")
-    if not (1 <= k <= inst.n):
-        raise ValidationError(f"k={k} outside [1, n={inst.n}]")
     n = inst.n
     d = inst.distance_matrix()
 
-    # keep[s, j]: whether x_{owners[s], j} is a column; pairs are numbered in
+    # keep[s, j]: whether x_{centers[s], j} is a column; pairs are numbered in
     # row-major order of this mask, and col holds each kept pair's number
-    owners = np.arange(n) if centers is None else centers
-    keep = (np.ones((owners.size, n), dtype=bool) if lam is None
-            else d[owners] <= lam + EPS_D)
+    keep = (np.ones((centers.size, n), dtype=bool) if lam is None
+            else d[centers] <= lam + EPS_D)
     slot, pj = np.nonzero(keep)
-    ci = owners[slot]
+    ci = centers[slot]
     nx = ci.size
-    ncols = nx + (n if centers is None else 0)  # y_i lives at column nx + i
     pairs = np.arange(nx)
     col = np.zeros(keep.shape, dtype=int)
     col[keep] = pairs
 
-    if centers is None:  # x_ij - y_i <= 0 per pair, then sum_i y_i <= k
-        head_data = np.concatenate((np.tile([1.0, -1.0], nx), np.ones(n)))
-        head_indices = np.concatenate((np.column_stack((pairs, nx + ci)).ravel(),
-                                       nx + np.arange(n)))
-        head_sizes = np.append(np.full(nx, 2), n)
-        head_b = np.append(np.zeros(nx), float(k))
-    else:  # -sum_j x_ij <= -1 per center
-        head_data, head_indices = -np.ones(nx), pairs
-        head_sizes = keep.sum(axis=1)
-        head_b = -np.ones(owners.size)
-
-    # ratio row (owner s, r): coefficient [c_j = h_r] - u (upper) or
-    # l - [c_j = h_r] (lower) on every keep x_{owners[s], j}; zero
+    # ratio row (center s, r): coefficient [c_j = h_r] - u (upper) or
+    # l - [c_j = h_r] (lower) on every kept x_{centers[s], j}; zero
     # coefficients are not stored. Entries of shape (s, r, j) are in row order.
     h, is_upper, bound = _ratio_rows(gf)
     in_h = (inst.colors[:, None] == h).astype(float)
     coef = np.where(is_upper, in_h - bound, bound - in_h).T
     entry = keep[:, None, :] & (coef != 0.0)
 
-    # the <= rows, then the assignment rows sum_i x_ij = 1, written row by row
-    row_sizes = np.concatenate((head_sizes, entry.sum(axis=2).ravel(), keep.sum(axis=0)))
+    # the <= rows (-sum_j x_ij <= -1 per center, then the ratio rows), then
+    # the assignment rows sum_i x_ij = 1, written row by row
+    row_sizes = np.concatenate((keep.sum(axis=1), entry.sum(axis=2).ravel(),
+                                keep.sum(axis=0)))
     a = sparse.csr_matrix(
-        (np.concatenate((head_data, np.broadcast_to(coef, entry.shape)[entry], np.ones(nx))),
-         np.concatenate((head_indices, np.broadcast_to(col[:, None, :], entry.shape)[entry],
+        (np.concatenate((-np.ones(nx), np.broadcast_to(coef, entry.shape)[entry],
+                         np.ones(nx))),
+         np.concatenate((pairs, np.broadcast_to(col[:, None, :], entry.shape)[entry],
                          col.T[keep.T])),
          np.concatenate(([0], np.cumsum(row_sizes)))),
-        shape=(row_sizes.size, ncols))
+        shape=(row_sizes.size, nx))
     n_ub = row_sizes.size - n
     lo = np.concatenate((np.full(n_ub, -np.inf), np.ones(n)))
-    hi = np.concatenate((head_b, np.zeros(n_ub - head_b.size), np.ones(n)))
+    hi = np.concatenate((-np.ones(centers.size), np.zeros(n_ub - centers.size),
+                         np.ones(n)))
 
-    c = np.zeros(ncols)
-    if objective is not None:
-        c[:nx] = point_costs(d[ci, pj], objective)
+    c = np.zeros(nx) if objective is None else point_costs(d[ci, pj], objective)
 
-    return LpModel(n=n, k=k, kept=np.column_stack((ci, pj)), a=a, lo=lo, hi=hi,
+    return LpModel(n=n, kept=np.column_stack((ci, pj)), a=a, lo=lo, hi=hi,
                    c=c, lam=lam, gf=gf, centers=centers)
 
 
-def _center_ids(inst: MetricInstance, k: int, centers) -> np.ndarray | None:
-    """Sorted center ids of a fixed-center model, validated; None stays None."""
-    if centers is None:
-        return None
-    centers = np.array(sorted({int(c) for c in centers}), dtype=int)
-    if centers.size != k or np.any((centers < 0) | (centers >= inst.n)):
-        raise ValidationError(f"centers must be k={k} distinct ids in [0, {inst.n})")
-    return centers
+def _center_ids(inst: MetricInstance, centers) -> np.ndarray:
+    """Sorted ids of a center set, validated: at least one, distinct, and in
+    [0, n)."""
+    ids = [int(c) for c in centers]
+    out = np.array(sorted(set(ids)), dtype=int)
+    if not ids or out.size != len(ids) or out[0] < 0 or out[-1] >= inst.n:
+        raise ValidationError(f"centers must be one or more distinct ids in [0, {inst.n})")
+    return out
 
 
 def build_gf_feasibility_lp(inst: MetricInstance, gf: GroupFairnessSpec,
-                            k: int, lam: float | None, centers=None) -> LpModel:
-    """Feasibility program with assignments capped at radius ``lam`` (no cap
-    if ``lam`` is None). With ``centers`` (k distinct point ids) it is the
-    fixed-center assignment program, as in ``build_gf_objective_lp``."""
-    return _build(inst, gf, k, lam=None if lam is None else float(lam),
-                  objective=None, centers=_center_ids(inst, k, centers))
+                            centers, lam: float | None) -> LpModel:
+    """Feasibility program over ``centers`` (distinct point ids) with
+    assignments capped at radius ``lam`` (no cap if ``lam`` is None)."""
+    return _build(inst, gf, centers, lam=None if lam is None else float(lam),
+                  objective=None)
 
 
 def build_gf_objective_lp(inst: MetricInstance, gf: GroupFairnessSpec,
-                          k: int, objective: str, centers=None) -> LpModel:
-    """Cost-minimizing program (no radius cutoff) for median or means.
-
-    With ``centers`` (k distinct point ids) it is the fixed-center assignment
-    program: those centers are open, and only they receive mass.
-    """
+                          centers, objective: str) -> LpModel:
+    """Cost-minimizing program (no radius cutoff) for median or means over
+    ``centers`` (distinct point ids): those centers are open, and only they
+    receive mass."""
     if objective not in ("median", "means"):
         raise ValidationError("objective LP supports 'median' and 'means' only")
-    return _build(inst, gf, k, lam=None, objective=objective,
-                  centers=_center_ids(inst, k, centers))
+    return _build(inst, gf, centers, lam=None, objective=objective)
 
 
-def solve_lp(model: LpModel, inst: MetricInstance | None = None,
-             gf: GroupFairnessSpec | None = None):
+def solve_lp(model: LpModel):
     """Solve a model with HiGHS, through scipy's ``milp`` with no integer
     column; returns a repaired FractionalSolution, or None if the backend
     certifies infeasibility.
@@ -228,10 +205,10 @@ def solve_lp(model: LpModel, inst: MetricInstance | None = None,
     bounds [0, 1] as they are. HiGHS's ``output_flag`` is off, as scipy's
     ``linprog`` set it: with it on, HiGHS can return another optimal vertex.
 
-    A fixed-center solution is k x n, with y = 1. Repair: negatives clamped,
-    each assignment column renormalized to sum exactly 1 (the flow rounds
-    each column as one unit of mass). If instance and spec are passed,
-    residuals are re-verified after repair.
+    The solution is k x n, a row per center. Repair: negatives clamped, each
+    assignment column renormalized to sum exactly 1 (the flow rounds each
+    column as one unit of mass). Residuals are not re-verified; see
+    ``check_lp_solution``.
     """
     with warnings.catch_warnings():
         # milp warns that it passes output_flag, an option it does not know, on verbatim
@@ -243,43 +220,36 @@ def solve_lp(model: LpModel, inst: MetricInstance | None = None,
     if res.status != 0:
         raise NumericalError(f"LP backend failed with status {res.status}: {res.message}")
 
-    nx = len(model.kept)
-    rows = np.arange(model.n) if model.centers is None else model.centers
+    rows = model.centers
     x = np.zeros((rows.size, model.n))
-    x[np.searchsorted(rows, model.kept[:, 0]), model.kept[:, 1]] = res.x[:nx]
-    y = np.clip(res.x[nx:], 0.0, 1.0) if model.centers is None else np.ones(rows.size)
+    x[np.searchsorted(rows, model.kept[:, 0]), model.kept[:, 1]] = res.x
     np.clip(x, 0.0, 1.0, out=x)
     sums = x.sum(axis=0)
     if np.any(sums < 0.5):
         raise NumericalError("an assignment column lost more than half its mass")
     x /= sums[None, :]
-    sol = FractionalSolution(rows=rows, x=x, y=y)
-    if inst is not None and gf is not None:
-        check_lp_solution(model, sol, inst, gf)
-    return sol
+    return FractionalSolution(rows=rows, x=x)
 
 
 def check_lp_solution(model: LpModel, sol: FractionalSolution,
                       inst: MetricInstance, gf: GroupFairnessSpec) -> None:
     """Raise NumericalError if a repaired solution of ``model`` breaks any
     constraint by more than RESIDUAL_TOL."""
-    resid = lp_residuals(inst, gf, model.k, sol, lam=model.lam, centers=model.centers)
+    resid = lp_residuals(inst, gf, sol, lam=model.lam, centers=model.centers)
     if resid["max"] > RESIDUAL_TOL:
         raise NumericalError(
             f"post-repair residual {resid['max']:.3e} exceeds {RESIDUAL_TOL}: {resid}")
 
 
-def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
+def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec,
                  sol: FractionalSolution, lam: float | None = None,
                  centers=None) -> dict:
     """Worst-case residual of every constraint family, for checks and tests.
-    With ``centers`` (a fixed-center model's), also of their mass rows
+    With ``centers`` (a model's), also of their mass rows
     ``sum_j x_ij >= 1``; a center without a row of the solution has mass 0."""
-    x, y = sol.x, sol.y
+    x = sol.x
     out = {}
     out["assign"] = float(np.abs(x.sum(axis=0) - 1.0).max())
-    out["open"] = float((x - y[:, None]).max())
-    out["k"] = float(max(0.0, y.sum() - k))
     mass = x.sum(axis=1)
     lower = gf.lower_floats()
     upper = gf.upper_floats()
@@ -294,7 +264,7 @@ def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
         mass_of = np.zeros(inst.n)
         mass_of[sol.rows] = mass
         out["mass"] = float(max(0.0, (1.0 - mass_of[np.asarray(centers, dtype=int)]).max()))
-    out["bounds"] = float(max(-x.min(), x.max() - 1.0, -y.min(), y.max() - 1.0, 0.0))
+    out["bounds"] = float(max(-x.min(), x.max() - 1.0, 0.0))
     if lam is not None:
         far = x[inst.distance_matrix()[sol.rows] > lam + EPS_D]
         out["radius"] = float(far.max()) if far.size else 0.0
@@ -315,7 +285,7 @@ def solution_from_clustering(inst: MetricInstance, centers, assignment) -> Fract
     rows = np.unique(np.asarray(centers, dtype=int))
     x = np.zeros((rows.size, inst.n))
     x[np.searchsorted(rows, np.asarray(assignment, dtype=int)), np.arange(inst.n)] = 1.0
-    return FractionalSolution(rows=rows, x=x, y=np.ones(rows.size))
+    return FractionalSolution(rows=rows, x=x)
 
 
 def infeasibility_diagnosis(gf: GroupFairnessSpec, k: int, n: int) -> list:
@@ -351,13 +321,12 @@ def _first_passing(test, lo: int, hi: int) -> int:
     return lo
 
 
-def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
-                        radii, centers=None) -> LambdaSearchResult:
-    """Smallest radius in the sorted candidate set whose feasibility program
-    solves, returned with the model and solution of that probe. With
-    ``centers``, every probe is the fixed-center program over them; the
-    pipeline passes the candidates from ``counting_bound_index`` up, so the
-    first probe is usually the answer.
+def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, centers,
+                        radii) -> LambdaSearchResult:
+    """Smallest radius in the sorted candidate set at which the feasibility
+    program over ``centers`` solves, returned with the model and solution of
+    that probe. The pipeline passes the candidates from
+    ``counting_bound_index`` up, so the first probe is usually the answer.
 
     Feasibility is monotone in the cap (a larger cap only adds variables), so
     ``_first_passing`` over the candidates equals the linear scan: the lowest
@@ -375,7 +344,7 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
     def feasible(idx: int) -> bool:
         nonlocal best
         radius = float(radii[idx])
-        model = build_gf_feasibility_lp(inst, gf, k, radius, centers=centers)
+        model = build_gf_feasibility_lp(inst, gf, centers, radius)
         sol = solve_lp(model)
         if sol is not None:
             best = LambdaSearchResult(radius, model, sol)
@@ -384,7 +353,7 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, k: int,
     if _first_passing(feasible, 0, radii.size) == radii.size:
         raise InfeasibleError(
             "group fairness program infeasible even at the largest radius",
-            diagnosis=infeasibility_diagnosis(gf, k, inst.n))
+            diagnosis=infeasibility_diagnosis(gf, len(centers), inst.n))
     return best
 
 
@@ -485,13 +454,9 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
 
 def dump_lp_text(model: LpModel, stream) -> None:
     """Write the model in LP text interchange format (for debugging)."""
-    nx = len(model.kept)
-
     def var(idx):
-        if idx < nx:
-            i, j = model.kept[idx]
-            return f"x_{i}_{j}"
-        return f"y_{idx - nx}"
+        i, j = model.kept[idx]
+        return f"x_{i}_{j}"
 
     a = model.a
 
@@ -500,21 +465,16 @@ def dump_lp_text(model: LpModel, stream) -> None:
         return "".join(f" {v:+.12g} {var(cidx)}"
                        for cidx, v in zip(a.indices[lo:hi], a.data[lo:hi]))
 
-    if model.centers is None:
-        row_centers = range(model.n)
-        head = [f"open_{i}_{j}" for i, j in model.kept] + ["opened_at_most_k"]
-        fixed = ""
-    else:
-        row_centers = model.centers.tolist()
-        head = [f"mass_{i}" for i in row_centers]
-        fixed = " centers=" + ",".join(map(str, row_centers))
+    centers = model.centers.tolist()
     h, is_upper, _ = _ratio_rows(model.gf)
-    ub_labels = head + [f"ratio_{'upper' if up else 'lower'}_{i}_{hh}"
-                        for i in row_centers for hh, up in zip(h, is_upper)]
+    ub_labels = [f"mass_{i}" for i in centers] + [
+        f"ratio_{'upper' if up else 'lower'}_{i}_{hh}"
+        for i in centers for hh, up in zip(h, is_upper)]
 
     stream.write("\\ fairclus model"
                  + (f" radius_cap={model.lam}" if model.lam is not None else "")
-                 + fixed + f" n={model.n} k={model.k}\n")
+                 + " centers=" + ",".join(map(str, centers))
+                 + f" n={model.n} k={model.k}\n")
     stream.write("Minimize\n obj:")
     obj = [f" {model.c[idx]:+.12g} {var(idx)}" for idx in np.flatnonzero(model.c)]
     stream.write("".join(obj) if obj else " 0 " + var(0))

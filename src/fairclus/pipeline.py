@@ -154,7 +154,7 @@ def _round_flow(inst, sol, objective, dumps):
     return net, flows, x2
 
 
-def _fixed_center_lp(inst, gf, ds, ds_sol):
+def _fixed_center_lp(inst, gf, ds_sol):
     """The fixed-center LP over the diverse centers and its checked solution.
 
     k-center: the smallest radius r among the distances from the centers at
@@ -172,13 +172,12 @@ def _fixed_center_lp(inst, gf, ds, ds_sol):
         radii = radii[counting_bound_index(inst, gf, centers, radii):]
         if radii.size:  # else no radius passes the counting bound
             try:
-                search = min_feasible_lambda(inst, gf, ds.k, radii, centers=centers)
+                search = min_feasible_lambda(inst, gf, centers, radii)
                 model, sol = search.model, search.solution
             except InfeasibleError:
                 pass
     else:
-        model = build_gf_objective_lp(inst, gf, ds.k, ds_sol.objective,
-                                      centers=centers)
+        model = build_gf_objective_lp(inst, gf, centers, ds_sol.objective)
         sol = solve_lp(model)
     if sol is None:
         raise PipelineError("lp", "the fixed-center assignment program is "
@@ -210,7 +209,7 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
     timings["ds"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    model, sol = _fixed_center_lp(inst, gf, ds, ds_sol)
+    model, sol = _fixed_center_lp(inst, gf, ds_sol)
     _maybe_dump(dumps, "lp", lambda fh: dump_lp_text(model, fh))
     if objective == "center":
         bound, slack = model.lam, EPS_D

@@ -70,8 +70,7 @@ def _point_table(inst: MetricInstance, sol: FractionalSolution) -> np.ndarray:
 def _embed(shares: np.ndarray, x: np.ndarray, centers: list):
     """The rerouted solution: row a (center centers[a]) is
     sum_p shares[p, a] * x[p, :]."""
-    return FractionalSolution(rows=np.array(centers, dtype=int), x=shares.T @ x,
-                              y=np.ones(len(centers)))
+    return FractionalSolution(rows=np.array(centers, dtype=int), x=shares.T @ x)
 
 
 def reroute_center(inst: MetricInstance, sol: FractionalSolution, centers):
@@ -140,9 +139,9 @@ def check_rerouted(inst: MetricInstance, gf, rerouted: FractionalSolution,
                    centers, radius_cap: float | None = None) -> None:
     """Hard-verify the guaranteed properties of a rerouted solution.
 
-    Column sums 1, rows exactly the center set with opening 1 each,
-    per-center mass >= 1, color-ratio residuals, and (radius variant) the
-    support radius cap. Raises PipelineError naming the failing property.
+    Column sums 1, rows exactly the center set, per-center mass >= 1,
+    color-ratio residuals, and (radius variant) the support radius cap.
+    Raises PipelineError naming the failing property.
     """
     stage = "rerouting"
     x = rerouted.x
@@ -151,8 +150,6 @@ def check_rerouted(inst: MetricInstance, gf, rerouted: FractionalSolution,
         raise PipelineError(stage, f"column sums drift by {colsum_err:.3e}")
     if not np.array_equal(rerouted.rows, sorted(int(c) for c in centers)):
         raise PipelineError(stage, "rows are not the diverse center set")
-    if not np.all(rerouted.y == 1.0):
-        raise PipelineError(stage, "opening vector is not the center-set indicator")
     total = x.sum(axis=1)
     if np.any(total < 1.0 - MASS_TOL):
         raise PipelineError(stage, f"a center receives mass {float(total.min())} < 1")

@@ -6,13 +6,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fairclus import (GroupFairnessSpec, build_gf_objective_lp, fractional_cost,
-                      make_instance, means_pq, min_feasible_lambda,
-                      pairwise_distance_set, random_instance, reroute_center,
-                      reroute_medmeans, solve_lp)
+from fairclus import (GroupFairnessSpec, fractional_cost, make_instance,
+                      means_pq, pairwise_distance_set, random_instance,
+                      reroute_center, reroute_medmeans)
 from fairclus.instance import EPS_D
-from fairclus.lp import EPS_POS, check_lp_solution
+from fairclus.lp import EPS_POS
 from fairclus.rerouting import check_rerouted
+from reference_lp import (check_full_lp_solution, full_lp_min_feasible_lambda,
+                          solve_full_lp)
 
 
 def window_gf(inst, width=Fraction(1, 4), rho=0):
@@ -46,7 +47,8 @@ def line_instance(positions, colors):
 
 def rerouting_certificate(inst, gf, k, objective, artifacts):
     """The paper's rerouting lemma on one solve: the full LP rerouted onto the
-    solve's diverse centers. ``artifacts`` are the solve's.
+    solve's diverse centers. ``artifacts`` are the solve's; the full LP is
+    ``reference_lp``'s dense one.
 
     k-center: lam = max(lambda_lp, lambda_ds), the smallest pairwise distance
     no lower than the diverse cost / alpha (snapped to a distance) at which
@@ -63,17 +65,18 @@ def rerouting_certificate(inst, gf, k, objective, artifacts):
     if objective == "center":
         radii = pairwise_distance_set(inst)
         idx = int(np.searchsorted(radii, ds_sol.cost / alpha - EPS_D, side="left"))
-        search = min_feasible_lambda(inst, gf, k, radii[idx:])
-        check_lp_solution(search.model, search.solution, inst, gf)
-        rerouted, plan = reroute_center(inst, search.solution, ds_sol.centers)
-        radius_cap = (alpha + 1.0) * search.radius
+        lam, sol = full_lp_min_feasible_lambda(inst, gf, k, radii[idx:])
+        check_full_lp_solution(inst, gf, k, lam, sol)
+        rerouted, plan = reroute_center(inst, sol, ds_sol.centers)
+        radius_cap = (alpha + 1.0) * lam
         check_rerouted(inst, gf, rerouted, ds_sol.centers, radius_cap=radius_cap)
         support = rerouted.x > EPS_POS
         d = inst.distance_matrix()[rerouted.rows]
-        return SimpleNamespace(lam=search.radius, rerouted=rerouted, plan=plan,
+        return SimpleNamespace(lam=lam, rerouted=rerouted, plan=plan,
                                radius_cap=radius_cap,
                                support_radius=float(d[support].max()))
-    sol = solve_lp(build_gf_objective_lp(inst, gf, k, objective), inst, gf)
+    sol = solve_full_lp(inst, gf, k, None, objective)
+    check_full_lp_solution(inst, gf, k, None, sol)
     rerouted, plan = reroute_medmeans(inst, sol, ds_sol.centers)
     check_rerouted(inst, gf, rerouted, ds_sol.centers)
     lp_cost = fractional_cost(inst, sol, objective)

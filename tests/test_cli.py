@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fairclus import load_instance
+from fairclus import cli, load_instance
 from fairclus.cli import main
 
 
@@ -207,8 +207,10 @@ def test_oracle_rejects_a_spec_with_fewer_colors(tmp_path, capsys):
 @pytest.mark.parametrize("command, flag", [
     ("solve", "--out"), ("solve", "--clustering-out"), ("solve", "--dump-lp"),
     ("solve", "--dump-flow"), ("gen", "--out"), ("sweep", "--out")])
-def test_output_in_a_missing_directory_exits_1_without_a_traceback(tmp_path, command,
-                                                                   flag):
+def test_output_in_a_missing_directory_exits_1_without_a_traceback(
+        tmp_path, capsys, monkeypatch, command, flag):
+    """An unwritable output path is one error line and exit 1, before any
+    solve runs."""
     inst_path, spec_path = _gen_pair(tmp_path, seed=1)
     target = tmp_path / "missing" / "out.txt"
     args = {"solve": ["--instance", str(inst_path), "--spec", str(spec_path),
@@ -216,11 +218,17 @@ def test_output_in_a_missing_directory_exits_1_without_a_traceback(tmp_path, com
             "gen": ["--n", "6", "--m", "2", "--seed", "1"],
             "sweep": ["--count", "1", "--n-min", "6", "--n-max", "6",
                       "--objectives", "center"]}[command]
-    proc = subprocess.run(
-        [sys.executable, "-m", "fairclus.cli", command, *args, flag, str(target)],
-        capture_output=True, text=True)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
+    calls = []
+    for name in ("_sweep_task", "pipeline_solve"):
+        def recording(*call_args, _name=name, _call=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _call(*call_args, **kwargs)
+        monkeypatch.setattr(cli, name, recording)
+    capsys.readouterr()
+    assert run_cli(command, *args, flag, str(target)) == 1
+    assert capsys.readouterr().err == \
+        f"error: cannot write {target}: No such file or directory\n"
+    assert calls == []
 
 
 def test_check_fewer_than_k_centers_breaks_ds(tmp_path, capsys):

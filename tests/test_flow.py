@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from fairclus import (CenterDiversitySpec, PipelineError, fractional_cost,
-                      make_instance, reroute_center, reroute_medmeans,
-                      solve_ds_exact, solve_lp)
+                      make_instance, pairwise_distance_set, reroute_center,
+                      reroute_medmeans, solve_ds_exact)
 from fairclus.flow import (build_flow, check_mass_windows, dump_flow_text,
                            extract_assignment, min_cost_flow, snap_to_integer)
-from fairclus.lp import (FractionalSolution, build_gf_feasibility_lp,
-                         build_gf_objective_lp, solution_from_clustering)
-from fairclus import min_feasible_lambda, pairwise_distance_set
+from fairclus.lp import FractionalSolution, solution_from_clustering
 
 from conftest import line_instance, window_gf
+from reference_lp import (check_full_lp_solution, full_lp_min_feasible_lambda,
+                          solve_full_lp)
 
 
 def _rounded(sol, x2):
     """The flow's 0/1 table as a solution over the same centers."""
-    return FractionalSolution(rows=sol.rows, x=x2, y=sol.y)
+    return FractionalSolution(rows=sol.rows, x=x2)
 
 
 def test_snap_to_integer():
@@ -34,7 +34,7 @@ def test_floor_ceil_window_arithmetic():
     x = np.zeros((1, 8))
     x[0, :4] = 0.6   # 2.4 units of color 0
     x[0, 4:] = 0.4   # 1.6 units of color 1
-    rerouted = FractionalSolution(rows=np.array([0]), x=x, y=np.ones(1))
+    rerouted = FractionalSolution(rows=np.array([0]), x=x)
     net = build_flow(rerouted, inst, "center")
     windows = list(zip(net.lower.tolist(), net.upper.tolist()))
     # rows: 8 points, then (center 0, color 0), (center 0, color 1), center 0
@@ -50,7 +50,7 @@ def test_check_mass_windows_names_the_row_outside_its_window():
                          coords=[[float(i)] for i in range(8)])
     x = np.zeros((1, 8))
     x[0, :4], x[0, 4:] = 0.6, 0.4
-    net = build_flow(FractionalSolution(rows=np.array([0]), x=x, y=np.ones(1)),
+    net = build_flow(FractionalSolution(rows=np.array([0]), x=x),
                      inst, "center")
     with pytest.raises(PipelineError, match=r"row ch_0_0 counts 4 points, outside \[2, 3\]"):
         check_mass_windows(np.ones((1, 8)), net, inst)
@@ -82,7 +82,7 @@ def test_infeasible_lower_bound_raises():
     x = np.zeros((2, 3))
     x[0, [0, 1]] = 1.0
     x[1, [1, 2]] = 1.0
-    net = build_flow(FractionalSolution(rows=np.array([0, 2]), x=x, y=np.ones(2)),
+    net = build_flow(FractionalSolution(rows=np.array([0, 2]), x=x),
                      inst, "median")
     assert net.lower[-2:].tolist() == [2, 2]
     with pytest.raises(PipelineError, match="flow"):
@@ -96,9 +96,10 @@ def _center_stage(inst, gf, k):
         lower = (0,) * inst.m
     ds = CenterDiversitySpec(lower=lower, upper=(k,) * inst.m, k=k)
     ds_sol = solve_ds_exact(inst, ds, "center")
-    radii = pairwise_distance_set(inst)
-    lam = max(min_feasible_lambda(inst, gf, k, radii).radius, ds_sol.cost)
-    sol = solve_lp(build_gf_feasibility_lp(inst, gf, k, lam), inst, gf)
+    lam = max(full_lp_min_feasible_lambda(inst, gf, k, pairwise_distance_set(inst))[0],
+              ds_sol.cost)
+    sol = solve_full_lp(inst, gf, k, lam, None)
+    check_full_lp_solution(inst, gf, k, lam, sol)
     rerouted, _ = reroute_center(inst, sol, ds_sol.centers)
     return ds_sol, rerouted
 
@@ -106,7 +107,8 @@ def _center_stage(inst, gf, k):
 def _medmeans_stage(inst, gf, objective):
     ds = CenterDiversitySpec(lower=(0, 0), upper=(2, 2), k=2)
     ds_sol = solve_ds_exact(inst, ds, objective)
-    sol = solve_lp(build_gf_objective_lp(inst, gf, 2, objective), inst, gf)
+    sol = solve_full_lp(inst, gf, 2, None, objective)
+    check_full_lp_solution(inst, gf, 2, None, sol)
     rerouted, _ = reroute_medmeans(inst, sol, ds_sol.centers)
     return ds_sol, rerouted
 
@@ -171,7 +173,7 @@ def test_min_cost_never_exceeds_fractional_cost():
 def test_min_cost_single_point():
     inst = line_instance([0.0, 3.0], [0, 1])
     # both points fully assigned to center 0
-    rerouted = FractionalSolution(rows=np.array([0]), x=np.ones((1, 2)), y=np.ones(1))
+    rerouted = FractionalSolution(rows=np.array([0]), x=np.ones((1, 2)))
     net = build_flow(rerouted, inst, "means")
     x2 = extract_assignment(min_cost_flow(net), net)
     assert fractional_cost(inst, _rounded(rerouted, x2), "means") == pytest.approx(9.0)
@@ -198,8 +200,7 @@ def test_integral_passthrough_min_cost_mode():
 
 def _two_point_net():
     inst = line_instance([0, 1], [0, 1])
-    return build_flow(FractionalSolution(rows=np.array([0]), x=np.ones((1, 2)),
-                                         y=np.ones(1)), inst, "median")
+    return build_flow(FractionalSolution(rows=np.array([0]), x=np.ones((1, 2))), inst, "median")
 
 
 def test_extraction_rejects_unassigned_points():

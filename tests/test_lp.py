@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -13,28 +14,29 @@ from fairclus import (GroupFairnessSpec, InfeasibleError, ValidationError,
                       make_instance, min_feasible_lambda,
                       pairwise_distance_set, random_instance, solve_lp)
 from fairclus import lp as lp_module
-from fairclus.instance import EPS_D
 from fairclus.errors import NumericalError
 from fairclus.lp import (RESIDUAL_TOL, FractionalSolution, check_lp_solution, dump_lp_text,
                          solution_from_clustering)
 
 from conftest import line_instance, vacuous_gf, window_gf
+from reference_lp import dense_reference, full_lp_residual, solve_full_lp
 
 
 def test_single_point_forced():
     inst = line_instance([0.0], [0])
     gf = GroupFairnessSpec(lower=(1,), upper=(1,))
-    model = build_gf_feasibility_lp(inst, gf, k=1, lam=0.0)
-    sol = solve_lp(model, inst, gf)
+    model = build_gf_feasibility_lp(inst, gf, [0], lam=0.0)
+    sol = solve_lp(model)
+    check_lp_solution(model, sol, inst, gf)
+    assert sol.rows.tolist() == [0]
     assert sol.x[0, 0] == pytest.approx(1.0)
-    assert sol.y[0] == pytest.approx(1.0)
 
 
 def test_colocated_lower_bound_infeasible():
     # two points at the same place, but every cluster must be all color 0
     inst = make_instance([0, 1], coords=[[0.0], [0.0]])
     gf = GroupFairnessSpec(lower=(1, 0), upper=(1, 1))
-    model = build_gf_feasibility_lp(inst, gf, k=2, lam=0.0)
+    model = build_gf_feasibility_lp(inst, gf, [0, 1], lam=0.0)
     assert solve_lp(model) is None
 
 
@@ -42,8 +44,10 @@ def test_vacuous_gf_feasible_at_max_distance():
     inst = random_instance(6, 2, seed=1)
     gf = vacuous_gf(2)
     lam = float(pairwise_distance_set(inst)[-1])
-    sol = solve_lp(build_gf_feasibility_lp(inst, gf, k=1, lam=lam), inst, gf)
+    model = build_gf_feasibility_lp(inst, gf, [0], lam=lam)
+    sol = solve_lp(model)
     assert sol is not None
+    check_lp_solution(model, sol, inst, gf)
 
 
 def test_check_lp_solution_holds_the_mass_rows():
@@ -51,19 +55,33 @@ def test_check_lp_solution_holds_the_mass_rows():
     breaks its ``sum_j x_ij >= 1`` row, and no other row."""
     inst = line_instance([0, 1, 2, 3], [0, 1, 0, 1])
     gf = vacuous_gf(2)
-    model = build_gf_objective_lp(inst, gf, 2, "median", centers=[0, 3])
-    rows, y = np.array([0, 3]), np.ones(2)
+    model = build_gf_objective_lp(inst, gf, [0, 3], "median")
+    rows = np.array([0, 3])
     x = np.zeros((2, 4))
     x[0, 0] = 1.0
     x[1, 1:] = 1.0
-    check_lp_solution(model, FractionalSolution(rows=rows, x=x, y=y), inst, gf)
+    check_lp_solution(model, FractionalSolution(rows=rows, x=x), inst, gf)
     x[0, 0], x[1, 0] = 1.0 - 1e-6, 1e-6
-    doctored = FractionalSolution(rows=rows, x=x, y=y)
-    resid = lp_residuals(inst, gf, 2, doctored, centers=model.centers)
+    doctored = FractionalSolution(rows=rows, x=x)
+    resid = lp_residuals(inst, gf, doctored, centers=model.centers)
     assert resid["mass"] == pytest.approx(1e-6)
     assert max(v for key, v in resid.items() if key not in ("mass", "max")) <= 1e-15
     with pytest.raises(NumericalError, match="post-repair residual"):
         check_lp_solution(model, doctored, inst, gf)
+
+
+def test_full_lp_check_holds_the_opening_rows():
+    """The full LP's own check, in the reference, catches a solution that
+    sends mass to a closed point (x_ij > y_i) or opens more than k points."""
+    inst = line_instance([0, 1, 2, 3], [0, 1, 0, 1])
+    gf = vacuous_gf(2)
+    sol = solve_full_lp(inst, gf, 2, None, "median")
+    assert full_lp_residual(inst, gf, 2, None, sol) <= RESIDUAL_TOL
+    i = int(sol.x.sum(axis=1).argmax())
+    closed = replace(sol, y=np.where(np.arange(4) == i, 0.0, sol.y))
+    assert full_lp_residual(inst, gf, 2, None, closed) == pytest.approx(sol.x[i].max())
+    every = replace(sol, y=np.ones(4))
+    assert full_lp_residual(inst, gf, 2, None, every) == pytest.approx(2.0)
 
 
 def test_solution_invariants_on_random_instances():
@@ -73,10 +91,11 @@ def test_solution_invariants_on_random_instances():
         inst = make_instance(rng.integers(0, 2, size=n),
                              coords=rng.uniform(0, 1, (n, 2)), m=2)
         gf = window_gf(inst)
-        radii = pairwise_distance_set(inst)
-        lam = min_feasible_lambda(inst, gf, 2, radii).radius
-        sol = solve_lp(build_gf_feasibility_lp(inst, gf, 2, lam), inst, gf)
-        resid = lp_residuals(inst, gf, 2, sol, lam=lam)
+        centers = sorted(rng.choice(n, size=2, replace=False).tolist())
+        radii = np.unique(inst.distance_matrix()[centers])
+        lam = min_feasible_lambda(inst, gf, centers, radii).radius
+        sol = solve_lp(build_gf_feasibility_lp(inst, gf, centers, lam))
+        resid = lp_residuals(inst, gf, sol, lam=lam, centers=centers)
         assert resid["max"] <= 1e-7
         assert resid["assign"] <= 1e-9  # columns renormalized exactly
 
@@ -84,17 +103,23 @@ def test_solution_invariants_on_random_instances():
 def test_objective_lp_trivial_cases():
     inst = line_instance([0.0], [0])
     gf = GroupFairnessSpec(lower=(0,), upper=(1,))
-    sol = solve_lp(build_gf_objective_lp(inst, gf, 1, "median"), inst, gf)
+    model = build_gf_objective_lp(inst, gf, [0], "median")
+    sol = solve_lp(model)
+    check_lp_solution(model, sol, inst, gf)
     assert fractional_cost(inst, sol, "median") == pytest.approx(0.0)
     assert sol.x[0, 0] == pytest.approx(1.0)
 
     two = make_instance([0, 1], coords=[[0.0], [0.0]])
     gf2 = vacuous_gf(2)
-    sol2 = solve_lp(build_gf_objective_lp(two, gf2, 1, "means"), two, gf2)
+    model2 = build_gf_objective_lp(two, gf2, [1], "means")
+    sol2 = solve_lp(model2)
+    check_lp_solution(model2, sol2, two, gf2)
     assert fractional_cost(two, sol2, "means") == pytest.approx(0.0)
 
 
 def test_lp_is_a_relaxation_of_integral_gf_clustering():
+    """Over every center pair, the LP optimum is at most the cost of the best
+    fair assignment to those centers that leaves no center empty."""
     rng = np.random.default_rng(8)
     checked = 0
     for trial in range(12):
@@ -103,19 +128,18 @@ def test_lp_is_a_relaxation_of_integral_gf_clustering():
                              coords=rng.uniform(0, 1, (n, 2)), m=2)
         gf = window_gf(inst, width=Fraction(1, 3))
         for objective in ("median", "means"):
-            sol = solve_lp(build_gf_objective_lp(inst, gf, 2, objective), inst, gf)
-            lp_cost = fractional_cost(inst, sol, objective)
-            best_integral = math.inf
             for centers in combinations(range(n), 2):
                 try:
-                    clus = brute_force_gf_assignment(inst, centers, gf, objective)
+                    clus = brute_force_gf_assignment(inst, centers, gf, objective,
+                                                     require_nonempty=True)
                 except InfeasibleError:
                     continue
-                best_integral = min(best_integral, clus.cost)
-            if best_integral < math.inf:
+                model = build_gf_objective_lp(inst, gf, centers, objective)
+                sol = solve_lp(model)
+                check_lp_solution(model, sol, inst, gf)
+                assert fractional_cost(inst, sol, objective) <= clus.cost + 1e-7
                 checked += 1
-                assert lp_cost <= best_integral + 1e-7
-    assert checked >= 8
+    assert checked >= 100
 
 
 def test_integral_clustering_embeds_into_lp():
@@ -133,7 +157,7 @@ def test_integral_clustering_embeds_into_lp():
             continue
         checked += 1
         embedded = solution_from_clustering(inst, clus.centers, clus.assignment)
-        resid = lp_residuals(inst, gf, 2, embedded, lam=clus.cost)
+        resid = lp_residuals(inst, gf, embedded, lam=clus.cost)
         assert resid["max"] <= 1e-9
     assert checked >= 5
 
@@ -145,10 +169,10 @@ def test_min_feasible_lambda_matches_linear_scan():
         inst = make_instance(rng.integers(0, 2, size=n),
                              coords=rng.uniform(0, 1, (n, 2)), m=2)
         gf = window_gf(inst)
-        k = 2
-        radii = pairwise_distance_set(inst)
-        lam = min_feasible_lambda(inst, gf, k, radii).radius
-        flags = [solve_lp(build_gf_feasibility_lp(inst, gf, k, float(r)))
+        centers = sorted(rng.choice(n, size=2, replace=False).tolist())
+        radii = np.unique(inst.distance_matrix()[centers])
+        lam = min_feasible_lambda(inst, gf, centers, radii).radius
+        flags = [solve_lp(build_gf_feasibility_lp(inst, gf, centers, float(r)))
                  is not None for r in radii]
         # monotone: once feasible, stays feasible
         first = flags.index(True)
@@ -159,19 +183,21 @@ def test_min_feasible_lambda_matches_linear_scan():
 def test_min_feasible_lambda_trivial_values():
     single = line_instance([0.0], [0])
     gf1 = GroupFairnessSpec(lower=(0,), upper=(1,))
-    assert min_feasible_lambda(single, gf1, 1, pairwise_distance_set(single)).radius == 0.0
+    assert min_feasible_lambda(single, gf1, [0],
+                               pairwise_distance_set(single)).radius == 0.0
 
     inst = random_instance(5, 2, seed=3)
     gf = vacuous_gf(2)
     # every point its own center: radius 0 suffices
-    assert min_feasible_lambda(inst, gf, 5, pairwise_distance_set(inst)).radius == 0.0
+    assert min_feasible_lambda(inst, gf, range(5),
+                               pairwise_distance_set(inst)).radius == 0.0
 
 
 def test_min_feasible_lambda_globally_infeasible():
     inst = make_instance([0, 1], coords=[[0.0], [1.0]])
     gf = GroupFairnessSpec(lower=(1, 0), upper=(1, 1))  # clusters must be pure color 0
     with pytest.raises(InfeasibleError) as exc_info:
-        min_feasible_lambda(inst, gf, 2, pairwise_distance_set(inst))
+        min_feasible_lambda(inst, gf, [0, 1], pairwise_distance_set(inst))
     assert exc_info.value.diagnosis == ["sum of lower ratios = 1",
                                         "sum of upper ratios = 2", "k = 2, n = 2"]
 
@@ -181,48 +207,45 @@ def _record_probes(monkeypatch):
     probed = []
     build = lp_module.build_gf_feasibility_lp
 
-    def recording(inst, gf, k, lam, centers=None):
+    def recording(inst, gf, centers, lam):
         probed.append(lam)
-        return build(inst, gf, k, lam, centers=centers)
+        return build(inst, gf, centers, lam)
 
     monkeypatch.setattr(lp_module, "build_gf_feasibility_lp", recording)
     return probed
 
 
 def test_min_feasible_lambda_on_candidate_suffixes(monkeypatch):
-    """Full programs over every pairwise distance, and fixed-center programs
-    over the distances from a random center set."""
+    """Programs over a random center set, searched over every suffix of the
+    distances from its centers."""
     rng = np.random.default_rng(43)
     pick = np.random.default_rng(44)
     probed = _record_probes(monkeypatch)
-    searched = {None: 0, "fixed": 0}
+    searched = 0
     for n, m, k in ((5, 2, 1), (6, 2, 2), (7, 3, 2), (8, 2, 3), (8, 3, 3)):
         inst = make_instance(np.arange(n) % m, coords=rng.uniform(0, 1, (n, 2)), m=m)
         gf = window_gf(inst)
-        fixed = sorted(pick.choice(n, size=k, replace=False).tolist())
-        for centers in (None, fixed):
-            radii = (pairwise_distance_set(inst) if centers is None
-                     else np.unique(inst.distance_matrix()[centers]))
-            flags = [solve_lp(build_gf_feasibility_lp(inst, gf, k, float(r),
-                                                      centers=centers)) is not None
-                     for r in radii]
-            first = flags.index(True)  # the full search's answer
-            assert all(flags[first:])
-            for i in range(radii.size):
-                probed.clear()
-                result = min_feasible_lambda(inst, gf, k, radii[i:], centers=centers)
-                assert result.radius == float(radii[max(first, i)])
-                assert result.model.lam == result.radius
-                if centers is not None:
-                    assert result.model.centers.tolist() == centers
-                    assert result.solution.rows.tolist() == centers
-                    assert result.solution.x.shape == (k, n)
-                assert len(probed) == len(set(probed))  # no radius probed twice
-                assert len(probed) <= 1 + math.ceil(math.log2(radii.size - i))
-                resid = lp_residuals(inst, gf, k, result.solution, lam=result.radius)
-                assert resid["max"] <= RESIDUAL_TOL
-                searched[None if centers is None else "fixed"] += 1
-    assert searched[None] >= 60 and searched["fixed"] >= 30
+        centers = sorted(pick.choice(n, size=k, replace=False).tolist())
+        radii = np.unique(inst.distance_matrix()[centers])
+        flags = [solve_lp(build_gf_feasibility_lp(inst, gf, centers, float(r)))
+                 is not None for r in radii]
+        first = flags.index(True)  # the full search's answer
+        assert all(flags[first:])
+        for i in range(radii.size):
+            probed.clear()
+            result = min_feasible_lambda(inst, gf, centers, radii[i:])
+            assert result.radius == float(radii[max(first, i)])
+            assert result.model.lam == result.radius
+            assert result.model.centers.tolist() == centers
+            assert result.solution.rows.tolist() == centers
+            assert result.solution.x.shape == (k, n)
+            assert len(probed) == len(set(probed))  # no radius probed twice
+            assert len(probed) <= 1 + math.ceil(math.log2(radii.size - i))
+            resid = lp_residuals(inst, gf, result.solution, lam=result.radius,
+                                 centers=centers)
+            assert resid["max"] <= RESIDUAL_TOL
+            searched += 1
+    assert searched >= 30
 
 
 def test_first_passing_matches_a_linear_scan():
@@ -259,59 +282,62 @@ def test_min_feasible_lambda_single_candidate_probed_once(monkeypatch):
     inst = random_instance(6, 2, seed=4)
     gf = vacuous_gf(2)
     top = float(pairwise_distance_set(inst)[-1])
-    assert min_feasible_lambda(inst, gf, 1, [top]).radius == top
+    assert min_feasible_lambda(inst, gf, [0], [top]).radius == top
     assert probed == [top]
 
     probed.clear()
     pair = make_instance([0, 1], coords=[[0.0], [1.0]])
     pure = GroupFairnessSpec(lower=(1, 0), upper=(1, 1))
     with pytest.raises(InfeasibleError):
-        min_feasible_lambda(pair, pure, 2, [1.0])
+        min_feasible_lambda(pair, pure, [0, 1], [1.0])
     assert probed == [1.0]
 
 
 def test_alternating_line_lambda_matches_scan():
     inst = line_instance([0, 1, 2, 3], [0, 1, 0, 1])
     gf = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5))
-    radii = pairwise_distance_set(inst)
-    lam = min_feasible_lambda(inst, gf, 1, radii).radius
-    scan = next(float(r) for r in radii
-                if solve_lp(build_gf_feasibility_lp(inst, gf, 1, float(r))) is not None)
-    assert lam == pytest.approx(scan)
+    for centers in ([1], [0, 3]):
+        radii = pairwise_distance_set(inst)
+        lam = min_feasible_lambda(inst, gf, centers, radii).radius
+        scan = next(float(r) for r in radii
+                    if solve_lp(build_gf_feasibility_lp(inst, gf, centers, float(r)))
+                    is not None)
+        assert lam == pytest.approx(scan)
 
 
 def test_radius_cutoff_eliminates_variables():
     inst = line_instance([0, 1, 10], [0, 1, 0])
     gf = vacuous_gf(2)
-    model = build_gf_feasibility_lp(inst, gf, 2, lam=1.0)
+    model = build_gf_feasibility_lp(inst, gf, [0, 2], lam=1.0)
     kept_pairs = set(map(tuple, model.kept.tolist()))
     assert (0, 2) not in kept_pairs and (2, 0) not in kept_pairs
     assert (0, 1) in kept_pairs
-    full = build_gf_objective_lp(inst, gf, 2, "median")
-    assert len(full.kept) == 9  # no cutoff: all n^2 assignment variables
+    uncapped = build_gf_objective_lp(inst, gf, [0, 2], "median")
+    assert len(uncapped.kept) == 6  # no cutoff: all k * n assignment variables
 
 
 def test_objective_lp_rejects_center():
     inst = line_instance([0, 1], [0, 1])
     with pytest.raises(ValidationError):
-        build_gf_objective_lp(inst, vacuous_gf(2), 1, "center")
+        build_gf_objective_lp(inst, vacuous_gf(2), [0], "center")
 
 
-@pytest.mark.parametrize("centers", [[0], [0, 0], [0, 2], [-1, 1]])
+@pytest.mark.parametrize("centers", [[], [0, 0], [0, 2], [-1, 1]])
 def test_fixed_center_lp_rejects_bad_center_sets(centers):
     inst = line_instance([0, 1], [0, 1])
     with pytest.raises(ValidationError, match="distinct ids"):
-        build_gf_objective_lp(inst, vacuous_gf(2), 2, "median", centers=centers)
+        build_gf_objective_lp(inst, vacuous_gf(2), centers, "median")
 
 
 def test_fixed_center_lp_solution_is_the_optimal_fair_assignment():
     inst = line_instance([0, 1, 2, 10, 11, 12], [0, 1, 0, 1, 0, 1])
     gf = GroupFairnessSpec(lower=(Fraction(1, 3), Fraction(1, 3)),
                            upper=(Fraction(2, 3), Fraction(2, 3)))
-    model = build_gf_objective_lp(inst, gf, 2, "median", centers=[4, 1])
+    model = build_gf_objective_lp(inst, gf, [4, 1], "median")
     sol = solve_lp(model)
-    assert model.ncols == 12 and model.centers.tolist() == [1, 4]
-    assert sol.rows.tolist() == [1, 4] and sol.y.tolist() == [1, 1]
+    check_lp_solution(model, sol, inst, gf)
+    assert model.ncols == 12 and model.centers.tolist() == [1, 4] and model.k == 2
+    assert sol.rows.tolist() == [1, 4]
     assert sol.x.shape == (2, 6)
     # each point goes to its near center; both clusters hold 1 or 2 of each color
     assert fractional_cost(inst, sol, "median") == pytest.approx(4.0)
@@ -320,73 +346,13 @@ def test_fixed_center_lp_solution_is_the_optimal_fair_assignment():
 def test_dump_lp_text():
     inst = line_instance([0, 1], [0, 1])
     gf = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5))
-    model = build_gf_objective_lp(inst, gf, 1, "median")
     buf = io.StringIO()
-    dump_lp_text(model, buf)
-    text = buf.getvalue()
-    assert "Minimize" in text and "Subject To" in text and "End" in text
-    assert "x_0_1" in text and "y_0" in text
-    assert "opened_at_most_k" in text
-
-    buf = io.StringIO()
-    dump_lp_text(build_gf_objective_lp(inst, gf, 1, "median", centers=[1]), buf)
+    dump_lp_text(build_gf_objective_lp(inst, gf, [1], "median"), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "\\ fairclus model centers=1 n=2 k=1"
+    assert {"Minimize", "Subject To", "End"} <= set(lines)
     assert " mass_1: -1 x_1_0 -1 x_1_1 <= -1" in lines
     assert not any("y_" in line or "open" in line for line in lines)
-
-
-def _dense_reference(inst, gf, k, lam, objective, centers=None):
-    """Kept pairs, (a_eq, b_eq, a_ub, b_ub, c) written row by row from the
-    constraint list in the lp module docstring, with dense matrices. With
-    ``centers``, the fixed-center variant: pairs of those centers only, no y,
-    and a -sum_j x_ij <= -1 row per center in place of the opening rows."""
-    n, d = inst.n, inst.distance_matrix()
-    owners = range(n) if centers is None else centers
-    pairs = [(i, j) for i in owners for j in range(n)
-             if lam is None or d[i, j] <= lam + EPS_D]
-    col = {pair: a for a, pair in enumerate(pairs)}
-    nx = len(pairs)
-    ncols = nx + (n if centers is None else 0)
-    a_eq = np.zeros((n, ncols))
-    for (i, j), a in col.items():  # sum_i x_ij = 1
-        a_eq[j, a] = 1.0
-    ub = []
-    if centers is None:
-        for (i, j), a in col.items():  # x_ij <= y_i
-            row = np.zeros(ncols)
-            row[a], row[nx + i] = 1.0, -1.0
-            ub.append((row, 0.0))
-        row = np.zeros(ncols)  # sum_i y_i <= k
-        row[nx:] = 1.0
-        ub.append((row, float(k)))
-    else:
-        for i in centers:  # sum_j x_ij >= 1
-            row = np.zeros(ncols)
-            for j in range(n):
-                row[col[i, j]] = -1.0
-            ub.append((row, -1.0))
-    lower, upper = gf.lower_floats(), gf.upper_floats()
-    for i in owners:  # l_h * mass_i <= mass_ih <= u_h * mass_i
-        for h in range(inst.m):
-            for bound, sign, vacuous in ((upper[h], 1.0, upper[h] == 1.0),
-                                         (lower[h], -1.0, lower[h] == 0.0)):
-                if vacuous:
-                    continue
-                row = np.zeros(ncols)
-                for j in range(n):
-                    if (i, j) in col:
-                        in_h = 1.0 if inst.colors[j] == h else 0.0
-                        row[col[i, j]] = sign * (in_h - bound)
-                ub.append((row, 0.0))
-    c = np.zeros(ncols)
-    for (i, j), a in col.items():
-        if objective == "median":
-            c[a] = d[i, j]
-        elif objective == "means":
-            c[a] = d[i, j] * d[i, j]
-    return (pairs, a_eq, np.ones(n), np.array([r for r, _ in ub]),
-            np.array([b for _, b in ub]), c)
 
 
 def _grid_spec(inst, kind):
@@ -412,45 +378,12 @@ def _assert_one_matrix(model, a_eq, b_eq, a_ub, b_ub):
     assert model.a.has_canonical_format and np.all(model.a.data != 0.0)
 
 
-def test_model_matches_dense_reference():
-    rng = np.random.default_rng(61)
-    checked = 0
-    for n in range(2, 10):
-        for m in (1, 2, 3):
-            if m == 1 and n % 2:
-                continue
-            inst = make_instance(np.arange(n) % m, coords=rng.uniform(0, 1, (n, 2)), m=m)
-            radii = pairwise_distance_set(inst)
-            for kind in ("exact", "vacuous", "lower-only", "forbidden-color"):
-                if kind == "forbidden-color" and m == 1:
-                    continue
-                gf = _grid_spec(inst, kind)
-                k = int(rng.integers(1, n + 1))
-                lam = float(radii[int(rng.integers(0, radii.size))])
-                for model, cap, objective in (
-                        (build_gf_feasibility_lp(inst, gf, k, lam), lam, None),
-                        (build_gf_objective_lp(inst, gf, k, "median"), None, "median"),
-                        (build_gf_objective_lp(inst, gf, k, "means"), None, "means")):
-                    pairs, a_eq, b_eq, a_ub, b_ub, c = _dense_reference(
-                        inst, gf, k, cap, objective)
-                    assert model.kept.shape == (len(pairs), 2)
-                    assert model.kept.tolist() == [list(p) for p in pairs]
-                    assert model.ncols == len(pairs) + n
-                    assert np.array_equal(model.a_eq.toarray(), a_eq)
-                    assert np.array_equal(model.a_ub.toarray(), a_ub)
-                    assert np.array_equal(model.b_eq, b_eq)
-                    assert np.array_equal(model.b_ub, b_ub)
-                    assert np.array_equal(model.c, c)
-                    for a in (model.a_eq, model.a_ub):  # zeros are not stored
-                        assert a.has_canonical_format and np.all(a.data != 0.0)
-                    _assert_one_matrix(model, a_eq, b_eq, a_ub, b_ub)
-                    checked += 1
-    assert checked >= 200
-
-
 def test_fixed_center_model_matches_dense_reference():
+    """Uncapped median and means models, and feasibility models capped at a
+    distance from the centers and at the largest one below the
+    nearest-assignment radius, where some point reaches no center."""
     rng = np.random.default_rng(63)
-    checked = 0
+    checked = {"uncapped": 0, "capped": 0, "below": 0}
     for n in range(2, 10):
         for m in (1, 2, 3):
             if m == 1 and n % 2:
@@ -462,14 +395,25 @@ def test_fixed_center_model_matches_dense_reference():
                 gf = _grid_spec(inst, kind)
                 k = int(rng.integers(1, n + 1))
                 centers = sorted(rng.choice(n, size=k, replace=False).tolist())
-                for objective in ("median", "means"):
-                    model = build_gf_objective_lp(inst, gf, k, objective,
-                                                  centers=centers[::-1])
-                    pairs, a_eq, b_eq, a_ub, b_ub, c = _dense_reference(
-                        inst, gf, k, None, objective, centers)
-                    assert model.centers.tolist() == centers
+                dc = inst.distance_matrix()[centers]
+                radii = np.unique(dc)
+                below = radii[radii < dc.min(axis=0).max()]
+                cases = [("uncapped", build_gf_objective_lp(inst, gf, centers[::-1], objective),
+                          None, objective) for objective in ("median", "means")]
+                for case, lam in (("capped", radii[rng.integers(0, radii.size)]),
+                                  ("below", below[-1] if below.size else None)):
+                    if lam is not None:
+                        cases.append((case, build_gf_feasibility_lp(
+                            inst, gf, centers[::-1], float(lam)), float(lam), None))
+                for case, model, lam, objective in cases:
+                    pairs, a_eq, b_eq, a_ub, b_ub, c = dense_reference(
+                        inst, gf, k, lam, objective, centers)
+                    assert model.centers.tolist() == centers and model.k == k
+                    assert model.lam == lam
                     assert model.kept.tolist() == [list(p) for p in pairs]
-                    assert model.ncols == len(pairs) == k * n
+                    assert model.ncols == len(pairs) <= k * n
+                    if lam is None:
+                        assert len(pairs) == k * n
                     assert np.array_equal(model.a_eq.toarray(), a_eq)
                     assert np.array_equal(model.a_ub.toarray(), a_ub)
                     assert np.array_equal(model.b_eq, b_eq)
@@ -478,8 +422,9 @@ def test_fixed_center_model_matches_dense_reference():
                     for a in (model.a_eq, model.a_ub):
                         assert a.has_canonical_format and np.all(a.data != 0.0)
                     _assert_one_matrix(model, a_eq, b_eq, a_ub, b_ub)
-                    checked += 1
-    assert checked >= 150
+                    checked[case] += 1
+    assert checked["uncapped"] >= 150 and checked["capped"] >= 75
+    assert checked["below"] >= 40
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -490,11 +435,11 @@ def _golden_model(name):
         inst = line_instance([0, 1, 2, 4, 7, 8], [0, 1, 2, 0, 1, 2])
         gf = GroupFairnessSpec(lower=(Fraction(1, 4), 0, 0),
                                upper=(Fraction(1, 2), 1, Fraction(1, 2)))
-        return build_gf_feasibility_lp(inst, gf, 2, 3.0)
+        return build_gf_feasibility_lp(inst, gf, [1, 4], 3.0)
     inst = random_instance(5, 2, seed=3)
     gf = GroupFairnessSpec(lower=(Fraction(1, 3), Fraction(1, 4)),
                            upper=(Fraction(2, 3), 1))
-    return build_gf_objective_lp(inst, gf, 2, "means")
+    return build_gf_objective_lp(inst, gf, [0, 3], "means")
 
 
 @pytest.mark.parametrize("name", ["lp_capped.lp", "lp_means.lp"])

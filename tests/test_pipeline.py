@@ -23,6 +23,7 @@ from fairclus.oracle import brute_force_doubly_fair
 
 from conftest import (balanced_instance, line_instance, rerouting_certificate,
                       vacuous_gf, window_gf)
+from reference_lp import solve_full_lp
 
 
 def test_two_point_trivial():
@@ -252,14 +253,14 @@ def test_report_serializes_to_json():
     assert parsed["cost"] <= parsed["assignment_lp_cost"] + 1e-9
 
 
-def _fixed_center_scan(inst, gf, k, centers):
+def _fixed_center_scan(inst, gf, centers):
     """Every fixed-center candidate radius from the nearest-assignment radius
     up, each with its feasibility."""
     dc = inst.distance_matrix()[list(centers)]
     radii = np.unique(dc)
     radii = radii[radii >= dc.min(axis=0).max()]
     return [(float(r), solve_lp(build_gf_feasibility_lp(
-        inst, gf, k, float(r), centers=centers)) is not None) for r in radii]
+        inst, gf, centers, float(r))) is not None) for r in radii]
 
 
 def test_kcenter_with_feasible_nearest_radius_solves_one_lp(monkeypatch):
@@ -268,7 +269,7 @@ def test_kcenter_with_feasible_nearest_radius_solves_one_lp(monkeypatch):
     ds = default_ds_profile(inst, 4)
     clustering, first = solve(inst, gf, ds, "center", backend=GreedyBackend())
     # precondition: the LP is feasible at the nearest-assignment radius
-    assert dict(_fixed_center_scan(inst, gf, ds.k, clustering.centers))[first.ds_cost]
+    assert dict(_fixed_center_scan(inst, gf, clustering.centers))[first.ds_cost]
 
     objectives = _count_highs_lps(monkeypatch)
     _, report = solve(inst, gf, ds, "center", backend=GreedyBackend())
@@ -294,12 +295,12 @@ def test_kcenter_without_the_bound_matches_full_search_and_fresh_solve(
 def _match_full_search_and_fresh_solve(monkeypatch):
     above_ds = []
 
-    def full_scan_then_fresh_solve(inst, gf, k, candidates, centers):
-        scan = _fixed_center_scan(inst, gf, k, centers)
+    def full_scan_then_fresh_solve(inst, gf, centers, candidates):
+        scan = _fixed_center_scan(inst, gf, centers)
         radius = next(r for r, feasible in scan if feasible)
         assert radius in candidates  # the bound skips no feasible radius
-        model = build_gf_feasibility_lp(inst, gf, k, radius, centers=centers)
-        return LambdaSearchResult(radius, model, solve_lp(model, inst, gf))
+        model = build_gf_feasibility_lp(inst, gf, centers, radius)
+        return LambdaSearchResult(radius, model, solve_lp(model))
 
     def outcome(clustering, report):
         fields = report.to_dict()
@@ -333,8 +334,8 @@ def test_kcenter_lp_dump_is_the_model_at_lam(tmp_path):
     centers = ",".join(map(str, clustering.centers))
     assert f" radius_cap={report.lam} centers={centers} " in text.splitlines()[0]
     fresh = io.StringIO()
-    dump_lp_text(build_gf_feasibility_lp(inst, gf, ds.k, report.lam,
-                                         centers=clustering.centers), fresh)
+    dump_lp_text(build_gf_feasibility_lp(inst, gf, clustering.centers, report.lam),
+                 fresh)
     assert text == fresh.getvalue()
 
 
@@ -362,7 +363,7 @@ def test_kcenter_radius_search_on_ties_and_duplicates(inst):
         ds = default_ds_profile(inst, k)
         for backend in (ExactBackend(), GreedyBackend()):
             clustering, report = solve(inst, gf, ds, "center", backend=backend)
-            scan = _fixed_center_scan(inst, gf, k, clustering.centers)
+            scan = _fixed_center_scan(inst, gf, clustering.centers)
             assert report.lam == next(r for r, feasible in scan if feasible)
             assert report.cost <= report.lam + 1e-9
             assert report.gf_violation <= 2.0 + 1e-9
@@ -426,13 +427,14 @@ def test_medmeans_solves_one_assignment_lp(monkeypatch):
 
 
 def _record_model_centers(monkeypatch):
-    """The ``centers`` of every LP model built, in build order."""
+    """The centers of every LP model built, in build order."""
     built = []
     build = lp_module._build
 
-    def recording(*args, centers=None, **kwargs):
-        built.append(centers)
-        return build(*args, centers=centers, **kwargs)
+    def recording(*args, **kwargs):
+        model = build(*args, **kwargs)
+        built.append(model.centers.tolist())
+        return model
 
     monkeypatch.setattr(lp_module, "_build", recording)
     return built
@@ -440,26 +442,21 @@ def _record_model_centers(monkeypatch):
 
 def test_production_path_is_k_by_n(monkeypatch):
     """The LP solution and the rounding are k x n tables over the centers,
-    and no model without centers (the n^2-column LP) is built, on feasible
-    or infeasible inputs."""
+    and every model built is over those centers."""
     built = _record_model_centers(monkeypatch)
     for n, m, k in ((8, 2, 2), (12, 3, 3), (20, 2, 4)):
         inst = random_instance(n, m, seed=n)
         gf, ds = exact_gf_spec(inst), default_ds_profile(inst, k)
         for objective in ("center", "median", "means"):
             artifacts = {}
+            built.clear()
             clustering, _ = solve(inst, gf, ds, objective, artifacts=artifacts)
             sol, x2 = artifacts["lp_solution"], artifacts["x2"]
             assert sol.x.shape == x2.shape == (k, n)
             assert sol.rows.tolist() == list(artifacts["net"].centers) \
                 == list(clustering.centers)
-    inst = line_instance([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1])
-    gf = GroupFairnessSpec(lower=(0, 0), upper=(Fraction(1, 3), 1))
-    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    for objective in ("center", "median", "means"):
-        with pytest.raises(InfeasibleError):
-            solve(inst, gf, ds, objective)
-    assert built and all(centers is not None for centers in built)
+            assert built and all(centers == list(clustering.centers)
+                                 for centers in built)
 
 
 def test_ratio_window_failure_is_found_by_the_precheck(monkeypatch):
@@ -490,10 +487,10 @@ def test_infeasible_objective_lp_reports_ratio_sums():
     centers = (0, 3)
     for objective in ("median", "means"):
         assert solve_lp(lp_module.build_gf_objective_lp(
-            inst, gf, 2, objective, centers=centers)) is None
+            inst, gf, centers, objective)) is None
     radii = np.unique(inst.distance_matrix()[list(centers)])
     with pytest.raises(InfeasibleError, match="largest radius") as exc_info:
-        lp_module.min_feasible_lambda(inst, gf, 2, radii, centers=centers)
+        lp_module.min_feasible_lambda(inst, gf, centers, radii)
     assert exc_info.value.diagnosis == ["sum of lower ratios = 0",
                                         "sum of upper ratios = 1.33333",
                                         "k = 2, n = 6"]
@@ -505,8 +502,8 @@ def test_kcenter_with_no_radius_passing_the_bound_solves_only_the_full_lp(
     the precheck bypassed, no radius from any two centers of distinct colors
     passes the counting bound, so the k-center path hands HiGHS no LP and
     reports a broken pipeline. The one LP that decides the input is the
-    full LP (n^2 + n columns), infeasible at the largest radius, as the
-    precheck's exact ratio test says."""
+    full LP (the reference's, n^2 + n columns), infeasible at the largest
+    radius, as the precheck's exact ratio test says."""
     inst = line_instance([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1])
     gf = GroupFairnessSpec(lower=(0, 0), upper=(Fraction(1, 3), 1))
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
@@ -522,8 +519,7 @@ def test_kcenter_with_no_radius_passing_the_bound_solves_only_the_full_lp(
     assert exc_info.value.stage == "lp"
     assert objectives == []
     largest = float(inst.distance_matrix().max())
-    assert solve_lp(build_gf_feasibility_lp(inst, gf, 2, largest)) is None
-    assert [c.size for c in objectives] == [6 * 6 + 6]
+    assert solve_full_lp(inst, gf, 2, largest, None) is None
 
 
 def test_fixed_center_lp_without_a_solution_is_a_pipeline_error(monkeypatch):
@@ -540,7 +536,7 @@ def test_fixed_center_lp_without_a_solution_is_a_pipeline_error(monkeypatch):
         with pytest.raises(PipelineError, match="fixed-center") as exc_info:
             solve(inst, gf, ds, objective)
         assert exc_info.value.stage == "lp"
-        assert built and all(centers is not None for centers in built)
+        assert built and all(len(centers) == ds.k for centers in built)
 
 
 def test_kcenter_radius_is_never_below_the_diverse_cost():
@@ -556,8 +552,7 @@ def test_kcenter_radius_is_never_below_the_diverse_cost():
     inst = make_instance([0, 1, 0, 1], dist=dist)
     gf = vacuous_gf(2)
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    assert solve_lp(build_gf_feasibility_lp(inst, gf, 2, below,
-                                            centers=(0, 1))) is not None
+    assert solve_lp(build_gf_feasibility_lp(inst, gf, (0, 1), below)) is not None
     clustering, report = solve(inst, gf, ds, "center")
     assert tuple(clustering.centers) == (0, 1)
     assert report.ds_cost == near
@@ -574,7 +569,7 @@ def test_kcenter_counting_bound_pins_a_radius_above_the_diverse_cost(monkeypatch
     clustering, report = solve(inst, gf, ds, "center", backend=GreedyBackend())
     assert len(objectives) == 1
     assert report.lam > report.ds_cost
-    scan = _fixed_center_scan(inst, gf, ds.k, clustering.centers)
+    scan = _fixed_center_scan(inst, gf, clustering.centers)
     assert report.lam == next(r for r, feasible in scan if feasible)
 
 
@@ -618,7 +613,7 @@ def test_counting_bound_never_passes_the_first_feasible_radius(case):
     """The bound's radius is never above the linear scan's, with every set
     of centers tested or only the 2k + 1 sets used above _ALL_SETS_MAX_K."""
     inst, gf, centers, few_sets = case
-    scan = _fixed_center_scan(inst, gf, len(centers), centers)
+    scan = _fixed_center_scan(inst, gf, centers)
     first = next((idx for idx, (_, feasible) in enumerate(scan) if feasible),
                  len(scan))
     with pytest.MonkeyPatch.context() as patch:
@@ -636,8 +631,8 @@ def test_precheck_ratio_test_decides_both_lps(case):
     inst, gf, centers, _ = case
     k = len(centers)
     ds = CenterDiversitySpec(lower=(0,) * inst.m, upper=(k,) * inst.m, k=k)
-    fixed = solve_lp(build_gf_feasibility_lp(inst, gf, k, None, centers=centers))
-    full = solve_lp(build_gf_feasibility_lp(inst, gf, k, None))
+    fixed = solve_lp(build_gf_feasibility_lp(inst, gf, centers, None))
+    full = solve_full_lp(inst, gf, k, None, None)
     assert (fixed is not None) == (full is not None) \
         == feasibility_precheck(inst, gf, ds).ok
 
@@ -649,7 +644,7 @@ def test_counting_bound_needs_the_sets_of_two_centers_at_k4():
     inst = random_instance(12, 2, seed=31)
     gf = exact_gf_spec(inst)
     centers = [0, 4, 5, 9]
-    scan = _fixed_center_scan(inst, gf, len(centers), centers)
+    scan = _fixed_center_scan(inst, gf, centers)
     radii = [r for r, _ in scan]
     first = next(idx for idx, (_, feasible) in enumerate(scan) if feasible)
     assert counting_bound_index(inst, gf, centers, radii) == first

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from fairclus import (CenterDiversitySpec, fractional_cost, lp_residuals,
-                      make_instance, min_feasible_lambda,
-                      pairwise_distance_set, random_instance, reroute_center,
-                      reroute_medmeans, solve_ds_exact, solve_lp)
-from fairclus.lp import (FractionalSolution, build_gf_feasibility_lp,
-                         build_gf_objective_lp, solution_from_clustering)
+                      make_instance, pairwise_distance_set, random_instance,
+                      reroute_center, reroute_medmeans, solve_ds_exact)
+from fairclus.lp import FractionalSolution, solution_from_clustering
 from fairclus.pipeline import means_pq
 from fairclus.rerouting import check_rerouted
 
 from conftest import line_instance, vacuous_gf, window_gf
+from reference_lp import (check_full_lp_solution, full_lp_min_feasible_lambda,
+                          solve_full_lp)
 
 
 def test_two_center_split_configuration():
@@ -26,7 +26,7 @@ def test_two_center_split_configuration():
     x[p, i2] = 0.1  # mass i2 -> p
     x[p, j] = 0.4   # mass j -> p
     x[q, j] = 0.6   # mass j -> q
-    sol = FractionalSolution(rows=np.arange(5), x=x, y=np.zeros(5))
+    sol = FractionalSolution(rows=np.arange(5), x=x)
     rerouted, plan = reroute_center(inst, sol, [i1, i2])
 
     w1 = 0.3 / (0.3 + 0.1)
@@ -45,9 +45,8 @@ def test_two_center_split_configuration():
 def test_singleton_center_set_takes_everything():
     inst = random_instance(6, 2, seed=5)
     gf = vacuous_gf(2)
-    radii = pairwise_distance_set(inst)
-    lam = min_feasible_lambda(inst, gf, 1, radii).radius
-    sol = solve_lp(build_gf_feasibility_lp(inst, gf, 1, lam), inst, gf)
+    lam, sol = full_lp_min_feasible_lambda(inst, gf, 1, pairwise_distance_set(inst))
+    check_full_lp_solution(inst, gf, 1, lam, sol)
     rerouted, _ = reroute_center(inst, sol, [3])
     assert rerouted.rows.tolist() == [3]
     assert np.allclose(rerouted.x, 1.0)
@@ -63,7 +62,7 @@ def test_medmeans_share_and_residual_configuration():
     x = np.zeros((4, 4))
     x[p, i] = 0.3  # mass i -> p
     x[p, j] = 0.5  # mass j -> p
-    sol = FractionalSolution(rows=np.arange(4), x=x, y=np.zeros(4))
+    sol = FractionalSolution(rows=np.arange(4), x=x)
     rerouted, plan = reroute_medmeans(inst, sol, [i, t])
 
     share = 0.3 / 0.8
@@ -92,7 +91,7 @@ def test_medmeans_identity_on_integral_support():
 
 
 def _pipeline_front(inst, gf, k, objective, seed_ds=None):
-    """DS centers + LP solution, the rerouting inputs, for tests."""
+    """DS centers + full-LP solution, the rerouting inputs, for tests."""
     counts = inst.color_counts()
     lower = tuple(1 if counts[h] > 0 else 0 for h in range(inst.m))
     if sum(lower) > k:
@@ -101,12 +100,13 @@ def _pipeline_front(inst, gf, k, objective, seed_ds=None):
     ds_sol = solve_ds_exact(inst, ds, objective)
     if objective == "center":
         radii = pairwise_distance_set(inst)
-        lam = max(min_feasible_lambda(inst, gf, k, radii).radius,
+        lam = max(full_lp_min_feasible_lambda(inst, gf, k, radii)[0],
                   float(radii[np.searchsorted(radii, ds_sol.cost - 1e-9)]))
-        sol = solve_lp(build_gf_feasibility_lp(inst, gf, k, lam), inst, gf)
-        return ds_sol, sol, lam
-    sol = solve_lp(build_gf_objective_lp(inst, gf, k, objective), inst, gf)
-    return ds_sol, sol, None
+    else:
+        lam = None
+    sol = solve_full_lp(inst, gf, k, lam, None if objective == "center" else objective)
+    check_full_lp_solution(inst, gf, k, lam, sol)
+    return ds_sol, sol, lam
 
 
 def test_center_rerouting_guarantees():
@@ -124,15 +124,14 @@ def test_center_rerouting_guarantees():
         assert np.abs(rerouted.x.sum(axis=0) - 1.0).max() <= 1e-6
         # per-center mass >= 1
         assert rerouted.x.sum(axis=1).min() >= 1.0 - 1e-6
-        # the rows are the center set, each opened exactly once
+        # the rows are the center set
         assert rerouted.rows.tolist() == list(ds_sol.centers)
-        assert np.array_equal(rerouted.y, np.ones(k))
         # support radius: (alpha + 1) * lambda with alpha = 1
         d = inst.distance_matrix()[rerouted.rows]
         sup = rerouted.x > 1e-9
         assert d[sup].max() <= (1.0 + 1.0) * lam + 1e-9
         # ratio constraints survive
-        resid = lp_residuals(inst, gf, k, rerouted)
+        resid = lp_residuals(inst, gf, rerouted)
         assert resid["color"] <= 1e-6
         check_rerouted(inst, gf, rerouted, ds_sol.centers,
                        radius_cap=2.0 * lam)
@@ -152,7 +151,7 @@ def test_medmeans_rerouting_guarantees_and_cost_bounds():
 
             assert np.abs(rerouted.x.sum(axis=0) - 1.0).max() <= 1e-6
             assert rerouted.x.sum(axis=1).min() >= 1.0 - 1e-6
-            resid = lp_residuals(inst, gf, k, rerouted)
+            resid = lp_residuals(inst, gf, rerouted)
             assert resid["color"] <= 1e-6
             check_rerouted(inst, gf, rerouted, ds_sol.centers)
 
@@ -173,7 +172,7 @@ def test_theta_prefers_lowest_id_on_ties():
     inst = make_instance([0, 1, 0], coords=[[0.0], [0.0], [1.0]])
     x = np.zeros((3, 3))
     x[2, 2] = 1.0  # only point 2 receives anything, from itself
-    sol = FractionalSolution(rows=np.arange(3), x=x, y=np.zeros(3))
+    sol = FractionalSolution(rows=np.arange(3), x=x)
     _, plan = reroute_center(inst, sol, [0, 1])
     # centers 0 and 1 are co-located: the tie goes to the lower id
     assert plan.theta[2] == 0
@@ -185,13 +184,10 @@ def test_check_rerouted_flags_broken_solutions():
     inst = line_instance([0, 1], [0, 1])
     gf = vacuous_gf(2)
     whole = np.array([[1.0, 1.0]])
-    bad = FractionalSolution(rows=np.array([0]), x=whole, y=np.array([0.5]))
-    with pytest.raises(Exception, match="indicator"):
-        check_rerouted(inst, gf, bad, [0])
-    elsewhere = FractionalSolution(rows=np.array([1]), x=whole, y=np.ones(1))
+    elsewhere = FractionalSolution(rows=np.array([1]), x=whole)
     with pytest.raises(Exception, match="rows are not the diverse center set"):
         check_rerouted(inst, gf, elsewhere, [0])
     starved = FractionalSolution(rows=np.array([0, 1]),
-                                 x=np.array([[0.9, 0.9], [0.1, 0.1]]), y=np.ones(2))
+                                 x=np.array([[0.9, 0.9], [0.1, 0.1]]))
     with pytest.raises(Exception, match="mass"):
         check_rerouted(inst, gf, starved, [0, 1])
