@@ -1,25 +1,36 @@
-"""Rounding a fractional assignment to fixed centers to 0/1 with one flow LP.
+"""Rounding a fractional assignment to fixed centers to 0/1 by min-cost flow.
 
 The input is a k x n solution whose rows are the centers, and so is the
 rounding. The network is the layered point -> (center, color) -> center
-flow, written as one LP: a variable per support arc (center i, point j) with
-x[i, j] > EPS_POS, a row per point fixed at 1, and a row per (center, color)
-pair and per center bounded by the floor and ceiling of its fractional mass.
-Those integer windows carry the bounded-violation guarantee into the integral
-solution. The point rows and the laminar center rows form a totally
-unimodular matrix, so the simplex vertex HiGHS returns is 0/1. Arc costs are
-d(i, j), squared for the sum-of-squares objective, so the rounded cost never
-exceeds the fractional one; k-center uses the plain distances as well, and
-its rounded radius stays within the support's, which the LP capped.
+flow (Bera et al., NeurIPS 2019): an arc per support pair (center i, point
+j) with x[i, j] > EPS_POS, one unit out of every point, and into each
+(center, color) pair and each center between the floor and the ceiling of
+its fractional mass. Those integer windows carry the bounded-violation
+guarantee into the integral solution. Arc costs are d(i, j), squared for the
+sum-of-squares objective; k-center uses the plain distances as well, and its
+rounded radius stays within the support's, which the LP capped.
+
+A point with one support arc has one way to be assigned: it is fixed there,
+and its count leaves its windows. Only the F fractional points are routed,
+by successive shortest paths (Ahuja, Magnanti and Orlin, Network Flows,
+1993, ch. 9) with Dijkstra on reduced costs. The windows' lower bounds turn
+into node demands, so every arc cost is >= 0 and zero potentials start the
+first Dijkstra. Each path carries one or more of the O(F) units of excess,
+so the run is O(F E log V) on E arcs and V nodes. The network matrix is
+totally unimodular, so that integral optimum is also optimal over the
+fractional flows, the LP solution among them: the rounded cost never
+exceeds the fractional one. At a vertex of the fixed-center LP the basis
+holds one variable per row (n point rows, k mass rows, at most 2km ratio
+rows); every point's positive variables are basic, and a fractional point
+has two or more, so F <= k(2m + 1) for any n.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .constraints import point_costs
 from .errors import PipelineError
@@ -32,7 +43,7 @@ class FlowNetwork:
     """Support arcs and the windows of the rows over them.
 
     Rows, in order: each point (window [1, 1]), each (center, color) pair
-    with centers outermost, each center.
+    with centers outermost, each center. Every arc sits in three rows.
     """
 
     n: int
@@ -40,7 +51,7 @@ class FlowNetwork:
     centers: tuple
     arcs: np.ndarray  # (A, 2) int: center, point; point-major
     cost: np.ndarray  # (A,)
-    rows: sparse.csc_array  # (n + k*m + k, A), 0/1
+    arc_rows: np.ndarray  # (A, 3) int: each arc's point, (center, color) and center row
     lower: np.ndarray  # per row: floor and ceil of the snapped fractional masses
     upper: np.ndarray
 
@@ -53,7 +64,7 @@ def snap_to_integer(value, eps: float = EPS_POS):
 
 def build_flow(sol: FractionalSolution, inst: MetricInstance,
                objective: str) -> FlowNetwork:
-    """The rounding LP of ``sol``, whose rows are the centers, for
+    """The rounding network of ``sol``, whose rows are the centers, for
     ``objective``."""
     n, m, k = inst.n, inst.m, sol.rows.size
     # masses per (center, color), centers outermost, then per center
@@ -63,33 +74,119 @@ def build_flow(sol: FractionalSolution, inst: MetricInstance,
     point, slot = np.nonzero(sol.x.T > EPS_POS)
     arcs = np.column_stack((sol.rows[slot], point))
     cost = point_costs(inst.distance_matrix()[arcs[:, 0], arcs[:, 1]], objective)
-
-    # each arc column holds three ones: its point, (center, color) and center rows
-    size = len(arcs)
-    row_of = np.column_stack((point, n + slot * m + inst.colors[point],
-                              n + k * m + slot)).ravel()
-    rows = sparse.csc_array((np.ones(3 * size), row_of, np.arange(0, 3 * size + 1, 3)),
-                            shape=(n + k * m + k, size))
+    arc_rows = np.column_stack((point, n + slot * m + inst.colors[point],
+                                n + k * m + slot))
     lower = np.concatenate((np.ones(n), np.floor(masses)))
     upper = np.concatenate((np.ones(n), np.ceil(masses)))
     return FlowNetwork(n=n, m=m, centers=tuple(sol.rows.tolist()), arcs=arcs,
-                       cost=cost, rows=rows, lower=lower, upper=upper)
+                       cost=cost, arc_rows=arc_rows, lower=lower, upper=upper)
 
 
 def min_cost_flow(net: FlowNetwork) -> np.ndarray:
-    """Arc flows of a cheapest assignment meeting every row window.
+    """0/1 arc flows of a cheapest assignment meeting every row window.
 
-    No integrality is requested: HiGHS solves the LP and, the matrix being
-    totally unimodular, returns a 0/1 vertex. Presolve is off because it
-    costs more than it saves on these sparse rows, at every size measured
-    (n from 6 to 2000).
+    Points with one support arc take it; the fractional points are routed
+    by ``_route`` through what their windows have left.
     """
-    result = milp(net.cost, constraints=LinearConstraint(net.rows, net.lower, net.upper),
-                  bounds=Bounds(0.0, 1.0), options={"presolve": False})
-    if result.status != 0:
-        raise PipelineError("flow", f"no assignment meets the row windows: "
-                                    f"{result.message}")
-    return result.x
+    n = net.n
+    point = net.arcs[:, 1]
+    degree = np.bincount(point, minlength=n)
+    if not degree.all():
+        raise PipelineError("flow", f"point {int(np.argmin(degree))} has no support arc")
+    fixed = degree[point] == 1
+    flows = fixed.astype(float)
+    taken = np.bincount(net.arc_rows[fixed, 1:].ravel(), minlength=net.lower.size)[n:]
+    lower = np.maximum(net.lower[n:] - taken, 0.0)
+    upper = net.upper[n:] - taken
+    free = np.flatnonzero(~fixed)
+    if (upper < 0).any() or (not free.size and lower.any()):
+        raise PipelineError("flow", "no assignment meets the row windows")
+    if free.size:
+        flows[free] = _route(point[free], net.arc_rows[free, 1] - n, net.cost[free],
+                             lower.astype(int), upper.astype(int), len(net.centers), net.m)
+    return flows
+
+
+def _route(points, windows, cost, lower, upper, k: int, m: int) -> np.ndarray:
+    """0/1 flows on the given point arcs of a cheapest routing of one unit
+    per point through the residual windows ``lower``/``upper`` (k*m
+    (center, color) rows, then k center rows).
+
+    Nodes: the points, the rows in order, then a sink taking one unit per
+    point. A window [lo, hi] on the arc out of a row becomes an arc of
+    capacity hi - lo plus a demand of lo at its tail and a supply of lo at
+    its head. Each round, one Dijkstra over the residual arcs from every
+    node with excess finds the nearest node with a deficit; the potentials
+    then rise by the distances, and the path carries what it can.
+    """
+    _, node_of = np.unique(points, return_inverse=True)
+    f = int(node_of.max()) + 1
+    sink = f + k * m + k
+    to, cap, price, adj = [], [], [], [[] for _ in range(sink + 1)]
+
+    def add_arc(u, v, capacity, c):
+        adj[u].append(len(to))
+        to.extend((v, u))
+        cap.extend((capacity, 0))
+        price.extend((c, -c))
+        adj[v].append(len(to) - 1)
+
+    excess = [1] * f + [0] * (k * m + k) + [-f]
+    for u, r, c in zip(node_of.tolist(), windows.tolist(), cost.tolist()):
+        add_arc(u, f + r, 1, c)
+    heads = [f + k * m + r // m for r in range(k * m)] + [sink] * k
+    for r, (head, lo, hi) in enumerate(zip(heads, lower.tolist(), upper.tolist())):
+        excess[f + r] -= lo
+        excess[head] += lo
+        if hi > lo:
+            add_arc(f + r, head, hi - lo, 0.0)
+
+    potential = [0.0] * (sink + 1)
+    while True:
+        sources = [v for v, e in enumerate(excess) if e > 0]
+        if not sources:
+            break
+        dist = [np.inf] * (sink + 1)
+        prev = [-1] * (sink + 1)
+        for v in sources:
+            dist[v] = 0.0
+        heap = [(0.0, v) for v in sources]
+        target = None
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            if excess[u] < 0:
+                target = u
+                break
+            for a in adj[u]:
+                if cap[a]:
+                    v = to[a]
+                    # reduced costs are >= 0 up to rounding, which the clamp removes
+                    nd = d + max(price[a] + potential[u] - potential[v], 0.0)
+                    if nd < dist[v]:
+                        dist[v], prev[v] = nd, a
+                        heapq.heappush(heap, (nd, v))
+        if target is None:
+            raise PipelineError("flow", "no assignment meets the row windows")
+        # nodes not settled before the target rise by its distance, which
+        # keeps every residual reduced cost >= 0
+        for u, d in enumerate(dist):
+            potential[u] += min(d, dist[target])
+        v = target
+        path, amount = [], -excess[target]
+        while prev[v] >= 0:
+            a = prev[v]
+            path.append(a)
+            amount = min(amount, cap[a])
+            v = to[a ^ 1]
+        amount = min(amount, excess[v])
+        excess[v] -= amount
+        excess[target] += amount
+        for a in path:
+            cap[a] -= amount
+            cap[a ^ 1] += amount
+    return np.array(cap[1:2 * len(points):2], dtype=float)
 
 
 def extract_assignment(flows: np.ndarray, net: FlowNetwork) -> np.ndarray:

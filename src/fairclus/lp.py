@@ -181,9 +181,13 @@ def _center_ids(inst: MetricInstance, centers) -> np.ndarray:
 def build_gf_feasibility_lp(inst: MetricInstance, gf: GroupFairnessSpec,
                             centers, lam: float | None) -> LpModel:
     """Feasibility program over ``centers`` (distinct point ids) with
-    assignments capped at radius ``lam`` (no cap if ``lam`` is None)."""
-    return _build(inst, gf, centers, lam=None if lam is None else float(lam),
-                  objective=None)
+    assignments capped at radius ``lam`` (no cap if ``lam`` is None), a
+    finite number >= 0: each center's own column always stays."""
+    if lam is not None:
+        lam = float(lam)
+        if not 0.0 <= lam < np.inf:  # NaN fails too
+            raise ValidationError(f"radius cap must be finite and >= 0, got {lam}")
+    return _build(inst, gf, centers, lam=lam, objective=None)
 
 
 def build_gf_objective_lp(inst: MetricInstance, gf: GroupFairnessSpec,

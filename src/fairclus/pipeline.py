@@ -12,6 +12,10 @@ take the LP's optimum; the rounded cost is checked to be at most its
 fractional cost. Either solution is a k x n table over S, and its residuals,
 per-center mass >= 1 included, are checked before the flow rounds it.
 
+The flow (``flow.min_cost_flow``) fixes each point with one support arc and
+routes the points the LP split, at most k(2m + 1) at a vertex, by
+successive shortest paths; only the LP stage calls HiGHS.
+
 No rerouting runs. The paper's rerouted solution is feasible for the same
 LP (capped at its own largest support distance for k-center), so r and the
 LP optimum are never worse than the rerouted solution and the paper's

@@ -21,6 +21,7 @@ from fairclus import (BudgetExceededError, FractionalSolution,
                       make_instance, means_pq, random_instance, solve)
 
 from fairclus.flow import snap_to_integer
+from fairclus.lp import EPS_POS
 
 from conftest import rerouting_certificate
 
@@ -287,6 +288,18 @@ def test_criterion_7_flow_rounding(suite, oracle_family):
             failures.append(("network windows differ from the LP's masses", net.centers))
     _verdict(7, "flow rounding: saturation, mass windows, no cost increase",
              failures, f"{len(suite) + len(oracle_family)} roundings")
+
+
+def test_lp_vertex_leaves_few_fractional_points(suite, oracle_family):
+    """A vertex of the fixed-center LP has one basic variable per row, so at
+    most k(2m + 1) points split their mass: the flow routes only those."""
+    failures = []
+    for r in suite + oracle_family:
+        sol = r["lp_solution"]
+        fractional = int(np.count_nonzero((sol.x > EPS_POS).sum(axis=0) > 1))
+        if fractional > sol.rows.size * (2 * r["inst"].m + 1):
+            failures.append((sol.rows.tolist(), r["inst"].m, fractional))
+    assert not failures, failures[:5]
 
 
 def test_criterion_8_guarantee_constants():

@@ -32,6 +32,15 @@ def test_single_point_forced():
     assert sol.x[0, 0] == pytest.approx(1.0)
 
 
+def test_radius_cap_must_be_finite_and_nonnegative():
+    inst = line_instance([0, 1, 2], [0, 1, 0])
+    for lam in (-1.0, -1e-12, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="radius cap"):
+            build_gf_feasibility_lp(inst, vacuous_gf(2), [0], lam)
+    # a zero cap keeps the center's own column
+    assert build_gf_feasibility_lp(inst, vacuous_gf(2), [0], 0.0).ncols == 1
+
+
 def test_colocated_lower_bound_infeasible():
     # two points at the same place, but every cluster must be all color 0
     inst = make_instance([0, 1], coords=[[0.0], [0.0]])

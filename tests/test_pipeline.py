@@ -426,6 +426,23 @@ def test_medmeans_solves_one_assignment_lp(monkeypatch):
             assert sol.x.sum(axis=1).min() >= 1.0 - 1e-6
 
 
+def test_rounding_calls_no_highs(monkeypatch):
+    """A median solve hands HiGHS its one LP and nothing else: the flow module
+    binds nothing from scipy.optimize."""
+    from fairclus import flow
+    assert not hasattr(flow, "milp") and not hasattr(flow, "linprog")
+    assert not [name for name, value in vars(flow).items()
+                if getattr(value, "__module__", "").startswith("scipy.optimize")]
+    objectives = _count_highs_lps(monkeypatch)
+    inst = random_instance(20, 2, seed=20)
+    artifacts = {}
+    solve(inst, exact_gf_spec(inst), default_ds_profile(inst, 4), "median",
+          artifacts=artifacts)
+    assert len(objectives) == 1
+    # the solve had points to route, so the flow did run
+    assert np.bincount(artifacts["net"].arcs[:, 1]).max() > 1
+
+
 def _record_model_centers(monkeypatch):
     """The centers of every LP model built, in build order."""
     built = []
