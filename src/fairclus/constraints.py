@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .errors import ParseError, ValidationError
 from .instance import MetricInstance
 
 OBJECTIVES = ("center", "median", "means")
+
+# center sets checked per array operation; C(n, k) may reach ten million
+CENTER_SET_BLOCK = 4096
 
 
 def point_costs(d, objective: str):
@@ -29,11 +32,12 @@ def point_costs(d, objective: str):
     return d ** 2 if objective == "means" else d
 
 
-def objective_value(d, objective: str):
+def objective_value(d, objective: str, axis=None):
     """The objective of points at distances ``d`` from their centers: the
-    max of their costs for center, the sum otherwise."""
+    max of their costs for center, the sum otherwise, taken over ``axis``
+    (all of ``d`` by default)."""
     costs = point_costs(d, objective)
-    return costs.max() if objective == "center" else costs.sum()
+    return costs.max(axis=axis) if objective == "center" else costs.sum(axis=axis)
 
 
 def as_fraction(value) -> Fraction:
@@ -220,16 +224,31 @@ def check_ds(inst: MetricInstance, centers, ds: CenterDiversitySpec) -> bool:
     return all(ds.lower[h] <= counts[h] <= ds.upper[h] for h in range(ds.m))
 
 
+def diverse_center_blocks(inst: MetricInstance, ds: CenterDiversitySpec):
+    """``diverse_center_sets`` as (rows, k) int arrays, one per block of
+    ``CENTER_SET_BLOCK`` combinations that holds an accepted set. The spec
+    must have the instance's colors."""
+    _require_colors(inst, ds, "ds")
+    k = ds.k
+    combos = combinations(range(inst.n), k)
+    while True:
+        block = list(islice(combos, CENTER_SET_BLOCK))
+        if not block:
+            return
+        sets = np.fromiter(chain.from_iterable(block), dtype=np.intp,
+                           count=len(block) * k).reshape(len(block), k)
+        counts = (inst.colors[sets][:, :, None] == np.arange(ds.m)).sum(axis=1)
+        keep = ((counts >= ds.lower) & (counts <= ds.upper)).all(axis=1)
+        if keep.any():
+            yield sets[keep]
+
+
 def diverse_center_sets(inst: MetricInstance, ds: CenterDiversitySpec):
     """Every size-k center set that ``check_ds`` accepts, as a tuple of
     ascending point ids, in lexicographic order. The spec must have the
     instance's colors."""
-    _require_colors(inst, ds, "ds")
-    for combo in combinations(range(inst.n), ds.k):
-        counts = np.bincount(inst.colors[list(combo)], minlength=ds.m)
-        if np.any(counts < ds.lower) or np.any(counts > ds.upper):
-            continue
-        yield combo
+    for sets in diverse_center_blocks(inst, ds):
+        yield from map(tuple, sets.tolist())
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import (OBJECTIVES, CenterDiversitySpec, check_ds, diverse_center_sets,
+from .constraints import (OBJECTIVES, CenterDiversitySpec, check_ds, diverse_center_blocks,
                           feasibility_precheck, objective_value)
 from .errors import BudgetExceededError, ContractViolationError, InfeasibleError, ValidationError
 from .instance import MetricInstance, instance_to_dict
 
 EXACT_ENUMERATION_BUDGET = 10_000_000
+SCORE_CELLS = 1 << 20  # distances gathered at once by the exact backend: 8 MB
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,15 @@ def solve_ds_exact(inst: MetricInstance, ds: CenterDiversitySpec, objective: str
     d = inst.distance_matrix()
     best_cost = math.inf
     best_set = None
-    for combo in diverse_center_sets(inst, ds):
-        cost = objective_value(d[list(combo), :].min(axis=0), objective)
-        if cost < best_cost:
-            best_cost = float(cost)
-            best_set = combo
+    rows = max(1, SCORE_CELLS // max(1, k * n))  # sets scored per array operation
+    for block in diverse_center_blocks(inst, ds):
+        for start in range(0, len(block), rows):
+            sets = block[start:start + rows]
+            costs = objective_value(d[sets].min(axis=1), objective, axis=1)
+            i = int(np.argmin(costs))  # the first minimum of these sets
+            if costs[i] < best_cost:
+                best_cost = float(costs[i])
+                best_set = tuple(sets[i].tolist())
     if best_set is None:
         report = "no size-k center set satisfies the center-count bounds"
         raise InfeasibleError(report, diagnosis=feasibility_precheck(

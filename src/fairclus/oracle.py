@@ -1,10 +1,28 @@
 """Exhaustive ground truth for doubly fair clustering on tiny instances.
 
-Enumerates every feasible center set and, per set, every assignment of points
-to centers via a depth-first search with sound pruning (admissible cost
-bounds, integer color-count reachability, empty-cluster reachability). The
-pruned search provably returns the same optimum as the unpruned one; the
-``prune=False`` switch exists so tests can confirm that claim by brute force.
+The optimum is the lexicographic minimum of (cost, centers, assignment) over
+every feasible center set and every zero-violation assignment to it with no
+empty cluster. The pruned search finds it as follows:
+
+- An exact completion check answers, for points p..n-1 still to assign and
+  the color counts of the clusters so far, whether the clusters can still
+  all end nonempty and inside their integer color-count windows. It depends
+  on colors and windows only, never on centers, so one memoised table serves
+  every center set, and one call at the root refuses an infeasible request
+  before any set is searched. The depth-first search over assignments enters
+  only subtrees the check passes.
+- Every center set is scored at once by its root bound: each point paid at
+  its nearest center, combined as the objective combines costs. Sets are
+  visited in (bound, lexicographic) order, and the search stops at the first
+  set whose bound cannot beat the incumbent.
+- Tie rule: an equal cost replaces the incumbent only in a set that sorts
+  before the incumbent's, so such a set explores subtrees whose bound equals
+  the incumbent's cost. Within one set, assignments are visited in
+  lexicographic order and only a strictly cheaper one replaces the incumbent.
+
+The ``prune=False`` switch visits every set in lexicographic order and every
+assignment, checking windows at the leaves only, so tests can confirm by brute
+force that the pruned search returns the same clustering.
 
 Color-ratio checks run on exact integer thresholds precomputed per cluster
 size, so no float comparison can flip a feasibility verdict.
@@ -19,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
-                          _require_colors, diverse_center_sets, make_clustering,
-                          point_costs)
+                          _require_colors, diverse_center_blocks, diverse_center_sets,
+                          make_clustering, point_costs)
 from .errors import BudgetExceededError, InfeasibleError, ValidationError
 from .instance import MetricInstance
 
@@ -32,136 +50,172 @@ PRUNE_SLACK = 1e-9
 @dataclass(frozen=True)
 class OracleBudget:
     max_center_sets: int = 1_000_000
+    # caps the search nodes of each center set and the completion table's states
     max_nodes_per_set: int = 50_000_000
     time_cap: float | None = None  # wall-clock seconds
 
     def __post_init__(self):
         if self.max_center_sets <= 0 or self.max_nodes_per_set <= 0:
             raise ValidationError("oracle budget caps must be positive")
+        if self.time_cap is not None and not self.time_cap >= 0:  # NaN fails too
+            raise ValidationError(
+                f"oracle time cap must be a nonnegative number of seconds, "
+                f"got {self.time_cap}")
 
 
-def _count_tables(gf: GroupFairnessSpec, n: int):
-    """lo[h][s], hi[h][s]: exact integer color-count window for cluster size s."""
-    lo = [[0] * (n + 1) for _ in range(gf.m)]
-    hi = [[0] * (n + 1) for _ in range(gf.m)]
-    for h in range(gf.m):
-        for s in range(n + 1):
-            lo[h][s] = math.ceil(gf.lower[h] * s)
-            hi[h][s] = math.floor(gf.upper[h] * s)
-    return lo, hi
+def _time_limit(budget):
+    return time.perf_counter() + budget.time_cap if budget.time_cap is not None else None
+
+
+def _check_time(deadline):
+    if deadline is not None and time.perf_counter() > deadline:
+        raise BudgetExceededError("oracle time cap exceeded")
+
+
+def _suffix_bounds(mins, objective):
+    """Along the last axis, what points p.. pay at least: each pays ``mins``,
+    its cost at its nearest center, combined from the last point back as the
+    search combines costs."""
+    backwards = mins[..., ::-1]
+    if objective == "center":
+        return np.maximum.accumulate(backwards, axis=-1)[..., ::-1]
+    return np.cumsum(backwards, axis=-1)[..., ::-1]
+
+
+class _Completion:
+    """Exact, memoised test: can points p..n-1 still be assigned so that
+    every cluster ends inside its integer color-count window, and nonempty
+    when ``require_nonempty``?
+
+    A state is the sorted tuple of the clusters' codes, a cluster's color
+    counts packed as sum_h count_h * (n+1)**h. All clusters share one window
+    table, so sorting loses nothing, and the counts sum to p."""
+
+    def __init__(self, gf: GroupFairnessSpec, colors, require_nonempty, budget,
+                 deadline):
+        n = len(colors)
+        self.n = n
+        self.m = gf.m
+        self.base = n + 1
+        self.step = [(n + 1) ** int(h) for h in colors]  # code increment per point
+        # exact integer windows per cluster size s: ceil(l_h s) and floor(u_h s)
+        self.lo = [[-(-r.numerator * s // r.denominator) for s in range(n + 1)]
+                   for r in gf.lower]
+        self.hi = [[r.numerator * s // r.denominator for s in range(n + 1)]
+                   for r in gf.upper]
+        self.require_nonempty = require_nonempty
+        self.max_states = budget.max_nodes_per_set
+        self.deadline = deadline
+        self.table = {}
+
+    def ok(self, p, key):
+        known = self.table.get(key)
+        if known is not None:
+            return known
+        if len(self.table) >= self.max_states:
+            raise BudgetExceededError(
+                f"completion table exceeded {self.max_states} states")
+        _check_time(self.deadline)
+        if p == self.n:
+            result = all(self._fits(code) for code in key)
+        else:
+            step = self.step[p]
+            result = False
+            for i, code in enumerate(key):
+                if i and code == key[i - 1]:
+                    continue  # equal clusters give the same child
+                child = tuple(sorted(key[:i] + (code + step,) + key[i + 1:]))
+                if self.ok(p + 1, child):
+                    result = True
+                    break
+        self.table[key] = result
+        return result
+
+    def _fits(self, code):
+        counts = []
+        for _ in range(self.m):
+            code, count = divmod(code, self.base)
+            counts.append(count)
+        size = sum(counts)
+        if size == 0:
+            return not self.require_nonempty
+        return all(self.lo[h][size] <= counts[h] <= self.hi[h][size]
+                   for h in range(self.m))
 
 
 class _Search:
-    """DFS over assignments for one fixed center tuple."""
+    """DFS over assignments, one fixed center tuple per ``run``, keeping the
+    incumbent across runs."""
 
-    def __init__(self, inst, objective, lo, hi, prune, require_nonempty,
-                 budget, deadline):
-        self.inst = inst
+    def __init__(self, inst, objective, completion, prune, budget, deadline):
+        self.contrib = point_costs(inst.distance_matrix(), objective)
         self.objective = objective
-        self.lo = lo
-        self.hi = hi
+        self.completion = completion
         self.prune = prune
-        self.require_nonempty = require_nonempty
         self.budget = budget
         self.deadline = deadline
-        self.colors = inst.colors
         self.n = inst.n
-        self.m = inst.m
         self.best_cost = math.inf
         self.best = None  # (centers, assignment tuple)
 
+    def beats(self, cost, centers):
+        """Whether a clustering of ``cost`` over ``centers`` replaces the
+        incumbent: it is cheaper, or as cheap over a set that sorts first."""
+        return cost < self.best_cost or (cost == self.best_cost
+                                         and self.best[0] > centers)
+
+    def may_beat(self, bound, centers):
+        """Whether a set or subtree over ``centers`` whose costs are at least
+        ``bound`` may hold a clustering that beats the incumbent."""
+        if self.objective == "center":  # max of floats: exact, no slack
+            return self.beats(bound, centers)
+        return bound < self.best_cost + PRUNE_SLACK
+
     def run(self, centers):
-        n, k = self.n, len(centers)
-        d = self.inst.distance_matrix()
-        contrib = point_costs(d[np.array(centers), :], self.objective)
-        self.contrib = contrib.tolist()
-        if self.objective == "center":
-            suffix = [0.0] * (n + 1)
-            for p in range(n - 1, -1, -1):
-                suffix[p] = max(suffix[p + 1], min(contrib[a][p] for a in range(k)))
-        else:
-            suffix = [0.0] * (n + 1)
-            for p in range(n - 1, -1, -1):
-                suffix[p] = suffix[p + 1] + min(contrib[a][p] for a in range(k))
-        self.suffix = suffix
+        _check_time(self.deadline)
+        k = len(centers)
+        contrib = self.contrib[list(centers)]
+        if self.prune:
+            self.suffix = _suffix_bounds(contrib.min(axis=0), self.objective).tolist()
+            self.suffix.append(0.0)
+        self.contrib_rows = contrib.tolist()
         self.centers = centers
         self.k = k
-        self.rem_color = [[0] * (n + 1) for _ in range(self.m)]
-        for h in range(self.m):
-            for p in range(n - 1, -1, -1):
-                self.rem_color[h][p] = self.rem_color[h][p + 1] + (1 if self.colors[p] == h else 0)
-        self.sizes = [0] * k
-        self.counts = [[0] * self.m for _ in range(k)]
-        self.assign = [0] * n
+        self.codes = [0] * k
+        self.assign = [0] * self.n
         self.nodes = 0
         self._dfs(0, 0.0)
-
-    def _dead(self, p_next):
-        """True when no completion can repair feasibility (sound, exact)."""
-        rem = self.n - p_next
-        if self.require_nonempty:
-            empties = sum(1 for s in self.sizes if s == 0)
-            if empties > rem:
-                return True
-        lo, hi = self.lo, self.hi
-        for a in range(self.k):
-            s = self.sizes[a]
-            counts_a = self.counts[a]
-            for h in range(self.m):
-                if counts_a[h] > hi[h][s + rem]:
-                    return True
-                rem_h = self.rem_color[h][p_next]
-                if counts_a[h] + rem_h < lo[h][s + rem_h]:
-                    return True
-        return False
 
     def _dfs(self, p, cost):
         self.nodes += 1
         if self.nodes > self.budget.max_nodes_per_set:
             raise BudgetExceededError(
                 f"assignment search exceeded {self.budget.max_nodes_per_set} nodes")
-        if self.deadline is not None and self.nodes % 4096 == 0 and \
-                time.perf_counter() > self.deadline:
-            raise BudgetExceededError("oracle time cap exceeded")
+        if self.nodes % 4096 == 0:
+            _check_time(self.deadline)
+        codes = self.codes
         if p == self.n:
-            if self._leaf_feasible() and cost < self.best_cost:
+            # the pruned search enters only subtrees the completion check passes
+            if (self.prune or self.completion.ok(p, tuple(sorted(codes)))) and \
+                    self.beats(cost, self.centers):
                 self.best_cost = cost
                 self.best = (self.centers, tuple(self.assign))
             return
-        h = int(self.colors[p])
+        step = self.completion.step[p]
+        center = self.objective == "center"
         for a in range(self.k):
-            step = self.contrib[a][p]
-            new_cost = max(cost, step) if self.objective == "center" else cost + step
+            point_cost = self.contrib_rows[a][p]
+            new_cost = max(cost, point_cost) if center else cost + point_cost
             if self.prune:
-                if self.objective == "center":
-                    bound = max(new_cost, self.suffix[p + 1])
-                    if bound >= self.best_cost:  # max of floats: exact, no slack
-                        continue
-                else:
-                    bound = new_cost + self.suffix[p + 1]
-                    if bound >= self.best_cost + PRUNE_SLACK:
-                        continue
-            self.assign[p] = a
-            self.sizes[a] += 1
-            self.counts[a][h] += 1
-            if not (self.prune and self._dead(p + 1)):
+                rest = self.suffix[p + 1]
+                bound = max(new_cost, rest) if center else new_cost + rest
+                if not self.may_beat(bound, self.centers):
+                    continue
+            codes[a] += step
+            if not self.prune or self.completion.ok(p + 1, tuple(sorted(codes))):
+                self.assign[p] = a
                 self._dfs(p + 1, new_cost)
-            self.sizes[a] -= 1
-            self.counts[a][h] -= 1
-        return
-
-    def _leaf_feasible(self):
-        for a in range(self.k):
-            s = self.sizes[a]
-            if s == 0:
-                if self.require_nonempty:
-                    return False
-                continue
-            counts_a = self.counts[a]
-            for h in range(self.m):
-                if not self.lo[h][s] <= counts_a[h] <= self.hi[h][s]:
-                    return False
-        return True
+            codes[a] -= step
 
 
 def brute_force_doubly_fair(inst: MetricInstance, gf: GroupFairnessSpec,
@@ -171,28 +225,46 @@ def brute_force_doubly_fair(inst: MetricInstance, gf: GroupFairnessSpec,
     """Optimal clustering satisfying both constraint families exactly.
 
     The violation budget of ``gf`` is ignored: the optimum is defined at zero
-    violation, with every cluster nonempty. Deterministic lexicographic
-    tie-break over (center set, assignment).
+    violation, with every cluster nonempty. Deterministic: the lexicographic
+    minimum of (cost, center set, assignment).
     """
     _require_colors(inst, gf, "gf")
     _require_colors(inst, ds, "ds")
     if budget is None:
         budget = OracleBudget()
-    deadline = (time.perf_counter() + budget.time_cap
-                if budget.time_cap is not None else None)
-    lo, hi = _count_tables(gf, inst.n)
-    search = _Search(inst, objective, lo, hi, prune, require_nonempty=True,
-                     budget=budget, deadline=deadline)
-    sets_tried = 0
-    for combo in diverse_center_sets(inst, ds):
-        sets_tried += 1
-        if sets_tried > budget.max_center_sets:
-            raise BudgetExceededError(
-                f"more than {budget.max_center_sets} feasible center sets")
-        search.run(combo)
+    deadline = _time_limit(budget)
+    completion = _Completion(gf, inst.colors, True, budget, deadline)
+    search = _Search(inst, objective, completion, prune, budget, deadline)
+    too_many = BudgetExceededError(
+        f"more than {budget.max_center_sets} feasible center sets")
+    count = 0
+    if prune:
+        blocks = []
+        for sets in diverse_center_blocks(inst, ds):
+            count += len(sets)
+            if count > budget.max_center_sets:
+                raise too_many
+            blocks.append(sets)
+        # the root check refuses an infeasible request before any set is searched
+        if blocks and completion.ok(0, (0,) * ds.k):
+            sets = np.concatenate(blocks)
+            bounds = np.concatenate([
+                _suffix_bounds(search.contrib[block].min(axis=1), objective)[:, 0]
+                for block in blocks])
+            for i in np.argsort(bounds, kind="stable").tolist():
+                centers = tuple(sets[i].tolist())
+                if search.best is not None and not search.may_beat(bounds[i], centers):
+                    break
+                search.run(centers)
+    else:
+        for combo in diverse_center_sets(inst, ds):
+            count += 1
+            if count > budget.max_center_sets:
+                raise too_many
+            search.run(combo)
     if search.best is None:
         reason = ("no size-k center set satisfies the center-count bounds"
-                  if not sets_tried else
+                  if not count else
                   "no assignment is group fair with zero violation for any "
                   "feasible center set")
         raise InfeasibleError(reason)
@@ -218,12 +290,9 @@ def brute_force_gf_assignment(inst: MetricInstance, centers,
     centers = tuple(sorted(int(c) for c in centers))
     if not centers:
         raise ValidationError("need at least one center")
-    deadline = (time.perf_counter() + budget.time_cap
-                if budget.time_cap is not None else None)
-    lo, hi = _count_tables(gf, inst.n)
-    search = _Search(inst, objective, lo, hi, prune,
-                     require_nonempty=require_nonempty, budget=budget,
-                     deadline=deadline)
+    deadline = _time_limit(budget)
+    completion = _Completion(gf, inst.colors, require_nonempty, budget, deadline)
+    search = _Search(inst, objective, completion, prune, budget, deadline)
     search.run(centers)
     if search.best is None:
         raise InfeasibleError(

@@ -1,0 +1,157 @@
+"""The oracle's pruned search as it stood before the exact completion check:
+the reference that ``fairclus.oracle``'s search is compared against.
+
+Center sets are visited in lexicographic order. Each runs a depth-first
+search over assignments that prunes by admissible cost bounds and by
+necessary conditions on the color counts (``_dead``), and checks the exact
+windows at the leaves. The first clustering of the least cost is kept.
+"""
+
+import math
+from itertools import combinations
+
+import numpy as np
+
+from fairclus import InfeasibleError, check_ds, make_clustering
+from fairclus.constraints import point_costs
+
+PRUNE_SLACK = 1e-9
+
+
+def _count_tables(gf, n):
+    """lo[h][s], hi[h][s]: exact integer color-count window for cluster size s."""
+    lo = [[0] * (n + 1) for _ in range(gf.m)]
+    hi = [[0] * (n + 1) for _ in range(gf.m)]
+    for h in range(gf.m):
+        for s in range(n + 1):
+            lo[h][s] = math.ceil(gf.lower[h] * s)
+            hi[h][s] = math.floor(gf.upper[h] * s)
+    return lo, hi
+
+
+class _Search:
+    """DFS over assignments for one fixed center tuple."""
+
+    def __init__(self, inst, objective, lo, hi, require_nonempty):
+        self.inst = inst
+        self.objective = objective
+        self.lo = lo
+        self.hi = hi
+        self.require_nonempty = require_nonempty
+        self.colors = inst.colors
+        self.n = inst.n
+        self.m = inst.m
+        self.best_cost = math.inf
+        self.best = None  # (centers, assignment tuple)
+
+    def run(self, centers):
+        n, k = self.n, len(centers)
+        d = self.inst.distance_matrix()
+        contrib = point_costs(d[np.array(centers), :], self.objective)
+        self.contrib = contrib.tolist()
+        suffix = [0.0] * (n + 1)
+        for p in range(n - 1, -1, -1):
+            cheapest = min(contrib[a][p] for a in range(k))
+            suffix[p] = (max(suffix[p + 1], cheapest) if self.objective == "center"
+                         else suffix[p + 1] + cheapest)
+        self.suffix = suffix
+        self.centers = centers
+        self.k = k
+        self.rem_color = [[0] * (n + 1) for _ in range(self.m)]
+        for h in range(self.m):
+            for p in range(n - 1, -1, -1):
+                self.rem_color[h][p] = self.rem_color[h][p + 1] + (1 if self.colors[p] == h else 0)
+        self.sizes = [0] * k
+        self.counts = [[0] * self.m for _ in range(k)]
+        self.assign = [0] * n
+        self._dfs(0, 0.0)
+
+    def _dead(self, p_next):
+        """True when no completion can repair feasibility (sound, exact)."""
+        rem = self.n - p_next
+        if self.require_nonempty:
+            empties = sum(1 for s in self.sizes if s == 0)
+            if empties > rem:
+                return True
+        lo, hi = self.lo, self.hi
+        for a in range(self.k):
+            s = self.sizes[a]
+            counts_a = self.counts[a]
+            for h in range(self.m):
+                if counts_a[h] > hi[h][s + rem]:
+                    return True
+                rem_h = self.rem_color[h][p_next]
+                if counts_a[h] + rem_h < lo[h][s + rem_h]:
+                    return True
+        return False
+
+    def _dfs(self, p, cost):
+        if p == self.n:
+            if self._leaf_feasible() and cost < self.best_cost:
+                self.best_cost = cost
+                self.best = (self.centers, tuple(self.assign))
+            return
+        h = int(self.colors[p])
+        for a in range(self.k):
+            step = self.contrib[a][p]
+            new_cost = max(cost, step) if self.objective == "center" else cost + step
+            if self.objective == "center":
+                bound = max(new_cost, self.suffix[p + 1])
+                if bound >= self.best_cost:  # max of floats: exact, no slack
+                    continue
+            else:
+                bound = new_cost + self.suffix[p + 1]
+                if bound >= self.best_cost + PRUNE_SLACK:
+                    continue
+            self.assign[p] = a
+            self.sizes[a] += 1
+            self.counts[a][h] += 1
+            if not self._dead(p + 1):
+                self._dfs(p + 1, new_cost)
+            self.sizes[a] -= 1
+            self.counts[a][h] -= 1
+
+    def _leaf_feasible(self):
+        for a in range(self.k):
+            s = self.sizes[a]
+            if s == 0:
+                if self.require_nonempty:
+                    return False
+                continue
+            counts_a = self.counts[a]
+            for h in range(self.m):
+                if not self.lo[h][s] <= counts_a[h] <= self.hi[h][s]:
+                    return False
+        return True
+
+
+def reference_doubly_fair(inst, gf, ds, objective):
+    """``brute_force_doubly_fair`` without budgets, by the search above."""
+    search = _Search(inst, objective, *_count_tables(gf, inst.n), require_nonempty=True)
+    sets_tried = 0
+    for combo in combinations(range(inst.n), ds.k):
+        if check_ds(inst, combo, ds):
+            sets_tried += 1
+            search.run(combo)
+    if search.best is None:
+        raise InfeasibleError(
+            "no size-k center set satisfies the center-count bounds"
+            if not sets_tried else
+            "no assignment is group fair with zero violation for any "
+            "feasible center set")
+    centers, assign_idx = search.best
+    return make_clustering(inst, centers, tuple(centers[a] for a in assign_idx),
+                           objective)
+
+
+def reference_gf_assignment(inst, centers, gf, objective, require_nonempty=False):
+    """``brute_force_gf_assignment`` without budgets, by the search above."""
+    centers = tuple(sorted(int(c) for c in centers))
+    search = _Search(inst, objective, *_count_tables(gf, inst.n), require_nonempty)
+    search.run(centers)
+    if search.best is None:
+        raise InfeasibleError(
+            "no zero-violation group fair assignment exists for these centers")
+    _, assign_idx = search.best
+    return make_clustering(inst, centers, tuple(centers[a] for a in assign_idx),
+                           objective)

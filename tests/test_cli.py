@@ -321,6 +321,19 @@ def test_oracle_command(tmp_path, capsys):
     assert json.loads(out_path.read_text())["cost"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("cap", ["nan", "-1"])
+def test_oracle_rejects_a_time_cap_that_is_not_a_duration(tmp_path, capsys, cap):
+    inst_path, spec_path = _gen_pair(tmp_path, seed=1)
+    capsys.readouterr()
+    code = run_cli("oracle", "--instance", str(inst_path), "--spec",
+                   str(spec_path), "--objective", "center", f"--time-cap={cap}")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "time cap" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_infeasible_exits_2(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({

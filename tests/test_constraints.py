@@ -10,8 +10,9 @@ from fairclus import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
                       ValidationError, check_cluster_group_fair, check_ds,
                       default_ds_profile, exact_gf_spec, feasibility_precheck,
                       gf_violation, load_fairness_spec, make_clustering,
-                      make_instance)
-from fairclus.constraints import diverse_center_sets, objective_value, point_costs
+                      make_instance, random_instance)
+from fairclus.constraints import (CENTER_SET_BLOCK, diverse_center_blocks,
+                                  diverse_center_sets, objective_value, point_costs)
 from fairclus.errors import ParseError
 
 from conftest import line_instance, window_gf
@@ -357,3 +358,18 @@ def test_diverse_center_sets_are_the_check_ds_passing_combinations():
     assert grid >= 20
     with pytest.raises(ValidationError, match="ds spec has 2 colors"):
         next(diverse_center_sets(inst, CenterDiversitySpec((0, 0), (2, 2), k=2)))
+
+
+def test_diverse_center_sets_across_a_block_boundary():
+    """C(20, 4) = 4845 combinations span two blocks; the sets and their order
+    are those of the per-set filter, and the blocks hold the same rows."""
+    inst = random_instance(20, 3, seed=8)
+    combos = list(combinations(range(inst.n), 4))
+    assert len(combos) > CENTER_SET_BLOCK
+    for ds in (default_ds_profile(inst, 4),
+               CenterDiversitySpec(lower=(0, 1, 0), upper=(2, 3, 4), k=4),
+               CenterDiversitySpec(lower=(0, 0, 0), upper=(4, 4, 4), k=4)):
+        expected = [c for c in combos if check_ds(inst, c, ds)]
+        assert list(diverse_center_sets(inst, ds)) == expected
+        rows = np.concatenate(list(diverse_center_blocks(inst, ds)))
+        assert rows.tolist() == [list(c) for c in expected]

@@ -6,7 +6,8 @@ import pytest
 
 from fairclus import (BudgetExceededError, CenterDiversitySpec,
                       ContractViolationError, DsSolverContract, ExactBackend,
-                      InfeasibleError, SubprocessBackend, check_ds, ds_cost,
+                      InfeasibleError, SubprocessBackend, check_ds,
+                      default_ds_profile, ds_cost,
                       make_instance, random_instance, solve_ds_exact,
                       solve_ds_greedy, solve_ds_plugin)
 
@@ -90,6 +91,30 @@ def test_ds_cost_matches_naive_loop():
         assert ds_cost(inst, centers, "median") == pytest.approx(sum(mins))
         assert ds_cost(inst, centers, "means") == pytest.approx(
             sum(v * v for v in mins))
+
+
+def test_exact_keeps_the_first_minimum_of_a_per_set_loop():
+    """Blocks scored at once pick the set, and the cost to the last bit, that
+    a loop over the sets in lexicographic order keeps; integer coordinates
+    give exact ties, and n=20, k=4 spans two blocks."""
+    rng = np.random.default_rng(19)
+    cases = [(random_instance(20, 2, seed=3), 4)]
+    for _ in range(12):
+        n = int(rng.integers(5, 11))
+        cases.append((make_instance(np.arange(n) % 2, coords=rng.integers(0, 3, (n, 2)),
+                                    m=2), int(rng.integers(1, 4))))
+    for inst, k in cases:
+        for ds in (default_ds_profile(inst, k),
+                   CenterDiversitySpec(lower=(0, 0), upper=(k, k), k=k)):
+            for objective in ("center", "median", "means"):
+                best_cost, best_set = math.inf, None
+                for combo in combinations(range(inst.n), k):
+                    if check_ds(inst, combo, ds):
+                        cost = ds_cost(inst, combo, objective)
+                        if cost < best_cost:
+                            best_cost, best_set = cost, combo
+                sol = solve_ds_exact(inst, ds, objective)
+                assert (sol.centers, sol.cost) == (best_set, best_cost)
 
 
 def test_exact_budget_guard():

@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -5,11 +9,13 @@ from fairclus import (BudgetExceededError, CenterDiversitySpec,
                       GroupFairnessSpec, InfeasibleError, OracleBudget,
                       ValidationError,
                       brute_force_doubly_fair, brute_force_gf_assignment,
-                      check_ds, ds_cost, exact_gf_spec, gf_violation,
-                      make_instance, random_instance)
+                      check_ds, default_ds_profile, ds_cost, exact_gf_spec,
+                      gf_violation, make_instance, random_instance)
+from fairclus.constraints import OBJECTIVES
 from fairclus.ds import nearest_assignment
 
 from conftest import balanced_instance, line_instance, vacuous_gf, window_gf
+from reference_oracle import reference_doubly_fair, reference_gf_assignment
 
 
 def test_singletons_when_k_equals_n():
@@ -128,6 +134,135 @@ def test_time_cap():
     with pytest.raises(BudgetExceededError, match="time cap"):
         brute_force_doubly_fair(inst, vacuous_gf(2), ds, "center",
                                 budget=capped, prune=False)
+
+
+@pytest.mark.parametrize("cap", [math.nan, -1.0, -math.inf])
+def test_time_cap_must_be_a_nonnegative_duration(cap):
+    with pytest.raises(ValidationError, match="time cap"):
+        OracleBudget(time_cap=cap)
+
+
+def test_zero_time_cap_stops_even_a_small_pruned_search():
+    """The deadline is checked at each center set and in the completion
+    check, not only every 4096 search nodes."""
+    inst = random_instance(6, 2, seed=5)
+    ds = CenterDiversitySpec(lower=(0, 0), upper=(2, 2), k=2)
+    capped = OracleBudget(time_cap=0.0)
+    with pytest.raises(BudgetExceededError, match="time cap"):
+        brute_force_doubly_fair(inst, vacuous_gf(2), ds, "center", budget=capped)
+    with pytest.raises(BudgetExceededError, match="time cap"):
+        brute_force_gf_assignment(inst, [0, 1], vacuous_gf(2), "median",
+                                  budget=capped)
+
+
+def test_infinite_time_cap_is_no_cap():
+    inst = balanced_instance(7, 2, seed=9)
+    gf = window_gf(inst)
+    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
+    for objective in OBJECTIVES:
+        assert brute_force_doubly_fair(
+            inst, gf, ds, objective, budget=OracleBudget(time_cap=math.inf)) == \
+            brute_force_doubly_fair(inst, gf, ds, objective)
+
+
+def _outcome(solve, *args):
+    """A clustering, or the message of the InfeasibleError raised instead."""
+    try:
+        return solve(*args)
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+def _desk_gf(inst, width):
+    """Exact GF for width 0, else windows of +-width/8 around the ratios."""
+    return exact_gf_spec(inst) if width == 0 else window_gf(inst, Fraction(width, 8))
+
+
+def test_pruned_search_matches_the_frozen_reference():
+    """Desk requests: n 6-10, m 2-3, k 1-3, exact GF and +-1/8 to +-3/8
+    windows, all three objectives. At n 9-10 the exhaustive search is too
+    slow to compare against, so the reference is the earlier pruned search."""
+    rng = np.random.default_rng(67)
+    requests = infeasible = 0
+    for _ in range(2):
+        for n, m, k, width in product(range(6, 11), (2, 3), (1, 2, 3), range(4)):
+            inst = balanced_instance(n, m, seed=int(rng.integers(2**31)))
+            gf, ds = _desk_gf(inst, width), default_ds_profile(inst, k)
+            expected = None
+            for objective in OBJECTIVES:
+                # the reference finds no solution for one objective exactly
+                # when it finds none for any: with no incumbent nothing is
+                # pruned by cost
+                if not isinstance(expected, str):
+                    expected = _outcome(reference_doubly_fair, inst, gf, ds, objective)
+                assert _outcome(brute_force_doubly_fair, inst, gf, ds,
+                                objective) == expected, (n, m, k, width, objective)
+                requests += 1
+                infeasible += isinstance(expected, str)
+    assert requests >= 600 and infeasible >= 50
+
+
+def test_gf_assignment_matches_the_frozen_reference():
+    rng = np.random.default_rng(71)
+    requests = infeasible = 0
+    for _, n, m, k, width, nonempty in product(range(2), range(6, 11), (2, 3),
+                                               (1, 2, 3), range(4), (False, True)):
+        inst = balanced_instance(n, m, seed=int(rng.integers(2**31)))
+        gf = _desk_gf(inst, width)
+        centers = rng.choice(n, size=k, replace=False).tolist()
+        for objective in OBJECTIVES:
+            expected = _outcome(reference_gf_assignment, inst, centers, gf,
+                                objective, nonempty)
+            assert _outcome(brute_force_gf_assignment, inst, centers, gf,
+                            objective, None, True, nonempty) == expected
+            requests += 1
+            infeasible += isinstance(expected, str)
+    assert requests >= 600 and infeasible >= 50
+
+
+def test_pruned_equals_unpruned_on_duplicate_points():
+    """Integer-grid coordinates with repeated points give exact distance
+    ties between center sets and between assignments."""
+    rng = np.random.default_rng(73)
+    for trial in range(40):
+        n, m, k = int(rng.integers(4, 8)), 2 + trial % 2, 1 + trial % 3
+        inst = make_instance(np.arange(n) % m, coords=rng.integers(0, 3, (n, 2)), m=m)
+        gf = _desk_gf(inst, trial % 4)
+        ds = CenterDiversitySpec(lower=(0,) * m, upper=(k,) * m, k=k)
+        for objective in OBJECTIVES:
+            assert _outcome(brute_force_doubly_fair, inst, gf, ds, objective) == \
+                _outcome(brute_force_doubly_fair, inst, gf, ds, objective, None,
+                         False), (trial, objective)
+
+
+def test_a_tie_found_later_goes_to_the_set_that_sorts_first():
+    """Centers (2, 3) have the smallest bound, so they are searched first and
+    reach the optimal radius 2. Centers (0, 1) sort first and reach it too,
+    with a bound equal to it: the oracle must still search them, and keep
+    them."""
+    inst = line_instance([3, 5, 4, 1], [1, 0, 1, 0])
+    gf = exact_gf_spec(inst)  # each cluster one point of each color
+    ds = CenterDiversitySpec(lower=(0, 0), upper=(2, 2), k=2)
+    assert ds_cost(inst, (2, 3), "center") == 1.0
+    assert ds_cost(inst, (0, 1), "center") == 2.0
+    for centers in ((0, 1), (2, 3)):
+        assert brute_force_gf_assignment(inst, centers, gf, "center",
+                                         require_nonempty=True).cost == 2.0
+    opt = brute_force_doubly_fair(inst, gf, ds, "center")
+    assert opt.centers == (0, 1) and opt.assignment == (0, 1, 1, 0)
+    assert opt == brute_force_doubly_fair(inst, gf, ds, "center", prune=False)
+
+
+def test_infeasible_request_is_refused_before_any_set_is_searched():
+    """No split of the color counts (5, 8) into three clusters of ratio 5/13
+    exists, so the completion check refuses the request at the root, with a
+    table of a few hundred states, before any of the 140 center sets is
+    searched."""
+    inst = random_instance(13, 2, 2)
+    ds = default_ds_profile(inst, 3)
+    with pytest.raises(InfeasibleError, match="no assignment is group fair"):
+        brute_force_doubly_fair(inst, exact_gf_spec(inst), ds, "median",
+                                budget=OracleBudget(max_nodes_per_set=10_000))
 
 
 def test_gf_assignment_single_center():
