@@ -106,6 +106,8 @@ class CenterDiversitySpec:
         object.__setattr__(self, "upper", upper)
         if len(lower) != len(upper):
             raise ValidationError("center-count bound arrays differ in length")
+        if self.k < 1:
+            raise ValidationError(f"need k >= 1 centers, got {self.k}")
         for h, (lo, up) in enumerate(zip(lower, upper)):
             if lo < 0 or lo > up:
                 raise ValidationError(

@@ -75,6 +75,7 @@ class LpModel:
     lo: np.ndarray  # row lower bounds
     hi: np.ndarray  # row upper bounds
     c: np.ndarray  # objective coefficients (all zero for feasibility models)
+    objective: str | None  # "median" or "means", None for a feasibility model
     lam: float | None  # radius cap, None for an uncapped model
     gf: GroupFairnessSpec
     centers: np.ndarray  # sorted ids of the centers
@@ -165,7 +166,7 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     c = np.zeros(nx) if objective is None else point_costs(d[ci, pj], objective)
 
     return LpModel(n=n, kept=np.column_stack((ci, pj)), a=a, lo=lo, hi=hi,
-                   c=c, lam=lam, gf=gf, centers=centers)
+                   c=c, objective=objective, lam=lam, gf=gf, centers=centers)
 
 
 def _center_ids(inst: MetricInstance, centers) -> np.ndarray:
@@ -209,16 +210,35 @@ def solve_lp(model: LpModel):
     bounds [0, 1] as they are. HiGHS's ``output_flag`` is off, as scipy's
     ``linprog`` set it: with it on, HiGHS can return another optimal vertex.
 
+    A cost model (``objective`` set) differs in two ways:
+
+    - HiGHS runs without presolve. The program has nothing for presolve to
+      remove, and without it HiGHS takes 2.4 -> 0.8 ms at n=80, k=4 and
+      the LP stage 197 -> 115 ms at n=2000, k=10 (2-vCPU VM), at the same
+      optimum. Feasibility models, the k-center radius probes among them,
+      keep presolve: without it an infeasible probe takes 2.3-3.3x as
+      long at n=2000-5000, k=10, and a feasible one ends at another
+      vertex (24 of 24 on one ``center-lambda`` pool).
+    - HiGHS gets the costs scaled by the power of two that brings the
+      largest into [1, 2). The scaling is exact and leaves the optimal
+      vertices as they are, and HiGHS's absolute tolerances then mean the
+      same at any coordinate scale: at 2^-20, where d^2 is near 1e-12,
+      unscaled costs fall below them and the optimum is lost.
+
     The solution is k x n, a row per center. Repair: negatives clamped, each
     assignment column renormalized to sum exactly 1 (the flow rounds each
     column as one unit of mass). Residuals are not re-verified; see
     ``check_lp_solution``.
     """
+    c, options = model.c, {"output_flag": False}
+    if model.objective is not None:
+        c = np.ldexp(c, 1 - np.frexp(c.max())[1])
+        options["presolve"] = False
     with warnings.catch_warnings():
         # milp warns that it passes output_flag, an option it does not know, on verbatim
         warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-        res = milp(model.c, constraints=LinearConstraint(model.a, model.lo, model.hi),
-                   bounds=Bounds(0.0, 1.0), options={"output_flag": False})
+        res = milp(c, constraints=LinearConstraint(model.a, model.lo, model.hi),
+                   bounds=Bounds(0.0, 1.0), options=options)
     if res.status == 2:
         return None
     if res.status != 0:

@@ -204,6 +204,20 @@ def test_oracle_rejects_a_spec_with_fewer_colors(tmp_path, capsys):
     assert capsys.readouterr().err == "error: gf spec has 2 colors, instance has 3\n"
 
 
+def test_solve_rejects_a_spec_with_no_centers(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen", "--n", "12", "--m", "2", "--seed", "1", "--out", str(inst_path))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "gf": {"lower": [0, 0], "upper": [1, 1]},
+        "ds": {"lower": [0, 0], "upper": [0, 0]}, "k": 0}))
+    capsys.readouterr()
+    code = run_cli("solve", "--instance", str(inst_path), "--spec",
+                   str(spec_path), "--objective", "median")
+    assert code == 1
+    assert capsys.readouterr().err == "error: need k >= 1 centers, got 0\n"
+
+
 @pytest.mark.parametrize("command, flag", [
     ("solve", "--out"), ("solve", "--clustering-out"), ("solve", "--dump-lp"),
     ("solve", "--dump-flow"), ("gen", "--out"), ("sweep", "--out")])

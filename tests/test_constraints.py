@@ -34,6 +34,9 @@ def test_spec_validation():
         CenterDiversitySpec(lower=(2,), upper=(1,), k=1)
     with pytest.raises(ValidationError):
         CenterDiversitySpec(lower=(2, 2), upper=(3, 3), k=1)  # k < sum(L)
+    for k in (0, -1):  # sum(L) <= k <= sum(U) holds, but no center is opened
+        with pytest.raises(ValidationError, match="k >= 1"):
+            CenterDiversitySpec(lower=(0, 0), upper=(0, 0), k=k)
 
 
 def test_balanced_cluster_is_fair():

@@ -8,11 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairclus import (GroupFairnessSpec, InfeasibleError, ValidationError,
+from scipy.optimize import Bounds, LinearConstraint, milp
+
+from fairclus import (ExactBackend, GreedyBackend, GroupFairnessSpec,
+                      InfeasibleError, ValidationError,
                       brute_force_gf_assignment, build_gf_feasibility_lp,
-                      build_gf_objective_lp, fractional_cost, lp_residuals,
-                      make_instance, min_feasible_lambda,
-                      pairwise_distance_set, random_instance, solve_lp)
+                      build_gf_objective_lp, default_ds_profile, exact_gf_spec,
+                      fractional_cost, lp_residuals, make_instance,
+                      min_feasible_lambda, pairwise_distance_set,
+                      random_instance, solve, solve_lp)
 from fairclus import lp as lp_module
 from fairclus.errors import NumericalError
 from fairclus.lp import (RESIDUAL_TOL, FractionalSolution, check_lp_solution, dump_lp_text,
@@ -456,3 +460,66 @@ def test_dump_lp_text_matches_golden(name):
     buf = io.StringIO()
     dump_lp_text(_golden_model(name), buf)
     assert buf.getvalue() == (GOLDEN / name).read_text()
+
+
+def test_cost_lp_without_presolve_matches_a_presolved_solve(monkeypatch):
+    """The median/means LP runs without HiGHS presolve; on random instances
+    its optimum is the presolved one and the pipeline rounds it to the same
+    clustering."""
+    solve_milp = lp_module.milp
+
+    def presolved(c, *, options, **kwargs):
+        return solve_milp(c, options={**options, "presolve": True}, **kwargs)
+
+    rng = np.random.default_rng(14)
+    for case in range(120):
+        exact = case % 3 == 0  # the exact backend enumerates C(n, k) sets
+        n = int(rng.integers(6, 15 if exact else 81))
+        m, k = int(rng.integers(2, 4)), int(rng.integers(2, 7))
+        objective = ("median", "means")[case % 2]
+        inst = random_instance(n, m, seed=int(rng.integers(2**31)))
+        gf = exact_gf_spec(inst) if case % 4 < 2 else window_gf(inst)
+        ds = default_ds_profile(inst, k)
+        backend = ExactBackend() if exact else GreedyBackend()
+        with monkeypatch.context() as patched:
+            patched.setattr(lp_module, "milp", presolved)
+            want, _ = solve(inst, gf, ds, objective, backend=backend)
+        artifacts = {}
+        got, _ = solve(inst, gf, ds, objective, backend=backend, artifacts=artifacts)
+        assert got == want, (case, n, m, k, objective)
+
+        model = build_gf_objective_lp(inst, gf, artifacts["ds_solution"].centers,
+                                      objective)
+        sol = solve_lp(model)
+        check_lp_solution(model, sol, inst, gf)
+        ref = milp(model.c, constraints=LinearConstraint(model.a, model.lo, model.hi),
+                   bounds=Bounds(0.0, 1.0), options={"presolve": True})
+        assert ref.status == 0
+        assert fractional_cost(inst, sol, objective) == pytest.approx(
+            ref.fun, rel=RESIDUAL_TOL)
+
+
+def test_presolve_runs_on_feasibility_models_only(monkeypatch):
+    """Each HiGHS call of a solve: median and means turn presolve off, the
+    k-center radius probes and uncapped feasibility models keep it."""
+    calls = []
+    solve_milp = lp_module.milp
+
+    def recording(c, *, options, **kwargs):
+        calls.append(options)
+        return solve_milp(c, options=options, **kwargs)
+
+    monkeypatch.setattr(lp_module, "milp", recording)
+    inst = random_instance(20, 2, seed=3)
+    gf, ds = exact_gf_spec(inst), default_ds_profile(inst, 4)
+    for objective in ("median", "means", "center"):
+        calls.clear()
+        solve(inst, gf, ds, objective, backend=GreedyBackend())
+        assert calls
+        for options in calls:
+            assert options.get("presolve", True) is (objective == "center")
+    calls.clear()
+    model = build_gf_feasibility_lp(inst, gf, [0, 1, 2], None)
+    assert model.objective is None and model.lam is None
+    solve_lp(model)
+    assert calls[0].get("presolve", True) is True

@@ -668,3 +668,22 @@ def test_counting_bound_needs_the_sets_of_two_centers_at_k4():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp_module, "_ALL_SETS_MAX_K", 0)
         assert counting_bound_index(inst, gf, centers, radii) < first
+
+
+@pytest.mark.parametrize("objective", ["median", "means"])
+def test_medmeans_clustering_is_scale_free(objective):
+    """Coordinates scaled by s = 2^-20 or 2^20 (exact in floating point) give
+    the same centers and assignment at every one of 40 seeds, at a cost
+    scaled by s (s^2 for means). Unscaled, the LP's costs at 2^-20 (d^2 near
+    1e-12) fall below HiGHS's absolute tolerances."""
+    power = 2 if objective == "means" else 1
+    for seed in range(40):
+        base = random_instance(10, 2, seed=seed)
+        gf, ds = exact_gf_spec(base), default_ds_profile(base, 3)
+        want, _ = solve(base, gf, ds, objective, backend=ExactBackend())
+        for e in (-20, 20):
+            s = 2.0 ** e
+            inst = make_instance(base.colors, coords=base.coords * s, m=2)
+            got, _ = solve(inst, gf, ds, objective, backend=ExactBackend())
+            assert (got.centers, got.assignment) == (want.centers, want.assignment), (seed, e)
+            assert got.cost == pytest.approx(want.cost * s ** power, rel=1e-12)
