@@ -9,6 +9,7 @@ count comparisons never fail on float noise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -181,7 +182,8 @@ def check_cluster_group_fair(inst: MetricInstance, cluster, gf: GroupFairnessSpe
     members = list(cluster)
     if not members:
         raise ValidationError("group fairness is undefined on an empty cluster")
-    return _cluster_violation(inst, members, gf) <= (gf.rho if rho is None else rho)
+    counts = np.bincount(inst.colors[members], minlength=gf.m)
+    return _worst_violation(counts[None, :], gf) <= (gf.rho if rho is None else rho)
 
 
 def _require_colors(inst: MetricInstance, spec, name: str) -> None:
@@ -189,14 +191,40 @@ def _require_colors(inst: MetricInstance, spec, name: str) -> None:
         raise ValidationError(f"{name} spec has {spec.m} colors, instance has {inst.m}")
 
 
-def _cluster_violation(inst: MetricInstance, members: list,
-                       gf: GroupFairnessSpec) -> Fraction:
-    """The most any color count of a nonempty cluster lies outside its
-    window [l_h |C|, u_h |C|]; negative when every count is strictly inside."""
-    size = len(members)
-    counts = np.bincount(inst.colors[members], minlength=gf.m)
-    return max(max(gf.lower[h] * size - int(counts[h]), int(counts[h]) - gf.upper[h] * size)
-               for h in range(gf.m))
+def cluster_color_counts(inst: MetricInstance, clustering: Clustering) -> np.ndarray:
+    """(k, m) table of each cluster's color counts, a row per center in the
+    order of ``clustering.centers``; its row sums are the cluster sizes."""
+    centers = np.asarray(clustering.centers, dtype=np.int64)
+    if len(clustering.assignment) != inst.n or np.any((centers < 0) | (centers >= inst.n)):
+        raise ValidationError(f"the clustering does not fit the instance's {inst.n} points")
+    cell = np.asarray(clustering.assignment, dtype=np.int64) * inst.m + inst.colors
+    return np.bincount(cell, minlength=inst.n * inst.m).reshape(inst.n, inst.m)[centers]
+
+
+def _worst_violation(counts: np.ndarray, gf: GroupFairnessSpec) -> Fraction:
+    """The most any color count of the clusters with color counts ``counts``
+    (a row per nonempty cluster) lies outside its window [l_h |C|, u_h |C|];
+    negative when every count is strictly inside.
+
+    Exact: per color h, every term is an integer over the common denominator
+    q_h of l_h and u_h, computed in int64 where q_h * (n + 1) stays below
+    2^62 and in Python integers otherwise."""
+    sizes = counts.sum(axis=1)
+    excess = []
+    for h, (low, up) in enumerate(zip(gf.lower, gf.upper)):
+        den = math.lcm(low.denominator, up.denominator)
+        kind = np.int64 if den * (int(sizes.max()) + 1) < 2**62 else object
+        size, count = sizes.astype(kind), counts[:, h].astype(kind)
+        over = max((int(low * den) * size - den * count).max(),
+                   (den * count - int(up * den) * size).max())
+        excess.append(Fraction(int(over), den))
+    return max(excess)
+
+
+def gf_violation_of_counts(counts: np.ndarray, gf: GroupFairnessSpec) -> float:
+    """``gf_violation`` of the clusters whose color counts are the rows of
+    ``counts`` (as ``cluster_color_counts`` gives them), each nonempty."""
+    return float(max(Fraction(0), _worst_violation(counts, gf)))
 
 
 def gf_violation(inst: MetricInstance, clustering: Clustering,
@@ -204,13 +232,11 @@ def gf_violation(inst: MetricInstance, clustering: Clustering,
     """Smallest rho* >= 0 making every cluster group fair; exact, returned as
     float. The spec must have the instance's colors."""
     _require_colors(inst, gf, "gf")
-    worst = Fraction(0)
-    for c in clustering.centers:
-        members = clustering.members(c)
-        if not members:
-            raise ValidationError(f"cluster of center {c} is empty")
-        worst = max(worst, _cluster_violation(inst, members, gf))
-    return float(worst)
+    counts = cluster_color_counts(inst, clustering)
+    empty = np.flatnonzero(counts.sum(axis=1) == 0)
+    if empty.size:
+        raise ValidationError(f"cluster of center {clustering.centers[empty[0]]} is empty")
+    return gf_violation_of_counts(counts, gf)
 
 
 def check_ds(inst: MetricInstance, centers, ds: CenterDiversitySpec) -> bool:

@@ -39,6 +39,9 @@ from .instance import EPS_D, MetricInstance
 
 EPS_POS = 1e-9  # support threshold: x_ij counts as positive above this
 RESIDUAL_TOL = 1e-7  # accepted constraint residual after repair
+# every HiGHS call: no log output (with it on, HiGHS can end at another
+# vertex) and no presolve (see solve_lp)
+_HIGHS_OPTIONS = {"output_flag": False, "presolve": False}
 # The counting bound tests every subset of the centers up to this k; its cost
 # grows as 2^k, so above it only the 2k + 1 sets {i}, S - {i} and S are tested.
 _ALL_SETS_MAX_K = 10
@@ -75,7 +78,6 @@ class LpModel:
     lo: np.ndarray  # row lower bounds
     hi: np.ndarray  # row upper bounds
     c: np.ndarray  # objective coefficients (all zero for feasibility models)
-    objective: str | None  # "median" or "means", None for a feasibility model
     lam: float | None  # radius cap, None for an uncapped model
     gf: GroupFairnessSpec
     centers: np.ndarray  # sorted ids of the centers
@@ -166,7 +168,7 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     c = np.zeros(nx) if objective is None else point_costs(d[ci, pj], objective)
 
     return LpModel(n=n, kept=np.column_stack((ci, pj)), a=a, lo=lo, hi=hi,
-                   c=c, objective=objective, lam=lam, gf=gf, centers=centers)
+                   c=c, lam=lam, gf=gf, centers=centers)
 
 
 def _center_ids(inst: MetricInstance, centers) -> np.ndarray:
@@ -203,50 +205,86 @@ def build_gf_objective_lp(inst: MetricInstance, gf: GroupFairnessSpec,
 
 def solve_lp(model: LpModel):
     """Solve a model with HiGHS, through scipy's ``milp`` with no integer
-    column; returns a repaired FractionalSolution, or None if the backend
-    certifies infeasibility.
+    column; returns a repaired FractionalSolution, or None if the model is
+    infeasible.
 
-    ``milp`` hands HiGHS the prebuilt ``a``, its row bounds and the column
-    bounds [0, 1] as they are. HiGHS's ``output_flag`` is off, as scipy's
-    ``linprog`` set it: with it on, HiGHS can return another optimal vertex.
+    Only the contested part of the model goes to HiGHS. A point whose
+    assignment row holds one column (the only center it reaches under the
+    cap) is forced: that column is 1 at every feasible point. Its column
+    and its assignment row are dropped, and its coefficients move into the
+    bounds of the mass and ratio rows. A row left with no free column is
+    decided here: the model is infeasible if its fixed part breaks the
+    row's bounds by more than RESIDUAL_TOL, the tolerance of
+    ``check_lp_solution``, and the row is dropped otherwise. A point with
+    no column at all is such a row. If no column is left free (k = 1, or
+    every point forced), HiGHS is not called; if there is nothing to take
+    out (every cost model at k >= 2), HiGHS gets the model whole, without
+    the ~0.15 ms the reduction costs at n=80. The reduced polytope is the
+    full one with the forced columns fixed, so its vertices are the full
+    model's: at most k(2m + 1) points are fractional at one.
 
-    A cost model (``objective`` set) differs in two ways:
-
-    - HiGHS runs without presolve. The program has nothing for presolve to
-      remove, and without it HiGHS takes 2.4 -> 0.8 ms at n=80, k=4 and
-      the LP stage 197 -> 115 ms at n=2000, k=10 (2-vCPU VM), at the same
-      optimum. Feasibility models, the k-center radius probes among them,
-      keep presolve: without it an infeasible probe takes 2.3-3.3x as
-      long at n=2000-5000, k=10, and a feasible one ends at another
-      vertex (24 of 24 on one ``center-lambda`` pool).
-    - HiGHS gets the costs scaled by the power of two that brings the
-      largest into [1, 2). The scaling is exact and leaves the optimal
-      vertices as they are, and HiGHS's absolute tolerances then mean the
-      same at any coordinate scale: at 2^-20, where d^2 is near 1e-12,
-      unscaled costs fall below them and the optimum is lost.
+    HiGHS gets the rest as one row-bounded matrix, the column bounds
+    [0, 1], ``output_flag`` off (as scipy's ``linprog`` set it: with it on,
+    HiGHS can return another optimal vertex) and presolve off. Without
+    forced points there is nothing for presolve to remove: on an n=80, k=4
+    cost model HiGHS took 2.4 -> 0.8 ms without it (2-vCPU VM), and on the
+    radius probes it spent about 0.37 ms a probe finding the forced points.
+    Costs go in scaled by the power of two that brings the largest into
+    [1, 2). The scaling is exact and leaves the optimal vertices as they
+    are, and HiGHS's absolute tolerances then mean the same at any
+    coordinate scale: at 2^-20, where d^2 is near 1e-12, unscaled costs fall
+    below them and the optimum is lost.
 
     The solution is k x n, a row per center. Repair: negatives clamped, each
     assignment column renormalized to sum exactly 1 (the flow rounds each
     column as one unit of mass). Residuals are not re-verified; see
-    ``check_lp_solution``.
+    ``check_lp_solution``, which checks the full table against ``inst`` and
+    ``gf``, so the reduction cannot vouch for itself.
     """
-    c, options = model.c, {"output_flag": False}
-    if model.objective is not None:
+    a, n_ub = model.a, model.n_ub
+    row_nnz = np.diff(a.indptr)
+    value = np.zeros(model.ncols)
+    value[a.indices[a.indptr[n_ub:-1][row_nnz[n_ub:] == 1]]] = 1.0  # forced columns
+    free = value == 0.0
+    if free.all() and row_nnz.all():
+        # nothing to take out (every cost model at k >= 2): the model as it is
+        matrix, lo, hi = a, model.lo, model.hi
+    else:
+        fixed_part = a @ value
+        lo, hi = model.lo - fixed_part, model.hi - fixed_part
+        on_free = free[a.indices]
+        entry_row = np.repeat(np.arange(row_nnz.size), row_nnz)[on_free]
+        kept_row = np.bincount(entry_row, minlength=row_nnz.size) > 0
+        if np.any(np.maximum(lo, -hi)[~kept_row] > RESIDUAL_TOL):
+            return None
+        lo, hi = lo[kept_row], hi[kept_row]
+        # the contested part in the CSC form milp hands HiGHS: entries of the
+        # free columns, ordered by column, then by row as in a
+        col = a.indices[on_free]
+        order = np.argsort(col, kind="stable")
+        indptr = np.zeros(np.count_nonzero(free) + 1, dtype=a.indptr.dtype)
+        np.cumsum(np.bincount(col, minlength=model.ncols)[free], out=indptr[1:])
+        matrix = sparse.csc_array(
+            (a.data[on_free][order],
+             (np.cumsum(kept_row) - 1)[entry_row[order]].astype(a.indices.dtype), indptr),
+            shape=(lo.size, indptr.size - 1))
+    if free.any():
+        c = model.c[free]
         c = np.ldexp(c, 1 - np.frexp(c.max())[1])
-        options["presolve"] = False
-    with warnings.catch_warnings():
-        # milp warns that it passes output_flag, an option it does not know, on verbatim
-        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-        res = milp(c, constraints=LinearConstraint(model.a, model.lo, model.hi),
-                   bounds=Bounds(0.0, 1.0), options=options)
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        raise NumericalError(f"LP backend failed with status {res.status}: {res.message}")
+        with warnings.catch_warnings():
+            # milp warns that it passes output_flag, an option it does not know, on verbatim
+            warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+            res = milp(c, constraints=LinearConstraint(matrix, lo, hi),
+                       bounds=Bounds(0.0, 1.0), options=_HIGHS_OPTIONS)
+        if res.status == 2:
+            return None
+        if res.status != 0:
+            raise NumericalError(f"LP backend failed with status {res.status}: {res.message}")
+        value[free] = res.x
 
     rows = model.centers
     x = np.zeros((rows.size, model.n))
-    x[np.searchsorted(rows, model.kept[:, 0]), model.kept[:, 1]] = res.x
+    x[np.searchsorted(rows, model.kept[:, 0]), model.kept[:, 1]] = value
     np.clip(x, 0.0, 1.0, out=x)
     sums = x.sum(axis=0)
     if np.any(sums < 0.5):
@@ -331,11 +369,26 @@ class LambdaSearchResult:
 
 def _first_passing(test, lo: int, hi: int) -> int:
     """Smallest index in [lo, hi) at which the monotone ``test`` passes, or
-    ``hi`` if none does. ``lo`` is tested first, then the rest is bisected:
-    no index is tested twice, and at most 1 + ceil(log2(hi - lo)) are."""
+    ``hi`` if none does.
+
+    ``lo`` is tested first, then the search gallops up from it (Bentley and
+    Yao, 1976): it tests lo + 1, lo + 3, lo + 7, ..., lo + 2^t - 1 (capped at
+    hi - 1) until one passes, then bisects the gap above the last failure.
+    No index is tested twice. An answer a < hi takes at most
+    2 * ceil(log2(a - lo + 1)) tests (1 when a = lo), so an answer near
+    ``lo`` costs a few tests however wide the range; ``hi`` takes at most
+    1 + ceil(log2(hi - lo)).
+    """
     if lo == hi or test(lo):
         return lo
-    lo += 1
+    failed, offset = lo, 1
+    while failed < hi - 1:
+        probe = min(lo + offset, hi - 1)
+        if test(probe):
+            hi = probe
+            break
+        failed, offset = probe, 2 * offset + 1
+    lo = failed + 1  # the answer lies in [lo, hi], and hi passes or is the end
     while lo < hi:
         mid = (lo + hi) // 2
         if test(mid):
@@ -354,11 +407,15 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, centers,
 
     Feasibility is monotone in the cap (a larger cap only adds variables), so
     ``_first_passing`` over the candidates equals the linear scan: the lowest
-    candidate is probed first and wins at once if feasible, else the rest
-    are bisected, and no radius is probed twice. The last feasible probe is
-    the answer's. If no candidate is feasible the program is infeasible at
-    every one (InfeasibleError). The solution is repaired but not checked
-    against the residual tolerance; see ``check_lp_solution``.
+    candidate is probed first and wins at once if feasible, else the search
+    gallops up from it and bisects the last gap, and no radius is probed
+    twice. An answer a candidates above the lowest takes at most
+    2 * ceil(log2(a + 1)) probes, whatever the number of candidates; the
+    answer usually lies a few candidates up when the first probe fails. The
+    last feasible probe is the answer's. If no candidate is feasible the
+    program is infeasible at every one (InfeasibleError). The solution is
+    repaired but not checked against the residual tolerance; see
+    ``check_lp_solution``.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:

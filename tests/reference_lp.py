@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from fairclus.instance import EPS_D
-from fairclus.lp import RESIDUAL_TOL, _first_passing
+from fairclus.lp import RESIDUAL_TOL, FractionalSolution, _first_passing
 
 
 def dense_reference(inst, gf, k, lam, objective, centers=None):
@@ -117,6 +117,24 @@ def solve_full_lp(inst, gf, k, lam, objective):
                         y=np.clip(res.x[nx:], 0.0, 1.0))
 
 
+def solve_lp_presolved(model):
+    """A fixed-center model solved whole, the reference for ``lp.solve_lp``'s
+    reduction: no column fixed beforehand, HiGHS's default presolve,
+    unscaled costs and ``solve_lp``'s repair. None if HiGHS certifies
+    infeasibility."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(model.c, constraints=LinearConstraint(model.a, model.lo, model.hi),
+                   bounds=Bounds(0.0, 1.0), options={"output_flag": False})
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    x = np.zeros((model.k, model.n))
+    x[np.searchsorted(model.centers, model.kept[:, 0]), model.kept[:, 1]] = res.x
+    np.clip(x, 0.0, 1.0, out=x)
+    return FractionalSolution(rows=model.centers, x=x / x.sum(axis=0))
+
+
 def full_lp_residual(inst, gf, k, lam, sol):
     """Worst residual of ``sol`` on the full LP's rows (the opening rows
     ``x_ij <= y_i`` and ``sum_i y_i <= k`` among them), its column bounds,
@@ -140,7 +158,8 @@ def full_lp_min_feasible_lambda(inst, gf, k, radii):
     """Smallest radius among the sorted candidates at which the full LP
     capped there is feasible, with that probe's solution, searched as
     ``lp.min_feasible_lambda`` searches the fixed-center LP (lowest
-    candidate first, then bisection); None if no candidate is feasible."""
+    candidate first, then galloping up and bisecting); None if no candidate
+    is feasible."""
     best = None
 
     def feasible(idx):

@@ -257,6 +257,80 @@ def test_violation_zero_iff_all_clusters_pass():
         assert (v == 0.0) == all_pass
 
 
+def _fraction_violation(inst, clustering, gf):
+    """``gf_violation``'s rule as a Fraction loop over each center's members."""
+    worst = Fraction(0)
+    for c in clustering.centers:
+        members = clustering.members(c)
+        if not members:
+            raise ValidationError(f"cluster of center {c} is empty")
+        size = len(members)
+        counts = np.bincount(inst.colors[members], minlength=gf.m)
+        for h in range(gf.m):
+            worst = max(worst, gf.lower[h] * size - int(counts[h]),
+                        int(counts[h]) - gf.upper[h] * size)
+    return float(worst)
+
+
+def test_gf_violation_matches_the_fraction_rule():
+    """The integer violation over one bincount equals the Fraction loop, to
+    the last bit, on random clusterings under windows with denominators up
+    to 97, exact GF and vacuous bounds; both refuse an empty cluster."""
+    rng = np.random.default_rng(71)
+    seen = {"window": 0, "exact": 0, "vacuous": 0, "empty": 0}
+    for trial in range(600):
+        n, m = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+        inst = make_instance(rng.integers(0, m, size=n),
+                             coords=rng.uniform(0, 1, (n, 2)), m=m)
+        kind = ("window", "exact", "vacuous")[trial % 3]
+        if kind == "window":
+            low, up = rng.integers(1, 98, size=m), rng.integers(1, 98, size=m)
+            gf = GroupFairnessSpec(
+                lower=tuple(Fraction(int(rng.integers(0, q // m + 1)), int(q)) for q in low),
+                upper=tuple(Fraction(int(rng.integers(-(-q // m), q + 1)), int(q))
+                            for q in up))
+        else:
+            gf = exact_gf_spec(inst) if kind == "exact" else window_gf(inst, width=1)
+        k = int(rng.integers(1, n + 1))
+        centers = rng.choice(n, size=k, replace=False)
+        assignment = centers[rng.integers(0, k, size=n)]
+        assignment[centers] = centers
+        empty = k >= 2 and trial % 7 == 0
+        if empty:  # center 0's points, itself included, go to center 1
+            assignment[assignment == centers[0]] = centers[1]
+        clustering = Clustering(tuple(centers.tolist()), tuple(assignment.tolist()),
+                                "median", 0.0)
+        if empty:
+            for rule in (gf_violation, _fraction_violation):
+                with pytest.raises(ValidationError, match=f"center {centers[0]} is empty"):
+                    rule(inst, clustering, gf)
+            seen["empty"] += 1
+        else:
+            assert gf_violation(inst, clustering, gf) == _fraction_violation(
+                inst, clustering, gf)
+            seen[kind] += 1
+    assert min(seen.values()) >= 50 and sum(seen.values()) >= 500
+
+
+def test_gf_violation_with_denominators_beyond_int64():
+    """Bounds whose denominator times n overflows int64 are counted in
+    Python integers, still exactly."""
+    inst = line_instance([0, 1, 2, 3, 4], [0, 0, 1, 1, 1])
+    tiny = Fraction(1, 3 ** 40)
+    gf = GroupFairnessSpec(lower=(Fraction(1, 2) + tiny, 0), upper=(1, 1))
+    clustering = make_clustering(inst, [0, 4], [0, 0, 4, 4, 4], "median")
+    assert gf_violation(inst, clustering, gf) == float(Fraction(3, 2) + 3 * tiny)
+    assert gf_violation(inst, clustering, gf) == _fraction_violation(inst, clustering, gf)
+
+
+def test_gf_violation_refuses_a_clustering_of_another_size():
+    inst = line_instance([0, 1, 2], [0, 1, 0])
+    gf = exact_gf_spec(inst)
+    for centers, assignment in (((0,), (0, 0)), ((0, 3), (0, 0, 3))):
+        with pytest.raises(ValidationError, match="does not fit the instance's 3 points"):
+            gf_violation(inst, Clustering(centers, assignment, "median", 0.0), gf)
+
+
 def test_exact_gf_spec_ratios():
     inst = make_instance([0, 0, 0, 1], coords=[[0], [1], [2], [3]])
     gf = exact_gf_spec(inst)

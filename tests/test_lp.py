@@ -19,11 +19,12 @@ from fairclus import (ExactBackend, GreedyBackend, GroupFairnessSpec,
                       random_instance, solve, solve_lp)
 from fairclus import lp as lp_module
 from fairclus.errors import NumericalError
-from fairclus.lp import (RESIDUAL_TOL, FractionalSolution, check_lp_solution, dump_lp_text,
-                         solution_from_clustering)
+from fairclus.lp import (EPS_POS, RESIDUAL_TOL, FractionalSolution, check_lp_solution,
+                         dump_lp_text, solution_from_clustering)
 
 from conftest import line_instance, vacuous_gf, window_gf
-from reference_lp import dense_reference, full_lp_residual, solve_full_lp
+from reference_lp import (dense_reference, full_lp_residual, solve_full_lp,
+                          solve_lp_presolved)
 
 
 def test_single_point_forced():
@@ -228,6 +229,16 @@ def _record_probes(monkeypatch):
     return probed
 
 
+def _search_bound(lo, answer, hi):
+    """Most tests ``lp._first_passing`` may make on [lo, hi) when ``answer``
+    (hi if none passes) is the first passing index: 2 * ceil(log2(answer -
+    lo + 1)), 1 when the answer is lo, and 1 + ceil(log2(hi - lo)) when no
+    index passes."""
+    if answer == hi:
+        return 1 + math.ceil(math.log2(hi - lo))
+    return 1 if answer == lo else 2 * math.ceil(math.log2(answer - lo + 1))
+
+
 def test_min_feasible_lambda_on_candidate_suffixes(monkeypatch):
     """Programs over a random center set, searched over every suffix of the
     distances from its centers."""
@@ -253,7 +264,8 @@ def test_min_feasible_lambda_on_candidate_suffixes(monkeypatch):
             assert result.solution.rows.tolist() == centers
             assert result.solution.x.shape == (k, n)
             assert len(probed) == len(set(probed))  # no radius probed twice
-            assert len(probed) <= 1 + math.ceil(math.log2(radii.size - i))
+            assert probed[0] == float(radii[i])  # the lowest candidate first
+            assert len(probed) <= _search_bound(i, max(first, i), radii.size)
             resid = lp_residuals(inst, gf, result.solution, lam=result.radius,
                                  centers=centers)
             assert resid["max"] <= RESIDUAL_TOL
@@ -263,14 +275,14 @@ def test_min_feasible_lambda_on_candidate_suffixes(monkeypatch):
 
 def test_first_passing_matches_a_linear_scan():
     """On monotone 0/1 sequences: the first passing index of [lo, hi), or hi,
-    with lo tested first, no index twice and at most 1 + ceil(log2(hi - lo))
-    tests."""
+    with lo tested first, no index twice and at most ``_search_bound`` tests,
+    which grows with the answer's distance from lo, not with hi - lo."""
     rng = np.random.default_rng(61)
     cases = [(np.zeros(0, bool), 0, 0), (np.ones(5, bool), 3, 3),
              (np.zeros(9, bool), 0, 9), (np.ones(9, bool), 0, 9),
              (np.ones(9, bool), 4, 9)]
-    for _ in range(300):
-        size = int(rng.integers(1, 40))
+    for trial in range(600):
+        size = int(rng.integers(1, 400 if trial % 2 else 40))
         flags = np.arange(size) >= rng.integers(0, size + 1)
         lo = int(rng.integers(0, size + 1))
         cases.append((flags, lo, int(rng.integers(lo, size + 1))))
@@ -287,7 +299,7 @@ def test_first_passing_matches_a_linear_scan():
         assert len(tested) == len(set(tested))
         assert all(lo <= i < hi for i in tested)
         if hi > lo:
-            assert len(tested) <= 1 + math.ceil(math.log2(hi - lo))
+            assert len(tested) <= _search_bound(lo, got, hi)
 
 
 def test_min_feasible_lambda_single_candidate_probed_once(monkeypatch):
@@ -499,9 +511,9 @@ def test_cost_lp_without_presolve_matches_a_presolved_solve(monkeypatch):
             ref.fun, rel=RESIDUAL_TOL)
 
 
-def test_presolve_runs_on_feasibility_models_only(monkeypatch):
-    """Each HiGHS call of a solve: median and means turn presolve off, the
-    k-center radius probes and uncapped feasibility models keep it."""
+def test_no_highs_call_uses_presolve(monkeypatch):
+    """Each HiGHS call of a solve runs without presolve: median, means, the
+    k-center radius probes and an uncapped feasibility model."""
     calls = []
     solve_milp = lp_module.milp
 
@@ -516,10 +528,78 @@ def test_presolve_runs_on_feasibility_models_only(monkeypatch):
         calls.clear()
         solve(inst, gf, ds, objective, backend=GreedyBackend())
         assert calls
-        for options in calls:
-            assert options.get("presolve", True) is (objective == "center")
+        assert all(options["presolve"] is False for options in calls)
     calls.clear()
     model = build_gf_feasibility_lp(inst, gf, [0, 1, 2], None)
-    assert model.objective is None and model.lam is None
-    solve_lp(model)
-    assert calls[0].get("presolve", True) is True
+    assert model.lam is None and not model.c.any()
+    assert solve_lp(model) is not None
+    assert [options["presolve"] for options in calls] == [False]
+
+
+def test_kcenter_radius_matches_presolved_full_model_probes(monkeypatch):
+    """The k-center radius, searched with reduced probes without presolve,
+    is the one found when every probe hands HiGHS the full model with
+    presolve on, on random instances."""
+    rng = np.random.default_rng(15)
+    for case in range(120):
+        exact = case % 3 == 0  # the exact backend enumerates C(n, k) sets
+        n = int(rng.integers(6, 15 if exact else 81))
+        m, k = int(rng.integers(2, 4)), int(rng.integers(2, 7))
+        inst = random_instance(n, m, seed=int(rng.integers(2**31)))
+        gf = exact_gf_spec(inst) if case % 4 < 2 else window_gf(inst)
+        ds = default_ds_profile(inst, k)
+        backend = ExactBackend() if exact else GreedyBackend()
+        with monkeypatch.context() as patched:
+            patched.setattr(lp_module, "solve_lp", solve_lp_presolved)
+            _, want = solve(inst, gf, ds, "center", backend=backend)
+        _, got = solve(inst, gf, ds, "center", backend=backend)
+        assert got.lam == want.lam, (case, n, m, k)
+
+
+def _fractional_points(sol):
+    """Points whose mass the solution splits among two or more centers."""
+    return int(((sol.x > EPS_POS).sum(axis=0) > 1).sum())
+
+
+def test_reduced_probe_matches_the_full_model(monkeypatch):
+    """On random capped models, from below the counting bound's radius to
+    the largest: the reduced probe is feasible exactly when HiGHS with
+    presolve finds the full model feasible, and each solution it returns
+    passes the full check and splits at most k(2m + 1) points. Among them
+    are k = 1 and models whose every point is forced, which HiGHS never
+    sees."""
+    calls = []
+    solve_milp = lp_module.milp
+
+    def recording(*args, **kwargs):
+        calls.append(1)
+        return solve_milp(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "milp", recording)
+    rng = np.random.default_rng(29)
+    seen = {"feasible": 0, "infeasible": 0, "k=1": 0, "all forced": 0}
+    for case in range(240):
+        n, m = int(rng.integers(2, 41)), int(rng.integers(1, 4))
+        k = int(rng.integers(1, min(n, 6) + 1))
+        if case % 8 == 7:  # every point a center: all forced at radius 0
+            n = k = int(rng.integers(2, 7))
+        inst = make_instance(rng.integers(0, m, size=n),
+                             coords=rng.uniform(0, 1, (n, 2)), m=m)
+        gf = (exact_gf_spec(inst), window_gf(inst), vacuous_gf(m))[case % 3]
+        centers = sorted(rng.choice(n, size=k, replace=False).tolist())
+        radii = np.unique(inst.distance_matrix()[centers])
+        start = lp_module.counting_bound_index(inst, gf, centers, radii)
+        idx = 0 if n == k else int(rng.integers(max(0, start - 3), radii.size))
+        model = build_gf_feasibility_lp(inst, gf, centers, float(radii[idx]))
+        calls.clear()
+        sol = solve_lp(model)
+        assert (sol is not None) == (solve_lp_presolved(model) is not None), case
+        if sol is not None:
+            check_lp_solution(model, sol, inst, gf)
+            assert _fractional_points(sol) <= k * (2 * m + 1)
+        if np.all(np.bincount(model.kept[:, 1], minlength=n) == 1):
+            assert not calls
+            seen["all forced"] += 1
+        seen["feasible" if sol is not None else "infeasible"] += 1
+        seen["k=1"] += k == 1
+    assert min(seen.values()) >= 30, seen

@@ -372,12 +372,20 @@ def test_kcenter_radius_search_on_ties_and_duplicates(inst):
 
 
 def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
+    """Each radius probe hands HiGHS at most one LP: its model's columns
+    less those of the points that reach one center only, which are fixed
+    at 1 beforehand."""
     objectives = _count_highs_lps(monkeypatch)
     models = []
     for module in (lp_module, pipeline):
         def recording(model, *args, _solve=module.solve_lp):
             models.append(model)
-            return _solve(model, *args)
+            before = len(objectives)
+            sol = _solve(model, *args)
+            reach = np.bincount(model.kept[:, 1], minlength=model.n)
+            assert [c.size for c in objectives[before:]] in (
+                [], [int((reach[model.kept[:, 1]] > 1).sum())])
+            return sol
         monkeypatch.setattr(module, "solve_lp", recording)
     for n, m, k in ((8, 2, 2), (12, 3, 3), (20, 2, 4), (30, 2, 4)):
         inst = random_instance(n, m, seed=n)
@@ -386,7 +394,7 @@ def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
             objectives.clear()
             models.clear()
             clustering, report = solve(inst, gf, ds, "center", backend=backend)
-            assert len(models) == len(objectives) >= 1
+            assert len(models) >= max(1, len(objectives))
             radii = [model.lam for model in models]
             assert len(radii) == len(set(radii))  # no radius probed twice
             assert report.lam in radii
