@@ -12,9 +12,9 @@ from .constraints import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
                           default_ds_profile, exact_gf_spec,
                           feasibility_precheck, gf_violation,
                           load_fairness_spec, make_clustering)
-from .ds import (DsSolution, DsSolverContract, ExactBackend, GreedyBackend,
-                 SubprocessBackend, ds_cost, get_backend, solve_ds_exact,
-                 solve_ds_greedy, solve_ds_plugin)
+from .ds import (DsSolution, ExactBackend, GreedyBackend, SubprocessBackend,
+                 ds_cost, get_backend, solve_ds_exact, solve_ds_greedy,
+                 solve_ds_plugin)
 from .errors import (BudgetExceededError, ContractViolationError, FairclusError,
                      InfeasibleError, NumericalError, ParseError, PipelineError,
                      ValidationError)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError", "CenterDiversitySpec", "Clustering",
-    "ContractViolationError", "DsSolution", "DsSolverContract", "ExactBackend",
+    "ContractViolationError", "DsSolution", "ExactBackend",
     "FairclusError", "FractionalSolution", "GreedyBackend", "GroupFairnessSpec",
     "InfeasibleError", "MetricInstance", "NumericalError", "OracleBudget",
     "ParseError", "PipelineError", "ReroutePlan", "SolveReport",

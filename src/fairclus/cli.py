@@ -24,8 +24,10 @@ from .constraints import (OBJECTIVES, Clustering, check_ds, default_ds_profile,
 from .ds import get_backend
 from .errors import (ContractViolationError, FairclusError, InfeasibleError,
                      ParseError, PipelineError, ValidationError)
+from .flow import dump_flow_text
 from .instance import (instance_to_dict, load_instance, open_output,
                        random_instance, read_text_source)
+from .lp import dump_lp_text
 from .oracle import OracleBudget, brute_force_doubly_fair
 from .pipeline import solve as pipeline_solve
 
@@ -67,14 +69,16 @@ def _load_specs(args, inst):
 
 
 def cmd_gen(args) -> int:
+    if args.spec_out and args.k is None:
+        raise ValidationError("--spec-out needs --k")
     inst = random_instance(args.n, args.m, args.seed, dim=args.dim,
                            color_dist=args.color_dist)
+    # refuse a bad --k or an unwritable path before either file is written
+    ds = default_ds_profile(inst, args.k) if args.spec_out else None
+    _check_outputs(args.out, args.spec_out)
     _write_json(args.out, instance_to_dict(inst))
     log.info("wrote instance n=%d m=%d to %s", args.n, args.m, args.out)
-    if args.spec_out:
-        if args.k is None:
-            raise ValidationError("--spec-out needs --k")
-        ds = default_ds_profile(inst, args.k)
+    if ds is not None:
         _write_json(args.spec_out, {
             "exact_gf": True,
             "gf": {"rho": 0},
@@ -90,10 +94,17 @@ def cmd_solve(args) -> int:
     gf, ds = _load_specs(args, inst)
     backend = get_backend(args.ds_backend)
     _check_outputs(args.out, args.clustering_out, args.dump_lp, args.dump_flow)
-    dumps = {"lp": args.dump_lp, "flow": args.dump_flow}
-    clustering, report = pipeline_solve(
-        inst, gf, ds, args.objective, backend=backend,
-        with_oracle=args.with_oracle, dumps=dumps)
+    artifacts = {}
+    try:
+        clustering, report = pipeline_solve(
+            inst, gf, ds, args.objective, backend=backend,
+            with_oracle=args.with_oracle, artifacts=artifacts)
+    finally:  # a solve that fails after its LP still leaves the dumps
+        for path, key, dump in ((args.dump_lp, "lp_model", dump_lp_text),
+                                (args.dump_flow, "net", dump_flow_text)):
+            if path and key in artifacts:
+                with open_output(path) as fh:
+                    dump(artifacts[key], fh)
     if args.out:
         _write_json(args.out, report.to_dict())
     if args.clustering_out:

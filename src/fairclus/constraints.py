@@ -253,7 +253,8 @@ def check_ds(inst: MetricInstance, centers, ds: CenterDiversitySpec) -> bool:
 
 
 def diverse_center_blocks(inst: MetricInstance, ds: CenterDiversitySpec):
-    """``diverse_center_sets`` as (rows, k) int arrays, one per block of
+    """Every size-k center set that ``check_ds`` accepts, ascending point ids
+    in lexicographic order, as (rows, k) int arrays, one per block of
     ``CENTER_SET_BLOCK`` combinations that holds an accepted set. The spec
     must have the instance's colors."""
     _require_colors(inst, ds, "ds")
@@ -269,14 +270,6 @@ def diverse_center_blocks(inst: MetricInstance, ds: CenterDiversitySpec):
         keep = ((counts >= ds.lower) & (counts <= ds.upper)).all(axis=1)
         if keep.any():
             yield sets[keep]
-
-
-def diverse_center_sets(inst: MetricInstance, ds: CenterDiversitySpec):
-    """Every size-k center set that ``check_ds`` accepts, as a tuple of
-    ascending point ids, in lexicographic order. The spec must have the
-    instance's colors."""
-    for sets in diverse_center_blocks(inst, ds):
-        yield from map(tuple, sets.tolist())
 
 
 @dataclass(frozen=True)

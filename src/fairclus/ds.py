@@ -1,11 +1,13 @@
 """Diversity-aware center selection backends.
 
 The clustering pipeline consumes diverse center sets through an opaque
-contract: a backend returns exactly k centers satisfying the per-color count
-bounds, plus the approximation factor it claims for the objective. The
-reference backend enumerates all feasible center sets exactly (factor 1 at
-desk scale); a greedy backend scales further but claims no factor; arbitrary
-external solvers plug in over a subprocess protocol.
+contract. A backend is an object with a ``backend_id`` string and a method
+``solve_raw(inst, ds, objective) -> (centers, alpha)``: exactly k centers
+satisfying the per-color count bounds, plus the approximation factor it
+claims for this solve (None for no claim), the one place a factor is
+declared. The reference backend enumerates all feasible center sets exactly
+(factor 1 at desk scale); a greedy backend scales further but claims no
+factor; arbitrary external solvers plug in over a subprocess protocol.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import math
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,24 +25,8 @@ from .constraints import (OBJECTIVES, CenterDiversitySpec, check_ds, diverse_cen
 from .errors import BudgetExceededError, ContractViolationError, InfeasibleError, ValidationError
 from .instance import MetricInstance, instance_to_dict
 
-EXACT_ENUMERATION_BUDGET = 10_000_000
+EXACT_ENUMERATION_BUDGET = 10_000_000  # center sets the exact backend may enumerate
 SCORE_CELLS = 1 << 20  # distances gathered at once by the exact backend: 8 MB
-
-
-@dataclass(frozen=True)
-class DsSolverContract:
-    """What a backend promises: factor per objective and the objectives it
-    supports."""
-
-    backend_id: str
-    alpha: dict = field(default_factory=dict)  # objective -> float | None
-    objectives: tuple = OBJECTIVES
-
-    def alpha_for(self, objective: str):
-        return self.alpha.get(objective)
-
-    def supports(self, objective: str) -> bool:
-        return objective in self.objectives
 
 
 @dataclass(frozen=True)
@@ -75,8 +61,8 @@ def ds_cost(inst: MetricInstance, centers, objective: str) -> float:
     return float(objective_value(mins, objective))
 
 
-def solve_ds_exact(inst: MetricInstance, ds: CenterDiversitySpec, objective: str,
-                   max_enumerations: int = EXACT_ENUMERATION_BUDGET) -> DsSolution:
+def solve_ds_exact(inst: MetricInstance, ds: CenterDiversitySpec,
+                   objective: str) -> DsSolution:
     """Optimal diverse center set by exhaustive enumeration.
 
     Deterministic: center sets are visited in lexicographic order over sorted
@@ -85,10 +71,10 @@ def solve_ds_exact(inst: MetricInstance, ds: CenterDiversitySpec, objective: str
     if objective not in OBJECTIVES:
         raise ValidationError(f"unknown objective {objective!r}")
     n, k = inst.n, ds.k
-    if math.comb(n, k) > max_enumerations:
+    if math.comb(n, k) > EXACT_ENUMERATION_BUDGET:
         raise BudgetExceededError(
             f"C({n},{k}) = {math.comb(n, k)} exceeds the exact enumeration "
-            f"budget of {max_enumerations}")
+            f"budget of {EXACT_ENUMERATION_BUDGET}")
     d = inst.distance_matrix()
     best_cost = math.inf
     best_set = None
@@ -189,9 +175,7 @@ def solve_ds_greedy(inst: MetricInstance, ds: CenterDiversitySpec,
 
 
 class ExactBackend:
-    contract = DsSolverContract(
-        backend_id="exact",
-        alpha={"center": 1.0, "median": 1.0, "means": 1.0})
+    backend_id = "exact"
 
     def solve_raw(self, inst, ds, objective):
         sol = solve_ds_exact(inst, ds, objective)
@@ -199,7 +183,7 @@ class ExactBackend:
 
 
 class GreedyBackend:
-    contract = DsSolverContract(backend_id="greedy", alpha={})
+    backend_id = "greedy"
 
     def solve_raw(self, inst, ds, objective):
         sol = solve_ds_greedy(inst, ds, objective)
@@ -212,7 +196,7 @@ class SubprocessBackend:
     def __init__(self, command: str, timeout: float = 300.0):
         self.command = command
         self.timeout = timeout
-        self.contract = DsSolverContract(backend_id=f"subprocess:{command}", alpha={})
+        self.backend_id = f"subprocess:{command}"
 
     def solve_raw(self, inst, ds, objective):
         payload = json.dumps({
@@ -245,30 +229,25 @@ def solve_ds_plugin(inst: MetricInstance, ds: CenterDiversitySpec, objective: st
     """Run a backend and enforce its contract; never accepts a bad solution.
 
     Contract: exactly k distinct valid point ids, center-count bounds met
-    exactly. The cost is recomputed here, not trusted.
+    exactly. The cost is recomputed here, not trusted; the factor is the one
+    ``solve_raw`` claims.
     """
-    contract = backend.contract
-    if not contract.supports(objective):
-        raise ContractViolationError(
-            f"backend {contract.backend_id!r} does not support objective {objective!r}")
+    backend_id = backend.backend_id
     centers, alpha = backend.solve_raw(inst, ds, objective)
     centers = tuple(sorted(int(c) for c in centers))
     if len(centers) != ds.k or len(set(centers)) != ds.k:
         raise ContractViolationError(
-            f"backend {contract.backend_id!r} returned {len(centers)} centers, "
+            f"backend {backend_id!r} returned {len(centers)} centers, "
             f"{len(set(centers))} distinct; contract requires exactly k={ds.k} "
             f"distinct centers")
     if any(c < 0 or c >= inst.n for c in centers):
         raise ContractViolationError(
-            f"backend {contract.backend_id!r} returned out-of-range center ids")
+            f"backend {backend_id!r} returned out-of-range center ids")
     if not check_ds(inst, centers, ds):
         raise ContractViolationError(
-            f"backend {contract.backend_id!r} violated the center-count bounds")
-    if alpha is None:
-        alpha = contract.alpha_for(objective)
+            f"backend {backend_id!r} violated the center-count bounds")
     return DsSolution(centers=centers, cost=ds_cost(inst, centers, objective),
-                      objective=objective, backend_id=contract.backend_id,
-                      alpha=alpha)
+                      objective=objective, backend_id=backend_id, alpha=alpha)
 
 
 def get_backend(name: str):

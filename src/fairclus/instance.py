@@ -52,8 +52,8 @@ class MetricInstance:
         return np.bincount(self.colors, minlength=self.m)
 
 
-def make_instance(colors, coords=None, dist=None, m=None, color_names=None,
-                  validate=True) -> MetricInstance:
+def make_instance(colors, coords=None, dist=None, m=None,
+                  color_names=None) -> MetricInstance:
     """Build and validate a MetricInstance from raw arrays."""
     colors = np.asarray(colors, dtype=int)
     n = colors.shape[0]
@@ -81,8 +81,7 @@ def make_instance(colors, coords=None, dist=None, m=None, color_names=None,
         table = np.asarray(dist, dtype=float)
         if table.shape != (n, n):
             raise ValidationError(f"dist must be (n, n), got {table.shape}")
-        if validate:
-            _check_metric_axioms(table)
+        _check_metric_axioms(table)
         table = table.copy()
     table.flags.writeable = False
 

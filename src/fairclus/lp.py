@@ -39,6 +39,7 @@ from .instance import EPS_D, MetricInstance
 
 EPS_POS = 1e-9  # support threshold: x_ij counts as positive above this
 RESIDUAL_TOL = 1e-7  # accepted constraint residual after repair
+MASS_TOL = 1e-6  # accepted slack on mass checks and on a cost against its LP bound
 # every HiGHS call: no log output (with it on, HiGHS can end at another
 # vertex) and no presolve (see solve_lp)
 _HIGHS_OPTIONS = {"output_flag": False, "presolve": False}
@@ -68,8 +69,8 @@ class LpModel:
     per center, then for each center i the non-vacuous ratio rows of
     ``_ratio_rows(gf)``.
 
-    ``a_ub``/``b_ub`` and ``a_eq``/``b_eq`` are the two row blocks, sliced
-    from ``a`` on every read.
+    ``a_ub`` and ``a_eq`` are the two row blocks, sliced from ``a`` on every
+    read; their bounds are ``hi[:n_ub]`` and ``hi[n_ub:]``.
     """
 
     n: int
@@ -99,16 +100,8 @@ class LpModel:
         return self.a[:self.n_ub]
 
     @property
-    def b_ub(self) -> np.ndarray:
-        return self.hi[:self.n_ub]
-
-    @property
     def a_eq(self) -> sparse.csr_matrix:
         return self.a[self.n_ub:]
-
-    @property
-    def b_eq(self) -> np.ndarray:
-        return self.hi[self.n_ub:]
 
 
 def _ratio_rows(gf: GroupFairnessSpec):
@@ -340,14 +333,6 @@ def fractional_cost(inst: MetricInstance, sol: FractionalSolution,
     if objective not in ("median", "means"):
         raise ValidationError(f"no linear cost for objective {objective!r}")
     return float((sol.x * point_costs(inst.distance_matrix()[sol.rows], objective)).sum())
-
-
-def solution_from_clustering(inst: MetricInstance, centers, assignment) -> FractionalSolution:
-    """The 0/1 solution induced by an integral clustering, a row per center."""
-    rows = np.unique(np.asarray(centers, dtype=int))
-    x = np.zeros((rows.size, inst.n))
-    x[np.searchsorted(rows, np.asarray(assignment, dtype=int)), np.arange(inst.n)] = 1.0
-    return FractionalSolution(rows=rows, x=x)
 
 
 def infeasibility_diagnosis(gf: GroupFairnessSpec, k: int, n: int) -> list:

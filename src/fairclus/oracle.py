@@ -2,7 +2,7 @@
 
 The optimum is the lexicographic minimum of (cost, centers, assignment) over
 every feasible center set and every zero-violation assignment to it with no
-empty cluster. The pruned search finds it as follows:
+empty cluster. The search finds it as follows:
 
 - An exact completion check answers, for points p..n-1 still to assign and
   the color counts of the clusters so far, whether the clusters can still
@@ -14,15 +14,13 @@ empty cluster. The pruned search finds it as follows:
 - Every center set is scored at once by its root bound: each point paid at
   its nearest center, combined as the objective combines costs. Sets are
   visited in (bound, lexicographic) order, and the search stops at the first
-  set whose bound cannot beat the incumbent.
+  set whose bound cannot beat the incumbent. For the sum objectives a bound
+  may exceed the incumbent's cost by the relative slack ``PRUNE_SLACK``, so
+  float summation order never prunes the optimum at any scale of costs.
 - Tie rule: an equal cost replaces the incumbent only in a set that sorts
   before the incumbent's, so such a set explores subtrees whose bound equals
   the incumbent's cost. Within one set, assignments are visited in
   lexicographic order and only a strictly cheaper one replaces the incumbent.
-
-The ``prune=False`` switch visits every set in lexicographic order and every
-assignment, checking windows at the leaves only, so tests can confirm by brute
-force that the pruned search returns the same clustering.
 
 Color-ratio checks run on exact integer thresholds precomputed per cluster
 size, so no float comparison can flip a feasibility verdict.
@@ -37,13 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
-                          _require_colors, diverse_center_blocks, diverse_center_sets,
-                          make_clustering, point_costs)
+                          _require_colors, diverse_center_blocks, make_clustering,
+                          point_costs)
 from .errors import BudgetExceededError, InfeasibleError, ValidationError
 from .instance import MetricInstance
 
-# sum-objective cost bounds are float sums; explore ties within this margin so
-# float association noise can never prune the true optimum
+# sum-objective cost bounds are float sums; explore bounds up to this relative
+# margin above the incumbent so float association noise, at most about
+# 2n * 2**-53 of the cost, can never prune the true optimum
 PRUNE_SLACK = 1e-9
 
 
@@ -147,11 +146,10 @@ class _Search:
     """DFS over assignments, one fixed center tuple per ``run``, keeping the
     incumbent across runs."""
 
-    def __init__(self, inst, objective, completion, prune, budget, deadline):
+    def __init__(self, inst, objective, completion, budget, deadline):
         self.contrib = point_costs(inst.distance_matrix(), objective)
         self.objective = objective
         self.completion = completion
-        self.prune = prune
         self.budget = budget
         self.deadline = deadline
         self.n = inst.n
@@ -169,15 +167,14 @@ class _Search:
         ``bound`` may hold a clustering that beats the incumbent."""
         if self.objective == "center":  # max of floats: exact, no slack
             return self.beats(bound, centers)
-        return bound < self.best_cost + PRUNE_SLACK
+        return bound <= self.best_cost + PRUNE_SLACK * abs(self.best_cost)
 
     def run(self, centers):
         _check_time(self.deadline)
         k = len(centers)
         contrib = self.contrib[list(centers)]
-        if self.prune:
-            self.suffix = _suffix_bounds(contrib.min(axis=0), self.objective).tolist()
-            self.suffix.append(0.0)
+        self.suffix = _suffix_bounds(contrib.min(axis=0), self.objective).tolist()
+        self.suffix.append(0.0)
         self.contrib_rows = contrib.tolist()
         self.centers = centers
         self.k = k
@@ -195,9 +192,8 @@ class _Search:
             _check_time(self.deadline)
         codes = self.codes
         if p == self.n:
-            # the pruned search enters only subtrees the completion check passes
-            if (self.prune or self.completion.ok(p, tuple(sorted(codes)))) and \
-                    self.beats(cost, self.centers):
+            # the search enters only subtrees the completion check passes
+            if self.beats(cost, self.centers):
                 self.best_cost = cost
                 self.best = (self.centers, tuple(self.assign))
             return
@@ -206,13 +202,12 @@ class _Search:
         for a in range(self.k):
             point_cost = self.contrib_rows[a][p]
             new_cost = max(cost, point_cost) if center else cost + point_cost
-            if self.prune:
-                rest = self.suffix[p + 1]
-                bound = max(new_cost, rest) if center else new_cost + rest
-                if not self.may_beat(bound, self.centers):
-                    continue
+            rest = self.suffix[p + 1]
+            bound = max(new_cost, rest) if center else new_cost + rest
+            if not self.may_beat(bound, self.centers):
+                continue
             codes[a] += step
-            if not self.prune or self.completion.ok(p + 1, tuple(sorted(codes))):
+            if self.completion.ok(p + 1, tuple(sorted(codes))):
                 self.assign[p] = a
                 self._dfs(p + 1, new_cost)
             codes[a] -= step
@@ -220,8 +215,7 @@ class _Search:
 
 def brute_force_doubly_fair(inst: MetricInstance, gf: GroupFairnessSpec,
                             ds: CenterDiversitySpec, objective: str,
-                            budget: OracleBudget | None = None,
-                            prune: bool = True) -> Clustering:
+                            budget: OracleBudget | None = None) -> Clustering:
     """Optimal clustering satisfying both constraint families exactly.
 
     The violation budget of ``gf`` is ignored: the optimum is defined at zero
@@ -234,34 +228,26 @@ def brute_force_doubly_fair(inst: MetricInstance, gf: GroupFairnessSpec,
         budget = OracleBudget()
     deadline = _time_limit(budget)
     completion = _Completion(gf, inst.colors, True, budget, deadline)
-    search = _Search(inst, objective, completion, prune, budget, deadline)
-    too_many = BudgetExceededError(
-        f"more than {budget.max_center_sets} feasible center sets")
+    search = _Search(inst, objective, completion, budget, deadline)
     count = 0
-    if prune:
-        blocks = []
-        for sets in diverse_center_blocks(inst, ds):
-            count += len(sets)
-            if count > budget.max_center_sets:
-                raise too_many
-            blocks.append(sets)
-        # the root check refuses an infeasible request before any set is searched
-        if blocks and completion.ok(0, (0,) * ds.k):
-            sets = np.concatenate(blocks)
-            bounds = np.concatenate([
-                _suffix_bounds(search.contrib[block].min(axis=1), objective)[:, 0]
-                for block in blocks])
-            for i in np.argsort(bounds, kind="stable").tolist():
-                centers = tuple(sets[i].tolist())
-                if search.best is not None and not search.may_beat(bounds[i], centers):
-                    break
-                search.run(centers)
-    else:
-        for combo in diverse_center_sets(inst, ds):
-            count += 1
-            if count > budget.max_center_sets:
-                raise too_many
-            search.run(combo)
+    blocks = []
+    for sets in diverse_center_blocks(inst, ds):
+        count += len(sets)
+        if count > budget.max_center_sets:
+            raise BudgetExceededError(
+                f"more than {budget.max_center_sets} feasible center sets")
+        blocks.append(sets)
+    # the root check refuses an infeasible request before any set is searched
+    if blocks and completion.ok(0, (0,) * ds.k):
+        sets = np.concatenate(blocks)
+        bounds = np.concatenate([
+            _suffix_bounds(search.contrib[block].min(axis=1), objective)[:, 0]
+            for block in blocks])
+        for i in np.argsort(bounds, kind="stable").tolist():
+            centers = tuple(sets[i].tolist())
+            if search.best is not None and not search.may_beat(bounds[i], centers):
+                break
+            search.run(centers)
     if search.best is None:
         reason = ("no size-k center set satisfies the center-count bounds"
                   if not count else
@@ -276,7 +262,6 @@ def brute_force_doubly_fair(inst: MetricInstance, gf: GroupFairnessSpec,
 def brute_force_gf_assignment(inst: MetricInstance, centers,
                               gf: GroupFairnessSpec, objective: str,
                               budget: OracleBudget | None = None,
-                              prune: bool = True,
                               require_nonempty: bool = False) -> Clustering:
     """Optimal zero-violation group fair assignment for a fixed center set.
 
@@ -292,7 +277,7 @@ def brute_force_gf_assignment(inst: MetricInstance, centers,
         raise ValidationError("need at least one center")
     deadline = _time_limit(budget)
     completion = _Completion(gf, inst.colors, require_nonempty, budget, deadline)
-    search = _Search(inst, objective, completion, prune, budget, deadline)
+    search = _Search(inst, objective, completion, budget, deadline)
     search.run(centers)
     if search.best is None:
         raise InfeasibleError(

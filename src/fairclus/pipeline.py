@@ -41,19 +41,16 @@ from .constraints import (OBJECTIVES, CenterDiversitySpec, GroupFairnessSpec,  #
 from .ds import ExactBackend, solve_ds_plugin
 from .errors import (BudgetExceededError, InfeasibleError, PipelineError,
                      ValidationError)
-from .flow import (build_flow, check_mass_windows, dump_flow_text,
-                   extract_assignment, min_cost_flow)
+from .flow import build_flow, check_mass_windows, extract_assignment, min_cost_flow
 # pairwise_distance_set, build_gf_feasibility_lp, check_rerouted,
 # reroute_center and reroute_medmeans are no longer called here, but stay
 # importable under these names: benchmarks/tracing.py wraps them.
-from .instance import (EPS_D, MetricInstance, open_output,  # noqa: F401
-                       pairwise_distance_set)
-from .lp import (build_gf_feasibility_lp, build_gf_objective_lp,  # noqa: F401
-                 check_lp_solution, counting_bound_index, dump_lp_text,
+from .instance import EPS_D, MetricInstance, pairwise_distance_set  # noqa: F401
+from .lp import (MASS_TOL, build_gf_feasibility_lp,  # noqa: F401
+                 build_gf_objective_lp, check_lp_solution, counting_bound_index,
                  fractional_cost, min_feasible_lambda, solve_lp)
-from .oracle import OracleBudget, brute_force_doubly_fair
-from .rerouting import (MASS_TOL, check_rerouted, reroute_center,  # noqa: F401
-                        reroute_medmeans)
+from .oracle import brute_force_doubly_fair
+from .rerouting import check_rerouted, reroute_center, reroute_medmeans  # noqa: F401
 
 # Retired flow entry points, bound only because benchmarks/tracing.py wraps them.
 build_center_flow = build_medmeans_flow = max_flow_with_lower_bounds = build_flow
@@ -129,10 +126,9 @@ def _verify_output(inst, gf, ds, clustering, stage):
     return violation, min_size
 
 
-def _run_oracle(inst, gf, ds, objective, report, budget):
+def _run_oracle(inst, gf, ds, objective, report):
     try:
-        opt = brute_force_doubly_fair(inst, gf, ds, objective,
-                                      budget=budget or OracleBudget())
+        opt = brute_force_doubly_fair(inst, gf, ds, objective)
     except InfeasibleError:
         report.oracle_note = "no zero-violation doubly fair solution exists"
         return
@@ -146,19 +142,12 @@ def _run_oracle(inst, gf, ds, objective, report, budget):
         report.oracle_ratio = 1.0 if report.cost <= EPS_D else math.inf
 
 
-def _maybe_dump(dumps, key, writer):
-    if dumps and dumps.get(key):
-        with open_output(dumps[key]) as fh:
-            writer(fh)
-
-
-def _round_flow(inst, sol, objective, dumps):
-    net = build_flow(sol, inst, objective)
-    _maybe_dump(dumps, "flow", lambda fh: dump_flow_text(net, fh))
+def _round_flow(inst, sol, objective, artifacts):
+    net = artifacts["net"] = build_flow(sol, inst, objective)
     flows = min_cost_flow(net)
     x2 = extract_assignment(flows, net)
     check_mass_windows(x2, net, inst)
-    return net, flows, x2
+    return flows, x2
 
 
 def _fixed_center_lp(inst, gf, ds_sol):
@@ -195,13 +184,15 @@ def _fixed_center_lp(inst, gf, ds_sol):
 
 def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
           objective: str, backend=None, with_oracle: bool = False,
-          oracle_budget: OracleBudget | None = None, dumps: dict | None = None,
           artifacts: dict | None = None):
     """Doubly fair clustering for 'center', 'median' or 'means'; returns
     (Clustering, SolveReport).
 
-    Pass a dict as ``artifacts`` to receive the intermediate stage outputs
-    (DS solution, LP solution, flow network and flows, k x n integral table).
+    Pass a dict as ``artifacts`` to receive the intermediate stage outputs:
+    ``lp_model`` (the checked LP) and ``net`` (the flow network) as soon as
+    each stage makes them, so a failed solve still leaves them; then
+    ``lp_solution``, ``flows``, ``x2`` (the k x n integral table) and
+    ``ds_solution``. The solver itself writes no files.
     """
     if objective not in OBJECTIVES:
         raise ValidationError(f"unknown objective {objective!r}")
@@ -210,6 +201,8 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
     _require_precheck(inst, gf, ds)
     timings["precheck"] = time.perf_counter() - t0
     backend = backend or ExactBackend()
+    if artifacts is None:
+        artifacts = {}
 
     t1 = time.perf_counter()
     ds_sol = solve_ds_plugin(inst, ds, objective, backend)
@@ -217,7 +210,7 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
 
     t2 = time.perf_counter()
     model, sol = _fixed_center_lp(inst, gf, ds_sol)
-    _maybe_dump(dumps, "lp", lambda fh: dump_lp_text(model, fh))
+    artifacts["lp_model"] = model
     if objective == "center":
         bound, slack = model.lam, EPS_D
     else:
@@ -226,7 +219,7 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
     timings["lp"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    net, flows, x2 = _round_flow(inst, sol, objective, dumps)
+    flows, x2 = _round_flow(inst, sol, objective, artifacts)
     timings["flow"] = time.perf_counter() - t3
 
     clustering = make_clustering(inst, ds_sol.centers,
@@ -235,9 +228,7 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
         raise PipelineError("output", f"rounded cost {clustering.cost} exceeds "
                                       f"the LP's bound {bound}")
     violation, min_size = _verify_output(inst, gf, ds, clustering, "output")
-    if artifacts is not None:
-        artifacts.update(lp_solution=sol, net=net, flows=flows, x2=x2,
-                         ds_solution=ds_sol)
+    artifacts.update(lp_solution=sol, flows=flows, x2=x2, ds_solution=ds_sol)
 
     report = SolveReport(
         objective=objective, n=inst.n, m=inst.m, k=ds.k, cost=clustering.cost,
@@ -250,7 +241,7 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
         timings=timings)
     if with_oracle:
         t4 = time.perf_counter()
-        _run_oracle(inst, gf, ds, objective, report, oracle_budget)
+        _run_oracle(inst, gf, ds, objective, report)
         timings["oracle"] = time.perf_counter() - t4
     timings["total"] = time.perf_counter() - t0
     return clustering, report

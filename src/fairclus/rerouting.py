@@ -31,9 +31,7 @@ import numpy as np
 
 from .errors import PipelineError, ValidationError
 from .instance import MetricInstance
-from .lp import EPS_POS, FractionalSolution
-
-MASS_TOL = 1e-6  # accepted slack on conservation / per-center mass checks
+from .lp import EPS_POS, MASS_TOL, FractionalSolution
 
 
 @dataclass(frozen=True)

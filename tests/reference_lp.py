@@ -117,6 +117,14 @@ def solve_full_lp(inst, gf, k, lam, objective):
                         y=np.clip(res.x[nx:], 0.0, 1.0))
 
 
+def solution_from_clustering(inst, centers, assignment):
+    """The 0/1 solution induced by an integral clustering, a row per center."""
+    rows = np.unique(np.asarray(centers, dtype=int))
+    x = np.zeros((rows.size, inst.n))
+    x[np.searchsorted(rows, np.asarray(assignment, dtype=int)), np.arange(inst.n)] = 1.0
+    return FractionalSolution(rows=rows, x=x)
+
+
 def solve_lp_presolved(model):
     """A fixed-center model solved whole, the reference for ``lp.solve_lp``'s
     reduction: no column fixed beforehand, HiGHS's default presolve,

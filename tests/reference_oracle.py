@@ -1,14 +1,16 @@
-"""The oracle's pruned search as it stood before the exact completion check:
-the reference that ``fairclus.oracle``'s search is compared against.
+"""References that ``fairclus.oracle``'s search is compared against.
 
-Center sets are visited in lexicographic order. Each runs a depth-first
-search over assignments that prunes by admissible cost bounds and by
-necessary conditions on the color counts (``_dead``), and checks the exact
-windows at the leaves. The first clustering of the least cost is kept.
+``exhaustive_doubly_fair`` prunes nothing: it scores every assignment to
+every feasible center set. The other two are the oracle's pruned search as
+it stood before the exact completion check. Center sets are visited in
+lexicographic order. Each runs a depth-first search over assignments that
+prunes by admissible cost bounds and by necessary conditions on the color
+counts (``_dead``), and checks the exact windows at the leaves. The first
+clustering of the least cost is kept.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -153,5 +155,49 @@ def reference_gf_assignment(inst, centers, gf, objective, require_nonempty=False
         raise InfeasibleError(
             "no zero-violation group fair assignment exists for these centers")
     _, assign_idx = search.best
+    return make_clustering(inst, centers, tuple(centers[a] for a in assign_idx),
+                           objective)
+
+
+def exhaustive_doubly_fair(inst, gf, ds, objective):
+    """``brute_force_doubly_fair`` by brute force: every center set that
+    ``check_ds`` accepts, then every assignment to it, both in lexicographic
+    order. An assignment counts when every cluster is nonempty and inside its
+    exact integer color-count window; the first of the least cost is kept.
+    Costs are summed point by point from the first, as the oracle's search
+    sums them, so float ties break the same way."""
+    n, k = inst.n, ds.k
+    lo, hi = (np.array(t) for t in _count_tables(gf, n))  # [color, size]
+    assigns = np.array(list(product(range(k), repeat=n)), dtype=int).reshape(-1, n)
+    member = (assigns[:, :, None] == np.arange(k)).astype(int)  # [assignment, point, cluster]
+    counts = np.einsum("apc,ph->ach", member,
+                       (inst.colors[:, None] == np.arange(inst.m)).astype(int))
+    sizes = counts.sum(axis=2)
+    color = np.arange(inst.m)
+    fits = (sizes >= 1).all(axis=1) & (
+        (counts >= lo[color, sizes[:, :, None]]) &
+        (counts <= hi[color, sizes[:, :, None]])).all(axis=(1, 2))
+    best_cost, best = math.inf, None
+    sets_tried = 0
+    for centers in combinations(range(n), k):
+        if not check_ds(inst, centers, ds):
+            continue
+        sets_tried += 1
+        contrib = point_costs(inst.distance_matrix()[list(centers)], objective)
+        cost = np.zeros(len(assigns))
+        for p in range(n):
+            cost = (np.maximum(cost, contrib[assigns[:, p], p]) if objective == "center"
+                    else cost + contrib[assigns[:, p], p])
+        cost[~fits] = math.inf
+        i = int(np.argmin(cost))  # the first assignment of the least cost
+        if cost[i] < best_cost:
+            best_cost, best = float(cost[i]), (centers, assigns[i].tolist())
+    if best is None:
+        raise InfeasibleError(
+            "no size-k center set satisfies the center-count bounds"
+            if not sets_tried else
+            "no assignment is group fair with zero violation for any "
+            "feasible center set")
+    centers, assign_idx = best
     return make_clustering(inst, centers, tuple(centers[a] for a in assign_idx),
                            objective)

@@ -24,6 +24,7 @@ from fairclus.flow import snap_to_integer
 from fairclus.lp import EPS_POS
 
 from conftest import rerouting_certificate
+from reference_oracle import exhaustive_doubly_fair
 
 MEANS_FACTOR = (math.sqrt(5.0) + 1.0) ** 2  # exact backend, alpha = 1
 ORACLE_WORK_CAP = 300_000  # attempt the oracle when C(n,k) * k^n is below this
@@ -329,12 +330,11 @@ def test_criterion_9_oracle_prune_consistency():
         ds = default_ds_profile(inst, k)
         objective = ("center", "median", "means")[i % 3]
         try:
-            pruned = brute_force_doubly_fair(inst, gf, ds, objective, prune=True)
+            pruned = brute_force_doubly_fair(inst, gf, ds, objective)
         except InfeasibleError:
             pruned = None
         try:
-            unpruned = brute_force_doubly_fair(inst, gf, ds, objective,
-                                               prune=False)
+            unpruned = exhaustive_doubly_fair(inst, gf, ds, objective)
         except InfeasibleError:
             unpruned = None
         compared += 1

@@ -43,6 +43,18 @@ def test_gen_spec_out(tmp_path):
     assert sum(spec["ds"]["lower"]) == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--k", "6"]])
+def test_gen_refusing_the_spec_writes_no_file(tmp_path, capsys, extra):
+    """--spec-out without --k, or with --k above --n, exits 1 before the
+    instance is written."""
+    inst_path = tmp_path / "inst.json"
+    spec_path = tmp_path / "spec.json"
+    assert run_cli("gen", "--n", "5", "--m", "2", "--seed", "1", "--out",
+                   str(inst_path), "--spec-out", str(spec_path), *extra) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not inst_path.exists() and not spec_path.exists()
+
+
 def _gen_pair(tmp_path, seed=5, n=8):
     inst_path = tmp_path / "inst.json"
     spec_path = tmp_path / "spec.json"
@@ -386,6 +398,26 @@ def test_dump_flags_write_files(tmp_path):
     text = lp_path.read_text()
     assert "Minimize" in text
     assert " radius_cap=" in text.splitlines()[0] and " centers=" in text.splitlines()[0]
+    assert fl_path.read_text().startswith("arc ")
+
+
+def test_dumps_survive_a_failed_flow(tmp_path, capsys, monkeypatch):
+    """A solve that fails after its LP still writes the LP and flow dumps."""
+    from fairclus import pipeline
+    from fairclus.errors import PipelineError
+
+    def broken(net):
+        raise PipelineError("flow", "no flow")
+
+    monkeypatch.setattr(pipeline, "min_cost_flow", broken)
+    inst_path, spec_path = _gen_pair(tmp_path, seed=13)
+    lp_path = tmp_path / "model.lp"
+    fl_path = tmp_path / "net.txt"
+    assert run_cli("solve", "--instance", str(inst_path), "--spec", str(spec_path),
+                   "--objective", "median", "--dump-lp", str(lp_path),
+                   "--dump-flow", str(fl_path)) == 3
+    assert "[flow] no flow" in capsys.readouterr().err
+    assert lp_path.read_text().splitlines()[-1] == "End"
     assert fl_path.read_text().startswith("arc ")
 
 

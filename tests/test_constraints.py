@@ -12,7 +12,7 @@ from fairclus import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
                       gf_violation, load_fairness_spec, make_clustering,
                       make_instance, random_instance)
 from fairclus.constraints import (CENTER_SET_BLOCK, diverse_center_blocks,
-                                  diverse_center_sets, objective_value, point_costs)
+                                  objective_value, point_costs)
 from fairclus.errors import ParseError
 
 from conftest import line_instance, window_gf
@@ -418,6 +418,12 @@ def test_point_costs_and_objective_value_match_the_formulas():
             call(d, "radius")
 
 
+def _diverse_center_sets(inst, ds):
+    """The rows of ``diverse_center_blocks``, in order, as tuples."""
+    return [tuple(row) for sets in diverse_center_blocks(inst, ds)
+            for row in sets.tolist()]
+
+
 def test_diverse_center_sets_are_the_check_ds_passing_combinations():
     inst = line_instance(range(7), [0, 1, 2, 0, 1, 0, 2])
     grid = 0
@@ -431,15 +437,15 @@ def test_diverse_center_sets_are_the_check_ds_passing_combinations():
                 grid += 1
                 expected = [c for c in combinations(range(inst.n), k)
                             if check_ds(inst, c, ds)]
-                assert list(diverse_center_sets(inst, ds)) == expected
+                assert _diverse_center_sets(inst, ds) == expected
     assert grid >= 20
     with pytest.raises(ValidationError, match="ds spec has 2 colors"):
-        next(diverse_center_sets(inst, CenterDiversitySpec((0, 0), (2, 2), k=2)))
+        next(diverse_center_blocks(inst, CenterDiversitySpec((0, 0), (2, 2), k=2)))
 
 
 def test_diverse_center_sets_across_a_block_boundary():
-    """C(20, 4) = 4845 combinations span two blocks; the sets and their order
-    are those of the per-set filter, and the blocks hold the same rows."""
+    """C(20, 4) = 4845 combinations span two blocks; the blocks' rows, in
+    order, are the sets of the per-set filter."""
     inst = random_instance(20, 3, seed=8)
     combos = list(combinations(range(inst.n), 4))
     assert len(combos) > CENTER_SET_BLOCK
@@ -447,6 +453,4 @@ def test_diverse_center_sets_across_a_block_boundary():
                CenterDiversitySpec(lower=(0, 1, 0), upper=(2, 3, 4), k=4),
                CenterDiversitySpec(lower=(0, 0, 0), upper=(4, 4, 4), k=4)):
         expected = [c for c in combos if check_ds(inst, c, ds)]
-        assert list(diverse_center_sets(inst, ds)) == expected
-        rows = np.concatenate(list(diverse_center_blocks(inst, ds)))
-        assert rows.tolist() == [list(c) for c in expected]
+        assert _diverse_center_sets(inst, ds) == expected

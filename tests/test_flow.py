@@ -12,12 +12,12 @@ from fairclus import (CenterDiversitySpec, GreedyBackend, PipelineError,
 from fairclus import flow as flow_module
 from fairclus.flow import (build_flow, check_mass_windows, dump_flow_text,
                            extract_assignment, min_cost_flow, snap_to_integer)
-from fairclus.lp import FractionalSolution, solution_from_clustering
+from fairclus.lp import FractionalSolution
 
 from conftest import line_instance, window_gf
 from reference_flow import reference_min_cost_flow
 from reference_lp import (check_full_lp_solution, full_lp_min_feasible_lambda,
-                          solve_full_lp)
+                          solution_from_clustering, solve_full_lp)
 
 
 def _rounded(sol, x2):

@@ -20,11 +20,11 @@ from fairclus import (ExactBackend, GreedyBackend, GroupFairnessSpec,
 from fairclus import lp as lp_module
 from fairclus.errors import NumericalError
 from fairclus.lp import (EPS_POS, RESIDUAL_TOL, FractionalSolution, check_lp_solution,
-                         dump_lp_text, solution_from_clustering)
+                         dump_lp_text)
 
 from conftest import line_instance, vacuous_gf, window_gf
-from reference_lp import (dense_reference, full_lp_residual, solve_full_lp,
-                          solve_lp_presolved)
+from reference_lp import (dense_reference, full_lp_residual, solution_from_clustering,
+                          solve_full_lp, solve_lp_presolved)
 
 
 def test_single_point_forced():
@@ -441,8 +441,8 @@ def test_fixed_center_model_matches_dense_reference():
                         assert len(pairs) == k * n
                     assert np.array_equal(model.a_eq.toarray(), a_eq)
                     assert np.array_equal(model.a_ub.toarray(), a_ub)
-                    assert np.array_equal(model.b_eq, b_eq)
-                    assert np.array_equal(model.b_ub, b_ub)
+                    assert np.array_equal(model.hi[model.n_ub:], b_eq)
+                    assert np.array_equal(model.hi[:model.n_ub], b_ub)
                     assert np.array_equal(model.c, c)
                     for a in (model.a_eq, model.a_ub):
                         assert a.has_canonical_format and np.all(a.data != 0.0)

@@ -15,7 +15,8 @@ from fairclus.constraints import OBJECTIVES
 from fairclus.ds import nearest_assignment
 
 from conftest import balanced_instance, line_instance, vacuous_gf, window_gf
-from reference_oracle import reference_doubly_fair, reference_gf_assignment
+from reference_oracle import (exhaustive_doubly_fair, reference_doubly_fair,
+                              reference_gf_assignment)
 
 
 def test_singletons_when_k_equals_n():
@@ -68,15 +69,34 @@ def test_pruned_equals_unpruned():
         ds = CenterDiversitySpec(lower=(0, 0), upper=(2, 2), k=2)
         for objective in ("center", "median", "means"):
             try:
-                pruned = brute_force_doubly_fair(inst, gf, ds, objective,
-                                                 prune=True)
+                pruned = brute_force_doubly_fair(inst, gf, ds, objective)
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
-                    brute_force_doubly_fair(inst, gf, ds, objective, prune=False)
+                    exhaustive_doubly_fair(inst, gf, ds, objective)
                 continue
-            unpruned = brute_force_doubly_fair(inst, gf, ds, objective,
-                                               prune=False)
+            unpruned = exhaustive_doubly_fair(inst, gf, ds, objective)
             assert pruned == unpruned
+
+
+def test_pruning_is_the_same_at_any_scale_of_costs():
+    """Coordinates times 2**-20 scale every distance exactly, so the search
+    must prune exactly as at scale 1. An absolute slack of 1e-9 would hold
+    every k-means cost there (about 2**-40), and the search would visit
+    every node."""
+    budget = OracleBudget(max_nodes_per_set=1000)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        colors = rng.permutation(np.arange(9) % 2)
+        coords = rng.uniform(0, 1, (9, 2))
+        for objective in ("median", "means"):
+            found = []
+            for scale in (1.0, 2.0 ** -20):
+                inst = make_instance(colors, coords=coords * scale, m=2)
+                opt = brute_force_doubly_fair(inst, window_gf(inst),
+                                              default_ds_profile(inst, 3),
+                                              objective, budget=budget)
+                found.append((opt.centers, opt.assignment))
+            assert found[0] == found[1], (seed, objective)
 
 
 def test_oracle_determinism():
@@ -132,8 +152,7 @@ def test_time_cap():
     ds = CenterDiversitySpec(lower=(0, 0), upper=(3, 3), k=3)
     capped = OracleBudget(time_cap=0.0)
     with pytest.raises(BudgetExceededError, match="time cap"):
-        brute_force_doubly_fair(inst, vacuous_gf(2), ds, "center",
-                                budget=capped, prune=False)
+        brute_force_doubly_fair(inst, vacuous_gf(2), ds, "center", budget=capped)
 
 
 @pytest.mark.parametrize("cap", [math.nan, -1.0, -math.inf])
@@ -214,7 +233,7 @@ def test_gf_assignment_matches_the_frozen_reference():
             expected = _outcome(reference_gf_assignment, inst, centers, gf,
                                 objective, nonempty)
             assert _outcome(brute_force_gf_assignment, inst, centers, gf,
-                            objective, None, True, nonempty) == expected
+                            objective, None, nonempty) == expected
             requests += 1
             infeasible += isinstance(expected, str)
     assert requests >= 600 and infeasible >= 50
@@ -231,8 +250,8 @@ def test_pruned_equals_unpruned_on_duplicate_points():
         ds = CenterDiversitySpec(lower=(0,) * m, upper=(k,) * m, k=k)
         for objective in OBJECTIVES:
             assert _outcome(brute_force_doubly_fair, inst, gf, ds, objective) == \
-                _outcome(brute_force_doubly_fair, inst, gf, ds, objective, None,
-                         False), (trial, objective)
+                _outcome(exhaustive_doubly_fair, inst, gf, ds, objective), \
+                (trial, objective)
 
 
 def test_a_tie_found_later_goes_to_the_set_that_sorts_first():
@@ -250,7 +269,7 @@ def test_a_tie_found_later_goes_to_the_set_that_sorts_first():
                                          require_nonempty=True).cost == 2.0
     opt = brute_force_doubly_fair(inst, gf, ds, "center")
     assert opt.centers == (0, 1) and opt.assignment == (0, 1, 1, 0)
-    assert opt == brute_force_doubly_fair(inst, gf, ds, "center", prune=False)
+    assert opt == exhaustive_doubly_fair(inst, gf, ds, "center")
 
 
 def test_infeasible_request_is_refused_before_any_set_is_searched():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairclus import (CenterDiversitySpec, ContractViolationError,
-                      DsSolverContract, ExactBackend, GreedyBackend,
+                      ExactBackend, GreedyBackend,
                       GroupFairnessSpec, InfeasibleError, PipelineError,
                       ValidationError, build_gf_feasibility_lp, check_ds,
                       default_ds_profile, exact_gf_spec, feasibility_precheck,
@@ -176,7 +176,7 @@ def test_precheck_failure_raises_infeasible():
 
 def test_broken_backend_aborts_pipeline():
     class ShortBackend:
-        contract = DsSolverContract(backend_id="short", alpha={})
+        backend_id = "short"
 
         def solve_raw(self, inst, ds, objective):
             return tuple(range(ds.k - 1)), None
@@ -190,7 +190,7 @@ def test_broken_backend_aborts_pipeline():
 
 def test_backend_repeating_a_center_aborts_pipeline():
     class RepeatingBackend:
-        contract = DsSolverContract(backend_id="repeats", alpha={})
+        backend_id = "repeats"
 
         def solve_raw(self, inst, ds, objective):
             return (0, 0, 3), None  # two distinct ids, listed three times
@@ -204,8 +204,7 @@ def test_backend_repeating_a_center_aborts_pipeline():
 
 def test_claimed_alpha_three_reports_factor_four():
     class ClaimsThree:
-        contract = DsSolverContract(backend_id="claims3",
-                                    alpha={"center": 3.0})
+        backend_id = "claims3"
 
         def solve_raw(self, inst, ds, objective):
             from fairclus import solve_ds_exact
@@ -324,13 +323,15 @@ def _match_full_search_and_fresh_solve(monkeypatch):
     assert any(above_ds) and not all(above_ds)
 
 
-def test_kcenter_lp_dump_is_the_model_at_lam(tmp_path):
+def test_kcenter_lp_dump_is_the_model_at_lam():
     inst = balanced_instance(8, 2, seed=1)
     gf = exact_gf_spec(inst)
     ds = default_ds_profile(inst, 2)
-    path = tmp_path / "model.lp"
-    clustering, report = solve(inst, gf, ds, "center", dumps={"lp": str(path)})
-    text = path.read_text()
+    artifacts = {}
+    clustering, report = solve(inst, gf, ds, "center", artifacts=artifacts)
+    dumped = io.StringIO()
+    dump_lp_text(artifacts["lp_model"], dumped)
+    text = dumped.getvalue()
     centers = ",".join(map(str, clustering.centers))
     assert f" radius_cap={report.lam} centers={centers} " in text.splitlines()[0]
     fresh = io.StringIO()

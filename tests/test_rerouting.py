@@ -6,13 +6,13 @@ import pytest
 from fairclus import (CenterDiversitySpec, fractional_cost, lp_residuals,
                       make_instance, pairwise_distance_set, random_instance,
                       reroute_center, reroute_medmeans, solve_ds_exact)
-from fairclus.lp import FractionalSolution, solution_from_clustering
+from fairclus.lp import FractionalSolution
 from fairclus.pipeline import means_pq
 from fairclus.rerouting import check_rerouted
 
 from conftest import line_instance, vacuous_gf, window_gf
 from reference_lp import (check_full_lp_solution, full_lp_min_feasible_lambda,
-                          solve_full_lp)
+                          solution_from_clustering, solve_full_lp)
 
 
 def test_two_center_split_configuration():
