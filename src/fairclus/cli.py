@@ -49,9 +49,18 @@ def _write_json(path, obj):
 def _check_outputs(*paths):
     """Fail on an output path that cannot be written before any work runs.
     Opening it for appending creates a missing file and leaves an existing
-    one as it was."""
-    for path in filter(None, paths):
-        open_output(path, "a").close()
+    one as it was; the files created here are removed if a later path fails."""
+    created = []
+    try:
+        for path in filter(None, paths):
+            existed = os.path.exists(path)
+            open_output(path, "a").close()
+            if not existed:
+                created.append(path)
+    except FairclusError:
+        for path in created:
+            os.remove(path)
+        raise
 
 
 def _load_instance_args(args):

@@ -272,6 +272,37 @@ def diverse_center_blocks(inst: MetricInstance, ds: CenterDiversitySpec):
             yield sets[keep]
 
 
+def center_count_failures(inst: MetricInstance, ds: CenterDiversitySpec) -> list:
+    """Why no size-k center set meets the center-count bounds; empty exactly
+    when one does.
+
+    The sets S with |S ∩ P_h| <= min(U_h, |P_h|) for every color and
+    sum_h max(|S ∩ P_h|, L_h) <= k are the independent sets of a matroid
+    whose size-k sets are the ones ``check_ds`` accepts. So such a set exists
+    exactly when sum_h L_h <= k, L_h <= min(U_h, |P_h|) for every color, and
+    sum_h min(U_h, |P_h|) >= k. Colors beyond the smaller of the instance's
+    and the spec's color counts are not read."""
+    failures, shared = [], range(min(ds.m, inst.m))
+    if not (sum(ds.lower) <= ds.k <= sum(ds.upper)):
+        failures.append(
+            f"center-count bounds cannot host k: sum(L)={sum(ds.lower)}, "
+            f"k={ds.k}, sum(U)={sum(ds.upper)}")
+    counts = inst.color_counts()
+    for h in shared:
+        if counts[h] < ds.lower[h]:
+            name = inst.color_names[h] if inst.color_names else str(h)
+            failures.append(
+                f"insufficient points of color {name}: have {counts[h]}, "
+                f"need at least {ds.lower[h]} centers")
+    capacity = sum(min(ds.upper[h], int(counts[h])) for h in shared)
+    if inst.n < ds.k:
+        failures.append(f"fewer points ({inst.n}) than clusters ({ds.k})")
+    elif capacity < ds.k:
+        failures.append(f"too few points within the center-count caps: "
+                        f"Σ min(U_h, |P_h|) = {capacity} < k = {ds.k}")
+    return failures
+
+
 @dataclass(frozen=True)
 class PrecheckReport:
     ok: bool
@@ -289,18 +320,8 @@ def feasibility_precheck(inst: MetricInstance, gf: GroupFairnessSpec,
     LP, and the uncapped fixed-center LP over any k <= n centers, is
     feasible: 1/k of every point at each center meets every row, and summing
     each center's ratio rows of a feasible point gives the test."""
-    failures = []
-    if not (sum(ds.lower) <= ds.k <= sum(ds.upper)):
-        failures.append(
-            f"center-count bounds cannot host k: sum(L)={sum(ds.lower)}, "
-            f"k={ds.k}, sum(U)={sum(ds.upper)}")
+    failures = center_count_failures(inst, ds)
     counts = inst.color_counts()
-    for h in range(min(ds.m, inst.m)):
-        if counts[h] < ds.lower[h]:
-            name = inst.color_names[h] if inst.color_names else str(h)
-            failures.append(
-                f"insufficient points of color {name}: have {counts[h]}, "
-                f"need at least {ds.lower[h]} centers")
     if sum(gf.lower) > 1:
         failures.append("lower ratios exceed 1")
     if sum(gf.upper) < 1:
@@ -311,8 +332,6 @@ def feasibility_precheck(inst: MetricInstance, gf: GroupFairnessSpec,
             failures.append(
                 f"color {name} holds {counts[h]} of {inst.n} points, a ratio "
                 f"outside its window [{gf.lower[h]}, {gf.upper[h]}]")
-    if inst.n < ds.k:
-        failures.append(f"fewer points ({inst.n}) than clusters ({ds.k})")
     if gf.m != inst.m or ds.m != inst.m:
         failures.append(
             f"spec color count mismatch: instance m={inst.m}, "

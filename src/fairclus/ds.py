@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (OBJECTIVES, CenterDiversitySpec, check_ds, diverse_center_blocks,
-                          feasibility_precheck, objective_value)
+from .constraints import (OBJECTIVES, CenterDiversitySpec, _require_colors,
+                          center_count_failures, check_ds, diverse_center_blocks,
+                          objective_value)
 from .errors import BudgetExceededError, ContractViolationError, InfeasibleError, ValidationError
 from .instance import MetricInstance, instance_to_dict
 
 EXACT_ENUMERATION_BUDGET = 10_000_000  # center sets the exact backend may enumerate
 SCORE_CELLS = 1 << 20  # distances gathered at once by the exact backend: 8 MB
+SUBPROCESS_TIMEOUT_S = 300.0  # wall time a subprocess backend may take per solve
 
 
 @dataclass(frozen=True)
@@ -88,88 +90,51 @@ def solve_ds_exact(inst: MetricInstance, ds: CenterDiversitySpec,
                 best_cost = float(costs[i])
                 best_set = tuple(sets[i].tolist())
     if best_set is None:
-        report = "no size-k center set satisfies the center-count bounds"
-        raise InfeasibleError(report, diagnosis=feasibility_precheck(
-            inst, _vacuous_gf(inst.m), ds).failures)
+        raise InfeasibleError("no size-k center set satisfies the center-count bounds",
+                              diagnosis=center_count_failures(inst, ds))
     return DsSolution(centers=tuple(best_set), cost=best_cost,
                       objective=objective, backend_id="exact", alpha=1.0)
 
 
-def _vacuous_gf(m):
-    from .constraints import GroupFairnessSpec
-    return GroupFairnessSpec(lower=(0,) * m, upper=(1,) * m, rho=0)
-
-
 def solve_ds_greedy(inst: MetricInstance, ds: CenterDiversitySpec,
                     objective: str) -> DsSolution:
-    """Farthest-first seeding repaired to feasibility by color-constrained swaps.
+    """Farthest-first over the center sets that can still reach the bounds.
 
-    Heuristic for instances beyond the exact enumerator; claims no
-    approximation factor.
+    A color may take the next center while it is below min(U_h, |P_h|) and
+    the colors still below their L_h fit into the picks left after this one:
+    that keeps the chosen set independent in the matroid of
+    ``center_count_failures``, so k picks always end on a feasible set. Each
+    pick opens the unchosen point of an allowed color farthest from the
+    centers chosen so far, the lowest id on ties (the first pick is the
+    lowest allowed id). Heuristic; claims no approximation factor.
     """
     if objective not in OBJECTIVES:
         raise ValidationError(f"unknown objective {objective!r}")
-    n, k, m = inst.n, ds.k, ds.m
-    if n < k:
-        raise InfeasibleError(f"fewer points ({n}) than requested centers ({k})")
+    _require_colors(inst, ds, "ds")
+    failures = center_count_failures(inst, ds)
+    if failures:
+        raise InfeasibleError("no size-k center set satisfies the center-count bounds",
+                              diagnosis=failures)
     d = inst.distance_matrix()
     colors = inst.colors
-    counts_total = inst.color_counts()
-
-    centers = [0]
-    mind = d[0, :].copy()
-    mind[0] = -np.inf  # a chosen point must not win a tie at distance 0
-    while len(centers) < k:
-        p = int(np.argmax(mind))  # argmax takes the lowest id on ties
+    lower = np.array(ds.lower)
+    cap = np.minimum(ds.upper, inst.color_counts())
+    cur = np.zeros(ds.m, dtype=int)
+    mind = np.full(inst.n, np.inf)  # distance to the chosen centers; -inf once chosen
+    centers = []
+    for left in range(ds.k - 1, -1, -1):  # picks left after this one
+        # centers still owed to the lower bounds after a pick of each color
+        short = np.maximum(lower - cur, 0).sum() - (cur < lower)
+        allowed = (cur < cap) & (short <= left)
+        p = int(np.argmax(np.where(allowed[colors], mind, -np.inf)))  # lowest id on ties
         centers.append(p)
-        np.minimum(mind, d[p, :], out=mind)
+        cur[colors[p]] += 1
+        np.minimum(mind, d[p], out=mind)
         mind[p] = -np.inf
 
-    # color targets: clamp current counts into [L, min(U, available)], then
-    # shift until they sum to k
-    cur = np.bincount(colors[centers], minlength=m)
-    cap = np.minimum(ds.upper, counts_total[:m])
-    target = np.clip(cur, ds.lower, cap)
-    while target.sum() > k:
-        movable = [h for h in range(m) if target[h] > ds.lower[h]]
-        if not movable:
-            raise InfeasibleError("cannot reduce center counts to k within lower bounds")
-        target[movable[0]] -= 1
-    while target.sum() < k:
-        movable = [h for h in range(m) if target[h] < cap[h]]
-        if not movable:
-            raise InfeasibleError(
-                "no size-k center set can satisfy the center-count bounds")
-        target[movable[0]] += 1
-
-    # drop surplus centers per color: most redundant first (closest to the rest)
-    for h in range(m):
-        while cur[h] > target[h]:
-            of_color = [c for c in centers if colors[c] == h]
-            redundancy = []
-            for c in of_color:
-                others = [o for o in centers if o != c]
-                redundancy.append((min((d[c, o] for o in others), default=math.inf), c))
-            c_drop = min(redundancy)[1]
-            centers.remove(c_drop)
-            cur[h] -= 1
-    # add missing centers per color: farthest-first within the color
-    for h in range(m):
-        while cur[h] < target[h]:
-            pool = [p for p in np.flatnonzero(colors == h) if p not in centers]
-            if not pool:
-                raise InfeasibleError(f"no remaining points of color {h} to open")
-            if centers:
-                gains = [(min(d[p, c] for c in centers), -p) for p in pool]
-                p_add = -max(gains)[1]
-            else:
-                p_add = pool[0]
-            centers.append(int(p_add))
-            cur[h] += 1
-
     centers = tuple(sorted(centers))
-    if len(centers) != k or not check_ds(inst, centers, ds):
-        raise ContractViolationError("greedy repair failed to reach feasibility")
+    if not check_ds(inst, centers, ds):
+        raise ContractViolationError("greedy pass left the center-count bounds")
     return DsSolution(centers=centers, cost=ds_cost(inst, centers, objective),
                       objective=objective, backend_id="greedy", alpha=None)
 
@@ -193,9 +158,8 @@ class GreedyBackend:
 class SubprocessBackend:
     """External solver: instance JSON on stdin, {"centers": [...], "alpha": x} on stdout."""
 
-    def __init__(self, command: str, timeout: float = 300.0):
+    def __init__(self, command: str):
         self.command = command
-        self.timeout = timeout
         self.backend_id = f"subprocess:{command}"
 
     def solve_raw(self, inst, ds, objective):
@@ -208,7 +172,7 @@ class SubprocessBackend:
         try:
             proc = subprocess.run(shlex.split(self.command), input=payload,
                                   capture_output=True, text=True,
-                                  timeout=self.timeout)
+                                  timeout=SUBPROCESS_TIMEOUT_S)
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise ContractViolationError(f"backend process failed: {exc}") from exc
         if proc.returncode != 0:
@@ -229,11 +193,16 @@ def solve_ds_plugin(inst: MetricInstance, ds: CenterDiversitySpec, objective: st
     """Run a backend and enforce its contract; never accepts a bad solution.
 
     Contract: exactly k distinct valid point ids, center-count bounds met
-    exactly. The cost is recomputed here, not trusted; the factor is the one
-    ``solve_raw`` claims.
+    exactly, and a claimed factor that is None or a finite number >= 1. The
+    cost is recomputed here, not trusted; the factor is the one ``solve_raw``
+    claims.
     """
     backend_id = backend.backend_id
     centers, alpha = backend.solve_raw(inst, ds, objective)
+    if alpha is not None and not 1.0 <= alpha < math.inf:  # NaN fails both
+        raise ContractViolationError(
+            f"backend {backend_id!r} claimed factor {alpha}; a factor must be "
+            f"a finite number >= 1")
     centers = tuple(sorted(int(c) for c in centers))
     if len(centers) != ds.k or len(set(centers)) != ds.k:
         raise ContractViolationError(

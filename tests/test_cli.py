@@ -257,6 +257,27 @@ def test_output_in_a_missing_directory_exits_1_without_a_traceback(
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["gen", "solve"])
+def test_a_refused_later_path_leaves_no_earlier_file(tmp_path, capsys, command):
+    """The first output path is created while the paths are checked, and
+    removed again once a later one fails; a file that existed is kept."""
+    inst_path, spec_path = _gen_pair(tmp_path, seed=1)
+    first, later = tmp_path / "first.json", tmp_path / "missing" / "later.json"
+    args = {"gen": ["gen", "--n", "5", "--m", "2", "--seed", "1", "--k", "2",
+                    "--out", str(first), "--spec-out", str(later)],
+            "solve": ["solve", "--instance", str(inst_path), "--spec", str(spec_path),
+                      "--objective", "center", "--out", str(first),
+                      "--clustering-out", str(later)]}[command]
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == \
+        f"error: cannot write {later}: No such file or directory\n"
+    assert not first.exists()
+    first.write_text("kept")
+    assert run_cli(*args) == 1
+    assert first.read_text() == "kept"
+
+
 def test_check_fewer_than_k_centers_breaks_ds(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({
@@ -374,6 +395,26 @@ def test_infeasible_exits_2(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_caps_below_k_fail_the_precheck(tmp_path, capsys):
+    """Four points of one color, at most one center per color, k=2: exit 2
+    with the reason, before any backend runs."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "n": 4, "m": 2, "colors": [0, 0, 0, 0],
+        "coords": [[0.0], [1.0], [2.0], [3.0]]}))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "gf": {"lower": [0, 0], "upper": [1, 1]},
+        "ds": {"lower": [0, 0], "upper": [1, 1]}, "k": 2}))
+    for backend in ("exact", "greedy"):
+        assert run_cli("solve", "--instance", str(inst_path), "--spec", str(spec_path),
+                       "--objective", "center", "--ds-backend", backend) == 2
+        assert capsys.readouterr().err == (
+            "infeasible: instance fails feasibility prechecks\n"
+            "  - too few points within the center-count caps: "
+            "Σ min(U_h, |P_h|) = 1 < k = 2\n")
+
+
 def test_contract_violation_exits_3(tmp_path, capsys):
     inst_path, spec_path = _gen_pair(tmp_path, seed=11)
     bad_backend = tmp_path / "bad.py"
@@ -386,6 +427,27 @@ def test_contract_violation_exits_3(tmp_path, capsys):
                    "--ds-backend", f"subprocess:python3 {bad_backend}")
     assert code == 3
     assert "contract violation" in capsys.readouterr().err
+
+
+def test_a_claimed_factor_of_nan_exits_3(tmp_path, capsys):
+    """json.loads reads NaN, so a subprocess backend can claim it; the
+    centers it returns meet the exact count profile."""
+    inst_path, spec_path = _gen_pair(tmp_path, seed=11)
+    backend = tmp_path / "nan.py"
+    backend.write_text(
+        "import json, sys\n"
+        "req = json.load(sys.stdin)\n"
+        "need, centers = list(req['ds']['lower']), []\n"
+        "for pid, color in enumerate(req['instance']['colors']):\n"
+        "    if need[color]:\n"
+        "        centers.append(pid); need[color] -= 1\n"
+        "json.dump({'centers': centers, 'alpha': float('nan')}, sys.stdout)\n")
+    capsys.readouterr()
+    code = run_cli("solve", "--instance", str(inst_path), "--spec", str(spec_path),
+                   "--objective", "center",
+                   "--ds-backend", f"subprocess:{sys.executable} {backend}")
+    assert code == 3
+    assert "claimed factor nan" in capsys.readouterr().err
 
 
 def test_dump_flags_write_files(tmp_path):

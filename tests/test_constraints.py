@@ -11,8 +11,9 @@ from fairclus import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
                       default_ds_profile, exact_gf_spec, feasibility_precheck,
                       gf_violation, load_fairness_spec, make_clustering,
                       make_instance, random_instance)
-from fairclus.constraints import (CENTER_SET_BLOCK, diverse_center_blocks,
-                                  objective_value, point_costs)
+from fairclus.constraints import (CENTER_SET_BLOCK, center_count_failures,
+                                  diverse_center_blocks, objective_value,
+                                  point_costs)
 from fairclus.errors import ParseError
 
 from conftest import line_instance, window_gf
@@ -205,6 +206,20 @@ def test_feasibility_precheck():
     too_many_clusters = CenterDiversitySpec(lower=(0, 0), upper=(9, 9), k=5)
     report = feasibility_precheck(names, exact_gf_spec(names), too_many_clusters)
     assert any("fewer points" in f for f in report.failures)
+
+
+def test_precheck_fails_when_the_caps_cannot_reach_k():
+    """Four points of color 0 of m=2 with at most one center per color hold
+    no two-center set, though every lower bound and sum(U) >= k pass."""
+    inst = make_instance([0, 0, 0, 0], coords=[[0], [1], [2], [3]], m=2)
+    gf = GroupFairnessSpec(lower=(0, 0), upper=(1, 1))
+    ds = CenterDiversitySpec(lower=(0, 0), upper=(1, 1), k=2)
+    report = feasibility_precheck(inst, gf, ds)
+    assert report.failures == (
+        "too few points within the center-count caps: "
+        "Σ min(U_h, |P_h|) = 1 < k = 2",)
+    assert center_count_failures(inst, ds) == list(report.failures)
+    assert not any(True for _ in diverse_center_blocks(inst, ds))
 
 
 def test_precheck_tests_every_color_ratio_exactly():

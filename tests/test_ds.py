@@ -3,13 +3,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fairclus import (BudgetExceededError, CenterDiversitySpec,
                       ContractViolationError, ExactBackend,
                       InfeasibleError, SubprocessBackend, check_ds,
-                      default_ds_profile, ds_cost,
-                      make_instance, random_instance, solve_ds_exact,
+                      default_ds_profile, ds_cost, exact_gf_spec,
+                      make_instance, random_instance, solve, solve_ds_exact,
                       solve_ds_greedy, solve_ds_plugin)
+from fairclus.constraints import diverse_center_blocks
 
 from conftest import line_instance
 
@@ -185,6 +188,40 @@ def test_greedy_repair_drops_every_center_of_an_unwanted_color():
     assert solve_ds_greedy(inst, ds, "center").centers == (2, 3)
 
 
+@st.composite
+def _greedy_cases(draw):
+    """n <= 8 integer points (ties, duplicates), m <= 3 colors (some absent),
+    count windows with U_h = 0 allowed, and k up to past n."""
+    n, m, dim = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    colors = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    coords = draw(st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                           min_size=n, max_size=n))
+    lower = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    upper = [lo + draw(st.integers(0, 2)) for lo in lower]
+    assume(sum(upper) >= max(1, sum(lower)))
+    k = draw(st.integers(max(1, sum(lower)), sum(upper)))
+    inst = make_instance(colors, coords=coords, m=m)
+    ds = CenterDiversitySpec(lower=tuple(lower), upper=tuple(upper), k=k)
+    return inst, ds, draw(st.sampled_from(("center", "median", "means")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_greedy_cases())
+def test_greedy_succeeds_exactly_when_a_feasible_set_exists(case):
+    inst, ds, objective = case
+    exists = any(True for _ in diverse_center_blocks(inst, ds))
+    try:
+        sol = solve_ds_greedy(inst, ds, objective)
+    except InfeasibleError as exc:
+        assert not exists
+        assert exc.diagnosis
+        return
+    assert exists
+    assert len(set(sol.centers)) == ds.k
+    assert check_ds(inst, sol.centers, ds)
+    assert solve_ds_greedy(inst, ds, objective) == sol
+
+
 class _BrokenCountBackend:
     backend_id = "broken-count"
 
@@ -246,6 +283,29 @@ def test_plugin_cost_never_below_exact_optimum():
 
         sol = solve_ds_plugin(inst, ds, "median", Fixed())
         assert sol.cost >= exact.cost - 1e-12
+
+
+class _Claims:
+    backend_id = "claims"
+
+    def __init__(self, alpha):
+        self.alpha = alpha
+
+    def solve_raw(self, inst, ds, objective):
+        return solve_ds_exact(inst, ds, objective).centers, self.alpha
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.5])
+def test_plugin_refuses_a_factor_that_is_not_finite_and_at_least_one(alpha):
+    """Exact centers with a bad claim: refused at the DS stage, never a
+    report with a NaN or infinite factor."""
+    inst = random_instance(8, 2, seed=11)
+    ds = default_ds_profile(inst, 2)
+    with pytest.raises(ContractViolationError, match="claimed factor"):
+        solve_ds_plugin(inst, ds, "median", _Claims(alpha))
+    with pytest.raises(ContractViolationError, match="claimed factor"):
+        solve(inst, exact_gf_spec(inst), ds, "median", backend=_Claims(alpha))
+    assert solve_ds_plugin(inst, ds, "median", _Claims(1.0)).alpha == 1.0
 
 
 def test_subprocess_backend(tmp_path):
