@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,8 @@ def _write_json(path, obj):
 def _check_outputs(*paths):
     """Fail on an output path that cannot be written before any work runs.
     Opening it for appending creates a missing file and leaves an existing
-    one as it was; the files created here are removed if a later path fails."""
+    one as it was; the files created here are removed if a later path fails.
+    Returns the paths of the files it created."""
     created = []
     try:
         for path in filter(None, paths):
@@ -60,6 +62,20 @@ def _check_outputs(*paths):
     except FairclusError:
         for path in created:
             os.remove(path)
+        raise
+    return created
+
+
+@contextmanager
+def _removing_unwritten(created):
+    """If the command fails, remove the files ``_check_outputs`` created
+    that it left empty, having never written them."""
+    try:
+        yield
+    except BaseException:
+        for path in created:
+            if os.path.getsize(path) == 0:
+                os.remove(path)
         raise
 
 
@@ -102,22 +118,23 @@ def cmd_solve(args) -> int:
     inst = _load_instance_args(args)
     gf, ds = _load_specs(args, inst)
     backend = get_backend(args.ds_backend)
-    _check_outputs(args.out, args.clustering_out, args.dump_lp, args.dump_flow)
+    created = _check_outputs(args.out, args.clustering_out, args.dump_lp, args.dump_flow)
     artifacts = {}
-    try:
-        clustering, report = pipeline_solve(
-            inst, gf, ds, args.objective, backend=backend,
-            with_oracle=args.with_oracle, artifacts=artifacts)
-    finally:  # a solve that fails after its LP still leaves the dumps
-        for path, key, dump in ((args.dump_lp, "lp_model", dump_lp_text),
-                                (args.dump_flow, "net", dump_flow_text)):
-            if path and key in artifacts:
-                with open_output(path) as fh:
-                    dump(artifacts[key], fh)
-    if args.out:
-        _write_json(args.out, report.to_dict())
-    if args.clustering_out:
-        _write_json(args.clustering_out, clustering.to_dict())
+    with _removing_unwritten(created):
+        try:
+            clustering, report = pipeline_solve(
+                inst, gf, ds, args.objective, backend=backend,
+                with_oracle=args.with_oracle, artifacts=artifacts)
+        finally:  # a solve that fails after its LP still leaves the dumps
+            for path, key, dump in ((args.dump_lp, "lp_model", dump_lp_text),
+                                    (args.dump_flow, "net", dump_flow_text)):
+                if path and key in artifacts:
+                    with open_output(path) as fh:
+                        dump(artifacts[key], fh)
+        if args.out:
+            _write_json(args.out, report.to_dict())
+        if args.clustering_out:
+            _write_json(args.clustering_out, clustering.to_dict())
     factor = report.guaranteed_factor
     print(f"cost={report.cost:.6g} "
           f"factor={'none' if factor is None else f'{factor:.6g}'} "
@@ -215,7 +232,7 @@ def cmd_sweep(args) -> int:
         if value < 1:
             raise ValidationError(f"{flag} {value} is below 1")
     get_backend(args.ds_backend)
-    _check_outputs(args.out)
+    created = _check_outputs(args.out)
     rng = np.random.default_rng(args.seed)
     tasks = []
     for i in range(args.count):
@@ -224,17 +241,18 @@ def cmd_sweep(args) -> int:
         for obj in objectives:
             tasks.append((seed, n, args.m, args.k, obj, args.ds_backend,
                           args.with_oracle))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
-    else:
-        rows = [_sweep_task(t) for t in tasks]
-    rows.sort(key=lambda r: (r["seed"], r["objective"]))
-    with open_output(args.out, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    with _removing_unwritten(created):
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                rows = list(pool.map(_sweep_task, tasks))
+        else:
+            rows = [_sweep_task(t) for t in tasks]
+        rows.sort(key=lambda r: (r["seed"], r["objective"]))
+        with open_output(args.out, newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)
+            writer.writeheader()
+            for row in rows:
+                writer.writerow(row)
     ok = sum(1 for r in rows if r.get("status") == "ok")
     print(f"{ok}/{len(rows)} runs succeeded; wrote {args.out}")
     return 0

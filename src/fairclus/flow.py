@@ -19,10 +19,15 @@ first Dijkstra. Each path carries one or more of the O(F) units of excess,
 so the run is O(F E log V) on E arcs and V nodes. The network matrix is
 totally unimodular, so that integral optimum is also optimal over the
 fractional flows, the LP solution among them: the rounded cost never
-exceeds the fractional one. At a vertex of the fixed-center LP the basis
-holds one variable per row (n point rows, k mass rows, at most 2km ratio
-rows); every point's positive variables are basic, and a fractional point
-has two or more, so F <= k(2m + 1) for any n.
+exceeds the fractional one. The fixed-center LP is written over classes
+of points (``lp``), a column y_iG in [0, |G|] per center i and class G. At
+one of its vertices a class with a column at |G| has no other positive
+column, and the positive columns of every other class are basic, so
+linearly independent. They meet only their classes' rows and the k mass
+and at most 2km ratio rows, so they outnumber their classes by at most
+k(2m + 1). The northwest-corner split of ``lp.solve_lp`` gives a class
+with p positive columns at most p - 1 fractional points: F <= k(2m + 1)
+for any n.
 """
 
 from __future__ import annotations

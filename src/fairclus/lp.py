@@ -13,8 +13,27 @@ center i in S and every point j. The constraints are:
                                         for every center i in S and color h
     x_ij = 0 whenever d(i, j) > radius cap   (feasibility variant only)
 
-Radius-capped variables are eliminated from the model rather than constrained
-to zero; the feasible set is identical and the model much smaller.
+The model is written over classes of points, each of one color. A radius
+probe puts the points of one color that reach the same centers under the
+cap in one class (as KFC does; Harb and Lam, NeurIPS 2020); a cost model
+keeps one class per point, since each point pays its own distances. The
+variable y_iG = sum_{j in G} x_ij of center i and class G lies in [0, |G|],
+and the rows are the constraints above summed over each class:
+
+    sum_{i in S} y_iG = |G|             for every class G
+    sum_G y_iG >= 1                     for every center i in S
+    l_h * sum_G y_iG <= sum_{G of color h} y_iG <= u_h * sum_G y_iG
+                                        for every center i in S and color h
+    y_iG exists only for the centers i that G reaches
+
+A color with 0 < l_h = u_h < 1 has one equality row per center in place of
+its two ratio rows. When every color's window is exact the ratios sum to 1,
+so the last color's rows are minus the sum of the others' and are left out.
+Every feasible x sums to a feasible y, and ``solve_lp``'s northwest-corner
+split turns a feasible y back into a feasible x: the two programs are
+feasible together, with one optimum. Radius-capped variables are left out
+of the model rather than constrained to zero; the feasible set is the same
+and the model much smaller.
 
 Every pipeline solves this program over its diverse centers: k-center
 searches for the smallest radius cap at which it is feasible, median and
@@ -24,6 +43,7 @@ k x n table and no mass can lie off the centers.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
@@ -37,6 +57,8 @@ from .constraints import GroupFairnessSpec, point_costs
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .instance import EPS_D, MetricInstance
 
+log = logging.getLogger("fairclus")
+
 EPS_POS = 1e-9  # support threshold: x_ij counts as positive above this
 RESIDUAL_TOL = 1e-7  # accepted constraint residual after repair
 MASS_TOL = 1e-6  # accepted slack on mass checks and on a cost against its LP bound
@@ -46,6 +68,10 @@ _HIGHS_OPTIONS = {"output_flag": False, "presolve": False}
 # The counting bound tests every subset of the centers up to this k; its cost
 # grows as 2^k, so above it only the 2k + 1 sets {i}, S - {i} and S are tested.
 _ALL_SETS_MAX_K = 10
+# The counting bound tests its first 16 candidate radii in one numpy pass,
+# then 4 times as many per pass, but holds at most about this many count
+# bins in one pass.
+_WINDOW_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,26 +88,33 @@ class LpModel:
     """The program over the sorted center set ``centers`` as HiGHS reads it,
     plus enough context to interpret it.
 
-    Column ``a`` is ``x[kept[a, 0], kept[a, 1]]`` and lies in [0, 1]. ``a``
-    is one CSR matrix whose row r holds ``lo[r] <= a[r] @ x <= hi[r]``:
-    first the <= rows (``lo = -inf``), then one ``sum_i x_ij = 1`` row per
-    point j (``lo = hi = 1``). The <= rows are one ``-sum_j x_ij <= -1`` row
-    per center, then for each center i the non-vacuous ratio rows of
-    ``_ratio_rows(gf)``.
+    Point j lies in class ``point_class[j]``; classes are numbered in the
+    order of their first members. Column ``a`` is ``y[kept[a, 0], kept[a,
+    1]]``, the mass class ``kept[a, 1]`` sends to center ``kept[a, 0]``, and
+    lies in [0, |G|]. The first ``nfree`` columns are free. The rest belong
+    to the classes that reach one center only, and are fixed at |G|. Each
+    part is in row-major (center, class) order.
 
-    ``a_ub`` and ``a_eq`` are the two row blocks, sliced from ``a`` on every
-    read; their bounds are ``hi[:n_ub]`` and ``hi[n_ub:]``.
+    ``a`` is one CSC matrix whose row r holds ``lo[r] <= a[r] @ y <=
+    hi[r]``: first the <= rows (``lo = -inf``), one ``-sum_G y_iG <= -1``
+    row per center and then per center the <= ratio rows of
+    ``_ratio_rows(gf)``; then the = rows, per center its equality ratio
+    rows, then one ``sum_i y_iG = |G|`` row per class. ``a_ub`` and
+    ``a_eq`` are the two row blocks, sliced from ``a`` on every read; their
+    bounds are ``hi[:n_ub]`` and ``hi[n_ub:]``.
     """
 
     n: int
-    kept: np.ndarray  # (A, 2) int array of (center, point) pairs, row-major order
-    a: sparse.csr_matrix
+    kept: np.ndarray  # (A, 2) int array of (center, class) pairs
+    a: sparse.csc_matrix
     lo: np.ndarray  # row lower bounds
     hi: np.ndarray  # row upper bounds
     c: np.ndarray  # objective coefficients (all zero for feasibility models)
     lam: float | None  # radius cap, None for an uncapped model
     gf: GroupFairnessSpec
     centers: np.ndarray  # sorted ids of the centers
+    point_class: np.ndarray  # (n,) int: the class of each point
+    nfree: int  # columns [0, nfree) are free, the rest fixed
 
     @property
     def k(self) -> int:
@@ -92,27 +125,61 @@ class LpModel:
         return len(self.kept)
 
     @property
-    def n_ub(self) -> int:
-        return self.a.shape[0] - self.n
+    def class_sizes(self) -> np.ndarray:
+        return np.bincount(self.point_class)
 
     @property
-    def a_ub(self) -> sparse.csr_matrix:
+    def n_ub(self) -> int:
+        return int(np.count_nonzero(self.lo == -np.inf))
+
+    @property
+    def a_ub(self) -> sparse.csc_matrix:
         return self.a[:self.n_ub]
 
     @property
-    def a_eq(self) -> sparse.csr_matrix:
+    def a_eq(self) -> sparse.csc_matrix:
         return self.a[self.n_ub:]
 
 
 def _ratio_rows(gf: GroupFairnessSpec):
-    """Color, side (True for the upper bound) and ratio bound of each center's
-    ratio rows, in row order: per color the upper row, then the lower row.
-    Rows with u_h = 1 or l_h = 0 are vacuous and left out."""
-    h = np.repeat(np.arange(gf.m), 2)
-    is_upper = np.tile([True, False], gf.m)
-    bound = np.where(is_upper, gf.upper_floats()[h], gf.lower_floats()[h])
-    keep = np.where(is_upper, bound < 1.0, bound > 0.0)
-    return h[keep], is_upper[keep], bound[keep]
+    """Color, kind ("upper", "lower" or "equal") and ratio bound of each
+    center's ratio rows, as two lists: the <= rows, per color an upper row
+    if u_h < 1 and a lower row if l_h > 0; then one equality row per color
+    with 0 < l_h = u_h < 1, which has no <= rows. If every color has
+    l_h = u_h, the ratios sum to 1 and the last color's rows, minus the sum
+    of the others', are left out."""
+    ub, eq = [], []
+    exact = gf.lower == gf.upper
+    for h, (lower, upper) in enumerate(zip(gf.lower, gf.upper)):
+        if exact and h == gf.m - 1:
+            break
+        if 0 < lower == upper < 1:
+            eq.append((h, "equal", float(upper)))
+            continue
+        if upper < 1:
+            ub.append((h, "upper", float(upper)))
+        if lower > 0:
+            ub.append((h, "lower", float(lower)))
+    return ub, eq
+
+
+def _reach_classes(reach: np.ndarray, colors: np.ndarray):
+    """Class of each point and first member of each class, for the (k, n)
+    flags ``reach``: points of one color that reach the same centers share a
+    class, and classes are numbered in the order of their first members.
+    The key is the color above the reach mask; above 32 centers it is
+    renumbered every 32 so that it fits 64 bits."""
+    key = colors
+    for start in range(0, reach.shape[0], 32):
+        if start:
+            key = np.unique(key, return_inverse=True)[1]
+        chunk = reach[start:start + 32]
+        key = key << chunk.shape[0] | (1 << np.arange(chunk.shape[0])) @ chunk
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return number[inverse], first[order]
 
 
 def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
@@ -120,48 +187,57 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     centers = _center_ids(inst, centers)
     if gf.m != inst.m:
         raise ValidationError(f"gf spec has {gf.m} colors, instance has {inst.m}")
-    n = inst.n
+    n, k = inst.n, centers.size
     d = inst.distance_matrix()
+    if objective is None:  # a class per color and reach set
+        reach = (np.ones((k, n), dtype=bool) if lam is None
+                 else d[centers] <= lam + EPS_D)
+        point_class, first = _reach_classes(reach, inst.colors)
+        reach = reach[:, first]
+    else:  # a class per point
+        reach = np.ones((k, n), dtype=bool)
+        point_class = first = np.arange(n)
+    size = np.bincount(point_class)
 
-    # keep[s, j]: whether x_{centers[s], j} is a column; pairs are numbered in
-    # row-major order of this mask, and col holds each kept pair's number
-    keep = (np.ones((centers.size, n), dtype=bool) if lam is None
-            else d[centers] <= lam + EPS_D)
-    slot, pj = np.nonzero(keep)
-    ci = centers[slot]
-    nx = ci.size
-    pairs = np.arange(nx)
-    col = np.zeros(keep.shape, dtype=int)
-    col[keep] = pairs
+    # columns: the (center slot, class) pairs of the classes that reach two
+    # or more centers, then those of the classes that reach one
+    free = reach.sum(axis=0) > 1
+    slot, cls = np.nonzero(reach)
+    order = np.argsort(~free[cls], kind="stable")
+    slot, cls = slot[order], cls[order]
+    nx = slot.size
 
-    # ratio row (center s, r): coefficient [c_j = h_r] - u (upper) or
-    # l - [c_j = h_r] (lower) on every kept x_{centers[s], j}; zero
-    # coefficients are not stored. Entries of shape (s, r, j) are in row order.
-    h, is_upper, bound = _ratio_rows(gf)
-    in_h = (inst.colors[:, None] == h).astype(float)
-    coef = np.where(is_upper, in_h - bound, bound - in_h).T
-    entry = keep[:, None, :] & (coef != 0.0)
+    # rows: k mass rows, the <= ratio rows and the equality ratio rows (each
+    # center by center), then a row per class. Column (s, G) holds -1 in
+    # mass row s, [c_G = h] - u (upper and equality rows) or l - [c_G = h]
+    # (lower rows) in center s's ratio rows, and 1 in G's row; zero
+    # coefficients are not stored.
+    ub, eq = _ratio_rows(gf)
+    ratio = ub + eq
+    is_lower = np.array([r[1] == "lower" for r in ratio], dtype=bool)
+    bound = np.array([r[2] for r in ratio])
+    in_h = (np.arange(gf.m)[:, None] == [r[0] for r in ratio]).astype(float)
+    coef = np.where(is_lower, bound - in_h, in_h - bound)  # (m, R)
+    nb, ne = len(ub), len(eq)
+    first_row = np.concatenate((k + np.arange(nb), k * (1 + nb) + np.arange(ne)))
+    stride = np.concatenate((np.full(nb, nb), np.full(ne, ne)))
+    n_rows = k * (1 + nb + ne) + size.size
+    rows = np.column_stack((slot, first_row + slot[:, None] * stride,
+                            n_rows - size.size + cls))
+    data = np.column_stack((-np.ones(nx), coef[inst.colors[first[cls]]], np.ones(nx)))
+    stored = data != 0.0
+    a = sparse.csc_matrix(
+        (data[stored], rows[stored], np.concatenate(([0], np.cumsum(stored.sum(axis=1))))),
+        shape=(n_rows, nx))
+    lo = np.concatenate((np.full(k * (1 + nb), -np.inf), np.zeros(k * ne), size))
+    hi = np.concatenate((-np.ones(k), np.zeros(k * (nb + ne)), size))
 
-    # the <= rows (-sum_j x_ij <= -1 per center, then the ratio rows), then
-    # the assignment rows sum_i x_ij = 1, written row by row
-    row_sizes = np.concatenate((keep.sum(axis=1), entry.sum(axis=2).ravel(),
-                                keep.sum(axis=0)))
-    a = sparse.csr_matrix(
-        (np.concatenate((-np.ones(nx), np.broadcast_to(coef, entry.shape)[entry],
-                         np.ones(nx))),
-         np.concatenate((pairs, np.broadcast_to(col[:, None, :], entry.shape)[entry],
-                         col.T[keep.T])),
-         np.concatenate(([0], np.cumsum(row_sizes)))),
-        shape=(row_sizes.size, nx))
-    n_ub = row_sizes.size - n
-    lo = np.concatenate((np.full(n_ub, -np.inf), np.ones(n)))
-    hi = np.concatenate((-np.ones(centers.size), np.zeros(n_ub - centers.size),
-                         np.ones(n)))
+    c = (np.zeros(nx) if objective is None
+         else point_costs(d[centers[slot], first[cls]], objective))
 
-    c = np.zeros(nx) if objective is None else point_costs(d[ci, pj], objective)
-
-    return LpModel(n=n, kept=np.column_stack((ci, pj)), a=a, lo=lo, hi=hi,
-                   c=c, lam=lam, gf=gf, centers=centers)
+    return LpModel(n=n, kept=np.column_stack((centers[slot], cls)), a=a, lo=lo,
+                   hi=hi, c=c, lam=lam, gf=gf, centers=centers,
+                   point_class=point_class, nfree=int(np.count_nonzero(free[cls])))
 
 
 def _center_ids(inst: MetricInstance, centers) -> np.ndarray:
@@ -178,7 +254,8 @@ def build_gf_feasibility_lp(inst: MetricInstance, gf: GroupFairnessSpec,
                             centers, lam: float | None) -> LpModel:
     """Feasibility program over ``centers`` (distinct point ids) with
     assignments capped at radius ``lam`` (no cap if ``lam`` is None), a
-    finite number >= 0: each center's own column always stays."""
+    finite number >= 0: each center's own column always stays. Its classes
+    are the points of one color that reach the same centers."""
     if lam is not None:
         lam = float(lam)
         if not 0.0 <= lam < np.inf:  # NaN fails too
@@ -190,7 +267,7 @@ def build_gf_objective_lp(inst: MetricInstance, gf: GroupFairnessSpec,
                           centers, objective: str) -> LpModel:
     """Cost-minimizing program (no radius cutoff) for median or means over
     ``centers`` (distinct point ids): those centers are open, and only they
-    receive mass."""
+    receive mass. Each point is a class of its own."""
     if objective not in ("median", "means"):
         raise ValidationError("objective LP supports 'median' and 'means' only")
     return _build(inst, gf, centers, lam=None, objective=objective)
@@ -201,89 +278,76 @@ def solve_lp(model: LpModel):
     column; returns a repaired FractionalSolution, or None if the model is
     infeasible.
 
-    Only the contested part of the model goes to HiGHS. A point whose
-    assignment row holds one column (the only center it reaches under the
-    cap) is forced: that column is 1 at every feasible point. Its column
-    and its assignment row are dropped, and its coefficients move into the
-    bounds of the mass and ratio rows. A row left with no free column is
-    decided here: the model is infeasible if its fixed part breaks the
-    row's bounds by more than RESIDUAL_TOL, the tolerance of
-    ``check_lp_solution``, and the row is dropped otherwise. A point with
-    no column at all is such a row. If no column is left free (k = 1, or
-    every point forced), HiGHS is not called; if there is nothing to take
-    out (every cost model at k >= 2), HiGHS gets the model whole, without
-    the ~0.15 ms the reduction costs at n=80. The reduced polytope is the
-    full one with the forced columns fixed, so its vertices are the full
-    model's: at most k(2m + 1) points are fractional at one.
+    HiGHS gets the free columns only: the fixed ones sit at their class
+    sizes, and their part of each row moves into its bounds. If no column
+    is free (k = 1, or every class reaches one center), HiGHS is not called
+    and each row is checked here, at RESIDUAL_TOL, the tolerance of
+    ``check_lp_solution``. A class that reaches no center leaves its row
+    empty, and so the model infeasible.
 
-    HiGHS gets the rest as one row-bounded matrix, the column bounds
-    [0, 1], ``output_flag`` off (as scipy's ``linprog`` set it: with it on,
-    HiGHS can return another optimal vertex) and presolve off. Without
-    forced points there is nothing for presolve to remove: on an n=80, k=4
-    cost model HiGHS took 2.4 -> 0.8 ms without it (2-vCPU VM), and on the
-    radius probes it spent about 0.37 ms a probe finding the forced points.
-    Costs go in scaled by the power of two that brings the largest into
-    [1, 2). The scaling is exact and leaves the optimal vertices as they
-    are, and HiGHS's absolute tolerances then mean the same at any
-    coordinate scale: at 2^-20, where d^2 is near 1e-12, unscaled costs fall
-    below them and the optimum is lost.
+    HiGHS gets one row-bounded matrix, the column bounds [0, |G|],
+    ``output_flag`` off (as scipy's ``linprog`` set it: with it on, HiGHS
+    can return another optimal vertex) and presolve off. With the fixed
+    columns gone there is little for presolve to remove: on an n=80, k=4
+    cost model HiGHS took 2.4 -> 0.8 ms without it (2-vCPU VM). Costs go in
+    scaled by the power of two that brings the largest into [1, 2). The
+    scaling is exact and leaves the optimal vertices as they are, and
+    HiGHS's absolute tolerances then mean the same at any coordinate scale:
+    at 2^-20, where d^2 is near 1e-12, unscaled costs fall below them and
+    the optimum is lost.
 
-    The solution is k x n, a row per center. Repair: negatives clamped, each
-    assignment column renormalized to sum exactly 1 (the flow rounds each
-    column as one unit of mass). Residuals are not re-verified; see
-    ``check_lp_solution``, which checks the full table against ``inst`` and
-    ``gf``, so the reduction cannot vouch for itself.
+    Each class's mass is split over its members by the northwest-corner
+    rule: members in id order fill the centers in sorted order, each member
+    one unit. A class with p positive columns so gets at most p - 1
+    fractional members, and at a vertex the positive columns beyond one per
+    class number at most k(2m + 1) (see ``flow``). The solution is k x n,
+    a row per center. Repair: negatives clamped, each assignment column
+    renormalized to sum exactly 1 (the flow rounds each column as one unit
+    of mass). Residuals are not re-verified; see ``check_lp_solution``,
+    which checks the split table against ``inst`` and ``gf``, so the model
+    cannot vouch for itself.
     """
-    a, n_ub = model.a, model.n_ub
-    row_nnz = np.diff(a.indptr)
-    value = np.zeros(model.ncols)
-    value[a.indices[a.indptr[n_ub:-1][row_nnz[n_ub:] == 1]]] = 1.0  # forced columns
-    free = value == 0.0
-    if free.all() and row_nnz.all():
-        # nothing to take out (every cost model at k >= 2): the model as it is
-        matrix, lo, hi = a, model.lo, model.hi
-    else:
-        fixed_part = a @ value
-        lo, hi = model.lo - fixed_part, model.hi - fixed_part
-        on_free = free[a.indices]
-        entry_row = np.repeat(np.arange(row_nnz.size), row_nnz)[on_free]
-        kept_row = np.bincount(entry_row, minlength=row_nnz.size) > 0
-        if np.any(np.maximum(lo, -hi)[~kept_row] > RESIDUAL_TOL):
+    a, nfree = model.a, model.nfree
+    size = model.class_sizes
+    col_size = size[model.kept[:, 1]].astype(float)
+    value = col_size.copy()
+    value[:nfree] = 0.0
+    fixed_part = a @ value
+    lo, hi = model.lo - fixed_part, model.hi - fixed_part
+    if nfree == 0:
+        if np.any(np.maximum(lo, -hi) > RESIDUAL_TOL):
             return None
-        lo, hi = lo[kept_row], hi[kept_row]
-        # the contested part in the CSC form milp hands HiGHS: entries of the
-        # free columns, ordered by column, then by row as in a
-        col = a.indices[on_free]
-        order = np.argsort(col, kind="stable")
-        indptr = np.zeros(np.count_nonzero(free) + 1, dtype=a.indptr.dtype)
-        np.cumsum(np.bincount(col, minlength=model.ncols)[free], out=indptr[1:])
-        matrix = sparse.csc_array(
-            (a.data[on_free][order],
-             (np.cumsum(kept_row) - 1)[entry_row[order]].astype(a.indices.dtype), indptr),
-            shape=(lo.size, indptr.size - 1))
-    if free.any():
-        c = model.c[free]
+    else:
+        c = model.c[:nfree]
         c = np.ldexp(c, 1 - np.frexp(c.max())[1])
         with warnings.catch_warnings():
             # milp warns that it passes output_flag, an option it does not know, on verbatim
             warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-            res = milp(c, constraints=LinearConstraint(matrix, lo, hi),
-                       bounds=Bounds(0.0, 1.0), options=_HIGHS_OPTIONS)
+            free = a if nfree == model.ncols else a[:, :nfree]
+            res = milp(c, constraints=LinearConstraint(free, lo, hi),
+                       bounds=Bounds(0.0, col_size[:nfree]), options=_HIGHS_OPTIONS)
         if res.status == 2:
             return None
         if res.status != 0:
             raise NumericalError(f"LP backend failed with status {res.status}: {res.message}")
-        value[free] = res.x
+        value[:nfree] = res.x
 
-    rows = model.centers
-    x = np.zeros((rows.size, model.n))
-    x[np.searchsorted(rows, model.kept[:, 0]), model.kept[:, 1]] = value
+    # northwest corner: member r of class G takes [r, r + 1) of G's mass,
+    # center s the interval ending at y_1G + ... + y_sG
+    cls = model.point_class
+    y = np.zeros((model.k, size.size))
+    y[np.searchsorted(model.centers, model.kept[:, 0]), model.kept[:, 1]] = np.maximum(value, 0.0)
+    top = np.cumsum(y, axis=0)[:, cls]
+    order = np.argsort(cls, kind="stable")
+    rank = np.empty(cls.size)
+    rank[order] = np.arange(cls.size) - (np.cumsum(size) - size)[cls[order]]
+    x = np.minimum(top, rank + 1.0) - np.maximum(top - y[:, cls], rank)
     np.clip(x, 0.0, 1.0, out=x)
     sums = x.sum(axis=0)
     if np.any(sums < 0.5):
         raise NumericalError("an assignment column lost more than half its mass")
     x /= sums[None, :]
-    return FractionalSolution(rows=rows, x=x)
+    return FractionalSolution(rows=model.centers, x=x)
 
 
 def check_lp_solution(model: LpModel, sol: FractionalSolution,
@@ -412,6 +476,9 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, centers,
         radius = float(radii[idx])
         model = build_gf_feasibility_lp(inst, gf, centers, radius)
         sol = solve_lp(model)
+        log.debug("radius probe %r: %d classes, %d columns to HiGHS, %s", radius,
+                  model.class_sizes.size, model.nfree,
+                  "infeasible" if sol is None else "feasible")
         if sol is not None:
             best = LambdaSearchResult(radius, model, sol)
         return sol is not None
@@ -423,35 +490,57 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     return best
 
 
-def _set_counts(reach: np.ndarray, colors: np.ndarray, n_h: np.ndarray):
-    """Size |T| and the per-color counts Q_h(T) and N_h(T) of each tested
-    center set T, as arrays of shape (F,), (F, m) and (F, m).
+def _window_counts(start, end, key, w: int, bins: int) -> np.ndarray:
+    """(bins, w) table whose entry [b, t] counts the items with key b and
+    start <= t < end; a start or end of w lies past the window."""
+    size = bins * (w + 1)
+    diff = (np.bincount((key * (w + 1) + start).ravel(), minlength=size)
+            - np.bincount((key * (w + 1) + end).ravel(), minlength=size))
+    return np.cumsum(diff.reshape(bins, w + 1)[:, :w], axis=1)
 
-    ``reach[i, j]`` says whether point j reaches center i. Q_h(T) counts the
-    color-h points whose reach set lies within T (a point that reaches no
-    center counts in every T); N_h(T) counts those that reach some center in
-    T, which is n_h - Q_h(S - T).
+
+def _set_counts(first: np.ndarray, w: int, colors: np.ndarray, n_h: np.ndarray):
+    """Size |T| and the per-color counts Q_h(T) and N_h(T) of each tested
+    center set T at each of the w radii of a window, as arrays of shape
+    (F,), (F, m, w) and (F, m, w).
+
+    Point j reaches center i from the radius ``first[i, j]`` of the window
+    on (never if w). Q_h(T) counts the color-h points whose reach set lies
+    within T (a point that reaches no center counts in every T); N_h(T)
+    counts those that reach some center in T, which is n_h - Q_h(S - T).
+    A point changes its counts only where it reaches another center, so
+    the counts are summed from those changes, in O(k n) work per window.
     """
-    k = reach.shape[0]
+    k, n = first.shape
     m = n_h.size
+    n_h = n_h[:, None]
     if k <= _ALL_SETS_MAX_K:
         # every T as a bitmask: count the points per (reach mask, color),
-        # then sum the counts of every mask within T (a subset-sum transform)
-        mask = (1 << np.arange(k)) @ reach
-        q = np.bincount(mask * m + colors, minlength=m << k).reshape(1 << k, m)
+        # the key of the model's classes, and radius, then sum the counts
+        # of every mask within T (a subset-sum transform). Point j's mask
+        # gains a bit at each of its k reach radii, taken in order.
+        by = np.argsort(first, axis=0, kind="stable")
+        at = np.take_along_axis(first, by, axis=0)
+        none = np.zeros((1, n), dtype=int)
+        masks = np.vstack((none, np.cumsum(1 << by, axis=0)))
+        q = _window_counts(np.vstack((none, at)), np.vstack((at, np.full((1, n), w))),
+                           masks * m + colors, w, m << k).reshape(1 << k, m, w)
         for i in range(k):
-            halves = q.reshape(-1, 2, 1 << i, m)
+            halves = q.reshape(-1, 2, (m * w) << i)
             halves[:, 1] += halves[:, 0]
         size = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).sum(axis=1)
         return size, q, n_h - q[::-1]  # q[::-1][T] is q[S - T]
-    hits = reach.sum(axis=0)
-    onehot = (colors[:, None] == np.arange(m)).astype(int)
-    reaches_i = reach @ onehot  # N_h({i})
-    unreached = onehot[hits == 0].sum(axis=0)
-    only_i = (reach & (hits == 1)) @ onehot + unreached  # Q_h({i})
+    # a point reaches exactly one center, its nearest, from its earliest
+    # reach radius t1 to its second t2 (w past a single center)
+    t1, t2 = np.partition(np.vstack((first, np.full((1, n), w))), 1, axis=0)[:2]
+    reaches_i = _window_counts(first, w, np.arange(k)[:, None] * m + colors, w,
+                               k * m).reshape(k, m, w)  # N_h({i})
+    unreached = n_h - _window_counts(t1, w, colors, w, m)
+    only_i = (_window_counts(t1, t2, first.argmin(axis=0) * m + colors, w, k * m)
+              .reshape(k, m, w) + unreached)  # Q_h({i})
     size = np.concatenate((np.ones(k, dtype=int), np.full(k, k - 1), [k]))
-    q = np.vstack((only_i, n_h - reaches_i, n_h))
-    return size, q, np.vstack((reaches_i, n_h - only_i, n_h - unreached))
+    q = np.concatenate((only_i, n_h - reaches_i, np.broadcast_to(n_h, (1, m, w))))
+    return size, q, np.concatenate((reaches_i, n_h - only_i, (n_h - unreached)[None]))
 
 
 def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
@@ -477,14 +566,17 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
 
     and Q_h(T) = 0 where u_h = 0. Every T is tested up to k =
     ``_ALL_SETS_MAX_K`` and the sets {i}, S - {i} and S above it; any family
-    of sets gives a valid bound. Reach only grows with r, so the bound is
-    monotone and a binary search finds its smallest passing radius. The set
-    T = S fails while some point reaches no center (Q_h(S) counts it,
-    N_h(S) does not), so the search starts at the nearest-assignment radius
-    (the largest distance from a point to its nearest center) and tests it
-    first. Candidates below it but within EPS_D of it are skipped, although
-    every point reaches a center there, so that the radius found is never
-    below the nearest-assignment radius.
+    of sets gives a valid bound. The set T = S fails while some point
+    reaches no center (Q_h(S) counts it, N_h(S) does not), so the search
+    starts at the nearest-assignment radius (the largest distance from a
+    point to its nearest center). Candidates below it but within EPS_D of
+    it are skipped, although every point reaches a center there, so that
+    the radius found is never below the nearest-assignment radius.
+
+    Reach only grows with r, so the bound is monotone, and the candidates
+    are tested in order, a window per numpy pass: the first 16, then 4
+    times as many per window (at most about ``_WINDOW_CELLS`` count bins in
+    one), and the first passing one is the answer.
 
     Slack: the test never rejects a radius HiGHS accepts. The pipeline
     accepts a solution whose repair left x >= 0 with unit columns, so the
@@ -504,27 +596,46 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     lower, upper = gf.lower_floats(), gf.upper_floats()
     has_lower, has_upper = lower > 0.0, upper > 0.0
 
-    def passes(idx: int) -> bool:
-        size, q, nn = _set_counts(dc <= radii[idx] + EPS_D, colors, n_h)
+    def passes(window: np.ndarray) -> np.ndarray:
+        # point j reaches center i from the first radius r of the window
+        # with d(i, j) <= r + EPS_D on
+        first = np.searchsorted(window + EPS_D, dc)
+        size, q, nn = _set_counts(first, window.size, colors, n_h)
+        size = size[:, None]
         tol = size * RESIDUAL_TOL
-        by_upper = (q[:, has_upper] - tol[:, None]) / upper[has_upper]
-        by_lower = (nn[:, has_lower] + tol[:, None]) / lower[has_lower]
-        least = np.maximum.reduce([size - tol, q.sum(axis=1),
-                                   by_upper.max(axis=1, initial=-np.inf)])
+        by_upper = (q[:, has_upper] - tol[:, None]) / upper[has_upper, None]
+        by_lower = (nn[:, has_lower] + tol[:, None]) / lower[has_lower, None]
+        least = np.maximum(np.maximum(size - tol, q.sum(axis=1)),
+                           by_upper.max(axis=1, initial=-np.inf))
         most = np.minimum(nn.sum(axis=1), by_lower.min(axis=1, initial=np.inf))
-        return not (np.any(least > most) or np.any(q[:, ~has_upper]))
+        return ~(np.any(least > most, axis=0) | np.any(q[:, ~has_upper], axis=(0, 1)))
 
-    return _first_passing(passes, int(np.searchsorted(radii, dc.min(axis=0).max())),
-                          radii.size)
+    k = dc.shape[0]
+    cells = gf.m << k if k <= _ALL_SETS_MAX_K else gf.m * k
+    start, width = int(np.searchsorted(radii, dc.min(axis=0).max())), 16
+    while start < radii.size:
+        window = radii[start:start + width]
+        passed = passes(window)
+        if passed.any():
+            return start + int(passed.argmax())
+        start += window.size
+        width = max(16, min(4 * width, _WINDOW_CELLS // cells))
+    return radii.size
 
 
 def dump_lp_text(model: LpModel, stream) -> None:
-    """Write the model in LP text interchange format (for debugging)."""
-    def var(idx):
-        i, j = model.kept[idx]
-        return f"x_{i}_{j}"
+    """Write the model in LP text interchange format (for debugging).
+    Column ``x_i_j`` is the mass the class of point j, its first member,
+    sends to center i; a comment line lists the members of each class of
+    two or more points."""
+    first = np.unique(model.point_class, return_index=True)[1]
+    size = model.class_sizes
 
-    a = model.a
+    def var(idx):
+        i, g = model.kept[idx]
+        return f"x_{i}_{first[g]}"
+
+    a = model.a.tocsr()
 
     def terms(r):
         lo, hi = a.indptr[r], a.indptr[r + 1]
@@ -532,24 +643,30 @@ def dump_lp_text(model: LpModel, stream) -> None:
                        for cidx, v in zip(a.indices[lo:hi], a.data[lo:hi]))
 
     centers = model.centers.tolist()
-    h, is_upper, _ = _ratio_rows(model.gf)
-    ub_labels = [f"mass_{i}" for i in centers] + [
-        f"ratio_{'upper' if up else 'lower'}_{i}_{hh}"
-        for i in centers for hh, up in zip(h, is_upper)]
+    ub, eq = _ratio_rows(model.gf)
+    labels = ([f"mass_{i}" for i in centers]
+              + [f"ratio_{kind}_{i}_{h}" for rows in (ub, eq) for i in centers
+                 for h, kind, _ in rows]
+              + [f"assign_{j}" for j in first])
 
     stream.write("\\ fairclus model"
                  + (f" radius_cap={model.lam}" if model.lam is not None else "")
                  + " centers=" + ",".join(map(str, centers))
                  + f" n={model.n} k={model.k}\n")
+    for g in np.flatnonzero(size > 1):
+        members = np.flatnonzero(model.point_class == g)
+        stream.write(f"\\ class {first[g]}: " + ",".join(map(str, members)) + "\n")
     stream.write("Minimize\n obj:")
     obj = [f" {model.c[idx]:+.12g} {var(idx)}" for idx in np.flatnonzero(model.c)]
     stream.write("".join(obj) if obj else " 0 " + var(0))
     stream.write("\nSubject To\n")
-    for j, r in enumerate(range(model.n_ub, a.shape[0])):
-        stream.write(f" assign_{j}:{terms(r)} = {model.hi[r]:.12g}\n")
-    for r, label in enumerate(ub_labels):
-        stream.write(f" {label}:{terms(r)} <= {model.hi[r]:.12g}\n")
+    n_ub = model.n_ub
+    for r in [*range(n_ub, a.shape[0]), *range(n_ub)]:
+        sense = "=" if model.lo[r] == model.hi[r] else "<="
+        stream.write(f" {labels[r]}:{terms(r)} {sense} {model.hi[r]:.12g}\n")
     stream.write("Bounds\n")
     for idx in range(model.ncols):
-        stream.write(f" 0 <= {var(idx)} <= 1\n")
+        bound = size[model.kept[idx, 1]]
+        stream.write(f" 0 <= {var(idx)} <= {bound}\n" if idx < model.nfree
+                     else f" {var(idx)} = {bound}\n")
     stream.write("End\n")

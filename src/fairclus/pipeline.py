@@ -2,15 +2,17 @@
 rounding, one pipeline for k-center, k-median and k-means, with every
 stage's guarantee re-verified on the produced artifacts.
 
-The LP is the fair assignment LP over the diverse centers S (k * n columns;
-Bera et al., NeurIPS 2019). k-center takes the smallest radius r among the
-distances d[S, :] at which that LP, capped at r, is feasible, reusing the
-winning search probe's solution; the rounded radius is checked to be at most
-r. A counting bound (``lp.counting_bound_index``) rules out the radii below
-its own without an LP, so the search probes from there. Median and means
-take the LP's optimum; the rounded cost is checked to be at most its
-fractional cost. Either solution is a k x n table over S, and its residuals,
-per-center mass >= 1 included, are checked before the flow rounds it.
+The LP is the fair assignment LP over the diverse centers S (Bera et al.,
+NeurIPS 2019), written over classes of points (``lp``). k-center takes the
+smallest radius r among the distances d[S, :] at which that LP, capped at
+r, is feasible, reusing the winning search probe's solution; the rounded
+radius is checked to be at most r. A counting bound
+(``lp.counting_bound_index``) rules out the radii below its own without an
+LP, so the search probes from there. Median and means take the LP's
+optimum; the rounded cost is checked to be at most its fractional cost.
+Either solution is split back over the points into a k x n table over S,
+and its residuals, per-center mass >= 1 included, are checked before the
+flow rounds it.
 
 The flow (``flow.min_cost_flow``) fixes each point with one support arc and
 routes the points the LP split, at most k(2m + 1) at a vertex, by

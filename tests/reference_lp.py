@@ -12,7 +12,10 @@ j) and an opening column y_i for every point i:
     x_ij = 0 whenever d(i, j) > radius cap   (feasibility variant only)
 
 The fixed-center LP over S keeps the x_ij with i in S and no y, and replaces
-the opening rows with ``sum_j x_ij >= 1`` for every i in S.
+the opening rows with ``sum_j x_ij >= 1`` for every i in S. ``fairclus.lp``
+writes it over classes of points; the tests sum this per-point model over
+the classes to compare the two, and solve it (``solve_dense_reference``) as
+the independent check of a class model's feasibility and optimum.
 """
 
 import warnings
@@ -125,22 +128,74 @@ def solution_from_clustering(inst, centers, assignment):
     return FractionalSolution(rows=rows, x=x)
 
 
+def _repaired(centers, x):
+    """``solve_lp``'s repair of a k x n table: clamped to [0, 1], each
+    column renormalized to sum 1."""
+    np.clip(x, 0.0, 1.0, out=x)
+    return FractionalSolution(rows=np.asarray(centers), x=x / x.sum(axis=0))
+
+
+def northwest_corner(model, value):
+    """The k x n table of a class model's column values, split member by
+    member as ``lp.solve_lp`` splits them: each class's members in id order
+    fill its centers in sorted order, one unit each."""
+    x = np.zeros((model.k, model.n))
+    for g in range(model.class_sizes.size):
+        members = iter(np.flatnonzero(model.point_class == g).tolist())
+        j, room = next(members), 1.0
+        cols = np.flatnonzero(model.kept[:, 1] == g)
+        for a in cols[np.argsort(model.kept[cols, 0])]:
+            s = int(np.searchsorted(model.centers, model.kept[a, 0]))
+            mass = max(float(value[a]), 0.0)
+            while mass > 0.0 and j is not None:
+                take = min(mass, room)
+                x[s, j] += take
+                mass -= take
+                room -= take
+                if room <= 0.0:
+                    j, room = next(members, None), 1.0
+    return x
+
+
 def solve_lp_presolved(model):
-    """A fixed-center model solved whole, the reference for ``lp.solve_lp``'s
-    reduction: no column fixed beforehand, HiGHS's default presolve,
-    unscaled costs and ``solve_lp``'s repair. None if HiGHS certifies
-    infeasibility."""
+    """A fixed-center model solved whole, the reference for ``lp.solve_lp``:
+    no column fixed beforehand (every column in [0, |G|]), HiGHS's default
+    presolve, unscaled costs, then ``northwest_corner`` and ``solve_lp``'s
+    repair. None if HiGHS certifies infeasibility."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
         res = milp(model.c, constraints=LinearConstraint(model.a, model.lo, model.hi),
+                   bounds=Bounds(0.0, model.class_sizes[model.kept[:, 1]]),
+                   options={"output_flag": False})
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return _repaired(model.centers, northwest_corner(model, res.x))
+
+
+def solve_dense_reference(inst, gf, centers, lam, objective=None):
+    """The fixed-center LP over ``centers`` written per point by
+    ``dense_reference``, capped at ``lam`` unless it is None, solved with
+    HiGHS's default presolve at unscaled costs and repaired as
+    ``lp.solve_lp`` repairs: (the k x n solution over the sorted centers,
+    the optimum), or None if HiGHS certifies infeasibility."""
+    centers = sorted(int(i) for i in centers)
+    pairs, a_eq, b_eq, a_ub, b_ub, c = dense_reference(
+        inst, gf, len(centers), lam, objective, centers)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(c, constraints=LinearConstraint(
+                       np.vstack((a_ub, a_eq)),
+                       np.concatenate((np.full(b_ub.size, -np.inf), b_eq)),
+                       np.concatenate((b_ub, b_eq))),
                    bounds=Bounds(0.0, 1.0), options={"output_flag": False})
     if res.status == 2:
         return None
     assert res.status == 0, res.message
-    x = np.zeros((model.k, model.n))
-    x[np.searchsorted(model.centers, model.kept[:, 0]), model.kept[:, 1]] = res.x
-    np.clip(x, 0.0, 1.0, out=x)
-    return FractionalSolution(rows=model.centers, x=x / x.sum(axis=0))
+    x = np.zeros((len(centers), inst.n))
+    i, j = np.array(pairs).T
+    x[np.searchsorted(centers, i), j] = res.x
+    return _repaired(centers, x), float(res.fun)
 
 
 def full_lp_residual(inst, gf, k, lam, sol):

@@ -483,6 +483,65 @@ def test_dumps_survive_a_failed_flow(tmp_path, capsys, monkeypatch):
     assert fl_path.read_text().startswith("arc ")
 
 
+def _write_four_of_one_color(tmp_path):
+    """Four points of color 0 of m = 2 and k = 2 with at most one center per
+    color: the precheck refuses it."""
+    inst_path = tmp_path / "inst4.json"
+    inst_path.write_text(json.dumps({
+        "n": 4, "m": 2, "colors": [0, 0, 0, 0],
+        "coords": [[0.0], [1.0], [2.0], [3.0]]}))
+    spec_path = tmp_path / "spec4.json"
+    spec_path.write_text(json.dumps({
+        "gf": {"lower": [0, 0], "upper": [1, 1]},
+        "ds": {"lower": [0, 0], "upper": [1, 1]}, "k": 2}))
+    return inst_path, spec_path
+
+
+@pytest.mark.parametrize("code", [2, 3])
+def test_a_failed_solve_leaves_no_empty_output(tmp_path, capsys, monkeypatch, code):
+    """A solve that fails after its output paths were checked removes the
+    empty files the check created: on the precheck's refusal (exit 2) and on
+    a broken flow (exit 3), where the dumps written before the failure keep
+    their content and a file that existed before is kept."""
+    from fairclus import pipeline
+    from fairclus.errors import PipelineError
+
+    out = {name: tmp_path / name for name in ("r.json", "c.json", "lp.txt", "flow.txt")}
+    if code == 2:
+        inst_path, spec_path = _write_four_of_one_color(tmp_path)
+    else:
+        def broken(net):
+            raise PipelineError("flow", "no flow")
+
+        monkeypatch.setattr(pipeline, "min_cost_flow", broken)
+        inst_path, spec_path = _gen_pair(tmp_path, seed=13)
+        out["c.json"].write_text("")
+    assert run_cli("solve", "--instance", str(inst_path), "--spec", str(spec_path),
+                   "--objective", "median", "--out", str(out["r.json"]),
+                   "--clustering-out", str(out["c.json"]), "--dump-lp", str(out["lp.txt"]),
+                   "--dump-flow", str(out["flow.txt"])) == code
+    assert "Traceback" not in capsys.readouterr().err
+    if code == 2:
+        assert not any(path.exists() for path in out.values())
+    else:
+        assert not out["r.json"].exists() and out["c.json"].read_text() == ""
+        assert out["lp.txt"].read_text().splitlines()[-1] == "End"
+        assert out["flow.txt"].read_text().startswith("arc ")
+
+
+def test_a_failed_sweep_leaves_no_empty_output(tmp_path, monkeypatch):
+    from fairclus import cli
+
+    def broken(params):
+        raise RuntimeError("worker died")
+
+    monkeypatch.setattr(cli, "_sweep_task", broken)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(RuntimeError, match="worker died"):
+        run_cli("sweep", "--count", "1", "--n-min", "6", "--n-max", "6", "--out", str(out))
+    assert not out.exists()
+
+
 def test_sweep_writes_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli("sweep", "--count", "3", "--seed", "100", "--n-min", "6",

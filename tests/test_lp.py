@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -19,12 +21,13 @@ from fairclus import (ExactBackend, GreedyBackend, GroupFairnessSpec,
                       random_instance, solve, solve_lp)
 from fairclus import lp as lp_module
 from fairclus.errors import NumericalError
+from fairclus.instance import EPS_D
 from fairclus.lp import (EPS_POS, RESIDUAL_TOL, FractionalSolution, check_lp_solution,
                          dump_lp_text)
 
 from conftest import line_instance, vacuous_gf, window_gf
 from reference_lp import (dense_reference, full_lp_residual, solution_from_clustering,
-                          solve_full_lp, solve_lp_presolved)
+                          solve_dense_reference, solve_full_lp, solve_lp_presolved)
 
 
 def test_single_point_forced():
@@ -176,6 +179,12 @@ def test_integral_clustering_embeds_into_lp():
     assert checked >= 5
 
 
+def _dense_scan(inst, gf, centers, radii):
+    """Whether the dense per-point model over ``centers`` is feasible at
+    each radius."""
+    return [solve_dense_reference(inst, gf, centers, float(r)) is not None for r in radii]
+
+
 def test_min_feasible_lambda_matches_linear_scan():
     rng = np.random.default_rng(27)
     for trial in range(8):
@@ -186,8 +195,7 @@ def test_min_feasible_lambda_matches_linear_scan():
         centers = sorted(rng.choice(n, size=2, replace=False).tolist())
         radii = np.unique(inst.distance_matrix()[centers])
         lam = min_feasible_lambda(inst, gf, centers, radii).radius
-        flags = [solve_lp(build_gf_feasibility_lp(inst, gf, centers, float(r)))
-                 is not None for r in radii]
+        flags = _dense_scan(inst, gf, centers, radii)
         # monotone: once feasible, stays feasible
         first = flags.index(True)
         assert all(flags[first:])
@@ -251,8 +259,7 @@ def test_min_feasible_lambda_on_candidate_suffixes(monkeypatch):
         gf = window_gf(inst)
         centers = sorted(pick.choice(n, size=k, replace=False).tolist())
         radii = np.unique(inst.distance_matrix()[centers])
-        flags = [solve_lp(build_gf_feasibility_lp(inst, gf, centers, float(r)))
-                 is not None for r in radii]
+        flags = _dense_scan(inst, gf, centers, radii)
         first = flags.index(True)  # the full search's answer
         assert all(flags[first:])
         for i in range(radii.size):
@@ -324,10 +331,7 @@ def test_alternating_line_lambda_matches_scan():
     for centers in ([1], [0, 3]):
         radii = pairwise_distance_set(inst)
         lam = min_feasible_lambda(inst, gf, centers, radii).radius
-        scan = next(float(r) for r in radii
-                    if solve_lp(build_gf_feasibility_lp(inst, gf, centers, float(r)))
-                    is not None)
-        assert lam == pytest.approx(scan)
+        assert lam == radii[_dense_scan(inst, gf, centers, radii).index(True)]
 
 
 def test_radius_cutoff_eliminates_variables():
@@ -394,21 +398,100 @@ def _grid_spec(inst, kind):
                              upper=(0,) + (1,) * (m - 1))
 
 
-def _assert_one_matrix(model, a_eq, b_eq, a_ub, b_ub):
-    """``a`` is the <= rows stacked over the assignment rows, with row
-    bounds (-inf, b_ub) and (b_eq, b_eq)."""
-    assert np.array_equal(model.a.toarray(), np.vstack((a_ub, a_eq)))
-    assert np.array_equal(model.lo, np.concatenate((np.full(b_ub.size, -np.inf), b_eq)))
-    assert np.array_equal(model.hi, np.concatenate((b_ub, b_eq)))
-    assert model.a.has_canonical_format and np.all(model.a.data != 0.0)
+def _classes(inst, centers, lam, objective):
+    """Each point's class, found from the instance: a class per point in a
+    cost model, else one per color and set of centers reached under
+    ``lam`` (every center if None), numbered in the order of first members."""
+    if objective is not None:
+        return np.arange(inst.n)
+    d = inst.distance_matrix()
+    number = {}
+    return np.array([number.setdefault(
+        (int(inst.colors[j]), tuple(lam is None or d[i, j] <= lam + EPS_D for i in centers)),
+        len(number)) for j in range(inst.n)])
+
+
+def _class_model_from_dense(inst, gf, centers, lam, objective):
+    """The class model written from ``dense_reference``'s per-point model:
+    (point_class, kept, nfree, a, lo, hi, c), with ``a`` dense.
+
+    Each column (i, G) is the sum of the pair columns (i, j) of G's members,
+    all of which exist and carry the same coefficient in every <= row; each
+    class row is the sum of its members' assignment rows. Free columns (G
+    reaches two or more centers) come first, each part in (center, class)
+    order. Rows: the mass rows, the ratio rows kept as <= rows, one
+    equality row (the upper row) per color with 0 < l_h = u_h < 1, then the
+    class rows; with every window exact the last color's rows are left
+    out, and they are checked to be minus the sum of the other colors'."""
+    k, m = len(centers), inst.m
+    pairs, a_eq, b_eq, a_ub, b_ub, c = dense_reference(inst, gf, k, lam, objective, centers)
+    col_of = {pair: a for a, pair in enumerate(pairs)}
+    point_class = _classes(inst, centers, lam, objective)
+    members = [np.flatnonzero(point_class == g) for g in range(point_class.max() + 1)]
+    reached = [[i for i in centers if (i, int(g[0])) in col_of] for g in members]
+    kept = [(i, g) for free in (True, False) for i in centers
+            for g in range(len(members)) if i in reached[g] and (len(reached[g]) > 1) == free]
+    rep = [col_of[i, int(members[g][0])] for i, g in kept]
+    for (i, g), a in zip(kept, rep):
+        for j in members[g]:
+            assert np.array_equal(a_ub[:, col_of[i, int(j)]], a_ub[:, a])
+    in_class = (point_class == np.arange(len(members))[:, None]).astype(float)
+    class_rows = (in_class @ a_eq)[:, rep]
+
+    lower, upper = gf.lower, gf.upper
+    dense_rows, at = {}, k  # the dense <= ratio rows by (center, color, side)
+    for i in centers:
+        for h in range(m):
+            for side, vacuous in (("upper", upper[h] == 1), ("lower", lower[h] == 0)):
+                if not vacuous:
+                    dense_rows[i, h, side] = a_ub[at, rep]
+                    at += 1
+    assert at == len(b_ub) and not b_ub[k:].any()
+    exact = all(lo == up for lo, up in zip(lower, upper))
+    if exact:  # the last color's rows follow from the others'
+        def as_upper(i, h):
+            return (dense_rows[i, h, "upper"] if (i, h, "upper") in dense_rows
+                    else -dense_rows[i, h, "lower"])
+        for i in centers:
+            assert np.allclose(as_upper(i, m - 1),
+                               -sum(as_upper(i, h) for h in range(m - 1)), atol=1e-12)
+    colors = range(m - 1 if exact else m)
+    equal = [h for h in colors if 0 < lower[h] == upper[h] < 1]
+    for i in centers:
+        for h in equal:
+            assert np.array_equal(dense_rows[i, h, "lower"], -dense_rows[i, h, "upper"])
+    below = [dense_rows[i, h, side] for i in centers for h in colors if h not in equal
+             for side in ("upper", "lower") if (i, h, side) in dense_rows]
+    ratio_eq = [dense_rows[i, h, "upper"] for i in centers for h in equal]
+    a = np.vstack([a_ub[:k, rep]] + below + ratio_eq + [class_rows])
+    sizes = in_class @ b_eq
+    lo = np.concatenate((np.full(k + len(below), -np.inf), np.zeros(len(ratio_eq)), sizes))
+    hi = np.concatenate((b_ub[:k], np.zeros(len(below) + len(ratio_eq)), sizes))
+    nfree = sum(len(reached[g]) > 1 for _, g in kept)
+    return point_class, kept, nfree, a, lo, hi, c[rep]
+
+
+def test_classes_over_many_centers():
+    """Above 32 centers the class key is renumbered between 32-center
+    chunks; the classes still are the points of one color that reach the
+    same centers, numbered by first member."""
+    inst = random_instance(90, 3, seed=5)
+    centers = list(range(70))  # more reach bits than an int64 holds
+    d = inst.distance_matrix()[centers]
+    for lam in np.quantile(d, [0.05, 0.2, 0.5]):
+        model = build_gf_feasibility_lp(inst, vacuous_gf(3), centers, float(lam))
+        classes = _classes(inst, centers, float(lam), None)
+        assert np.array_equal(model.point_class, classes)
+        assert 3 < classes.max() + 1 < inst.n
 
 
 def test_fixed_center_model_matches_dense_reference():
     """Uncapped median and means models, and feasibility models capped at a
     distance from the centers and at the largest one below the
-    nearest-assignment radius, where some point reaches no center."""
+    nearest-assignment radius, where some point reaches no center: each is
+    ``dense_reference``'s model summed over its classes."""
     rng = np.random.default_rng(63)
-    checked = {"uncapped": 0, "capped": 0, "below": 0}
+    checked = {"uncapped": 0, "capped": 0, "below": 0, "merged": 0}
     for n in range(2, 10):
         for m in (1, 2, 3):
             if m == 1 and n % 2:
@@ -431,25 +514,27 @@ def test_fixed_center_model_matches_dense_reference():
                         cases.append((case, build_gf_feasibility_lp(
                             inst, gf, centers[::-1], float(lam)), float(lam), None))
                 for case, model, lam, objective in cases:
-                    pairs, a_eq, b_eq, a_ub, b_ub, c = dense_reference(
-                        inst, gf, k, lam, objective, centers)
+                    point_class, kept, nfree, a, lo, hi, c = _class_model_from_dense(
+                        inst, gf, centers, lam, objective)
                     assert model.centers.tolist() == centers and model.k == k
                     assert model.lam == lam
-                    assert model.kept.tolist() == [list(p) for p in pairs]
-                    assert model.ncols == len(pairs) <= k * n
+                    assert np.array_equal(model.point_class, point_class)
+                    assert model.kept.tolist() == [list(p) for p in kept]
+                    assert model.nfree == nfree
+                    assert model.ncols == len(kept) <= k * n
                     if lam is None:
-                        assert len(pairs) == k * n
-                    assert np.array_equal(model.a_eq.toarray(), a_eq)
-                    assert np.array_equal(model.a_ub.toarray(), a_ub)
-                    assert np.array_equal(model.hi[model.n_ub:], b_eq)
-                    assert np.array_equal(model.hi[:model.n_ub], b_ub)
+                        assert len(kept) == k * n
+                    assert np.array_equal(model.a.toarray(), a)
+                    assert np.array_equal(model.lo, lo) and np.array_equal(model.hi, hi)
+                    assert model.n_ub == np.count_nonzero(lo == -np.inf)
+                    assert np.array_equal(
+                        np.vstack((model.a_ub.toarray(), model.a_eq.toarray())), a)
                     assert np.array_equal(model.c, c)
-                    for a in (model.a_eq, model.a_ub):
-                        assert a.has_canonical_format and np.all(a.data != 0.0)
-                    _assert_one_matrix(model, a_eq, b_eq, a_ub, b_ub)
+                    assert model.a.has_canonical_format and np.all(model.a.data != 0.0)
                     checked[case] += 1
+                    checked["merged"] += model.class_sizes.size < n
     assert checked["uncapped"] >= 150 and checked["capped"] >= 75
-    assert checked["below"] >= 40
+    assert checked["below"] >= 40 and checked["merged"] >= 40, checked
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -461,13 +546,16 @@ def _golden_model(name):
         gf = GroupFairnessSpec(lower=(Fraction(1, 4), 0, 0),
                                upper=(Fraction(1, 2), 1, Fraction(1, 2)))
         return build_gf_feasibility_lp(inst, gf, [1, 4], 3.0)
+    if name == "lp_classes.lp":  # two classes of two points, exact windows
+        inst = line_instance([0, 0, 1, 1, 5, 6, 6], [0, 1, 0, 1, 0, 1, 1])
+        return build_gf_feasibility_lp(inst, exact_gf_spec(inst), [0, 5], 5.0)
     inst = random_instance(5, 2, seed=3)
     gf = GroupFairnessSpec(lower=(Fraction(1, 3), Fraction(1, 4)),
                            upper=(Fraction(2, 3), 1))
     return build_gf_objective_lp(inst, gf, [0, 3], "means")
 
 
-@pytest.mark.parametrize("name", ["lp_capped.lp", "lp_means.lp"])
+@pytest.mark.parametrize("name", ["lp_capped.lp", "lp_classes.lp", "lp_means.lp"])
 def test_dump_lp_text_matches_golden(name):
     buf = io.StringIO()
     dump_lp_text(_golden_model(name), buf)
@@ -537,9 +625,9 @@ def test_no_highs_call_uses_presolve(monkeypatch):
 
 
 def test_kcenter_radius_matches_presolved_full_model_probes(monkeypatch):
-    """The k-center radius, searched with reduced probes without presolve,
-    is the one found when every probe hands HiGHS the full model with
-    presolve on, on random instances."""
+    """The k-center radius, searched with class probes without presolve,
+    is the one found when every probe solves the dense per-point model
+    with presolve on, on random instances."""
     rng = np.random.default_rng(15)
     for case in range(120):
         exact = case % 3 == 0  # the exact backend enumerates C(n, k) sets
@@ -549,8 +637,12 @@ def test_kcenter_radius_matches_presolved_full_model_probes(monkeypatch):
         gf = exact_gf_spec(inst) if case % 4 < 2 else window_gf(inst)
         ds = default_ds_profile(inst, k)
         backend = ExactBackend() if exact else GreedyBackend()
+        def dense_probe(model):
+            solved = solve_dense_reference(inst, gf, model.centers, model.lam)
+            return solved and solved[0]
+
         with monkeypatch.context() as patched:
-            patched.setattr(lp_module, "solve_lp", solve_lp_presolved)
+            patched.setattr(lp_module, "solve_lp", dense_probe)
             _, want = solve(inst, gf, ds, "center", backend=backend)
         _, got = solve(inst, gf, ds, "center", backend=backend)
         assert got.lam == want.lam, (case, n, m, k)
@@ -563,11 +655,11 @@ def _fractional_points(sol):
 
 def test_reduced_probe_matches_the_full_model(monkeypatch):
     """On random capped models, from below the counting bound's radius to
-    the largest: the reduced probe is feasible exactly when HiGHS with
-    presolve finds the full model feasible, and each solution it returns
+    the largest: the class probe is feasible exactly when HiGHS with
+    presolve finds the whole model feasible, and each solution it returns
     passes the full check and splits at most k(2m + 1) points. Among them
-    are k = 1 and models whose every point is forced, which HiGHS never
-    sees."""
+    are k = 1 and models whose every point reaches one center only, which
+    HiGHS never sees."""
     calls = []
     solve_milp = lp_module.milp
 
@@ -597,9 +689,76 @@ def test_reduced_probe_matches_the_full_model(monkeypatch):
         if sol is not None:
             check_lp_solution(model, sol, inst, gf)
             assert _fractional_points(sol) <= k * (2 * m + 1)
-        if np.all(np.bincount(model.kept[:, 1], minlength=n) == 1):
+        reach = inst.distance_matrix()[centers] <= radii[idx] + EPS_D
+        if np.all(reach.sum(axis=0) == 1):
             assert not calls
             seen["all forced"] += 1
         seen["feasible" if sol is not None else "infeasible"] += 1
         seen["k=1"] += k == 1
     assert min(seen.values()) >= 30, seen
+
+
+@st.composite
+def _tied_cases(draw):
+    """Inputs rich in ties and duplicates, where classes merge many points:
+    colocated points, repeated points on a line or the equidistant metric
+    1 - I, with an exact, a window or a vacuous spec, and a center set."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    colors = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    layout = draw(st.sampled_from(["colocated", "line", "equidistant"]))
+    if layout == "colocated":
+        inst = make_instance(colors, coords=np.full((n, 2), 0.5), m=m)
+    elif layout == "line":
+        positions = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        inst = make_instance(colors, coords=np.array(positions, dtype=float)[:, None], m=m)
+    else:
+        inst = make_instance(colors, dist=1.0 - np.eye(n), m=m)
+    gf = draw(st.sampled_from([exact_gf_spec(inst), window_gf(inst), vacuous_gf(m)]))
+    centers = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return inst, gf, sorted(centers)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_tied_cases())
+def test_class_models_on_ties_and_duplicates(case):
+    """At every candidate radius the class probe is feasible exactly when
+    the dense per-point model is, and its split table passes the full check
+    with at most k(2m + 1) fractional points; the median and means optima
+    (written with equality rows where a window is exact) are the dense
+    model's."""
+    inst, gf, centers = case
+    bound = len(centers) * (2 * inst.m + 1)
+    for lam in np.unique(inst.distance_matrix()[centers]):
+        model = build_gf_feasibility_lp(inst, gf, centers, float(lam))
+        sol = solve_lp(model)
+        assert (sol is None) == (solve_dense_reference(inst, gf, centers, float(lam)) is None)
+        if sol is not None:
+            check_lp_solution(model, sol, inst, gf)
+            assert _fractional_points(sol) <= bound
+    for objective in ("median", "means"):
+        model = build_gf_objective_lp(inst, gf, centers, objective)
+        sol = solve_lp(model)
+        ref = solve_dense_reference(inst, gf, centers, None, objective)
+        assert (sol is None) == (ref is None)
+        if sol is not None:
+            check_lp_solution(model, sol, inst, gf)
+            assert _fractional_points(sol) <= bound
+            assert fractional_cost(inst, sol, objective) == pytest.approx(
+                ref[1], rel=RESIDUAL_TOL)
+
+
+def test_radius_probes_log_one_debug_record_each(caplog):
+    """Each probe of the radius search logs its radius, class count, the
+    columns HiGHS got and its verdict on the ``fairclus`` logger."""
+    inst = line_instance([0, 0, 1, 1, 5, 6, 6], [0, 1, 0, 1, 0, 1, 1])
+    gf = exact_gf_spec(inst)
+    radii = np.unique(inst.distance_matrix()[[0, 5]])
+    with caplog.at_level("DEBUG", logger="fairclus"):
+        result = min_feasible_lambda(inst, gf, [0, 5], radii)
+    probes = [r.getMessage() for r in caplog.records if r.name == "fairclus"]
+    assert probes[-1] == (f"radius probe {result.radius!r}: "
+                          f"{result.model.class_sizes.size} classes, "
+                          f"{result.model.nfree} columns to HiGHS, feasible")
+    assert all(p.startswith("radius probe ") for p in probes)
+    assert len(probes) == len({p.split(":")[0] for p in probes}) >= 2
+    assert any(p.endswith("infeasible") for p in probes)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from fairclus import (CenterDiversitySpec, ContractViolationError,
                       random_instance, solve, solve_lp)
 from fairclus import lp as lp_module
 from fairclus import pipeline
-from fairclus.lp import LambdaSearchResult, counting_bound_index, dump_lp_text
+from fairclus.instance import EPS_D
+from fairclus.lp import (RESIDUAL_TOL, LambdaSearchResult, counting_bound_index,
+                         dump_lp_text)
 from fairclus.oracle import brute_force_doubly_fair
 
 from conftest import (balanced_instance, line_instance, rerouting_certificate,
                       vacuous_gf, window_gf)
-from reference_lp import solve_full_lp
+from reference_lp import solve_dense_reference, solve_full_lp
 
 
 def test_two_point_trivial():
@@ -254,12 +257,12 @@ def test_report_serializes_to_json():
 
 def _fixed_center_scan(inst, gf, centers):
     """Every fixed-center candidate radius from the nearest-assignment radius
-    up, each with its feasibility."""
+    up, each with the feasibility of the dense per-point model there."""
     dc = inst.distance_matrix()[list(centers)]
     radii = np.unique(dc)
     radii = radii[radii >= dc.min(axis=0).max()]
-    return [(float(r), solve_lp(build_gf_feasibility_lp(
-        inst, gf, centers, float(r))) is not None) for r in radii]
+    return [(float(r), solve_dense_reference(inst, gf, centers, float(r)) is not None)
+            for r in radii]
 
 
 def test_kcenter_with_feasible_nearest_radius_solves_one_lp(monkeypatch):
@@ -373,9 +376,10 @@ def test_kcenter_radius_search_on_ties_and_duplicates(inst):
 
 
 def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
-    """Each radius probe hands HiGHS at most one LP: its model's columns
-    less those of the points that reach one center only, which are fixed
-    at 1 beforehand."""
+    """A radius probe has a column per center and class, a class being the
+    points of one color that reach the same centers under the cap. HiGHS
+    gets one LP with the columns of the classes that reach two or more
+    centers, or none if there are none; the others are fixed beforehand."""
     objectives = _count_highs_lps(monkeypatch)
     models = []
     for module in (lp_module, pipeline):
@@ -383,9 +387,11 @@ def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
             models.append(model)
             before = len(objectives)
             sol = _solve(model, *args)
-            reach = np.bincount(model.kept[:, 1], minlength=model.n)
-            assert [c.size for c in objectives[before:]] in (
-                [], [int((reach[model.kept[:, 1]] > 1).sum())])
+            reach = inst.distance_matrix()[model.centers] <= model.lam + EPS_D
+            classes = {(int(c), tuple(r)) for c, r in zip(inst.colors, reach.T)}
+            contested = sum(sum(r) for _, r in classes if sum(r) > 1)
+            assert model.ncols == sum(sum(r) for _, r in classes)
+            assert [c.size for c in objectives[before:]] == ([contested] if contested else [])
             return sol
         monkeypatch.setattr(module, "solve_lp", recording)
     for n, m, k in ((8, 2, 2), (12, 3, 3), (20, 2, 4), (30, 2, 4)):
@@ -661,6 +667,80 @@ def test_precheck_ratio_test_decides_both_lps(case):
     full = solve_full_lp(inst, gf, k, None, None)
     assert (fixed is not None) == (full is not None) \
         == feasibility_precheck(inst, gf, ds).ok
+
+
+def _counting_bound_by_loops(inst, gf, centers, radii, all_sets):
+    """``counting_bound_index`` written radius by radius with loops over the
+    tested sets and the points: every subset of the centers, or the sets
+    {i}, S - {i} and S."""
+    k, d, colors = len(centers), inst.distance_matrix(), inst.colors.tolist()
+    lower, upper = gf.lower_floats(), gf.upper_floats()
+    if all_sets:
+        family = [set(t) for size in range(k + 1) for t in combinations(range(k), size)]
+    else:
+        family = ([{i} for i in range(k)] + [set(range(k)) - {i} for i in range(k)]
+                  + [set(range(k))])
+    start = int(np.searchsorted(radii, d[centers].min(axis=0).max()))
+    for idx in range(start, len(radii)):
+        reach = [{s for s in range(k) if d[centers[s], j] <= radii[idx] + EPS_D}
+                 for j in range(inst.n)]
+
+        def passes(t):
+            tol = len(t) * RESIDUAL_TOL
+            q = [sum(c == h and r <= t for c, r in zip(colors, reach)) for h in range(inst.m)]
+            nn = [sum(c == h and bool(r & t) for c, r in zip(colors, reach))
+                  for h in range(inst.m)]
+            least = max([len(t) - tol, sum(q)]
+                        + [(q[h] - tol) / upper[h] for h in range(inst.m) if upper[h] > 0])
+            most = min([sum(nn)]
+                       + [(nn[h] + tol) / lower[h] for h in range(inst.m) if lower[h] > 0])
+            return least <= most and not any(q[h] for h in range(inst.m) if upper[h] == 0)
+
+        if all(passes(t) for t in family):
+            return idx
+    return len(radii)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_bound_cases(), st.booleans())
+def test_counting_bound_matches_a_scan_by_loops(case, small_windows):
+    """The windowed counting bound gives the index a radius-by-radius scan
+    gives, with either family of sets and with windows held at 16
+    candidates. The candidates are every pairwise distance and 120 radii
+    evenly spaced up to the largest, so the answer often lies beyond the
+    first window."""
+    inst, gf, centers, few_sets = case
+    d = inst.distance_matrix()
+    radii = np.unique(np.concatenate((d.ravel(), np.linspace(0.0, d.max(), 120))))
+    with pytest.MonkeyPatch.context() as patch:
+        if few_sets:
+            patch.setattr(lp_module, "_ALL_SETS_MAX_K", 0)
+        if small_windows:
+            patch.setattr(lp_module, "_WINDOW_CELLS", 1)
+        assert counting_bound_index(inst, gf, centers, radii) == _counting_bound_by_loops(
+            inst, gf, centers, radii, not few_sets)
+
+
+@pytest.mark.parametrize("all_sets", [True, False])
+def test_counting_bound_across_window_edges(monkeypatch, all_sets):
+    """Candidates added between the nearest-assignment radius and the
+    bound's radius reach what the distance below them reaches, so they
+    fail; with 0 to 99 of them the bound's radius lands on every offset
+    past the first windows' edges (16 and 16 + 64), and is still found."""
+    if not all_sets:
+        monkeypatch.setattr(lp_module, "_ALL_SETS_MAX_K", 0)
+    inst = random_instance(12, 2, seed=23)
+    gf = exact_gf_spec(inst)
+    centers = [0, 4, 6, 7]  # the two families pass at different radii
+    dc = inst.distance_matrix()[centers]
+    radii = np.unique(dc)
+    answer = radii[counting_bound_index(inst, gf, centers, radii)]
+    nearest = dc.min(axis=0).max()
+    assert answer > nearest
+    for extra in range(100):
+        fill = np.linspace(nearest, answer, extra + 2)[1:-1]
+        candidates = np.unique(np.concatenate((radii, fill)))
+        assert candidates[counting_bound_index(inst, gf, centers, candidates)] == answer
 
 
 def test_counting_bound_needs_the_sets_of_two_centers_at_k4():
