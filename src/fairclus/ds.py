@@ -96,18 +96,10 @@ def solve_ds_exact(inst: MetricInstance, ds: CenterDiversitySpec,
                       objective=objective, backend_id="exact", alpha=1.0)
 
 
-def solve_ds_greedy(inst: MetricInstance, ds: CenterDiversitySpec,
-                    objective: str) -> DsSolution:
-    """Farthest-first over the center sets that can still reach the bounds.
-
-    A color may take the next center while it is below min(U_h, |P_h|) and
-    the colors still below their L_h fit into the picks left after this one:
-    that keeps the chosen set independent in the matroid of
-    ``center_count_failures``, so k picks always end on a feasible set. Each
-    pick opens the unchosen point of an allowed color farthest from the
-    centers chosen so far, the lowest id on ties (the first pick is the
-    lowest allowed id). Heuristic; claims no approximation factor.
-    """
+def _greedy_centers(inst: MetricInstance, ds: CenterDiversitySpec,
+                    objective: str) -> tuple:
+    """Farthest-first over the center sets that can still reach the bounds,
+    as sorted point ids; see ``solve_ds_greedy``."""
     if objective not in OBJECTIVES:
         raise ValidationError(f"unknown objective {objective!r}")
     _require_colors(inst, ds, "ds")
@@ -131,8 +123,22 @@ def solve_ds_greedy(inst: MetricInstance, ds: CenterDiversitySpec,
         cur[colors[p]] += 1
         np.minimum(mind, d[p], out=mind)
         mind[p] = -np.inf
+    return tuple(sorted(centers))
 
-    centers = tuple(sorted(centers))
+
+def solve_ds_greedy(inst: MetricInstance, ds: CenterDiversitySpec,
+                    objective: str) -> DsSolution:
+    """Farthest-first over the center sets that can still reach the bounds.
+
+    A color may take the next center while it is below min(U_h, |P_h|) and
+    the colors still below their L_h fit into the picks left after this one:
+    that keeps the chosen set independent in the matroid of
+    ``center_count_failures``, so k picks always end on a feasible set. Each
+    pick opens the unchosen point of an allowed color farthest from the
+    centers chosen so far, the lowest id on ties (the first pick is the
+    lowest allowed id). Heuristic; claims no approximation factor.
+    """
+    centers = _greedy_centers(inst, ds, objective)
     if not check_ds(inst, centers, ds):
         raise ContractViolationError("greedy pass left the center-count bounds")
     return DsSolution(centers=centers, cost=ds_cost(inst, centers, objective),
@@ -151,8 +157,7 @@ class GreedyBackend:
     backend_id = "greedy"
 
     def solve_raw(self, inst, ds, objective):
-        sol = solve_ds_greedy(inst, ds, objective)
-        return sol.centers, None
+        return _greedy_centers(inst, ds, objective), None
 
 
 class SubprocessBackend:

@@ -44,7 +44,6 @@ k x n table and no mass can lie off the centers.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +61,10 @@ log = logging.getLogger("fairclus")
 EPS_POS = 1e-9  # support threshold: x_ij counts as positive above this
 RESIDUAL_TOL = 1e-7  # accepted constraint residual after repair
 MASS_TOL = 1e-6  # accepted slack on mass checks and on a cost against its LP bound
-# every HiGHS call: no log output (with it on, HiGHS can end at another
-# vertex) and no presolve (see solve_lp)
-_HIGHS_OPTIONS = {"output_flag": False, "presolve": False}
+# every HiGHS call: no presolve (see solve_lp). ``milp``'s own ``disp=False``
+# keeps HiGHS off the console; an option ``milp`` does not know costs a
+# warning and another HiGHS options build on every call.
+_HIGHS_OPTIONS = {"presolve": False}
 # The counting bound tests every subset of the centers up to this k; its cost
 # grows as 2^k, so above it only the 2k + 1 sets {i}, S - {i} and S are tested.
 _ALL_SETS_MAX_K = 10
@@ -279,22 +279,28 @@ def solve_lp(model: LpModel):
     infeasible.
 
     HiGHS gets the free columns only: the fixed ones sit at their class
-    sizes, and their part of each row moves into its bounds. If no column
-    is free (k = 1, or every class reaches one center), HiGHS is not called
-    and each row is checked here, at RESIDUAL_TOL, the tolerance of
-    ``check_lp_solution``. A class that reaches no center leaves its row
-    empty, and so the model infeasible.
+    sizes, and their part of each row, summed over their entries in column
+    order, moves into its bounds. If no column is free (k = 1, or every
+    class reaches one center), HiGHS is not called and each row is checked
+    here, at RESIDUAL_TOL, the tolerance of ``check_lp_solution``. A class
+    that reaches no center leaves its row empty, and so the model
+    infeasible.
 
-    HiGHS gets one row-bounded matrix, the column bounds [0, |G|],
-    ``output_flag`` off (as scipy's ``linprog`` set it: with it on, HiGHS
-    can return another optimal vertex) and presolve off. With the fixed
-    columns gone there is little for presolve to remove: on an n=80, k=4
-    cost model HiGHS took 2.4 -> 0.8 ms without it (2-vCPU VM). Costs go in
-    scaled by the power of two that brings the largest into [1, 2). The
-    scaling is exact and leaves the optimal vertices as they are, and
-    HiGHS's absolute tolerances then mean the same at any coordinate scale:
-    at 2^-20, where d^2 is near 1e-12, unscaled costs fall below them and
-    the optimum is lost.
+    HiGHS gets one row-bounded matrix, a CSC array over the prefix of the
+    model's arrays that holds the free columns (so the matrix is neither
+    sliced nor converted), the column bounds [0, |G|] and one option,
+    presolve off; ``milp``'s own ``disp=False`` keeps HiGHS off the
+    console. With the fixed columns gone there is little for presolve to
+    remove: on an n=80, k=4 cost model HiGHS took 2.4 -> 0.8 ms without it
+    (2-vCPU VM). A radius probe of about 20 free columns spends about
+    0.15 ms in HiGHS itself (``passModel`` and ``run``) of the roughly 1 ms
+    its ``milp`` call takes; the rest is scipy's wrapper around HiGHS.
+
+    Costs go in scaled by the power of two that brings the largest into
+    [1, 2). The scaling is exact and leaves the optimal vertices as they
+    are, and HiGHS's absolute tolerances then mean the same at any
+    coordinate scale: at 2^-20, where d^2 is near 1e-12, unscaled costs
+    fall below them and the optimum is lost.
 
     Each class's mass is split over its members by the northwest-corner
     rule: members in id order fill the centers in sorted order, each member
@@ -310,22 +316,23 @@ def solve_lp(model: LpModel):
     a, nfree = model.a, model.nfree
     size = model.class_sizes
     col_size = size[model.kept[:, 1]].astype(float)
-    value = col_size.copy()
-    value[:nfree] = 0.0
-    fixed_part = a @ value
-    lo, hi = model.lo - fixed_part, model.hi - fixed_part
+    value = col_size.copy()  # the free part is HiGHS's answer
+    lo, hi = model.lo, model.hi
+    end = a.indptr[nfree]
+    if nfree < model.ncols:  # the fixed columns' part of each row, in column order
+        fixed = np.repeat(col_size[nfree:], np.diff(a.indptr[nfree:])) * a.data[end:]
+        fixed_part = np.bincount(a.indices[end:], fixed, minlength=a.shape[0])
+        lo, hi = lo - fixed_part, hi - fixed_part
     if nfree == 0:
         if np.any(np.maximum(lo, -hi) > RESIDUAL_TOL):
             return None
     else:
         c = model.c[:nfree]
         c = np.ldexp(c, 1 - np.frexp(c.max())[1])
-        with warnings.catch_warnings():
-            # milp warns that it passes output_flag, an option it does not know, on verbatim
-            warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-            free = a if nfree == model.ncols else a[:, :nfree]
-            res = milp(c, constraints=LinearConstraint(free, lo, hi),
-                       bounds=Bounds(0.0, col_size[:nfree]), options=_HIGHS_OPTIONS)
+        free = sparse.csc_array((a.data[:end], a.indices[:end], a.indptr[:nfree + 1]),
+                                shape=(a.shape[0], nfree))
+        res = milp(c, constraints=LinearConstraint(free, lo, hi),
+                   bounds=Bounds(0.0, col_size[:nfree]), options=_HIGHS_OPTIONS)
         if res.status == 2:
             return None
         if res.status != 0:

@@ -94,11 +94,10 @@ class FullSolution:
 
 def solve_full_lp(inst, gf, k, lam, objective):
     """The full LP (capped at ``lam`` unless it is None; ``objective`` None,
-    "median" or "means") solved with HiGHS as ``lp.solve_lp`` solves the
-    fixed-center LP: the <= rows over the assignment rows as one
-    row-bounded matrix, columns in [0, 1], ``output_flag`` off; then x and
-    y clamped to [0, 1] and every column of x renormalized to sum 1. None if
-    HiGHS certifies infeasibility."""
+    "median" or "means") solved with HiGHS: the <= rows over the assignment
+    rows as one row-bounded matrix, columns in [0, 1], ``output_flag``
+    off; then x and y clamped to [0, 1] and every column of x renormalized
+    to sum 1. None if HiGHS certifies infeasibility."""
     pairs, a_eq, b_eq, a_ub, b_ub, c = dense_reference(inst, gf, k, lam, objective)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
@@ -155,6 +154,23 @@ def northwest_corner(model, value):
                 if room <= 0.0:
                     j, room = next(members, None), 1.0
     return x
+
+
+def sliced_milp_arrays(model):
+    """What ``lp.solve_lp`` hands ``milp`` for a model with a free column,
+    built the plain way: the free columns sliced from ``a`` (all of it when
+    none is fixed), the fixed columns' part of each row as ``a @ value``.
+    Returns the scaled costs, the matrix, the row bounds and the column
+    upper bounds."""
+    nfree = model.nfree
+    col_size = model.class_sizes[model.kept[:, 1]].astype(float)
+    value = col_size.copy()
+    value[:nfree] = 0.0
+    fixed_part = model.a @ value
+    free = model.a if nfree == model.ncols else model.a[:, :nfree]
+    c = model.c[:nfree]
+    c = np.ldexp(c, 1 - np.frexp(c.max())[1])
+    return c, free, model.lo - fixed_part, model.hi - fixed_part, col_size[:nfree]
 
 
 def solve_lp_presolved(model):

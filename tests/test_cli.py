@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from fairclus import cli, load_instance
+from fairclus import cli, load_fairness_spec, load_instance, pipeline
+from fairclus import lp as lp_module
 from fairclus.cli import main
 
 
@@ -80,6 +81,42 @@ def test_solve_writes_report_and_clustering(tmp_path, capsys):
     assert "timings" in report
     clustering = json.loads(clus_path.read_text())
     assert len(clustering["assignment"]) == 8
+
+
+@pytest.mark.parametrize("objective", ["center", "median", "means"])
+def test_solve_is_silent_at_the_file_descriptors(tmp_path, capfd, monkeypatch, objective):
+    """Read at file descriptors 1 and 2, which capsys cannot see and where
+    HiGHS would write from C: ``pipeline.solve`` writes nothing, ``fairclus
+    solve`` its summary line only, and neither leaves a file in the working
+    directory. HiGHS is called in both."""
+    inputs, work = tmp_path / "inputs", tmp_path / "work"
+    inputs.mkdir()
+    work.mkdir()
+    inst_path, spec_path = inputs / "inst.json", inputs / "spec.json"
+    run_cli("gen", "--n", "12", "--m", "2", "--seed", "1", "--k", "3",
+            "--out", str(inst_path), "--spec-out", str(spec_path))
+    calls = []
+    solve_milp = lp_module.milp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_milp(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "milp", counting)
+    monkeypatch.chdir(work)
+    inst = load_instance(str(inst_path), "json")
+    gf, ds = load_fairness_spec(str(spec_path), inst)
+    capfd.readouterr()
+    pipeline.solve(inst, gf, ds, objective, with_oracle=True)
+    assert capfd.readouterr() == ("", "")
+    assert calls
+    calls.clear()
+    assert run_cli("solve", "--instance", str(inst_path), "--spec", str(spec_path),
+                   "--objective", objective, "--with-oracle") == 0
+    out, err = capfd.readouterr()
+    assert out.count("\n") == 1 and out.startswith("cost=") and err == ""
+    assert calls
+    assert list(work.iterdir()) == []
 
 
 def test_solve_exact_gf_flag(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairclus import (BudgetExceededError, CenterDiversitySpec,
-                      ContractViolationError, ExactBackend,
+                      ContractViolationError, ExactBackend, GreedyBackend,
                       InfeasibleError, SubprocessBackend, check_ds,
                       default_ds_profile, ds_cost, exact_gf_spec,
                       make_instance, random_instance, solve, solve_ds_exact,
@@ -208,6 +208,9 @@ def _greedy_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_greedy_cases())
 def test_greedy_succeeds_exactly_when_a_feasible_set_exists(case):
+    """The greedy pass succeeds exactly when a feasible center set exists,
+    and the greedy backend, through the plugin contract, returns the same
+    solution or refuses the same request."""
     inst, ds, objective = case
     exists = any(True for _ in diverse_center_blocks(inst, ds))
     try:
@@ -215,11 +218,14 @@ def test_greedy_succeeds_exactly_when_a_feasible_set_exists(case):
     except InfeasibleError as exc:
         assert not exists
         assert exc.diagnosis
+        with pytest.raises(InfeasibleError):
+            solve_ds_plugin(inst, ds, objective, GreedyBackend())
         return
     assert exists
     assert len(set(sol.centers)) == ds.k
     assert check_ds(inst, sol.centers, ds)
     assert solve_ds_greedy(inst, ds, objective) == sol
+    assert solve_ds_plugin(inst, ds, objective, GreedyBackend()) == sol
 
 
 class _BrokenCountBackend:

@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from fairclus import (ExactBackend, GreedyBackend, GroupFairnessSpec,
@@ -26,8 +28,9 @@ from fairclus.lp import (EPS_POS, RESIDUAL_TOL, FractionalSolution, check_lp_sol
                          dump_lp_text)
 
 from conftest import line_instance, vacuous_gf, window_gf
-from reference_lp import (dense_reference, full_lp_residual, solution_from_clustering,
-                          solve_dense_reference, solve_full_lp, solve_lp_presolved)
+from reference_lp import (dense_reference, full_lp_residual, sliced_milp_arrays,
+                          solution_from_clustering, solve_dense_reference, solve_full_lp,
+                          solve_lp_presolved)
 
 
 def test_single_point_forced():
@@ -600,8 +603,8 @@ def test_cost_lp_without_presolve_matches_a_presolved_solve(monkeypatch):
 
 
 def test_no_highs_call_uses_presolve(monkeypatch):
-    """Each HiGHS call of a solve runs without presolve: median, means, the
-    k-center radius probes and an uncapped feasibility model."""
+    """Each HiGHS call of a solve gets one option, presolve off: median,
+    means, the k-center radius probes and an uncapped feasibility model."""
     calls = []
     solve_milp = lp_module.milp
 
@@ -616,12 +619,12 @@ def test_no_highs_call_uses_presolve(monkeypatch):
         calls.clear()
         solve(inst, gf, ds, objective, backend=GreedyBackend())
         assert calls
-        assert all(options["presolve"] is False for options in calls)
+        assert all(options == {"presolve": False} for options in calls)
     calls.clear()
     model = build_gf_feasibility_lp(inst, gf, [0, 1, 2], None)
     assert model.lam is None and not model.c.any()
     assert solve_lp(model) is not None
-    assert [options["presolve"] for options in calls] == [False]
+    assert calls == [{"presolve": False}]
 
 
 def test_kcenter_radius_matches_presolved_full_model_probes(monkeypatch):
@@ -745,6 +748,60 @@ def test_class_models_on_ties_and_duplicates(case):
             assert _fractional_points(sol) <= bound
             assert fractional_cost(inst, sol, objective) == pytest.approx(
                 ref[1], rel=RESIDUAL_TOL)
+
+
+def _as_milp_reads(c, constraints, bounds):
+    """The arrays ``milp`` hands HiGHS for these arguments, formed as
+    ``milp`` forms them: c, the matrix's data, indices and indptr, the row
+    bounds and the column bounds."""
+    c = np.atleast_1d(c).astype(np.float64)
+    a = sparse.csc_array(constraints.A)
+    return [c, a.data.astype(np.float64), a.indices, a.indptr,
+            np.atleast_1d(constraints.lb).astype(np.float64),
+            np.atleast_1d(constraints.ub).astype(np.float64),
+            np.broadcast_to(bounds.lb, c.shape).astype(np.float64),
+            np.broadcast_to(bounds.ub, c.shape).astype(np.float64)]
+
+
+def test_milp_gets_the_sliced_model_bit_for_bit(monkeypatch):
+    """On the tied cases, at every candidate radius, uncapped and for median
+    and means: ``solve_lp`` calls HiGHS exactly when a column is free, and
+    then hands it the very bytes of ``sliced_milp_arrays``, with every
+    column free, some fixed, or (no call) none free."""
+    calls = []
+    solve_milp = lp_module.milp
+
+    def recording(c, *, constraints, bounds, options):
+        calls.append(_as_milp_reads(c, constraints, bounds))
+        return solve_milp(c, constraints=constraints, bounds=bounds, options=options)
+
+    monkeypatch.setattr(lp_module, "milp", recording)
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_tied_cases())
+    def check(case):
+        inst, gf, centers = case
+        radii = np.unique(inst.distance_matrix()[centers]).tolist()
+        models = [build_gf_feasibility_lp(inst, gf, centers, lam) for lam in radii + [None]]
+        models += [build_gf_objective_lp(inst, gf, centers, objective)
+                   for objective in ("median", "means")]
+        for model in models:
+            calls.clear()
+            solve_lp(model)
+            if model.nfree == 0:
+                assert not calls
+                seen["none free"] += 1
+                continue
+            c, free, lo, hi, ub = sliced_milp_arrays(model)
+            want = _as_milp_reads(c, LinearConstraint(free, lo, hi), Bounds(0.0, ub))
+            [got] = calls
+            for g, w in zip(got, want):
+                assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+            seen["all free" if model.nfree == model.ncols else "some fixed"] += 1
+
+    check()
+    assert min(seen[kind] for kind in ("none free", "all free", "some fixed")) >= 20, seen
 
 
 def test_radius_probes_log_one_debug_record_each(caplog):
