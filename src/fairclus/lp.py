@@ -35,6 +35,22 @@ feasible together, with one optimum. Radius-capped variables are left out
 of the model rather than constrained to zero; the feasible set is the same
 and the model much smaller.
 
+HiGHS gets the program in pivot form, relative to each class's nearest
+center. Class G's pivot p(G) is the center nearest its first member among
+those it reaches, the lowest id on ties; for a cost model, the point's
+cheapest center. Writing y_pG = |G| - sum_{i != p} y_iG leaves a column per
+non-pivot pair (i, G), holding its own coefficients minus its pivot's, at
+cost c_iG - c_pG >= 0; the pivots' |G| times their coefficients move into
+the row bounds, and each class row becomes the pivot's bound,
+
+    sum_{i != p(G)} y_iG <= |G|        for every class G of two or more columns
+
+(with one column, that column's bound [0, |G|] says it). The substitution
+is an affine bijection between the two feasible sets, so it keeps the
+optimum, shifted by the constant sum_G |G| c_pG, and maps vertices to
+vertices. The all-slack start of HiGHS's simplex, every column at 0, is
+the nearest assignment, which holds almost all of an optimum's mass.
+
 Every pipeline solves this program over its diverse centers: k-center
 searches for the smallest radius cap at which it is feasible, median and
 means minimize its cost. A solution keeps a row of x per center, so it is a
@@ -89,24 +105,27 @@ class LpModel:
     plus enough context to interpret it.
 
     Point j lies in class ``point_class[j]``; classes are numbered in the
-    order of their first members. Column ``a`` is ``y[kept[a, 0], kept[a,
-    1]]``, the mass class ``kept[a, 1]`` sends to center ``kept[a, 0]``, and
-    lies in [0, |G|]. The first ``nfree`` columns are free. The rest belong
-    to the classes that reach one center only, and are fixed at |G|. Each
-    part is in row-major (center, class) order.
+    order of their first members. The model is in pivot form: class G's
+    mass to its pivot center ``pivot[G]`` (-1 if G reaches no center) is
+    |G| minus its mass to the other centers, and is not a column. Column
+    ``a`` is ``y[kept[a, 0], kept[a, 1]]``, the mass class ``kept[a, 1]``
+    sends to center ``kept[a, 0]``, one of its non-pivot centers, and lies
+    in [0, |G|]; columns are in row-major (center, class) order. Its cost
+    ``c[a]`` is its center's cost minus its pivot's.
 
-    ``a`` is one CSC matrix whose row r holds ``lo[r] <= a[r] @ y <=
-    hi[r]``: first the <= rows (``lo = -inf``), one ``-sum_G y_iG <= -1``
-    row per center and then per center the <= ratio rows of
-    ``_ratio_rows(gf)``; then the = rows, per center its equality ratio
-    rows, then one ``sum_i y_iG = |G|`` row per class. ``a_ub`` and
-    ``a_eq`` are the two row blocks, sliced from ``a`` on every read; their
-    bounds are ``hi[:n_ub]`` and ``hi[n_ub:]``.
+    ``a`` is one CSC array whose row r holds ``lo[r] <= a[r] @ y <=
+    hi[r]``: first the <= rows (``lo = -inf``), one mass row per center,
+    then per center the <= ratio rows of ``_ratio_rows(gf)``, then one
+    ``sum_{i != pivot} y_iG <= |G|`` row per class of two or more
+    columns; then the = rows, per center its equality ratio rows. The
+    pivots' mass sits in the bounds of the mass and ratio rows. ``a_ub``
+    and ``a_eq`` are the two row blocks, sliced from ``a`` on every read;
+    their bounds are ``hi[:n_ub]`` and ``hi[n_ub:]``.
     """
 
     n: int
     kept: np.ndarray  # (A, 2) int array of (center, class) pairs
-    a: sparse.csc_matrix
+    a: sparse.csc_array
     lo: np.ndarray  # row lower bounds
     hi: np.ndarray  # row upper bounds
     c: np.ndarray  # objective coefficients (all zero for feasibility models)
@@ -114,7 +133,7 @@ class LpModel:
     gf: GroupFairnessSpec
     centers: np.ndarray  # sorted ids of the centers
     point_class: np.ndarray  # (n,) int: the class of each point
-    nfree: int  # columns [0, nfree) are free, the rest fixed
+    pivot: np.ndarray  # (classes,) int: the pivot center of each class, or -1
 
     @property
     def k(self) -> int:
@@ -133,11 +152,11 @@ class LpModel:
         return int(np.count_nonzero(self.lo == -np.inf))
 
     @property
-    def a_ub(self) -> sparse.csc_matrix:
+    def a_ub(self) -> sparse.csc_array:
         return self.a[:self.n_ub]
 
     @property
-    def a_eq(self) -> sparse.csc_matrix:
+    def a_eq(self) -> sparse.csc_array:
         return self.a[self.n_ub:]
 
 
@@ -188,56 +207,78 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     if gf.m != inst.m:
         raise ValidationError(f"gf spec has {gf.m} colors, instance has {inst.m}")
     n, k = inst.n, centers.size
-    d = inst.distance_matrix()
+    dc = inst.distance_matrix()[centers]
     if objective is None:  # a class per color and reach set
-        reach = (np.ones((k, n), dtype=bool) if lam is None
-                 else d[centers] <= lam + EPS_D)
+        reach = np.ones((k, n), dtype=bool) if lam is None else dc <= lam + EPS_D
         point_class, first = _reach_classes(reach, inst.colors)
         reach = reach[:, first]
     else:  # a class per point
         reach = np.ones((k, n), dtype=bool)
         point_class = first = np.arange(n)
     size = np.bincount(point_class)
+    color = inst.colors[first]
+    dist = dc[:, first]
 
-    # columns: the (center slot, class) pairs of the classes that reach two
-    # or more centers, then those of the classes that reach one
-    free = reach.sum(axis=0) > 1
-    slot, cls = np.nonzero(reach)
-    order = np.argsort(~free[cls], kind="stable")
-    slot, cls = slot[order], cls[order]
-    nx = slot.size
+    # pivots: the reached center nearest each class's first member, the
+    # lowest on ties. Columns: the other reached (center slot, class)
+    # pairs, in row-major order.
+    pivot = np.where(reach, dist, np.inf).argmin(axis=0)
+    other = reach.copy()
+    other[pivot, np.arange(size.size)] = False
+    slot, cls = np.nonzero(other)
+    piv = pivot[cls]
 
-    # rows: k mass rows, the <= ratio rows and the equality ratio rows (each
-    # center by center), then a row per class. Column (s, G) holds -1 in
-    # mass row s, [c_G = h] - u (upper and equality rows) or l - [c_G = h]
-    # (lower rows) in center s's ratio rows, and 1 in G's row; zero
+    # rows: k mass rows, the <= ratio rows (center by center), a row per
+    # class of two or more columns, then the equality ratio rows. A
+    # center's own coefficients are -1 in its mass row and, in its ratio
+    # rows, [c_G = h] - u (upper and equality rows) or l - [c_G = h] (lower
+    # rows); column (s, G) holds s's coefficients minus its pivot's, in the
+    # rows of the lower slot first, and 1 in G's row if G has one. Zero
     # coefficients are not stored.
     ub, eq = _ratio_rows(gf)
     ratio = ub + eq
     is_lower = np.array([r[1] == "lower" for r in ratio], dtype=bool)
     bound = np.array([r[2] for r in ratio])
     in_h = (np.arange(gf.m)[:, None] == [r[0] for r in ratio]).astype(float)
-    coef = np.where(is_lower, bound - in_h, in_h - bound)  # (m, R)
+    # (m, 1 + R): a center's own coefficients for a class of each color
+    coef = np.column_stack((-np.ones(gf.m), np.where(is_lower, bound - in_h, in_h - bound)))
     nb, ne = len(ub), len(eq)
-    first_row = np.concatenate((k + np.arange(nb), k * (1 + nb) + np.arange(ne)))
-    stride = np.concatenate((np.full(nb, nb), np.full(ne, ne)))
-    n_rows = k * (1 + nb + ne) + size.size
-    rows = np.column_stack((slot, first_row + slot[:, None] * stride,
-                            n_rows - size.size + cls))
-    data = np.column_stack((-np.ones(nx), coef[inst.colors[first[cls]]], np.ones(nx)))
-    stored = data != 0.0
-    a = sparse.csc_matrix(
-        (data[stored], rows[stored], np.concatenate(([0], np.cumsum(stored.sum(axis=1))))),
-        shape=(n_rows, nx))
-    lo = np.concatenate((np.full(k * (1 + nb), -np.inf), np.zeros(k * ne), size))
-    hi = np.concatenate((-np.ones(k), np.zeros(k * (nb + ne)), size))
+    has_row = other.sum(axis=0) > 1
+    n_ub = k * (1 + nb) + np.count_nonzero(has_row)
 
-    c = (np.zeros(nx) if objective is None
-         else point_costs(d[centers[slot], first[cls]], objective))
+    def rows_of(s):  # the mass, <= ratio and equality ratio rows of slots s
+        return (s[:, None], k + nb * s[:, None] + np.arange(nb),
+                n_ub + ne * s[:, None] + np.arange(ne))
+
+    mass_1, le_1, eq_1 = rows_of(np.minimum(slot, piv))
+    mass_2, le_2, eq_2 = rows_of(np.maximum(slot, piv))
+    own = coef[color[cls]] * np.where(slot < piv, 1.0, -1.0)[:, None]
+    mass, le, equal = np.split(own, [1, 1 + nb], axis=1)
+    rows = np.column_stack((mass_1, mass_2, le_1, le_2,
+                            k * (1 + nb) + np.cumsum(has_row)[cls] - 1, eq_1, eq_2))
+    data = np.column_stack((mass, -mass, le, -le, has_row[cls].astype(float), equal, -equal))
+    stored = data != 0.0
+    a = sparse.csc_array(
+        (data[stored], rows[stored], np.concatenate(([0], np.cumsum(stored.sum(axis=1))))),
+        shape=(n_ub + k * ne, slot.size))
+
+    # the pivots' part of each row, moved into its bounds
+    reached = reach.any(axis=0)
+    at_pivot = np.bincount(pivot[reached] * gf.m + color[reached], size[reached],
+                           minlength=k * gf.m).reshape(k, gf.m) @ coef
+    part = 0.0 - at_pivot  # not -at_pivot, which leaves -0.0 bounds
+    lo = np.concatenate((np.full(n_ub, -np.inf), part[:, 1 + nb:].ravel()))
+    hi = np.concatenate((part[:, 0] - 1.0, part[:, 1:1 + nb].ravel(), size[has_row],
+                         part[:, 1 + nb:].ravel()))
+
+    cost = np.zeros(slot.size)
+    if objective is not None:
+        cost = point_costs(dist, objective)
+        cost = cost[slot, cls] - cost[piv, cls]
 
     return LpModel(n=n, kept=np.column_stack((centers[slot], cls)), a=a, lo=lo,
-                   hi=hi, c=c, lam=lam, gf=gf, centers=centers,
-                   point_class=point_class, nfree=int(np.count_nonzero(free[cls])))
+                   hi=hi, c=cost, lam=lam, gf=gf, centers=centers,
+                   point_class=point_class, pivot=np.where(reached, centers[pivot], -1))
 
 
 def _center_ids(inst: MetricInstance, centers) -> np.ndarray:
@@ -278,23 +319,20 @@ def solve_lp(model: LpModel):
     column; returns a repaired FractionalSolution, or None if the model is
     infeasible.
 
-    HiGHS gets the free columns only: the fixed ones sit at their class
-    sizes, and their part of each row, summed over their entries in column
-    order, moves into its bounds. If no column is free (k = 1, or every
-    class reaches one center), HiGHS is not called and each row is checked
-    here, at RESIDUAL_TOL, the tolerance of ``check_lp_solution``. A class
-    that reaches no center leaves its row empty, and so the model
-    infeasible.
+    A class that reaches no center makes the model infeasible, and HiGHS is
+    not called. Nor is it for a model with no column (k = 1, or every class
+    reaches one center): each row is then checked here, at RESIDUAL_TOL,
+    the tolerance of ``check_lp_solution``.
 
-    HiGHS gets one row-bounded matrix, a CSC array over the prefix of the
-    model's arrays that holds the free columns (so the matrix is neither
-    sliced nor converted), the column bounds [0, |G|] and one option,
-    presolve off; ``milp``'s own ``disp=False`` keeps HiGHS off the
-    console. With the fixed columns gone there is little for presolve to
-    remove: on an n=80, k=4 cost model HiGHS took 2.4 -> 0.8 ms without it
-    (2-vCPU VM). A radius probe of about 20 free columns spends about
-    0.15 ms in HiGHS itself (``passModel`` and ``run``) of the roughly 1 ms
-    its ``milp`` call takes; the rest is scipy's wrapper around HiGHS.
+    HiGHS gets the model's own arrays: its CSC matrix with the row bounds,
+    the column bounds [0, |G|] and one option, presolve off; ``milp``'s own
+    ``disp=False`` keeps HiGHS off the console. In pivot form HiGHS's
+    all-slack start is the assignment of each class to its pivot, the
+    nearest center, so its dual simplex only repairs the mass and ratio
+    rows: a median of 6.5 iterations per n=80, k=4 cost LP, against 86
+    for the same LP without pivots, and 7 against 17 per n=60, k=4 radius
+    probe. Presolve finds little to remove: without it, an n=80, k=4 cost
+    model took 2.4 -> 0.8 ms before the pivot form (2-vCPU VM).
 
     Costs go in scaled by the power of two that brings the largest into
     [1, 2). The scaling is exact and leaves the optimal vertices as they
@@ -302,48 +340,43 @@ def solve_lp(model: LpModel):
     coordinate scale: at 2^-20, where d^2 is near 1e-12, unscaled costs
     fall below them and the optimum is lost.
 
-    Each class's mass is split over its members by the northwest-corner
-    rule: members in id order fill the centers in sorted order, each member
-    one unit. A class with p positive columns so gets at most p - 1
-    fractional members, and at a vertex the positive columns beyond one per
-    class number at most k(2m + 1) (see ``flow``). The solution is k x n,
-    a row per center. Repair: negatives clamped, each assignment column
+    Each pivot takes its class's mass that the columns leave. Each class's
+    mass is then split over its members by the northwest-corner rule:
+    members in id order fill the centers in sorted order, each member one
+    unit. A class with p positive masses so gets at most p - 1 fractional
+    members, and at a vertex the positive masses beyond one per class
+    number at most k(2m + 1) (see ``flow``). The solution is k x n, a row
+    per center. Repair: negatives clamped, each assignment column
     renormalized to sum exactly 1 (the flow rounds each column as one unit
     of mass). Residuals are not re-verified; see ``check_lp_solution``,
     which checks the split table against ``inst`` and ``gf``, so the model
     cannot vouch for itself.
     """
-    a, nfree = model.a, model.nfree
+    if np.any(model.pivot < 0):
+        return None
     size = model.class_sizes
-    col_size = size[model.kept[:, 1]].astype(float)
-    value = col_size.copy()  # the free part is HiGHS's answer
-    lo, hi = model.lo, model.hi
-    end = a.indptr[nfree]
-    if nfree < model.ncols:  # the fixed columns' part of each row, in column order
-        fixed = np.repeat(col_size[nfree:], np.diff(a.indptr[nfree:])) * a.data[end:]
-        fixed_part = np.bincount(a.indices[end:], fixed, minlength=a.shape[0])
-        lo, hi = lo - fixed_part, hi - fixed_part
-    if nfree == 0:
-        if np.any(np.maximum(lo, -hi) > RESIDUAL_TOL):
+    col_class = model.kept[:, 1]
+    if model.ncols == 0:
+        if np.any(np.maximum(model.lo, -model.hi) > RESIDUAL_TOL):
             return None
+        value = np.zeros(0)
     else:
-        c = model.c[:nfree]
-        c = np.ldexp(c, 1 - np.frexp(c.max())[1])
-        free = sparse.csc_array((a.data[:end], a.indices[:end], a.indptr[:nfree + 1]),
-                                shape=(a.shape[0], nfree))
-        res = milp(c, constraints=LinearConstraint(free, lo, hi),
-                   bounds=Bounds(0.0, col_size[:nfree]), options=_HIGHS_OPTIONS)
+        c = np.ldexp(model.c, 1 - np.frexp(model.c.max())[1])
+        res = milp(c, constraints=LinearConstraint(model.a, model.lo, model.hi),
+                   bounds=Bounds(0.0, size[col_class]), options=_HIGHS_OPTIONS)
         if res.status == 2:
             return None
         if res.status != 0:
             raise NumericalError(f"LP backend failed with status {res.status}: {res.message}")
-        value[:nfree] = res.x
+        value = np.maximum(res.x, 0.0)
 
     # northwest corner: member r of class G takes [r, r + 1) of G's mass,
     # center s the interval ending at y_1G + ... + y_sG
     cls = model.point_class
     y = np.zeros((model.k, size.size))
-    y[np.searchsorted(model.centers, model.kept[:, 0]), model.kept[:, 1]] = np.maximum(value, 0.0)
+    y[np.searchsorted(model.centers, model.kept[:, 0]), col_class] = value
+    y[np.searchsorted(model.centers, model.pivot), np.arange(size.size)] = np.maximum(
+        size - np.bincount(col_class, value, minlength=size.size), 0.0)
     top = np.cumsum(y, axis=0)[:, cls]
     order = np.argsort(cls, kind="stable")
     rank = np.empty(cls.size)
@@ -484,7 +517,7 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, centers,
         model = build_gf_feasibility_lp(inst, gf, centers, radius)
         sol = solve_lp(model)
         log.debug("radius probe %r: %d classes, %d columns to HiGHS, %s", radius,
-                  model.class_sizes.size, model.nfree,
+                  model.class_sizes.size, model.ncols,
                   "infeasible" if sol is None else "feasible")
         if sol is not None:
             best = LambdaSearchResult(radius, model, sol)
@@ -631,10 +664,11 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
 
 
 def dump_lp_text(model: LpModel, stream) -> None:
-    """Write the model in LP text interchange format (for debugging).
-    Column ``x_i_j`` is the mass the class of point j, its first member,
-    sends to center i; a comment line lists the members of each class of
-    two or more points."""
+    """Write the model HiGHS solves in LP text interchange format (for
+    debugging). Column ``x_i_j`` is the mass the class of point j, its first
+    member, sends to center i. Comment lines list the members of each class
+    of two or more points, then name each class's pivot center (``none``
+    if it reaches none), which takes the class's mass the columns leave."""
     first = np.unique(model.point_class, return_index=True)[1]
     size = model.class_sizes
 
@@ -651,10 +685,11 @@ def dump_lp_text(model: LpModel, stream) -> None:
 
     centers = model.centers.tolist()
     ub, eq = _ratio_rows(model.gf)
+    has_row = np.bincount(model.kept[:, 1], minlength=size.size) > 1
     labels = ([f"mass_{i}" for i in centers]
-              + [f"ratio_{kind}_{i}_{h}" for rows in (ub, eq) for i in centers
-                 for h, kind, _ in rows]
-              + [f"assign_{j}" for j in first])
+              + [f"ratio_{kind}_{i}_{h}" for i in centers for h, kind, _ in ub]
+              + [f"assign_{j}" for j in first[has_row]]
+              + [f"ratio_{kind}_{i}_{h}" for i in centers for h, kind, _ in eq])
 
     stream.write("\\ fairclus model"
                  + (f" radius_cap={model.lam}" if model.lam is not None else "")
@@ -663,9 +698,11 @@ def dump_lp_text(model: LpModel, stream) -> None:
     for g in np.flatnonzero(size > 1):
         members = np.flatnonzero(model.point_class == g)
         stream.write(f"\\ class {first[g]}: " + ",".join(map(str, members)) + "\n")
+    for j, p in zip(first, model.pivot):
+        stream.write(f"\\ pivot {j} {p if p >= 0 else 'none'}\n")
     stream.write("Minimize\n obj:")
     obj = [f" {model.c[idx]:+.12g} {var(idx)}" for idx in np.flatnonzero(model.c)]
-    stream.write("".join(obj) if obj else " 0 " + var(0))
+    stream.write("".join(obj) if obj else " 0")
     stream.write("\nSubject To\n")
     n_ub = model.n_ub
     for r in [*range(n_ub, a.shape[0]), *range(n_ub)]:
@@ -673,7 +710,5 @@ def dump_lp_text(model: LpModel, stream) -> None:
         stream.write(f" {labels[r]}:{terms(r)} {sense} {model.hi[r]:.12g}\n")
     stream.write("Bounds\n")
     for idx in range(model.ncols):
-        bound = size[model.kept[idx, 1]]
-        stream.write(f" 0 <= {var(idx)} <= {bound}\n" if idx < model.nfree
-                     else f" {var(idx)} = {bound}\n")
+        stream.write(f" 0 <= {var(idx)} <= {size[model.kept[idx, 1]]}\n")
     stream.write("End\n")

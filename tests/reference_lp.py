@@ -13,12 +13,15 @@ j) and an opening column y_i for every point i:
 
 The fixed-center LP over S keeps the x_ij with i in S and no y, and replaces
 the opening rows with ``sum_j x_ij >= 1`` for every i in S. ``fairclus.lp``
-writes it over classes of points; the tests sum this per-point model over
-the classes to compare the two, and solve it (``solve_dense_reference``) as
-the independent check of a class model's feasibility and optimum.
+writes it over classes of points, in pivot form; the tests sum this
+per-point model over the classes (``class_model_from_dense``), substitute
+each class's pivot out of it (``pivot_model_from_dense``) to compare the
+two, and solve it (``solve_dense_reference``) as the independent check of a
+class model's feasibility and optimum.
 """
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,59 +137,120 @@ def _repaired(centers, x):
     return FractionalSolution(rows=np.asarray(centers), x=x / x.sum(axis=0))
 
 
-def northwest_corner(model, value):
-    """The k x n table of a class model's column values, split member by
-    member as ``lp.solve_lp`` splits them: each class's members in id order
-    fill its centers in sorted order, one unit each."""
-    x = np.zeros((model.k, model.n))
-    for g in range(model.class_sizes.size):
-        members = iter(np.flatnonzero(model.point_class == g).tolist())
-        j, room = next(members), 1.0
-        cols = np.flatnonzero(model.kept[:, 1] == g)
-        for a in cols[np.argsort(model.kept[cols, 0])]:
-            s = int(np.searchsorted(model.centers, model.kept[a, 0]))
-            mass = max(float(value[a]), 0.0)
-            while mass > 0.0 and j is not None:
-                take = min(mass, room)
-                x[s, j] += take
-                mass -= take
-                room -= take
-                if room <= 0.0:
-                    j, room = next(members, None), 1.0
-    return x
+def dense_classes(inst, centers, lam, objective):
+    """Each point's class, found from the instance: a class per point in a
+    cost model, else one per color and set of centers reached under
+    ``lam`` (every center if None), numbered in the order of first members."""
+    if objective is not None:
+        return np.arange(inst.n)
+    d = inst.distance_matrix()
+    number = {}
+    return np.array([number.setdefault(
+        (int(inst.colors[j]), tuple(lam is None or d[i, j] <= lam + EPS_D for i in centers)),
+        len(number)) for j in range(inst.n)])
 
 
-def sliced_milp_arrays(model):
-    """What ``lp.solve_lp`` hands ``milp`` for a model with a free column,
-    built the plain way: the free columns sliced from ``a`` (all of it when
-    none is fixed), the fixed columns' part of each row as ``a @ value``.
-    Returns the scaled costs, the matrix, the row bounds and the column
-    upper bounds."""
-    nfree = model.nfree
-    col_size = model.class_sizes[model.kept[:, 1]].astype(float)
-    value = col_size.copy()
-    value[:nfree] = 0.0
-    fixed_part = model.a @ value
-    free = model.a if nfree == model.ncols else model.a[:, :nfree]
-    c = model.c[:nfree]
-    c = np.ldexp(c, 1 - np.frexp(c.max())[1])
-    return c, free, model.lo - fixed_part, model.hi - fixed_part, col_size[:nfree]
+def class_model_from_dense(inst, gf, centers, lam, objective):
+    """The class model written from ``dense_reference``'s per-point model
+    over the sorted ``centers``: (point_class, kept, a, lo, hi, c), with
+    ``a`` dense.
+
+    Each column (i, G) is the sum of the pair columns (i, j) of G's members,
+    all of which exist and carry the same coefficient in every <= row; each
+    class row is the sum of its members' assignment rows. Columns are in
+    (center, class) order. Rows: the mass rows, the ratio rows kept as <=
+    rows, one equality row (the upper row) per color with 0 < l_h = u_h <
+    1, then the class rows; with every window exact the last color's rows
+    are left out, and they are checked to be minus the sum of the other
+    colors'."""
+    k, m = len(centers), inst.m
+    pairs, a_eq, b_eq, a_ub, b_ub, c = dense_reference(inst, gf, k, lam, objective, centers)
+    col_of = {pair: a for a, pair in enumerate(pairs)}
+    point_class = dense_classes(inst, centers, lam, objective)
+    members = [np.flatnonzero(point_class == g) for g in range(point_class.max() + 1)]
+    kept = [(i, g) for i in centers for g in range(len(members))
+            if (i, int(members[g][0])) in col_of]
+    rep = [col_of[i, int(members[g][0])] for i, g in kept]
+    for (i, g), a in zip(kept, rep):
+        for j in members[g]:
+            assert np.array_equal(a_ub[:, col_of[i, int(j)]], a_ub[:, a])
+    in_class = (point_class == np.arange(len(members))[:, None]).astype(float)
+    class_rows = (in_class @ a_eq)[:, rep]
+
+    lower, upper = gf.lower, gf.upper
+    dense_rows, at = {}, k  # the dense <= ratio rows by (center, color, side)
+    for i in centers:
+        for h in range(m):
+            for side, vacuous in (("upper", upper[h] == 1), ("lower", lower[h] == 0)):
+                if not vacuous:
+                    dense_rows[i, h, side] = a_ub[at, rep]
+                    at += 1
+    assert at == len(b_ub) and not b_ub[k:].any()
+    exact = all(lo == up for lo, up in zip(lower, upper))
+    if exact:  # the last color's rows follow from the others'
+        def as_upper(i, h):
+            return (dense_rows[i, h, "upper"] if (i, h, "upper") in dense_rows
+                    else -dense_rows[i, h, "lower"])
+        for i in centers:
+            assert np.allclose(as_upper(i, m - 1),
+                               -sum(as_upper(i, h) for h in range(m - 1)), atol=1e-12)
+    colors = range(m - 1 if exact else m)
+    equal = [h for h in colors if 0 < lower[h] == upper[h] < 1]
+    for i in centers:
+        for h in equal:
+            assert np.array_equal(dense_rows[i, h, "lower"], -dense_rows[i, h, "upper"])
+    below = [dense_rows[i, h, side] for i in centers for h in colors if h not in equal
+             for side in ("upper", "lower") if (i, h, side) in dense_rows]
+    ratio_eq = [dense_rows[i, h, "upper"] for i in centers for h in equal]
+    a = np.vstack([a_ub[:k, rep]] + below + ratio_eq + [class_rows])
+    sizes = in_class @ b_eq
+    lo = np.concatenate((np.full(k + len(below), -np.inf), np.zeros(len(ratio_eq)), sizes))
+    hi = np.concatenate((b_ub[:k], np.zeros(len(below) + len(ratio_eq)), sizes))
+    return point_class, kept, a, lo, hi, c[rep]
 
 
-def solve_lp_presolved(model):
-    """A fixed-center model solved whole, the reference for ``lp.solve_lp``:
-    no column fixed beforehand (every column in [0, |G|]), HiGHS's default
-    presolve, unscaled costs, then ``northwest_corner`` and ``solve_lp``'s
-    repair. None if HiGHS certifies infeasibility."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-        res = milp(model.c, constraints=LinearConstraint(model.a, model.lo, model.hi),
-                   bounds=Bounds(0.0, model.class_sizes[model.kept[:, 1]]),
-                   options={"output_flag": False})
-    if res.status == 2:
-        return None
-    assert res.status == 0, res.message
-    return _repaired(model.centers, northwest_corner(model, res.x))
+def pivot_model_from_dense(inst, gf, centers, lam, objective):
+    """``class_model_from_dense``'s model with each class's pivot
+    substituted out, written densely: (point_class, pivot, kept, a, lo, hi,
+    c).
+
+    Class G's pivot is the center nearest its first member among those it
+    reaches, the lowest id on ties (-1 if it reaches none). Writing y_pG =
+    |G| - sum_{i != p} y_iG, column (i, G) becomes column (i, G) minus
+    column (p, G), its cost c_iG - c_pG, and |G| times column (p, G) leaves
+    every row's bounds. The class rows turn into 0 = 0 and are dropped (a
+    class without a pivot, whose row reads 0 = |G|, leaves the pivot -1
+    to say that the model is infeasible); y_pG >= 0 becomes the row
+    sum_{i != p} y_iG <= |G|, kept after the <= rows for each class of two
+    or more columns."""
+    point_class, kept, a, lo, hi, c = class_model_from_dense(inst, gf, centers, lam, objective)
+    d = inst.distance_matrix()
+    size = np.bincount(point_class)
+    nclass = size.size
+    col = {pair: idx for idx, pair in enumerate(kept)}
+    pivot = []
+    for g in range(nclass):
+        first = int(np.flatnonzero(point_class == g)[0])
+        reached = [i for i, h in kept if h == g]
+        pivot.append(min(reached, key=lambda i: (d[i, first], i)) if reached else -1)
+    body, lo, hi = a[:-nclass], lo[:-nclass], hi[:-nclass]  # the class rows go
+    shift = sum((size[g] * body[:, col[p, g]] for g, p in enumerate(pivot) if p >= 0),
+                np.zeros(len(body)))
+    lo, hi = lo - shift, hi - shift
+    others = [(i, g) for i, g in kept if i != pivot[g]]
+    body = np.array([body[:, col[i, g]] - body[:, col[pivot[g], g]]
+                     for i, g in others]).reshape(len(others), len(body)).T
+    cost = np.array([c[col[i, g]] - c[col[pivot[g], g]] for i, g in others])
+    width = Counter(g for _, g in others)
+    pivot_rows = [[1.0 if h == g else 0.0 for _, h in others]
+                  for g in range(nclass) if width[g] > 1]
+    n_ub = int(np.count_nonzero(lo == -np.inf))
+    pivot_rows = np.reshape(pivot_rows, (len(pivot_rows), len(others)))
+    a = np.vstack((body[:n_ub], pivot_rows, body[n_ub:]))
+    pivot_hi = [float(size[g]) for g in range(nclass) if width[g] > 1]
+    lo = np.concatenate((lo[:n_ub], np.full(len(pivot_hi), -np.inf), lo[n_ub:]))
+    hi = np.concatenate((hi[:n_ub], pivot_hi, hi[n_ub:]))
+    return point_class, np.array(pivot), others, a, lo, hi, cost
 
 
 def solve_dense_reference(inst, gf, centers, lam, objective=None):

@@ -22,15 +22,16 @@ from fairclus import (ExactBackend, GreedyBackend, GroupFairnessSpec,
                       min_feasible_lambda, pairwise_distance_set,
                       random_instance, solve, solve_lp)
 from fairclus import lp as lp_module
+from fairclus.constraints import point_costs
 from fairclus.errors import NumericalError
 from fairclus.instance import EPS_D
 from fairclus.lp import (EPS_POS, RESIDUAL_TOL, FractionalSolution, check_lp_solution,
                          dump_lp_text)
 
 from conftest import line_instance, vacuous_gf, window_gf
-from reference_lp import (dense_reference, full_lp_residual, sliced_milp_arrays,
-                          solution_from_clustering, solve_dense_reference, solve_full_lp,
-                          solve_lp_presolved)
+from reference_lp import (class_model_from_dense, dense_classes, full_lp_residual,
+                          pivot_model_from_dense, solution_from_clustering,
+                          solve_dense_reference, solve_full_lp)
 
 
 def test_single_point_forced():
@@ -48,8 +49,9 @@ def test_radius_cap_must_be_finite_and_nonnegative():
     for lam in (-1.0, -1e-12, math.nan, math.inf):
         with pytest.raises(ValidationError, match="radius cap"):
             build_gf_feasibility_lp(inst, vacuous_gf(2), [0], lam)
-    # a zero cap keeps the center's own column
-    assert build_gf_feasibility_lp(inst, vacuous_gf(2), [0], 0.0).ncols == 1
+    # a zero cap keeps the center's own class, at its pivot, the center
+    model = build_gf_feasibility_lp(inst, vacuous_gf(2), [0], 0.0)
+    assert model.ncols == 0 and model.pivot[model.point_class[0]] == 0
 
 
 def test_colocated_lower_bound_infeasible():
@@ -341,11 +343,13 @@ def test_radius_cutoff_eliminates_variables():
     inst = line_instance([0, 1, 10], [0, 1, 0])
     gf = vacuous_gf(2)
     model = build_gf_feasibility_lp(inst, gf, [0, 2], lam=1.0)
-    kept_pairs = set(map(tuple, model.kept.tolist()))
-    assert (0, 2) not in kept_pairs and (2, 0) not in kept_pairs
-    assert (0, 1) in kept_pairs
+    # each point reaches one center, its pivot: no column is left
+    assert model.ncols == 0
+    assert model.pivot[model.point_class].tolist() == [0, 0, 2]
     uncapped = build_gf_objective_lp(inst, gf, [0, 2], "median")
-    assert len(uncapped.kept) == 6  # no cutoff: all k * n assignment variables
+    # no cutoff: all k * n assignment variables but each point's nearest
+    assert uncapped.pivot.tolist() == [0, 0, 2]
+    assert uncapped.kept.tolist() == [[0, 2], [2, 0], [2, 1]]
 
 
 def test_objective_lp_rejects_center():
@@ -368,7 +372,7 @@ def test_fixed_center_lp_solution_is_the_optimal_fair_assignment():
     model = build_gf_objective_lp(inst, gf, [4, 1], "median")
     sol = solve_lp(model)
     check_lp_solution(model, sol, inst, gf)
-    assert model.ncols == 12 and model.centers.tolist() == [1, 4] and model.k == 2
+    assert model.ncols == 6 and model.centers.tolist() == [1, 4] and model.k == 2
     assert sol.rows.tolist() == [1, 4]
     assert sol.x.shape == (2, 6)
     # each point goes to its near center; both clusters hold 1 or 2 of each color
@@ -379,11 +383,15 @@ def test_dump_lp_text():
     inst = line_instance([0, 1], [0, 1])
     gf = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5))
     buf = io.StringIO()
-    dump_lp_text(build_gf_objective_lp(inst, gf, [1], "median"), buf)
+    dump_lp_text(build_gf_objective_lp(inst, gf, [1, 0], "median"), buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "\\ fairclus model centers=1 n=2 k=1"
+    assert lines[0] == "\\ fairclus model centers=0,1 n=2 k=2"
+    assert lines[1:3] == ["\\ pivot 0 0", "\\ pivot 1 1"]
     assert {"Minimize", "Subject To", "End"} <= set(lines)
-    assert " mass_1: -1 x_1_0 -1 x_1_1 <= -1" in lines
+    # center 0's mass row, -x_0_1 - (1 - x_1_0) <= -1, with point 0's
+    # share at its pivot 0 moved into the bound
+    assert " mass_0: -1 x_0_1 +1 x_1_0 <= 0" in lines
+    assert " 0 <= x_0_1 <= 1" in lines and " 0 <= x_1_0 <= 1" in lines
     assert not any("y_" in line or "open" in line for line in lines)
 
 
@@ -401,79 +409,6 @@ def _grid_spec(inst, kind):
                              upper=(0,) + (1,) * (m - 1))
 
 
-def _classes(inst, centers, lam, objective):
-    """Each point's class, found from the instance: a class per point in a
-    cost model, else one per color and set of centers reached under
-    ``lam`` (every center if None), numbered in the order of first members."""
-    if objective is not None:
-        return np.arange(inst.n)
-    d = inst.distance_matrix()
-    number = {}
-    return np.array([number.setdefault(
-        (int(inst.colors[j]), tuple(lam is None or d[i, j] <= lam + EPS_D for i in centers)),
-        len(number)) for j in range(inst.n)])
-
-
-def _class_model_from_dense(inst, gf, centers, lam, objective):
-    """The class model written from ``dense_reference``'s per-point model:
-    (point_class, kept, nfree, a, lo, hi, c), with ``a`` dense.
-
-    Each column (i, G) is the sum of the pair columns (i, j) of G's members,
-    all of which exist and carry the same coefficient in every <= row; each
-    class row is the sum of its members' assignment rows. Free columns (G
-    reaches two or more centers) come first, each part in (center, class)
-    order. Rows: the mass rows, the ratio rows kept as <= rows, one
-    equality row (the upper row) per color with 0 < l_h = u_h < 1, then the
-    class rows; with every window exact the last color's rows are left
-    out, and they are checked to be minus the sum of the other colors'."""
-    k, m = len(centers), inst.m
-    pairs, a_eq, b_eq, a_ub, b_ub, c = dense_reference(inst, gf, k, lam, objective, centers)
-    col_of = {pair: a for a, pair in enumerate(pairs)}
-    point_class = _classes(inst, centers, lam, objective)
-    members = [np.flatnonzero(point_class == g) for g in range(point_class.max() + 1)]
-    reached = [[i for i in centers if (i, int(g[0])) in col_of] for g in members]
-    kept = [(i, g) for free in (True, False) for i in centers
-            for g in range(len(members)) if i in reached[g] and (len(reached[g]) > 1) == free]
-    rep = [col_of[i, int(members[g][0])] for i, g in kept]
-    for (i, g), a in zip(kept, rep):
-        for j in members[g]:
-            assert np.array_equal(a_ub[:, col_of[i, int(j)]], a_ub[:, a])
-    in_class = (point_class == np.arange(len(members))[:, None]).astype(float)
-    class_rows = (in_class @ a_eq)[:, rep]
-
-    lower, upper = gf.lower, gf.upper
-    dense_rows, at = {}, k  # the dense <= ratio rows by (center, color, side)
-    for i in centers:
-        for h in range(m):
-            for side, vacuous in (("upper", upper[h] == 1), ("lower", lower[h] == 0)):
-                if not vacuous:
-                    dense_rows[i, h, side] = a_ub[at, rep]
-                    at += 1
-    assert at == len(b_ub) and not b_ub[k:].any()
-    exact = all(lo == up for lo, up in zip(lower, upper))
-    if exact:  # the last color's rows follow from the others'
-        def as_upper(i, h):
-            return (dense_rows[i, h, "upper"] if (i, h, "upper") in dense_rows
-                    else -dense_rows[i, h, "lower"])
-        for i in centers:
-            assert np.allclose(as_upper(i, m - 1),
-                               -sum(as_upper(i, h) for h in range(m - 1)), atol=1e-12)
-    colors = range(m - 1 if exact else m)
-    equal = [h for h in colors if 0 < lower[h] == upper[h] < 1]
-    for i in centers:
-        for h in equal:
-            assert np.array_equal(dense_rows[i, h, "lower"], -dense_rows[i, h, "upper"])
-    below = [dense_rows[i, h, side] for i in centers for h in colors if h not in equal
-             for side in ("upper", "lower") if (i, h, side) in dense_rows]
-    ratio_eq = [dense_rows[i, h, "upper"] for i in centers for h in equal]
-    a = np.vstack([a_ub[:k, rep]] + below + ratio_eq + [class_rows])
-    sizes = in_class @ b_eq
-    lo = np.concatenate((np.full(k + len(below), -np.inf), np.zeros(len(ratio_eq)), sizes))
-    hi = np.concatenate((b_ub[:k], np.zeros(len(below) + len(ratio_eq)), sizes))
-    nfree = sum(len(reached[g]) > 1 for _, g in kept)
-    return point_class, kept, nfree, a, lo, hi, c[rep]
-
-
 def test_classes_over_many_centers():
     """Above 32 centers the class key is renumbered between 32-center
     chunks; the classes still are the points of one color that reach the
@@ -483,7 +418,7 @@ def test_classes_over_many_centers():
     d = inst.distance_matrix()[centers]
     for lam in np.quantile(d, [0.05, 0.2, 0.5]):
         model = build_gf_feasibility_lp(inst, vacuous_gf(3), centers, float(lam))
-        classes = _classes(inst, centers, float(lam), None)
+        classes = dense_classes(inst, centers, float(lam), None)
         assert np.array_equal(model.point_class, classes)
         assert 3 < classes.max() + 1 < inst.n
 
@@ -492,7 +427,8 @@ def test_fixed_center_model_matches_dense_reference():
     """Uncapped median and means models, and feasibility models capped at a
     distance from the centers and at the largest one below the
     nearest-assignment radius, where some point reaches no center: each is
-    ``dense_reference``'s model summed over its classes."""
+    ``dense_reference``'s model summed over its classes, with each class's
+    pivot substituted out."""
     rng = np.random.default_rng(63)
     checked = {"uncapped": 0, "capped": 0, "below": 0, "merged": 0}
     for n in range(2, 10):
@@ -517,18 +453,23 @@ def test_fixed_center_model_matches_dense_reference():
                         cases.append((case, build_gf_feasibility_lp(
                             inst, gf, centers[::-1], float(lam)), float(lam), None))
                 for case, model, lam, objective in cases:
-                    point_class, kept, nfree, a, lo, hi, c = _class_model_from_dense(
+                    point_class, pivot, kept, a, lo, hi, c = pivot_model_from_dense(
                         inst, gf, centers, lam, objective)
                     assert model.centers.tolist() == centers and model.k == k
                     assert model.lam == lam
                     assert np.array_equal(model.point_class, point_class)
+                    assert np.array_equal(model.pivot, pivot)
                     assert model.kept.tolist() == [list(p) for p in kept]
-                    assert model.nfree == nfree
-                    assert model.ncols == len(kept) <= k * n
+                    reached = np.count_nonzero(pivot >= 0)
+                    assert model.ncols == len(class_model_from_dense(
+                        inst, gf, centers, lam, objective)[1]) - reached
                     if lam is None:
-                        assert len(kept) == k * n
+                        assert len(kept) == (k - 1) * n
                     assert np.array_equal(model.a.toarray(), a)
-                    assert np.array_equal(model.lo, lo) and np.array_equal(model.hi, hi)
+                    assert np.array_equal(model.lo == -np.inf, lo == -np.inf)
+                    finite = lo > -np.inf
+                    assert np.allclose(model.lo[finite], lo[finite], rtol=0, atol=1e-12)
+                    assert np.allclose(model.hi, hi, rtol=0, atol=1e-12)
                     assert model.n_ub == np.count_nonzero(lo == -np.inf)
                     assert np.array_equal(
                         np.vstack((model.a_ub.toarray(), model.a_eq.toarray())), a)
@@ -598,8 +539,10 @@ def test_cost_lp_without_presolve_matches_a_presolved_solve(monkeypatch):
         ref = milp(model.c, constraints=LinearConstraint(model.a, model.lo, model.hi),
                    bounds=Bounds(0.0, 1.0), options={"presolve": True})
         assert ref.status == 0
+        # the model's costs are relative to each point's nearest center
+        nearest = point_costs(inst.distance_matrix()[model.centers], objective).min(axis=0)
         assert fractional_cost(inst, sol, objective) == pytest.approx(
-            ref.fun, rel=RESIDUAL_TOL)
+            ref.fun + nearest.sum(), rel=RESIDUAL_TOL)
 
 
 def test_no_highs_call_uses_presolve(monkeypatch):
@@ -659,10 +602,10 @@ def _fractional_points(sol):
 def test_reduced_probe_matches_the_full_model(monkeypatch):
     """On random capped models, from below the counting bound's radius to
     the largest: the class probe is feasible exactly when HiGHS with
-    presolve finds the whole model feasible, and each solution it returns
-    passes the full check and splits at most k(2m + 1) points. Among them
-    are k = 1 and models whose every point reaches one center only, which
-    HiGHS never sees."""
+    presolve finds the whole per-point model feasible, and each solution it
+    returns passes the full check and splits at most k(2m + 1) points.
+    Among them are k = 1 and models whose every point reaches one center
+    only, which HiGHS never sees."""
     calls = []
     solve_milp = lp_module.milp
 
@@ -688,7 +631,8 @@ def test_reduced_probe_matches_the_full_model(monkeypatch):
         model = build_gf_feasibility_lp(inst, gf, centers, float(radii[idx]))
         calls.clear()
         sol = solve_lp(model)
-        assert (sol is not None) == (solve_lp_presolved(model) is not None), case
+        dense = solve_dense_reference(inst, gf, centers, float(radii[idx]))
+        assert (sol is not None) == (dense is not None), case
         if sol is not None:
             check_lp_solution(model, sol, inst, gf)
             assert _fractional_points(sol) <= k * (2 * m + 1)
@@ -763,11 +707,14 @@ def _as_milp_reads(c, constraints, bounds):
             np.broadcast_to(bounds.ub, c.shape).astype(np.float64)]
 
 
-def test_milp_gets_the_sliced_model_bit_for_bit(monkeypatch):
+def test_milp_gets_the_pivot_model(monkeypatch):
     """On the tied cases, at every candidate radius, uncapped and for median
-    and means: ``solve_lp`` calls HiGHS exactly when a column is free, and
-    then hands it the very bytes of ``sliced_milp_arrays``, with every
-    column free, some fixed, or (no call) none free."""
+    and means: ``solve_lp`` calls HiGHS exactly when every class reaches a
+    center and some column is left, and then hands it
+    ``pivot_model_from_dense``'s model, the costs scaled: the same costs,
+    matrix entries and column bounds, and the row bounds within rounding.
+    Among the models are ones with no column, ones whose every class has
+    two or more columns and ones mixing classes of one column with others."""
     calls = []
     solve_milp = lp_module.milp
 
@@ -783,30 +730,66 @@ def test_milp_gets_the_sliced_model_bit_for_bit(monkeypatch):
     def check(case):
         inst, gf, centers = case
         radii = np.unique(inst.distance_matrix()[centers]).tolist()
-        models = [build_gf_feasibility_lp(inst, gf, centers, lam) for lam in radii + [None]]
-        models += [build_gf_objective_lp(inst, gf, centers, objective)
-                   for objective in ("median", "means")]
-        for model in models:
+        for lam, objective in ([(lam, None) for lam in radii + [None]]
+                               + [(None, "median"), (None, "means")]):
+            model = (build_gf_feasibility_lp(inst, gf, centers, lam) if objective is None
+                     else build_gf_objective_lp(inst, gf, centers, objective))
+            _, pivot, kept, a, lo, hi, cost = pivot_model_from_dense(
+                inst, gf, centers, lam, objective)
             calls.clear()
             solve_lp(model)
-            if model.nfree == 0:
+            if np.any(pivot < 0) or not kept:
                 assert not calls
-                seen["none free"] += 1
+                seen["unreached" if np.any(pivot < 0) else "no column"] += 1
                 continue
-            c, free, lo, hi, ub = sliced_milp_arrays(model)
-            want = _as_milp_reads(c, LinearConstraint(free, lo, hi), Bounds(0.0, ub))
-            [got] = calls
-            for g, w in zip(got, want):
-                assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
-            seen["all free" if model.nfree == model.ncols else "some fixed"] += 1
+            [(c, data, indices, indptr, row_lo, row_hi, col_lo, col_hi)] = calls
+            want = np.ldexp(cost, 1 - np.frexp(cost.max())[1])
+            assert c.tobytes() == want.tobytes()
+            matrix = sparse.csc_array((data, indices, indptr), shape=a.shape)
+            assert np.array_equal(matrix.toarray(), a) and np.all(data != 0.0)
+            assert np.array_equal(row_lo == -np.inf, lo == -np.inf)
+            finite = lo > -np.inf
+            assert np.allclose(row_lo[finite], lo[finite], rtol=0, atol=1e-12)
+            assert np.allclose(row_hi, hi, rtol=0, atol=1e-12)
+            size = model.class_sizes
+            assert not col_lo.any()
+            assert col_hi.tobytes() == size[[g for _, g in kept]].astype(float).tobytes()
+            columns = Counter(g for _, g in kept)
+            seen["two or more" if min(columns[g] for g in range(size.size)) > 1
+                 else "mixed"] += 1
 
     check()
-    assert min(seen[kind] for kind in ("none free", "all free", "some fixed")) >= 20, seen
+    assert min(seen[kind] for kind in ("no column", "two or more", "mixed")) >= 20, seen
+
+
+def test_a_class_without_a_center_is_refused_before_highs(monkeypatch):
+    """A probe below the nearest-assignment radius, where point 3 reaches
+    no center while point 1 reaches both: no pivot for point 3's class, and
+    ``solve_lp`` returns None without calling HiGHS."""
+    calls = []
+    monkeypatch.setattr(lp_module, "milp", lambda *args, **kwargs: calls.append(1))
+    inst = line_instance([0, 1, 2, 10], [0, 1, 0, 1])
+    model = build_gf_feasibility_lp(inst, vacuous_gf(2), [0, 2], 1.0)
+    assert model.ncols == 1 and model.pivot[model.point_class[3]] == -1
+    assert solve_lp(model) is None
+    assert not calls
+
+
+def test_pivot_ties_go_to_the_lowest_center():
+    """Point 1 lies midway between centers 0 and 2: its pivot is center 0,
+    given in either order, for cost models and radius probes alike."""
+    inst = line_instance([0, 1, 2], [0, 1, 0])
+    gf = vacuous_gf(2)
+    for centers in ([0, 2], [2, 0]):
+        for model in (build_gf_objective_lp(inst, gf, centers, "median"),
+                      build_gf_feasibility_lp(inst, gf, centers, 1.0)):
+            assert model.pivot[model.point_class].tolist() == [0, 0, 2]
+            assert [2, model.point_class[1]] in model.kept.tolist()
 
 
 def test_radius_probes_log_one_debug_record_each(caplog):
-    """Each probe of the radius search logs its radius, class count, the
-    columns HiGHS got and its verdict on the ``fairclus`` logger."""
+    """Each probe of the radius search logs its radius, class count, its
+    pivot-form column count and its verdict on the ``fairclus`` logger."""
     inst = line_instance([0, 0, 1, 1, 5, 6, 6], [0, 1, 0, 1, 0, 1, 1])
     gf = exact_gf_spec(inst)
     radii = np.unique(inst.distance_matrix()[[0, 5]])
@@ -815,7 +798,7 @@ def test_radius_probes_log_one_debug_record_each(caplog):
     probes = [r.getMessage() for r in caplog.records if r.name == "fairclus"]
     assert probes[-1] == (f"radius probe {result.radius!r}: "
                           f"{result.model.class_sizes.size} classes, "
-                          f"{result.model.nfree} columns to HiGHS, feasible")
+                          f"{result.model.ncols} columns to HiGHS, feasible")
     assert all(p.startswith("radius probe ") for p in probes)
     assert len(probes) == len({p.split(":")[0] for p in probes}) >= 2
     assert any(p.endswith("infeasible") for p in probes)

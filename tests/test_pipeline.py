@@ -376,10 +376,10 @@ def test_kcenter_radius_search_on_ties_and_duplicates(inst):
 
 
 def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
-    """A radius probe has a column per center and class, a class being the
-    points of one color that reach the same centers under the cap. HiGHS
-    gets one LP with the columns of the classes that reach two or more
-    centers, or none if there are none; the others are fixed beforehand."""
+    """A radius probe has a column per class and center it reaches but its
+    pivot, a class being the points of one color that reach the same
+    centers under the cap: sum_G (reach(G) - 1) columns. HiGHS gets one LP
+    with those columns, or none if there are none."""
     objectives = _count_highs_lps(monkeypatch)
     models = []
     for module in (lp_module, pipeline):
@@ -389,9 +389,9 @@ def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
             sol = _solve(model, *args)
             reach = inst.distance_matrix()[model.centers] <= model.lam + EPS_D
             classes = {(int(c), tuple(r)) for c, r in zip(inst.colors, reach.T)}
-            contested = sum(sum(r) for _, r in classes if sum(r) > 1)
-            assert model.ncols == sum(sum(r) for _, r in classes)
-            assert [c.size for c in objectives[before:]] == ([contested] if contested else [])
+            columns = sum(sum(r) - 1 for _, r in classes)
+            assert model.ncols == columns
+            assert [c.size for c in objectives[before:]] == ([columns] if columns else [])
             return sol
         monkeypatch.setattr(module, "solve_lp", recording)
     for n, m, k in ((8, 2, 2), (12, 3, 3), (20, 2, 4), (30, 2, 4)):
@@ -434,7 +434,8 @@ def test_medmeans_solves_one_assignment_lp(monkeypatch):
             artifacts = {}
             clustering, report = solve(inst, gf, ds, objective, artifacts=artifacts)
             assert len(objectives) == 1
-            assert objectives[0].size == k * n  # one x_ij per center and point
+            # one x_ij per center and point, but each point's nearest center
+            assert objectives[0].size == (k - 1) * n
             assert "rerouted" not in artifacts and "plan" not in artifacts
             sol = artifacts["lp_solution"]
             assert sol.rows.tolist() == list(clustering.centers)
