@@ -13,11 +13,9 @@ from .constraints import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
                           feasibility_precheck, gf_violation,
                           load_fairness_spec, make_clustering)
 from .ds import (DsSolution, ExactBackend, GreedyBackend, SubprocessBackend,
-                 ds_cost, get_backend, solve_ds_exact, solve_ds_greedy,
-                 solve_ds_plugin)
+                 ds_cost, get_backend, solve_ds_plugin)
 from .errors import (BudgetExceededError, ContractViolationError, FairclusError,
-                     InfeasibleError, NumericalError, ParseError, PipelineError,
-                     ValidationError)
+                     InfeasibleError, ParseError, PipelineError, ValidationError)
 from .instance import (MetricInstance, instance_to_dict, load_instance,
                        make_instance, pairwise_distance_set, random_instance)
 from .lp import (FractionalSolution, build_gf_feasibility_lp,
@@ -33,7 +31,7 @@ __all__ = [
     "BudgetExceededError", "CenterDiversitySpec", "Clustering",
     "ContractViolationError", "DsSolution", "ExactBackend",
     "FairclusError", "FractionalSolution", "GreedyBackend", "GroupFairnessSpec",
-    "InfeasibleError", "MetricInstance", "NumericalError", "OracleBudget",
+    "InfeasibleError", "MetricInstance", "OracleBudget",
     "ParseError", "PipelineError", "ReroutePlan", "SolveReport",
     "SubprocessBackend", "ValidationError", "brute_force_doubly_fair",
     "brute_force_gf_assignment", "build_gf_feasibility_lp",
@@ -43,6 +41,5 @@ __all__ = [
     "instance_to_dict", "load_fairness_spec", "load_instance", "lp_residuals",
     "make_clustering", "make_instance", "means_pq", "min_feasible_lambda",
     "pairwise_distance_set", "random_instance", "reroute_center",
-    "reroute_medmeans", "solve", "solve_ds_exact", "solve_ds_greedy",
-    "solve_ds_plugin", "solve_lp",
+    "reroute_medmeans", "solve", "solve_ds_plugin", "solve_lp",
 ]

@@ -22,8 +22,9 @@ from .instance import MetricInstance
 
 OBJECTIVES = ("center", "median", "means")
 
-# center sets checked per array operation; C(n, k) may reach ten million
-CENTER_SET_BLOCK = 4096
+# distances gathered per array operation over center sets: 8 MB of float64;
+# C(n, k) may reach ten million
+GATHER_CELLS = 1 << 20
 
 
 def point_costs(d, objective: str):
@@ -39,6 +40,14 @@ def objective_value(d, objective: str, axis=None):
     (all of ``d`` by default)."""
     costs = point_costs(d, objective)
     return costs.max(axis=axis) if objective == "center" else costs.sum(axis=axis)
+
+
+def center_set_costs(inst: MetricInstance, sets, objective: str):
+    """The objective of each center set in ``sets`` (point ids on the last
+    axis) with every point at its nearest center: one value per set, a
+    scalar for a single set."""
+    mins = inst.distance_matrix()[sets].min(axis=-2)
+    return objective_value(mins, objective, axis=-1)
 
 
 def as_fraction(value) -> Fraction:
@@ -255,13 +264,16 @@ def check_ds(inst: MetricInstance, centers, ds: CenterDiversitySpec) -> bool:
 def diverse_center_blocks(inst: MetricInstance, ds: CenterDiversitySpec):
     """Every size-k center set that ``check_ds`` accepts, ascending point ids
     in lexicographic order, as (rows, k) int arrays, one per block of
-    ``CENTER_SET_BLOCK`` combinations that holds an accepted set. The spec
-    must have the instance's colors."""
+    ``max(1, GATHER_CELLS // (k n))`` combinations that holds an accepted
+    set, so gathering a block's distances (``center_set_costs``) reads at
+    most ``GATHER_CELLS`` of them. The spec must have the instance's
+    colors."""
     _require_colors(inst, ds, "ds")
     k = ds.k
+    rows = max(1, GATHER_CELLS // (k * inst.n))
     combos = combinations(range(inst.n), k)
     while True:
-        block = list(islice(combos, CENTER_SET_BLOCK))
+        block = list(islice(combos, rows))
         if not block:
             return
         sets = np.fromiter(chain.from_iterable(block), dtype=np.intp,

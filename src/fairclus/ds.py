@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import shlex
 import subprocess
 from dataclasses import dataclass
@@ -21,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (OBJECTIVES, CenterDiversitySpec, _require_colors,
-                          center_count_failures, check_ds, diverse_center_blocks,
-                          objective_value)
+                          center_count_failures, center_set_costs, check_ds,
+                          diverse_center_blocks)
 from .errors import BudgetExceededError, ContractViolationError, InfeasibleError, ValidationError
 from .instance import MetricInstance, instance_to_dict
 
 EXACT_ENUMERATION_BUDGET = 10_000_000  # center sets the exact backend may enumerate
-SCORE_CELLS = 1 << 20  # distances gathered at once by the exact backend: 8 MB
 SUBPROCESS_TIMEOUT_S = 300.0  # wall time a subprocess backend may take per solve
 
 
@@ -42,92 +42,44 @@ class DsSolution:
     alpha: float | None
 
 
-def nearest_assignment(inst: MetricInstance, centers) -> np.ndarray:
-    """Assign each point to its nearest center, ties to the lowest center id."""
-    centers = sorted(centers)
-    if not centers:
-        raise ValidationError("cannot assign to an empty center set")
-    d = inst.distance_matrix()
-    sub = d[np.array(centers), :]  # rows ordered by ascending center id
-    idx = np.argmin(sub, axis=0)  # argmin takes the first = lowest id on ties
-    return np.array(centers, dtype=int)[idx]
-
-
 def ds_cost(inst: MetricInstance, centers, objective: str) -> float:
     """Nearest-center assignment cost of a center set under the objective."""
     centers = list(centers)
     if not centers:
         raise ValidationError("cost of an empty center set is undefined")
-    d = inst.distance_matrix()
-    mins = d[np.array(sorted(centers)), :].min(axis=0)
-    return float(objective_value(mins, objective))
+    return float(center_set_costs(inst, np.array(centers), objective))
 
 
-def solve_ds_exact(inst: MetricInstance, ds: CenterDiversitySpec,
-                   objective: str) -> DsSolution:
-    """Optimal diverse center set by exhaustive enumeration.
+class ExactBackend:
+    """Optimal diverse center set by exhaustive enumeration, factor 1.
 
     Deterministic: center sets are visited in lexicographic order over sorted
     point ids and the first minimum-cost set is kept.
     """
-    if objective not in OBJECTIVES:
-        raise ValidationError(f"unknown objective {objective!r}")
-    n, k = inst.n, ds.k
-    if math.comb(n, k) > EXACT_ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"C({n},{k}) = {math.comb(n, k)} exceeds the exact enumeration "
-            f"budget of {EXACT_ENUMERATION_BUDGET}")
-    d = inst.distance_matrix()
-    best_cost = math.inf
-    best_set = None
-    rows = max(1, SCORE_CELLS // max(1, k * n))  # sets scored per array operation
-    for block in diverse_center_blocks(inst, ds):
-        for start in range(0, len(block), rows):
-            sets = block[start:start + rows]
-            costs = objective_value(d[sets].min(axis=1), objective, axis=1)
+
+    backend_id = "exact"
+
+    def solve_raw(self, inst, ds, objective):
+        n, k = inst.n, ds.k
+        if math.comb(n, k) > EXACT_ENUMERATION_BUDGET:
+            raise BudgetExceededError(
+                f"C({n},{k}) = {math.comb(n, k)} exceeds the exact enumeration "
+                f"budget of {EXACT_ENUMERATION_BUDGET}")
+        best_cost = math.inf
+        best_set = None
+        for sets in diverse_center_blocks(inst, ds):
+            costs = center_set_costs(inst, sets, objective)
             i = int(np.argmin(costs))  # the first minimum of these sets
             if costs[i] < best_cost:
                 best_cost = float(costs[i])
                 best_set = tuple(sets[i].tolist())
-    if best_set is None:
-        raise InfeasibleError("no size-k center set satisfies the center-count bounds",
-                              diagnosis=center_count_failures(inst, ds))
-    return DsSolution(centers=tuple(best_set), cost=best_cost,
-                      objective=objective, backend_id="exact", alpha=1.0)
+        if best_set is None:
+            raise InfeasibleError("no size-k center set satisfies the center-count bounds",
+                                  diagnosis=center_count_failures(inst, ds))
+        return best_set, 1.0
 
 
-def _greedy_centers(inst: MetricInstance, ds: CenterDiversitySpec,
-                    objective: str) -> tuple:
-    """Farthest-first over the center sets that can still reach the bounds,
-    as sorted point ids; see ``solve_ds_greedy``."""
-    if objective not in OBJECTIVES:
-        raise ValidationError(f"unknown objective {objective!r}")
-    _require_colors(inst, ds, "ds")
-    failures = center_count_failures(inst, ds)
-    if failures:
-        raise InfeasibleError("no size-k center set satisfies the center-count bounds",
-                              diagnosis=failures)
-    d = inst.distance_matrix()
-    colors = inst.colors
-    lower = np.array(ds.lower)
-    cap = np.minimum(ds.upper, inst.color_counts())
-    cur = np.zeros(ds.m, dtype=int)
-    mind = np.full(inst.n, np.inf)  # distance to the chosen centers; -inf once chosen
-    centers = []
-    for left in range(ds.k - 1, -1, -1):  # picks left after this one
-        # centers still owed to the lower bounds after a pick of each color
-        short = np.maximum(lower - cur, 0).sum() - (cur < lower)
-        allowed = (cur < cap) & (short <= left)
-        p = int(np.argmax(np.where(allowed[colors], mind, -np.inf)))  # lowest id on ties
-        centers.append(p)
-        cur[colors[p]] += 1
-        np.minimum(mind, d[p], out=mind)
-        mind[p] = -np.inf
-    return tuple(sorted(centers))
-
-
-def solve_ds_greedy(inst: MetricInstance, ds: CenterDiversitySpec,
-                    objective: str) -> DsSolution:
+class GreedyBackend:
     """Farthest-first over the center sets that can still reach the bounds.
 
     A color may take the next center while it is below min(U_h, |P_h|) and
@@ -138,26 +90,32 @@ def solve_ds_greedy(inst: MetricInstance, ds: CenterDiversitySpec,
     centers chosen so far, the lowest id on ties (the first pick is the
     lowest allowed id). Heuristic; claims no approximation factor.
     """
-    centers = _greedy_centers(inst, ds, objective)
-    if not check_ds(inst, centers, ds):
-        raise ContractViolationError("greedy pass left the center-count bounds")
-    return DsSolution(centers=centers, cost=ds_cost(inst, centers, objective),
-                      objective=objective, backend_id="greedy", alpha=None)
 
-
-class ExactBackend:
-    backend_id = "exact"
-
-    def solve_raw(self, inst, ds, objective):
-        sol = solve_ds_exact(inst, ds, objective)
-        return sol.centers, 1.0
-
-
-class GreedyBackend:
     backend_id = "greedy"
 
     def solve_raw(self, inst, ds, objective):
-        return _greedy_centers(inst, ds, objective), None
+        _require_colors(inst, ds, "ds")
+        failures = center_count_failures(inst, ds)
+        if failures:
+            raise InfeasibleError("no size-k center set satisfies the center-count bounds",
+                                  diagnosis=failures)
+        d = inst.distance_matrix()
+        colors = inst.colors
+        lower = np.array(ds.lower)
+        cap = np.minimum(ds.upper, inst.color_counts())
+        cur = np.zeros(ds.m, dtype=int)
+        mind = np.full(inst.n, np.inf)  # distance to the chosen centers; -inf once chosen
+        centers = []
+        for left in range(ds.k - 1, -1, -1):  # picks left after this one
+            # centers still owed to the lower bounds after a pick of each color
+            short = np.maximum(lower - cur, 0).sum() - (cur < lower)
+            allowed = (cur < cap) & (short <= left)
+            p = int(np.argmax(np.where(allowed[colors], mind, -np.inf)))  # lowest id on ties
+            centers.append(p)
+            cur[colors[p]] += 1
+            np.minimum(mind, d[p], out=mind)
+            mind[p] = -np.inf
+        return tuple(sorted(centers)), None
 
 
 class SubprocessBackend:
@@ -185,30 +143,46 @@ class SubprocessBackend:
                 f"backend exited with {proc.returncode}: {proc.stderr.strip()}")
         try:
             out = json.loads(proc.stdout)
-            centers = tuple(int(c) for c in out["centers"])
-            alpha = out.get("alpha")
-            alpha = float(alpha) if alpha is not None else None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            return out["centers"], out.get("alpha")
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ContractViolationError(f"backend emitted malformed JSON: {exc}") from exc
-        return centers, alpha
 
 
 def solve_ds_plugin(inst: MetricInstance, ds: CenterDiversitySpec, objective: str,
                     backend) -> DsSolution:
     """Run a backend and enforce its contract; never accepts a bad solution.
 
-    Contract: exactly k distinct valid point ids, center-count bounds met
-    exactly, and a claimed factor that is None or a finite number >= 1. The
-    cost is recomputed here, not trusted; the factor is the one ``solve_raw``
-    claims.
+    Contract: exactly k distinct valid point ids, each an ``int`` or numpy
+    integer (never a bool), center-count bounds met exactly, and a claimed
+    factor that is None or a finite real number >= 1 (never a bool or a
+    string). This is the one place a ``DsSolution`` is made: the cost is
+    recomputed here, not trusted; the factor is the one ``solve_raw`` claims.
     """
+    if objective not in OBJECTIVES:
+        raise ValidationError(f"unknown objective {objective!r}")
     backend_id = backend.backend_id
     centers, alpha = backend.solve_raw(inst, ds, objective)
-    if alpha is not None and not 1.0 <= alpha < math.inf:  # NaN fails both
+    if alpha is not None:
+        claimed = alpha
+        if isinstance(alpha, numbers.Real) and not isinstance(alpha, bool):
+            try:
+                alpha = float(alpha)
+            except OverflowError:  # an integer past the largest float
+                alpha = math.inf
+        if not (isinstance(alpha, float) and 1.0 <= alpha < math.inf):  # NaN fails both
+            raise ContractViolationError(
+                f"backend {backend_id!r} claimed factor {claimed!r}; a factor "
+                f"must be None or a finite number >= 1")
+    try:
+        ids = list(centers)
+    except TypeError:
+        ids = None
+    if ids is None or not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+                              for c in ids):
         raise ContractViolationError(
-            f"backend {backend_id!r} claimed factor {alpha}; a factor must be "
-            f"a finite number >= 1")
-    centers = tuple(sorted(int(c) for c in centers))
+            f"backend {backend_id!r} returned centers {centers!r}; centers "
+            f"must be integer point ids")
+    centers = tuple(sorted(int(c) for c in ids))
     if len(centers) != ds.k or len(set(centers)) != ds.k:
         raise ContractViolationError(
             f"backend {backend_id!r} returned {len(centers)} centers, "

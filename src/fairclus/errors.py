@@ -32,10 +32,6 @@ class ContractViolationError(FairclusError):
     """A pluggable backend returned a solution violating its declared contract."""
 
 
-class NumericalError(FairclusError):
-    """A solver produced output whose residuals exceed the accepted tolerance."""
-
-
 class PipelineError(FairclusError):
     """An internal pipeline invariant failed; names the stage that broke."""
 

@@ -69,7 +69,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize import linprog  # noqa: F401
 
 from .constraints import GroupFairnessSpec, point_costs
-from .errors import InfeasibleError, NumericalError, ValidationError
+from .errors import InfeasibleError, PipelineError, ValidationError
 from .instance import EPS_D, MetricInstance
 
 log = logging.getLogger("fairclus")
@@ -367,7 +367,8 @@ def solve_lp(model: LpModel):
         if res.status == 2:
             return None
         if res.status != 0:
-            raise NumericalError(f"LP backend failed with status {res.status}: {res.message}")
+            raise PipelineError(
+                "lp", f"LP backend failed with status {res.status}: {res.message}")
         value = np.maximum(res.x, 0.0)
 
     # northwest corner: member r of class G takes [r, r + 1) of G's mass,
@@ -385,19 +386,19 @@ def solve_lp(model: LpModel):
     np.clip(x, 0.0, 1.0, out=x)
     sums = x.sum(axis=0)
     if np.any(sums < 0.5):
-        raise NumericalError("an assignment column lost more than half its mass")
+        raise PipelineError("lp", "an assignment column lost more than half its mass")
     x /= sums[None, :]
     return FractionalSolution(rows=model.centers, x=x)
 
 
 def check_lp_solution(model: LpModel, sol: FractionalSolution,
                       inst: MetricInstance, gf: GroupFairnessSpec) -> None:
-    """Raise NumericalError if a repaired solution of ``model`` breaks any
+    """Raise PipelineError if a repaired solution of ``model`` breaks any
     constraint by more than RESIDUAL_TOL."""
     resid = lp_residuals(inst, gf, sol, lam=model.lam, centers=model.centers)
     if resid["max"] > RESIDUAL_TOL:
-        raise NumericalError(
-            f"post-repair residual {resid['max']:.3e} exceeds {RESIDUAL_TOL}: {resid}")
+        raise PipelineError(
+            "lp", f"post-repair residual {resid['max']:.3e} exceeds {RESIDUAL_TOL}: {resid}")
 
 
 def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec,

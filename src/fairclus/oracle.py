@@ -12,7 +12,8 @@ empty cluster. The search finds it as follows:
   before any set is searched. The depth-first search over assignments enters
   only subtrees the check passes.
 - Every center set is scored at once by its root bound: each point paid at
-  its nearest center, combined as the objective combines costs. Sets are
+  its nearest center, combined as the objective combines costs
+  (``constraints.center_set_costs``, the exact backend's scorer). Sets are
   visited in (bound, lexicographic) order, and the search stops at the first
   set whose bound cannot beat the incumbent. For the sum objectives a bound
   may exceed the incumbent's cost by the relative slack ``PRUNE_SLACK``, so
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
-                          _require_colors, diverse_center_blocks, make_clustering,
-                          point_costs)
+                          _require_colors, center_set_costs, diverse_center_blocks,
+                          make_clustering, point_costs)
 from .errors import BudgetExceededError, InfeasibleError, ValidationError
 from .instance import MetricInstance
 
@@ -240,9 +241,8 @@ def brute_force_doubly_fair(inst: MetricInstance, gf: GroupFairnessSpec,
     # the root check refuses an infeasible request before any set is searched
     if blocks and completion.ok(0, (0,) * ds.k):
         sets = np.concatenate(blocks)
-        bounds = np.concatenate([
-            _suffix_bounds(search.contrib[block].min(axis=1), objective)[:, 0]
-            for block in blocks])
+        bounds = np.concatenate([center_set_costs(inst, block, objective)
+                                 for block in blocks])
         for i in np.argsort(bounds, kind="stable").tolist():
             centers = tuple(sets[i].tolist())
             if search.best is not None and not search.may_beat(bounds[i], centers):

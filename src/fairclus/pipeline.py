@@ -138,10 +138,10 @@ def _run_oracle(inst, gf, ds, objective, report):
         report.oracle_note = "oracle budget exceeded"
         return
     report.oracle_cost = opt.cost
-    if opt.cost > EPS_D:
+    if opt.cost > 0:
         report.oracle_ratio = report.cost / opt.cost
     else:
-        report.oracle_ratio = 1.0 if report.cost <= EPS_D else math.inf
+        report.oracle_ratio = 1.0 if report.cost == 0 else math.inf
 
 
 def _round_flow(inst, sol, objective, artifacts):

@@ -520,6 +520,18 @@ def test_dumps_survive_a_failed_flow(tmp_path, capsys, monkeypatch):
     assert fl_path.read_text().startswith("arc ")
 
 
+def test_an_lp_failure_exits_3(tmp_path, capsys, monkeypatch):
+    """A solution the LP stage's own check refuses is an internal failure:
+    exit 3 with a contract-violation line naming the stage, no traceback."""
+    monkeypatch.setattr(lp_module, "RESIDUAL_TOL", -1.0)
+    inst_path, spec_path = _gen_pair(tmp_path, seed=13)
+    assert run_cli("solve", "--instance", str(inst_path), "--spec", str(spec_path),
+                   "--objective", "median") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation: [lp] post-repair residual")
+    assert "Traceback" not in err
+
+
 def _write_four_of_one_color(tmp_path):
     """Four points of color 0 of m = 2 and k = 2 with at most one center per
     color: the precheck refuses it."""

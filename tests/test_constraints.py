@@ -11,7 +11,8 @@ from fairclus import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
                       default_ds_profile, exact_gf_spec, feasibility_precheck,
                       gf_violation, load_fairness_spec, make_clustering,
                       make_instance, random_instance)
-from fairclus.constraints import (CENTER_SET_BLOCK, center_count_failures,
+from fairclus import constraints
+from fairclus.constraints import (GATHER_CELLS, center_count_failures,
                                   diverse_center_blocks, objective_value,
                                   point_costs)
 from fairclus.errors import ParseError
@@ -458,14 +459,31 @@ def test_diverse_center_sets_are_the_check_ds_passing_combinations():
         next(diverse_center_blocks(inst, CenterDiversitySpec((0, 0), (2, 2), k=2)))
 
 
-def test_diverse_center_sets_across_a_block_boundary():
-    """C(20, 4) = 4845 combinations span two blocks; the blocks' rows, in
-    order, are the sets of the per-set filter."""
+def test_diverse_center_sets_across_a_block_boundary(monkeypatch):
+    """With 1 << 14 cells a block holds 204 combinations at n=20, k=4, so the
+    C(20, 4) = 4845 of them span many blocks; the blocks' rows, in order,
+    are the sets of the per-set filter."""
+    monkeypatch.setattr(constraints, "GATHER_CELLS", 1 << 14)
     inst = random_instance(20, 3, seed=8)
     combos = list(combinations(range(inst.n), 4))
-    assert len(combos) > CENTER_SET_BLOCK
+    assert len(combos) > (1 << 14) // (4 * inst.n)
     for ds in (default_ds_profile(inst, 4),
                CenterDiversitySpec(lower=(0, 1, 0), upper=(2, 3, 4), k=4),
                CenterDiversitySpec(lower=(0, 0, 0), upper=(4, 4, 4), k=4)):
         expected = [c for c in combos if check_ds(inst, c, ds)]
         assert _diverse_center_sets(inst, ds) == expected
+
+
+@pytest.mark.parametrize("n, k, cells", [(300, 2, GATHER_CELLS), (10, 2, 16)])
+def test_a_block_holds_at_most_gather_cells_over_k_n_sets(monkeypatch, n, k, cells):
+    """Scoring a block gathers at most ``GATHER_CELLS`` distances, and at
+    least one set when k n exceeds it; with every set accepted, every
+    block but the last is full."""
+    monkeypatch.setattr(constraints, "GATHER_CELLS", cells)
+    inst = random_instance(n, 2, seed=5)
+    rows = max(1, cells // (k * n))
+    sizes = [len(sets) for sets in diverse_center_blocks(
+        inst, CenterDiversitySpec(lower=(0, 0), upper=(k, k), k=k))]
+    assert sum(sizes) == math.comb(n, k)
+    assert len(sizes) >= 2
+    assert sizes[:-1] == [rows] * (len(sizes) - 1) and sizes[-1] <= rows

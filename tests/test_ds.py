@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -10,8 +11,8 @@ from fairclus import (BudgetExceededError, CenterDiversitySpec,
                       ContractViolationError, ExactBackend, GreedyBackend,
                       InfeasibleError, SubprocessBackend, check_ds,
                       default_ds_profile, ds_cost, exact_gf_spec,
-                      make_instance, random_instance, solve, solve_ds_exact,
-                      solve_ds_greedy, solve_ds_plugin)
+                      make_instance, random_instance, solve, solve_ds_plugin)
+from fairclus import constraints
 from fairclus.constraints import diverse_center_blocks
 
 from conftest import line_instance
@@ -21,7 +22,7 @@ def test_two_points_opposite_colors():
     inst = line_instance([0, 1], [0, 1])
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
     for objective in ("center", "median", "means"):
-        sol = solve_ds_exact(inst, ds, objective)
+        sol = solve_ds_plugin(inst, ds, objective, ExactBackend())
         assert sol.centers == (0, 1)
         assert sol.cost == 0.0
         assert sol.alpha == 1.0
@@ -30,7 +31,7 @@ def test_two_points_opposite_colors():
 def test_four_point_line_radius_one():
     inst = line_instance([0, 1, 10, 11], [0, 1, 0, 1])
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    sol = solve_ds_exact(inst, ds, "center")
+    sol = solve_ds_plugin(inst, ds, "center", ExactBackend())
     assert sol.cost == pytest.approx(1.0)
     # brute force over all C(4,2) center pairs confirms no feasible pair does better
     best = math.inf
@@ -56,7 +57,7 @@ def test_exact_is_optimal_by_reenumeration():
             continue
         ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=k)
         for objective in ("center", "median", "means"):
-            sol = solve_ds_exact(inst, ds, objective)
+            sol = solve_ds_plugin(inst, ds, objective, ExactBackend())
             for combo in combinations(range(n), k):
                 if check_ds(inst, combo, ds):
                     assert ds_cost(inst, combo, objective) >= sol.cost - 1e-12
@@ -65,8 +66,8 @@ def test_exact_is_optimal_by_reenumeration():
 def test_exact_determinism():
     inst = random_instance(9, 2, seed=2)
     ds = CenterDiversitySpec(lower=(1, 1), upper=(2, 2), k=3)
-    a = solve_ds_exact(inst, ds, "median")
-    b = solve_ds_exact(inst, ds, "median")
+    a = solve_ds_plugin(inst, ds, "median", ExactBackend())
+    b = solve_ds_plugin(inst, ds, "median", ExactBackend())
     assert a == b
 
 
@@ -96,12 +97,16 @@ def test_ds_cost_matches_naive_loop():
             sum(v * v for v in mins))
 
 
-def test_exact_keeps_the_first_minimum_of_a_per_set_loop():
+def test_exact_keeps_the_first_minimum_of_a_per_set_loop(monkeypatch):
     """Blocks scored at once pick the set, and the cost to the last bit, that
     a loop over the sets in lexicographic order keeps; integer coordinates
-    give exact ties, and n=20, k=4 spans two blocks."""
+    give exact ties, and with 1024 cells per block n=20, k=4 spans many
+    blocks and n=10, k=3 several."""
+    monkeypatch.setattr(constraints, "GATHER_CELLS", 1 << 10)
     rng = np.random.default_rng(19)
     cases = [(random_instance(20, 2, seed=3), 4)]
+    assert len(list(diverse_center_blocks(
+        cases[0][0], CenterDiversitySpec(lower=(0, 0), upper=(4, 4), k=4)))) >= 2
     for _ in range(12):
         n = int(rng.integers(5, 11))
         cases.append((make_instance(np.arange(n) % 2, coords=rng.integers(0, 3, (n, 2)),
@@ -116,7 +121,7 @@ def test_exact_keeps_the_first_minimum_of_a_per_set_loop():
                         cost = ds_cost(inst, combo, objective)
                         if cost < best_cost:
                             best_cost, best_set = cost, combo
-                sol = solve_ds_exact(inst, ds, objective)
+                sol = solve_ds_plugin(inst, ds, objective, ExactBackend())
                 assert (sol.centers, sol.cost) == (best_set, best_cost)
 
 
@@ -125,7 +130,7 @@ def test_exact_budget_guard():
     inst = random_instance(30, 2, seed=4)
     ds = CenterDiversitySpec(lower=(0, 0), upper=(15, 15), k=15)
     with pytest.raises(BudgetExceededError, match="exact enumeration budget"):
-        solve_ds_exact(inst, ds, "center")
+        solve_ds_plugin(inst, ds, "center", ExactBackend())
 
 
 def test_exact_infeasible_spec():
@@ -133,7 +138,7 @@ def test_exact_infeasible_spec():
     # two centers of color 1 requested, only one such point exists
     ds = CenterDiversitySpec(lower=(0, 2), upper=(0, 2), k=2)
     with pytest.raises(InfeasibleError):
-        solve_ds_exact(inst, ds, "center")
+        solve_ds_plugin(inst, ds, "center", ExactBackend())
 
 
 def test_greedy_feasible_and_deterministic():
@@ -152,8 +157,8 @@ def test_greedy_feasible_and_deterministic():
         k = min(n, 4)
         upper = [k] * m
         ds = CenterDiversitySpec(lower=tuple(lower), upper=tuple(upper), k=k)
-        a = solve_ds_greedy(inst, ds, "center")
-        b = solve_ds_greedy(inst, ds, "center")
+        a = solve_ds_plugin(inst, ds, "center", GreedyBackend())
+        b = solve_ds_plugin(inst, ds, "center", GreedyBackend())
         assert a == b
         assert len(a.centers) == k
         assert check_ds(inst, a.centers, ds)
@@ -164,7 +169,7 @@ def test_greedy_repair_shifts_colors():
     # farthest-first alone would pick both far points of color 0
     inst = line_instance([0.0, 0.1, 100.0, 100.1], [0, 1, 0, 1])
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    sol = solve_ds_greedy(inst, ds, "center")
+    sol = solve_ds_plugin(inst, ds, "center", GreedyBackend())
     assert check_ds(inst, sol.centers, ds)
 
 
@@ -175,7 +180,7 @@ def test_greedy_opens_distinct_centers_on_duplicate_points():
         inst = make_instance([0, 1, 0, 1, 0, 1], coords=coords)
         for k in (2, 3, 4):
             ds = CenterDiversitySpec(lower=(1, 1), upper=(k - 1, k - 1), k=k)
-            sol = solve_ds_greedy(inst, ds, "center")
+            sol = solve_ds_plugin(inst, ds, "center", GreedyBackend())
             assert len(set(sol.centers)) == k
             assert check_ds(inst, sol.centers, ds)
 
@@ -185,7 +190,7 @@ def test_greedy_repair_drops_every_center_of_an_unwanted_color():
     # center: dropping the last of them once failed on an empty min()
     inst = line_instance([0.0, 10.0, 4.0, 6.0], [0, 0, 1, 1])
     ds = CenterDiversitySpec(lower=(0, 2), upper=(0, 2), k=2)
-    assert solve_ds_greedy(inst, ds, "center").centers == (2, 3)
+    assert solve_ds_plugin(inst, ds, "center", GreedyBackend()).centers == (2, 3)
 
 
 @st.composite
@@ -209,12 +214,12 @@ def _greedy_cases(draw):
 @given(_greedy_cases())
 def test_greedy_succeeds_exactly_when_a_feasible_set_exists(case):
     """The greedy pass succeeds exactly when a feasible center set exists,
-    and the greedy backend, through the plugin contract, returns the same
-    solution or refuses the same request."""
+    and a second run returns the same solution or refuses the same
+    request."""
     inst, ds, objective = case
     exists = any(True for _ in diverse_center_blocks(inst, ds))
     try:
-        sol = solve_ds_greedy(inst, ds, objective)
+        sol = solve_ds_plugin(inst, ds, objective, GreedyBackend())
     except InfeasibleError as exc:
         assert not exists
         assert exc.diagnosis
@@ -224,7 +229,6 @@ def test_greedy_succeeds_exactly_when_a_feasible_set_exists(case):
     assert exists
     assert len(set(sol.centers)) == ds.k
     assert check_ds(inst, sol.centers, ds)
-    assert solve_ds_greedy(inst, ds, objective) == sol
     assert solve_ds_plugin(inst, ds, objective, GreedyBackend()) == sol
 
 
@@ -235,23 +239,14 @@ class _BrokenCountBackend:
         return tuple(range(ds.k - 1)), None
 
 
-class _BrokenColorBackend:
-    backend_id = "broken-color"
+class _Answers:
+    backend_id = "answers"
 
-    def __init__(self, centers):
-        self._centers = centers
+    def __init__(self, centers, alpha=None):
+        self.answer = centers, alpha
 
     def solve_raw(self, inst, ds, objective):
-        return self._centers, None
-
-
-def test_plugin_matches_exact_backend():
-    inst = random_instance(8, 2, seed=6)
-    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    direct = solve_ds_exact(inst, ds, "means")
-    via_plugin = solve_ds_plugin(inst, ds, "means", ExactBackend())
-    assert via_plugin.centers == direct.centers
-    assert via_plugin.cost == pytest.approx(direct.cost)
+        return self.answer
 
 
 def test_plugin_contract_violations():
@@ -260,9 +255,9 @@ def test_plugin_contract_violations():
     with pytest.raises(ContractViolationError, match="exactly k"):
         solve_ds_plugin(inst, ds, "center", _BrokenCountBackend())
     with pytest.raises(ContractViolationError, match="center-count"):
-        solve_ds_plugin(inst, ds, "center", _BrokenColorBackend((0, 2)))
+        solve_ds_plugin(inst, ds, "center", _Answers((0, 2)))
     with pytest.raises(ContractViolationError, match="out-of-range"):
-        solve_ds_plugin(inst, ds, "center", _BrokenColorBackend((0, 9)))
+        solve_ds_plugin(inst, ds, "center", _Answers((0, 9)))
 
 
 def test_plugin_cost_never_below_exact_optimum():
@@ -275,7 +270,7 @@ def test_plugin_cost_never_below_exact_optimum():
         if counts[0] < 1 or counts[1] < 1:
             continue
         ds = CenterDiversitySpec(lower=(1, 1), upper=(6, 6), k=2)
-        exact = solve_ds_exact(inst, ds, "median")
+        exact = solve_ds_plugin(inst, ds, "median", ExactBackend())
 
         feasible_sets = [c for c in combinations(range(7), 2)
                          if check_ds(inst, c, ds)]
@@ -291,6 +286,40 @@ def test_plugin_cost_never_below_exact_optimum():
         assert sol.cost >= exact.cost - 1e-12
 
 
+@pytest.mark.parametrize("answer", [
+    {"centers": [0.6, 1.9], "alpha": True},
+    {"centers": "01", "alpha": "2.5"},
+    {"centers": [True, 2]},
+    {"centers": [0, 1], "alpha": True},
+    {"centers": [0, 1], "alpha": "2.5"},
+    {"centers": [0, 1], "alpha": 10 ** 400},
+    {"centers": 1},
+])
+def test_plugin_refuses_ids_that_are_not_integers_and_factors_that_are_not_numbers(
+        tmp_path, answer):
+    """Answers a coercing plugin once read as a valid solution ((0, 1) or
+    (1, 2), with factor 1 or 2.5) are refused, from a subprocess and from a
+    Python backend alike."""
+    inst = line_instance([0, 1, 2, 3], [0, 1, 0, 1])
+    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
+    script = tmp_path / "backend.py"
+    script.write_text(f"print({json.dumps(answer)!r})\n")
+    for backend in (SubprocessBackend(f"python3 {script}"),
+                    _Answers(answer["centers"], answer.get("alpha"))):
+        with pytest.raises(ContractViolationError,
+                           match="integer point ids|claimed factor"):
+            solve_ds_plugin(inst, ds, "center", backend)
+
+
+def test_plugin_takes_numpy_ids_and_any_real_factor_as_a_float():
+    inst = line_instance([0, 1, 2, 3], [0, 1, 0, 1])
+    ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
+    for alpha in (2, np.float32(2.0), np.int64(2)):
+        sol = solve_ds_plugin(inst, ds, "center", _Answers(np.array([3, 0]), alpha))
+        assert sol.centers == (0, 3) and all(type(c) is int for c in sol.centers)
+        assert type(sol.alpha) is float and sol.alpha == 2.0
+
+
 class _Claims:
     backend_id = "claims"
 
@@ -298,7 +327,7 @@ class _Claims:
         self.alpha = alpha
 
     def solve_raw(self, inst, ds, objective):
-        return solve_ds_exact(inst, ds, objective).centers, self.alpha
+        return ExactBackend().solve_raw(inst, ds, objective)[0], self.alpha
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.5])

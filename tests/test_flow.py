@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairclus import (CenterDiversitySpec, GreedyBackend, PipelineError,
+from fairclus import (CenterDiversitySpec, ExactBackend, GreedyBackend, PipelineError,
                       default_ds_profile, exact_gf_spec, fractional_cost,
                       make_instance, pairwise_distance_set, random_instance,
-                      reroute_center, reroute_medmeans, solve, solve_ds_exact)
+                      reroute_center, reroute_medmeans, solve, solve_ds_plugin)
 from fairclus import flow as flow_module
 from fairclus.flow import (build_flow, check_mass_windows, dump_flow_text,
                            extract_assignment, min_cost_flow, snap_to_integer)
@@ -139,7 +139,7 @@ def _center_stage(inst, gf, k):
     if sum(lower) > k:
         lower = (0,) * inst.m
     ds = CenterDiversitySpec(lower=lower, upper=(k,) * inst.m, k=k)
-    ds_sol = solve_ds_exact(inst, ds, "center")
+    ds_sol = solve_ds_plugin(inst, ds, "center", ExactBackend())
     lam = max(full_lp_min_feasible_lambda(inst, gf, k, pairwise_distance_set(inst))[0],
               ds_sol.cost)
     sol = solve_full_lp(inst, gf, k, lam, None)
@@ -150,7 +150,7 @@ def _center_stage(inst, gf, k):
 
 def _medmeans_stage(inst, gf, objective):
     ds = CenterDiversitySpec(lower=(0, 0), upper=(2, 2), k=2)
-    ds_sol = solve_ds_exact(inst, ds, objective)
+    ds_sol = solve_ds_plugin(inst, ds, objective, ExactBackend())
     sol = solve_full_lp(inst, gf, 2, None, objective)
     check_full_lp_solution(inst, gf, 2, None, sol)
     rerouted, _ = reroute_medmeans(inst, sol, ds_sol.centers)

@@ -23,7 +23,7 @@ from fairclus import (ExactBackend, GreedyBackend, GroupFairnessSpec,
                       random_instance, solve, solve_lp)
 from fairclus import lp as lp_module
 from fairclus.constraints import point_costs
-from fairclus.errors import NumericalError
+from fairclus.errors import PipelineError
 from fairclus.instance import EPS_D
 from fairclus.lp import (EPS_POS, RESIDUAL_TOL, FractionalSolution, check_lp_solution,
                          dump_lp_text)
@@ -88,7 +88,7 @@ def test_check_lp_solution_holds_the_mass_rows():
     resid = lp_residuals(inst, gf, doctored, centers=model.centers)
     assert resid["mass"] == pytest.approx(1e-6)
     assert max(v for key, v in resid.items() if key not in ("mass", "max")) <= 1e-15
-    with pytest.raises(NumericalError, match="post-repair residual"):
+    with pytest.raises(PipelineError, match=r"\[lp\] post-repair residual"):
         check_lp_solution(model, doctored, inst, gf)
 
 

@@ -12,7 +12,6 @@ from fairclus import (BudgetExceededError, CenterDiversitySpec,
                       check_ds, default_ds_profile, ds_cost, exact_gf_spec,
                       gf_violation, make_instance, random_instance)
 from fairclus.constraints import OBJECTIVES
-from fairclus.ds import nearest_assignment
 
 from conftest import balanced_instance, line_instance, vacuous_gf, window_gf
 from reference_oracle import (exhaustive_doubly_fair, reference_doubly_fair,
@@ -304,7 +303,8 @@ def test_gf_assignment_vacuous_equals_nearest():
         for objective in ("median", "means"):
             clus = brute_force_gf_assignment(inst, centers, vacuous_gf(2),
                                              objective)
-            nearest = nearest_assignment(inst, centers)
+            # centers ascend, so argmin's first minimum is the lowest id on ties
+            nearest = np.array(centers)[inst.distance_matrix()[centers].argmin(axis=0)]
             expected = ds_cost(inst, centers, objective)
             assert clus.cost == pytest.approx(expected)
             assert list(clus.assignment) == nearest.tolist()

@@ -210,8 +210,7 @@ def test_claimed_alpha_three_reports_factor_four():
         backend_id = "claims3"
 
         def solve_raw(self, inst, ds, objective):
-            from fairclus import solve_ds_exact
-            return solve_ds_exact(inst, ds, objective).centers, 3.0
+            return ExactBackend().solve_raw(inst, ds, objective)[0], 3.0
 
     inst = balanced_instance(8, 2, seed=11)
     gf = window_gf(inst)
@@ -777,3 +776,34 @@ def test_medmeans_clustering_is_scale_free(objective):
             got, _ = solve(inst, gf, ds, objective, backend=ExactBackend())
             assert (got.centers, got.assignment) == (want.centers, want.assignment), (seed, e)
             assert got.cost == pytest.approx(want.cost * s ** power, rel=1e-12)
+
+
+@pytest.mark.parametrize("objective", ["median", "means"])
+def test_oracle_ratio_is_scale_free(objective):
+    """The oracle ratio divides by the optimum whatever its scale: at
+    coordinates scaled by 2^-20 the k-means optimum is about 6e-13, which an
+    absolute cutoff of 1e-9 once read as zero, reporting a ratio of 1."""
+    base = random_instance(9, 2, seed=8)
+    ds = default_ds_profile(base, 3)
+    _, want = solve(base, exact_gf_spec(base), ds, objective, with_oracle=True)
+    assert want.oracle_ratio > 1.0
+    for e in (-20, 20):
+        inst = make_instance(base.colors, coords=base.coords * 2.0 ** e, m=2)
+        _, got = solve(inst, exact_gf_spec(inst), ds, objective, with_oracle=True)
+        assert got.oracle_ratio == pytest.approx(want.oracle_ratio, rel=1e-12), e
+
+
+def test_oracle_ratio_of_a_zero_optimum():
+    """A zero optimum gives ratio 1 for a zero cost and infinity otherwise."""
+    report = pipeline.SolveReport(
+        objective="median", n=2, m=1, k=1, cost=0.0, ds_backend="exact",
+        ds_cost=0.0, alpha=1.0, guaranteed_factor=4.0, gf_violation=0.0,
+        ds_satisfied=True, min_cluster_size=2)
+    inst = make_instance([0, 0], coords=[[0.0], [0.0]])
+    gf = GroupFairnessSpec(lower=(1,), upper=(1,))
+    ds = CenterDiversitySpec(lower=(1,), upper=(1,), k=1)
+    pipeline._run_oracle(inst, gf, ds, "median", report)
+    assert (report.oracle_cost, report.oracle_ratio) == (0.0, 1.0)
+    report.cost = 2.0 ** -1074
+    pipeline._run_oracle(inst, gf, ds, "median", report)
+    assert report.oracle_ratio == math.inf

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fairclus import (CenterDiversitySpec, fractional_cost, lp_residuals,
-                      make_instance, pairwise_distance_set, random_instance,
-                      reroute_center, reroute_medmeans, solve_ds_exact)
+from fairclus import (CenterDiversitySpec, ExactBackend, fractional_cost,
+                      lp_residuals, make_instance, pairwise_distance_set,
+                      random_instance, reroute_center, reroute_medmeans,
+                      solve_ds_plugin)
 from fairclus.lp import FractionalSolution
 from fairclus.pipeline import means_pq
 from fairclus.rerouting import check_rerouted
@@ -97,7 +98,7 @@ def _pipeline_front(inst, gf, k, objective, seed_ds=None):
     if sum(lower) > k:
         lower = tuple(0 for _ in range(inst.m))
     ds = CenterDiversitySpec(lower=lower, upper=(k,) * inst.m, k=k)
-    ds_sol = solve_ds_exact(inst, ds, objective)
+    ds_sol = solve_ds_plugin(inst, ds, objective, ExactBackend())
     if objective == "center":
         radii = pairwise_distance_set(inst)
         lam = max(full_lp_min_feasible_lambda(inst, gf, k, radii)[0],
