@@ -8,6 +8,7 @@ count comparisons never fail on float noise.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -95,10 +96,54 @@ class GroupFairnessSpec:
         return len(self.lower)
 
     def lower_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.lower])
+        return self._floats[0]
 
     def upper_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.upper])
+        return self._floats[1]
+
+    @functools.cached_property
+    def _floats(self) -> tuple:
+        """The ratio bounds as read-only float arrays, made once per spec."""
+        bounds = (np.array([float(v) for v in self.lower]),
+                  np.array([float(v) for v in self.upper]))
+        for array in bounds:
+            array.flags.writeable = False
+        return bounds
+
+    @functools.cached_property
+    def _integer_windows(self) -> tuple:
+        """Each color's window over its own common denominator, made once
+        per spec: q_h = lcm of the denominators of l_h and u_h, then l_h q_h
+        and u_h q_h, three tuples of Python integers."""
+        den = tuple(math.lcm(low.denominator, up.denominator)
+                    for low, up in zip(self.lower, self.upper))
+        return (den, tuple(r.numerator * (q // r.denominator) for r, q in zip(self.lower, den)),
+                tuple(r.numerator * (q // r.denominator) for r, q in zip(self.upper, den)))
+
+    @functools.cached_property
+    def ratio_rows(self) -> tuple:
+        """Color, kind ("upper", "lower" or "equal") and float bound of
+        each ratio row a cluster is held to, as two tuples: the <= rows, per
+        color an upper row if u_h < 1 and a lower row if l_h > 0; then one
+        equality row per color with 0 < l_h = u_h < 1, which has no <= rows.
+        If every color has l_h = u_h, the ratios sum to 1 and the last
+        color's rows, minus the sum of the others', are left out. Made once
+        per spec."""
+        ub, eq = [], []
+        exact = self.lower == self.upper
+        for h, (lower, upper) in enumerate(zip(self.lower, self.upper)):
+            if exact and h == self.m - 1:
+                break
+            # Fractions in lowest terms: 0 < r < 1 iff 0 < numerator < denominator
+            below_one = upper.numerator < upper.denominator
+            if lower == upper and lower.numerator > 0 and below_one:
+                eq.append((h, "equal", float(upper)))
+                continue
+            if below_one:
+                ub.append((h, "upper", float(upper)))
+            if lower.numerator > 0:
+                ub.append((h, "lower", float(lower)))
+        return tuple(ub), tuple(eq)
 
 
 @dataclass(frozen=True)
@@ -144,9 +189,9 @@ class Clustering:
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"unknown objective {self.objective!r}")
         cset = set(self.centers)
-        for j, c in enumerate(self.assignment):
-            if c not in cset:
-                raise ValidationError(f"point {j} assigned to non-center {c}")
+        if not cset.issuperset(self.assignment):
+            j, c = next((j, c) for j, c in enumerate(self.assignment) if c not in cset)
+            raise ValidationError(f"point {j} assigned to non-center {c}")
 
     def members(self, center: int) -> list:
         return [j for j, c in enumerate(self.assignment) if c == center]
@@ -204,7 +249,7 @@ def cluster_color_counts(inst: MetricInstance, clustering: Clustering) -> np.nda
     """(k, m) table of each cluster's color counts, a row per center in the
     order of ``clustering.centers``; its row sums are the cluster sizes."""
     centers = np.asarray(clustering.centers, dtype=np.int64)
-    if len(clustering.assignment) != inst.n or np.any((centers < 0) | (centers >= inst.n)):
+    if len(clustering.assignment) != inst.n or not all(0 <= c < inst.n for c in centers.tolist()):
         raise ValidationError(f"the clustering does not fit the instance's {inst.n} points")
     cell = np.asarray(clustering.assignment, dtype=np.int64) * inst.m + inst.colors
     return np.bincount(cell, minlength=inst.n * inst.m).reshape(inst.n, inst.m)[centers]
@@ -216,18 +261,20 @@ def _worst_violation(counts: np.ndarray, gf: GroupFairnessSpec) -> Fraction:
     negative when every count is strictly inside.
 
     Exact: per color h, every term is an integer over the common denominator
-    q_h of l_h and u_h, computed in int64 where q_h * (n + 1) stays below
-    2^62 and in Python integers otherwise."""
+    q_h of l_h and u_h, computed in int64 where max_h q_h * (n + 1) stays
+    below 2^62 and in Python integers otherwise."""
     sizes = counts.sum(axis=1)
-    excess = []
-    for h, (low, up) in enumerate(zip(gf.lower, gf.upper)):
-        den = math.lcm(low.denominator, up.denominator)
-        kind = np.int64 if den * (int(sizes.max()) + 1) < 2**62 else object
-        size, count = sizes.astype(kind), counts[:, h].astype(kind)
-        over = max((int(low * den) * size - den * count).max(),
-                   (den * count - int(up * den) * size).max())
-        excess.append(Fraction(int(over), den))
-    return max(excess)
+    den, low, up = gf._integer_windows
+    kind = np.int64 if max(den) * (int(sizes.max()) + 1) < 2**62 else object
+    size = sizes.astype(kind)[:, None]
+    scaled = counts.astype(kind) * np.array(den, dtype=kind)
+    over = np.maximum(np.array(low, dtype=kind) * size - scaled,
+                      scaled - np.array(up, dtype=kind) * size).max(axis=0).tolist()
+    best = 0  # the color of the largest over_h / q_h
+    for h in range(1, len(den)):
+        if over[h] * den[best] > over[best] * den[h]:
+            best = h
+    return Fraction(int(over[best]), den[best])
 
 
 def gf_violation_of_counts(counts: np.ndarray, gf: GroupFairnessSpec) -> float:
@@ -256,9 +303,9 @@ def check_ds(inst: MetricInstance, centers, ds: CenterDiversitySpec) -> bool:
     centers = list(centers)
     if len(centers) != ds.k or len(set(centers)) != len(centers):
         return False
-    counts = np.bincount(inst.colors[centers], minlength=ds.m) if centers else \
-        np.zeros(ds.m, dtype=int)
-    return all(ds.lower[h] <= counts[h] <= ds.upper[h] for h in range(ds.m))
+    counts = np.bincount(inst.colors[centers], minlength=ds.m).tolist() if centers else \
+        [0] * ds.m
+    return all(low <= count <= up for low, count, up in zip(ds.lower, counts, ds.upper))
 
 
 def diverse_center_blocks(inst: MetricInstance, ds: CenterDiversitySpec):

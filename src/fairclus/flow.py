@@ -76,18 +76,17 @@ def build_flow(sol: FractionalSolution, inst: MetricInstance,
     ``objective``."""
     n, m, k = inst.n, inst.m, sol.rows.size
     # masses per (center, color), centers outermost, then per center
-    masses = snap_to_integer(np.concatenate(
-        (np.column_stack([sol.x[:, inst.colors == h].sum(axis=1) for h in range(m)]).ravel(),
-         sol.x.sum(axis=1))))
-    point, slot = np.nonzero(sol.x.T > EPS_POS)
-    arcs = np.column_stack((sol.rows[slot], point))
-    cost = point_costs(inst.distance_matrix()[arcs[:, 0], arcs[:, 1]], objective)
-    arc_rows = np.column_stack((point, n + slot * m + inst.colors[point],
-                                n + k * m + slot))
-    lower = np.concatenate((np.ones(n), np.floor(masses)))
-    upper = np.concatenate((np.ones(n), np.ceil(masses)))
-    return FlowNetwork(n=n, m=m, centers=tuple(sol.rows.tolist()), arcs=arcs,
-                       cost=cost, arc_rows=arc_rows, lower=lower, upper=upper)
+    table = sol.masses(inst)
+    masses = snap_to_integer(np.concatenate((table[:, :-1].ravel(), table[:, -1])))
+    point, slot = (sol.x.T > EPS_POS).nonzero()
+    center = sol.rows[slot]
+    cost = point_costs(inst.distance_matrix()[center, point], objective)
+    arc_rows = np.array((point, n + slot * m + inst.colors[point], n + k * m + slot)).T
+    ones = np.ones(n)
+    return FlowNetwork(n=n, m=m, centers=tuple(sol.rows.tolist()),
+                       arcs=np.array((center, point)).T, cost=cost, arc_rows=arc_rows,
+                       lower=np.concatenate((ones, np.floor(masses))),
+                       upper=np.concatenate((ones, np.ceil(masses))))
 
 
 def min_cost_flow(net: FlowNetwork) -> np.ndarray:
@@ -106,48 +105,55 @@ def min_cost_flow(net: FlowNetwork) -> np.ndarray:
     taken = np.bincount(net.arc_rows[fixed, 1:].ravel(), minlength=net.lower.size)[n:]
     lower = np.maximum(net.lower[n:] - taken, 0.0)
     upper = net.upper[n:] - taken
-    free = np.flatnonzero(~fixed)
+    free = (~fixed).nonzero()[0]
     if (upper < 0).any() or (not free.size and lower.any()):
         raise PipelineError("flow", "no assignment meets the row windows")
     if free.size:
-        flows[free] = _route(point[free], net.arc_rows[free, 1] - n, net.cost[free],
-                             lower.astype(int), upper.astype(int), len(net.centers), net.m)
+        flows[free] = _route(net.arc_rows[free, :2].tolist(), net.cost[free].tolist(),
+                             lower.astype(int).tolist(), upper.astype(int).tolist(),
+                             n, len(net.centers), net.m)
     return flows
 
 
-def _route(points, windows, cost, lower, upper, k: int, m: int) -> np.ndarray:
-    """0/1 flows on the given point arcs of a cheapest routing of one unit
-    per point through the residual windows ``lower``/``upper`` (k*m
-    (center, color) rows, then k center rows).
+def _route(arcs: list, cost: list, lower: list, upper: list, n: int, k: int,
+           m: int) -> np.ndarray:
+    """0/1 flows on the given point arcs, each a (point, (center, color)
+    row) pair of network rows, of a cheapest routing of one unit per point
+    through the residual windows ``lower``/``upper`` (k*m (center, color)
+    rows, then k center rows).
 
     Nodes: the points, the rows in order, then a sink taking one unit per
     point. A window [lo, hi] on the arc out of a row becomes an arc of
     capacity hi - lo plus a demand of lo at its tail and a supply of lo at
     its head. Each round, one Dijkstra over the residual arcs from every
     node with excess finds the nearest node with a deficit; the potentials
-    then rise by the distances, and the path carries what it can.
+    then rise by the distances, and the path carries what it can. Arc a's
+    reverse is a ^ 1.
     """
-    _, node_of = np.unique(points, return_inverse=True)
-    f = int(node_of.max()) + 1
-    sink = f + k * m + k
+    node = {p: u for u, p in enumerate(sorted({p for p, _ in arcs}))}  # in id order
+    f = len(node)
+    rows = k * m + k
+    sink = f + rows
     to, cap, price, adj = [], [], [], [[] for _ in range(sink + 1)]
-
-    def add_arc(u, v, capacity, c):
+    for (p, r), c in zip(arcs, cost):
+        u, v = node[p], f + r - n
         adj[u].append(len(to))
-        to.extend((v, u))
-        cap.extend((capacity, 0))
-        price.extend((c, -c))
-        adj[v].append(len(to) - 1)
-
-    excess = [1] * f + [0] * (k * m + k) + [-f]
-    for u, r, c in zip(node_of.tolist(), windows.tolist(), cost.tolist()):
-        add_arc(u, f + r, 1, c)
-    heads = [f + k * m + r // m for r in range(k * m)] + [sink] * k
-    for r, (head, lo, hi) in enumerate(zip(heads, lower.tolist(), upper.tolist())):
-        excess[f + r] -= lo
-        excess[head] += lo
+        adj[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (1, 0)
+        price += (c, -c)
+    excess = [1] * f + [0] * rows + [-f]
+    for r, (lo, hi) in enumerate(zip(lower, upper)):
+        u = f + r
+        v = f + k * m + r // m if r < k * m else sink
+        excess[u] -= lo
+        excess[v] += lo
         if hi > lo:
-            add_arc(f + r, head, hi - lo, 0.0)
+            adj[u].append(len(to))
+            adj[v].append(len(to) + 1)
+            to += (v, u)
+            cap += (hi - lo, 0)
+            price += (0.0, -0.0)
 
     potential = [0.0] * (sink + 1)
     while True:
@@ -167,11 +173,13 @@ def _route(points, windows, cost, lower, upper, k: int, m: int) -> np.ndarray:
             if excess[u] < 0:
                 target = u
                 break
+            base = potential[u]
             for a in adj[u]:
                 if cap[a]:
                     v = to[a]
                     # reduced costs are >= 0 up to rounding, which the clamp removes
-                    nd = d + max(price[a] + potential[u] - potential[v], 0.0)
+                    reduced = price[a] + base - potential[v]
+                    nd = d + reduced if reduced > 0.0 else d
                     if nd < dist[v]:
                         dist[v], prev[v] = nd, a
                         heapq.heappush(heap, (nd, v))
@@ -179,8 +187,8 @@ def _route(points, windows, cost, lower, upper, k: int, m: int) -> np.ndarray:
             raise PipelineError("flow", "no assignment meets the row windows")
         # nodes not settled before the target rise by its distance, which
         # keeps every residual reduced cost >= 0
-        for u, d in enumerate(dist):
-            potential[u] += min(d, dist[target])
+        reach = dist[target]
+        potential = [p + (reach if reach < d else d) for p, d in zip(potential, dist)]
         v = target
         path, amount = [], -excess[target]
         while prev[v] >= 0:
@@ -194,26 +202,27 @@ def _route(points, windows, cost, lower, upper, k: int, m: int) -> np.ndarray:
         for a in path:
             cap[a] -= amount
             cap[a ^ 1] += amount
-    return np.array(cap[1:2 * len(points):2], dtype=float)
+    return np.array(cap[1:2 * len(arcs):2], dtype=float)
 
 
 def extract_assignment(flows: np.ndarray, net: FlowNetwork) -> np.ndarray:
     """0/1 table, a row per center, from the arc flows; each must be 0 or 1."""
     flows = np.asarray(flows, dtype=float)
     units = np.rint(flows)
-    unit = (np.abs(flows - units) <= EPS_POS) & ((units == 0) | (units == 1))
-    bad = np.flatnonzero(~unit)  # NaN fails the first test
-    if bad.size:
+    unit = (np.abs(flows - units) <= EPS_POS) & (units * (units - 1.0) == 0.0)
+    if not unit.all():  # NaN fails the first test
+        bad = (~unit).nonzero()[0]
         i, j = net.arcs[bad[0]]
         raise PipelineError("extract", f"non-unit flow {flows[bad[0]]} on arc {i}->{j}")
-    chosen = net.arcs[units == 1]
-    x2 = np.zeros((len(net.centers), net.n))
-    x2[np.searchsorted(net.centers, chosen[:, 0]), chosen[:, 1]] = 1.0
-    per_point = np.bincount(chosen[:, 1], minlength=net.n)
-    if not np.all(per_point == 1):
-        j = int(np.flatnonzero(per_point != 1)[0])
+    chosen = units == 1.0
+    point = net.arcs[chosen, 1]
+    per_point = np.bincount(point, minlength=net.n)
+    if not (per_point == 1).all():
+        j = int((per_point != 1).nonzero()[0][0])
         raise PipelineError("extract",
                             f"point {j} assigned {int(per_point[j])} times, expected once")
+    x2 = np.zeros((len(net.centers), net.n))
+    x2[net.arc_rows[chosen, 2] - (net.n + len(net.centers) * net.m), point] = 1.0
     return x2
 
 
@@ -224,7 +233,7 @@ def check_mass_windows(x2: np.ndarray, net: FlowNetwork,
     onehot = inst.colors[:, None] == np.arange(inst.m)
     got = np.concatenate(((x2 @ onehot).ravel(), x2.sum(axis=1)))
     lower, upper = net.lower[net.n:], net.upper[net.n:]
-    bad = np.flatnonzero((got < lower) | (got > upper))
+    bad = ((got < lower) | (got > upper)).nonzero()[0]
     if bad.size:
         r = int(bad[0])
         raise PipelineError("flow", f"row {_row_labels(net)[net.n + r]} counts {got[r]:.0f} "

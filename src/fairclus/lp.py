@@ -59,6 +59,7 @@ k x n table and no mass can lie off the centers.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -90,6 +91,26 @@ _ALL_SETS_MAX_K = 10
 _WINDOW_CELLS = 1 << 20
 
 
+class _Rows(LinearConstraint):
+    """A model's rows as ``milp`` reads them: ``A``, ``lb`` and ``ub``.
+    scipy's own constructor checks and converts arrays the model already
+    holds in that form (a CSC matrix, float bounds of its row count), and
+    ``milp`` converts them once more; in a ``center-lambda`` solve that
+    constructor took about 0.05 ms and ``Bounds``'s 0.04 ms, a third of
+    ``solve_lp``'s time around HiGHS (2-vCPU VM)."""
+
+    def __init__(self, a, lo, hi):  # skips LinearConstraint.__init__ on purpose
+        self.A, self.lb, self.ub, self.keep_feasible = a, lo, hi, False
+
+
+class _ColumnBounds(Bounds):
+    """Column bounds as ``milp`` reads them, ``lb`` and ``ub``, without
+    scipy's broadcasting of them, which ``milp`` repeats."""
+
+    def __init__(self, lb, ub):  # skips Bounds.__init__ on purpose
+        self.lb, self.ub, self.keep_feasible = lb, ub, False
+
+
 @dataclass(frozen=True)
 class FractionalSolution:
     """Assignment-mass table of a solution, a row per point that may receive
@@ -97,6 +118,21 @@ class FractionalSolution:
 
     rows: np.ndarray  # sorted point ids
     x: np.ndarray  # (len(rows), n), x[a, j] = mass from point j to rows[a]
+
+    def masses(self, inst: MetricInstance) -> np.ndarray:
+        """Read-only (len(rows), m + 1) table of the mass each row receives
+        from the points of each of ``inst``'s m colors, then in all. The LP
+        stage's check and the flow's windows both read it, so it is summed
+        once per solution and instance."""
+        memo = self.__dict__.get("_masses")
+        if memo is None or memo[0] is not inst:
+            table = np.empty((self.rows.size, inst.m + 1))
+            for h in range(inst.m):
+                np.add.reduce(self.x[:, inst.colors == h], axis=1, out=table[:, h])
+            np.add.reduce(self.x, axis=1, out=table[:, -1])
+            table.flags.writeable = False
+            memo = self.__dict__["_masses"] = (inst, table)
+        return memo[1]
 
 
 @dataclass
@@ -115,7 +151,7 @@ class LpModel:
 
     ``a`` is one CSC array whose row r holds ``lo[r] <= a[r] @ y <=
     hi[r]``: first the <= rows (``lo = -inf``), one mass row per center,
-    then per center the <= ratio rows of ``_ratio_rows(gf)``, then one
+    then per center the <= ratio rows of ``gf.ratio_rows``, then one
     ``sum_{i != pivot} y_iG <= |G|`` row per class of two or more
     columns; then the = rows, per center its equality ratio rows. The
     pivots' mass sits in the bounds of the mass and ratio rows. ``a_ub``
@@ -160,26 +196,41 @@ class LpModel:
         return self.a[self.n_ub:]
 
 
-def _ratio_rows(gf: GroupFairnessSpec):
-    """Color, kind ("upper", "lower" or "equal") and ratio bound of each
-    center's ratio rows, as two lists: the <= rows, per color an upper row
-    if u_h < 1 and a lower row if l_h > 0; then one equality row per color
-    with 0 < l_h = u_h < 1, which has no <= rows. If every color has
-    l_h = u_h, the ratios sum to 1 and the last color's rows, minus the sum
-    of the others', are left out."""
-    ub, eq = [], []
-    exact = gf.lower == gf.upper
-    for h, (lower, upper) in enumerate(zip(gf.lower, gf.upper)):
-        if exact and h == gf.m - 1:
-            break
-        if 0 < lower == upper < 1:
-            eq.append((h, "equal", float(upper)))
-            continue
-        if upper < 1:
-            ub.append((h, "upper", float(upper)))
-        if lower > 0:
-            ub.append((h, "lower", float(lower)))
-    return ub, eq
+@functools.lru_cache(maxsize=64)
+def _column_table(ub: tuple, eq: tuple, m: int) -> tuple:
+    """The parts of a pivot-form column that depend only on the ratio rows
+    ``ub`` and ``eq`` (``GroupFairnessSpec.ratio_rows``) of an m-color
+    spec, as read-only arrays: ``coef``, ``layout``, ``by`` and
+    ``template``.
+
+    ``coef[h]`` holds a center's own coefficients for a class of color h:
+    -1 in its mass row and, in its ratio rows, [h = c] - u (upper and
+    equality rows on color c) or l - [h = c] (lower rows). ``layout`` lists
+    a column's entries in order, as (side, index into coef[h]): both mass
+    rows, both slots' <= rows, the class row, both slots' equality rows;
+    side 0 is the lower slot, 1 the higher, 2 the class row. An entry's row
+    is (lower slot, higher slot, class row) @ ``by`` plus a base that
+    depends on k. Row 2h + (1 if the column's center is the lower slot,
+    else 0) of ``template`` holds the entries' values for color h: the
+    lower slot's coefficients coef[h] times that sign, the higher's their
+    negatives, 0 for the class row.
+    """
+    nb = len(ub)
+    coef = [[-1.0] + [b - (c == h) if kind == "lower" else (c == h) - b
+                      for c, kind, b in ub + eq] for h in range(m)]
+    layout = ((0, 0), (1, 0), *((side, 1 + r) for side in (0, 1) for r in range(nb)),
+              (2, 0), *((side, 1 + nb + e) for side in (0, 1) for e in range(len(eq))))
+    step = [1 if i == 0 else nb if i <= nb else len(eq) for _, i in layout]
+    by = np.array([[s * (side == 0) for s, (side, _) in zip(step, layout)],
+                   [s * (side == 1) for s, (side, _) in zip(step, layout)],
+                   [side == 2 for side, _ in layout]])
+    template = np.array([[sign * coef[h][i] if side == 0 else -(sign * coef[h][i])
+                          if side == 1 else 0.0 for side, i in layout]
+                         for h in range(m) for sign in (-1.0, 1.0)])
+    coef = np.array(coef)
+    for array in (coef, by, template):
+        array.flags.writeable = False
+    return coef, layout, by, template
 
 
 def _reach_classes(reach: np.ndarray, colors: np.ndarray):
@@ -187,18 +238,25 @@ def _reach_classes(reach: np.ndarray, colors: np.ndarray):
     flags ``reach``: points of one color that reach the same centers share a
     class, and classes are numbered in the order of their first members.
     The key is the color above the reach mask; above 32 centers it is
-    renumbered every 32 so that it fits 64 bits."""
+    renumbered every 32 so that it fits 64 bits. One stable sort of the keys
+    groups the points, each group led by its first member."""
     key = colors
     for start in range(0, reach.shape[0], 32):
         if start:
             key = np.unique(key, return_inverse=True)[1]
         chunk = reach[start:start + 32]
         key = key << chunk.shape[0] | (1 << np.arange(chunk.shape[0])) @ chunk
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(order.size)
-    return number[inverse], first[order]
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+    new = np.empty(order.size, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    lead = order[new]  # each group's first member, in key order
+    first = lead.copy()
+    first.sort()
+    point_class = np.empty_like(order)
+    point_class[order] = first.searchsorted(lead)[new.cumsum() - 1]
+    return point_class, first
 
 
 def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
@@ -206,77 +264,65 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     centers = _center_ids(inst, centers)
     if gf.m != inst.m:
         raise ValidationError(f"gf spec has {gf.m} colors, instance has {inst.m}")
-    n, k = inst.n, centers.size
-    dc = inst.distance_matrix()[centers]
+    n, k, m = inst.n, centers.size, gf.m
+    dist = inst.distance_matrix()[centers]
     if objective is None:  # a class per color and reach set
-        reach = np.ones((k, n), dtype=bool) if lam is None else dc <= lam + EPS_D
+        reach = np.ones((k, n), dtype=bool) if lam is None else dist <= lam + EPS_D
         point_class, first = _reach_classes(reach, inst.colors)
-        reach = reach[:, first]
+        reach, dist = reach[:, first], dist[:, first]
     else:  # a class per point
         reach = np.ones((k, n), dtype=bool)
         point_class = first = np.arange(n)
     size = np.bincount(point_class)
     color = inst.colors[first]
-    dist = dc[:, first]
 
     # pivots: the reached center nearest each class's first member, the
     # lowest on ties. Columns: the other reached (center slot, class)
     # pairs, in row-major order.
     pivot = np.where(reach, dist, np.inf).argmin(axis=0)
-    other = reach.copy()
-    other[pivot, np.arange(size.size)] = False
-    slot, cls = np.nonzero(other)
+    pivots = pivot, np.arange(size.size)
+    reached = reach[pivots]
+    reach[pivots] = False
+    slot, cls = reach.nonzero()
     piv = pivot[cls]
+    has_row = reach.sum(axis=0) > 1
 
     # rows: k mass rows, the <= ratio rows (center by center), a row per
-    # class of two or more columns, then the equality ratio rows. A
-    # center's own coefficients are -1 in its mass row and, in its ratio
-    # rows, [c_G = h] - u (upper and equality rows) or l - [c_G = h] (lower
-    # rows); column (s, G) holds s's coefficients minus its pivot's, in the
-    # rows of the lower slot first, and 1 in G's row if G has one. Zero
-    # coefficients are not stored.
-    ub, eq = _ratio_rows(gf)
-    ratio = ub + eq
-    is_lower = np.array([r[1] == "lower" for r in ratio], dtype=bool)
-    bound = np.array([r[2] for r in ratio])
-    in_h = (np.arange(gf.m)[:, None] == [r[0] for r in ratio]).astype(float)
-    # (m, 1 + R): a center's own coefficients for a class of each color
-    coef = np.column_stack((-np.ones(gf.m), np.where(is_lower, bound - in_h, in_h - bound)))
+    # class of two or more columns, then the equality ratio rows. Column
+    # (s, G) holds s's coefficients minus its pivot's (``_column_table``),
+    # in the rows of the lower slot first, and 1 in G's row if G has one.
+    # Zero coefficients are not stored.
+    ub, eq = gf.ratio_rows
     nb, ne = len(ub), len(eq)
-    has_row = other.sum(axis=0) > 1
-    n_ub = k * (1 + nb) + np.count_nonzero(has_row)
-
-    def rows_of(s):  # the mass, <= ratio and equality ratio rows of slots s
-        return (s[:, None], k + nb * s[:, None] + np.arange(nb),
-                n_ub + ne * s[:, None] + np.arange(ne))
-
-    mass_1, le_1, eq_1 = rows_of(np.minimum(slot, piv))
-    mass_2, le_2, eq_2 = rows_of(np.maximum(slot, piv))
-    own = coef[color[cls]] * np.where(slot < piv, 1.0, -1.0)[:, None]
-    mass, le, equal = np.split(own, [1, 1 + nb], axis=1)
-    rows = np.column_stack((mass_1, mass_2, le_1, le_2,
-                            k * (1 + nb) + np.cumsum(has_row)[cls] - 1, eq_1, eq_2))
-    data = np.column_stack((mass, -mass, le, -le, has_row[cls].astype(float), equal, -equal))
+    coef, layout, by, template = _column_table(ub, eq, m)
+    n_head = k * (1 + nb)
+    n_ub = n_head + int(np.count_nonzero(has_row))
+    base = [0 if side == 2 or i == 0 else k + i - 1 if i <= nb else n_ub + i - 1 - nb
+            for side, i in layout]
+    rows = np.array((np.minimum(slot, piv), np.maximum(slot, piv),
+                     n_head - 1 + has_row.cumsum()[cls])).T @ by + base
+    data = template[2 * color[cls] + (slot < piv)]
+    data[:, 2 + 2 * nb] = has_row[cls]
     stored = data != 0.0
     a = sparse.csc_array(
-        (data[stored], rows[stored], np.concatenate(([0], np.cumsum(stored.sum(axis=1))))),
+        (data[stored], rows[stored],
+         np.concatenate(([0], stored.sum(axis=1).cumsum()))),
         shape=(n_ub + k * ne, slot.size))
 
     # the pivots' part of each row, moved into its bounds
-    reached = reach.any(axis=0)
-    at_pivot = np.bincount(pivot[reached] * gf.m + color[reached], size[reached],
-                           minlength=k * gf.m).reshape(k, gf.m) @ coef
+    at_pivot = np.bincount(pivot * m + color, size * reached,
+                           minlength=k * m).reshape(k, m) @ coef
     part = 0.0 - at_pivot  # not -at_pivot, which leaves -0.0 bounds
-    lo = np.concatenate((np.full(n_ub, -np.inf), part[:, 1 + nb:].ravel()))
-    hi = np.concatenate((part[:, 0] - 1.0, part[:, 1:1 + nb].ravel(), size[has_row],
-                         part[:, 1 + nb:].ravel()))
+    equal = part[:, 1 + nb:].ravel()
+    lo = np.concatenate((np.full(n_ub, -np.inf), equal))
+    hi = np.concatenate((part[:, 0] - 1.0, part[:, 1:1 + nb].ravel(), size[has_row], equal))
 
     cost = np.zeros(slot.size)
     if objective is not None:
         cost = point_costs(dist, objective)
         cost = cost[slot, cls] - cost[piv, cls]
 
-    return LpModel(n=n, kept=np.column_stack((centers[slot], cls)), a=a, lo=lo,
+    return LpModel(n=n, kept=np.array((centers[slot], cls)).T, a=a, lo=lo,
                    hi=hi, c=cost, lam=lam, gf=gf, centers=centers,
                    point_class=point_class, pivot=np.where(reached, centers[pivot], -1))
 
@@ -285,10 +331,10 @@ def _center_ids(inst: MetricInstance, centers) -> np.ndarray:
     """Sorted ids of a center set, validated: at least one, distinct, and in
     [0, n)."""
     ids = [int(c) for c in centers]
-    out = np.array(sorted(set(ids)), dtype=int)
-    if not ids or out.size != len(ids) or out[0] < 0 or out[-1] >= inst.n:
+    out = sorted(set(ids))
+    if not ids or len(out) != len(ids) or out[0] < 0 or out[-1] >= inst.n:
         raise ValidationError(f"centers must be one or more distinct ids in [0, {inst.n})")
-    return out
+    return np.array(out)
 
 
 def build_gf_feasibility_lp(inst: MetricInstance, gf: GroupFairnessSpec,
@@ -320,13 +366,19 @@ def solve_lp(model: LpModel):
     infeasible.
 
     A class that reaches no center makes the model infeasible, and HiGHS is
-    not called. Nor is it for a model with no column (k = 1, or every class
-    reaches one center): each row is then checked here, at RESIDUAL_TOL,
-    the tolerance of ``check_lp_solution``.
+    not called. Nor is it when the pivots' assignment, every column at 0,
+    meets every row within RESIDUAL_TOL, the tolerance of
+    ``check_lp_solution`` (max(lo, -hi) <= RESIDUAL_TOL): that point is
+    feasible for a radius probe and, as every column costs c_iG - c_pG >=
+    0, optimal for a cost model. A model with no column (k = 1, or every
+    class reaches one center) that fails this test is infeasible.
 
     HiGHS gets the model's own arrays: its CSC matrix with the row bounds,
     the column bounds [0, |G|] and one option, presolve off; ``milp``'s own
-    ``disp=False`` keeps HiGHS off the console. In pivot form HiGHS's
+    ``disp=False`` keeps HiGHS off the console. The arrays reach ``milp`` in
+    ``_Rows`` and ``_ColumnBounds``, which skip scipy's second check of
+    them, and every table of the split below that does not depend on the
+    answer is made before the call. In pivot form HiGHS's
     all-slack start is the assignment of each class to its pivot, the
     nearest center, so its dual simplex only repairs the mass and ratio
     rows: a median of 6.5 iterations per n=80, k=4 cost LP, against 86
@@ -352,18 +404,28 @@ def solve_lp(model: LpModel):
     which checks the split table against ``inst`` and ``gf``, so the model
     cannot vouch for itself.
     """
-    if np.any(model.pivot < 0):
+    if (model.pivot < 0).any():
         return None
     size = model.class_sizes
+    cls = model.point_class
     col_class = model.kept[:, 1]
-    if model.ncols == 0:
-        if np.any(np.maximum(model.lo, -model.hi) > RESIDUAL_TOL):
-            return None
-        value = np.zeros(0)
+    # the split's tables that do not depend on the solution: the slots of
+    # the columns and pivots, and each member's rank in its class
+    col_slot = model.centers.searchsorted(model.kept[:, 0])
+    pivot_slot = model.centers.searchsorted(model.pivot)
+    order = cls.argsort(kind="stable")
+    rank = np.empty(cls.size)
+    rank[order] = np.arange(cls.size) - (size.cumsum() - size)[cls[order]]
+    upto = rank + 1.0
+    classes = np.arange(size.size)
+    if np.maximum(model.lo, -model.hi).max() <= RESIDUAL_TOL:
+        value = np.zeros(model.ncols)  # the pivots' assignment meets every row
+    elif model.ncols == 0:
+        return None
     else:
         c = np.ldexp(model.c, 1 - np.frexp(model.c.max())[1])
-        res = milp(c, constraints=LinearConstraint(model.a, model.lo, model.hi),
-                   bounds=Bounds(0.0, size[col_class]), options=_HIGHS_OPTIONS)
+        res = milp(c, constraints=_Rows(model.a, model.lo, model.hi),
+                   bounds=_ColumnBounds(0.0, size[col_class]), options=_HIGHS_OPTIONS)
         if res.status == 2:
             return None
         if res.status != 0:
@@ -373,21 +435,18 @@ def solve_lp(model: LpModel):
 
     # northwest corner: member r of class G takes [r, r + 1) of G's mass,
     # center s the interval ending at y_1G + ... + y_sG
-    cls = model.point_class
     y = np.zeros((model.k, size.size))
-    y[np.searchsorted(model.centers, model.kept[:, 0]), col_class] = value
-    y[np.searchsorted(model.centers, model.pivot), np.arange(size.size)] = np.maximum(
+    y[col_slot, col_class] = value
+    y[pivot_slot, classes] = np.maximum(
         size - np.bincount(col_class, value, minlength=size.size), 0.0)
-    top = np.cumsum(y, axis=0)[:, cls]
-    order = np.argsort(cls, kind="stable")
-    rank = np.empty(cls.size)
-    rank[order] = np.arange(cls.size) - (np.cumsum(size) - size)[cls[order]]
-    x = np.minimum(top, rank + 1.0) - np.maximum(top - y[:, cls], rank)
-    np.clip(x, 0.0, 1.0, out=x)
-    sums = x.sum(axis=0)
-    if np.any(sums < 0.5):
+    top = y.cumsum(axis=0)[:, cls]
+    # the overlap of [rank, rank + 1) with center s's interval, at most 1
+    x = np.minimum(top, upto) - np.maximum(top - y[:, cls], rank)
+    np.maximum(x, 0.0, out=x)
+    sums = np.add.reduce(x, axis=0)
+    if (sums < 0.5).any():
         raise PipelineError("lp", "an assignment column lost more than half its mass")
-    x /= sums[None, :]
+    x /= sums
     return FractionalSolution(rows=model.centers, x=x)
 
 
@@ -408,27 +467,20 @@ def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec,
     With ``centers`` (a model's), also of their mass rows
     ``sum_j x_ij >= 1``; a center without a row of the solution has mass 0."""
     x = sol.x
-    out = {}
-    out["assign"] = float(np.abs(x.sum(axis=0) - 1.0).max())
-    mass = x.sum(axis=1)
-    lower = gf.lower_floats()
-    upper = gf.upper_floats()
-    color_resid = 0.0
-    for h in range(inst.m):
-        mass_h = x[:, inst.colors == h].sum(axis=1)
-        color_resid = max(color_resid,
-                          float((mass_h - upper[h] * mass).max()),
-                          float((lower[h] * mass - mass_h).max()))
-    out["color"] = color_resid
+    table = sol.masses(inst)
+    mass, by_color = table[:, -1:], table[:, :-1]
+    top = np.maximum.reduce
+    out = {"assign": float(top(np.abs(np.add.reduce(x, axis=0) - 1.0))),
+           "color": max(0.0, float(top(by_color - gf.upper_floats() * mass, axis=None)),
+                        float(top(gf.lower_floats() * mass - by_color, axis=None)))}
     if centers is not None:
-        mass_of = np.zeros(inst.n)
-        mass_of[sol.rows] = mass
-        out["mass"] = float(max(0.0, (1.0 - mass_of[np.asarray(centers, dtype=int)]).max()))
+        mass_of = dict(zip(sol.rows.tolist(), mass[:, 0].tolist()))
+        out["mass"] = max([0.0] + [1.0 - mass_of.get(int(c), 0.0) for c in centers])
     out["bounds"] = float(max(-x.min(), x.max() - 1.0, 0.0))
     if lam is not None:
         far = x[inst.distance_matrix()[sol.rows] > lam + EPS_D]
         out["radius"] = float(far.max()) if far.size else 0.0
-    out["max"] = max(v for v in out.values())
+    out["max"] = max(out.values())
     return out
 
 
@@ -517,9 +569,10 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, centers,
         radius = float(radii[idx])
         model = build_gf_feasibility_lp(inst, gf, centers, radius)
         sol = solve_lp(model)
-        log.debug("radius probe %r: %d classes, %d columns to HiGHS, %s", radius,
-                  model.class_sizes.size, model.ncols,
-                  "infeasible" if sol is None else "feasible")
+        if log.isEnabledFor(logging.DEBUG):  # class_sizes costs a count
+            log.debug("radius probe %r: %d classes, %d columns to HiGHS, %s", radius,
+                      model.class_sizes.size, model.ncols,
+                      "infeasible" if sol is None else "feasible")
         if sol is not None:
             best = LambdaSearchResult(radius, model, sol)
         return sol is not None
@@ -535,53 +588,76 @@ def _window_counts(start, end, key, w: int, bins: int) -> np.ndarray:
     """(bins, w) table whose entry [b, t] counts the items with key b and
     start <= t < end; a start or end of w lies past the window."""
     size = bins * (w + 1)
-    diff = (np.bincount((key * (w + 1) + start).ravel(), minlength=size)
-            - np.bincount((key * (w + 1) + end).ravel(), minlength=size))
-    return np.cumsum(diff.reshape(bins, w + 1)[:, :w], axis=1)
+    key = key * (w + 1)
+    diff = (np.bincount((key + start).ravel(), minlength=size)
+            - np.bincount((key + end).ravel(), minlength=size))
+    return diff.reshape(bins, w + 1)[:, :w].cumsum(axis=1)
 
 
-def _set_counts(first: np.ndarray, w: int, colors: np.ndarray, n_h: np.ndarray):
-    """Size |T| and the per-color counts Q_h(T) and N_h(T) of each tested
-    center set T at each of the w radii of a window, as arrays of shape
-    (F,), (F, m, w) and (F, m, w).
+@functools.lru_cache(maxsize=64)
+def _set_slack(k: int, all_sets: bool) -> tuple:
+    """For each tested set T of the k centers (every subset, numbered as a
+    bitmask, if ``all_sets``; else {i}, S - {i} and S): the slack
+    tol = |T| * RESIDUAL_TOL of T's summed rows, shaped (F, 1, 1), and
+    |T| - tol, shaped (F, 1), both read-only."""
+    size = (np.bitwise_count(np.arange(1 << k)) if all_sets
+            else np.concatenate((np.ones(k, dtype=int), np.full(k, k - 1), [k])))
+    tol = size[:, None, None] * RESIDUAL_TOL
+    least = size[:, None] - tol[:, 0]
+    tol.flags.writeable = least.flags.writeable = False
+    return tol, least
 
-    Point j reaches center i from the radius ``first[i, j]`` of the window
-    on (never if w). Q_h(T) counts the color-h points whose reach set lies
-    within T (a point that reaches no center counts in every T); N_h(T)
-    counts those that reach some center in T, which is n_h - Q_h(S - T).
-    A point changes its counts only where it reaches another center, so
-    the counts are summed from those changes, in O(k n) work per window.
+
+def _set_counts(k: int, colors: np.ndarray, n_h: np.ndarray):
+    """A function that maps a window's reach table to the per-color counts
+    Q_h(T) and N_h(T) of each tested center set T (``_set_slack``'s
+    order) at each of the window's w radii, as arrays of shape (F, m, w).
+
+    In the (k, n) reach table ``first``, point j reaches center i from the
+    radius ``first[i, j]`` of the window on (never if w). Q_h(T) counts the
+    color-h points whose reach set lies within T (a point that reaches no
+    center counts in every T); N_h(T) counts those that reach some center
+    in T, which is n_h - Q_h(S - T). A point changes its counts only where
+    it reaches another center, so the counts are summed from those
+    changes, in O(k n) work per window.
     """
-    k, n = first.shape
-    m = n_h.size
+    n, m = colors.size, n_h.size
     n_h = n_h[:, None]
     if k <= _ALL_SETS_MAX_K:
         # every T as a bitmask: count the points per (reach mask, color),
         # the key of the model's classes, and radius, then sum the counts
         # of every mask within T (a subset-sum transform). Point j's mask
         # gains a bit at each of its k reach radii, taken in order.
-        by = np.argsort(first, axis=0, kind="stable")
-        at = np.take_along_axis(first, by, axis=0)
-        none = np.zeros((1, n), dtype=int)
-        masks = np.vstack((none, np.cumsum(1 << by, axis=0)))
-        q = _window_counts(np.vstack((none, at)), np.vstack((at, np.full((1, n), w))),
-                           masks * m + colors, w, m << k).reshape(1 << k, m, w)
-        for i in range(k):
-            halves = q.reshape(-1, 2, (m * w) << i)
-            halves[:, 1] += halves[:, 0]
-        size = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).sum(axis=1)
-        return size, q, n_h - q[::-1]  # q[::-1][T] is q[S - T]
-    # a point reaches exactly one center, its nearest, from its earliest
-    # reach radius t1 to its second t2 (w past a single center)
-    t1, t2 = np.partition(np.vstack((first, np.full((1, n), w))), 1, axis=0)[:2]
-    reaches_i = _window_counts(first, w, np.arange(k)[:, None] * m + colors, w,
-                               k * m).reshape(k, m, w)  # N_h({i})
-    unreached = n_h - _window_counts(t1, w, colors, w, m)
-    only_i = (_window_counts(t1, t2, first.argmin(axis=0) * m + colors, w, k * m)
-              .reshape(k, m, w) + unreached)  # Q_h({i})
-    size = np.concatenate((np.ones(k, dtype=int), np.full(k, k - 1), [k]))
-    q = np.concatenate((only_i, n_h - reaches_i, np.broadcast_to(n_h, (1, m, w))))
-    return size, q, np.concatenate((reaches_i, n_h - only_i, (n_h - unreached)[None]))
+        masks = np.zeros((k + 1, n), dtype=np.intp)
+        ends = np.zeros((k + 2, n), dtype=np.intp)  # 0, the sorted reach radii, w
+
+        def counts(first, w):
+            (1 << first.argsort(axis=0, kind="stable")).cumsum(axis=0, out=masks[1:])
+            ends[1:-1] = first
+            ends[1:-1].sort(axis=0)
+            ends[-1] = w
+            q = _window_counts(ends[:-1], ends[1:], masks * m + colors, w,
+                               m << k).reshape(1 << k, m, w)
+            for i in range(k):
+                halves = q.reshape(-1, 2, (m * w) << i)
+                halves[:, 1] += halves[:, 0]
+            return q, n_h - q[::-1]  # q[::-1][T] is q[S - T]
+
+        return counts
+    center_key = np.arange(k)[:, None] * m + colors
+
+    def counts(first, w):
+        # a point reaches exactly one center, its nearest, from its
+        # earliest reach radius t1 to its second t2 (w past a single center)
+        t1, t2 = np.partition(np.vstack((first, np.full((1, n), w))), 1, axis=0)[:2]
+        reaches_i = _window_counts(first, w, center_key, w, k * m).reshape(k, m, w)  # N_h({i})
+        unreached = n_h - _window_counts(t1, w, colors, w, m)
+        only_i = (_window_counts(t1, t2, first.argmin(axis=0) * m + colors, w, k * m)
+                  .reshape(k, m, w) + unreached)  # Q_h({i})
+        q = np.concatenate((only_i, n_h - reaches_i, np.broadcast_to(n_h, (1, m, w))))
+        return q, np.concatenate((reaches_i, n_h - only_i, (n_h - unreached)[None]))
+
+    return counts
 
 
 def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
@@ -632,28 +708,30 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     """
     radii = np.asarray(radii, dtype=float)
     dc = inst.distance_matrix()[np.asarray(list(centers), dtype=int)]
-    colors = inst.colors
-    n_h = np.bincount(colors, minlength=gf.m)
+    k = dc.shape[0]
+    n_h = np.bincount(inst.colors, minlength=gf.m)
     lower, upper = gf.lower_floats(), gf.upper_floats()
-    has_lower, has_upper = lower > 0.0, upper > 0.0
+    if n_h[upper == 0.0].any():  # Q_h(S) = n_h > 0 at every radius
+        return radii.size
+    # the colors with an upper and with a lower ratio bound, and the bounds
+    bounded = (upper > 0.0).nonzero()[0], (lower > 0.0).nonzero()[0]
+    upper, lower = upper[bounded[0], None], lower[bounded[1], None]
+    counts = _set_counts(k, inst.colors, n_h)
+    tol, least_size = _set_slack(k, k <= _ALL_SETS_MAX_K)
 
     def passes(window: np.ndarray) -> np.ndarray:
         # point j reaches center i from the first radius r of the window
         # with d(i, j) <= r + EPS_D on
-        first = np.searchsorted(window + EPS_D, dc)
-        size, q, nn = _set_counts(first, window.size, colors, n_h)
-        size = size[:, None]
-        tol = size * RESIDUAL_TOL
-        by_upper = (q[:, has_upper] - tol[:, None]) / upper[has_upper, None]
-        by_lower = (nn[:, has_lower] + tol[:, None]) / lower[has_lower, None]
-        least = np.maximum(np.maximum(size - tol, q.sum(axis=1)),
+        q, nn = counts((window + EPS_D).searchsorted(dc), window.size)
+        by_upper = (q[:, bounded[0]] - tol) / upper
+        by_lower = (nn[:, bounded[1]] + tol) / lower
+        least = np.maximum(np.maximum(least_size, q.sum(axis=1)),
                            by_upper.max(axis=1, initial=-np.inf))
         most = np.minimum(nn.sum(axis=1), by_lower.min(axis=1, initial=np.inf))
-        return ~(np.any(least > most, axis=0) | np.any(q[:, ~has_upper], axis=(0, 1)))
+        return ~(least > most).any(axis=0)
 
-    k = dc.shape[0]
     cells = gf.m << k if k <= _ALL_SETS_MAX_K else gf.m * k
-    start, width = int(np.searchsorted(radii, dc.min(axis=0).max())), 16
+    start, width = int(radii.searchsorted(dc.min(axis=0).max())), 16
     while start < radii.size:
         window = radii[start:start + width]
         passed = passes(window)
@@ -685,7 +763,7 @@ def dump_lp_text(model: LpModel, stream) -> None:
                        for cidx, v in zip(a.indices[lo:hi], a.data[lo:hi]))
 
     centers = model.centers.tolist()
-    ub, eq = _ratio_rows(model.gf)
+    ub, eq = model.gf.ratio_rows
     has_row = np.bincount(model.kept[:, 1], minlength=size.size) > 1
     labels = ([f"mass_{i}" for i in centers]
               + [f"ratio_{kind}_{i}_{h}" for i in centers for h, kind, _ in ub]

@@ -166,7 +166,9 @@ def _fixed_center_lp(inst, gf, ds_sol):
     centers = ds_sol.centers
     model = sol = None
     if ds_sol.objective == "center":
-        radii = np.unique(inst.distance_matrix()[list(centers)])
+        radii = inst.distance_matrix()[list(centers)].ravel()  # a copy
+        radii.sort()
+        radii = radii[np.concatenate(([True], radii[1:] != radii[:-1]))]
         radii = radii[counting_bound_index(inst, gf, centers, radii):]
         if radii.size:  # else no radius passes the counting bound
             try:

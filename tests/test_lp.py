@@ -92,6 +92,68 @@ def test_check_lp_solution_holds_the_mass_rows():
         check_lp_solution(model, doctored, inst, gf)
 
 
+def _doctored(family):
+    """An instance on two well-separated groups of four points, centers 0
+    and 4, a spec holding color 0 to [1/4, 3/4] of each cluster, the model
+    the solution is checked against, and each point's nearest assignment
+    with 1e-6 of mass moved so that only ``family``'s rows break: every
+    move keeps each assignment column and each center's per-color mass,
+    except the one that breaks them."""
+    colors = {"upper": [0, 0, 0, 1, 0, 0, 1, 1],  # cluster 0 at color 0's cap
+              "lower": [0, 1, 1, 1, 0, 0, 1, 1]}.get(family, [0, 0, 1, 1, 0, 0, 1, 1])
+    inst = line_instance([0, 1, 2, 3, 10, 11, 12, 13], colors)
+    gf = GroupFairnessSpec(lower=(Fraction(1, 4), 0), upper=(Fraction(3, 4), 1))
+    model = (build_gf_feasibility_lp(inst, gf, [0, 4], 3.0) if family == "radius"
+             else build_gf_objective_lp(inst, gf, [0, 4], "median"))
+    x = np.zeros((2, 8))
+    x[0, :4] = x[1, 4:] = 1.0
+    clean = x.copy()
+
+    def move(point, to):  # 1e-6 of the point's mass to the other center
+        x[1 - to, point] -= 1e-6
+        x[to, point] += 1e-6
+
+    if family == "assign":  # a point of each color loses mass at center 0
+        x[0, 0] -= 1e-6
+        x[0, 2] -= 1e-6
+    elif family == "upper":  # color 1 for color 0 at center 0
+        move(3, 1)
+        move(4, 0)
+    elif family == "lower":  # color 0 for color 1 at center 0
+        move(0, 1)
+        move(7, 0)
+    elif family == "radius":  # two color-0 points swap mass across the cap
+        move(5, 0)
+        move(1, 1)
+    else:  # bounds: point 0 above 1 at center 0, point 1 short of it
+        x[0, 0] += 1e-6
+        x[1, 0] -= 1e-6
+        x[0, 1] -= 1e-6
+        x[1, 1] += 1e-6
+    rows = np.array([0, 4])
+    return (inst, gf, model, FractionalSolution(rows=rows, x=clean),
+            FractionalSolution(rows=rows, x=x))
+
+
+@pytest.mark.parametrize("family, entry", [
+    ("assign", "assign"), ("upper", "color"), ("lower", "color"),
+    ("radius", "radius"), ("bounds", "bounds")])
+def test_check_lp_solution_holds_each_family(family, entry):
+    """A doctored solution that breaks one constraint family by 1e-6 (an
+    assignment column summing to 1 - 1e-6, a color's upper or lower ratio
+    row, mass 1e-6 on a pair beyond the radius cap, an entry outside
+    [0, 1]) fails the check, and moves only that family's residual."""
+    inst, gf, model, clean, doctored = _doctored(family)
+    check_lp_solution(model, clean, inst, gf)
+    before = lp_residuals(inst, gf, clean, lam=model.lam, centers=model.centers)
+    resid = lp_residuals(inst, gf, doctored, lam=model.lam, centers=model.centers)
+    assert before["max"] == 0.0 and entry in resid
+    assert resid[entry] == pytest.approx(1e-6)
+    assert max(v for key, v in resid.items() if key not in (entry, "max")) <= 1e-15
+    with pytest.raises(PipelineError, match=r"\[lp\] post-repair residual"):
+        check_lp_solution(model, doctored, inst, gf)
+
+
 def test_full_lp_check_holds_the_opening_rows():
     """The full LP's own check, in the reference, catches a solution that
     sends mass to a closed point (x_ij > y_i) or opens more than k points."""
@@ -710,11 +772,13 @@ def _as_milp_reads(c, constraints, bounds):
 def test_milp_gets_the_pivot_model(monkeypatch):
     """On the tied cases, at every candidate radius, uncapped and for median
     and means: ``solve_lp`` calls HiGHS exactly when every class reaches a
-    center and some column is left, and then hands it
-    ``pivot_model_from_dense``'s model, the costs scaled: the same costs,
-    matrix entries and column bounds, and the row bounds within rounding.
-    Among the models are ones with no column, ones whose every class has
-    two or more columns and ones mixing classes of one column with others."""
+    center, some column is left and the pivots' assignment breaks a row by
+    more than RESIDUAL_TOL, and then hands it ``pivot_model_from_dense``'s
+    model, the costs scaled: the same costs, matrix entries and column
+    bounds, and the row bounds within rounding. Among the models are ones
+    with no column, ones whose pivots' assignment meets every row, ones
+    whose every class has two or more columns and ones mixing classes of
+    one column with others."""
     calls = []
     solve_milp = lp_module.milp
 
@@ -742,6 +806,10 @@ def test_milp_gets_the_pivot_model(monkeypatch):
                 assert not calls
                 seen["unreached" if np.any(pivot < 0) else "no column"] += 1
                 continue
+            if np.maximum(lo, -hi).max() <= RESIDUAL_TOL:
+                assert not calls
+                seen["pivots feasible"] += 1
+                continue
             [(c, data, indices, indptr, row_lo, row_hi, col_lo, col_hi)] = calls
             want = np.ldexp(cost, 1 - np.frexp(cost.max())[1])
             assert c.tobytes() == want.tobytes()
@@ -759,7 +827,28 @@ def test_milp_gets_the_pivot_model(monkeypatch):
                  else "mixed"] += 1
 
     check()
-    assert min(seen[kind] for kind in ("no column", "two or more", "mixed")) >= 20, seen
+    assert min(seen[kind] for kind in ("no column", "pivots feasible", "two or more",
+                                       "mixed")) >= 20, seen
+
+
+def test_a_fair_pivot_assignment_is_solved_without_highs(monkeypatch):
+    """Each point at its nearest center already meets every row: a cost
+    model (whose costs are >= 0) and a radius probe are both solved by that
+    assignment, and HiGHS is not called."""
+    def fail(*args, **kwargs):
+        raise AssertionError("HiGHS called")
+
+    monkeypatch.setattr(lp_module, "milp", fail)
+    inst = line_instance([0, 1, 2, 3], [0, 1, 0, 1])
+    gf = exact_gf_spec(inst)
+    nearest = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    for model in (build_gf_objective_lp(inst, gf, [0, 3], "median"),
+                  build_gf_objective_lp(inst, gf, [0, 3], "means"),
+                  build_gf_feasibility_lp(inst, gf, [0, 3], 2.0)):
+        assert model.ncols > 0
+        sol = solve_lp(model)
+        check_lp_solution(model, sol, inst, gf)
+        assert np.array_equal(sol.x, nearest)
 
 
 def test_a_class_without_a_center_is_refused_before_highs(monkeypatch):

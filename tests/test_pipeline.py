@@ -424,9 +424,12 @@ def _count_highs_lps(monkeypatch):
 
 
 def test_medmeans_solves_one_assignment_lp(monkeypatch):
+    """On instances whose nearest assignment to the diverse centers breaks a
+    ratio row, each cost solve hands HiGHS one LP, with a column per center
+    and point but each point's nearest center."""
     objectives = _count_highs_lps(monkeypatch)
-    for n, m, k in ((8, 2, 2), (12, 3, 3), (20, 2, 4)):
-        inst = random_instance(n, m, seed=n)
+    for n, m, k, seed in ((8, 2, 2, 9), (12, 3, 3, 12), (20, 2, 4, 20)):
+        inst = random_instance(n, m, seed=seed)
         gf, ds = exact_gf_spec(inst), default_ds_profile(inst, k)
         for objective in ("median", "means"):
             objectives.clear()
