@@ -8,8 +8,7 @@ approximation-ratio checks at desk scale.
 """
 
 from .constraints import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
-                          check_cluster_group_fair, check_ds,
-                          default_ds_profile, exact_gf_spec,
+                          check_ds, default_ds_profile, exact_gf_spec,
                           feasibility_precheck, gf_violation,
                           load_fairness_spec, make_clustering)
 from .ds import (DsSolution, ExactBackend, GreedyBackend, SubprocessBackend,
@@ -21,7 +20,7 @@ from .instance import (MetricInstance, instance_to_dict, load_instance,
 from .lp import (FractionalSolution, build_gf_feasibility_lp,
                  build_gf_objective_lp, fractional_cost, lp_residuals,
                  min_feasible_lambda, solve_lp)
-from .oracle import OracleBudget, brute_force_doubly_fair, brute_force_gf_assignment
+from .oracle import OracleBudget, brute_force_doubly_fair
 from .pipeline import SolveReport, guarantee_factor, means_pq, solve
 from .rerouting import ReroutePlan, reroute_center, reroute_medmeans
 
@@ -34,8 +33,7 @@ __all__ = [
     "InfeasibleError", "MetricInstance", "OracleBudget",
     "ParseError", "PipelineError", "ReroutePlan", "SolveReport",
     "SubprocessBackend", "ValidationError", "brute_force_doubly_fair",
-    "brute_force_gf_assignment", "build_gf_feasibility_lp",
-    "build_gf_objective_lp", "check_cluster_group_fair", "check_ds",
+    "build_gf_feasibility_lp", "build_gf_objective_lp", "check_ds",
     "default_ds_profile", "ds_cost", "exact_gf_spec", "feasibility_precheck",
     "fractional_cost", "get_backend", "gf_violation", "guarantee_factor",
     "instance_to_dict", "load_fairness_spec", "load_instance", "lp_residuals",

@@ -106,7 +106,6 @@ def cmd_gen(args) -> int:
     if ds is not None:
         _write_json(args.spec_out, {
             "exact_gf": True,
-            "gf": {"rho": 0},
             "ds": {"lower": list(ds.lower), "upper": list(ds.upper)},
             "k": args.k,
         })

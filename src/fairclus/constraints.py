@@ -1,9 +1,10 @@
 """Fairness specifications and checkers.
 
-Two constraint families act on a clustering: per-cluster color-ratio bounds
-with an additive violation budget, and per-color center-count bounds on the
-chosen center set. Ratio bounds are held as exact fractions so that integer
-count comparisons never fail on float noise.
+Two constraint families act on a clustering: per-cluster color-ratio bounds,
+met up to an additive violation that the solvers measure and bound, and
+per-color center-count bounds on the chosen center set. Ratio bounds are
+held as exact fractions so that integer count comparisons never fail on
+float noise.
 """
 
 from __future__ import annotations
@@ -67,11 +68,10 @@ def as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class GroupFairnessSpec:
-    """Per-color ratio window [lower_h, upper_h] plus additive budget rho."""
+    """Per-color ratio window [lower_h, upper_h] of every cluster."""
 
     lower: tuple
     upper: tuple
-    rho: int = 0
 
     def __post_init__(self):
         lower = tuple(as_fraction(v) for v in self.lower)
@@ -84,8 +84,6 @@ class GroupFairnessSpec:
             if not (0 <= lo <= up <= 1):
                 raise ValidationError(
                     f"ratio bounds for color {h} must satisfy 0 <= {lo} <= {up} <= 1")
-        if self.rho < 0:
-            raise ValidationError("violation budget rho must be nonnegative")
         if sum(lower) > 1:
             raise ValidationError("sum of lower ratio bounds exceeds 1")
         if sum(upper) < 1:
@@ -228,18 +226,6 @@ def make_clustering(inst, centers, assignment, objective) -> Clustering:
     return Clustering(tuple(sorted(centers)), tuple(assignment), objective, cost)
 
 
-def check_cluster_group_fair(inst: MetricInstance, cluster, gf: GroupFairnessSpec,
-                             rho=None) -> bool:
-    """Exact Def.-style check: l_h |C| - rho <= |C ∩ P_h| <= u_h |C| + rho.
-    The spec must have the instance's colors."""
-    _require_colors(inst, gf, "gf")
-    members = list(cluster)
-    if not members:
-        raise ValidationError("group fairness is undefined on an empty cluster")
-    counts = np.bincount(inst.colors[members], minlength=gf.m)
-    return _worst_violation(counts[None, :], gf) <= (gf.rho if rho is None else rho)
-
-
 def _require_colors(inst: MetricInstance, spec, name: str) -> None:
     if spec.m != inst.m:
         raise ValidationError(f"{name} spec has {spec.m} colors, instance has {inst.m}")
@@ -285,8 +271,9 @@ def gf_violation_of_counts(counts: np.ndarray, gf: GroupFairnessSpec) -> float:
 
 def gf_violation(inst: MetricInstance, clustering: Clustering,
                  gf: GroupFairnessSpec) -> float:
-    """Smallest rho* >= 0 making every cluster group fair; exact, returned as
-    float. The spec must have the instance's colors."""
+    """Smallest rho >= 0 with l_h |C| - rho <= |C ∩ P_h| <= u_h |C| + rho for
+    every cluster C and color h; exact, returned as float. The pipeline
+    guarantees at most 2. The spec must have the instance's colors."""
     _require_colors(inst, gf, "gf")
     counts = cluster_color_counts(inst, clustering)
     empty = np.flatnonzero(counts.sum(axis=1) == 0)
@@ -398,11 +385,11 @@ def feasibility_precheck(inst: MetricInstance, gf: GroupFairnessSpec,
     return PrecheckReport(ok=not failures, failures=tuple(failures))
 
 
-def exact_gf_spec(inst: MetricInstance, rho: int = 0) -> GroupFairnessSpec:
+def exact_gf_spec(inst: MetricInstance) -> GroupFairnessSpec:
     """Exact preservation of ratios: lower_h = upper_h = |P_h| / n."""
     counts = inst.color_counts()
     ratios = tuple(Fraction(int(c), inst.n) for c in counts)
-    return GroupFairnessSpec(lower=ratios, upper=ratios, rho=rho)
+    return GroupFairnessSpec(lower=ratios, upper=ratios)
 
 
 def default_ds_profile(inst: MetricInstance, k: int) -> CenterDiversitySpec:
@@ -433,11 +420,13 @@ def default_ds_profile(inst: MetricInstance, k: int) -> CenterDiversitySpec:
 def load_fairness_spec(source, inst: MetricInstance | None = None):
     """Read (gf, ds) specs from JSON.
 
-    Schema: {"gf": {"lower": [..], "upper": [..], "rho": int},
+    Schema: {"gf": {"lower": [..], "upper": [..]},
              "ds": {"lower": [..], "upper": [..]}, "k": int,
              "exact_gf": bool}.
-    ``exact_gf`` replaces the gf block with exact ratio preservation and
-    requires the instance.
+    ``exact_gf`` (a JSON boolean, false if absent) replaces the gf block
+    with exact ratio preservation and requires the instance. Other keys,
+    such as the ``rho`` that older specs hold in their gf block, are
+    ignored.
     """
     if isinstance(source, dict):
         obj = source
@@ -451,21 +440,20 @@ def load_fairness_spec(source, inst: MetricInstance | None = None):
     if not isinstance(obj, dict) or "k" not in obj or "ds" not in obj:
         raise ParseError("fairness spec JSON requires 'k' and 'ds'")
     k = _spec_int(obj["k"], "k")
-    gf_obj = obj.get("gf", {})
-    if not isinstance(gf_obj, dict):
+    if not isinstance(obj.get("gf", {}), dict):
         raise ParseError("fairness spec 'gf' must be a JSON object")
-    exact = bool(obj.get("exact_gf"))
+    exact = obj.get("exact_gf", False)
+    if not isinstance(exact, bool):
+        raise ParseError(f"fairness spec 'exact_gf' must be true or false, got {exact!r}")
     if exact and inst is None:
         raise ParseError("exact_gf requires the instance to derive ratios")
     if not exact and "gf" not in obj:
         raise ParseError("fairness spec JSON requires 'gf' unless exact_gf is set")
     ds_bounds = _spec_bounds(obj, "ds")
     gf_bounds = None if exact else _spec_bounds(obj, "gf")
-    rho = _spec_int(gf_obj.get("rho", 0), "rho")
     try:  # bounds that int() or Fraction() cannot read
         ds = CenterDiversitySpec(*ds_bounds, k=k)
-        gf = (exact_gf_spec(inst, rho=rho) if exact
-              else GroupFairnessSpec(*gf_bounds, rho=rho))
+        gf = exact_gf_spec(inst) if exact else GroupFairnessSpec(*gf_bounds)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"invalid fairness spec: {exc}") from exc
     return gf, ds

@@ -64,10 +64,11 @@ class FlowNetwork:
     upper: np.ndarray
 
 
-def snap_to_integer(value, eps: float = EPS_POS):
-    """Round values within eps of an integer; floors of exact reals need this."""
+def snap_to_integer(value):
+    """Round values within EPS_POS of an integer; floors of exact reals need
+    this."""
     nearest = np.rint(value)
-    return np.where(np.abs(value - nearest) <= eps, nearest, value)
+    return np.where(np.abs(value - nearest) <= EPS_POS, nearest, value)
 
 
 def build_flow(sol: FractionalSolution, inst: MetricInstance,

@@ -60,8 +60,10 @@ def make_instance(colors, coords=None, dist=None, m=None,
     if n == 0:
         raise ValidationError("instance must contain at least one point")
     if m is None:
-        m = int(colors.max()) + 1 if n else 0
-    if colors.min(initial=0) < 0 or (n and colors.max() >= m):
+        m = int(colors.max()) + 1
+    elif isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ValidationError(f"color count m must be an integer, got {m!r}")
+    if colors.min() < 0 or colors.max() >= m:
         bad = int(np.flatnonzero((colors < 0) | (colors >= m))[0])
         raise ValidationError(
             f"color label {colors[bad]} of point {bad} outside [0, {m})")

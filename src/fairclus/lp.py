@@ -70,7 +70,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize import linprog  # noqa: F401
 
 from .constraints import GroupFairnessSpec, point_costs
-from .errors import InfeasibleError, PipelineError, ValidationError
+from .errors import PipelineError, ValidationError
 from .instance import EPS_D, MetricInstance
 
 log = logging.getLogger("fairclus")
@@ -492,13 +492,6 @@ def fractional_cost(inst: MetricInstance, sol: FractionalSolution,
     return float((sol.x * point_costs(inst.distance_matrix()[sol.rows], objective)).sum())
 
 
-def infeasibility_diagnosis(gf: GroupFairnessSpec, k: int, n: int) -> list:
-    """The figures an infeasible group-fairness program is reported with."""
-    return [f"sum of lower ratios = {float(sum(gf.lower)):.6g}",
-            f"sum of upper ratios = {float(sum(gf.upper)):.6g}",
-            f"k = {k}, n = {n}"]
-
-
 @dataclass(frozen=True)
 class LambdaSearchResult:
     """The winning probe of a radius search: the radius, the feasibility
@@ -540,28 +533,29 @@ def _first_passing(test, lo: int, hi: int) -> int:
     return lo
 
 
-def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, centers,
-                        radii) -> LambdaSearchResult:
-    """Smallest radius in the sorted candidate set at which the feasibility
-    program over ``centers`` solves, returned with the model and solution of
-    that probe. The pipeline passes the candidates from
-    ``counting_bound_index`` up, so the first probe is usually the answer.
+def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec,
+                        centers) -> LambdaSearchResult | None:
+    """Smallest distance from ``centers`` (distinct point ids) to a point at
+    which the feasibility program over ``centers``, capped there, solves,
+    returned with the model and solution of that probe; None if it solves
+    at none. Only those distances change which points reach a center, so
+    the program is feasible at one of them if at any cap.
 
-    Feasibility is monotone in the cap (a larger cap only adds variables), so
-    ``_first_passing`` over the candidates equals the linear scan: the lowest
-    candidate is probed first and wins at once if feasible, else the search
+    The search starts at the candidate ``counting_bound_index`` gives, below
+    which the program is infeasible, so the first probe is usually the
+    answer. Feasibility is monotone in the cap (a larger cap only adds
+    variables), so ``_first_passing`` from there equals the linear scan:
+    the start is probed first and wins at once if feasible, else the search
     gallops up from it and bisects the last gap, and no radius is probed
-    twice. An answer a candidates above the lowest takes at most
-    2 * ceil(log2(a + 1)) probes, whatever the number of candidates; the
-    answer usually lies a few candidates up when the first probe fails. The
-    last feasible probe is the answer's. If no candidate is feasible the
-    program is infeasible at every one (InfeasibleError). The solution is
-    repaired but not checked against the residual tolerance; see
-    ``check_lp_solution``.
+    twice. An answer a candidates above the start takes at most
+    2 * ceil(log2(a + 1)) probes, whatever the number of candidates. The
+    last feasible probe is the answer's. The solution is repaired but not
+    checked against the residual tolerance; see ``check_lp_solution``.
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0:
-        raise ValidationError("empty radius candidate set")
+    centers = _center_ids(inst, centers)
+    radii = inst.distance_matrix()[centers].ravel()  # a copy
+    radii.sort()
+    radii = radii[np.concatenate(([True], radii[1:] != radii[:-1]))]
     best = None
 
     def feasible(idx: int) -> bool:
@@ -577,10 +571,7 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec, centers,
             best = LambdaSearchResult(radius, model, sol)
         return sol is not None
 
-    if _first_passing(feasible, 0, radii.size) == radii.size:
-        raise InfeasibleError(
-            "group fairness program infeasible even at the largest radius",
-            diagnosis=infeasibility_diagnosis(gf, len(centers), inst.n))
+    _first_passing(feasible, counting_bound_index(inst, gf, centers, radii), radii.size)
     return best
 
 

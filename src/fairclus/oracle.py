@@ -84,15 +84,13 @@ def _suffix_bounds(mins, objective):
 
 class _Completion:
     """Exact, memoised test: can points p..n-1 still be assigned so that
-    every cluster ends inside its integer color-count window, and nonempty
-    when ``require_nonempty``?
+    every cluster ends nonempty and inside its integer color-count window?
 
     A state is the sorted tuple of the clusters' codes, a cluster's color
     counts packed as sum_h count_h * (n+1)**h. All clusters share one window
     table, so sorting loses nothing, and the counts sum to p."""
 
-    def __init__(self, gf: GroupFairnessSpec, colors, require_nonempty, budget,
-                 deadline):
+    def __init__(self, gf: GroupFairnessSpec, colors, budget, deadline):
         n = len(colors)
         self.n = n
         self.m = gf.m
@@ -103,7 +101,6 @@ class _Completion:
                    for r in gf.lower]
         self.hi = [[r.numerator * s // r.denominator for s in range(n + 1)]
                    for r in gf.upper]
-        self.require_nonempty = require_nonempty
         self.max_states = budget.max_nodes_per_set
         self.deadline = deadline
         self.table = {}
@@ -137,10 +134,8 @@ class _Completion:
             code, count = divmod(code, self.base)
             counts.append(count)
         size = sum(counts)
-        if size == 0:
-            return not self.require_nonempty
-        return all(self.lo[h][size] <= counts[h] <= self.hi[h][size]
-                   for h in range(self.m))
+        return size > 0 and all(self.lo[h][size] <= counts[h] <= self.hi[h][size]
+                                for h in range(self.m))
 
 
 class _Search:
@@ -219,16 +214,16 @@ def brute_force_doubly_fair(inst: MetricInstance, gf: GroupFairnessSpec,
                             budget: OracleBudget | None = None) -> Clustering:
     """Optimal clustering satisfying both constraint families exactly.
 
-    The violation budget of ``gf`` is ignored: the optimum is defined at zero
-    violation, with every cluster nonempty. Deterministic: the lexicographic
-    minimum of (cost, center set, assignment).
+    The optimum is defined at zero violation of ``gf``, with every cluster
+    nonempty. Deterministic: the lexicographic minimum of (cost, center set,
+    assignment).
     """
     _require_colors(inst, gf, "gf")
     _require_colors(inst, ds, "ds")
     if budget is None:
         budget = OracleBudget()
     deadline = _time_limit(budget)
-    completion = _Completion(gf, inst.colors, True, budget, deadline)
+    completion = _Completion(gf, inst.colors, budget, deadline)
     search = _Search(inst, objective, completion, budget, deadline)
     count = 0
     blocks = []
@@ -255,33 +250,5 @@ def brute_force_doubly_fair(inst: MetricInstance, gf: GroupFairnessSpec,
                   "feasible center set")
         raise InfeasibleError(reason)
     centers, assign_idx = search.best
-    assignment = tuple(centers[a] for a in assign_idx)
-    return make_clustering(inst, centers, assignment, objective)
-
-
-def brute_force_gf_assignment(inst: MetricInstance, centers,
-                              gf: GroupFairnessSpec, objective: str,
-                              budget: OracleBudget | None = None,
-                              require_nonempty: bool = False) -> Clustering:
-    """Optimal zero-violation group fair assignment for a fixed center set.
-
-    Empty clusters are allowed by default (their ratio constraints are
-    vacuous), so with vacuous bounds this reduces to nearest-center
-    assignment.
-    """
-    _require_colors(inst, gf, "gf")
-    if budget is None:
-        budget = OracleBudget()
-    centers = tuple(sorted(int(c) for c in centers))
-    if not centers:
-        raise ValidationError("need at least one center")
-    deadline = _time_limit(budget)
-    completion = _Completion(gf, inst.colors, require_nonempty, budget, deadline)
-    search = _Search(inst, objective, completion, budget, deadline)
-    search.run(centers)
-    if search.best is None:
-        raise InfeasibleError(
-            "no zero-violation group fair assignment exists for these centers")
-    _, assign_idx = search.best
     assignment = tuple(centers[a] for a in assign_idx)
     return make_clustering(inst, centers, assignment, objective)

@@ -6,7 +6,7 @@ The LP is the fair assignment LP over the diverse centers S (Bera et al.,
 NeurIPS 2019), written over classes of points (``lp``). k-center takes the
 smallest radius r among the distances d[S, :] at which that LP, capped at
 r, is feasible, reusing the winning search probe's solution; the rounded
-radius is checked to be at most r. A counting bound
+radius is checked to be at most r. Inside that search a counting bound
 (``lp.counting_bound_index``) rules out the radii below its own without an
 LP, so the search probes from there. Median and means take the LP's
 optimum; the rounded cost is checked to be at most its fractional cost.
@@ -33,8 +33,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 # gf_violation is no longer called here, but stays importable under this
 # name: benchmarks/tracing.py wraps it.
 from .constraints import (OBJECTIVES, CenterDiversitySpec, GroupFairnessSpec,  # noqa: F401
@@ -49,8 +47,8 @@ from .flow import build_flow, check_mass_windows, extract_assignment, min_cost_f
 # importable under these names: benchmarks/tracing.py wraps them.
 from .instance import EPS_D, MetricInstance, pairwise_distance_set  # noqa: F401
 from .lp import (MASS_TOL, build_gf_feasibility_lp,  # noqa: F401
-                 build_gf_objective_lp, check_lp_solution, counting_bound_index,
-                 fractional_cost, min_feasible_lambda, solve_lp)
+                 build_gf_objective_lp, check_lp_solution, fractional_cost,
+                 min_feasible_lambda, solve_lp)
 from .oracle import brute_force_doubly_fair
 from .rerouting import check_rerouted, reroute_center, reroute_medmeans  # noqa: F401
 
@@ -156,26 +154,16 @@ def _fixed_center_lp(inst, gf, ds_sol):
     """The fixed-center LP over the diverse centers and its checked solution.
 
     k-center: the smallest radius r among the distances from the centers at
-    which the program capped at r is feasible, searched with LP probes from
-    the smallest radius that passes the counting bound (never below the
-    nearest-assignment radius; usually r itself). Median and means: the
+    which the program capped at r is feasible (``min_feasible_lambda``;
+    never below the nearest-assignment radius). Median and means: the
     cost-minimizing program. The precheck has passed, so the program has a
     solution at the largest candidate radius (and uncapped): if none is
-    found, or no radius passes the bound, the pipeline is broken.
+    found, the pipeline is broken.
     """
     centers = ds_sol.centers
-    model = sol = None
     if ds_sol.objective == "center":
-        radii = inst.distance_matrix()[list(centers)].ravel()  # a copy
-        radii.sort()
-        radii = radii[np.concatenate(([True], radii[1:] != radii[:-1]))]
-        radii = radii[counting_bound_index(inst, gf, centers, radii):]
-        if radii.size:  # else no radius passes the counting bound
-            try:
-                search = min_feasible_lambda(inst, gf, centers, radii)
-                model, sol = search.model, search.solution
-            except InfeasibleError:
-                pass
+        search = min_feasible_lambda(inst, gf, centers)
+        model, sol = (search.model, search.solution) if search else (None, None)
     else:
         model = build_gf_objective_lp(inst, gf, centers, ds_sol.objective)
         sol = solve_lp(model)

@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fairclus import (GroupFairnessSpec, fractional_cost, make_instance,
-                      means_pq, pairwise_distance_set, random_instance,
-                      reroute_center, reroute_medmeans)
+from fairclus import (GroupFairnessSpec, ValidationError, fractional_cost,
+                      make_instance, means_pq, pairwise_distance_set,
+                      random_instance, reroute_center, reroute_medmeans)
 from fairclus.instance import EPS_D
 from fairclus.lp import EPS_POS
 from fairclus.rerouting import check_rerouted
@@ -16,7 +16,7 @@ from reference_lp import (check_full_lp_solution, full_lp_min_feasible_lambda,
                           solve_full_lp)
 
 
-def window_gf(inst, width=Fraction(1, 4), rho=0):
+def window_gf(inst, width=Fraction(1, 4)):
     """Ratio windows of the given width around the global color ratios."""
     counts = inst.color_counts()
     lower, upper = [], []
@@ -24,11 +24,28 @@ def window_gf(inst, width=Fraction(1, 4), rho=0):
         ratio = Fraction(int(c), inst.n)
         lower.append(max(Fraction(0), ratio - width))
         upper.append(min(Fraction(1), ratio + width))
-    return GroupFairnessSpec(lower=tuple(lower), upper=tuple(upper), rho=rho)
+    return GroupFairnessSpec(lower=tuple(lower), upper=tuple(upper))
 
 
 def vacuous_gf(m):
-    return GroupFairnessSpec(lower=(0,) * m, upper=(1,) * m, rho=0)
+    return GroupFairnessSpec(lower=(0,) * m, upper=(1,) * m)
+
+
+def violation_by_definition(inst, clustering, gf):
+    """The smallest rho >= 0 with l_h |C| - rho <= |C ∩ P_h| <= u_h |C| + rho
+    for every cluster C of ``clustering`` and color h, as a Fraction loop
+    over each center's members; an empty cluster raises ValidationError."""
+    worst = Fraction(0)
+    for c in clustering.centers:
+        members = clustering.members(c)
+        if not members:
+            raise ValidationError(f"cluster of center {c} is empty")
+        size = len(members)
+        counts = np.bincount(inst.colors[members], minlength=gf.m)
+        for h in range(gf.m):
+            worst = max(worst, gf.lower[h] * size - int(counts[h]),
+                        int(counts[h]) - gf.upper[h] * size)
+    return worst
 
 
 def balanced_instance(n, m, seed):

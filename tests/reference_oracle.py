@@ -147,7 +147,9 @@ def reference_doubly_fair(inst, gf, ds, objective):
 
 
 def reference_gf_assignment(inst, centers, gf, objective, require_nonempty=False):
-    """``brute_force_gf_assignment`` without budgets, by the search above."""
+    """The cheapest zero-violation group fair assignment to ``centers``, by
+    the search above; a cluster may stay empty unless ``require_nonempty``,
+    and the first of equal cost in lexicographic order is kept."""
     centers = tuple(sorted(int(c) for c in centers))
     search = _Search(inst, objective, *_count_tables(gf, inst.n), require_nonempty)
     search.run(centers)

@@ -66,7 +66,7 @@ def _window_gf(inst, width=Fraction(1, 4)):
         ratio = Fraction(int(c), inst.n)
         lower.append(max(Fraction(0), ratio - width))
         upper.append(min(Fraction(1), ratio + width))
-    return GroupFairnessSpec(lower=tuple(lower), upper=tuple(upper), rho=0)
+    return GroupFairnessSpec(lower=tuple(lower), upper=tuple(upper))
 
 
 def _solve_record(inst, gf, ds, objective, try_oracle):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fairclus import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
-                      ValidationError, check_cluster_group_fair, check_ds,
+                      ValidationError, check_ds,
                       default_ds_profile, exact_gf_spec, feasibility_precheck,
                       gf_violation, load_fairness_spec, make_clustering,
                       make_instance, random_instance)
@@ -17,7 +17,7 @@ from fairclus.constraints import (GATHER_CELLS, center_count_failures,
                                   point_costs)
 from fairclus.errors import ParseError
 
-from conftest import line_instance, window_gf
+from conftest import line_instance, violation_by_definition, window_gf
 
 
 def four_point_inst():
@@ -41,54 +41,57 @@ def test_spec_validation():
             CenterDiversitySpec(lower=(0, 0), upper=(0, 0), k=k)
 
 
+def _one_cluster(inst):
+    """Every point of ``inst`` in the cluster of point 0."""
+    return make_clustering(inst, [0], [0] * inst.n, "center")
+
+
 def test_balanced_cluster_is_fair():
     inst = make_instance([0, 0, 1, 1], coords=[[0], [1], [2], [3]])
-    gf = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5), rho=0)
-    assert check_cluster_group_fair(inst, [0, 1, 2, 3], gf)
+    gf = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5))
+    assert gf_violation(inst, _one_cluster(inst), gf) == 0.0
 
 
 def test_unbalanced_cluster_needs_rho_one():
-    inst = four_point_inst()
-    gf0 = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5), rho=0)
-    gf1 = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5), rho=1)
-    cluster = [0, 1, 2, 3]  # 3 red, 1 blue
-    assert not check_cluster_group_fair(inst, cluster, gf0)
-    assert check_cluster_group_fair(inst, cluster, gf1)
+    inst = four_point_inst()  # one cluster of 3 red, 1 blue
+    gf = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5))
+    assert gf_violation(inst, _one_cluster(inst), gf) == 1.0
 
 
 def test_empty_cluster_rejected():
     inst = four_point_inst()
-    gf = exact_gf_spec(inst)
+    clustering = make_clustering(inst, [0, 3], [0, 0, 0, 0], "center")
     with pytest.raises(ValidationError, match="empty"):
-        check_cluster_group_fair(inst, [], gf)
+        gf_violation(inst, clustering, exact_gf_spec(inst))
 
 
 def test_cluster_check_rejects_a_spec_with_fewer_colors():
-    """Color 2 is not skipped: the cluster check refuses a two-color spec on
-    a three-color instance, as gf_violation does."""
+    """Color 2 is not skipped: gf_violation refuses a two-color spec on a
+    three-color instance."""
     inst = make_instance([0, 1, 2], coords=[[0], [1], [2]])
     gf = GroupFairnessSpec(lower=(0, 0), upper=(1, 1))
     with pytest.raises(ValidationError, match="gf spec has 2 colors, instance has 3"):
-        check_cluster_group_fair(inst, [0, 1, 2], gf)
-    with pytest.raises(ValidationError, match="gf spec has 2 colors, instance has 3"):
-        gf_violation(inst, make_clustering(inst, [0], [0, 0, 0], "center"), gf)
+        gf_violation(inst, _one_cluster(inst), gf)
 
 
 def test_check_matches_direct_reevaluation():
+    """A budget rho covers one cluster's violation exactly when the cluster
+    meets the inequality with that rho."""
     rng = np.random.default_rng(5)
     for trial in range(50):
         n = int(rng.integers(2, 12))
         m = int(rng.integers(2, 4))
         colors = rng.integers(0, m, size=n)
-        inst = make_instance(colors, coords=rng.uniform(0, 1, (n, 2)), m=m)
+        coords = rng.uniform(0, 1, (n, 2))
         draws = sorted(rng.uniform(0, 1, size=2))
         lo_val = round(draws[0] / m, 3)
         up_val = round(min(1.0, draws[1] + 0.5), 3)
         rho = int(rng.integers(0, 3))
-        gf = GroupFairnessSpec(lower=(lo_val,) * m, upper=(up_val,) * m, rho=rho)
+        gf = GroupFairnessSpec(lower=(lo_val,) * m, upper=(up_val,) * m)
         members = list(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                   replace=False))
-        got = check_cluster_group_fair(inst, members, gf)
+        cluster = make_instance(colors[members], coords=coords[members], m=m)
+        got = gf_violation(cluster, _one_cluster(cluster), gf) <= rho
         # independent re-evaluation, straight from the inequality
         size = len(members)
         counts = np.bincount(colors[members], minlength=m)
@@ -100,7 +103,7 @@ def test_check_matches_direct_reevaluation():
 
 def test_gf_violation_examples():
     inst = four_point_inst()
-    gf = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5), rho=0)
+    gf = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5))
     clustering = make_clustering(inst, [0], [0, 0, 0, 0], "center")
     assert gf_violation(inst, clustering, gf) == pytest.approx(1.0)
 
@@ -125,19 +128,11 @@ def test_gf_violation_matches_bruteforce_over_rho():
             assignment[c] = c  # keep clusters nonempty
         clustering = make_clustering(inst, centers, assignment, "center")
         v = gf_violation(inst, clustering, gf)
-        # brute force: the smallest integer budget accepted by the checker
-        smallest = None
-        for rho in range(0, n + 1):
-            ok = all(check_cluster_group_fair(inst, clustering.members(c), gf, rho=rho)
-                     for c in centers)
-            if ok:
-                smallest = rho
-                break
-        assert smallest is not None
+        # brute force: the smallest integer budget the definition accepts
+        exact = violation_by_definition(inst, clustering, gf)
+        smallest = next(rho for rho in range(n + 1) if exact <= rho)
         assert smallest == math.ceil(v - 1e-12)
-        assert all(check_cluster_group_fair(inst, clustering.members(c), gf,
-                                            rho=math.ceil(v))
-                   for c in centers)
+        assert v == float(exact)
 
 
 def test_check_ds_examples():
@@ -249,7 +244,7 @@ def test_precheck_reports_ratio_failure():
     # the spec type itself rejects these sums, so feed the precheck a raw
     # stand-in the way a foreign config layer might
     gf = SimpleNamespace(lower=(Fraction(3, 5), Fraction(3, 5)),
-                         upper=(Fraction(1), Fraction(1)), rho=0, m=2)
+                         upper=(Fraction(1), Fraction(1)), m=2)
     report = feasibility_precheck(inst, gf, ds)
     assert any("lower ratios exceed 1" in f for f in report.failures)
 
@@ -267,25 +262,7 @@ def test_violation_zero_iff_all_clusters_pass():
             assignment[c] = c
         clustering = make_clustering(inst, centers, assignment, "median")
         v = gf_violation(inst, clustering, gf)
-        all_pass = all(
-            check_cluster_group_fair(inst, clustering.members(c), gf, rho=0)
-            for c in centers)
-        assert (v == 0.0) == all_pass
-
-
-def _fraction_violation(inst, clustering, gf):
-    """``gf_violation``'s rule as a Fraction loop over each center's members."""
-    worst = Fraction(0)
-    for c in clustering.centers:
-        members = clustering.members(c)
-        if not members:
-            raise ValidationError(f"cluster of center {c} is empty")
-        size = len(members)
-        counts = np.bincount(inst.colors[members], minlength=gf.m)
-        for h in range(gf.m):
-            worst = max(worst, gf.lower[h] * size - int(counts[h]),
-                        int(counts[h]) - gf.upper[h] * size)
-    return float(worst)
+        assert (v == 0.0) == (violation_by_definition(inst, clustering, gf) == 0)
 
 
 def test_gf_violation_matches_the_fraction_rule():
@@ -317,13 +294,13 @@ def test_gf_violation_matches_the_fraction_rule():
         clustering = Clustering(tuple(centers.tolist()), tuple(assignment.tolist()),
                                 "median", 0.0)
         if empty:
-            for rule in (gf_violation, _fraction_violation):
+            for rule in (gf_violation, violation_by_definition):
                 with pytest.raises(ValidationError, match=f"center {centers[0]} is empty"):
                     rule(inst, clustering, gf)
             seen["empty"] += 1
         else:
-            assert gf_violation(inst, clustering, gf) == _fraction_violation(
-                inst, clustering, gf)
+            assert gf_violation(inst, clustering, gf) == float(violation_by_definition(
+                inst, clustering, gf))
             seen[kind] += 1
     assert min(seen.values()) >= 50 and sum(seen.values()) >= 500
 
@@ -336,7 +313,8 @@ def test_gf_violation_with_denominators_beyond_int64():
     gf = GroupFairnessSpec(lower=(Fraction(1, 2) + tiny, 0), upper=(1, 1))
     clustering = make_clustering(inst, [0, 4], [0, 0, 4, 4, 4], "median")
     assert gf_violation(inst, clustering, gf) == float(Fraction(3, 2) + 3 * tiny)
-    assert gf_violation(inst, clustering, gf) == _fraction_violation(inst, clustering, gf)
+    assert gf_violation(inst, clustering, gf) == float(
+        violation_by_definition(inst, clustering, gf))
 
 
 def test_gf_violation_refuses_a_clustering_of_another_size():
@@ -372,13 +350,14 @@ def test_load_fairness_spec_json(tmp_path):
     inst = make_instance([0, 0, 1, 1], coords=[[0], [1], [2], [3]])
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({
+        # the rho that specs written by older versions hold is ignored
         "gf": {"lower": [0.25, 0.25], "upper": [0.75, 0.75], "rho": 1},
         "ds": {"lower": [1, 1], "upper": [1, 1]},
         "k": 2,
     }))
     gf, ds = load_fairness_spec(str(path))
+    assert gf == GroupFairnessSpec(lower=(0.25, 0.25), upper=(0.75, 0.75))
     assert gf.lower == (Fraction(1, 4), Fraction(1, 4))
-    assert gf.rho == 1
     assert ds.k == 2
 
     path.write_text(json.dumps({
@@ -399,7 +378,7 @@ def test_load_fairness_spec_json(tmp_path):
     {"gf": {"lower": [0, 0], "upper": [1, 1]},
      "ds": {"lower": ["one", 0], "upper": [2, 2]}, "k": 2},
     {"exact_gf": True, "gf": 5, "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": 2},
-    {"gf": {"lower": [0, 0], "upper": [1, 1], "rho": 1.5},
+    {"exact_gf": "false", "gf": {"lower": [0, 0], "upper": [1, 1]},
      "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": 2},
 ])
 def test_load_fairness_spec_rejects_malformed_blocks(tmp_path, spec):
@@ -407,6 +386,20 @@ def test_load_fairness_spec_rejects_malformed_blocks(tmp_path, spec):
     path.write_text(json.dumps(spec))
     with pytest.raises(ParseError):
         load_fairness_spec(str(path))
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_load_fairness_spec_reads_exact_gf_as_a_json_boolean(flag):
+    """"exact_gf": "false" used to turn exact GF on and drop the gf block."""
+    inst = make_instance([0, 0, 1, 1], coords=[[0], [1], [2], [3]])
+    spec = {"gf": {"lower": [0, 0], "upper": [1, 1]},
+            "ds": {"lower": [1, 1], "upper": [1, 1]}, "k": 2}
+    with pytest.raises(ParseError, match="'exact_gf' must be true or false"):
+        load_fairness_spec({**spec, "exact_gf": flag}, inst)
+    window = GroupFairnessSpec(lower=(0, 0), upper=(1, 1))
+    assert load_fairness_spec(spec, inst)[0] == window
+    assert load_fairness_spec({**spec, "exact_gf": False}, inst)[0] == window
+    assert load_fairness_spec({**spec, "exact_gf": True}, inst)[0] == exact_gf_spec(inst)
 
 
 def test_clustering_validation_and_roundtrip():

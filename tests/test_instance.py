@@ -46,6 +46,18 @@ def test_color_out_of_range():
         make_instance([0, 3], m=2, dist=[[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, "3", True])
+def test_color_count_must_be_an_integer(m):
+    """An m of 2.5 used to load as m=2 while a point had color 2."""
+    colors, coords = [0, 1, 2, 1], [[0], [1], [2], [3]]
+    with pytest.raises(ValidationError, match="color count m must be an integer"):
+        make_instance(colors, coords=coords, m=m)
+    text = json.dumps({"n": 4, "m": m, "colors": colors, "coords": coords})
+    with pytest.raises(ValidationError, match="color count m must be an integer"):
+        load_instance(io.StringIO(text), "json")
+    assert make_instance(colors, coords=coords, m=np.int64(3)).m == 3
+
+
 def test_pairwise_distance_set_trivial():
     inst = make_instance([0, 1], dist=[[0, 1], [1, 0]])
     assert pairwise_distance_set(inst).tolist() == [0.0, 1.0]

@@ -15,8 +15,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from fairclus import (ExactBackend, GreedyBackend, GroupFairnessSpec,
-                      InfeasibleError, ValidationError,
-                      brute_force_gf_assignment, build_gf_feasibility_lp,
+                      InfeasibleError, ValidationError, build_gf_feasibility_lp,
                       build_gf_objective_lp, default_ds_profile, exact_gf_spec,
                       fractional_cost, lp_residuals, make_instance,
                       min_feasible_lambda, pairwise_distance_set,
@@ -32,6 +31,7 @@ from conftest import line_instance, vacuous_gf, window_gf
 from reference_lp import (class_model_from_dense, dense_classes, full_lp_residual,
                           pivot_model_from_dense, solution_from_clustering,
                           solve_dense_reference, solve_full_lp)
+from reference_oracle import reference_gf_assignment
 
 
 def test_single_point_forced():
@@ -176,8 +176,7 @@ def test_solution_invariants_on_random_instances():
                              coords=rng.uniform(0, 1, (n, 2)), m=2)
         gf = window_gf(inst)
         centers = sorted(rng.choice(n, size=2, replace=False).tolist())
-        radii = np.unique(inst.distance_matrix()[centers])
-        lam = min_feasible_lambda(inst, gf, centers, radii).radius
+        lam = min_feasible_lambda(inst, gf, centers).radius
         sol = solve_lp(build_gf_feasibility_lp(inst, gf, centers, lam))
         resid = lp_residuals(inst, gf, sol, lam=lam, centers=centers)
         assert resid["max"] <= 1e-7
@@ -214,8 +213,8 @@ def test_lp_is_a_relaxation_of_integral_gf_clustering():
         for objective in ("median", "means"):
             for centers in combinations(range(n), 2):
                 try:
-                    clus = brute_force_gf_assignment(inst, centers, gf, objective,
-                                                     require_nonempty=True)
+                    clus = reference_gf_assignment(inst, centers, gf, objective,
+                                                   require_nonempty=True)
                 except InfeasibleError:
                     continue
                 model = build_gf_objective_lp(inst, gf, centers, objective)
@@ -236,7 +235,7 @@ def test_integral_clustering_embeds_into_lp():
         gf = window_gf(inst, width=Fraction(1, 3))
         centers = tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
         try:
-            clus = brute_force_gf_assignment(inst, centers, gf, "center")
+            clus = reference_gf_assignment(inst, centers, gf, "center")
         except InfeasibleError:
             continue
         checked += 1
@@ -253,42 +252,65 @@ def _dense_scan(inst, gf, centers, radii):
 
 
 def test_min_feasible_lambda_matches_linear_scan():
+    """Uniform points, then points on a 3 x 3 integer grid, most with
+    duplicates (exact ties among the distances): the radius is the dense
+    scan's first feasible distance from the centers."""
     rng = np.random.default_rng(27)
+    cases = []
     for trial in range(8):
         n = int(rng.integers(4, 8))
         inst = make_instance(rng.integers(0, 2, size=n),
                              coords=rng.uniform(0, 1, (n, 2)), m=2)
-        gf = window_gf(inst)
-        centers = sorted(rng.choice(n, size=2, replace=False).tolist())
+        cases.append((inst, window_gf(inst),
+                      sorted(rng.choice(n, size=2, replace=False).tolist())))
+    grid = np.random.default_rng(28)
+    for trial in range(24):
+        n = int(grid.integers(5, 11))
+        inst = make_instance(grid.integers(0, 2, size=n),
+                             coords=grid.integers(0, 3, (n, 2)), m=2)
+        gf = (window_gf(inst), exact_gf_spec(inst))[trial % 2]
+        cases.append((inst, gf, sorted(grid.choice(n, size=2, replace=False).tolist())))
+    assert sum(len(np.unique(inst.coords, axis=0)) < inst.n for inst, _, _ in cases) >= 20
+    for inst, gf, centers in cases:
         radii = np.unique(inst.distance_matrix()[centers])
-        lam = min_feasible_lambda(inst, gf, centers, radii).radius
+        lam = min_feasible_lambda(inst, gf, centers).radius
         flags = _dense_scan(inst, gf, centers, radii)
         # monotone: once feasible, stays feasible
         first = flags.index(True)
         assert all(flags[first:])
-        assert lam == pytest.approx(float(radii[first]))
+        assert lam == float(radii[first])
 
 
 def test_min_feasible_lambda_trivial_values():
     single = line_instance([0.0], [0])
     gf1 = GroupFairnessSpec(lower=(0,), upper=(1,))
-    assert min_feasible_lambda(single, gf1, [0],
-                               pairwise_distance_set(single)).radius == 0.0
+    assert min_feasible_lambda(single, gf1, [0]).radius == 0.0
 
     inst = random_instance(5, 2, seed=3)
     gf = vacuous_gf(2)
     # every point its own center: radius 0 suffices
-    assert min_feasible_lambda(inst, gf, range(5),
-                               pairwise_distance_set(inst)).radius == 0.0
+    assert min_feasible_lambda(inst, gf, range(5)).radius == 0.0
 
 
-def test_min_feasible_lambda_globally_infeasible():
+def _start_search_at(monkeypatch, start):
+    """Make the radius search start at index ``start(radii)`` of its
+    candidates, in place of the counting bound's."""
+    monkeypatch.setattr(lp_module, "counting_bound_index",
+                        lambda inst, gf, centers, radii: start(radii))
+
+
+def test_min_feasible_lambda_globally_infeasible(monkeypatch):
+    """No radius passes the counting bound, so nothing is probed; searched
+    from the lowest candidate, every probe fails. Either way there is no
+    radius."""
     inst = make_instance([0, 1], coords=[[0.0], [1.0]])
     gf = GroupFairnessSpec(lower=(1, 0), upper=(1, 1))  # clusters must be pure color 0
-    with pytest.raises(InfeasibleError) as exc_info:
-        min_feasible_lambda(inst, gf, [0, 1], pairwise_distance_set(inst))
-    assert exc_info.value.diagnosis == ["sum of lower ratios = 1",
-                                        "sum of upper ratios = 2", "k = 2, n = 2"]
+    probed = _record_probes(monkeypatch)
+    assert min_feasible_lambda(inst, gf, [0, 1]) is None
+    assert probed == []
+    _start_search_at(monkeypatch, lambda radii: 0)
+    assert min_feasible_lambda(inst, gf, [0, 1]) is None
+    assert probed == [0.0, 1.0]
 
 
 def _record_probes(monkeypatch):
@@ -315,8 +337,8 @@ def _search_bound(lo, answer, hi):
 
 
 def test_min_feasible_lambda_on_candidate_suffixes(monkeypatch):
-    """Programs over a random center set, searched over every suffix of the
-    distances from its centers."""
+    """Programs over a random center set, searched from every distance from
+    its centers up."""
     rng = np.random.default_rng(43)
     pick = np.random.default_rng(44)
     probed = _record_probes(monkeypatch)
@@ -331,7 +353,8 @@ def test_min_feasible_lambda_on_candidate_suffixes(monkeypatch):
         assert all(flags[first:])
         for i in range(radii.size):
             probed.clear()
-            result = min_feasible_lambda(inst, gf, centers, radii[i:])
+            _start_search_at(monkeypatch, lambda radii, i=i: i)
+            result = min_feasible_lambda(inst, gf, centers)
             assert result.radius == float(radii[max(first, i)])
             assert result.model.lam == result.radius
             assert result.model.centers.tolist() == centers
@@ -377,18 +400,19 @@ def test_first_passing_matches_a_linear_scan():
 
 
 def test_min_feasible_lambda_single_candidate_probed_once(monkeypatch):
+    """Searched from the last candidate only, the search probes it once."""
     probed = _record_probes(monkeypatch)
+    _start_search_at(monkeypatch, lambda radii: radii.size - 1)
     inst = random_instance(6, 2, seed=4)
     gf = vacuous_gf(2)
-    top = float(pairwise_distance_set(inst)[-1])
-    assert min_feasible_lambda(inst, gf, [0], [top]).radius == top
+    top = float(inst.distance_matrix()[0].max())
+    assert min_feasible_lambda(inst, gf, [0]).radius == top
     assert probed == [top]
 
     probed.clear()
     pair = make_instance([0, 1], coords=[[0.0], [1.0]])
     pure = GroupFairnessSpec(lower=(1, 0), upper=(1, 1))
-    with pytest.raises(InfeasibleError):
-        min_feasible_lambda(pair, pure, [0, 1], [1.0])
+    assert min_feasible_lambda(pair, pure, [0, 1]) is None
     assert probed == [1.0]
 
 
@@ -397,7 +421,7 @@ def test_alternating_line_lambda_matches_scan():
     gf = GroupFairnessSpec(lower=(0.5, 0.5), upper=(0.5, 0.5))
     for centers in ([1], [0, 3]):
         radii = pairwise_distance_set(inst)
-        lam = min_feasible_lambda(inst, gf, centers, radii).radius
+        lam = min_feasible_lambda(inst, gf, centers).radius
         assert lam == radii[_dense_scan(inst, gf, centers, radii).index(True)]
 
 
@@ -425,6 +449,9 @@ def test_fixed_center_lp_rejects_bad_center_sets(centers):
     inst = line_instance([0, 1], [0, 1])
     with pytest.raises(ValidationError, match="distinct ids"):
         build_gf_objective_lp(inst, vacuous_gf(2), centers, "median")
+    # the radius search too, before it reads any distance
+    with pytest.raises(ValidationError, match="distinct ids"):
+        min_feasible_lambda(inst, vacuous_gf(2), centers)
 
 
 def test_fixed_center_lp_solution_is_the_optimal_fair_assignment():
@@ -876,14 +903,14 @@ def test_pivot_ties_go_to_the_lowest_center():
             assert [2, model.point_class[1]] in model.kept.tolist()
 
 
-def test_radius_probes_log_one_debug_record_each(caplog):
+def test_radius_probes_log_one_debug_record_each(caplog, monkeypatch):
     """Each probe of the radius search logs its radius, class count, its
     pivot-form column count and its verdict on the ``fairclus`` logger."""
     inst = line_instance([0, 0, 1, 1, 5, 6, 6], [0, 1, 0, 1, 0, 1, 1])
     gf = exact_gf_spec(inst)
-    radii = np.unique(inst.distance_matrix()[[0, 5]])
+    _start_search_at(monkeypatch, lambda radii: 0)  # below the answer
     with caplog.at_level("DEBUG", logger="fairclus"):
-        result = min_feasible_lambda(inst, gf, [0, 5], radii)
+        result = min_feasible_lambda(inst, gf, [0, 5])
     probes = [r.getMessage() for r in caplog.records if r.name == "fairclus"]
     assert probes[-1] == (f"radius probe {result.radius!r}: "
                           f"{result.model.class_sizes.size} classes, "

@@ -7,13 +7,12 @@ import pytest
 
 from fairclus import (BudgetExceededError, CenterDiversitySpec,
                       GroupFairnessSpec, InfeasibleError, OracleBudget,
-                      ValidationError,
-                      brute_force_doubly_fair, brute_force_gf_assignment,
-                      check_ds, default_ds_profile, ds_cost, exact_gf_spec,
+                      ValidationError, brute_force_doubly_fair, check_ds, default_ds_profile, ds_cost, exact_gf_spec,
                       gf_violation, make_instance, random_instance)
 from fairclus.constraints import OBJECTIVES
 
-from conftest import balanced_instance, line_instance, vacuous_gf, window_gf
+from conftest import (balanced_instance, line_instance, vacuous_gf,
+                      violation_by_definition, window_gf)
 from reference_oracle import (exhaustive_doubly_fair, reference_doubly_fair,
                               reference_gf_assignment)
 
@@ -126,8 +125,6 @@ def test_oracle_rejects_specs_with_other_colors():
         brute_force_doubly_fair(inst, vacuous_gf(2), ds3, "center")
     with pytest.raises(ValidationError, match="ds spec has 2 colors, instance has 3"):
         brute_force_doubly_fair(inst, vacuous_gf(3), ds2, "center")
-    with pytest.raises(ValidationError, match="gf spec has 2 colors, instance has 3"):
-        brute_force_gf_assignment(inst, [0, 1, 2], vacuous_gf(2), "median")
 
 
 def test_budget_exceeded_center_sets():
@@ -168,9 +165,6 @@ def test_zero_time_cap_stops_even_a_small_pruned_search():
     capped = OracleBudget(time_cap=0.0)
     with pytest.raises(BudgetExceededError, match="time cap"):
         brute_force_doubly_fair(inst, vacuous_gf(2), ds, "center", budget=capped)
-    with pytest.raises(BudgetExceededError, match="time cap"):
-        brute_force_gf_assignment(inst, [0, 1], vacuous_gf(2), "median",
-                                  budget=capped)
 
 
 def test_infinite_time_cap_is_no_cap():
@@ -220,24 +214,6 @@ def test_pruned_search_matches_the_frozen_reference():
     assert requests >= 600 and infeasible >= 50
 
 
-def test_gf_assignment_matches_the_frozen_reference():
-    rng = np.random.default_rng(71)
-    requests = infeasible = 0
-    for _, n, m, k, width, nonempty in product(range(2), range(6, 11), (2, 3),
-                                               (1, 2, 3), range(4), (False, True)):
-        inst = balanced_instance(n, m, seed=int(rng.integers(2**31)))
-        gf = _desk_gf(inst, width)
-        centers = rng.choice(n, size=k, replace=False).tolist()
-        for objective in OBJECTIVES:
-            expected = _outcome(reference_gf_assignment, inst, centers, gf,
-                                objective, nonempty)
-            assert _outcome(brute_force_gf_assignment, inst, centers, gf,
-                            objective, None, nonempty) == expected
-            requests += 1
-            infeasible += isinstance(expected, str)
-    assert requests >= 600 and infeasible >= 50
-
-
 def test_pruned_equals_unpruned_on_duplicate_points():
     """Integer-grid coordinates with repeated points give exact distance
     ties between center sets and between assignments."""
@@ -264,8 +240,8 @@ def test_a_tie_found_later_goes_to_the_set_that_sorts_first():
     assert ds_cost(inst, (2, 3), "center") == 1.0
     assert ds_cost(inst, (0, 1), "center") == 2.0
     for centers in ((0, 1), (2, 3)):
-        assert brute_force_gf_assignment(inst, centers, gf, "center",
-                                         require_nonempty=True).cost == 2.0
+        assert reference_gf_assignment(inst, centers, gf, "center",
+                                       require_nonempty=True).cost == 2.0
     opt = brute_force_doubly_fair(inst, gf, ds, "center")
     assert opt.centers == (0, 1) and opt.assignment == (0, 1, 1, 0)
     assert opt == exhaustive_doubly_fair(inst, gf, ds, "center")
@@ -284,13 +260,15 @@ def test_infeasible_request_is_refused_before_any_set_is_searched():
 
 
 def test_gf_assignment_single_center():
+    """The test-side fixed-center search that other tests take as ground
+    truth."""
     inst = line_instance([0, 1, 2, 3], [0, 1, 0, 1])
     gf = exact_gf_spec(inst)  # global ratios: a single cluster is fair
-    clus = brute_force_gf_assignment(inst, [1], gf, "median")
+    clus = reference_gf_assignment(inst, [1], gf, "median")
     assert clus.assignment == (1, 1, 1, 1)
     gf_strict = GroupFairnessSpec(lower=(0.75, 0.25), upper=(0.75, 1.0))
     with pytest.raises(InfeasibleError):
-        brute_force_gf_assignment(inst, [1], gf_strict, "median")
+        reference_gf_assignment(inst, [1], gf_strict, "median")
 
 
 def test_gf_assignment_vacuous_equals_nearest():
@@ -301,8 +279,7 @@ def test_gf_assignment_vacuous_equals_nearest():
                              coords=rng.uniform(0, 1, (n, 2)), m=2)
         centers = sorted(rng.choice(n, size=2, replace=False).tolist())
         for objective in ("median", "means"):
-            clus = brute_force_gf_assignment(inst, centers, vacuous_gf(2),
-                                             objective)
+            clus = reference_gf_assignment(inst, centers, vacuous_gf(2), objective)
             # centers ascend, so argmin's first minimum is the lowest id on ties
             nearest = np.array(centers)[inst.distance_matrix()[centers].argmin(axis=0)]
             expected = ds_cost(inst, centers, objective)
@@ -317,7 +294,7 @@ def test_oracle_lower_bounds_random_feasible_solutions():
     gf = window_gf(inst)
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
     opt = brute_force_doubly_fair(inst, gf, ds, "median")
-    from fairclus import check_cluster_group_fair, make_clustering
+    from fairclus import make_clustering
     found = 0
     for _ in range(300):
         centers = sorted(rng.choice(8, size=2, replace=False).tolist())
@@ -328,8 +305,7 @@ def test_oracle_lower_bounds_random_feasible_solutions():
         sizes = [len(clus.members(c)) for c in centers]
         if min(sizes) == 0:
             continue
-        if any(not check_cluster_group_fair(inst, clus.members(c), gf, rho=0)
-               for c in centers):
+        if violation_by_definition(inst, clus, gf) > 0:
             continue
         found += 1
         assert clus.cost >= opt.cost - 1e-12

@@ -289,17 +289,19 @@ def test_kcenter_without_the_bound_matches_full_search_and_fresh_solve(
         monkeypatch):
     """The same with every distance from the centers searched: the winning
     probe is then found by binary search above the first."""
-    monkeypatch.setattr(pipeline, "counting_bound_index", lambda *args: 0)
+    monkeypatch.setattr(lp_module, "counting_bound_index", lambda *args: 0)
     _match_full_search_and_fresh_solve(monkeypatch)
 
 
 def _match_full_search_and_fresh_solve(monkeypatch):
     above_ds = []
 
-    def full_scan_then_fresh_solve(inst, gf, centers, candidates):
+    def full_scan_then_fresh_solve(inst, gf, centers):
         scan = _fixed_center_scan(inst, gf, centers)
         radius = next(r for r, feasible in scan if feasible)
-        assert radius in candidates  # the bound skips no feasible radius
+        candidates = np.unique(inst.distance_matrix()[list(centers)])
+        start = lp_module.counting_bound_index(inst, gf, centers, candidates)
+        assert radius in candidates[start:]  # the bound skips no feasible radius
         model = build_gf_feasibility_lp(inst, gf, centers, radius)
         return LambdaSearchResult(radius, model, solve_lp(model))
 
@@ -513,22 +515,17 @@ def test_ratio_window_failure_is_found_by_the_precheck(monkeypatch):
     assert objectives == [] and backends == []
 
 
-def test_infeasible_objective_lp_reports_ratio_sums():
+def test_infeasible_fixed_center_programs_have_no_solution():
     """An input the precheck's ratio test rejects, handed straight to the
     LPs over fixed centers: the median and means programs have no solution,
-    and the k-center radius search reports the ratio sums, k and n."""
+    and the k-center radius search finds no radius."""
     inst = line_instance([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1])
     gf = GroupFairnessSpec(lower=(0, 0), upper=(Fraction(1, 3), 1))
     centers = (0, 3)
     for objective in ("median", "means"):
         assert solve_lp(lp_module.build_gf_objective_lp(
             inst, gf, centers, objective)) is None
-    radii = np.unique(inst.distance_matrix()[list(centers)])
-    with pytest.raises(InfeasibleError, match="largest radius") as exc_info:
-        lp_module.min_feasible_lambda(inst, gf, centers, radii)
-    assert exc_info.value.diagnosis == ["sum of lower ratios = 0",
-                                        "sum of upper ratios = 1.33333",
-                                        "k = 2, n = 6"]
+    assert lp_module.min_feasible_lambda(inst, gf, centers) is None
 
 
 def test_kcenter_with_no_radius_passing_the_bound_solves_only_the_full_lp(
