@@ -227,9 +227,10 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if not 1 <= args.k <= args.n_min:
         raise ValidationError(f"--k {args.k} outside [1, --n-min {args.n_min}]")
-    for flag, value in (("--count", args.count), ("--jobs", args.jobs)):
-        if value < 1:
-            raise ValidationError(f"{flag} {value} is below 1")
+    for flag, value, least in (("--count", args.count, 1), ("--jobs", args.jobs, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            raise ValidationError(f"{flag} {value} is below {least}")
     get_backend(args.ds_backend)
     created = _check_outputs(args.out)
     rng = np.random.default_rng(args.seed)

@@ -25,10 +25,11 @@ one of its vertices a class with a column at |G| has no other positive
 column, and the positive columns of every other class are basic, so
 linearly independent. They meet only their classes' rows and the k mass
 and at most 2km ratio rows, so they outnumber their classes by at most
-k(2m + 1). HiGHS solves the program in pivot form, with each class's mass
-to one center written as |G| minus its other columns; that substitution
-is an affine bijection between the two feasible sets, so it maps vertices
-to vertices and the count holds for the masses ``lp.solve_lp`` recovers.
+k(2m + 1). The LP stage solves the program in pivot form, with each
+class's mass to one center written as |G| minus its other columns; that
+substitution is an affine bijection between the two feasible sets, so it
+maps vertices to vertices and the count holds for the masses
+``lp.solve_lp`` recovers.
 Its northwest-corner split gives a class with p positive masses at most
 p - 1 fractional points: F <= k(2m + 1) for any n.
 """

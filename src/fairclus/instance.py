@@ -285,14 +285,17 @@ def random_instance(n: int, m: int, seed: int, dim: int = 2,
     """Seeded random instance: uniform coords in the unit cube, i.i.d. colors."""
     if n < 1 or m < 1 or dim < 1:
         raise ValidationError(f"invalid generator parameters n={n}, m={m}, dim={dim}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if color_dist is None:
         color_dist = [1.0 / m] * m
     color_dist = np.asarray(color_dist, dtype=float)
-    if color_dist.shape != (m,) or np.any(color_dist < 0):
-        raise ValidationError("color distribution must be m nonnegative weights")
-    total = color_dist.sum()
-    if total <= 0:
-        raise ValidationError("color distribution must have positive mass")
+    if color_dist.shape != (m,) or not np.all(np.isfinite(color_dist)) or np.any(color_dist < 0):
+        raise ValidationError("color distribution must be m finite nonnegative weights")
+    with np.errstate(over="ignore"):
+        total = color_dist.sum()
+    if not 0 < total < np.inf:
+        raise ValidationError("color distribution must have positive finite mass")
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0.0, 1.0, size=(n, dim))
     colors = rng.choice(m, size=n, p=color_dist / total)

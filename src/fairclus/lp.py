@@ -35,10 +35,10 @@ feasible together, with one optimum. Radius-capped variables are left out
 of the model rather than constrained to zero; the feasible set is the same
 and the model much smaller.
 
-HiGHS gets the program in pivot form, relative to each class's nearest
-center. Class G's pivot p(G) is the center nearest its first member among
-those it reaches, the lowest id on ties; for a cost model, the point's
-cheapest center. Writing y_pG = |G| - sum_{i != p} y_iG leaves a column per
+The LP solvers get the program in pivot form, relative to each class's
+nearest center. Class G's pivot p(G) is the center nearest its first
+member among those it reaches, the lowest id on ties; for a cost model,
+the point's cheapest center. Writing y_pG = |G| - sum_{i != p} y_iG leaves a column per
 non-pivot pair (i, G), holding its own coefficients minus its pivot's, at
 cost c_iG - c_pG >= 0; the pivots' |G| times their coefficients move into
 the row bounds, and each class row becomes the pivot's bound,
@@ -48,8 +48,14 @@ the row bounds, and each class row becomes the pivot's bound,
 (with one column, that column's bound [0, |G|] says it). The substitution
 is an affine bijection between the two feasible sets, so it keeps the
 optimum, shifted by the constant sum_G |G| c_pG, and maps vertices to
-vertices. The all-slack start of HiGHS's simplex, every column at 0, is
+vertices. The all-slack start of a dual simplex, every column at 0, is
 the nearest assignment, which holds almost all of an optimum's mass.
+
+Two solvers take the program. A model whose dense matrix and basis fit
+``_SIMPLEX_CELLS`` goes to the bounded dual simplex of ``simplex``, which
+starts there and whose every verdict is checked; larger models, and any
+the simplex cannot certify, go to HiGHS through scipy's ``milp``
+(``_solve_columns``). Both return a vertex.
 
 Every pipeline solves this program over its diverse centers: k-center
 searches for the smallest radius cap at which it is feasible, median and
@@ -69,6 +75,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 # never called: bound only for the lp.linprog probe of benchmarks/tracing.py
 from scipy.optimize import linprog  # noqa: F401
 
+from . import simplex
 from .constraints import GroupFairnessSpec, point_costs
 from .errors import PipelineError, ValidationError
 from .instance import EPS_D, MetricInstance
@@ -78,10 +85,19 @@ log = logging.getLogger("fairclus")
 EPS_POS = 1e-9  # support threshold: x_ij counts as positive above this
 RESIDUAL_TOL = 1e-7  # accepted constraint residual after repair
 MASS_TOL = 1e-6  # accepted slack on mass checks and on a cost against its LP bound
-# every HiGHS call: no presolve (see solve_lp). ``milp``'s own ``disp=False``
+# every HiGHS call: no presolve (see _solve_columns). ``milp``'s own ``disp=False``
 # keeps HiGHS off the console; an option ``milp`` does not know costs a
 # warning and another HiGHS options build on every call.
 _HIGHS_OPTIONS = {"presolve": False}
+# A model goes to the in-package dual simplex (``simplex``) when rows *
+# (rows + columns), the cells of its dense matrix and basis, is at most this;
+# above it, to HiGHS. Measured on ``random_instance`` median models (m=2,
+# exact GF, greedy centers; median of 5 seeds, best of 5 calls each, 2-vCPU
+# VM), simplex against ``milp``: n=130, k=4 (7.3e4 cells) 1.7 vs 2.4 ms;
+# n=90, k=8 (7.8e4) 2.4 vs 3.2 ms; n=140, k=4 (8.4e4) 2.6 vs 2.5 ms; n=150,
+# k=4 (9.6e4) 2.9 vs 1.9 ms; n=200, k=4 (1.7e5) 4.5 vs 2.2 ms. The
+# benchmark's largest model, an n=80, k=4 cost LP, has 3.1e4 cells.
+_SIMPLEX_CELLS = 80_000
 # The counting bound tests every subset of the centers up to this k; its cost
 # grows as 2^k, so above it only the 2k + 1 sets {i}, S - {i} and S are tested.
 _ALL_SETS_MAX_K = 10
@@ -137,8 +153,8 @@ class FractionalSolution:
 
 @dataclass
 class LpModel:
-    """The program over the sorted center set ``centers`` as HiGHS reads it,
-    plus enough context to interpret it.
+    """The program over the sorted center set ``centers`` as the LP solvers
+    read it, plus enough context to interpret it.
 
     Point j lies in class ``point_class[j]``; classes are numbered in the
     order of their first members. The model is in pivot form: class G's
@@ -361,50 +377,34 @@ def build_gf_objective_lp(inst: MetricInstance, gf: GroupFairnessSpec,
 
 
 def solve_lp(model: LpModel):
-    """Solve a model with HiGHS, through scipy's ``milp`` with no integer
-    column; returns a repaired FractionalSolution, or None if the model is
-    infeasible.
+    """Solve a model; returns a repaired FractionalSolution, or None if the
+    model is infeasible.
 
-    A class that reaches no center makes the model infeasible, and HiGHS is
-    not called. Nor is it when the pivots' assignment, every column at 0,
-    meets every row within RESIDUAL_TOL, the tolerance of
-    ``check_lp_solution`` (max(lo, -hi) <= RESIDUAL_TOL): that point is
-    feasible for a radius probe and, as every column costs c_iG - c_pG >=
-    0, optimal for a cost model. A model with no column (k = 1, or every
-    class reaches one center) that fails this test is infeasible.
-
-    HiGHS gets the model's own arrays: its CSC matrix with the row bounds,
-    the column bounds [0, |G|] and one option, presolve off; ``milp``'s own
-    ``disp=False`` keeps HiGHS off the console. The arrays reach ``milp`` in
-    ``_Rows`` and ``_ColumnBounds``, which skip scipy's second check of
-    them, and every table of the split below that does not depend on the
-    answer is made before the call. In pivot form HiGHS's
-    all-slack start is the assignment of each class to its pivot, the
-    nearest center, so its dual simplex only repairs the mass and ratio
-    rows: a median of 6.5 iterations per n=80, k=4 cost LP, against 86
-    for the same LP without pivots, and 7 against 17 per n=60, k=4 radius
-    probe. Presolve finds little to remove: without it, an n=80, k=4 cost
-    model took 2.4 -> 0.8 ms before the pivot form (2-vCPU VM).
-
-    Costs go in scaled by the power of two that brings the largest into
-    [1, 2). The scaling is exact and leaves the optimal vertices as they
-    are, and HiGHS's absolute tolerances then mean the same at any
-    coordinate scale: at 2^-20, where d^2 is near 1e-12, unscaled costs
-    fall below them and the optimum is lost.
+    A class that reaches no center makes the model infeasible, and no
+    solver runs. Nor does one for a model with no column (k = 1, or every
+    class reaches one center): it is feasible exactly when the pivots'
+    assignment, every column at 0, meets every row within RESIDUAL_TOL,
+    the tolerance of ``check_lp_solution`` (max(lo, -hi) <= RESIDUAL_TOL).
+    Every other model goes to ``_solve_columns``, the one LP-solver entry.
+    Each call logs one DEBUG record on the ``fairclus`` logger: the radius
+    (``uncapped LP`` for a cost model), the class and column counts, the
+    solver that ran with its pivot count, or why it fell back to HiGHS,
+    and the verdict.
 
     Each pivot takes its class's mass that the columns leave. Each class's
     mass is then split over its members by the northwest-corner rule:
     members in id order fill the centers in sorted order, each member one
     unit. A class with p positive masses so gets at most p - 1 fractional
     members, and at a vertex the positive masses beyond one per class
-    number at most k(2m + 1) (see ``flow``). The solution is k x n, a row
-    per center. Repair: negatives clamped, each assignment column
-    renormalized to sum exactly 1 (the flow rounds each column as one unit
-    of mass). Residuals are not re-verified; see ``check_lp_solution``,
-    which checks the split table against ``inst`` and ``gf``, so the model
-    cannot vouch for itself.
+    number at most k(2m + 1) (see ``flow``); both solvers return a vertex.
+    The solution is k x n, a row per center. Repair: negatives clamped,
+    each assignment column renormalized to sum exactly 1 (the flow rounds
+    each column as one unit of mass). Residuals are not re-verified; see
+    ``check_lp_solution``, which checks the split table against ``inst``
+    and ``gf``, so the model cannot vouch for itself.
     """
     if (model.pivot < 0).any():
+        _log_solve(model, "no solve", None)
         return None
     size = model.class_sizes
     cls = model.point_class
@@ -418,20 +418,15 @@ def solve_lp(model: LpModel):
     rank[order] = np.arange(cls.size) - (size.cumsum() - size)[cls[order]]
     upto = rank + 1.0
     classes = np.arange(size.size)
-    if np.maximum(model.lo, -model.hi).max() <= RESIDUAL_TOL:
-        value = np.zeros(model.ncols)  # the pivots' assignment meets every row
-    elif model.ncols == 0:
-        return None
+    if model.ncols == 0:
+        solver = "no solve"
+        value = np.zeros(0) if _pivots_feasible(model) else None
     else:
-        c = np.ldexp(model.c, 1 - np.frexp(model.c.max())[1])
-        res = milp(c, constraints=_Rows(model.a, model.lo, model.hi),
-                   bounds=_ColumnBounds(0.0, size[col_class]), options=_HIGHS_OPTIONS)
-        if res.status == 2:
-            return None
-        if res.status != 0:
-            raise PipelineError(
-                "lp", f"LP backend failed with status {res.status}: {res.message}")
-        value = np.maximum(res.x, 0.0)
+        value, solver = _solve_columns(model, size[col_class])
+    _log_solve(model, solver, value)
+    if value is None:
+        return None
+    value = np.maximum(value, 0.0)
 
     # northwest corner: member r of class G takes [r, r + 1) of G's mass,
     # center s the interval ending at y_1G + ... + y_sG
@@ -448,6 +443,74 @@ def solve_lp(model: LpModel):
         raise PipelineError("lp", "an assignment column lost more than half its mass")
     x /= sums
     return FractionalSolution(rows=model.centers, x=x)
+
+
+def _pivots_feasible(model: LpModel) -> bool:
+    """Whether the pivots' assignment, every column at 0, meets every row
+    within RESIDUAL_TOL."""
+    return bool(np.maximum(model.lo, -model.hi).max() <= RESIDUAL_TOL)
+
+
+def _solve_columns(model: LpModel, upper: np.ndarray):
+    """Solve a model with columns, each in [0, ``upper``], whose every class
+    reaches a center: (column values, solver), the values None if the
+    model is infeasible.
+
+    Costs go in scaled by the power of two that brings the largest into
+    [1, 2). The scaling is exact and leaves the optimal vertices as they
+    are, and the solvers' absolute tolerances then mean the same at any
+    coordinate scale: at 2^-20, where d^2 is near 1e-12, unscaled costs
+    fall below HiGHS's and the optimum is lost.
+
+    A model whose dense basis matrix and rows fit ``_SIMPLEX_CELLS`` goes to
+    the dual simplex of ``simplex``, from the all-slack basis: in pivot
+    form that is the nearest assignment, dual feasible as every column
+    costs c_iG - c_pG >= 0, so the simplex only repairs the mass and ratio
+    rows, and returns at once when the pivots' assignment meets every row.
+    Its optimum is checked against reduced costs recomputed from the final
+    basis, and an infeasible verdict against its Farkas row, with every row
+    relaxed by RESIDUAL_TOL. When a check fails or the pivot limit is
+    reached, HiGHS solves the model.
+
+    Larger models go to HiGHS directly, unless the pivots' assignment
+    already meets every row: through scipy's ``milp`` with no integer
+    column, with the model's own CSC matrix, the row bounds, the column
+    bounds and one option, presolve off; ``milp``'s own ``disp=False``
+    keeps HiGHS off the console. The arrays reach ``milp`` in ``_Rows`` and
+    ``_ColumnBounds``, which skip scipy's second check of them. Presolve
+    finds little to remove: without it, an n=80, k=4 cost model took
+    2.4 -> 0.8 ms before the pivot form (2-vCPU VM).
+    """
+    c = np.ldexp(model.c, 1 - np.frexp(model.c.max())[1])
+    rows = model.a.shape[0]
+    if rows * (rows + model.ncols) <= _SIMPLEX_CELLS:
+        out = simplex.solve(model.a.toarray(), model.lo, model.hi, c, upper, RESIDUAL_TOL)
+        if out.verdict in ("optimal", "infeasible"):
+            return out.y, f"simplex, {out.pivots} pivots"
+        solver = f"HiGHS after the simplex's {out.verdict} at {out.pivots} pivots"
+    elif _pivots_feasible(model):
+        return np.zeros(model.ncols), "no solve"
+    else:
+        solver = "HiGHS"
+    res = milp(c, constraints=_Rows(model.a, model.lo, model.hi),
+               bounds=_ColumnBounds(0.0, upper), options=_HIGHS_OPTIONS)
+    if res.status == 2:
+        return None, solver
+    if res.status != 0:
+        raise PipelineError(
+            "lp", f"LP backend failed with status {res.status}: {res.message}")
+    return res.x, solver
+
+
+def _log_solve(model: LpModel, solver: str, value) -> None:
+    """One DEBUG record of a solve: the model, the solver and its verdict
+    (``value`` is None for an infeasible model)."""
+    if log.isEnabledFor(logging.DEBUG):  # class_sizes costs a count
+        log.debug("%s: %d classes, %d columns, %s, %s",
+                  "uncapped LP" if model.lam is None else f"radius probe {model.lam!r}",
+                  model.class_sizes.size, model.ncols, solver,
+                  "infeasible" if value is None
+                  else "optimal" if model.lam is None else "feasible")
 
 
 def check_lp_solution(model: LpModel, sol: FractionalSolution,
@@ -563,10 +626,6 @@ def min_feasible_lambda(inst: MetricInstance, gf: GroupFairnessSpec,
         radius = float(radii[idx])
         model = build_gf_feasibility_lp(inst, gf, centers, radius)
         sol = solve_lp(model)
-        if log.isEnabledFor(logging.DEBUG):  # class_sizes costs a count
-            log.debug("radius probe %r: %d classes, %d columns to HiGHS, %s", radius,
-                      model.class_sizes.size, model.ncols,
-                      "infeasible" if sol is None else "feasible")
         if sol is not None:
             best = LambdaSearchResult(radius, model, sol)
         return sol is not None
@@ -686,7 +745,7 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     times as many per window (at most about ``_WINDOW_CELLS`` count bins in
     one), and the first passing one is the answer.
 
-    Slack: the test never rejects a radius HiGHS accepts. The pipeline
+    Slack: the test never rejects a radius an LP solver accepts. The pipeline
     accepts a solution whose repair left x >= 0 with unit columns, so the
     counts bound the color-h mass of T exactly, and whose mass and ratio
     rows hold within RESIDUAL_TOL (``check_lp_solution``). Summed over the
@@ -734,7 +793,7 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
 
 
 def dump_lp_text(model: LpModel, stream) -> None:
-    """Write the model HiGHS solves in LP text interchange format (for
+    """Write the model the LP solvers solve in LP text interchange format (for
     debugging). Column ``x_i_j`` is the mass the class of point j, its first
     member, sends to center i. Comment lines list the members of each class
     of two or more points, then name each class's pivot center (``none``

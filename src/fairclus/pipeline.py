@@ -16,7 +16,8 @@ flow rounds it.
 
 The flow (``flow.min_cost_flow``) fixes each point with one support arc and
 routes the points the LP split, at most k(2m + 1) at a vertex, by
-successive shortest paths; only the LP stage calls HiGHS.
+successive shortest paths; only the LP stage solves an LP, with the
+in-package dual simplex or, above its size gate, HiGHS.
 
 No rerouting runs. The paper's rerouted solution is feasible for the same
 LP (capped at its own largest support distance for k-center), so r and the

@@ -88,7 +88,8 @@ def test_solve_is_silent_at_the_file_descriptors(tmp_path, capfd, monkeypatch, o
     """Read at file descriptors 1 and 2, which capsys cannot see and where
     HiGHS would write from C: ``pipeline.solve`` writes nothing, ``fairclus
     solve`` its summary line only, and neither leaves a file in the working
-    directory. HiGHS is called in both."""
+    directory. HiGHS is called in both, with the simplex's size gate patched
+    to 0."""
     inputs, work = tmp_path / "inputs", tmp_path / "work"
     inputs.mkdir()
     work.mkdir()
@@ -103,6 +104,7 @@ def test_solve_is_silent_at_the_file_descriptors(tmp_path, capfd, monkeypatch, o
         return solve_milp(*args, **kwargs)
 
     monkeypatch.setattr(lp_module, "milp", counting)
+    monkeypatch.setattr(lp_module, "_SIMPLEX_CELLS", 0)
     monkeypatch.chdir(work)
     inst = load_instance(str(inst_path), "json")
     gf, ds = load_fairness_spec(str(spec_path), inst)
@@ -634,6 +636,19 @@ def test_console_entry_point(tmp_path):
     assert inst_path.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    (("--seed", "1", "--color-dist", "nan,1"), "color distribution must be m finite"),
+    (("--seed", "1", "--color-dist", "inf,1"), "color distribution must be m finite"),
+])
+def test_gen_rejects_a_negative_seed_and_weights_that_are_not_finite(tmp_path, capsys,
+                                                                    args, message):
+    out = tmp_path / "g.json"
+    assert run_cli("gen", "--n", "5", "--m", "2", *args, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bounds, message", [
     (("--n-min", "10", "--n-max", "6", "--k", "2"), "--n-min 10 exceeds --n-max 6"),
     (("--n-min", "6", "--n-max", "6", "--k", "20"), "--k 20 outside [1, --n-min 6]"),
@@ -643,6 +658,7 @@ def test_console_entry_point(tmp_path):
     (("--count", "0"), "--count 0 is below 1"),
     (("--jobs", "0"), "--jobs 0 is below 1"),
     (("--jobs", "-2"), "--jobs -2 is below 1"),
+    (("--seed", "-3"), "--seed -3 is below 0"),
 ])
 def test_sweep_rejects_bad_ranges_before_solving(tmp_path, capsys, bounds, message):
     out = tmp_path / "sweep.csv"

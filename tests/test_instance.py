@@ -176,6 +176,18 @@ def test_generator_color_distribution_support():
     assert set(only_zero.colors.tolist()) == {0}
 
 
+@pytest.mark.parametrize("seed", [-1, -3, True, 1.5, "3", None])
+def test_generator_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        random_instance(5, 2, seed=seed)
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, 1.0], [1e308, 1e308]])
+def test_generator_rejects_weights_that_are_not_finite(weights):
+    with pytest.raises(ValidationError, match="color distribution"):
+        random_instance(5, 2, seed=1, color_dist=weights)
+
+
 def test_instance_immutability():
     inst = random_instance(4, 2, seed=0)
     with pytest.raises(ValueError):

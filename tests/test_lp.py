@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -21,6 +22,7 @@ from fairclus import (ExactBackend, GreedyBackend, GroupFairnessSpec,
                       min_feasible_lambda, pairwise_distance_set,
                       random_instance, solve, solve_lp)
 from fairclus import lp as lp_module
+from fairclus import simplex
 from fairclus.constraints import point_costs
 from fairclus.errors import PipelineError
 from fairclus.instance import EPS_D
@@ -596,9 +598,10 @@ def test_dump_lp_text_matches_golden(name):
 
 
 def test_cost_lp_without_presolve_matches_a_presolved_solve(monkeypatch):
-    """The median/means LP runs without HiGHS presolve; on random instances
-    its optimum is the presolved one and the pipeline rounds it to the same
-    clustering."""
+    """Above the simplex's size gate (patched to 0 here) the median/means LP
+    goes to HiGHS without presolve; on random instances its optimum is the
+    presolved one and the pipeline rounds it to the same clustering. Under
+    the gate, the simplex's optimum is the presolved one too."""
     solve_milp = lp_module.milp
 
     def presolved(c, *, options, **kwargs):
@@ -615,10 +618,11 @@ def test_cost_lp_without_presolve_matches_a_presolved_solve(monkeypatch):
         ds = default_ds_profile(inst, k)
         backend = ExactBackend() if exact else GreedyBackend()
         with monkeypatch.context() as patched:
+            patched.setattr(lp_module, "_SIMPLEX_CELLS", 0)
+            artifacts = {}
+            got, _ = solve(inst, gf, ds, objective, backend=backend, artifacts=artifacts)
             patched.setattr(lp_module, "milp", presolved)
             want, _ = solve(inst, gf, ds, objective, backend=backend)
-        artifacts = {}
-        got, _ = solve(inst, gf, ds, objective, backend=backend, artifacts=artifacts)
         assert got == want, (case, n, m, k, objective)
 
         model = build_gf_objective_lp(inst, gf, artifacts["ds_solution"].centers,
@@ -635,8 +639,10 @@ def test_cost_lp_without_presolve_matches_a_presolved_solve(monkeypatch):
 
 
 def test_no_highs_call_uses_presolve(monkeypatch):
-    """Each HiGHS call of a solve gets one option, presolve off: median,
-    means, the k-center radius probes and an uncapped feasibility model."""
+    """Above the simplex's size gate (patched to 0 here), each HiGHS call of
+    a solve gets one option, presolve off: median, means, the k-center
+    radius probes and an uncapped feasibility model."""
+    monkeypatch.setattr(lp_module, "_SIMPLEX_CELLS", 0)
     calls = []
     solve_milp = lp_module.milp
 
@@ -694,15 +700,15 @@ def test_reduced_probe_matches_the_full_model(monkeypatch):
     presolve finds the whole per-point model feasible, and each solution it
     returns passes the full check and splits at most k(2m + 1) points.
     Among them are k = 1 and models whose every point reaches one center
-    only, which HiGHS never sees."""
+    only, which no LP solver sees."""
     calls = []
-    solve_milp = lp_module.milp
+    solve_columns = lp_module._solve_columns
 
-    def recording(*args, **kwargs):
+    def recording(*args):
         calls.append(1)
-        return solve_milp(*args, **kwargs)
+        return solve_columns(*args)
 
-    monkeypatch.setattr(lp_module, "milp", recording)
+    monkeypatch.setattr(lp_module, "_solve_columns", recording)
     rng = np.random.default_rng(29)
     seen = {"feasible": 0, "infeasible": 0, "k=1": 0, "all forced": 0}
     for case in range(240):
@@ -798,7 +804,8 @@ def _as_milp_reads(c, constraints, bounds):
 
 def test_milp_gets_the_pivot_model(monkeypatch):
     """On the tied cases, at every candidate radius, uncapped and for median
-    and means: ``solve_lp`` calls HiGHS exactly when every class reaches a
+    and means, above the simplex's size gate (patched to 0 here):
+    ``solve_lp`` calls HiGHS exactly when every class reaches a
     center, some column is left and the pivots' assignment breaks a row by
     more than RESIDUAL_TOL, and then hands it ``pivot_model_from_dense``'s
     model, the costs scaled: the same costs, matrix entries and column
@@ -814,6 +821,7 @@ def test_milp_gets_the_pivot_model(monkeypatch):
         return solve_milp(c, constraints=constraints, bounds=bounds, options=options)
 
     monkeypatch.setattr(lp_module, "milp", recording)
+    monkeypatch.setattr(lp_module, "_SIMPLEX_CELLS", 0)
     seen = Counter()
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -861,29 +869,43 @@ def test_milp_gets_the_pivot_model(monkeypatch):
 def test_a_fair_pivot_assignment_is_solved_without_highs(monkeypatch):
     """Each point at its nearest center already meets every row: a cost
     model (whose costs are >= 0) and a radius probe are both solved by that
-    assignment, and HiGHS is not called."""
+    assignment, and HiGHS is not called. Under the simplex's size gate the
+    simplex returns it after zero pivots; above it (the gate patched to 0)
+    no solver runs."""
     def fail(*args, **kwargs):
         raise AssertionError("HiGHS called")
 
     monkeypatch.setattr(lp_module, "milp", fail)
+    runs = []
+    run_simplex = simplex.solve
+
+    def recording(*args):
+        runs.append(run_simplex(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(simplex, "solve", recording)
     inst = line_instance([0, 1, 2, 3], [0, 1, 0, 1])
     gf = exact_gf_spec(inst)
     nearest = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-    for model in (build_gf_objective_lp(inst, gf, [0, 3], "median"),
-                  build_gf_objective_lp(inst, gf, [0, 3], "means"),
-                  build_gf_feasibility_lp(inst, gf, [0, 3], 2.0)):
-        assert model.ncols > 0
-        sol = solve_lp(model)
-        check_lp_solution(model, sol, inst, gf)
-        assert np.array_equal(sol.x, nearest)
+    for gate in (lp_module._SIMPLEX_CELLS, 0):
+        monkeypatch.setattr(lp_module, "_SIMPLEX_CELLS", gate)
+        runs.clear()
+        for model in (build_gf_objective_lp(inst, gf, [0, 3], "median"),
+                      build_gf_objective_lp(inst, gf, [0, 3], "means"),
+                      build_gf_feasibility_lp(inst, gf, [0, 3], 2.0)):
+            assert model.ncols > 0
+            sol = solve_lp(model)
+            check_lp_solution(model, sol, inst, gf)
+            assert np.array_equal(sol.x, nearest)
+        assert [(r.verdict, r.pivots) for r in runs] == ([("optimal", 0)] * 3 if gate else [])
 
 
 def test_a_class_without_a_center_is_refused_before_highs(monkeypatch):
     """A probe below the nearest-assignment radius, where point 3 reaches
     no center while point 1 reaches both: no pivot for point 3's class, and
-    ``solve_lp`` returns None without calling HiGHS."""
+    ``solve_lp`` returns None without calling an LP solver."""
     calls = []
-    monkeypatch.setattr(lp_module, "milp", lambda *args, **kwargs: calls.append(1))
+    monkeypatch.setattr(lp_module, "_solve_columns", lambda *args: calls.append(1))
     inst = line_instance([0, 1, 2, 10], [0, 1, 0, 1])
     model = build_gf_feasibility_lp(inst, vacuous_gf(2), [0, 2], 1.0)
     assert model.ncols == 1 and model.pivot[model.point_class[3]] == -1
@@ -905,16 +927,18 @@ def test_pivot_ties_go_to_the_lowest_center():
 
 def test_radius_probes_log_one_debug_record_each(caplog, monkeypatch):
     """Each probe of the radius search logs its radius, class count, its
-    pivot-form column count and its verdict on the ``fairclus`` logger."""
+    pivot-form column count, the solver that ran with its pivot count, and
+    its verdict on the ``fairclus`` logger."""
     inst = line_instance([0, 0, 1, 1, 5, 6, 6], [0, 1, 0, 1, 0, 1, 1])
     gf = exact_gf_spec(inst)
     _start_search_at(monkeypatch, lambda radii: 0)  # below the answer
     with caplog.at_level("DEBUG", logger="fairclus"):
         result = min_feasible_lambda(inst, gf, [0, 5])
     probes = [r.getMessage() for r in caplog.records if r.name == "fairclus"]
-    assert probes[-1] == (f"radius probe {result.radius!r}: "
-                          f"{result.model.class_sizes.size} classes, "
-                          f"{result.model.ncols} columns to HiGHS, feasible")
+    assert re.fullmatch(re.escape(f"radius probe {result.radius!r}: "
+                                  f"{result.model.class_sizes.size} classes, "
+                                  f"{result.model.ncols} columns, simplex, ")
+                        + r"[1-9]\d* pivots, feasible", probes[-1]), probes[-1]
     assert all(p.startswith("radius probe ") for p in probes)
     assert len(probes) == len({p.split(":")[0] for p in probes}) >= 2
     assert any(p.endswith("infeasible") for p in probes)

@@ -272,7 +272,7 @@ def test_kcenter_with_feasible_nearest_radius_solves_one_lp(monkeypatch):
     # precondition: the LP is feasible at the nearest-assignment radius
     assert dict(_fixed_center_scan(inst, gf, clustering.centers))[first.ds_cost]
 
-    objectives = _count_highs_lps(monkeypatch)
+    objectives = _count_lp_solves(monkeypatch)
     _, report = solve(inst, gf, ds, "center", backend=GreedyBackend())
     assert len(objectives) == 1
     assert report.lam == report.ds_cost
@@ -379,9 +379,9 @@ def test_kcenter_radius_search_on_ties_and_duplicates(inst):
 def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
     """A radius probe has a column per class and center it reaches but its
     pivot, a class being the points of one color that reach the same
-    centers under the cap: sum_G (reach(G) - 1) columns. HiGHS gets one LP
-    with those columns, or none if there are none."""
-    objectives = _count_highs_lps(monkeypatch)
+    centers under the cap: sum_G (reach(G) - 1) columns. The LP solver gets
+    one LP with those columns, or none if there are none."""
+    objectives = _count_lp_solves(monkeypatch)
     models = []
     for module in (lp_module, pipeline):
         def recording(model, *args, _solve=module.solve_lp):
@@ -412,24 +412,25 @@ def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
                 assert model.lam is not None
 
 
-def _count_highs_lps(monkeypatch):
-    """Objective vectors of the LPs handed to HiGHS, in call order."""
+def _count_lp_solves(monkeypatch):
+    """Cost vectors of the LPs handed to the LP-solver entry
+    ``lp._solve_columns`` (the simplex or HiGHS), in call order."""
     objectives = []
-    milp = lp_module.milp
+    solve_columns = lp_module._solve_columns
 
-    def counting(c, *args, **kwargs):
-        objectives.append(c)
-        return milp(c, *args, **kwargs)
+    def counting(model, *args):
+        objectives.append(model.c)
+        return solve_columns(model, *args)
 
-    monkeypatch.setattr(lp_module, "milp", counting)
+    monkeypatch.setattr(lp_module, "_solve_columns", counting)
     return objectives
 
 
 def test_medmeans_solves_one_assignment_lp(monkeypatch):
     """On instances whose nearest assignment to the diverse centers breaks a
-    ratio row, each cost solve hands HiGHS one LP, with a column per center
-    and point but each point's nearest center."""
-    objectives = _count_highs_lps(monkeypatch)
+    ratio row, each cost solve hands the LP solver one LP, with a column per
+    center and point but each point's nearest center."""
+    objectives = _count_lp_solves(monkeypatch)
     for n, m, k, seed in ((8, 2, 2, 9), (12, 3, 3, 12), (20, 2, 4, 20)):
         inst = random_instance(n, m, seed=seed)
         gf, ds = exact_gf_spec(inst), default_ds_profile(inst, k)
@@ -447,13 +448,13 @@ def test_medmeans_solves_one_assignment_lp(monkeypatch):
 
 
 def test_rounding_calls_no_highs(monkeypatch):
-    """A median solve hands HiGHS its one LP and nothing else: the flow module
-    binds nothing from scipy.optimize."""
+    """A median solve hands the LP solver its one LP and nothing else: the
+    flow module binds nothing from scipy.optimize."""
     from fairclus import flow
     assert not hasattr(flow, "milp") and not hasattr(flow, "linprog")
     assert not [name for name, value in vars(flow).items()
                 if getattr(value, "__module__", "").startswith("scipy.optimize")]
-    objectives = _count_highs_lps(monkeypatch)
+    objectives = _count_lp_solves(monkeypatch)
     inst = random_instance(20, 2, seed=20)
     artifacts = {}
     solve(inst, exact_gf_spec(inst), default_ds_profile(inst, 4), "median",
@@ -503,7 +504,7 @@ def test_ratio_window_failure_is_found_by_the_precheck(monkeypatch):
     inst = line_instance([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1])
     gf = GroupFairnessSpec(lower=(0, 0), upper=(Fraction(1, 3), 1))
     ds = CenterDiversitySpec(lower=(1, 1), upper=(1, 1), k=2)
-    objectives = _count_highs_lps(monkeypatch)
+    objectives = _count_lp_solves(monkeypatch)
     backends = []
     monkeypatch.setattr(pipeline, "solve_ds_plugin",
                         lambda *args: backends.append(args))
@@ -532,7 +533,7 @@ def test_kcenter_with_no_radius_passing_the_bound_solves_only_the_full_lp(
         monkeypatch):
     """Color 0 is half the points but at most a third of any cluster. With
     the precheck bypassed, no radius from any two centers of distinct colors
-    passes the counting bound, so the k-center path hands HiGHS no LP and
+    passes the counting bound, so the k-center path solves no LP and
     reports a broken pipeline. The one LP that decides the input is the
     full LP (the reference's, n^2 + n columns), infeasible at the largest
     radius, as the precheck's exact ratio test says."""
@@ -545,7 +546,7 @@ def test_kcenter_with_no_radius_passing_the_bound_solves_only_the_full_lp(
             radii = np.unique(inst.distance_matrix()[[a, b]])
             assert counting_bound_index(inst, gf, (a, b), radii) == radii.size
     monkeypatch.setattr(pipeline, "_require_precheck", lambda *args: None)
-    objectives = _count_highs_lps(monkeypatch)
+    objectives = _count_lp_solves(monkeypatch)
     with pytest.raises(PipelineError, match="fixed-center") as exc_info:
         solve(inst, gf, ds, "center")
     assert exc_info.value.stage == "lp"
@@ -594,10 +595,10 @@ def test_kcenter_radius_is_never_below_the_diverse_cost():
 def test_kcenter_counting_bound_pins_a_radius_above_the_diverse_cost(monkeypatch):
     """The search's radius lies above the nearest-assignment radius, where a
     binary search over LP probes needs several; the counting bound pins it,
-    so HiGHS solves one LP."""
+    so one LP is solved."""
     inst = random_instance(12, 2, seed=0)
     gf, ds = exact_gf_spec(inst), default_ds_profile(inst, 3)
-    objectives = _count_highs_lps(monkeypatch)
+    objectives = _count_lp_solves(monkeypatch)
     clustering, report = solve(inst, gf, ds, "center", backend=GreedyBackend())
     assert len(objectives) == 1
     assert report.lam > report.ds_cost
@@ -763,19 +764,24 @@ def test_counting_bound_needs_the_sets_of_two_centers_at_k4():
 def test_medmeans_clustering_is_scale_free(objective):
     """Coordinates scaled by s = 2^-20 or 2^20 (exact in floating point) give
     the same centers and assignment at every one of 40 seeds, at a cost
-    scaled by s (s^2 for means). Unscaled, the LP's costs at 2^-20 (d^2 near
-    1e-12) fall below HiGHS's absolute tolerances."""
+    scaled by s (s^2 for means), with the simplex and, above its size gate
+    (patched to 0), with HiGHS. Unscaled, the LP's costs at 2^-20 (d^2 near
+    1e-12) fall below the solvers' absolute tolerances."""
     power = 2 if objective == "means" else 1
-    for seed in range(40):
-        base = random_instance(10, 2, seed=seed)
-        gf, ds = exact_gf_spec(base), default_ds_profile(base, 3)
-        want, _ = solve(base, gf, ds, objective, backend=ExactBackend())
-        for e in (-20, 20):
-            s = 2.0 ** e
-            inst = make_instance(base.colors, coords=base.coords * s, m=2)
-            got, _ = solve(inst, gf, ds, objective, backend=ExactBackend())
-            assert (got.centers, got.assignment) == (want.centers, want.assignment), (seed, e)
-            assert got.cost == pytest.approx(want.cost * s ** power, rel=1e-12)
+    for gate in (lp_module._SIMPLEX_CELLS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp_module, "_SIMPLEX_CELLS", gate)
+            for seed in range(40):
+                base = random_instance(10, 2, seed=seed)
+                gf, ds = exact_gf_spec(base), default_ds_profile(base, 3)
+                want, _ = solve(base, gf, ds, objective, backend=ExactBackend())
+                for e in (-20, 20):
+                    s = 2.0 ** e
+                    inst = make_instance(base.colors, coords=base.coords * s, m=2)
+                    got, _ = solve(inst, gf, ds, objective, backend=ExactBackend())
+                    assert (got.centers, got.assignment) == (want.centers, want.assignment), \
+                        (gate, seed, e)
+                    assert got.cost == pytest.approx(want.cost * s ** power, rel=1e-12)
 
 
 @pytest.mark.parametrize("objective", ["median", "means"])
