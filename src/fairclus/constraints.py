@@ -53,14 +53,21 @@ def center_set_costs(inst: MetricInstance, sets, objective: str):
 
 
 def as_fraction(value) -> Fraction:
-    """Exact rational from int, Fraction, 'p/q' string, or decimal float."""
+    """Exact rational from int, Fraction, 'p/q' string, or finite decimal
+    float. A bool, a zero denominator and a float that is not finite are
+    refused."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return Fraction(int(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValidationError(f"ratio bound {value!r} has a zero denominator") from None
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValidationError(f"ratio bound {value!r} is not finite")
         # decimal round-trip: a user writing 0.4 means 2/5, not the binary float
         return Fraction(Decimal(repr(float(value))))
     raise ValidationError(f"cannot interpret {value!r} as a ratio bound")
@@ -449,9 +456,11 @@ def load_fairness_spec(source, inst: MetricInstance | None = None):
         raise ParseError("exact_gf requires the instance to derive ratios")
     if not exact and "gf" not in obj:
         raise ParseError("fairness spec JSON requires 'gf' unless exact_gf is set")
-    ds_bounds = _spec_bounds(obj, "ds")
+    ds_lower, ds_upper = _spec_bounds(obj, "ds")
+    ds_bounds = ([_spec_int(v, "ds lower") for v in ds_lower],
+                 [_spec_int(v, "ds upper") for v in ds_upper])
     gf_bounds = None if exact else _spec_bounds(obj, "gf")
-    try:  # bounds that int() or Fraction() cannot read
+    try:  # ratio bounds that Fraction() cannot read
         ds = CenterDiversitySpec(*ds_bounds, k=k)
         gf = exact_gf_spec(inst) if exact else GroupFairnessSpec(*gf_bounds)
     except (TypeError, ValueError) as exc:

@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import FairclusError, ParseError, ValidationError
 
-EPS_D = 1e-9  # absolute tolerance for all distance/threshold comparisons
+# tolerance of distance comparisons: absolute in the metric checks, relative
+# to the cap in a radius test (d <= r * (1 + EPS_D))
+EPS_D = 1e-9
 
 # Exhaustive triangle-inequality check up to this size; sampled above.
 _EXHAUSTIVE_LIMIT = 200
@@ -54,7 +56,13 @@ class MetricInstance:
 
 def make_instance(colors, coords=None, dist=None, m=None,
                   color_names=None) -> MetricInstance:
-    """Build and validate a MetricInstance from raw arrays."""
+    """Build and validate a MetricInstance from raw arrays. Each color
+    label must be an integer (a bool is not), and ``color_names``, if
+    given, must name the m colors."""
+    if not (isinstance(colors, np.ndarray) and colors.dtype.kind in "iu"):
+        for j, c in enumerate(colors.tolist() if isinstance(colors, np.ndarray) else colors):
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise ValidationError(f"color label {c!r} of point {j} is not an integer")
     colors = np.asarray(colors, dtype=int)
     n = colors.shape[0]
     if n == 0:
@@ -67,6 +75,11 @@ def make_instance(colors, coords=None, dist=None, m=None,
         bad = int(np.flatnonzero((colors < 0) | (colors >= m))[0])
         raise ValidationError(
             f"color label {colors[bad]} of point {bad} outside [0, {m})")
+    if color_names is not None:
+        color_names = tuple(color_names)
+        if len(color_names) != m:
+            raise ValidationError(
+                f"color_names has {len(color_names)} names, expected m={m}")
 
     if (coords is None) == (dist is None):
         raise ValidationError("exactly one of coords/dist must be given")
@@ -90,7 +103,7 @@ def make_instance(colors, coords=None, dist=None, m=None,
     colors = colors.copy()
     colors.flags.writeable = False
     return MetricInstance(n=n, m=int(m), colors=colors, coords=coords,
-                          dist=table, color_names=tuple(color_names) if color_names else None)
+                          dist=table, color_names=color_names)
 
 
 def _euclidean_table(coords: np.ndarray) -> np.ndarray:
@@ -220,10 +233,10 @@ def _load_json(text: str) -> MetricInstance:
     dist = obj.get("dist")
     if coords is None and dist is None:
         raise ParseError("instance JSON needs one of 'coords' or 'dist'")
-    try:  # e.g. non-numeric coordinates or a ragged distance table
+    try:  # e.g. non-numeric coordinates, a ragged distance table or a huge label
         return make_instance(colors, coords=coords, dist=dist, m=m,
                              color_names=obj.get("color_names"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid instance JSON: {exc}") from exc
 
 

@@ -51,11 +51,13 @@ optimum, shifted by the constant sum_G |G| c_pG, and maps vertices to
 vertices. The all-slack start of a dual simplex, every column at 0, is
 the nearest assignment, which holds almost all of an optimum's mass.
 
-Two solvers take the program. A model whose dense matrix and basis fit
-``_SIMPLEX_CELLS`` goes to the bounded dual simplex of ``simplex``, which
-starts there and whose every verdict is checked; larger models, and any
-the simplex cannot certify, go to HiGHS through scipy's ``milp``
-(``_solve_columns``). Both return a vertex.
+``solve_lp`` decides in one place how a model is solved. When the nearest
+assignment already meets every row it is the answer, and no solver runs.
+Otherwise two solvers take the program (``_solve_columns``). A model whose
+dense matrix and basis fit ``_SIMPLEX_CELLS`` goes to the bounded dual
+simplex of ``simplex``, which starts there and whose every verdict is
+checked; larger models, and any the simplex cannot certify, go to HiGHS
+through scipy's ``milp``. Both return a vertex.
 
 Every pipeline solves this program over its diverse centers: k-center
 searches for the smallest radius cap at which it is feasible, median and
@@ -105,26 +107,6 @@ _ALL_SETS_MAX_K = 10
 # then 4 times as many per pass, but holds at most about this many count
 # bins in one pass.
 _WINDOW_CELLS = 1 << 20
-
-
-class _Rows(LinearConstraint):
-    """A model's rows as ``milp`` reads them: ``A``, ``lb`` and ``ub``.
-    scipy's own constructor checks and converts arrays the model already
-    holds in that form (a CSC matrix, float bounds of its row count), and
-    ``milp`` converts them once more; in a ``center-lambda`` solve that
-    constructor took about 0.05 ms and ``Bounds``'s 0.04 ms, a third of
-    ``solve_lp``'s time around HiGHS (2-vCPU VM)."""
-
-    def __init__(self, a, lo, hi):  # skips LinearConstraint.__init__ on purpose
-        self.A, self.lb, self.ub, self.keep_feasible = a, lo, hi, False
-
-
-class _ColumnBounds(Bounds):
-    """Column bounds as ``milp`` reads them, ``lb`` and ``ub``, without
-    scipy's broadcasting of them, which ``milp`` repeats."""
-
-    def __init__(self, lb, ub):  # skips Bounds.__init__ on purpose
-        self.lb, self.ub, self.keep_feasible = lb, ub, False
 
 
 @dataclass(frozen=True)
@@ -283,7 +265,7 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     n, k, m = inst.n, centers.size, gf.m
     dist = inst.distance_matrix()[centers]
     if objective is None:  # a class per color and reach set
-        reach = np.ones((k, n), dtype=bool) if lam is None else dist <= lam + EPS_D
+        reach = np.ones((k, n), dtype=bool) if lam is None else dist <= lam * (1 + EPS_D)
         point_class, first = _reach_classes(reach, inst.colors)
         reach, dist = reach[:, first], dist[:, first]
     else:  # a class per point
@@ -380,16 +362,20 @@ def solve_lp(model: LpModel):
     """Solve a model; returns a repaired FractionalSolution, or None if the
     model is infeasible.
 
-    A class that reaches no center makes the model infeasible, and no
-    solver runs. Nor does one for a model with no column (k = 1, or every
-    class reaches one center): it is feasible exactly when the pivots'
-    assignment, every column at 0, meets every row within RESIDUAL_TOL,
-    the tolerance of ``check_lp_solution`` (max(lo, -hi) <= RESIDUAL_TOL).
-    Every other model goes to ``_solve_columns``, the one LP-solver entry.
-    Each call logs one DEBUG record on the ``fairclus`` logger: the radius
-    (``uncapped LP`` for a cost model), the class and column counts, the
-    solver that ran with its pivot count, or why it fell back to HiGHS,
-    and the verdict.
+    The model is decided in this order:
+    1. A class that reaches no center makes it infeasible.
+    2. The pivots' assignment, every column at 0, is the answer when it
+       meets every row within RESIDUAL_TOL, the tolerance of
+       ``check_lp_solution`` (max(lo, -hi) <= RESIDUAL_TOL), at any size.
+       Every column costs c_iG - c_pG >= 0, so it is also an optimum.
+    3. Else a model with no column (k = 1, or every class reaches one
+       center) is infeasible.
+    4. Else ``_solve_columns``, the one LP-solver entry, solves it.
+    No solver runs in the first three. Each call logs one DEBUG record on
+    the ``fairclus`` logger: the radius (``uncapped LP`` for a cost
+    model), the class and column counts, the solver that ran with its
+    pivot count (``no solve`` when none ran), or why it fell back to
+    HiGHS, and the verdict.
 
     Each pivot takes its class's mass that the columns leave. Each class's
     mass is then split over its members by the northwest-corner rule:
@@ -418,9 +404,10 @@ def solve_lp(model: LpModel):
     rank[order] = np.arange(cls.size) - (size.cumsum() - size)[cls[order]]
     upto = rank + 1.0
     classes = np.arange(size.size)
-    if model.ncols == 0:
-        solver = "no solve"
-        value = np.zeros(0) if _pivots_feasible(model) else None
+    if np.maximum(model.lo, -model.hi).max() <= RESIDUAL_TOL:
+        value, solver = np.zeros(model.ncols), "no solve"
+    elif model.ncols == 0:
+        value, solver = None, "no solve"
     else:
         value, solver = _solve_columns(model, size[col_class])
     _log_solve(model, solver, value)
@@ -445,16 +432,11 @@ def solve_lp(model: LpModel):
     return FractionalSolution(rows=model.centers, x=x)
 
 
-def _pivots_feasible(model: LpModel) -> bool:
-    """Whether the pivots' assignment, every column at 0, meets every row
-    within RESIDUAL_TOL."""
-    return bool(np.maximum(model.lo, -model.hi).max() <= RESIDUAL_TOL)
-
-
 def _solve_columns(model: LpModel, upper: np.ndarray):
     """Solve a model with columns, each in [0, ``upper``], whose every class
-    reaches a center: (column values, solver), the values None if the
-    model is infeasible.
+    reaches a center and whose pivots' assignment breaks a row: (column
+    values, solver), the values None if the model is infeasible. Its one
+    choice is the solver.
 
     Costs go in scaled by the power of two that brings the largest into
     [1, 2). The scaling is exact and leaves the optimal vertices as they
@@ -466,34 +448,32 @@ def _solve_columns(model: LpModel, upper: np.ndarray):
     the dual simplex of ``simplex``, from the all-slack basis: in pivot
     form that is the nearest assignment, dual feasible as every column
     costs c_iG - c_pG >= 0, so the simplex only repairs the mass and ratio
-    rows, and returns at once when the pivots' assignment meets every row.
-    Its optimum is checked against reduced costs recomputed from the final
-    basis, and an infeasible verdict against its Farkas row, with every row
-    relaxed by RESIDUAL_TOL. When a check fails or the pivot limit is
-    reached, HiGHS solves the model.
+    rows. Its optimum is checked against reduced costs recomputed from the
+    final basis, and an infeasible verdict against its Farkas row, with
+    every row relaxed by RESIDUAL_TOL. When a check fails or the pivot
+    limit is reached, HiGHS solves the model.
 
-    Larger models go to HiGHS directly, unless the pivots' assignment
-    already meets every row: through scipy's ``milp`` with no integer
-    column, with the model's own CSC matrix, the row bounds, the column
-    bounds and one option, presolve off; ``milp``'s own ``disp=False``
-    keeps HiGHS off the console. The arrays reach ``milp`` in ``_Rows`` and
-    ``_ColumnBounds``, which skip scipy's second check of them. Presolve
-    finds little to remove: without it, an n=80, k=4 cost model took
-    2.4 -> 0.8 ms before the pivot form (2-vCPU VM).
+    Larger models go to HiGHS directly, through scipy's ``milp`` with no
+    integer column: the model's CSC matrix and row bounds in a
+    ``LinearConstraint``, the column bounds in ``Bounds``, and one option,
+    presolve off; ``milp``'s own ``disp=False`` keeps HiGHS off the
+    console. Presolve finds little to remove and costs more than it saves:
+    on ``random_instance`` seed-1 cost LPs above the gate (m=2, exact GF,
+    greedy centers; best of 3, 2-vCPU VM), a ``milp`` call took 42 ms
+    without it against 116 ms with it for median at n=2000, k=10, 112
+    against 399 ms at n=5000, k=10, and 199 against 757 ms for means at
+    n=5000, k=16.
     """
     c = np.ldexp(model.c, 1 - np.frexp(model.c.max())[1])
     rows = model.a.shape[0]
+    solver = "HiGHS"
     if rows * (rows + model.ncols) <= _SIMPLEX_CELLS:
         out = simplex.solve(model.a.toarray(), model.lo, model.hi, c, upper, RESIDUAL_TOL)
         if out.verdict in ("optimal", "infeasible"):
             return out.y, f"simplex, {out.pivots} pivots"
         solver = f"HiGHS after the simplex's {out.verdict} at {out.pivots} pivots"
-    elif _pivots_feasible(model):
-        return np.zeros(model.ncols), "no solve"
-    else:
-        solver = "HiGHS"
-    res = milp(c, constraints=_Rows(model.a, model.lo, model.hi),
-               bounds=_ColumnBounds(0.0, upper), options=_HIGHS_OPTIONS)
+    res = milp(c, constraints=LinearConstraint(model.a, model.lo, model.hi),
+               bounds=Bounds(0.0, upper), options=_HIGHS_OPTIONS)
     if res.status == 2:
         return None, solver
     if res.status != 0:
@@ -541,7 +521,7 @@ def lp_residuals(inst: MetricInstance, gf: GroupFairnessSpec,
         out["mass"] = max([0.0] + [1.0 - mass_of.get(int(c), 0.0) for c in centers])
     out["bounds"] = float(max(-x.min(), x.max() - 1.0, 0.0))
     if lam is not None:
-        far = x[inst.distance_matrix()[sol.rows] > lam + EPS_D]
+        far = x[inst.distance_matrix()[sol.rows] > lam * (1 + EPS_D)]
         out["radius"] = float(far.max()) if far.size else 0.0
     out["max"] = max(out.values())
     return out
@@ -720,8 +700,9 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     can start there.
 
     The bound (Hall's theorem in counting form). Point j reaches center i at
-    radius r when d(i, j) <= r + EPS_D, the test that keeps the column
-    x_ij. For a set T of centers let M(T) be the mass T receives, Q_h(T)
+    radius r when d(i, j) <= r * (1 + EPS_D), the test that keeps the
+    column x_ij; the tolerance is relative, so the same points reach at
+    every coordinate scale. For a set T of centers let M(T) be the mass T receives, Q_h(T)
     the number of color-h points that reach only centers in T (all their
     mass goes to T) and N_h(T) the number that reach some center in T (only
     they send mass to T). The mass rows give M(T) >= |T|, the color-h mass
@@ -736,9 +717,10 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     of sets gives a valid bound. The set T = S fails while some point
     reaches no center (Q_h(S) counts it, N_h(S) does not), so the search
     starts at the nearest-assignment radius (the largest distance from a
-    point to its nearest center). Candidates below it but within EPS_D of
-    it are skipped, although every point reaches a center there, so that
-    the radius found is never below the nearest-assignment radius.
+    point to its nearest center). Candidates below it but within a factor
+    1 + EPS_D of it are skipped, although every point reaches a center
+    there, so that the radius found is never below the nearest-assignment
+    radius.
 
     Reach only grows with r, so the bound is monotone, and the candidates
     are tested in order, a window per numpy pass: the first 16, then 4
@@ -771,8 +753,8 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
 
     def passes(window: np.ndarray) -> np.ndarray:
         # point j reaches center i from the first radius r of the window
-        # with d(i, j) <= r + EPS_D on
-        q, nn = counts((window + EPS_D).searchsorted(dc), window.size)
+        # with d(i, j) <= r * (1 + EPS_D) on
+        q, nn = counts((window * (1 + EPS_D)).searchsorted(dc), window.size)
         by_upper = (q[:, bounded[0]] - tol) / upper
         by_lower = (nn[:, bounded[1]] + tol) / lower
         least = np.maximum(np.maximum(least_size, q.sum(axis=1)),

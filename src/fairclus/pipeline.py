@@ -205,7 +205,7 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
     model, sol = _fixed_center_lp(inst, gf, ds_sol)
     artifacts["lp_model"] = model
     if objective == "center":
-        bound, slack = model.lam, EPS_D
+        bound, slack = model.lam, EPS_D * model.lam
     else:
         bound = fractional_cost(inst, sol, objective)
         slack = MASS_TOL * max(1.0, bound)

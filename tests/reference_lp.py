@@ -39,7 +39,7 @@ def dense_reference(inst, gf, k, lam, objective, centers=None):
     n, d = inst.n, inst.distance_matrix()
     owners = range(n) if centers is None else centers
     pairs = [(i, j) for i in owners for j in range(n)
-             if lam is None or d[i, j] <= lam + EPS_D]
+             if lam is None or d[i, j] <= lam * (1 + EPS_D)]
     col = {pair: a for a, pair in enumerate(pairs)}
     nx = len(pairs)
     ncols = nx + (n if centers is None else 0)
@@ -146,7 +146,7 @@ def dense_classes(inst, centers, lam, objective):
     d = inst.distance_matrix()
     number = {}
     return np.array([number.setdefault(
-        (int(inst.colors[j]), tuple(lam is None or d[i, j] <= lam + EPS_D for i in centers)),
+        (int(inst.colors[j]), tuple(lam is None or d[i, j] <= lam * (1 + EPS_D) for i in centers)),
         len(number)) for j in range(inst.n)])
 
 

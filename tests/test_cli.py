@@ -269,6 +269,38 @@ def test_solve_rejects_a_spec_with_no_centers(tmp_path, capsys):
     assert capsys.readouterr().err == "error: need k >= 1 centers, got 0\n"
 
 
+_FOUR_POINTS = {"n": 4, "m": 2, "colors": [0, 1, 0, 1],
+                "coords": [[0.0], [1.0], [2.0], [3.0]]}
+_OPEN_SPEC = {"gf": {"lower": [0, 0], "upper": [1, 1]},
+              "ds": {"lower": [0, 1], "upper": [2, 2]}, "k": 2}
+
+
+@pytest.mark.parametrize("instance, spec, message", [
+    (_FOUR_POINTS, {**_OPEN_SPEC, "gf": {"lower": [0, 0], "upper": ["1/0", 1]}},
+     "ratio bound '1/0' has a zero denominator"),
+    (_FOUR_POINTS, {**_OPEN_SPEC, "gf": {"lower": [0, 0], "upper": [float("inf"), 1]}},
+     "ratio bound inf is not finite"),
+    (_FOUR_POINTS, {**_OPEN_SPEC, "ds": {"lower": [0.6, 0], "upper": [2.7, 2]}},
+     "fairness spec 'ds lower' must be an integer, got 0.6"),
+    ({**_FOUR_POINTS, "colors": [0.7, 1.2, 0, 1]}, _OPEN_SPEC,
+     "color label 0.7 of point 0 is not an integer"),
+    ({**_FOUR_POINTS, "color_names": ["a"]}, _OPEN_SPEC,
+     "color_names has 1 names, expected m=2"),
+])
+def test_solve_refuses_bad_bounds_and_labels_with_one_error_line(
+        tmp_path, capsys, instance, spec, message):
+    """Each of these used to end in a traceback (a zero denominator, an
+    infinity, a short color_names) or to be solved after truncating a bound
+    or a label; now it is one error line and exit 1."""
+    inst_path, spec_path = tmp_path / "inst.json", tmp_path / "spec.json"
+    inst_path.write_text(json.dumps(instance))
+    spec_path.write_text(json.dumps(spec))
+    code = run_cli("solve", "--instance", str(inst_path), "--spec", str(spec_path),
+                   "--objective", "median")
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command, flag", [
     ("solve", "--out"), ("solve", "--clustering-out"), ("solve", "--dump-lp"),
     ("solve", "--dump-flow"), ("gen", "--out"), ("sweep", "--out")])

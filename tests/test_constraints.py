@@ -12,7 +12,7 @@ from fairclus import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
                       gf_violation, load_fairness_spec, make_clustering,
                       make_instance, random_instance)
 from fairclus import constraints
-from fairclus.constraints import (GATHER_CELLS, center_count_failures,
+from fairclus.constraints import (GATHER_CELLS, as_fraction, center_count_failures,
                                   diverse_center_blocks, objective_value,
                                   point_costs)
 from fairclus.errors import ParseError
@@ -380,12 +380,36 @@ def test_load_fairness_spec_json(tmp_path):
     {"exact_gf": True, "gf": 5, "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": 2},
     {"exact_gf": "false", "gf": {"lower": [0, 0], "upper": [1, 1]},
      "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": 2},
+    # center counts of 0.6 and 2.7 were once truncated to 0 and 2, true read as 1
+    {"gf": {"lower": [0, 0], "upper": [1, 1]},
+     "ds": {"lower": [0.6, 0], "upper": [2.7, 2]}, "k": 2},
+    {"gf": {"lower": [0, 0], "upper": [1, 1]},
+     "ds": {"lower": [0, 0], "upper": [2.0, 2]}, "k": 2},
+    {"gf": {"lower": [0, 0], "upper": [1, 1]},
+     "ds": {"lower": [True, 0], "upper": [2, 2]}, "k": 2},
 ])
 def test_load_fairness_spec_rejects_malformed_blocks(tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     with pytest.raises(ParseError):
         load_fairness_spec(str(path))
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1/0", "zero denominator"), ("-3/0", "zero denominator"),
+    (math.inf, "not finite"), (-math.inf, "not finite"), (math.nan, "not finite"),
+    (np.float64(math.inf), "not finite"), (True, "cannot interpret"),
+    (False, "cannot interpret")])
+def test_ratio_bound_refuses_zero_denominators_infinities_and_bools(value, message):
+    """A ratio bound of "1/0" used to end in ZeroDivisionError, an infinity
+    in OverflowError, and true was read as 1."""
+    with pytest.raises(ValidationError, match=message):
+        as_fraction(value)
+    spec = {"gf": {"lower": [0, 0], "upper": [value, 1]},
+            "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": 2}
+    with pytest.raises(ValidationError, match=message):
+        load_fairness_spec(spec)
+    assert as_fraction("3/4") == as_fraction(0.75) == Fraction(3, 4)
 
 
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])

@@ -26,6 +26,46 @@ def test_explicit_matrix_roundtrip():
     assert inst.distance(1, 0) == 1.0
 
 
+@pytest.mark.parametrize("colors, bad", [
+    ([0.7, 1.2, 0, 1], "0.7 of point 0"), ([0, 1.0, 0, 1], "1.0 of point 1"),
+    ([0, True, 0, 1], "True of point 1"), ([0, 1, "0", 1], "'0' of point 2"),
+    (np.array([0.0, 1.0, 0.0, 1.0]), "0.0 of point 0"),
+    (np.array([False, True, False, True]), "False of point 0")])
+def test_color_labels_must_be_integers(colors, bad):
+    """Labels 0.7 and 1.2 used to load as 0 and 1, and bools and strings
+    were read as numbers."""
+    coords = [[0], [1], [2], [3]]
+    with pytest.raises(ValidationError, match=f"color label {bad} is not an integer"):
+        make_instance(colors, coords=coords, m=2)
+    if isinstance(colors, list):
+        text = json.dumps({"n": 4, "m": 2, "colors": colors, "coords": coords})
+        with pytest.raises(ValidationError, match=f"color label {bad} is not an integer"):
+            load_instance(io.StringIO(text), "json")
+    for labels in ([np.int64(0), 1, 0, 1], np.array([0, 1, 0, 1], dtype=np.uint8)):
+        assert make_instance(labels, coords=coords).colors.tolist() == [0, 1, 0, 1]
+
+
+def test_a_label_past_int64_is_a_parse_error():
+    """It used to end in OverflowError with a traceback."""
+    text = json.dumps({"n": 2, "m": 2, "colors": [10 ** 30, 1], "coords": [[0], [1]]})
+    with pytest.raises(ParseError, match="invalid instance JSON"):
+        load_instance(io.StringIO(text), "json")
+
+
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c"], []])
+def test_color_names_must_name_every_color(names):
+    """A color_names list shorter than m used to load, and a report naming
+    color 1 then ended in IndexError."""
+    colors, coords = [0, 1, 0, 1], [[0], [1], [2], [3]]
+    with pytest.raises(ValidationError, match=f"color_names has {len(names)} names, expected m=2"):
+        make_instance(colors, coords=coords, color_names=names)
+    text = json.dumps({"n": 4, "m": 2, "colors": colors, "coords": coords,
+                       "color_names": names})
+    with pytest.raises(ValidationError, match="color_names has"):
+        load_instance(io.StringIO(text), "json")
+    assert make_instance(colors, coords=coords, color_names=["a", "b"]).color_names == ("a", "b")
+
+
 def test_triangle_violation_names_triple():
     with pytest.raises(ValidationError, match=r"\(0, 1, 2\)"):
         make_instance([0, 0, 0], dist=[[0, 1, 5], [1, 0, 1], [5, 1, 0]])

@@ -731,7 +731,7 @@ def test_reduced_probe_matches_the_full_model(monkeypatch):
         if sol is not None:
             check_lp_solution(model, sol, inst, gf)
             assert _fractional_points(sol) <= k * (2 * m + 1)
-        reach = inst.distance_matrix()[centers] <= radii[idx] + EPS_D
+        reach = inst.distance_matrix()[centers] <= radii[idx] * (1 + EPS_D)
         if np.all(reach.sum(axis=0) == 1):
             assert not calls
             seen["all forced"] += 1
@@ -869,27 +869,18 @@ def test_milp_gets_the_pivot_model(monkeypatch):
 def test_a_fair_pivot_assignment_is_solved_without_highs(monkeypatch):
     """Each point at its nearest center already meets every row: a cost
     model (whose costs are >= 0) and a radius probe are both solved by that
-    assignment, and HiGHS is not called. Under the simplex's size gate the
-    simplex returns it after zero pivots; above it (the gate patched to 0)
-    no solver runs."""
+    assignment, and no solver runs, under the simplex's size gate and above
+    it (the gate patched to 0): neither the simplex nor HiGHS is called."""
     def fail(*args, **kwargs):
-        raise AssertionError("HiGHS called")
+        raise AssertionError("a solver called")
 
     monkeypatch.setattr(lp_module, "milp", fail)
-    runs = []
-    run_simplex = simplex.solve
-
-    def recording(*args):
-        runs.append(run_simplex(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(simplex, "solve", recording)
+    monkeypatch.setattr(simplex, "solve", fail)
     inst = line_instance([0, 1, 2, 3], [0, 1, 0, 1])
     gf = exact_gf_spec(inst)
     nearest = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
     for gate in (lp_module._SIMPLEX_CELLS, 0):
         monkeypatch.setattr(lp_module, "_SIMPLEX_CELLS", gate)
-        runs.clear()
         for model in (build_gf_objective_lp(inst, gf, [0, 3], "median"),
                       build_gf_objective_lp(inst, gf, [0, 3], "means"),
                       build_gf_feasibility_lp(inst, gf, [0, 3], 2.0)):
@@ -897,7 +888,6 @@ def test_a_fair_pivot_assignment_is_solved_without_highs(monkeypatch):
             sol = solve_lp(model)
             check_lp_solution(model, sol, inst, gf)
             assert np.array_equal(sol.x, nearest)
-        assert [(r.verdict, r.pivots) for r in runs] == ([("optimal", 0)] * 3 if gate else [])
 
 
 def test_a_class_without_a_center_is_refused_before_highs(monkeypatch):

@@ -388,7 +388,7 @@ def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
             models.append(model)
             before = len(objectives)
             sol = _solve(model, *args)
-            reach = inst.distance_matrix()[model.centers] <= model.lam + EPS_D
+            reach = inst.distance_matrix()[model.centers] <= model.lam * (1 + EPS_D)
             classes = {(int(c), tuple(r)) for c, r in zip(inst.colors, reach.T)}
             columns = sum(sum(r) - 1 for _, r in classes)
             assert model.ncols == columns
@@ -683,7 +683,7 @@ def _counting_bound_by_loops(inst, gf, centers, radii, all_sets):
                   + [set(range(k))])
     start = int(np.searchsorted(radii, d[centers].min(axis=0).max()))
     for idx in range(start, len(radii)):
-        reach = [{s for s in range(k) if d[centers[s], j] <= radii[idx] + EPS_D}
+        reach = [{s for s in range(k) if d[centers[s], j] <= radii[idx] * (1 + EPS_D)}
                  for j in range(inst.n)]
 
         def passes(t):
@@ -760,13 +760,16 @@ def test_counting_bound_needs_the_sets_of_two_centers_at_k4():
         assert counting_bound_index(inst, gf, centers, radii) < first
 
 
-@pytest.mark.parametrize("objective", ["median", "means"])
-def test_medmeans_clustering_is_scale_free(objective):
+@pytest.mark.parametrize("objective", ["center", "median", "means"])
+def test_clustering_is_scale_free(objective):
     """Coordinates scaled by s = 2^-20 or 2^20 (exact in floating point) give
     the same centers and assignment at every one of 40 seeds, at a cost
     scaled by s (s^2 for means), with the simplex and, above its size gate
     (patched to 0), with HiGHS. Unscaled, the LP's costs at 2^-20 (d^2 near
-    1e-12) fall below the solvers' absolute tolerances."""
+    1e-12) fall below the solvers' absolute tolerances. A k-center radius
+    is compared with the cap relatively, d <= lam * (1 + EPS_D): an absolute
+    slack of EPS_D let points beyond the cap reach a center at 2^-20, and
+    the rounded radius then lay above lam."""
     power = 2 if objective == "means" else 1
     for gate in (lp_module._SIMPLEX_CELLS, 0):
         with pytest.MonkeyPatch.context() as patch:
@@ -778,10 +781,12 @@ def test_medmeans_clustering_is_scale_free(objective):
                 for e in (-20, 20):
                     s = 2.0 ** e
                     inst = make_instance(base.colors, coords=base.coords * s, m=2)
-                    got, _ = solve(inst, gf, ds, objective, backend=ExactBackend())
+                    got, report = solve(inst, gf, ds, objective, backend=ExactBackend())
                     assert (got.centers, got.assignment) == (want.centers, want.assignment), \
                         (gate, seed, e)
                     assert got.cost == pytest.approx(want.cost * s ** power, rel=1e-12)
+                    if objective == "center":
+                        assert report.cost <= report.lam, (gate, seed, e)
 
 
 @pytest.mark.parametrize("objective", ["median", "means"])
