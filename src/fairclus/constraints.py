@@ -153,17 +153,20 @@ class GroupFairnessSpec:
 
 @dataclass(frozen=True)
 class CenterDiversitySpec:
-    """Per-color center-count window [L_h, U_h] for a size-k center set."""
+    """Per-color center-count window [L_h, U_h] for a size-k center set.
+    Bounds and k must be Python or numpy integers, not bools; they are
+    stored as Python ints."""
 
     lower: tuple
     upper: tuple
     k: int
 
     def __post_init__(self):
-        lower = tuple(int(v) for v in self.lower)
-        upper = tuple(int(v) for v in self.upper)
+        lower = tuple(_count(v, "center-count bound") for v in self.lower)
+        upper = tuple(_count(v, "center-count bound") for v in self.upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "k", _count(self.k, "k"))
         if len(lower) != len(upper):
             raise ValidationError("center-count bound arrays differ in length")
         if self.k < 1:
@@ -179,6 +182,14 @@ class CenterDiversitySpec:
     @property
     def m(self) -> int:
         return len(self.lower)
+
+
+def _count(value, name: str) -> int:
+    """``value`` as a Python int; anything but a Python or numpy integer,
+    and a bool, is refused: 2.7 centers is no count to round."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -469,9 +480,10 @@ def load_fairness_spec(source, inst: MetricInstance | None = None):
 
 
 def _spec_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParseError(f"fairness spec {name!r} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        return _count(value, f"fairness spec {name!r}")
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _spec_bounds(obj: dict, block: str) -> tuple:

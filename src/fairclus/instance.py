@@ -3,7 +3,8 @@
 An instance is a finite point set with one color per point and a metric given
 either as an explicit distance table or derived from Euclidean coordinates.
 All downstream solvers assume the metric axioms hold; validation enforces them
-up to an absolute tolerance of ``EPS_D``.
+up to ``EPS_D`` times the table's largest distance, so a table passes or fails
+them the same at every scale.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .errors import FairclusError, ParseError, ValidationError
 
-# tolerance of distance comparisons: absolute in the metric checks, relative
-# to the cap in a radius test (d <= r * (1 + EPS_D))
+# relative tolerance of distance comparisons: to the largest distance in the
+# metric checks, to the cap in a radius test (d <= r * (1 + EPS_D))
 EPS_D = 1e-9
 
 # Exhaustive triangle-inequality check up to this size; sampled above.
@@ -121,16 +122,17 @@ def _check_metric_axioms(d: np.ndarray) -> None:
     if not np.all(np.isfinite(d)):
         i, j = np.argwhere(~np.isfinite(d))[0]
         raise ValidationError(f"non-finite distance at ({i}, {j})")
-    if np.any(d < -EPS_D):
-        i, j = np.argwhere(d < -EPS_D)[0]
+    tol = EPS_D * float(np.abs(d).max())
+    if np.any(d < -tol):
+        i, j = np.argwhere(d < -tol)[0]
         raise ValidationError(f"negative distance d({i},{j}) = {d[i, j]}")
     diag = np.abs(np.diag(d))
-    if np.any(diag > EPS_D):
+    if np.any(diag > tol):
         i = int(np.argmax(diag))
         raise ValidationError(f"d({i},{i}) = {d[i, i]} is not 0")
     asym = np.abs(d - d.T)
-    if np.any(asym > EPS_D):
-        i, j = np.argwhere(asym > EPS_D)[0]
+    if np.any(asym > tol):
+        i, j = np.argwhere(asym > tol)[0]
         raise ValidationError(
             f"asymmetric distances d({i},{j}) = {d[i, j]} vs d({j},{i}) = {d[j, i]}")
 
@@ -138,8 +140,8 @@ def _check_metric_axioms(d: np.ndarray) -> None:
         # d[i,l] + d[l,j] >= d[i,j] for all triples, vectorized over l
         for l in range(n):
             slack = d[:, l][:, None] + d[l, :][None, :] - d
-            if np.any(slack < -EPS_D):
-                i, j = np.argwhere(slack < -EPS_D)[0]
+            if np.any(slack < -tol):
+                i, j = np.argwhere(slack < -tol)[0]
                 raise ValidationError(
                     "triangle inequality violated for triple "
                     f"({i}, {l}, {j}): d({i},{j}) = {d[i, j]} > "
@@ -148,7 +150,7 @@ def _check_metric_axioms(d: np.ndarray) -> None:
         rng = np.random.default_rng(0)
         triples = rng.integers(0, n, size=(_SAMPLED_TRIPLES_PER_POINT * n, 3))
         for i, l, j in triples:
-            if d[i, l] + d[l, j] - d[i, j] < -EPS_D:
+            if d[i, l] + d[l, j] - d[i, j] < -tol:
                 raise ValidationError(
                     f"triangle inequality violated for triple ({i}, {l}, {j})")
 

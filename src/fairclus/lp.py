@@ -59,6 +59,13 @@ simplex of ``simplex``, which starts there and whose every verdict is
 checked; larger models, and any the simplex cannot certify, go to HiGHS
 through scipy's ``milp``. Both return a vertex.
 
+A model is plain numpy arrays, its matrix in compressed sparse columns
+(``LpModel``), and the simplex reads a dense copy of it. scipy is imported
+only for HiGHS: ``milp`` imports ``scipy.optimize`` on its first call, and
+``LpModel.a``, the matrix as a scipy ``csc_array``, imports
+``scipy.sparse`` on its first read. A solve that HiGHS never sees loads no
+scipy module.
+
 Every pipeline solves this program over its diverse centers: k-center
 searches for the smallest radius cap at which it is feasible, median and
 means minimize its cost. A solution keeps a row of x per center, so it is a
@@ -70,17 +77,17 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
-# never called: bound only for the lp.linprog probe of benchmarks/tracing.py
-from scipy.optimize import linprog  # noqa: F401
 
 from . import simplex
 from .constraints import GroupFairnessSpec, point_costs
 from .errors import PipelineError, ValidationError
 from .instance import EPS_D, MetricInstance
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 log = logging.getLogger("fairclus")
 
@@ -147,19 +154,29 @@ class LpModel:
     in [0, |G|]; columns are in row-major (center, class) order. Its cost
     ``c[a]`` is its center's cost minus its pivot's.
 
-    ``a`` is one CSC array whose row r holds ``lo[r] <= a[r] @ y <=
-    hi[r]``: first the <= rows (``lo = -inf``), one mass row per center,
-    then per center the <= ratio rows of ``gf.ratio_rows``, then one
-    ``sum_{i != pivot} y_iG <= |G|`` row per class of two or more
-    columns; then the = rows, per center its equality ratio rows. The
-    pivots' mass sits in the bounds of the mass and ratio rows. ``a_ub``
-    and ``a_eq`` are the two row blocks, sliced from ``a`` on every read;
-    their bounds are ``hi[:n_ub]`` and ``hi[n_ub:]``.
+    The matrix A, whose row r holds ``lo[r] <= A[r] @ y <= hi[r]``, is
+    kept as the plain numpy arrays of its compressed sparse columns:
+    ``data``, row ``indices`` (sorted within each column) and ``indptr``,
+    of ``shape`` (rows, columns). Its rows are first the <= rows (``lo =
+    -inf``), one mass row per center, then per center the <= ratio rows of
+    ``gf.ratio_rows``, then one ``sum_{i != pivot} y_iG <= |G|`` row per
+    class of two or more columns; then the = rows, per center its equality
+    ratio rows. The pivots' mass sits in the bounds of the mass and ratio
+    rows.
+
+    ``a`` is A as a scipy ``csc_array``, built on its first read, which
+    imports ``scipy.sparse``; only the HiGHS branch of ``_solve_columns``
+    reads it in a solve. ``a_ub`` and ``a_eq`` are its two row blocks,
+    sliced from ``a`` on every read; their bounds are ``hi[:n_ub]`` and
+    ``hi[n_ub:]``.
     """
 
     n: int
     kept: np.ndarray  # (A, 2) int array of (center, class) pairs
-    a: sparse.csc_array
+    data: np.ndarray  # A's nonzero entries, column by column
+    indices: np.ndarray  # the row of each entry
+    indptr: np.ndarray  # (columns + 1,): column a's entries are [indptr[a], indptr[a + 1])
+    shape: tuple  # (rows, columns) of A
     lo: np.ndarray  # row lower bounds
     hi: np.ndarray  # row upper bounds
     c: np.ndarray  # objective coefficients (all zero for feasibility models)
@@ -184,6 +201,11 @@ class LpModel:
     @property
     def n_ub(self) -> int:
         return int(np.count_nonzero(self.lo == -np.inf))
+
+    @functools.cached_property
+    def a(self) -> sparse.csc_array:
+        from scipy import sparse
+        return sparse.csc_array((self.data, self.indices, self.indptr), shape=self.shape)
 
     @property
     def a_ub(self) -> sparse.csc_array:
@@ -302,10 +324,6 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
     data = template[2 * color[cls] + (slot < piv)]
     data[:, 2 + 2 * nb] = has_row[cls]
     stored = data != 0.0
-    a = sparse.csc_array(
-        (data[stored], rows[stored],
-         np.concatenate(([0], stored.sum(axis=1).cumsum()))),
-        shape=(n_ub + k * ne, slot.size))
 
     # the pivots' part of each row, moved into its bounds
     at_pivot = np.bincount(pivot * m + color, size * reached,
@@ -320,8 +338,11 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
         cost = point_costs(dist, objective)
         cost = cost[slot, cls] - cost[piv, cls]
 
-    return LpModel(n=n, kept=np.array((centers[slot], cls)).T, a=a, lo=lo,
-                   hi=hi, c=cost, lam=lam, gf=gf, centers=centers,
+    return LpModel(n=n, kept=np.array((centers[slot], cls)).T, data=data[stored],
+                   indices=rows[stored],
+                   indptr=np.concatenate(([0], stored.sum(axis=1).cumsum())),
+                   shape=(n_ub + k * ne, slot.size), lo=lo, hi=hi, c=cost, lam=lam,
+                   gf=gf, centers=centers,
                    point_class=point_class, pivot=np.where(reached, centers[pivot], -1))
 
 
@@ -465,13 +486,18 @@ def _solve_columns(model: LpModel, upper: np.ndarray):
     n=5000, k=16.
     """
     c = np.ldexp(model.c, 1 - np.frexp(model.c.max())[1])
-    rows = model.a.shape[0]
+    rows, ncols = model.shape
     solver = "HiGHS"
-    if rows * (rows + model.ncols) <= _SIMPLEX_CELLS:
-        out = simplex.solve(model.a.toarray(), model.lo, model.hi, c, upper, RESIDUAL_TOL)
+    if rows * (rows + ncols) <= _SIMPLEX_CELLS:
+        # column-major: the layout fixes how BLAS orders its sums over A,
+        # and so the last bits of every solution
+        a = np.zeros(model.shape, order="F")
+        a[model.indices, np.repeat(np.arange(ncols), np.diff(model.indptr))] = model.data
+        out = simplex.solve(a, model.lo, model.hi, c, upper, RESIDUAL_TOL)
         if out.verdict in ("optimal", "infeasible"):
             return out.y, f"simplex, {out.pivots} pivots"
         solver = f"HiGHS after the simplex's {out.verdict} at {out.pivots} pivots"
+    from scipy.optimize import Bounds, LinearConstraint
     res = milp(c, constraints=LinearConstraint(model.a, model.lo, model.hi),
                bounds=Bounds(0.0, upper), options=_HIGHS_OPTIONS)
     if res.status == 2:
@@ -480,6 +506,22 @@ def _solve_columns(model: LpModel, upper: np.ndarray):
         raise PipelineError(
             "lp", f"LP backend failed with status {res.status}: {res.message}")
     return res.x, solver
+
+
+def milp(*args, **kwargs):
+    """scipy's ``scipy.optimize.milp``, imported on the first call so that
+    a solve the simplex settles loads no scipy. The HiGHS branch of
+    ``_solve_columns`` calls it by this module-level name, which tests
+    replace to watch or alter HiGHS calls."""
+    from scipy import optimize
+    return optimize.milp(*args, **kwargs)
+
+
+def linprog(*args, **kwargs):
+    """scipy's ``scipy.optimize.linprog``, imported on the first call. The
+    package never calls it; ``benchmarks/tracing.py`` wraps this name."""
+    from scipy import optimize
+    return optimize.linprog(*args, **kwargs)
 
 
 def _log_solve(model: LpModel, solver: str, value) -> None:
@@ -787,12 +829,14 @@ def dump_lp_text(model: LpModel, stream) -> None:
         i, g = model.kept[idx]
         return f"x_{i}_{first[g]}"
 
-    a = model.a.tocsr()
+    # the entries row by row, each row's in column order
+    col = np.repeat(np.arange(model.ncols), np.diff(model.indptr))
+    order = model.indices.argsort(kind="stable")
+    start = model.indices[order].searchsorted(np.arange(model.shape[0] + 1))
 
     def terms(r):
-        lo, hi = a.indptr[r], a.indptr[r + 1]
-        return "".join(f" {v:+.12g} {var(cidx)}"
-                       for cidx, v in zip(a.indices[lo:hi], a.data[lo:hi]))
+        at = order[start[r]:start[r + 1]]
+        return "".join(f" {v:+.12g} {var(cidx)}" for cidx, v in zip(col[at], model.data[at]))
 
     centers = model.centers.tolist()
     ub, eq = model.gf.ratio_rows
@@ -816,7 +860,7 @@ def dump_lp_text(model: LpModel, stream) -> None:
     stream.write("".join(obj) if obj else " 0")
     stream.write("\nSubject To\n")
     n_ub = model.n_ub
-    for r in [*range(n_ub, a.shape[0]), *range(n_ub)]:
+    for r in [*range(n_ub, model.shape[0]), *range(n_ub)]:
         sense = "=" if model.lo[r] == model.hi[r] else "<="
         stream.write(f" {labels[r]}:{terms(r)} {sense} {model.hi[r]:.12g}\n")
     stream.write("Bounds\n")

@@ -41,6 +41,27 @@ def test_spec_validation():
             CenterDiversitySpec(lower=(0, 0), upper=(0, 0), k=k)
 
 
+@pytest.mark.parametrize("lower, upper, k", [
+    ((0.6, 0), (2.7, 2), 2),  # not (0, 0), (2, 2) by truncation
+    ((0, 0), (2.0, 2), 2),
+    ((0, 0), (2, 2), 2.0),
+    ((0, True), (2, 2), 2),
+    ((0, 0), (2, 2), True),
+    ((0, 0), (2, "2"), 2),
+])
+def test_center_counts_must_be_integers(lower, upper, k):
+    """A center-count bound or k that is not an integer, or is a bool, is
+    refused rather than rounded, as the spec loader refuses it."""
+    with pytest.raises(ValidationError, match="must be an integer"):
+        CenterDiversitySpec(lower, upper, k=k)
+
+
+def test_center_counts_accept_numpy_integers():
+    ds = CenterDiversitySpec(np.array([0, 1]), (np.int32(2), 2), k=np.int64(2))
+    assert ds == CenterDiversitySpec((0, 1), (2, 2), k=2)
+    assert all(type(v) is int for v in (*ds.lower, *ds.upper, ds.k))
+
+
 def _one_cluster(inst):
     """Every point of ``inst`` in the cluster of point 0."""
     return make_clustering(inst, [0], [0] * inst.n, "center")

@@ -71,6 +71,30 @@ def test_triangle_violation_names_triple():
         make_instance([0, 0, 0], dist=[[0, 1, 5], [1, 0, 1], [5, 1, 0]])
 
 
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], r"triangle inequality violated for triple \(0, 1, 2\)"),
+    ([[0, 1], [2, 0]], "asymmetric"),
+    ([[0.5, 1], [1, 0]], "not 0"),
+    ([[0, -1], [-1, 0]], "negative distance"),
+])
+def test_metric_checks_are_scale_free(table, message):
+    """Each metric check's tolerance is EPS_D times the largest distance: a
+    table that breaks an axiom is refused at 1e-12 times its scale as at
+    scale 1; an absolute EPS_D would let d(0,1) = d(1,2) = 1e-12,
+    d(0,2) = 5e-12 through."""
+    colors = [0] * len(table)
+    for s in (1.0, 1e-12, 2.0 ** 20):
+        with pytest.raises(ValidationError, match=message):
+            make_instance(colors, dist=np.array(table, dtype=float) * s)
+
+
+def test_a_metric_table_loads_at_any_scale():
+    base = random_instance(30, 2, seed=5)
+    for e in (-20, 20):
+        inst = make_instance(base.colors, dist=base.distance_matrix() * 2.0 ** e)
+        assert np.array_equal(inst.distance_matrix(), base.distance_matrix() * 2.0 ** e)
+
+
 def test_asymmetry_rejected():
     with pytest.raises(ValidationError, match="asymmetric"):
         make_instance([0, 0], dist=[[0, 1], [2, 0]])

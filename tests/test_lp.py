@@ -1,6 +1,9 @@
 import io
+import json
 import math
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -932,3 +935,64 @@ def test_radius_probes_log_one_debug_record_each(caplog, monkeypatch):
     assert all(p.startswith("radius probe ") for p in probes)
     assert len(probes) == len({p.split(":")[0] for p in probes}) >= 2
     assert any(p.endswith("infeasible") for p in probes)
+
+
+# Solves center, median and means with both backends and the oracle, then
+# prints the scipy modules loaded so far and, with argument "lazy", solves
+# again with the simplex's size gate at 0, so that every model with a
+# column goes to HiGHS; with "eager" it imports scipy.optimize first and
+# solves with the gate at 0 at once. Each pass prints its outputs, the
+# reports without their timings.
+_SOLVE_SCRIPT = """
+import json
+import sys
+
+import fairclus
+import fairclus.cli
+from fairclus import (ExactBackend, GreedyBackend, default_ds_profile,
+                      exact_gf_spec, lp, random_instance, solve)
+
+
+def outputs():
+    inst = random_instance(9, 2, seed=4)
+    gf, ds = exact_gf_spec(inst), default_ds_profile(inst, 3)
+    out = []
+    for backend in (GreedyBackend(), ExactBackend()):
+        for objective in ("center", "median", "means"):
+            clustering, report = solve(inst, gf, ds, objective, backend=backend,
+                                       with_oracle=True)
+            report = report.to_dict()
+            del report["timings"]
+            out.append([clustering.to_dict(), report])
+    return json.dumps(out, sort_keys=True)
+
+
+if sys.argv[1] == "eager":
+    import scipy.optimize
+else:
+    outputs()
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+lp._SIMPLEX_CELLS = 0
+print(outputs())
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_no_scipy_loads_until_a_model_goes_to_highs():
+    """Importing ``fairclus`` and its CLI and solving every objective with
+    both backends and the oracle loads no scipy module while the simplex
+    takes every model. With its size gate at 0 HiGHS takes them, scipy
+    loads on the first call, and the outputs are byte-identical to those of
+    a process that imported scipy.optimize before it solved. Subprocesses:
+    pytest's own warning filters import scipy.optimize into this one."""
+    def run(mode):
+        proc = subprocess.run([sys.executable, "-c", _SOLVE_SCRIPT, mode],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    before, lazy, after = run("lazy")
+    assert json.loads(before) == []
+    assert "scipy.optimize" in json.loads(after)
+    eager, _ = run("eager")
+    assert lazy == eager

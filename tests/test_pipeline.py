@@ -789,6 +789,31 @@ def test_clustering_is_scale_free(objective):
                         assert report.cost <= report.lam, (gate, seed, e)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(6, 12), k=st.integers(2, 3),
+       exact=st.booleans())
+def test_clustering_is_scale_free_at_every_power_of_two(seed, n, k, exact):
+    """At every scale s = 2^e, e in [-20, 20], an instance's coordinates
+    times s give the clustering they give at s = 1, for every objective
+    and with either backend, at a cost scaled by s (s^2 for means); a
+    k-center cost stays within its radius cap."""
+    base = random_instance(n, 2, seed=seed)
+    gf, ds = exact_gf_spec(base), default_ds_profile(base, k)
+    backend = ExactBackend() if exact else GreedyBackend()
+    for objective in ("center", "median", "means"):
+        want, _ = solve(base, gf, ds, objective, backend=backend)
+        for e in range(-20, 21):
+            s = 2.0 ** e
+            inst = make_instance(base.colors, coords=base.coords * s, m=2)
+            got, report = solve(inst, gf, ds, objective, backend=backend)
+            assert (got.centers, got.assignment) == (want.centers, want.assignment), \
+                (objective, e)
+            assert got.cost == pytest.approx(
+                want.cost * s ** (2 if objective == "means" else 1), rel=1e-12)
+            if objective == "center":
+                assert report.cost <= report.lam, e
+
+
 @pytest.mark.parametrize("objective", ["median", "means"])
 def test_oracle_ratio_is_scale_free(objective):
     """The oracle ratio divides by the optimum whatever its scale: at
