@@ -166,7 +166,7 @@ def cmd_check(args) -> int:
         raise ValidationError(f"clustering assigns {len(clustering.assignment)} "
                               f"points, the instance has {inst.n}")
     for c in clustering.centers:
-        if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < inst.n:
+        if not 0 <= c < inst.n:
             raise ValidationError(f"center id {c!r} outside [0, {inst.n})")
     if len(set(clustering.centers)) < len(clustering.centers):
         raise ValidationError(f"center ids repeat: {list(clustering.centers)}")

@@ -36,6 +36,14 @@ def point_costs(d, objective: str):
     return d ** 2 if objective == "means" else d
 
 
+def require_finite_costs(inst: MetricInstance, objective: str) -> None:
+    """Refuse a means instance whose largest squared distance is not a
+    finite float: its costs would overflow."""
+    top = float(inst.dist.max())
+    if objective == "means" and math.isinf(top * top):
+        raise ValidationError(f"the largest distance {top!r} overflows when squared")
+
+
 def objective_value(d, objective: str, axis=None):
     """The objective of points at distances ``d`` from their centers: the
     max of their costs for center, the sum otherwise, taken over ``axis``
@@ -222,11 +230,20 @@ class Clustering:
 
     @staticmethod
     def from_dict(obj: dict) -> "Clustering":
+        """The clustering a JSON object describes; every center and
+        assignment entry must be an integer id (a bool or 1.0 is not)."""
         if not isinstance(obj, dict):
             raise ParseError("clustering JSON must be an object")
         try:
-            return Clustering(tuple(obj["centers"]), tuple(obj["assignment"]),
-                              obj["objective"], float(obj["cost"]))
+            ids = {key: tuple(obj[key]) for key in ("centers", "assignment")}
+            bad = [(key, c) for key, values in ids.items() for c in values
+                   if isinstance(c, bool) or not isinstance(c, (int, np.integer))]
+            if bad:
+                key, value = bad[0]
+                raise ParseError(f"invalid clustering JSON: {key} entry {value!r} "
+                                 "is not an integer id")
+            return Clustering(ids["centers"], ids["assignment"], obj["objective"],
+                              float(obj["cost"]))
         except KeyError as exc:
             raise ParseError(f"clustering JSON missing key {exc}") from exc
         except (TypeError, ValueError) as exc:  # e.g. a non-list or a non-numeric cost

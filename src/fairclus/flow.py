@@ -1,13 +1,14 @@
 """Rounding a fractional assignment to fixed centers to 0/1 by min-cost flow.
 
-The input is a k x n solution whose rows are the centers, and so is the
-rounding. The network is the layered point -> (center, color) -> center
-flow (Bera et al., NeurIPS 2019): an arc per support pair (center i, point
-j) with x[i, j] > EPS_POS, one unit out of every point, and into each
-(center, color) pair and each center between the floor and the ceiling of
-its fractional mass. Those integer windows carry the bounded-violation
-guarantee into the integral solution. Arc costs are d(i, j), squared for the
-sum-of-squares objective; k-center uses the plain distances as well, and its
+The input is a k x n solution whose rows are the centers; the rounding is
+an assignment, each point's center. The network is the layered point ->
+(center, color) -> center flow (Bera et al., NeurIPS 2019): an arc per
+support pair (center i, point j) with x[i, j] > EPS_POS, one unit out of
+every point, and into each (center, color) pair and each center between the
+floor and the ceiling of its fractional mass. Those k(m + 1) integer windows
+carry the bounded-violation guarantee into the integral solution; a point's
+one unit is no window but its assignment. Arc costs are d(i, j), squared
+for the sum-of-squares objective; k-center uses the plain distances as well, and its
 rounded radius stays within the support's, which the LP capped.
 
 A point with one support arc has one way to be assigned: it is fixed there,
@@ -51,8 +52,8 @@ from .lp import EPS_POS, FractionalSolution
 class FlowNetwork:
     """Support arcs and the windows of the rows over them.
 
-    Rows, in order: each point (window [1, 1]), each (center, color) pair
-    with centers outermost, each center. Every arc sits in three rows.
+    Rows, in order: each (center, color) pair with centers outermost, then
+    each center. Every arc sits in two rows, and carries one unit or none.
     """
 
     n: int
@@ -60,7 +61,7 @@ class FlowNetwork:
     centers: tuple
     arcs: np.ndarray  # (A, 2) int: center, point; point-major
     cost: np.ndarray  # (A,)
-    arc_rows: np.ndarray  # (A, 3) int: each arc's point, (center, color) and center row
+    arc_rows: np.ndarray  # (A, 2) int: each arc's (center, color) and center row
     lower: np.ndarray  # per row: floor and ceil of the snapped fractional masses
     upper: np.ndarray
 
@@ -83,12 +84,10 @@ def build_flow(sol: FractionalSolution, inst: MetricInstance,
     point, slot = (sol.x.T > EPS_POS).nonzero()
     center = sol.rows[slot]
     cost = point_costs(inst.distance_matrix()[center, point], objective)
-    arc_rows = np.array((point, n + slot * m + inst.colors[point], n + k * m + slot)).T
-    ones = np.ones(n)
+    arc_rows = np.array((slot * m + inst.colors[point], k * m + slot)).T
     return FlowNetwork(n=n, m=m, centers=tuple(sol.rows.tolist()),
                        arcs=np.array((center, point)).T, cost=cost, arc_rows=arc_rows,
-                       lower=np.concatenate((ones, np.floor(masses))),
-                       upper=np.concatenate((ones, np.ceil(masses))))
+                       lower=np.floor(masses), upper=np.ceil(masses))
 
 
 def min_cost_flow(net: FlowNetwork) -> np.ndarray:
@@ -97,32 +96,31 @@ def min_cost_flow(net: FlowNetwork) -> np.ndarray:
     Points with one support arc take it; the fractional points are routed
     by ``_route`` through what their windows have left.
     """
-    n = net.n
     point = net.arcs[:, 1]
-    degree = np.bincount(point, minlength=n)
+    degree = np.bincount(point, minlength=net.n)
     if not degree.all():
         raise PipelineError("flow", f"point {int(np.argmin(degree))} has no support arc")
     fixed = degree[point] == 1
     flows = fixed.astype(float)
-    taken = np.bincount(net.arc_rows[fixed, 1:].ravel(), minlength=net.lower.size)[n:]
-    lower = np.maximum(net.lower[n:] - taken, 0.0)
-    upper = net.upper[n:] - taken
+    taken = np.bincount(net.arc_rows[fixed].ravel(), minlength=net.lower.size)
+    lower = np.maximum(net.lower - taken, 0.0)
+    upper = net.upper - taken
     free = (~fixed).nonzero()[0]
     if (upper < 0).any() or (not free.size and lower.any()):
         raise PipelineError("flow", "no assignment meets the row windows")
     if free.size:
-        flows[free] = _route(net.arc_rows[free, :2].tolist(), net.cost[free].tolist(),
-                             lower.astype(int).tolist(), upper.astype(int).tolist(),
-                             n, len(net.centers), net.m)
+        flows[free] = _route(point[free].tolist(), net.arc_rows[free, 0].tolist(),
+                             net.cost[free].tolist(), lower.astype(int).tolist(),
+                             upper.astype(int).tolist(), len(net.centers), net.m)
     return flows
 
 
-def _route(arcs: list, cost: list, lower: list, upper: list, n: int, k: int,
+def _route(points: list, rows: list, cost: list, lower: list, upper: list, k: int,
            m: int) -> np.ndarray:
-    """0/1 flows on the given point arcs, each a (point, (center, color)
-    row) pair of network rows, of a cheapest routing of one unit per point
-    through the residual windows ``lower``/``upper`` (k*m (center, color)
-    rows, then k center rows).
+    """0/1 flows on the given arcs, from ``points`` to their (center, color)
+    ``rows``, of a cheapest routing of one unit per point through the
+    residual windows ``lower``/``upper`` (k*m (center, color) rows, then k
+    center rows).
 
     Nodes: the points, the rows in order, then a sink taking one unit per
     point. A window [lo, hi] on the arc out of a row becomes an arc of
@@ -132,19 +130,18 @@ def _route(arcs: list, cost: list, lower: list, upper: list, n: int, k: int,
     then rise by the distances, and the path carries what it can. Arc a's
     reverse is a ^ 1.
     """
-    node = {p: u for u, p in enumerate(sorted({p for p, _ in arcs}))}  # in id order
+    node = {p: u for u, p in enumerate(sorted(set(points)))}  # in id order
     f = len(node)
-    rows = k * m + k
-    sink = f + rows
+    sink = f + k * m + k
     to, cap, price, adj = [], [], [], [[] for _ in range(sink + 1)]
-    for (p, r), c in zip(arcs, cost):
-        u, v = node[p], f + r - n
+    for p, r, c in zip(points, rows, cost):
+        u, v = node[p], f + r
         adj[u].append(len(to))
         adj[v].append(len(to) + 1)
         to += (v, u)
         cap += (1, 0)
         price += (c, -c)
-    excess = [1] * f + [0] * rows + [-f]
+    excess = [1] * f + [0] * (k * m + k) + [-f]
     for r, (lo, hi) in enumerate(zip(lower, upper)):
         u = f + r
         v = f + k * m + r // m if r < k * m else sink
@@ -204,11 +201,12 @@ def _route(arcs: list, cost: list, lower: list, upper: list, n: int, k: int,
         for a in path:
             cap[a] -= amount
             cap[a ^ 1] += amount
-    return np.array(cap[1:2 * len(arcs):2], dtype=float)
+    return np.array(cap[1:2 * len(points):2], dtype=float)
 
 
 def extract_assignment(flows: np.ndarray, net: FlowNetwork) -> np.ndarray:
-    """0/1 table, a row per center, from the arc flows; each must be 0 or 1."""
+    """Each point's center, an (n,) array of center ids, from the arc flows;
+    each flow must be 0 or 1, and each point must take one arc."""
     flows = np.asarray(flows, dtype=float)
     units = np.rint(flows)
     unit = (np.abs(flows - units) <= EPS_POS) & (units * (units - 1.0) == 0.0)
@@ -216,43 +214,39 @@ def extract_assignment(flows: np.ndarray, net: FlowNetwork) -> np.ndarray:
         bad = (~unit).nonzero()[0]
         i, j = net.arcs[bad[0]]
         raise PipelineError("extract", f"non-unit flow {flows[bad[0]]} on arc {i}->{j}")
-    chosen = units == 1.0
-    point = net.arcs[chosen, 1]
+    center, point = net.arcs[units == 1.0].T
     per_point = np.bincount(point, minlength=net.n)
     if not (per_point == 1).all():
         j = int((per_point != 1).nonzero()[0][0])
         raise PipelineError("extract",
                             f"point {j} assigned {int(per_point[j])} times, expected once")
-    x2 = np.zeros((len(net.centers), net.n))
-    x2[net.arc_rows[chosen, 2] - (net.n + len(net.centers) * net.m), point] = 1.0
-    return x2
+    assignment = np.empty(net.n, dtype=center.dtype)
+    assignment[point] = center
+    return assignment
 
 
-def check_mass_windows(x2: np.ndarray, net: FlowNetwork,
-                       inst: MetricInstance) -> None:
-    """Verify that the per-color and total point counts of each center of
-    the 0/1 table ``x2`` sit in the network's windows."""
-    onehot = inst.colors[:, None] == np.arange(inst.m)
-    got = np.concatenate(((x2 @ onehot).ravel(), x2.sum(axis=1)))
-    lower, upper = net.lower[net.n:], net.upper[net.n:]
-    bad = ((got < lower) | (got > upper)).nonzero()[0]
+def check_mass_windows(counts: np.ndarray, net: FlowNetwork) -> None:
+    """Verify that each center's per-color and total point counts sit in the
+    network's windows; ``counts`` is the (k, m) table of color counts, a row
+    per center of ``net.centers`` in that order."""
+    got = np.concatenate((counts.ravel(), counts.sum(axis=1)))
+    bad = ((got < net.lower) | (got > net.upper)).nonzero()[0]
     if bad.size:
         r = int(bad[0])
-        raise PipelineError("flow", f"row {_row_labels(net)[net.n + r]} counts {got[r]:.0f} "
-                                    f"points, outside [{lower[r]:.0f}, {upper[r]:.0f}]")
+        raise PipelineError("flow", f"row {_row_labels(net)[r]} counts {got[r]:.0f} points, "
+                                    f"outside [{net.lower[r]:.0f}, {net.upper[r]:.0f}]")
 
 
 def _row_labels(net: FlowNetwork) -> list:
-    """p_<point>, ch_<center>_<color> and c_<center>, in row order."""
-    return ([f"p_{j}" for j in range(net.n)]
-            + [f"ch_{i}_{h}" for i in net.centers for h in range(net.m)]
+    """ch_<center>_<color> and c_<center>, in row order."""
+    return ([f"ch_{i}_{h}" for i in net.centers for h in range(net.m)]
             + [f"c_{i}" for i in net.centers])
 
 
 def dump_flow_text(net: FlowNetwork, stream) -> None:
     """One arc per line (``arc center point cost``), then one row per line
-    (``row label lower upper``) with labels p_<point>, ch_<center>_<color>
-    and c_<center>."""
+    (``row label lower upper``) with labels ch_<center>_<color> and
+    c_<center>."""
     for (i, j), cost in zip(net.arcs.tolist(), net.cost.tolist()):
         stream.write(f"arc {i} {j} {cost!r}\n")
     for label, lower, upper in zip(_row_labels(net), net.lower.tolist(), net.upper.tolist()):

@@ -108,13 +108,26 @@ def make_instance(colors, coords=None, dist=None, m=None,
 
 
 def _euclidean_table(coords: np.ndarray) -> np.ndarray:
+    """Euclidean distances of the rows of ``coords``, at any scale: the
+    squares are taken on coordinates scaled by the power of two that brings
+    the largest |coordinate| into [0.5, 1), so none over- or underflows,
+    and the table is scaled back. A power of two changes no bits of a
+    normal float, so the table is the one at unit scale, times the scale."""
+    _, e = np.frexp(np.abs(coords).max())
+    coords = np.ldexp(coords, -e)
     sq = np.sum(coords ** 2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * coords @ coords.T
     np.maximum(d2, 0.0, out=d2)
     table = np.sqrt(d2)
     np.fill_diagonal(table, 0.0)
     # exact symmetry regardless of float noise in the gram product
-    return (table + table.T) / 2.0
+    table = (table + table.T) / 2.0
+    with np.errstate(over="ignore"):
+        np.ldexp(table, e, out=table)
+    if np.isinf(table.max()):
+        i, j = np.argwhere(np.isinf(table))[0]
+        raise ValidationError(f"distance d({i},{j}) overflows")
+    return table
 
 
 def _check_metric_axioms(d: np.ndarray) -> None:

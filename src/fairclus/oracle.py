@@ -37,7 +37,7 @@ import numpy as np
 
 from .constraints import (CenterDiversitySpec, Clustering, GroupFairnessSpec,
                           _require_colors, center_set_costs, diverse_center_blocks,
-                          make_clustering, point_costs)
+                          make_clustering, point_costs, require_finite_costs)
 from .errors import BudgetExceededError, InfeasibleError, ValidationError
 from .instance import MetricInstance
 
@@ -220,6 +220,7 @@ def brute_force_doubly_fair(inst: MetricInstance, gf: GroupFairnessSpec,
     """
     _require_colors(inst, gf, "gf")
     _require_colors(inst, ds, "ds")
+    require_finite_costs(inst, objective)
     if budget is None:
         budget = OracleBudget()
     deadline = _time_limit(budget)

@@ -17,7 +17,11 @@ flow rounds it.
 The flow (``flow.min_cost_flow``) fixes each point with one support arc and
 routes the points the LP split, at most k(2m + 1) at a vertex, by
 successive shortest paths; only the LP stage solves an LP, with the
-in-package dual simplex or, above its size gate, HiGHS.
+in-package dual simplex or, above its size gate, HiGHS. The flow's output
+is each point's center, and the clustering is built from it. Its color
+counts are taken once: they are checked against the flow's windows (a
+broken window is a ``flow`` failure), then against the cost, center-count
+and GF bounds.
 
 No rerouting runs. The paper's rerouted solution is feasible for the same
 LP (capped at its own largest support distance for k-center), so r and the
@@ -38,7 +42,8 @@ from dataclasses import dataclass, field
 # name: benchmarks/tracing.py wraps it.
 from .constraints import (OBJECTIVES, CenterDiversitySpec, GroupFairnessSpec,  # noqa: F401
                           check_ds, cluster_color_counts, feasibility_precheck,
-                          gf_violation, gf_violation_of_counts, make_clustering)
+                          gf_violation, gf_violation_of_counts, make_clustering,
+                          require_finite_costs)
 from .ds import ExactBackend, solve_ds_plugin
 from .errors import (BudgetExceededError, InfeasibleError, PipelineError,
                      ValidationError)
@@ -114,10 +119,9 @@ def _require_precheck(inst, gf, ds):
                               diagnosis=report.failures)
 
 
-def _verify_output(inst, gf, ds, clustering, stage):
+def _verify_output(inst, gf, ds, clustering, counts, stage):
     if not check_ds(inst, clustering.centers, ds):
         raise PipelineError(stage, "output violates the center-count bounds")
-    counts = cluster_color_counts(inst, clustering)
     min_size = int(counts.sum(axis=1).min())
     if min_size < 1:
         raise PipelineError(stage, "a center ended up with no assigned point")
@@ -141,14 +145,6 @@ def _run_oracle(inst, gf, ds, objective, report):
         report.oracle_ratio = report.cost / opt.cost
     else:
         report.oracle_ratio = 1.0 if report.cost == 0 else math.inf
-
-
-def _round_flow(inst, sol, objective, artifacts):
-    net = artifacts["net"] = build_flow(sol, inst, objective)
-    flows = min_cost_flow(net)
-    x2 = extract_assignment(flows, net)
-    check_mass_windows(x2, net, inst)
-    return flows, x2
 
 
 def _fixed_center_lp(inst, gf, ds_sol):
@@ -184,11 +180,13 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
     Pass a dict as ``artifacts`` to receive the intermediate stage outputs:
     ``lp_model`` (the checked LP) and ``net`` (the flow network) as soon as
     each stage makes them, so a failed solve still leaves them; then
-    ``lp_solution``, ``flows``, ``x2`` (the k x n integral table) and
-    ``ds_solution``. The solver itself writes no files.
+    ``lp_solution``, ``flows`` (0/1 per arc of ``net``; the clustering
+    carries the assignment they give) and ``ds_solution``. The solver itself
+    writes no files.
     """
     if objective not in OBJECTIVES:
         raise ValidationError(f"unknown objective {objective!r}")
+    require_finite_costs(inst, objective)
     timings = {}
     t0 = time.perf_counter()
     _require_precheck(inst, gf, ds)
@@ -212,16 +210,19 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
     timings["lp"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    flows, x2 = _round_flow(inst, sol, objective, artifacts)
+    net = artifacts["net"] = build_flow(sol, inst, objective)
+    flows = min_cost_flow(net)
+    clustering = make_clustering(inst, ds_sol.centers,
+                                 extract_assignment(flows, net).tolist(), objective)
+    counts = cluster_color_counts(inst, clustering)
+    check_mass_windows(counts, net)
     timings["flow"] = time.perf_counter() - t3
 
-    clustering = make_clustering(inst, ds_sol.centers,
-                                 sol.rows[x2.argmax(axis=0)].tolist(), objective)
     if clustering.cost > bound + slack:
         raise PipelineError("output", f"rounded cost {clustering.cost} exceeds "
                                       f"the LP's bound {bound}")
-    violation, min_size = _verify_output(inst, gf, ds, clustering, "output")
-    artifacts.update(lp_solution=sol, flows=flows, x2=x2, ds_solution=ds_sol)
+    violation, min_size = _verify_output(inst, gf, ds, clustering, counts, "output")
+    artifacts.update(lp_solution=sol, flows=flows, ds_solution=ds_sol)
 
     report = SolveReport(
         objective=objective, n=inst.n, m=inst.m, k=ds.k, cost=clustering.cost,

@@ -20,7 +20,7 @@ from fairclus import (BudgetExceededError, FractionalSolution,
                       gf_violation, guarantee_factor, lp_residuals,
                       make_instance, means_pq, random_instance, solve)
 
-from fairclus.flow import snap_to_integer
+from fairclus.flow import extract_assignment, snap_to_integer
 from fairclus.lp import EPS_POS
 
 from conftest import rerouting_certificate
@@ -255,17 +255,24 @@ def test_criterion_6_rerouting_guarantees(suite, oracle_family):
 
 
 def test_criterion_7_flow_rounding(suite, oracle_family):
-    # x2 has a row per center, as the LP solution has; the windows are the
-    # floor and ceiling of the LP solution's snapped masses
+    # the clustering is the flow's assignment, of every point to one of the
+    # LP solution's rows; x2 is its 0/1 table over those rows. The windows
+    # are the floor and ceiling of the LP solution's snapped masses
     failures = []
     for r in suite + oracle_family:
-        inst, net, x2, sol = r["inst"], r["net"], r["x2"], r["lp_solution"]
+        inst, net, sol = r["inst"], r["net"], r["lp_solution"]
         point_flows = np.bincount(net.arcs[:, 1], weights=r["flows"], minlength=inst.n)
         if not np.array_equal(point_flows, np.ones(inst.n)):
             failures.append(("point not saturated by exactly one unit",
                              point_flows.tolist()))
-        if list(net.centers) != sol.rows.tolist() or x2.shape != sol.x.shape:
-            failures.append(("rounding rows differ from the LP's", net.centers, x2.shape))
+        assignment = extract_assignment(r["flows"], net)
+        if assignment.tolist() != list(r["clustering"].assignment):
+            failures.append(("clustering differs from the flow's assignment", net.centers))
+        x2 = (sol.rows[:, None] == assignment).astype(float)
+        if (list(net.centers) != sol.rows.tolist() or assignment.shape != (inst.n,)
+                or not np.array_equal(x2.sum(axis=0), np.ones(inst.n))):
+            failures.append(("rounding rows differ from the LP's", net.centers,
+                             assignment.shape))
         if r["objective"] != "center":
             frac = fractional_cost(inst, sol, r["objective"])
             rounded = fractional_cost(inst, FractionalSolution(
@@ -285,7 +292,7 @@ def test_criterion_7_flow_rounding(suite, oracle_family):
                 color_windows.append((math.floor(mass_h), math.ceil(mass_h)))
                 if not math.floor(mass_h) <= got <= math.ceil(mass_h):
                     failures.append(("color mass window", i, h, got))
-        if color_windows + total_windows != list(zip(net.lower[inst.n:], net.upper[inst.n:])):
+        if color_windows + total_windows != list(zip(net.lower, net.upper)):
             failures.append(("network windows differ from the LP's masses", net.centers))
     _verdict(7, "flow rounding: saturation, mass windows, no cost increase",
              failures, f"{len(suite) + len(oracle_family)} roundings")

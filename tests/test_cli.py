@@ -405,6 +405,50 @@ def test_check_rejects_clustering_not_on_the_instance(tmp_path, capsys,
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("key", ["centers", "assignment"])
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_check_refuses_ids_that_are_not_integers(tmp_path, capsys, key, value):
+    """An assignment of true or 1.0 once passed ``check`` with exit 0, read
+    as center 1; any id that is not an int exits 1 with one line."""
+    inst_path, spec_path = _gen_pair(tmp_path, seed=1)
+    clustering = {"centers": [0, 1], "assignment": [0, 1] * 4, "objective": "median",
+                  "cost": 1}
+    clustering[key] = clustering[key][:-1] + [value]
+    clus_path = tmp_path / "clus.json"
+    clus_path.write_text(json.dumps(clustering))
+    capsys.readouterr()
+    code = run_cli("check", "--instance", str(inst_path), "--spec",
+                   str(spec_path), "--clustering", str(clus_path))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid clustering JSON: {key} entry {value!r} " \
+                           "is not an integer id\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_at_coordinates_near_1e155(tmp_path, capsys):
+    """Distances near 1e155 once gave a NaN table: median then read the
+    instance as infeasible (exit 2) and greedy k-center found a NaN radius
+    cap. Now both solve; means, whose squared distances overflow, is
+    refused with exit 1 before any stage runs, by solve and by the oracle."""
+    inst_path, spec_path = tmp_path / "inst.json", tmp_path / "spec.json"
+    inst_path.write_text(json.dumps({"n": 4, "m": 2, "colors": [0, 1, 0, 1],
+                                     "coords": [[0.0], [1e155], [2e155], [3e155]]}))
+    spec_path.write_text(json.dumps({"gf": {"lower": [0, 0], "upper": [1, 1]},
+                                     "ds": {"lower": [0, 0], "upper": [2, 2]}, "k": 2}))
+    common = ("solve", "--instance", str(inst_path), "--spec", str(spec_path))
+    assert run_cli(*common, "--objective", "median") == 0
+    assert run_cli(*common, "--objective", "center", "--ds-backend", "greedy") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "cost=2e+155 factor=4 violation=0 ds_ok=True",
+        "cost=1e+155 factor=none violation=0 ds_ok=True"]
+    for command in ("solve", "oracle"):
+        assert run_cli(command, *common[1:], "--objective", "means") == 1
+        assert capsys.readouterr().err == \
+            "error: the largest distance 3e+155 overflows when squared\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("[0, 1]", "must be an object"),
     (json.dumps({"centers": [0], "assignment": [0] * 8, "objective": "center",

@@ -459,6 +459,18 @@ def test_clustering_validation_and_roundtrip():
     assert clus.cost == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("key", ["centers", "assignment"])
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_clustering_json_ids_must_be_integers(key, value):
+    """Set membership reads true and 1.0 as center 1, so a clustering read
+    from JSON once passed with them; an id must be an int."""
+    obj = {"centers": [0, 1], "assignment": [0, 1, 0, 1], "objective": "median",
+           "cost": 1.0}
+    obj[key] = obj[key][:-1] + [value]
+    with pytest.raises(ParseError, match=f"{key} entry {value!r} is not an integer id"):
+        Clustering.from_dict(obj)
+
+
 def test_point_costs_and_objective_value_match_the_formulas():
     d = np.array([0.5, 2.0, 0.0, 1.5])
     assert np.array_equal(point_costs(d, "center"), d)

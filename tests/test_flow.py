@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairclus import (CenterDiversitySpec, ExactBackend, GreedyBackend, PipelineError,
-                      default_ds_profile, exact_gf_spec, fractional_cost,
+from fairclus import (CenterDiversitySpec, Clustering, ExactBackend, GreedyBackend,
+                      PipelineError, default_ds_profile, exact_gf_spec, fractional_cost,
                       make_instance, pairwise_distance_set, random_instance,
                       reroute_center, reroute_medmeans, solve, solve_ds_plugin)
 from fairclus import flow as flow_module
+from fairclus.constraints import cluster_color_counts
 from fairclus.flow import (build_flow, check_mass_windows, dump_flow_text,
                            extract_assignment, min_cost_flow, snap_to_integer)
 from fairclus.lp import FractionalSolution
@@ -20,9 +21,16 @@ from reference_lp import (check_full_lp_solution, full_lp_min_feasible_lambda,
                           solution_from_clustering, solve_full_lp)
 
 
-def _rounded(sol, x2):
-    """The flow's 0/1 table as a solution over the same centers."""
-    return FractionalSolution(rows=sol.rows, x=x2)
+def _rounded(sol, assignment):
+    """The flow's assignment as a 0/1 solution over the same centers."""
+    return FractionalSolution(rows=sol.rows, x=(sol.rows[:, None] == assignment).astype(float))
+
+
+def _check_windows(inst, net, assignment):
+    """``check_mass_windows`` on the color counts of ``assignment``, a row
+    per center of ``net``."""
+    clustering = Clustering(net.centers, tuple(assignment.tolist()), "median", 0.0)
+    check_mass_windows(cluster_color_counts(inst, clustering), net)
 
 
 def _fractional_points(net):
@@ -31,7 +39,7 @@ def _fractional_points(net):
 
 
 def _assert_matches_reference(net):
-    """The flow's 0/1 table is HiGHS's, at the same cost within 1e-9
+    """The flow's assignment is HiGHS's, at the same cost within 1e-9
     relative."""
     flows, reference = min_cost_flow(net), reference_min_cost_flow(net)
     assert np.array_equal(extract_assignment(flows, net),
@@ -63,11 +71,10 @@ def test_floor_ceil_window_arithmetic():
     rerouted = FractionalSolution(rows=np.array([0]), x=x)
     net = build_flow(rerouted, inst, "center")
     windows = list(zip(net.lower.tolist(), net.upper.tolist()))
-    # rows: 8 points, then (center 0, color 0), (center 0, color 1), center 0
-    assert windows[:8] == [(1, 1)] * 8
-    assert windows[8:] == [(2, 3), (1, 2), (4, 4)]
-    # each arc sits in its point, (center, color) and center row
-    assert net.arc_rows.tolist() == [[j, 8 + j // 4, 10] for j in range(8)]
+    # rows: (center 0, color 0), (center 0, color 1), center 0
+    assert windows == [(2, 3), (1, 2), (4, 4)]
+    # each arc sits in its (center, color) and center row
+    assert net.arc_rows.tolist() == [[j // 4, 2] for j in range(8)]
 
 
 def test_check_mass_windows_names_the_row_outside_its_window():
@@ -80,7 +87,7 @@ def test_check_mass_windows_names_the_row_outside_its_window():
     net = build_flow(FractionalSolution(rows=np.array([0]), x=x),
                      inst, "center")
     with pytest.raises(PipelineError, match=r"row ch_0_0 counts 4 points, outside \[2, 3\]"):
-        check_mass_windows(np.ones((1, 8)), net, inst)
+        check_mass_windows(np.array([[4, 4]]), net)
 
 
 def test_integral_passthrough_center_mode(monkeypatch):
@@ -101,9 +108,9 @@ def test_integral_passthrough_center_mode(monkeypatch):
         # one support arc per point, each fixed at one unit
         flows = min_cost_flow(net)
         assert np.array_equal(flows, np.ones(n))
-        x2 = extract_assignment(flows, net)
-        assert np.array_equal(x2, sol.x)
-        check_mass_windows(x2, net, inst)
+        got = extract_assignment(flows, net)
+        assert got.tolist() == assignment
+        _check_windows(inst, net, got)
 
 
 def test_infeasible_lower_bound_raises():
@@ -171,10 +178,10 @@ def test_center_flow_always_saturates():
         # every point's arcs carry exactly one unit
         point_sums = np.bincount(net.arcs[:, 1], weights=flows, minlength=n)
         assert np.array_equal(point_sums, np.ones(n))
-        x2 = extract_assignment(flows, net)
-        check_mass_windows(x2, net, inst)
+        got = extract_assignment(flows, net)
+        _check_windows(inst, net, got)
         # integral support sits inside the fractional support
-        assert np.all(rerouted.x[x2 > 0] > 0)
+        assert np.all(rerouted.x[_rounded(rerouted, got).x > 0] > 0)
 
 
 def test_medmeans_windows_bracket_point_count():
@@ -186,11 +193,11 @@ def test_medmeans_windows_bracket_point_count():
         ds_sol, rerouted = _medmeans_stage(inst, window_gf(inst), "median")
         net = build_flow(rerouted, inst, "median")
         k = len(ds_sol.centers)
-        assert net.lower.size == net.upper.size == n + 2 * k + k
-        # every arc sits in its point row, its (center, color) row and its center row
+        assert net.lower.size == net.upper.size == 2 * k + k
+        # every arc sits in its (center, color) row and its center row
         slot = np.searchsorted(net.centers, net.arcs[:, 0])
         assert np.array_equal(net.arc_rows, np.column_stack(
-            (net.arcs[:, 1], n + 2 * slot + inst.colors[net.arcs[:, 1]], n + 2 * k + slot)))
+            (2 * slot + inst.colors[net.arcs[:, 1]], 2 * k + slot)))
         centers_lo, centers_hi = net.lower[-k:], net.upper[-k:]
         assert centers_lo.sum() <= n <= centers_hi.sum()
 
@@ -209,10 +216,10 @@ def test_min_cost_never_exceeds_fractional_cost():
         for objective, ds_sol, rerouted in stages:
             net = build_flow(rerouted, inst, objective)
             _assert_matches_reference(net)
-            x2 = extract_assignment(min_cost_flow(net), net)
-            check_mass_windows(x2, net, inst)
+            got = extract_assignment(min_cost_flow(net), net)
+            _check_windows(inst, net, got)
             measure = "median" if objective == "center" else objective
-            rounded = fractional_cost(inst, _rounded(rerouted, x2), measure)
+            rounded = fractional_cost(inst, _rounded(rerouted, got), measure)
             frac = fractional_cost(inst, rerouted, measure)
             assert rounded <= frac + 1e-6
 
@@ -222,8 +229,9 @@ def test_min_cost_single_point():
     # both points fully assigned to center 0
     rerouted = FractionalSolution(rows=np.array([0]), x=np.ones((1, 2)))
     net = build_flow(rerouted, inst, "means")
-    x2 = extract_assignment(min_cost_flow(net), net)
-    assert fractional_cost(inst, _rounded(rerouted, x2), "means") == pytest.approx(9.0)
+    got = extract_assignment(min_cost_flow(net), net)
+    assert got.tolist() == [0, 0]
+    assert fractional_cost(inst, _rounded(rerouted, got), "means") == pytest.approx(9.0)
 
 
 def test_integral_passthrough_min_cost_mode(monkeypatch):
@@ -239,10 +247,11 @@ def test_integral_passthrough_min_cost_mode(monkeypatch):
             assignment[c] = c
         sol = solution_from_clustering(inst, centers, assignment)
         net = build_flow(sol, inst, "median")
-        x2 = extract_assignment(min_cost_flow(net), net)
+        got = extract_assignment(min_cost_flow(net), net)
         # the windows pin every mass: the unique flow reproduces the input
-        assert np.array_equal(x2, sol.x)
-        assert fractional_cost(inst, _rounded(sol, x2), "median") == pytest.approx(
+        assert got.tolist() == assignment
+        assert np.array_equal(_rounded(sol, got).x, sol.x)
+        assert fractional_cost(inst, _rounded(sol, got), "median") == pytest.approx(
             fractional_cost(inst, sol, "median"))
 
 
@@ -286,7 +295,7 @@ def test_all_fractional_table_rounds_fast():
         assert time.perf_counter() - start < 1.0
         assert net.cost @ flows == pytest.approx(
             net.cost @ reference_min_cost_flow(net), rel=1e-9)
-        check_mass_windows(extract_assignment(flows, net), net, inst)
+        _check_windows(inst, net, extract_assignment(flows, net))
 
 
 def _two_point_net():
@@ -313,10 +322,9 @@ def test_dump_flow_text():
     buf = io.StringIO()
     dump_flow_text(_two_point_net(), buf)
     lines = buf.getvalue().strip().splitlines()
-    assert lines[:2] == ["arc 0 0 0.0", "arc 0 1 1.0"]
-    assert "row p_1 1 1" in lines
-    assert "row ch_0_1 1 1" in lines
-    assert lines[-1] == "row c_0 2 2"
+    # the arcs, then only the (center, color) and center windows
+    assert lines == ["arc 0 0 0.0", "arc 0 1 1.0",
+                     "row ch_0_0 1 1", "row ch_0_1 1 1", "row c_0 2 2"]
 
 
 def test_import_leaves_networkx_out():

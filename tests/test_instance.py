@@ -95,6 +95,31 @@ def test_a_metric_table_loads_at_any_scale():
         assert np.array_equal(inst.distance_matrix(), base.distance_matrix() * 2.0 ** e)
 
 
+@pytest.mark.filterwarnings("error")
+def test_euclidean_distances_at_any_coordinate_scale():
+    """Coordinates are scaled by a power of two before they are squared:
+    at 1e155 the squares once overflowed to a NaN table, and at 1e-170 they
+    underflowed, giving distinct points distance 0. Both scalings are exact,
+    so the line 0, 1, 2, 3 scaled by a power of two gives its distances
+    times the scale, bit for bit."""
+    line = np.array([[0.0], [1.0], [2.0], [3.0]])
+    want = np.abs(line - line.T)
+    for s in (1e155, 1e-170):
+        inst = make_instance([0, 1, 0, 1], coords=line * s)
+        assert np.allclose(inst.distance_matrix(), want * s, rtol=1e-15, atol=0.0), s
+    for e in (520, 1000, -570, -1060, 0):
+        inst = make_instance([0, 1, 0, 1], coords=line * 2.0 ** e)
+        assert np.array_equal(inst.distance_matrix(), want * 2.0 ** e), e
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_distance_that_overflows_is_refused():
+    """Finite coordinates whose distance passes the largest float are
+    refused in one line, with no RuntimeWarning."""
+    with pytest.raises(ValidationError, match=r"distance d\(0,1\) overflows"):
+        make_instance([0, 0], coords=[[-1.7e308], [1.7e308]])
+
+
 def test_asymmetry_rejected():
     with pytest.raises(ValidationError, match="asymmetric"):
         make_instance([0, 0], dist=[[0, 1], [2, 0]])

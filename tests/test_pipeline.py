@@ -19,6 +19,7 @@ from fairclus import (CenterDiversitySpec, ContractViolationError,
                       random_instance, solve, solve_lp)
 from fairclus import lp as lp_module
 from fairclus import pipeline
+from fairclus.flow import extract_assignment
 from fairclus.instance import EPS_D
 from fairclus.lp import (RESIDUAL_TOL, LambdaSearchResult, counting_bound_index,
                          dump_lp_text)
@@ -479,8 +480,9 @@ def _record_model_centers(monkeypatch):
 
 
 def test_production_path_is_k_by_n(monkeypatch):
-    """The LP solution and the rounding are k x n tables over the centers,
-    and every model built is over those centers."""
+    """The LP solution is a k x n table over the centers, the rounding an
+    assignment of the n points to them through k(m + 1) windows, and every
+    model built is over those centers."""
     built = _record_model_centers(monkeypatch)
     for n, m, k in ((8, 2, 2), (12, 3, 3), (20, 2, 4)):
         inst = random_instance(n, m, seed=n)
@@ -489,12 +491,81 @@ def test_production_path_is_k_by_n(monkeypatch):
             artifacts = {}
             built.clear()
             clustering, _ = solve(inst, gf, ds, objective, artifacts=artifacts)
-            sol, x2 = artifacts["lp_solution"], artifacts["x2"]
-            assert sol.x.shape == x2.shape == (k, n)
-            assert sol.rows.tolist() == list(artifacts["net"].centers) \
-                == list(clustering.centers)
+            sol, net = artifacts["lp_solution"], artifacts["net"]
+            assignment = extract_assignment(artifacts["flows"], net)
+            assert sol.x.shape == (k, n) and assignment.shape == (n,)
+            assert assignment.tolist() == list(clustering.assignment)
+            assert net.lower.shape == net.upper.shape == (k * (m + 1),)
+            assert net.arc_rows.shape == (len(net.arcs), 2)
+            assert sol.rows.tolist() == list(net.centers) == list(clustering.centers)
             assert built and all(centers == list(clustering.centers)
                                  for centers in built)
+
+
+@pytest.mark.parametrize("objective", ["center", "median", "means"])
+def test_a_count_outside_its_window_is_a_flow_failure(monkeypatch, objective):
+    """The clustering's color counts meet the flow's windows before the cost
+    and GF checks: with every window tight, point 0 moved to the other
+    center after the flow leaves its color short at its own center, a
+    ``flow`` failure that names the row."""
+    inst = line_instance([0, 1, 10, 11], [0, 1, 0, 1])
+    gf, ds = exact_gf_spec(inst), default_ds_profile(inst, 2)
+    artifacts = {}
+    clustering, _ = solve(inst, gf, ds, objective, artifacts=artifacts)
+    net = artifacts["net"]
+    assert np.array_equal(net.lower, net.upper)
+    center = clustering.assignment[0]
+    extract = pipeline.extract_assignment
+
+    def moved(flows, net):
+        assignment = extract(flows, net)
+        assignment[0] = next(c for c in net.centers if c != center)
+        return assignment
+
+    monkeypatch.setattr(pipeline, "extract_assignment", moved)
+    with pytest.raises(PipelineError, match=rf"row ch_{center}_0 counts 0 points, "
+                                            r"outside \[1, 1\]") as info:
+        solve(inst, gf, ds, objective)
+    assert info.value.stage == "flow"
+
+
+def test_solve_counts_each_cluster_once(monkeypatch):
+    """One table of cluster color counts per solve serves the window check
+    and the GF check, on every objective."""
+    counted, checked = [], []
+    count, check = pipeline.cluster_color_counts, pipeline.check_mass_windows
+    violation = pipeline.gf_violation_of_counts
+    monkeypatch.setattr(pipeline, "cluster_color_counts",
+                        lambda *args: counted.append(count(*args)) or counted[-1])
+    monkeypatch.setattr(pipeline, "check_mass_windows",
+                        lambda counts, net: checked.append(counts) or check(counts, net))
+    monkeypatch.setattr(pipeline, "gf_violation_of_counts",
+                        lambda counts, gf: checked.append(counts) or violation(counts, gf))
+    inst = random_instance(12, 2, seed=12)
+    gf, ds = exact_gf_spec(inst), default_ds_profile(inst, 3)
+    for objective in ("center", "median", "means"):
+        counted.clear()
+        checked.clear()
+        solve(inst, gf, ds, objective)
+        assert len(counted) == 1, objective
+        assert len(checked) == 2 and all(counts is counted[0] for counts in checked), objective
+
+
+def test_means_refuses_squared_distances_that_overflow(monkeypatch):
+    """A means instance whose largest squared distance is not finite is
+    refused before any stage runs, and by the oracle."""
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    inst = make_instance([0, 1, 0, 1], coords=[[0.0], [1e155], [2e155], [3e155]])
+    gf = GroupFairnessSpec(lower=(0, 0), upper=(1, 1))
+    ds = CenterDiversitySpec(lower=(0, 0), upper=(2, 2), k=2)
+    monkeypatch.setattr(pipeline, "feasibility_precheck", no_stage)
+    monkeypatch.setattr(pipeline, "solve_ds_plugin", no_stage)
+    with pytest.raises(ValidationError, match="overflows when squared"):
+        solve(inst, gf, ds, "means")
+    with pytest.raises(ValidationError, match="overflows when squared"):
+        brute_force_doubly_fair(inst, gf, ds, "means")
 
 
 def test_ratio_window_failure_is_found_by_the_precheck(monkeypatch):
@@ -793,16 +864,20 @@ def test_clustering_is_scale_free(objective):
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(6, 12), k=st.integers(2, 3),
        exact=st.booleans())
 def test_clustering_is_scale_free_at_every_power_of_two(seed, n, k, exact):
-    """At every scale s = 2^e, e in [-20, 20], an instance's coordinates
+    """At every scale s = 2^e, e in [-20, 20] and e = +-600 (+-500 for
+    means, whose squares must stay normal floats), an instance's coordinates
     times s give the clustering they give at s = 1, for every objective
     and with either backend, at a cost scaled by s (s^2 for means); a
-    k-center cost stays within its radius cap."""
+    k-center cost stays within its radius cap. At 2^600 the squared
+    coordinates once overflowed to a NaN distance table, and at 2^-600
+    they underflowed to distance 0."""
     base = random_instance(n, 2, seed=seed)
     gf, ds = exact_gf_spec(base), default_ds_profile(base, k)
     backend = ExactBackend() if exact else GreedyBackend()
     for objective in ("center", "median", "means"):
         want, _ = solve(base, gf, ds, objective, backend=backend)
-        for e in range(-20, 21):
+        far = 500 if objective == "means" else 600
+        for e in (*range(-20, 21), -far, far):
             s = 2.0 ** e
             inst = make_instance(base.colors, coords=base.coords * s, m=2)
             got, report = solve(inst, gf, ds, objective, backend=backend)
