@@ -37,11 +37,19 @@ def point_costs(d, objective: str):
 
 
 def require_finite_costs(inst: MetricInstance, objective: str) -> None:
-    """Refuse a means instance whose largest squared distance is not a
-    finite float: its costs would overflow."""
+    """Refuse a median or means instance whose cost sums could overflow: n
+    times its largest point cost (the largest distance, squared for means)
+    must be a finite float. Center's objective is a max, and takes no
+    check."""
+    if objective == "center":
+        return
     top = float(inst.dist.max())
-    if objective == "means" and math.isinf(top * top):
+    cost = top * top if objective == "means" else top
+    if math.isinf(cost):
         raise ValidationError(f"the largest distance {top!r} overflows when squared")
+    if math.isinf(inst.n * cost):
+        raise ValidationError(f"{objective} costs overflow: {inst.n} points times "
+                              f"the largest point cost {cost!r} is not finite")
 
 
 def objective_value(d, objective: str, axis=None):

@@ -20,19 +20,17 @@ first Dijkstra. Each path carries one or more of the O(F) units of excess,
 so the run is O(F E log V) on E arcs and V nodes. The network matrix is
 totally unimodular, so that integral optimum is also optimal over the
 fractional flows, the LP solution among them: the rounded cost never
-exceeds the fractional one. The fixed-center LP is written over classes
-of points (``lp``), a column y_iG in [0, |G|] per center i and class G. At
-one of its vertices a class with a column at |G| has no other positive
-column, and the positive columns of every other class are basic, so
-linearly independent. They meet only their classes' rows and the k mass
-and at most 2km ratio rows, so they outnumber their classes by at most
-k(2m + 1). The LP stage solves the program in pivot form, with each
-class's mass to one center written as |G| minus its other columns; that
-substitution is an affine bijection between the two feasible sets, so it
-maps vertices to vertices and the count holds for the masses
-``lp.solve_lp`` recovers.
-Its northwest-corner split gives a class with p positive masses at most
-p - 1 fractional points: F <= k(2m + 1) for any n.
+exceeds the fractional one. The fixed-center LP has a column x_ij in
+[0, 1] per center i and point j that reaches it (``lp``). At one of its
+vertices a point with a column at 1 has no other positive column, and the
+positive columns of every other point are basic, so linearly independent.
+They meet only their points' assignment rows and the k mass and at most
+2km ratio rows, so they outnumber their points by at most k(2m + 1); a
+fractional point has two or more of them, so F <= k(2m + 1) for any n. The
+LP stage solves the program in pivot form, with each point's mass to one
+center written as 1 minus its other columns; that substitution is an affine
+bijection between the two feasible sets, so it maps vertices to vertices
+and the count holds for the table ``lp.solve_lp`` returns.
 """
 
 from __future__ import annotations

@@ -160,12 +160,14 @@ def _check_metric_axioms(d: np.ndarray) -> None:
                     f"({i}, {l}, {j}): d({i},{j}) = {d[i, j]} > "
                     f"d({i},{l}) + d({l},{j}) = {d[i, l] + d[l, j]}")
     else:
-        rng = np.random.default_rng(0)
-        triples = rng.integers(0, n, size=(_SAMPLED_TRIPLES_PER_POINT * n, 3))
-        for i, l, j in triples:
-            if d[i, l] + d[l, j] - d[i, j] < -tol:
-                raise ValidationError(
-                    f"triangle inequality violated for triple ({i}, {l}, {j})")
+        # random triples in one pass; the first violation in sample order
+        i, l, j = np.random.default_rng(0).integers(
+            0, n, size=(_SAMPLED_TRIPLES_PER_POINT * n, 3)).T
+        bad = d[i, l] + d[l, j] - d[i, j] < -tol
+        if bad.any():
+            t = int(bad.argmax())
+            raise ValidationError(
+                f"triangle inequality violated for triple ({i[t]}, {l[t]}, {j[t]})")
 
 
 def load_instance(source, format: str, colors_source=None) -> MetricInstance:

@@ -13,41 +13,25 @@ center i in S and every point j. The constraints are:
                                         for every center i in S and color h
     x_ij = 0 whenever d(i, j) > radius cap   (feasibility variant only)
 
-The model is written over classes of points, each of one color. A radius
-probe puts the points of one color that reach the same centers under the
-cap in one class (as KFC does; Harb and Lam, NeurIPS 2020); a cost model
-keeps one class per point, since each point pays its own distances. The
-variable y_iG = sum_{j in G} x_ij of center i and class G lies in [0, |G|],
-and the rows are the constraints above summed over each class:
+Radius-capped variables are left out of the model rather than constrained
+to zero; the feasible set is the same and the model much smaller. A color
+with 0 < l_h = u_h < 1 has one equality row per center in place of its two
+ratio rows. When every color's window is exact the ratios sum to 1, so the
+last color's rows are minus the sum of the others' and are left out.
 
-    sum_{i in S} y_iG = |G|             for every class G
-    sum_G y_iG >= 1                     for every center i in S
-    l_h * sum_G y_iG <= sum_{G of color h} y_iG <= u_h * sum_G y_iG
-                                        for every center i in S and color h
-    y_iG exists only for the centers i that G reaches
+The LP solvers get the program in pivot form, relative to each point's
+nearest center. Point j's pivot p(j) is its nearest center among those it
+reaches, the lowest id on ties; for a cost model, its cheapest center.
+Writing x_pj = 1 - sum_{i != p} x_ij leaves a column per non-pivot pair
+(i, j) in [0, 1], holding its own coefficients minus its pivot's, at cost
+c_ij - c_pj >= 0; the pivots' coefficients move into the row bounds, and
+each assignment row becomes the pivot's bound,
 
-A color with 0 < l_h = u_h < 1 has one equality row per center in place of
-its two ratio rows. When every color's window is exact the ratios sum to 1,
-so the last color's rows are minus the sum of the others' and are left out.
-Every feasible x sums to a feasible y, and ``solve_lp``'s northwest-corner
-split turns a feasible y back into a feasible x: the two programs are
-feasible together, with one optimum. Radius-capped variables are left out
-of the model rather than constrained to zero; the feasible set is the same
-and the model much smaller.
+    sum_{i != p(j)} x_ij <= 1          for every point j of two or more columns
 
-The LP solvers get the program in pivot form, relative to each class's
-nearest center. Class G's pivot p(G) is the center nearest its first
-member among those it reaches, the lowest id on ties; for a cost model,
-the point's cheapest center. Writing y_pG = |G| - sum_{i != p} y_iG leaves a column per
-non-pivot pair (i, G), holding its own coefficients minus its pivot's, at
-cost c_iG - c_pG >= 0; the pivots' |G| times their coefficients move into
-the row bounds, and each class row becomes the pivot's bound,
-
-    sum_{i != p(G)} y_iG <= |G|        for every class G of two or more columns
-
-(with one column, that column's bound [0, |G|] says it). The substitution
+(with one column, that column's bound [0, 1] says it). The substitution
 is an affine bijection between the two feasible sets, so it keeps the
-optimum, shifted by the constant sum_G |G| c_pG, and maps vertices to
+optimum, shifted by the constant sum_j c_pj, and maps vertices to
 vertices. The all-slack start of a dual simplex, every column at 0, is
 the nearest assignment, which holds almost all of an optimum's mass.
 
@@ -145,22 +129,21 @@ class LpModel:
     """The program over the sorted center set ``centers`` as the LP solvers
     read it, plus enough context to interpret it.
 
-    Point j lies in class ``point_class[j]``; classes are numbered in the
-    order of their first members. The model is in pivot form: class G's
-    mass to its pivot center ``pivot[G]`` (-1 if G reaches no center) is
-    |G| minus its mass to the other centers, and is not a column. Column
-    ``a`` is ``y[kept[a, 0], kept[a, 1]]``, the mass class ``kept[a, 1]``
-    sends to center ``kept[a, 0]``, one of its non-pivot centers, and lies
-    in [0, |G|]; columns are in row-major (center, class) order. Its cost
-    ``c[a]`` is its center's cost minus its pivot's.
+    The model is in pivot form: point j's mass to its pivot center
+    ``pivot[j]`` (-1 if j reaches no center) is 1 minus its mass to the
+    other centers, and is not a column. Column ``a`` is ``x[kept[a, 0],
+    kept[a, 1]]``, the mass point ``kept[a, 1]`` sends to center
+    ``kept[a, 0]``, one of its non-pivot centers, and lies in [0, 1];
+    columns are in row-major (center, point) order. Its cost ``c[a]`` is
+    its center's cost minus its pivot's.
 
-    The matrix A, whose row r holds ``lo[r] <= A[r] @ y <= hi[r]``, is
+    The matrix A, whose row r holds ``lo[r] <= A[r] @ x <= hi[r]``, is
     kept as the plain numpy arrays of its compressed sparse columns:
     ``data``, row ``indices`` (sorted within each column) and ``indptr``,
     of ``shape`` (rows, columns). Its rows are first the <= rows (``lo =
     -inf``), one mass row per center, then per center the <= ratio rows of
-    ``gf.ratio_rows``, then one ``sum_{i != pivot} y_iG <= |G|`` row per
-    class of two or more columns; then the = rows, per center its equality
+    ``gf.ratio_rows``, then one ``sum_{i != pivot} x_ij <= 1`` row per
+    point of two or more columns; then the = rows, per center its equality
     ratio rows. The pivots' mass sits in the bounds of the mass and ratio
     rows.
 
@@ -172,7 +155,7 @@ class LpModel:
     """
 
     n: int
-    kept: np.ndarray  # (A, 2) int array of (center, class) pairs
+    kept: np.ndarray  # (A, 2) int array of (center, point) pairs
     data: np.ndarray  # A's nonzero entries, column by column
     indices: np.ndarray  # the row of each entry
     indptr: np.ndarray  # (columns + 1,): column a's entries are [indptr[a], indptr[a + 1])
@@ -183,8 +166,7 @@ class LpModel:
     lam: float | None  # radius cap, None for an uncapped model
     gf: GroupFairnessSpec
     centers: np.ndarray  # sorted ids of the centers
-    point_class: np.ndarray  # (n,) int: the class of each point
-    pivot: np.ndarray  # (classes,) int: the pivot center of each class, or -1
+    pivot: np.ndarray  # (n,) int: the pivot center of each point, or -1
 
     @property
     def k(self) -> int:
@@ -193,10 +175,6 @@ class LpModel:
     @property
     def ncols(self) -> int:
         return len(self.kept)
-
-    @property
-    def class_sizes(self) -> np.ndarray:
-        return np.bincount(self.point_class)
 
     @property
     def n_ub(self) -> int:
@@ -223,17 +201,17 @@ def _column_table(ub: tuple, eq: tuple, m: int) -> tuple:
     spec, as read-only arrays: ``coef``, ``layout``, ``by`` and
     ``template``.
 
-    ``coef[h]`` holds a center's own coefficients for a class of color h:
+    ``coef[h]`` holds a center's own coefficients for a point of color h:
     -1 in its mass row and, in its ratio rows, [h = c] - u (upper and
     equality rows on color c) or l - [h = c] (lower rows). ``layout`` lists
     a column's entries in order, as (side, index into coef[h]): both mass
-    rows, both slots' <= rows, the class row, both slots' equality rows;
-    side 0 is the lower slot, 1 the higher, 2 the class row. An entry's row
-    is (lower slot, higher slot, class row) @ ``by`` plus a base that
+    rows, both slots' <= rows, the point's row, both slots' equality rows;
+    side 0 is the lower slot, 1 the higher, 2 the point's row. An entry's
+    row is (lower slot, higher slot, point's row) @ ``by`` plus a base that
     depends on k. Row 2h + (1 if the column's center is the lower slot,
     else 0) of ``template`` holds the entries' values for color h: the
     lower slot's coefficients coef[h] times that sign, the higher's their
-    negatives, 0 for the class row.
+    negatives, 0 for the point's row.
     """
     nb = len(ub)
     coef = [[-1.0] + [b - (c == h) if kind == "lower" else (c == h) - b
@@ -253,32 +231,6 @@ def _column_table(ub: tuple, eq: tuple, m: int) -> tuple:
     return coef, layout, by, template
 
 
-def _reach_classes(reach: np.ndarray, colors: np.ndarray):
-    """Class of each point and first member of each class, for the (k, n)
-    flags ``reach``: points of one color that reach the same centers share a
-    class, and classes are numbered in the order of their first members.
-    The key is the color above the reach mask; above 32 centers it is
-    renumbered every 32 so that it fits 64 bits. One stable sort of the keys
-    groups the points, each group led by its first member."""
-    key = colors
-    for start in range(0, reach.shape[0], 32):
-        if start:
-            key = np.unique(key, return_inverse=True)[1]
-        chunk = reach[start:start + 32]
-        key = key << chunk.shape[0] | (1 << np.arange(chunk.shape[0])) @ chunk
-    order = key.argsort(kind="stable")
-    ordered = key[order]
-    new = np.empty(order.size, dtype=bool)
-    new[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    lead = order[new]  # each group's first member, in key order
-    first = lead.copy()
-    first.sort()
-    point_class = np.empty_like(order)
-    point_class[order] = first.searchsorted(lead)[new.cumsum() - 1]
-    return point_class, first
-
-
 def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
            lam: float | None, objective: str | None) -> LpModel:
     centers = _center_ids(inst, centers)
@@ -286,64 +238,56 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
         raise ValidationError(f"gf spec has {gf.m} colors, instance has {inst.m}")
     n, k, m = inst.n, centers.size, gf.m
     dist = inst.distance_matrix()[centers]
-    if objective is None:  # a class per color and reach set
-        reach = np.ones((k, n), dtype=bool) if lam is None else dist <= lam * (1 + EPS_D)
-        point_class, first = _reach_classes(reach, inst.colors)
-        reach, dist = reach[:, first], dist[:, first]
-    else:  # a class per point
-        reach = np.ones((k, n), dtype=bool)
-        point_class = first = np.arange(n)
-    size = np.bincount(point_class)
-    color = inst.colors[first]
+    reach = np.ones((k, n), dtype=bool) if lam is None else dist <= lam * (1 + EPS_D)
 
-    # pivots: the reached center nearest each class's first member, the
-    # lowest on ties. Columns: the other reached (center slot, class)
-    # pairs, in row-major order.
+    # pivots: the reached center nearest each point, the lowest on ties.
+    # Columns: the other reached (center slot, point) pairs, in row-major
+    # order.
     pivot = np.where(reach, dist, np.inf).argmin(axis=0)
-    pivots = pivot, np.arange(size.size)
+    pivots = pivot, np.arange(n)
     reached = reach[pivots]
     reach[pivots] = False
-    slot, cls = reach.nonzero()
-    piv = pivot[cls]
+    slot, point = reach.nonzero()
+    piv = pivot[point]
     has_row = reach.sum(axis=0) > 1
 
     # rows: k mass rows, the <= ratio rows (center by center), a row per
-    # class of two or more columns, then the equality ratio rows. Column
-    # (s, G) holds s's coefficients minus its pivot's (``_column_table``),
-    # in the rows of the lower slot first, and 1 in G's row if G has one.
+    # point of two or more columns, then the equality ratio rows. Column
+    # (s, j) holds s's coefficients minus its pivot's (``_column_table``),
+    # in the rows of the lower slot first, and 1 in j's row if j has one.
     # Zero coefficients are not stored.
     ub, eq = gf.ratio_rows
     nb, ne = len(ub), len(eq)
     coef, layout, by, template = _column_table(ub, eq, m)
     n_head = k * (1 + nb)
-    n_ub = n_head + int(np.count_nonzero(has_row))
+    n_row = int(np.count_nonzero(has_row))
+    n_ub = n_head + n_row
     base = [0 if side == 2 or i == 0 else k + i - 1 if i <= nb else n_ub + i - 1 - nb
             for side, i in layout]
     rows = np.array((np.minimum(slot, piv), np.maximum(slot, piv),
-                     n_head - 1 + has_row.cumsum()[cls])).T @ by + base
-    data = template[2 * color[cls] + (slot < piv)]
-    data[:, 2 + 2 * nb] = has_row[cls]
+                     n_head - 1 + has_row.cumsum()[point])).T @ by + base
+    data = template[2 * inst.colors[point] + (slot < piv)]
+    data[:, 2 + 2 * nb] = has_row[point]
     stored = data != 0.0
 
     # the pivots' part of each row, moved into its bounds
-    at_pivot = np.bincount(pivot * m + color, size * reached,
+    at_pivot = np.bincount(pivot * m + inst.colors, reached,
                            minlength=k * m).reshape(k, m) @ coef
     part = 0.0 - at_pivot  # not -at_pivot, which leaves -0.0 bounds
     equal = part[:, 1 + nb:].ravel()
     lo = np.concatenate((np.full(n_ub, -np.inf), equal))
-    hi = np.concatenate((part[:, 0] - 1.0, part[:, 1:1 + nb].ravel(), size[has_row], equal))
+    hi = np.concatenate((part[:, 0] - 1.0, part[:, 1:1 + nb].ravel(), np.ones(n_row), equal))
 
     cost = np.zeros(slot.size)
     if objective is not None:
         cost = point_costs(dist, objective)
-        cost = cost[slot, cls] - cost[piv, cls]
+        cost = cost[slot, point] - cost[piv, point]
 
-    return LpModel(n=n, kept=np.array((centers[slot], cls)).T, data=data[stored],
+    return LpModel(n=n, kept=np.array((centers[slot], point)).T, data=data[stored],
                    indices=rows[stored],
                    indptr=np.concatenate(([0], stored.sum(axis=1).cumsum())),
                    shape=(n_ub + k * ne, slot.size), lo=lo, hi=hi, c=cost, lam=lam,
-                   gf=gf, centers=centers,
-                   point_class=point_class, pivot=np.where(reached, centers[pivot], -1))
+                   gf=gf, centers=centers, pivot=np.where(reached, centers[pivot], -1))
 
 
 def _center_ids(inst: MetricInstance, centers) -> np.ndarray:
@@ -360,8 +304,7 @@ def build_gf_feasibility_lp(inst: MetricInstance, gf: GroupFairnessSpec,
                             centers, lam: float | None) -> LpModel:
     """Feasibility program over ``centers`` (distinct point ids) with
     assignments capped at radius ``lam`` (no cap if ``lam`` is None), a
-    finite number >= 0: each center's own column always stays. Its classes
-    are the points of one color that reach the same centers."""
+    finite number >= 0: each center's own column always stays."""
     if lam is not None:
         lam = float(lam)
         if not 0.0 <= lam < np.inf:  # NaN fails too
@@ -373,7 +316,7 @@ def build_gf_objective_lp(inst: MetricInstance, gf: GroupFairnessSpec,
                           centers, objective: str) -> LpModel:
     """Cost-minimizing program (no radius cutoff) for median or means over
     ``centers`` (distinct point ids): those centers are open, and only they
-    receive mass. Each point is a class of its own."""
+    receive mass."""
     if objective not in ("median", "means"):
         raise ValidationError("objective LP supports 'median' and 'means' only")
     return _build(inst, gf, centers, lam=None, objective=objective)
@@ -384,68 +327,48 @@ def solve_lp(model: LpModel):
     model is infeasible.
 
     The model is decided in this order:
-    1. A class that reaches no center makes it infeasible.
+    1. A point that reaches no center makes it infeasible.
     2. The pivots' assignment, every column at 0, is the answer when it
        meets every row within RESIDUAL_TOL, the tolerance of
        ``check_lp_solution`` (max(lo, -hi) <= RESIDUAL_TOL), at any size.
-       Every column costs c_iG - c_pG >= 0, so it is also an optimum.
-    3. Else a model with no column (k = 1, or every class reaches one
+       Every column costs c_ij - c_pj >= 0, so it is also an optimum.
+    3. Else a model with no column (k = 1, or every point reaches one
        center) is infeasible.
     4. Else ``_solve_columns``, the one LP-solver entry, solves it.
     No solver runs in the first three. Each call logs one DEBUG record on
     the ``fairclus`` logger: the radius (``uncapped LP`` for a cost
-    model), the class and column counts, the solver that ran with its
+    model), the point and column counts, the solver that ran with its
     pivot count (``no solve`` when none ran), or why it fell back to
     HiGHS, and the verdict.
 
-    Each pivot takes its class's mass that the columns leave. Each class's
-    mass is then split over its members by the northwest-corner rule:
-    members in id order fill the centers in sorted order, each member one
-    unit. A class with p positive masses so gets at most p - 1 fractional
-    members, and at a vertex the positive masses beyond one per class
-    number at most k(2m + 1) (see ``flow``); both solvers return a vertex.
+    Each column's value is scattered into its (center, point) cell, and
+    each pivot takes 1 minus its point's columns. Both solvers return a
+    vertex, where at most k(2m + 1) points are fractional (see ``flow``).
     The solution is k x n, a row per center. Repair: negatives clamped,
     each assignment column renormalized to sum exactly 1 (the flow rounds
     each column as one unit of mass). Residuals are not re-verified; see
-    ``check_lp_solution``, which checks the split table against ``inst``
-    and ``gf``, so the model cannot vouch for itself.
+    ``check_lp_solution``, which checks the table against ``inst`` and
+    ``gf``, so the model cannot vouch for itself.
     """
     if (model.pivot < 0).any():
         _log_solve(model, "no solve", None)
         return None
-    size = model.class_sizes
-    cls = model.point_class
-    col_class = model.kept[:, 1]
-    # the split's tables that do not depend on the solution: the slots of
-    # the columns and pivots, and each member's rank in its class
-    col_slot = model.centers.searchsorted(model.kept[:, 0])
-    pivot_slot = model.centers.searchsorted(model.pivot)
-    order = cls.argsort(kind="stable")
-    rank = np.empty(cls.size)
-    rank[order] = np.arange(cls.size) - (size.cumsum() - size)[cls[order]]
-    upto = rank + 1.0
-    classes = np.arange(size.size)
     if np.maximum(model.lo, -model.hi).max() <= RESIDUAL_TOL:
         value, solver = np.zeros(model.ncols), "no solve"
     elif model.ncols == 0:
         value, solver = None, "no solve"
     else:
-        value, solver = _solve_columns(model, size[col_class])
+        value, solver = _solve_columns(model)
     _log_solve(model, solver, value)
     if value is None:
         return None
     value = np.maximum(value, 0.0)
 
-    # northwest corner: member r of class G takes [r, r + 1) of G's mass,
-    # center s the interval ending at y_1G + ... + y_sG
-    y = np.zeros((model.k, size.size))
-    y[col_slot, col_class] = value
-    y[pivot_slot, classes] = np.maximum(
-        size - np.bincount(col_class, value, minlength=size.size), 0.0)
-    top = y.cumsum(axis=0)[:, cls]
-    # the overlap of [rank, rank + 1) with center s's interval, at most 1
-    x = np.minimum(top, upto) - np.maximum(top - y[:, cls], rank)
-    np.maximum(x, 0.0, out=x)
+    point = model.kept[:, 1]
+    x = np.zeros((model.k, model.n))
+    x[model.centers.searchsorted(model.kept[:, 0]), point] = value
+    x[model.centers.searchsorted(model.pivot), np.arange(model.n)] = np.maximum(
+        1.0 - np.bincount(point, value, minlength=model.n), 0.0)
     sums = np.add.reduce(x, axis=0)
     if (sums < 0.5).any():
         raise PipelineError("lp", "an assignment column lost more than half its mass")
@@ -453,8 +376,8 @@ def solve_lp(model: LpModel):
     return FractionalSolution(rows=model.centers, x=x)
 
 
-def _solve_columns(model: LpModel, upper: np.ndarray):
-    """Solve a model with columns, each in [0, ``upper``], whose every class
+def _solve_columns(model: LpModel):
+    """Solve a model with columns, each in [0, 1], whose every point
     reaches a center and whose pivots' assignment breaks a row: (column
     values, solver), the values None if the model is infeasible. Its one
     choice is the solver.
@@ -468,7 +391,7 @@ def _solve_columns(model: LpModel, upper: np.ndarray):
     A model whose dense basis matrix and rows fit ``_SIMPLEX_CELLS`` goes to
     the dual simplex of ``simplex``, from the all-slack basis: in pivot
     form that is the nearest assignment, dual feasible as every column
-    costs c_iG - c_pG >= 0, so the simplex only repairs the mass and ratio
+    costs c_ij - c_pj >= 0, so the simplex only repairs the mass and ratio
     rows. Its optimum is checked against reduced costs recomputed from the
     final basis, and an infeasible verdict against its Farkas row, with
     every row relaxed by RESIDUAL_TOL. When a check fails or the pivot
@@ -493,13 +416,13 @@ def _solve_columns(model: LpModel, upper: np.ndarray):
         # and so the last bits of every solution
         a = np.zeros(model.shape, order="F")
         a[model.indices, np.repeat(np.arange(ncols), np.diff(model.indptr))] = model.data
-        out = simplex.solve(a, model.lo, model.hi, c, upper, RESIDUAL_TOL)
+        out = simplex.solve(a, model.lo, model.hi, c, RESIDUAL_TOL)
         if out.verdict in ("optimal", "infeasible"):
             return out.y, f"simplex, {out.pivots} pivots"
         solver = f"HiGHS after the simplex's {out.verdict} at {out.pivots} pivots"
     from scipy.optimize import Bounds, LinearConstraint
     res = milp(c, constraints=LinearConstraint(model.a, model.lo, model.hi),
-               bounds=Bounds(0.0, upper), options=_HIGHS_OPTIONS)
+               bounds=Bounds(0.0, 1.0), options=_HIGHS_OPTIONS)
     if res.status == 2:
         return None, solver
     if res.status != 0:
@@ -527,10 +450,10 @@ def linprog(*args, **kwargs):
 def _log_solve(model: LpModel, solver: str, value) -> None:
     """One DEBUG record of a solve: the model, the solver and its verdict
     (``value`` is None for an infeasible model)."""
-    if log.isEnabledFor(logging.DEBUG):  # class_sizes costs a count
-        log.debug("%s: %d classes, %d columns, %s, %s",
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("%s: %d points, %d columns, %s, %s",
                   "uncapped LP" if model.lam is None else f"radius probe {model.lam!r}",
-                  model.class_sizes.size, model.ncols, solver,
+                  model.n, model.ncols, solver,
                   "infeasible" if value is None
                   else "optimal" if model.lam is None else "feasible")
 
@@ -696,9 +619,9 @@ def _set_counts(k: int, colors: np.ndarray, n_h: np.ndarray):
     n, m = colors.size, n_h.size
     n_h = n_h[:, None]
     if k <= _ALL_SETS_MAX_K:
-        # every T as a bitmask: count the points per (reach mask, color),
-        # the key of the model's classes, and radius, then sum the counts
-        # of every mask within T (a subset-sum transform). Point j's mask
+        # every T as a bitmask: count the points per (reach mask, color)
+        # and radius, then sum the counts of every mask within T (a
+        # subset-sum transform). Point j's mask
         # gains a bit at each of its k reach radii, taken in order.
         masks = np.zeros((k + 1, n), dtype=np.intp)
         ends = np.zeros((k + 2, n), dtype=np.intp)  # 0, the sorted reach radii, w
@@ -818,16 +741,12 @@ def counting_bound_index(inst: MetricInstance, gf: GroupFairnessSpec, centers,
 
 def dump_lp_text(model: LpModel, stream) -> None:
     """Write the model the LP solvers solve in LP text interchange format (for
-    debugging). Column ``x_i_j`` is the mass the class of point j, its first
-    member, sends to center i. Comment lines list the members of each class
-    of two or more points, then name each class's pivot center (``none``
-    if it reaches none), which takes the class's mass the columns leave."""
-    first = np.unique(model.point_class, return_index=True)[1]
-    size = model.class_sizes
-
+    debugging). Column ``x_i_j`` is the mass point j sends to center i. A
+    comment line per point names its pivot center (``none`` if it reaches
+    none), which takes the point's mass the columns leave."""
     def var(idx):
-        i, g = model.kept[idx]
-        return f"x_{i}_{first[g]}"
+        i, j = model.kept[idx]
+        return f"x_{i}_{j}"
 
     # the entries row by row, each row's in column order
     col = np.repeat(np.arange(model.ncols), np.diff(model.indptr))
@@ -840,20 +759,17 @@ def dump_lp_text(model: LpModel, stream) -> None:
 
     centers = model.centers.tolist()
     ub, eq = model.gf.ratio_rows
-    has_row = np.bincount(model.kept[:, 1], minlength=size.size) > 1
+    has_row = np.bincount(model.kept[:, 1], minlength=model.n) > 1
     labels = ([f"mass_{i}" for i in centers]
               + [f"ratio_{kind}_{i}_{h}" for i in centers for h, kind, _ in ub]
-              + [f"assign_{j}" for j in first[has_row]]
+              + [f"assign_{j}" for j in np.flatnonzero(has_row)]
               + [f"ratio_{kind}_{i}_{h}" for i in centers for h, kind, _ in eq])
 
     stream.write("\\ fairclus model"
                  + (f" radius_cap={model.lam}" if model.lam is not None else "")
                  + " centers=" + ",".join(map(str, centers))
                  + f" n={model.n} k={model.k}\n")
-    for g in np.flatnonzero(size > 1):
-        members = np.flatnonzero(model.point_class == g)
-        stream.write(f"\\ class {first[g]}: " + ",".join(map(str, members)) + "\n")
-    for j, p in zip(first, model.pivot):
+    for j, p in enumerate(model.pivot):
         stream.write(f"\\ pivot {j} {p if p >= 0 else 'none'}\n")
     stream.write("Minimize\n obj:")
     obj = [f" {model.c[idx]:+.12g} {var(idx)}" for idx in np.flatnonzero(model.c)]
@@ -865,5 +781,5 @@ def dump_lp_text(model: LpModel, stream) -> None:
         stream.write(f" {labels[r]}:{terms(r)} {sense} {model.hi[r]:.12g}\n")
     stream.write("Bounds\n")
     for idx in range(model.ncols):
-        stream.write(f" 0 <= {var(idx)} <= {size[model.kept[idx, 1]]}\n")
+        stream.write(f" 0 <= {var(idx)} <= 1\n")
     stream.write("End\n")

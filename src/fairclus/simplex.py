@@ -2,9 +2,9 @@
 
 The program is
 
-    minimize c @ y   subject to   lo <= A @ y <= hi,   0 <= y <= u,
+    minimize c @ y   subject to   lo <= A @ y <= hi,   0 <= y <= 1,
 
-with c >= 0, u finite, and lo = -inf on the <= rows. It is solved as
+with c >= 0 and lo = -inf on the <= rows. It is solved as
 [A, -I] z = 0 over z = (y, r), the row activities r lying in [lo, hi]
 (Koberstein, *The dual simplex method*, PhD thesis, Paderborn 2005). The
 all-slack basis, every r basic and every y at its lower bound 0, has reduced
@@ -64,13 +64,13 @@ class Outcome:
 
 
 def solve(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
-          u: np.ndarray, slack: float) -> Outcome:
+          slack: float) -> Outcome:
     """Run the dual simplex on the dense (rows, columns) matrix ``a`` from
     the all-slack basis; ``c`` must be >= 0."""
     m, n = a.shape
     full = np.hstack((a, -np.eye(m)))
     lb = np.concatenate((np.zeros(n), lo))
-    ub = np.concatenate((u, hi))
+    ub = np.concatenate((np.ones(n), hi))
     cost = np.concatenate((c, np.zeros(m)))
     movable = lb < ub  # a fixed variable (an equality row's) never enters
     basis = np.arange(n, n + m)
@@ -98,7 +98,7 @@ def solve(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
         push = alpha if up else -alpha
         enter = ~basic & movable & np.where(at_upper, push < -PIVOT_TOL, push > PIVOT_TOL)
         if not enter.any():
-            return _farkas(binv[p], a, lo, hi, u, slack, pivots)
+            return _farkas(binv[p], a, lo, hi, slack, pivots)
         cand = enter.nonzero()[0]
         if priced:
             ratio = np.where(at_upper[cand], -d[cand], d[cand])
@@ -137,7 +137,7 @@ def solve(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
     z[basis] = xb
     y = z[:n]
     r = a @ y
-    if max(np.maximum(-y, y - u).max(initial=0.0),
+    if max(np.maximum(-y, y - 1.0).max(initial=0.0),
            np.maximum(lo - r, r - hi).max()) > PRIMAL_TOL:
         return Outcome("primal residual", None, pivots)
     if priced:
@@ -154,15 +154,14 @@ def solve(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
 
 
 def _farkas(rho: np.ndarray, a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            u: np.ndarray, slack: float, pivots: int) -> Outcome:
-    """Certify that no y in [0, u] meets every row within ``slack``: every
+            slack: float, pivots: int) -> Outcome:
+    """Certify that no y in [0, 1] meets every row within ``slack``: every
     such y has rho @ (A y) = rho @ r for some r in [lo - slack, hi +
     slack], so the two ranges must be disjoint. Multipliers that differ from
     0 only by rounding are dropped first; any rho gives a valid check."""
     rho = np.where(np.abs(rho) > 1e-12 * np.abs(rho).max(), rho, 0.0)
     g = rho @ a
-    gu = g * u
-    y_lo, y_hi = np.minimum(gu, 0.0).sum(), np.maximum(gu, 0.0).sum()
+    y_lo, y_hi = np.minimum(g, 0.0).sum(), np.maximum(g, 0.0).sum()
     on = rho != 0.0
     rho, r_lo, r_hi = rho[on], lo[on] - slack, hi[on] + slack
     ends = np.array((rho * r_lo, rho * r_hi))  # only lo holds infinities

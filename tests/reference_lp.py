@@ -13,11 +13,11 @@ j) and an opening column y_i for every point i:
 
 The fixed-center LP over S keeps the x_ij with i in S and no y, and replaces
 the opening rows with ``sum_j x_ij >= 1`` for every i in S. ``fairclus.lp``
-writes it over classes of points, in pivot form; the tests sum this
-per-point model over the classes (``class_model_from_dense``), substitute
-each class's pivot out of it (``pivot_model_from_dense``) to compare the
-two, and solve it (``solve_dense_reference``) as the independent check of a
-class model's feasibility and optimum.
+writes it in pivot form; the tests reorder its rows as ``fairclus.lp`` does
+(``point_model_from_dense``), substitute each point's pivot out of it
+(``pivot_model_from_dense``) to compare the two, and solve it
+(``solve_dense_reference``) as the independent check of a model's
+feasibility and optimum.
 """
 
 import warnings
@@ -137,53 +137,24 @@ def _repaired(centers, x):
     return FractionalSolution(rows=np.asarray(centers), x=x / x.sum(axis=0))
 
 
-def dense_classes(inst, centers, lam, objective):
-    """Each point's class, found from the instance: a class per point in a
-    cost model, else one per color and set of centers reached under
-    ``lam`` (every center if None), numbered in the order of first members."""
-    if objective is not None:
-        return np.arange(inst.n)
-    d = inst.distance_matrix()
-    number = {}
-    return np.array([number.setdefault(
-        (int(inst.colors[j]), tuple(lam is None or d[i, j] <= lam * (1 + EPS_D) for i in centers)),
-        len(number)) for j in range(inst.n)])
+def point_model_from_dense(inst, gf, centers, lam, objective):
+    """``dense_reference``'s fixed-center model over the sorted ``centers``,
+    its rows reordered: (kept, a, lo, hi, c), with ``a`` dense and ``kept``
+    the (center, point) pairs of its columns in row-major order.
 
-
-def class_model_from_dense(inst, gf, centers, lam, objective):
-    """The class model written from ``dense_reference``'s per-point model
-    over the sorted ``centers``: (point_class, kept, a, lo, hi, c), with
-    ``a`` dense.
-
-    Each column (i, G) is the sum of the pair columns (i, j) of G's members,
-    all of which exist and carry the same coefficient in every <= row; each
-    class row is the sum of its members' assignment rows. Columns are in
-    (center, class) order. Rows: the mass rows, the ratio rows kept as <=
-    rows, one equality row (the upper row) per color with 0 < l_h = u_h <
-    1, then the class rows; with every window exact the last color's rows
-    are left out, and they are checked to be minus the sum of the other
-    colors'."""
+    Rows: the mass rows, the ratio rows kept as <= rows, one equality row
+    (the upper row) per color with 0 < l_h = u_h < 1, then the assignment
+    rows; with every window exact the last color's rows are left out, and
+    they are checked to be minus the sum of the other colors'."""
     k, m = len(centers), inst.m
-    pairs, a_eq, b_eq, a_ub, b_ub, c = dense_reference(inst, gf, k, lam, objective, centers)
-    col_of = {pair: a for a, pair in enumerate(pairs)}
-    point_class = dense_classes(inst, centers, lam, objective)
-    members = [np.flatnonzero(point_class == g) for g in range(point_class.max() + 1)]
-    kept = [(i, g) for i in centers for g in range(len(members))
-            if (i, int(members[g][0])) in col_of]
-    rep = [col_of[i, int(members[g][0])] for i, g in kept]
-    for (i, g), a in zip(kept, rep):
-        for j in members[g]:
-            assert np.array_equal(a_ub[:, col_of[i, int(j)]], a_ub[:, a])
-    in_class = (point_class == np.arange(len(members))[:, None]).astype(float)
-    class_rows = (in_class @ a_eq)[:, rep]
-
+    kept, a_eq, b_eq, a_ub, b_ub, c = dense_reference(inst, gf, k, lam, objective, centers)
     lower, upper = gf.lower, gf.upper
     dense_rows, at = {}, k  # the dense <= ratio rows by (center, color, side)
     for i in centers:
         for h in range(m):
             for side, vacuous in (("upper", upper[h] == 1), ("lower", lower[h] == 0)):
                 if not vacuous:
-                    dense_rows[i, h, side] = a_ub[at, rep]
+                    dense_rows[i, h, side] = a_ub[at]
                     at += 1
     assert at == len(b_ub) and not b_ub[k:].any()
     exact = all(lo == up for lo, up in zip(lower, upper))
@@ -202,55 +173,49 @@ def class_model_from_dense(inst, gf, centers, lam, objective):
     below = [dense_rows[i, h, side] for i in centers for h in colors if h not in equal
              for side in ("upper", "lower") if (i, h, side) in dense_rows]
     ratio_eq = [dense_rows[i, h, "upper"] for i in centers for h in equal]
-    a = np.vstack([a_ub[:k, rep]] + below + ratio_eq + [class_rows])
-    sizes = in_class @ b_eq
-    lo = np.concatenate((np.full(k + len(below), -np.inf), np.zeros(len(ratio_eq)), sizes))
-    hi = np.concatenate((b_ub[:k], np.zeros(len(below) + len(ratio_eq)), sizes))
-    return point_class, kept, a, lo, hi, c[rep]
+    a = np.vstack([a_ub[:k]] + below + ratio_eq + [a_eq])
+    lo = np.concatenate((np.full(k + len(below), -np.inf), np.zeros(len(ratio_eq)), b_eq))
+    hi = np.concatenate((b_ub[:k], np.zeros(len(below) + len(ratio_eq)), b_eq))
+    return kept, a, lo, hi, c
 
 
 def pivot_model_from_dense(inst, gf, centers, lam, objective):
-    """``class_model_from_dense``'s model with each class's pivot
-    substituted out, written densely: (point_class, pivot, kept, a, lo, hi,
-    c).
+    """``point_model_from_dense``'s model with each point's pivot
+    substituted out, written densely: (pivot, kept, a, lo, hi, c).
 
-    Class G's pivot is the center nearest its first member among those it
-    reaches, the lowest id on ties (-1 if it reaches none). Writing y_pG =
-    |G| - sum_{i != p} y_iG, column (i, G) becomes column (i, G) minus
-    column (p, G), its cost c_iG - c_pG, and |G| times column (p, G) leaves
-    every row's bounds. The class rows turn into 0 = 0 and are dropped (a
-    class without a pivot, whose row reads 0 = |G|, leaves the pivot -1
-    to say that the model is infeasible); y_pG >= 0 becomes the row
-    sum_{i != p} y_iG <= |G|, kept after the <= rows for each class of two
-    or more columns."""
-    point_class, kept, a, lo, hi, c = class_model_from_dense(inst, gf, centers, lam, objective)
+    Point j's pivot is its nearest center among those it reaches, the
+    lowest id on ties (-1 if it reaches none). Writing x_pj = 1 - sum_{i !=
+    p} x_ij, column (i, j) becomes column (i, j) minus column (p, j), its
+    cost c_ij - c_pj, and column (p, j) leaves every row's bounds. The
+    assignment rows turn into 0 = 0 and are dropped (a point without a
+    pivot, whose row reads 0 = 1, leaves the pivot -1 to say that the model
+    is infeasible); x_pj >= 0 becomes the row sum_{i != p} x_ij <= 1, kept
+    after the <= rows for each point of two or more columns."""
+    n = inst.n
+    kept, a, lo, hi, c = point_model_from_dense(inst, gf, centers, lam, objective)
     d = inst.distance_matrix()
-    size = np.bincount(point_class)
-    nclass = size.size
     col = {pair: idx for idx, pair in enumerate(kept)}
     pivot = []
-    for g in range(nclass):
-        first = int(np.flatnonzero(point_class == g)[0])
-        reached = [i for i, h in kept if h == g]
-        pivot.append(min(reached, key=lambda i: (d[i, first], i)) if reached else -1)
-    body, lo, hi = a[:-nclass], lo[:-nclass], hi[:-nclass]  # the class rows go
-    shift = sum((size[g] * body[:, col[p, g]] for g, p in enumerate(pivot) if p >= 0),
+    for j in range(n):
+        reached = [i for i, h in kept if h == j]
+        pivot.append(min(reached, key=lambda i: (d[i, j], i)) if reached else -1)
+    body, lo, hi = a[:-n], lo[:-n], hi[:-n]  # the assignment rows go
+    shift = sum((body[:, col[p, j]] for j, p in enumerate(pivot) if p >= 0),
                 np.zeros(len(body)))
     lo, hi = lo - shift, hi - shift
-    others = [(i, g) for i, g in kept if i != pivot[g]]
-    body = np.array([body[:, col[i, g]] - body[:, col[pivot[g], g]]
-                     for i, g in others]).reshape(len(others), len(body)).T
-    cost = np.array([c[col[i, g]] - c[col[pivot[g], g]] for i, g in others])
-    width = Counter(g for _, g in others)
-    pivot_rows = [[1.0 if h == g else 0.0 for _, h in others]
-                  for g in range(nclass) if width[g] > 1]
+    others = [(i, j) for i, j in kept if i != pivot[j]]
+    body = np.array([body[:, col[i, j]] - body[:, col[pivot[j], j]]
+                     for i, j in others]).reshape(len(others), len(body)).T
+    cost = np.array([c[col[i, j]] - c[col[pivot[j], j]] for i, j in others])
+    width = Counter(j for _, j in others)
+    pivot_rows = [[1.0 if h == j else 0.0 for _, h in others]
+                  for j in range(n) if width[j] > 1]
     n_ub = int(np.count_nonzero(lo == -np.inf))
     pivot_rows = np.reshape(pivot_rows, (len(pivot_rows), len(others)))
     a = np.vstack((body[:n_ub], pivot_rows, body[n_ub:]))
-    pivot_hi = [float(size[g]) for g in range(nclass) if width[g] > 1]
-    lo = np.concatenate((lo[:n_ub], np.full(len(pivot_hi), -np.inf), lo[n_ub:]))
-    hi = np.concatenate((hi[:n_ub], pivot_hi, hi[n_ub:]))
-    return point_class, np.array(pivot), others, a, lo, hi, cost
+    lo = np.concatenate((lo[:n_ub], np.full(len(pivot_rows), -np.inf), lo[n_ub:]))
+    hi = np.concatenate((hi[:n_ub], np.ones(len(pivot_rows)), hi[n_ub:]))
+    return np.array(pivot), others, a, lo, hi, cost
 
 
 def solve_dense_reference(inst, gf, centers, lam, objective=None):

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -447,6 +448,27 @@ def test_solve_at_coordinates_near_1e155(tmp_path, capsys):
         assert run_cli(command, *common[1:], "--objective", "means") == 1
         assert capsys.readouterr().err == \
             "error: the largest distance 3e+155 overflows when squared\n"
+
+
+@pytest.mark.parametrize("objective, far", [("means", 1.2e154), ("median", 1e308)])
+def test_solve_refuses_cost_sums_that_overflow(tmp_path, capsys, objective, far):
+    """8 points alternating at 0 and ``far``, k = 1: 8 times the largest
+    point cost overflows, and ``solve`` refuses the instance with one error
+    line and exit 1, with no RuntimeWarning (it once exited 2 with a false
+    infeasible verdict)."""
+    inst_path, spec_path = tmp_path / "inst.json", tmp_path / "spec.json"
+    inst_path.write_text(json.dumps({"n": 8, "m": 2, "colors": [0, 1] * 4,
+                                     "coords": [[0.0], [far]] * 4}))
+    spec_path.write_text(json.dumps({"gf": {"lower": [0, 0], "upper": [1, 1]},
+                                     "ds": {"lower": [0, 0], "upper": [1, 1]}, "k": 1}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("solve", "--instance", str(inst_path), "--spec", str(spec_path),
+                       "--objective", objective) == 1
+    cost = far * far if objective == "means" else far
+    assert capsys.readouterr().err == (
+        f"error: {objective} costs overflow: 8 points times the largest point cost "
+        f"{cost!r} is not finite\n")
 
 
 @pytest.mark.parametrize("text, message", [

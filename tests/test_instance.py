@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,22 @@ def test_color_names_must_name_every_color(names):
 def test_triangle_violation_names_triple():
     with pytest.raises(ValidationError, match=r"\(0, 1, 2\)"):
         make_instance([0, 0, 0], dist=[[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+
+
+def test_sampled_triangle_check_reports_the_first_sampled_violation():
+    """Above n = 200 the triangle inequality is tested on 50n random
+    triples from ``default_rng(0)``; with one planted violation at n = 300,
+    the triple reported is the first violating one in sample order, as a
+    loop over the samples finds it."""
+    n = 300
+    d = np.abs(np.arange(n, dtype=float)[:, None] - np.arange(n, dtype=float))
+    triples = np.random.default_rng(0).integers(0, n, size=(50 * n, 3))
+    i, l, j = next(t for t in triples[1000:] if len(set(t.tolist())) == 3)
+    d[i, j] = d[j, i] = 10.0 * n  # breaks d(i,j) <= d(i,l) + d(l,j) for every l
+    want = next((a, b, c) for a, b, c in triples if d[a, b] + d[b, c] < d[a, c])
+    with pytest.raises(ValidationError, match=re.escape(
+            "triangle inequality violated for triple ({}, {}, {})".format(*want))):
+        make_instance(np.arange(n) % 2, dist=d)
 
 
 @pytest.mark.parametrize("table, message", [

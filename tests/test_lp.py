@@ -33,8 +33,8 @@ from fairclus.lp import (EPS_POS, RESIDUAL_TOL, FractionalSolution, check_lp_sol
                          dump_lp_text)
 
 from conftest import line_instance, vacuous_gf, window_gf
-from reference_lp import (class_model_from_dense, dense_classes, full_lp_residual,
-                          pivot_model_from_dense, solution_from_clustering,
+from reference_lp import (full_lp_residual, pivot_model_from_dense,
+                          point_model_from_dense, solution_from_clustering,
                           solve_dense_reference, solve_full_lp)
 from reference_oracle import reference_gf_assignment
 
@@ -54,9 +54,9 @@ def test_radius_cap_must_be_finite_and_nonnegative():
     for lam in (-1.0, -1e-12, math.nan, math.inf):
         with pytest.raises(ValidationError, match="radius cap"):
             build_gf_feasibility_lp(inst, vacuous_gf(2), [0], lam)
-    # a zero cap keeps the center's own class, at its pivot, the center
+    # a zero cap keeps the center's own column, at its pivot, the center
     model = build_gf_feasibility_lp(inst, vacuous_gf(2), [0], 0.0)
-    assert model.ncols == 0 and model.pivot[model.point_class[0]] == 0
+    assert model.ncols == 0 and model.pivot[0] == 0
 
 
 def test_colocated_lower_bound_infeasible():
@@ -436,7 +436,7 @@ def test_radius_cutoff_eliminates_variables():
     model = build_gf_feasibility_lp(inst, gf, [0, 2], lam=1.0)
     # each point reaches one center, its pivot: no column is left
     assert model.ncols == 0
-    assert model.pivot[model.point_class].tolist() == [0, 0, 2]
+    assert model.pivot.tolist() == [0, 0, 2]
     uncapped = build_gf_objective_lp(inst, gf, [0, 2], "median")
     # no cutoff: all k * n assignment variables but each point's nearest
     assert uncapped.pivot.tolist() == [0, 0, 2]
@@ -503,33 +503,40 @@ def _grid_spec(inst, kind):
                              upper=(0,) + (1,) * (m - 1))
 
 
-def test_classes_over_many_centers():
-    """Above 32 centers the class key is renumbered between 32-center
-    chunks; the classes still are the points of one color that reach the
-    same centers, numbered by first member."""
+def test_columns_over_many_centers():
+    """With 70 centers, more than the bits of an int64: each point's columns
+    are the centers it reaches under the cap but its pivot, the nearest of
+    them, the lowest id on ties."""
     inst = random_instance(90, 3, seed=5)
-    centers = list(range(70))  # more reach bits than an int64 holds
+    centers = list(range(70))
     d = inst.distance_matrix()[centers]
     for lam in np.quantile(d, [0.05, 0.2, 0.5]):
         model = build_gf_feasibility_lp(inst, vacuous_gf(3), centers, float(lam))
-        classes = dense_classes(inst, centers, float(lam), None)
-        assert np.array_equal(model.point_class, classes)
-        assert 3 < classes.max() + 1 < inst.n
+        reach = d <= float(lam) * (1 + EPS_D)
+        nearest = np.where(reach, d, np.inf).argmin(axis=0)
+        assert model.pivot.tolist() == np.where(reach.any(axis=0), nearest, -1).tolist()
+        reach[nearest, np.arange(inst.n)] = False
+        assert model.kept.tolist() == np.array(reach.nonzero()).T.tolist()
 
 
 def test_fixed_center_model_matches_dense_reference():
     """Uncapped median and means models, and feasibility models capped at a
     distance from the centers and at the largest one below the
-    nearest-assignment radius, where some point reaches no center: each is
-    ``dense_reference``'s model summed over its classes, with each class's
-    pivot substituted out."""
+    nearest-assignment radius, where some point reaches no center, with and
+    without duplicate points: each is ``dense_reference``'s model with each
+    point's pivot substituted out."""
     rng = np.random.default_rng(63)
-    checked = {"uncapped": 0, "capped": 0, "below": 0, "merged": 0}
+    checked = {"uncapped": 0, "capped": 0, "below": 0, "duplicates": 0}
     for n in range(2, 10):
         for m in (1, 2, 3):
             if m == 1 and n % 2:
                 continue
-            inst = make_instance(np.arange(n) % m, coords=rng.uniform(0, 1, (n, 2)), m=m)
+            coords = rng.uniform(0, 1, (n, 2))
+            if n > 2 and rng.integers(2):  # some points copy others
+                copies = rng.choice(n, size=n // 2, replace=False)
+                coords[copies] = coords[rng.integers(0, n, copies.size)]
+            inst = make_instance(np.arange(n) % m, coords=coords, m=m)
+            duplicates = len(np.unique(coords, axis=0)) < n
             for kind in ("exact", "vacuous", "lower-only", "forbidden-color"):
                 if kind == "forbidden-color" and m == 1:
                     continue
@@ -547,16 +554,15 @@ def test_fixed_center_model_matches_dense_reference():
                         cases.append((case, build_gf_feasibility_lp(
                             inst, gf, centers[::-1], float(lam)), float(lam), None))
                 for case, model, lam, objective in cases:
-                    point_class, pivot, kept, a, lo, hi, c = pivot_model_from_dense(
+                    pivot, kept, a, lo, hi, c = pivot_model_from_dense(
                         inst, gf, centers, lam, objective)
                     assert model.centers.tolist() == centers and model.k == k
                     assert model.lam == lam
-                    assert np.array_equal(model.point_class, point_class)
                     assert np.array_equal(model.pivot, pivot)
                     assert model.kept.tolist() == [list(p) for p in kept]
                     reached = np.count_nonzero(pivot >= 0)
-                    assert model.ncols == len(class_model_from_dense(
-                        inst, gf, centers, lam, objective)[1]) - reached
+                    assert model.ncols == len(point_model_from_dense(
+                        inst, gf, centers, lam, objective)[0]) - reached
                     if lam is None:
                         assert len(kept) == (k - 1) * n
                     assert np.array_equal(model.a.toarray(), a)
@@ -570,9 +576,9 @@ def test_fixed_center_model_matches_dense_reference():
                     assert np.array_equal(model.c, c)
                     assert model.a.has_canonical_format and np.all(model.a.data != 0.0)
                     checked[case] += 1
-                    checked["merged"] += model.class_sizes.size < n
+                    checked["duplicates"] += duplicates
     assert checked["uncapped"] >= 150 and checked["capped"] >= 75
-    assert checked["below"] >= 40 and checked["merged"] >= 40, checked
+    assert checked["below"] >= 40 and checked["duplicates"] >= 40, checked
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -584,8 +590,8 @@ def _golden_model(name):
         gf = GroupFairnessSpec(lower=(Fraction(1, 4), 0, 0),
                                upper=(Fraction(1, 2), 1, Fraction(1, 2)))
         return build_gf_feasibility_lp(inst, gf, [1, 4], 3.0)
-    if name == "lp_classes.lp":  # two classes of two points, exact windows
-        inst = line_instance([0, 0, 1, 1, 5, 6, 6], [0, 1, 0, 1, 0, 1, 1])
+    if name == "lp_ties.lp":  # duplicate points, a tie at 3, exact windows
+        inst = line_instance([0, 0, 1, 3, 5, 6, 6], [0, 1, 0, 1, 0, 1, 1])
         return build_gf_feasibility_lp(inst, exact_gf_spec(inst), [0, 5], 5.0)
     inst = random_instance(5, 2, seed=3)
     gf = GroupFairnessSpec(lower=(Fraction(1, 3), Fraction(1, 4)),
@@ -593,7 +599,7 @@ def _golden_model(name):
     return build_gf_objective_lp(inst, gf, [0, 3], "means")
 
 
-@pytest.mark.parametrize("name", ["lp_capped.lp", "lp_classes.lp", "lp_means.lp"])
+@pytest.mark.parametrize("name", ["lp_capped.lp", "lp_ties.lp", "lp_means.lp"])
 def test_dump_lp_text_matches_golden(name):
     buf = io.StringIO()
     dump_lp_text(_golden_model(name), buf)
@@ -669,7 +675,7 @@ def test_no_highs_call_uses_presolve(monkeypatch):
 
 
 def test_kcenter_radius_matches_presolved_full_model_probes(monkeypatch):
-    """The k-center radius, searched with class probes without presolve,
+    """The k-center radius, searched with pivot-form probes without presolve,
     is the one found when every probe solves the dense per-point model
     with presolve on, on random instances."""
     rng = np.random.default_rng(15)
@@ -699,7 +705,7 @@ def _fractional_points(sol):
 
 def test_reduced_probe_matches_the_full_model(monkeypatch):
     """On random capped models, from below the counting bound's radius to
-    the largest: the class probe is feasible exactly when HiGHS with
+    the largest: the pivot-form probe is feasible exactly when HiGHS with
     presolve finds the whole per-point model feasible, and each solution it
     returns passes the full check and splits at most k(2m + 1) points.
     Among them are k = 1 and models whose every point reaches one center
@@ -745,7 +751,7 @@ def test_reduced_probe_matches_the_full_model(monkeypatch):
 
 @st.composite
 def _tied_cases(draw):
-    """Inputs rich in ties and duplicates, where classes merge many points:
+    """Inputs rich in ties and duplicates:
     colocated points, repeated points on a line or the equidistant metric
     1 - I, with an exact, a window or a vacuous spec, and a center set."""
     n, m = draw(st.integers(1, 12)), draw(st.integers(1, 3))
@@ -766,8 +772,8 @@ def _tied_cases(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_tied_cases())
 def test_class_models_on_ties_and_duplicates(case):
-    """At every candidate radius the class probe is feasible exactly when
-    the dense per-point model is, and its split table passes the full check
+    """At every candidate radius the pivot-form probe is feasible exactly
+    when the dense per-point model is, and its table passes the full check
     with at most k(2m + 1) fractional points; the median and means optima
     (written with equality rows where a window is exact) are the dense
     model's."""
@@ -805,17 +811,84 @@ def _as_milp_reads(c, constraints, bounds):
             np.broadcast_to(bounds.ub, c.shape).astype(np.float64)]
 
 
+@st.composite
+def _uniform_cases(draw):
+    """n 2-30 points of m 1-3 colors, uniform in the unit square, some of
+    them copies of others; an exact, a window or a vacuous spec; and a
+    center set."""
+    n, m = draw(st.integers(2, 30)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = rng.uniform(0, 1, (n, 2))
+    copies = rng.choice(n, size=draw(st.integers(0, n // 2)), replace=False)
+    coords[copies] = coords[rng.integers(0, n, copies.size)]
+    inst = make_instance(rng.integers(0, m, n), coords=coords, m=m)
+    gf = draw(st.sampled_from([exact_gf_spec(inst), window_gf(inst), vacuous_gf(m)]))
+    k = draw(st.integers(1, min(n, 5)))
+    return inst, gf, sorted(rng.choice(n, size=k, replace=False).tolist())
+
+
+def test_solutions_scatter_each_points_columns(monkeypatch):
+    """Radius probes at every candidate radius, and median and means
+    models: each solution's column x[:, j] is point j's column values, its
+    pivot taking 1 minus their sum, repaired (clamped at 0, divided by the
+    sum), to the last bits; and no mass lies on a center that j does not
+    reach under the cap."""
+    values = []
+    solve_columns = lp_module._solve_columns
+
+    def recording(model):
+        out = solve_columns(model)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr(lp_module, "_solve_columns", recording)
+    seen = Counter()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_tied_cases(), _uniform_cases()))
+    def check(case):
+        inst, gf, centers = case
+        d = inst.distance_matrix()[centers]
+        models = [build_gf_feasibility_lp(inst, gf, centers, float(lam))
+                  for lam in np.unique(d)]
+        models += [build_gf_objective_lp(inst, gf, centers, objective)
+                   for objective in ("median", "means")]
+        for model in models:
+            values.clear()
+            sol = solve_lp(model)
+            if sol is None:
+                continue
+            value = values[0] if values else np.zeros(model.ncols)
+            seen["solved" if values else "no solve"] += 1
+            for j in range(inst.n):
+                cols = np.flatnonzero(model.kept[:, 1] == j)
+                want = np.zeros(model.k)
+                taken = 0.0
+                for a in cols:
+                    want[centers.index(model.kept[a, 0])] = max(value[a], 0.0)
+                    taken += max(value[a], 0.0)
+                want[centers.index(model.pivot[j])] = max(1.0 - taken, 0.0)
+                np.testing.assert_array_max_ulp(sol.x[:, j], want / want.sum(), maxulp=2)
+            if model.lam is not None:
+                far = d > model.lam * (1 + EPS_D)
+                assert not sol.x[far].any()
+                seen["capped"] += bool(far.any())
+
+    check()
+    assert min(seen[kind] for kind in ("solved", "no solve", "capped")) >= 20, seen
+
+
 def test_milp_gets_the_pivot_model(monkeypatch):
     """On the tied cases, at every candidate radius, uncapped and for median
     and means, above the simplex's size gate (patched to 0 here):
-    ``solve_lp`` calls HiGHS exactly when every class reaches a
+    ``solve_lp`` calls HiGHS exactly when every point reaches a
     center, some column is left and the pivots' assignment breaks a row by
     more than RESIDUAL_TOL, and then hands it ``pivot_model_from_dense``'s
     model, the costs scaled: the same costs, matrix entries and column
-    bounds, and the row bounds within rounding. Among the models are ones
-    with no column, ones whose pivots' assignment meets every row, ones
-    whose every class has two or more columns and ones mixing classes of
-    one column with others."""
+    bounds [0, 1], and the row bounds within rounding. Among the models are
+    ones with no column, ones whose pivots' assignment meets every row,
+    ones whose every point has two or more columns and ones mixing points
+    of one column with others."""
     calls = []
     solve_milp = lp_module.milp
 
@@ -836,7 +909,7 @@ def test_milp_gets_the_pivot_model(monkeypatch):
                                + [(None, "median"), (None, "means")]):
             model = (build_gf_feasibility_lp(inst, gf, centers, lam) if objective is None
                      else build_gf_objective_lp(inst, gf, centers, objective))
-            _, pivot, kept, a, lo, hi, cost = pivot_model_from_dense(
+            pivot, kept, a, lo, hi, cost = pivot_model_from_dense(
                 inst, gf, centers, lam, objective)
             calls.clear()
             solve_lp(model)
@@ -857,11 +930,9 @@ def test_milp_gets_the_pivot_model(monkeypatch):
             finite = lo > -np.inf
             assert np.allclose(row_lo[finite], lo[finite], rtol=0, atol=1e-12)
             assert np.allclose(row_hi, hi, rtol=0, atol=1e-12)
-            size = model.class_sizes
-            assert not col_lo.any()
-            assert col_hi.tobytes() == size[[g for _, g in kept]].astype(float).tobytes()
-            columns = Counter(g for _, g in kept)
-            seen["two or more" if min(columns[g] for g in range(size.size)) > 1
+            assert not col_lo.any() and (col_hi == 1.0).all()
+            columns = Counter(j for _, j in kept)
+            seen["two or more" if min(columns[j] for j in range(inst.n)) > 1
                  else "mixed"] += 1
 
     check()
@@ -895,13 +966,13 @@ def test_a_fair_pivot_assignment_is_solved_without_highs(monkeypatch):
 
 def test_a_class_without_a_center_is_refused_before_highs(monkeypatch):
     """A probe below the nearest-assignment radius, where point 3 reaches
-    no center while point 1 reaches both: no pivot for point 3's class, and
+    no center while point 1 reaches both: no pivot for point 3, and
     ``solve_lp`` returns None without calling an LP solver."""
     calls = []
     monkeypatch.setattr(lp_module, "_solve_columns", lambda *args: calls.append(1))
     inst = line_instance([0, 1, 2, 10], [0, 1, 0, 1])
     model = build_gf_feasibility_lp(inst, vacuous_gf(2), [0, 2], 1.0)
-    assert model.ncols == 1 and model.pivot[model.point_class[3]] == -1
+    assert model.ncols == 1 and model.pivot[3] == -1
     assert solve_lp(model) is None
     assert not calls
 
@@ -914,12 +985,12 @@ def test_pivot_ties_go_to_the_lowest_center():
     for centers in ([0, 2], [2, 0]):
         for model in (build_gf_objective_lp(inst, gf, centers, "median"),
                       build_gf_feasibility_lp(inst, gf, centers, 1.0)):
-            assert model.pivot[model.point_class].tolist() == [0, 0, 2]
-            assert [2, model.point_class[1]] in model.kept.tolist()
+            assert model.pivot.tolist() == [0, 0, 2]
+            assert [2, 1] in model.kept.tolist()
 
 
 def test_radius_probes_log_one_debug_record_each(caplog, monkeypatch):
-    """Each probe of the radius search logs its radius, class count, its
+    """Each probe of the radius search logs its radius, point count, its
     pivot-form column count, the solver that ran with its pivot count, and
     its verdict on the ``fairclus`` logger."""
     inst = line_instance([0, 0, 1, 1, 5, 6, 6], [0, 1, 0, 1, 0, 1, 1])
@@ -929,7 +1000,7 @@ def test_radius_probes_log_one_debug_record_each(caplog, monkeypatch):
         result = min_feasible_lambda(inst, gf, [0, 5])
     probes = [r.getMessage() for r in caplog.records if r.name == "fairclus"]
     assert re.fullmatch(re.escape(f"radius probe {result.radius!r}: "
-                                  f"{result.model.class_sizes.size} classes, "
+                                  f"{inst.n} points, "
                                   f"{result.model.ncols} columns, simplex, ")
                         + r"[1-9]\d* pivots, feasible", probes[-1]), probes[-1]
     assert all(p.startswith("radius probe ") for p in probes)

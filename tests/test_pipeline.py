@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -378,9 +379,8 @@ def test_kcenter_radius_search_on_ties_and_duplicates(inst):
 
 
 def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
-    """A radius probe has a column per class and center it reaches but its
-    pivot, a class being the points of one color that reach the same
-    centers under the cap: sum_G (reach(G) - 1) columns. The LP solver gets
+    """A radius probe has a column per point and center it reaches under
+    the cap but its pivot: sum_j (reach(j) - 1) columns. The LP solver gets
     one LP with those columns, or none if there are none."""
     objectives = _count_lp_solves(monkeypatch)
     models = []
@@ -390,8 +390,7 @@ def test_kcenter_hands_highs_only_fixed_center_models(monkeypatch):
             before = len(objectives)
             sol = _solve(model, *args)
             reach = inst.distance_matrix()[model.centers] <= model.lam * (1 + EPS_D)
-            classes = {(int(c), tuple(r)) for c, r in zip(inst.colors, reach.T)}
-            columns = sum(sum(r) - 1 for _, r in classes)
+            columns = int(np.maximum(reach.sum(axis=0) - 1, 0).sum())
             assert model.ncols == columns
             assert [c.size for c in objectives[before:]] == ([columns] if columns else [])
             return sol
@@ -566,6 +565,32 @@ def test_means_refuses_squared_distances_that_overflow(monkeypatch):
         solve(inst, gf, ds, "means")
     with pytest.raises(ValidationError, match="overflows when squared"):
         brute_force_doubly_fair(inst, gf, ds, "means")
+
+
+@pytest.mark.parametrize("objective, far", [("means", 1.2e154), ("median", 1e308)])
+def test_cost_sums_that_overflow_are_refused(monkeypatch, objective, far):
+    """8 points alternating at 0 and ``far``: each point cost is finite, but
+    8 times the largest is not, so a sum of costs could overflow. Solve
+    and oracle refuse the instance before any stage runs, with no
+    RuntimeWarning; once this read as a false infeasible verdict. Center,
+    whose objective is a max, solves it."""
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    inst = make_instance([0, 1] * 4, coords=[[0.0], [far]] * 4)
+    gf = GroupFairnessSpec(lower=(0, 0), upper=(1, 1))
+    ds = CenterDiversitySpec(lower=(0, 0), upper=(1, 1), k=1)
+    with monkeypatch.context() as patched, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patched.setattr(pipeline, "feasibility_precheck", no_stage)
+        patched.setattr(pipeline, "solve_ds_plugin", no_stage)
+        message = f"{objective} costs overflow: 8 points times the largest point cost"
+        with pytest.raises(ValidationError, match=message):
+            solve(inst, gf, ds, objective)
+        with pytest.raises(ValidationError, match=message):
+            brute_force_doubly_fair(inst, gf, ds, objective)
+    _, report = solve(inst, gf, ds, "center")
+    assert report.cost == far
 
 
 def test_ratio_window_failure_is_found_by_the_precheck(monkeypatch):
