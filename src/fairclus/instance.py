@@ -108,20 +108,18 @@ def make_instance(colors, coords=None, dist=None, m=None,
 
 
 def _euclidean_table(coords: np.ndarray) -> np.ndarray:
-    """Euclidean distances of the rows of ``coords``, at any scale: the
-    squares are taken on coordinates scaled by the power of two that brings
-    the largest |coordinate| into [0.5, 1), so none over- or underflows,
-    and the table is scaled back. A power of two changes no bits of a
-    normal float, so the table is the one at unit scale, times the scale."""
+    """Euclidean distances of the rows of ``coords``, summed one coordinate
+    difference at a time: symmetric, zero on the diagonal and the same bits
+    under any BLAS. The squares are taken at the power-of-two scale that
+    brings the largest |coordinate| into [0.5, 1), where none over- or
+    underflows and no bit of a normal float changes, then scaled back."""
     _, e = np.frexp(np.abs(coords).max())
     coords = np.ldexp(coords, -e)
-    sq = np.sum(coords ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * coords @ coords.T
-    np.maximum(d2, 0.0, out=d2)
-    table = np.sqrt(d2)
-    np.fill_diagonal(table, 0.0)
-    # exact symmetry regardless of float noise in the gram product
-    table = (table + table.T) / 2.0
+    table = np.zeros((coords.shape[0],) * 2)
+    diff = np.empty_like(table)
+    for x in coords.T:
+        table += np.square(np.subtract(x[:, None], x, out=diff), out=diff)
+    np.sqrt(table, out=table)
     with np.errstate(over="ignore"):
         np.ldexp(table, e, out=table)
     if np.isinf(table.max()):

@@ -206,7 +206,7 @@ def solve(inst: MetricInstance, gf: GroupFairnessSpec, ds: CenterDiversitySpec,
         bound, slack = model.lam, EPS_D * model.lam
     else:
         bound = fractional_cost(inst, sol, objective)
-        slack = MASS_TOL * max(1.0, bound)
+        slack = MASS_TOL * bound
     timings["lp"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()

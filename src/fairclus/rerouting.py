@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PipelineError, ValidationError
-from .instance import MetricInstance
+from .instance import EPS_D, MetricInstance
 from .lp import EPS_POS, MASS_TOL, FractionalSolution
 
 
@@ -160,7 +160,7 @@ def check_rerouted(inst: MetricInstance, gf, rerouted: FractionalSolution,
             raise PipelineError(stage, f"color-ratio window broken for color {h}")
     if radius_cap is not None:
         d = inst.distance_matrix()[rerouted.rows]
-        bad = (x > EPS_POS) & (d > radius_cap + EPS_POS)
+        bad = (x > EPS_POS) & (d > radius_cap * (1 + EPS_D))
         if np.any(bad):
             a, j = np.argwhere(bad)[0]
             raise PipelineError(

@@ -1,11 +1,18 @@
+import decimal
 import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairclus import (ParseError, ValidationError, instance_to_dict,
                       load_instance, make_instance, pairwise_distance_set,
@@ -127,6 +134,68 @@ def test_euclidean_distances_at_any_coordinate_scale():
     for e in (520, 1000, -570, -1060, 0):
         inst = make_instance([0, 1, 0, 1], coords=line * 2.0 ** e)
         assert np.array_equal(inst.distance_matrix(), want * 2.0 ** e), e
+
+
+def test_duplicate_points_are_at_distance_zero():
+    """The Gram identity |x|^2 + |y|^2 - 2x.y once put these two copies
+    1.35e-6 apart."""
+    inst = make_instance([0, 1, 0], coords=[[43.1, 58.7], [43.1, 58.7], [73.8, 95.6]], m=2)
+    assert inst.distance(0, 1) == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_duplicated_rows_have_distance_zero_and_equal_rows(n, dim, seed):
+    """Each point is followed by a copy of itself: every copy is at
+    distance 0 from its original and has the original's row of the table,
+    bit for bit."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-100.0, 100.0, (n, dim)) * 2.0 ** rng.integers(-30, 31)
+    inst = make_instance(np.arange(2 * n) % 2, coords=np.repeat(base, 2, axis=0))
+    d = inst.distance_matrix()
+    assert (d[0::2, 1::2].diagonal() == 0.0).all()
+    assert np.array_equal(d[0::2], d[1::2])
+
+
+def test_near_points_far_from_the_origin_keep_exact_distances():
+    """200 points within 1e-6 of (3, 4): every distance is within 1e-15
+    relative of the exact root of the rational sum of squared coordinate
+    differences, and the triangle inequality holds within 4 ulps of each
+    two-edge path. The Gram identity gave relative errors up to 1.69."""
+    pts = np.array([3.0, 4.0]) + np.random.default_rng(0).uniform(-1e-6, 1e-6, (200, 2))
+    d = make_instance(np.arange(200) % 2, coords=pts).distance_matrix()
+    exact = [[Fraction(v) for v in p] for p in pts]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for i, j in itertools.combinations(range(200), 2):
+            sq = sum((a - b) ** 2 for a, b in zip(exact[i], exact[j]))
+            want = (decimal.Decimal(sq.numerator) / sq.denominator).sqrt()
+            assert abs(decimal.Decimal(d[i, j]) - want) <= want * decimal.Decimal("1e-15"), (i, j)
+    for l in range(200):
+        assert (d <= (d[:, l, None] + d[l]) * (1 + 4 * np.finfo(float).eps)).all(), l
+
+
+def test_coordinate_table_has_the_same_bytes_under_every_blas_kernel():
+    """One 300 x 3 table built under OpenBLAS's default kernel and under
+    ``OPENBLAS_CORETYPE=Prescott`` has the same bytes: no BLAS routine
+    touches it. Where numpy does not use OpenBLAS the variable does
+    nothing, and this passes trivially."""
+    import fairclus
+    src = os.path.dirname(os.path.dirname(fairclus.__file__))
+    code = ("import hashlib, numpy as np; from fairclus import make_instance; "
+            "c = np.random.default_rng(1).uniform(-1, 1, (300, 3)); "
+            "t = make_instance(np.arange(300) % 2, coords=c).distance_matrix(); "
+            "print(hashlib.sha256(t.tobytes()).hexdigest())")
+
+    def digest(kernel):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, env=env, timeout=120).stdout
+
+    assert digest(None) == digest("Prescott")
 
 
 @pytest.mark.filterwarnings("error")

@@ -593,6 +593,22 @@ def test_cost_sums_that_overflow_are_refused(monkeypatch, objective, far):
     assert report.cost == far
 
 
+@pytest.mark.parametrize("scale", [-30, 0, 30])
+def test_a_cost_above_its_lp_bound_is_refused_at_any_scale(monkeypatch, scale):
+    """With the LP's cost reported at half its value, the rounded cost
+    exceeds the bound and the solve is refused at every coordinate scale.
+    A slack of MASS_TOL * max(1, bound) once accepted it at 2^-30, where
+    the whole cost is below 1e-6."""
+    rng = np.random.default_rng(3)
+    inst = make_instance([0, 1] * 20, coords=rng.uniform(0, 1, (40, 2)) * 2.0 ** scale)
+    gf = exact_gf_spec(inst)
+    ds = CenterDiversitySpec(lower=(0, 0), upper=(3, 3), k=3)
+    cost = pipeline.fractional_cost
+    monkeypatch.setattr(pipeline, "fractional_cost", lambda *args: cost(*args) / 2)
+    with pytest.raises(PipelineError, match="exceeds the LP's bound"):
+        solve(inst, gf, ds, "median", backend=GreedyBackend())
+
+
 def test_ratio_window_failure_is_found_by_the_precheck(monkeypatch):
     """Color 0 is half the points but at most a third of any cluster: the
     precheck's exact ratio test rejects the input before any backend or LP

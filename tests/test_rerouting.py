@@ -192,3 +192,18 @@ def test_check_rerouted_flags_broken_solutions():
                                  x=np.array([[0.9, 0.9], [0.1, 0.1]]))
     with pytest.raises(Exception, match="mass"):
         check_rerouted(inst, gf, starved, [0, 1])
+
+
+@pytest.mark.parametrize("scale", [-30, 0, 30])
+def test_check_rerouted_tests_the_radius_cap_relative_to_the_cap(scale):
+    """Center 0 sends mass to point 2, at twice the cap d(0, 1), and the
+    check refuses it at every scale. An absolute slack of EPS_POS on the
+    cap once let it through at 2^-30, where the whole line is shorter
+    than the slack."""
+    inst = make_instance([0, 1, 0, 1], coords=np.array([[0.0], [1.0], [2.0], [3.0]]) * 2.0 ** scale)
+    gf = vacuous_gf(2)
+    x = np.array([[1.0, 0.5, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0]])
+    rerouted = FractionalSolution(rows=np.array([0, 3]), x=x)
+    with pytest.raises(Exception, match=r"support arc \(0,2\) .* exceeds the radius cap"):
+        check_rerouted(inst, gf, rerouted, [0, 3], radius_cap=inst.distance(0, 1))
+    check_rerouted(inst, gf, rerouted, [0, 3], radius_cap=inst.distance(0, 2))

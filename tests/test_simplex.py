@@ -36,8 +36,9 @@ def _models(draw):
     """A pivot-form model: n 6-40 points of m 2-3 balanced colors, uniform in
     the unit square or on a 4 x 4 integer grid (so with duplicate points),
     scaled by 2^-20, 1 or 2^20; an exact or a window spec; k 2-5 random
-    centers; a median, means or radius-probe model, the probe at a random
-    candidate radius."""
+    centers; a median, means or radius-probe model, the probe at a candidate
+    radius drawn uniformly (``st.integers`` would favour the ends of the
+    range, so mostly the smallest candidate, which is infeasible)."""
     n, k, m = draw(st.integers(6, 40)), draw(st.integers(2, 5)), draw(st.integers(2, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     colors = rng.permutation(np.arange(n) % m)
@@ -50,7 +51,7 @@ def _models(draw):
     kind = draw(st.sampled_from(["median", "means", "radius"]))
     if kind == "radius":
         radii = np.unique(inst.distance_matrix()[centers])
-        lam = float(radii[draw(st.integers(0, radii.size - 1))])
+        lam = float(radii[draw(st.sampled_from(range(radii.size)))])
         return inst, gf, centers, kind, build_gf_feasibility_lp(inst, gf, centers, lam)
     return inst, gf, centers, kind, build_gf_objective_lp(inst, gf, centers, kind)
 
