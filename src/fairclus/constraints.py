@@ -20,7 +20,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .instance import MetricInstance
+from .instance import MetricInstance, point_ids
 
 OBJECTIVES = ("center", "median", "means")
 
@@ -265,7 +265,15 @@ def clustering_cost(inst: MetricInstance, assignment, objective: str) -> float:
 
 
 def make_clustering(inst, centers, assignment, objective) -> Clustering:
-    cost = clustering_cost(inst, tuple(assignment), objective)
+    """The clustering that assigns point j to center ``assignment[j]``, its
+    cost recomputed; every id must be an integer in [0, n), and every point
+    assigned."""
+    message = f"the clustering does not fit the instance's {inst.n} points"
+    centers = point_ids(centers, inst.n, message)
+    assignment = point_ids(assignment, inst.n, message)
+    if len(assignment) != inst.n:
+        raise ValidationError(message)
+    cost = clustering_cost(inst, assignment, objective)
     return Clustering(tuple(sorted(centers)), tuple(assignment), objective, cost)
 
 
@@ -277,9 +285,10 @@ def _require_colors(inst: MetricInstance, spec, name: str) -> None:
 def cluster_color_counts(inst: MetricInstance, clustering: Clustering) -> np.ndarray:
     """(k, m) table of each cluster's color counts, a row per center in the
     order of ``clustering.centers``; its row sums are the cluster sizes."""
-    centers = np.asarray(clustering.centers, dtype=np.int64)
-    if len(clustering.assignment) != inst.n or not all(0 <= c < inst.n for c in centers.tolist()):
-        raise ValidationError(f"the clustering does not fit the instance's {inst.n} points")
+    message = f"the clustering does not fit the instance's {inst.n} points"
+    centers = point_ids(clustering.centers, inst.n, message)
+    if len(clustering.assignment) != inst.n:
+        raise ValidationError(message)
     cell = np.asarray(clustering.assignment, dtype=np.int64) * inst.m + inst.colors
     return np.bincount(cell, minlength=inst.n * inst.m).reshape(inst.n, inst.m)[centers]
 
@@ -328,9 +337,9 @@ def gf_violation(inst: MetricInstance, clustering: Clustering,
 def check_ds(inst: MetricInstance, centers, ds: CenterDiversitySpec) -> bool:
     """True iff there are exactly k centers, no id repeats and
     L_h <= |centers ∩ P_h| <= U_h for every color. The spec must have the
-    instance's colors."""
+    instance's colors, and every center be an integer id in [0, n)."""
     _require_colors(inst, ds, "ds")
-    centers = list(centers)
+    centers = point_ids(centers, inst.n, f"centers must be integer ids in [0, {inst.n})")
     if len(centers) != ds.k or len(set(centers)) != len(centers):
         return False
     counts = np.bincount(inst.colors[centers], minlength=ds.m).tolist() if centers else \

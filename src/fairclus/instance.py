@@ -55,6 +55,17 @@ class MetricInstance:
         return np.bincount(self.colors, minlength=self.m)
 
 
+def point_ids(ids, n: int, message: str) -> list:
+    """``ids`` as Python ints, each a Python or numpy integer (not a bool)
+    in [0, n), or a ValidationError with ``message``: numpy would read -1
+    as point n - 1 and True as point 1, and ``int`` would round 2.7 down."""
+    ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+    out = [int(i) for i in ids if type(i) is int or isinstance(i, np.integer)]
+    if len(out) < len(ids) or (out and not 0 <= min(out) <= max(out) < n):
+        raise ValidationError(message)
+    return out
+
+
 def make_instance(colors, coords=None, dist=None, m=None,
                   color_names=None) -> MetricInstance:
     """Build and validate a MetricInstance from raw arrays. Each color
@@ -65,6 +76,8 @@ def make_instance(colors, coords=None, dist=None, m=None,
             if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
                 raise ValidationError(f"color label {c!r} of point {j} is not an integer")
     colors = np.asarray(colors, dtype=int)
+    if colors.ndim != 1:
+        raise ValidationError(f"colors must hold one label per point, got shape {colors.shape}")
     n = colors.shape[0]
     if n == 0:
         raise ValidationError("instance must contain at least one point")
@@ -87,8 +100,8 @@ def make_instance(colors, coords=None, dist=None, m=None,
 
     if coords is not None:
         coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 2 or coords.shape[0] != n:
-            raise ValidationError(f"coords must be (n, dim), got {coords.shape}")
+        if coords.ndim != 2 or coords.shape[0] != n or coords.shape[1] == 0:
+            raise ValidationError(f"coords must be (n, dim) with dim >= 1, got {coords.shape}")
         if not np.all(np.isfinite(coords)):
             raise ValidationError("coords contain non-finite values")
         table = _euclidean_table(coords)

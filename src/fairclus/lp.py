@@ -44,9 +44,9 @@ checked; larger models, and any the simplex cannot certify, go to HiGHS
 through scipy's ``milp``. Both return a vertex.
 
 A model is plain numpy arrays, its matrix in compressed sparse columns
-(``LpModel``), and the simplex reads a dense copy of it. scipy is imported
-only for HiGHS: ``milp`` imports ``scipy.optimize`` on its first call, and
-``LpModel.a``, the matrix as a scipy ``csc_array``, imports
+(``LpModel``), from which the simplex writes its dense matrix. scipy is
+imported only for HiGHS: ``milp`` imports ``scipy.optimize`` on its first
+call, and ``LpModel.a``, the matrix as a scipy ``csc_array``, imports
 ``scipy.sparse`` on its first read. A solve that HiGHS never sees loads no
 scipy module.
 
@@ -68,7 +68,7 @@ import numpy as np
 from . import simplex
 from .constraints import GroupFairnessSpec, point_costs
 from .errors import PipelineError, ValidationError
-from .instance import EPS_D, MetricInstance
+from .instance import EPS_D, MetricInstance, point_ids
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -291,12 +291,13 @@ def _build(inst: MetricInstance, gf: GroupFairnessSpec, centers,
 
 
 def _center_ids(inst: MetricInstance, centers) -> np.ndarray:
-    """Sorted ids of a center set, validated: at least one, distinct, and in
-    [0, n)."""
-    ids = [int(c) for c in centers]
+    """Sorted ids of a center set, validated: at least one, distinct, and
+    integers in [0, n)."""
+    message = f"centers must be one or more distinct ids in [0, {inst.n})"
+    ids = point_ids(centers, inst.n, message)
     out = sorted(set(ids))
-    if not ids or len(out) != len(ids) or out[0] < 0 or out[-1] >= inst.n:
-        raise ValidationError(f"centers must be one or more distinct ids in [0, {inst.n})")
+    if not ids or len(out) != len(ids):
+        raise ValidationError(message)
     return np.array(out)
 
 
@@ -412,11 +413,7 @@ def _solve_columns(model: LpModel):
     rows, ncols = model.shape
     solver = "HiGHS"
     if rows * (rows + ncols) <= _SIMPLEX_CELLS:
-        # column-major: the layout fixes how BLAS orders its sums over A,
-        # and so the last bits of every solution
-        a = np.zeros(model.shape, order="F")
-        a[model.indices, np.repeat(np.arange(ncols), np.diff(model.indptr))] = model.data
-        out = simplex.solve(a, model.lo, model.hi, c, RESIDUAL_TOL)
+        out = simplex.solve(model, model.lo, model.hi, c, RESIDUAL_TOL)
         if out.verdict in ("optimal", "infeasible"):
             return out.y, f"simplex, {out.pivots} pivots"
         solver = f"HiGHS after the simplex's {out.verdict} at {out.pivots} pivots"

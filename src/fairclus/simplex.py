@@ -63,12 +63,15 @@ class Outcome:
     pivots: int
 
 
-def solve(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
-          slack: float) -> Outcome:
-    """Run the dual simplex on the dense (rows, columns) matrix ``a`` from
-    the all-slack basis; ``c`` must be >= 0."""
+def solve(a, lo: np.ndarray, hi: np.ndarray, c: np.ndarray, slack: float) -> Outcome:
+    """Run the dual simplex from the all-slack basis on ``a``, compressed
+    sparse columns (an ``lp.LpModel`` or a ``csc_array``); ``c`` >= 0."""
     m, n = a.shape
-    full = np.hstack((a, -np.eye(m)))
+    # [A, -I] column-major: the layout fixes BLAS's sums to the last bit
+    full = np.zeros((m, n + m), order="F")
+    full[a.indices, np.repeat(np.arange(n), np.diff(a.indptr))] = a.data
+    full[np.arange(m), np.arange(n, n + m)] = -1.0
+    a = full[:, :n]
     lb = np.concatenate((np.zeros(n), lo))
     ub = np.concatenate((np.ones(n), hi))
     cost = np.concatenate((c, np.zeros(m)))

@@ -170,6 +170,28 @@ def test_check_ds_examples():
     assert not check_ds(line, [0], short)  # fewer than k centers
 
 
+@pytest.mark.parametrize("centers", [[0, -1], [0, 7], [0.0, 1], [True, 0]])
+def test_check_ds_refuses_ids_that_are_not_points(centers):
+    """-1 used to read point 4's color and pass; 7 raised IndexError."""
+    ds = CenterDiversitySpec((0, 0), (2, 2), 2)
+    with pytest.raises(ValidationError, match=r"integer ids in \[0, 5\)"):
+        check_ds(random_instance(5, 2, 1), centers, ds)
+
+
+@pytest.mark.parametrize("centers, assignment", [
+    ([0, -1], [0, -1, 0, -1, 0, -1]), ([0, 6], [0, 6, 0, 6, 0, 6]),
+    ([0, 1.0], [0, 1.0, 0, 1.0, 0, 1.0]), ([0, 1], [0, 1, 0, True, 0, 1]),
+    ([0, 1], [0, 1, 0, 1, 0]), ([0, 1], [1])])
+def test_make_clustering_refuses_ids_that_are_not_points(centers, assignment):
+    """Center -1 used to cost row -1 of the table, and a one-entry
+    assignment was broadcast to every point."""
+    inst = random_instance(6, 2, 1)
+    with pytest.raises(ValidationError, match="does not fit the instance's 6 points"):
+        make_clustering(inst, centers, assignment, "median")
+    clustering = make_clustering(inst, np.array([1, 0]), [0, 1] * 3, "median")
+    assert clustering.centers == (0, 1) and type(clustering.centers[0]) is int
+
+
 def test_checkers_reject_a_spec_with_other_colors():
     """A point of color 2 under a two-color spec is not skipped: both
     checkers refuse the pair."""

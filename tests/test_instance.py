@@ -206,6 +206,16 @@ def test_a_distance_that_overflows_is_refused():
         make_instance([0, 0], coords=[[-1.7e308], [1.7e308]])
 
 
+def test_colors_and_coords_must_have_their_shapes():
+    """A 2-D integer array of colors used to pass as an instance whose
+    colors had that shape, and coordinates with no column ended in a bare
+    ValueError."""
+    with pytest.raises(ValidationError, match=r"one label per point, got shape \(2, 2\)"):
+        make_instance(np.zeros((2, 2), int), coords=np.zeros((2, 1)))
+    with pytest.raises(ValidationError, match=r"dim >= 1, got \(2, 0\)"):
+        make_instance([0, 1], coords=np.zeros((2, 0)))
+
+
 def test_asymmetry_rejected():
     with pytest.raises(ValidationError, match="asymmetric"):
         make_instance([0, 0], dist=[[0, 1], [2, 0]])

@@ -449,7 +449,7 @@ def test_objective_lp_rejects_center():
         build_gf_objective_lp(inst, vacuous_gf(2), [0], "center")
 
 
-@pytest.mark.parametrize("centers", [[], [0, 0], [0, 2], [-1, 1]])
+@pytest.mark.parametrize("centers", [[], [0, 0], [0, 2], [-1, 1], [0.5, 1.7], [True, 0]])
 def test_fixed_center_lp_rejects_bad_center_sets(centers):
     inst = line_instance([0, 1], [0, 1])
     with pytest.raises(ValidationError, match="distinct ids"):

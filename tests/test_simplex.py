@@ -25,10 +25,13 @@ def _with_highs(monkeypatch, call):
         return call()
 
 
-def _column_values(model):
-    """The simplex's run on a model, as ``lp._solve_columns`` makes it."""
+def _column_values(model, matrix=None):
+    """The simplex's run on a model, with the costs scaled and the slack
+    ``lp._solve_columns`` gives it, on ``matrix`` (the model itself if
+    None)."""
     c = np.ldexp(model.c, 1 - np.frexp(model.c.max())[1])
-    return simplex.solve(model.a.toarray(), model.lo, model.hi, c, RESIDUAL_TOL)
+    return simplex.solve(model if matrix is None else matrix, model.lo, model.hi, c,
+                         RESIDUAL_TOL)
 
 
 @st.composite
@@ -92,6 +95,22 @@ def test_simplex_matches_highs(monkeypatch):
     assert min(seen.values()) >= 20 and len(seen) == 5, seen
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_models())
+def test_the_simplex_reads_a_model_and_its_csc_array_alike(case):
+    """The simplex writes its working matrix from any compressed sparse
+    columns: the model's own arrays and scipy's ``csc_array`` of them give
+    the same verdict, pivot count and solution bits."""
+    model = case[-1]
+    if not model.ncols or (model.pivot < 0).any():
+        return
+    own, csc = _column_values(model), _column_values(model, model.a)
+    assert (own.verdict, own.pivots) == (csc.verdict, csc.pivots)
+    assert (own.y is None) == (csc.y is None)
+    if own.y is not None:
+        assert own.y.tobytes() == csc.y.tobytes()
+
+
 def _median_model():
     """An n=30, k=4 median model whose nearest assignment breaks a ratio
     row, so the simplex pivots."""
@@ -141,7 +160,7 @@ def test_an_infeasible_probe_is_certified_by_its_farkas_row(monkeypatch):
     assert model.ncols > 0 and (model.pivot >= 0).all()
     run = _column_values(model)
     assert (run.verdict, run.pivots) == ("infeasible", 1)
-    wide = simplex.solve(model.a.toarray(), model.lo, model.hi, model.c, 10.0)
+    wide = simplex.solve(model, model.lo, model.hi, model.c, 10.0)
     assert wide.verdict == "Farkas row"
     highs = []
     milp = lp_module.milp
